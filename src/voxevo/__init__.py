@@ -37,17 +37,12 @@ from .physics import (
 from .sensing import (
     ObservationBuilder,
     ObservationConfig,
-    observe_global,
-    observe_local,
-    observe_voxel,
     time_signal,
 )
 from .control import (
     ControllerGenome,
     MlpParams,
     act,
-    act_global,
-    act_modular,
     init_controller,
     mlp_forward,
     mutate_controller,
@@ -78,11 +73,8 @@ from .experiments import (
     convergence_metrics,
     default_catalog,
     directional_report,
-    fixed_morph_training,
     load_catalog,
-    multi_morph_training,
     mutation_accounting,
-    run_battery,
     save_catalog,
     transfer_analysis,
 )

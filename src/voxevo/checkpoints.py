@@ -13,8 +13,10 @@ that many individual records). Each individual record:
     controller kind u8 | parameter count u32 | parameters f64[count]
 
 Controller parameters are the flat layout: W1 row-major, b1, W2 row-major,
-b2. Files are written to a `.partial` sibling and renamed into place, so a
-finished file is never half-written.
+b2. The input size is not stored: the hidden width (32) and the kind's
+output count are fixed, so the parameter count determines it. Files are
+written to a `.partial` sibling and renamed into place, so a finished file
+is never half-written.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .control import (
     GLOBAL_KIND,
     HIDDEN_UNITS,
     MODULAR_KIND,
-    DEFAULT_INPUT_SIZE,
     GLOBAL_OUTPUT_SIZE,
     MODULAR_OUTPUT_SIZE,
     ControllerGenome,
@@ -108,18 +109,18 @@ def _unpack_individual(reader: _Reader) -> Individual:
         raise CheckpointIntegrityError(
             f"{reader.path}: unknown controller kind {ctrl_code}")
     kind = _CTRL_NAMES[ctrl_code]
+    # count = hidden * (n_in + 1) + n_out * (hidden + 1)
     n_out = GLOBAL_OUTPUT_SIZE if kind == GLOBAL_KIND else MODULAR_OUTPUT_SIZE
-    expected = HIDDEN_UNITS * DEFAULT_INPUT_SIZE + HIDDEN_UNITS \
-        + n_out * HIDDEN_UNITS + n_out
-    if n_params != expected:
+    n_in, rest = divmod(n_params - n_out * (HIDDEN_UNITS + 1), HIDDEN_UNITS)
+    n_in -= 1
+    if rest or n_in < 1:
         raise CheckpointIntegrityError(
-            f"{reader.path}: {kind} controller should have {expected} "
-            f"parameters, found {n_params}")
+            f"{reader.path}: {n_params} parameters do not fit a {kind} controller "
+            f"with {HIDDEN_UNITS} hidden units")
     flat = np.frombuffer(reader.take(n_params * 8), dtype="<f8")
     if not np.isfinite(flat).all():
         raise CheckpointIntegrityError(f"{reader.path}: non-finite parameters")
-    controller = ControllerGenome(
-        kind, params_from_flat(flat, DEFAULT_INPUT_SIZE, HIDDEN_UNITS, n_out))
+    controller = ControllerGenome(kind, params_from_flat(flat, n_in, HIDDEN_UNITS, n_out))
     return Individual(
         morphology=morph,
         controller=controller,

@@ -125,36 +125,19 @@ def _batch_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
     return _sigmoid(h @ params.W2.T + params.b2)
 
 
-def act_global(genome: ControllerGenome, world: SimWorld, env_step: int,
-               builder: ObservationBuilder | None = None) -> dict[tuple[int, int], float]:
-    """One forward pass on the full-box observation; keep only actuator outputs.
-
-    Output index of cell (r, c) is its raster index r*side + c.
-    """
-    if genome.kind != GLOBAL_KIND:
-        raise ValueError("act_global requires a global controller")
-    builder = builder or ObservationBuilder(world)
-    out = mlp_forward(genome.params, builder.global_vector(env_step))
-    side = builder.cfg.box_side
-    return {(r, c): float(out[r * side + c]) for r, c in world.actuator_cells}
-
-
-def act_modular(genome: ControllerGenome, world: SimWorld, env_step: int,
-                builder: ObservationBuilder | None = None) -> dict[tuple[int, int], float]:
-    """Shared-parameter forward pass per actuator on its own window."""
-    if genome.kind != MODULAR_KIND:
-        raise ValueError("act_modular requires a modular controller")
-    builder = builder or ObservationBuilder(world)
-    cells, xs = builder.local_matrix(env_step)
-    out = _batch_forward(genome.params, xs)[:, 0]
-    return {cell: float(a) for cell, a in zip(cells, out)}
-
-
 def act(genome: ControllerGenome, world: SimWorld, env_step: int,
-        builder: ObservationBuilder | None = None) -> dict[tuple[int, int], float]:
+        builder: ObservationBuilder | None = None) -> np.ndarray:
+    """Actions in (0, 1), one per actuator in `world.actuator_cells` order.
+
+    Global: one forward pass on the full-box observation, read at each
+    actuator's raster index. Modular: the shared network on every actuator's
+    own window.
+    """
+    builder = builder or ObservationBuilder(world)
     if genome.kind == GLOBAL_KIND:
-        return act_global(genome, world, env_step, builder)
-    return act_modular(genome, world, env_step, builder)
+        out = mlp_forward(genome.params, builder.global_vector(env_step))
+        return out[builder.actuator_raster]
+    return _batch_forward(genome.params, builder.local_matrix(env_step))[:, 0]
 
 
 def init_controller(kind: str, rng: np.random.Generator,

@@ -26,7 +26,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .control import ControllerGenome, init_controller, mutate_controller
+from .control import MODULAR_KIND, ControllerGenome, init_controller, mutate_controller
 from .morphology import (
     Morphology,
     MutationFailedError,
@@ -141,20 +141,6 @@ class RunArtifacts:
     final_population: list[Individual]
     config: EvolutionConfig
 
-    @property
-    def best_so_far_series(self) -> list[float]:
-        """Running best fitness: index 0 = initial population, then one entry
-        per generation."""
-        series = [self.lineage_initial_best()]
-        for log in self.logs:
-            series.append(max(series[-1], log.best_fitness))
-        return series
-
-    def lineage_initial_best(self) -> float:
-        init = [r.fitness for r in self.lineage.values() if r.parent_id is None
-                and r.id < self.config.mu]
-        return max(init)
-
 
 def dominates(a: Individual, b: Individual) -> bool:
     """(min age, max fitness) dominance with at least one strict inequality."""
@@ -250,9 +236,11 @@ def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
         morph = cfg.fixed_morphology
     else:
         morph = cfg.catalog[0]
+    obs = cfg.observation
+    n_inputs = obs.local_size if cfg.controller_kind == MODULAR_KIND else obs.global_size
     return Individual(
         morphology=morph,
-        controller=init_controller(cfg.controller_kind, rng),
+        controller=init_controller(cfg.controller_kind, rng, n_inputs),
         age=0,
         id=new_id,
         parent_id=None,

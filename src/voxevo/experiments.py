@@ -1,29 +1,21 @@
 """Study procedures built on the evolution loop.
 
-Covers repeated-run batteries, fixed-body and joint multi-body training,
-controller transfer onto mutated bodies (zero-shot and one-shot), mutation
-success accounting along champion lineages, and convergence metrics over
-best-fitness series. All procedures are pure functions of (config, seed).
+Covers the body catalog, controller transfer onto mutated bodies (zero-shot
+and one-shot), mutation success accounting along champion lineages,
+convergence metrics over best-fitness series, and the comparison report of
+the two controller paradigms. All procedures are pure functions of
+(config, seed).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control import ControllerGenome, mutate_controller
-from .evolution import (
-    KIND_BODY,
-    KIND_BRAIN,
-    MODE_FIXED_BODY,
-    MODE_MULTI_BODY,
-    EvolutionConfig,
-    RunArtifacts,
-    run_evolution,
-)
+from .evolution import KIND_BODY, KIND_BRAIN, RunArtifacts
 from .morphology import Morphology, MutationFailedError, sample_neighbor, validate
 from .physics import PhysicsConfig
 from .sensing import ObservationConfig
@@ -140,29 +132,6 @@ class ConvergenceMetrics:
 
 class LineageIntegrityError(RuntimeError):
     pass
-
-
-def run_battery(paradigm: str, n_runs: int, generations: int, base_seed: int,
-                base_cfg: EvolutionConfig | None = None) -> list[RunArtifacts | None]:
-    """Independent runs with seeds base_seed + i; a failed run is logged as
-    None and the battery continues."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    base_cfg = base_cfg or EvolutionConfig()
-    results: list[RunArtifacts | None] = []
-    for i in range(n_runs):
-        cfg = dataclasses.replace(
-            base_cfg,
-            controller_kind=paradigm,
-            generations=generations,
-            master_seed=base_seed + i,
-        )
-        try:
-            results.append(run_evolution(cfg))
-        except Exception:
-            logger.exception("run %d of %d (seed %d) failed", i + 1, n_runs, base_seed + i)
-            results.append(None)
-    return results
 
 
 def _distinct_neighbors(source: Morphology, distance: int, count: int,
@@ -303,39 +272,6 @@ def convergence_metrics(best_fitness_series: list[float],
     return ConvergenceMetrics(generations_to=generations, shifted=shifted)
 
 
-def multi_morph_training(paradigm: str, catalog: list[Morphology],
-                         generations: int, seed: int,
-                         base_cfg: EvolutionConfig | None = None) -> RunArtifacts:
-    """Joint controller training: fitness = min episode fitness over the
-    catalog bodies; morphology mutation disabled."""
-    base_cfg = base_cfg or EvolutionConfig()
-    cfg = dataclasses.replace(
-        base_cfg,
-        controller_kind=paradigm,
-        mode=MODE_MULTI_BODY,
-        catalog=tuple(catalog),
-        fixed_morphology=None,
-        generations=generations,
-        master_seed=seed,
-    )
-    return run_evolution(cfg)
-
-
-def fixed_morph_training(paradigm: str, body: Morphology, generations: int,
-                         seed: int, base_cfg: EvolutionConfig | None = None) -> RunArtifacts:
-    base_cfg = base_cfg or EvolutionConfig()
-    cfg = dataclasses.replace(
-        base_cfg,
-        controller_kind=paradigm,
-        mode=MODE_FIXED_BODY,
-        fixed_morphology=body,
-        catalog=None,
-        generations=generations,
-        master_seed=seed,
-    )
-    return run_evolution(cfg)
-
-
 def per_body_fitness(run: RunArtifacts, bodies: list[Morphology]) -> list[float]:
     """Champion controller fitness on each body separately."""
     cfg = run.config
@@ -365,10 +301,6 @@ def directional_report(modular_runs: list[RunArtifacts],
     """
     report: dict = {"paradigms": {}}
     for name, runs in (("modular", modular_runs), ("global", global_runs)):
-        runs = [r for r in runs if r is not None]
-        if not runs:
-            report["paradigms"][name] = None
-            continue
         champs = [r.champion.fitness for r in runs]
         med, q1, q3 = _median_iqr(champs)
 
@@ -406,27 +338,26 @@ def directional_report(modular_runs: list[RunArtifacts],
                 float(np.mean(body_fractions)) if body_fractions else None,
         }
 
-    mod, glo = report["paradigms"].get("modular"), report["paradigms"].get("global")
-    if mod and glo:
-        report["trends"] = {
-            "modular_champion_ge_global": mod["champion_median"] >= glo["champion_median"],
-            "both_zero_shot_negative_d1": (
-                mod["mean_zero_shot_relative_change_d1"] is not None
-                and glo["mean_zero_shot_relative_change_d1"] is not None
-                and mod["mean_zero_shot_relative_change_d1"] < 0
-                and glo["mean_zero_shot_relative_change_d1"] < 0
-            ),
-            "modular_drop_le_global": (
-                mod["mean_zero_shot_relative_change_d1"] is not None
-                and glo["mean_zero_shot_relative_change_d1"] is not None
-                and mod["mean_zero_shot_relative_change_d1"]
-                >= glo["mean_zero_shot_relative_change_d1"]
-            ),
-            "modular_body_fraction_higher": (
-                mod["mean_population_body_success_fraction"] is not None
-                and glo["mean_population_body_success_fraction"] is not None
-                and mod["mean_population_body_success_fraction"]
-                > glo["mean_population_body_success_fraction"]
-            ),
-        }
+    mod, glo = report["paradigms"]["modular"], report["paradigms"]["global"]
+    report["trends"] = {
+        "modular_champion_ge_global": mod["champion_median"] >= glo["champion_median"],
+        "both_zero_shot_negative_d1": (
+            mod["mean_zero_shot_relative_change_d1"] is not None
+            and glo["mean_zero_shot_relative_change_d1"] is not None
+            and mod["mean_zero_shot_relative_change_d1"] < 0
+            and glo["mean_zero_shot_relative_change_d1"] < 0
+        ),
+        "modular_drop_le_global": (
+            mod["mean_zero_shot_relative_change_d1"] is not None
+            and glo["mean_zero_shot_relative_change_d1"] is not None
+            and mod["mean_zero_shot_relative_change_d1"]
+            >= glo["mean_zero_shot_relative_change_d1"]
+        ),
+        "modular_body_fraction_higher": (
+            mod["mean_population_body_success_fraction"] is not None
+            and glo["mean_population_body_success_fraction"] is not None
+            and mod["mean_population_body_success_fraction"]
+            > glo["mean_population_body_success_fraction"]
+        ),
+    }
     return report

@@ -106,9 +106,10 @@ class SimWorld:
     damping: np.ndarray        # (n_springs,)
     axis: np.ndarray           # (n_springs,) AXIS_* code
     incidence: np.ndarray      # (n_masses, n_springs) +1/-1/0
-    cells: list[tuple[int, int]]            # active cells, raster order
-    cell_index: dict[tuple[int, int], int]  # cell -> voxel id
+    cells: list[tuple[int, int]]  # active cells, raster order; index = voxel id
     materials: np.ndarray      # (n_voxels,) material codes
+    actuator_voxels: np.ndarray      # (n_act,) voxel id driven by each action
+    actuator_horizontal: np.ndarray  # (n_act,) True scales x, False scales y
     corner_map: np.ndarray     # (n_voxels, 4) mass indices
     scale_x: np.ndarray        # (n_voxels,) current per-axis actuation scale
     scale_y: np.ndarray
@@ -140,7 +141,8 @@ class SimWorld:
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
-        return [c for c, v in zip(self.cells, self.materials) if v in (H_ACTUATOR, V_ACTUATOR)]
+        """Actuator cells in raster order: the order of every action array."""
+        return [self.cells[v] for v in self.actuator_voxels]
 
 
 def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0.0) -> SimWorld:
@@ -177,8 +179,8 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         pos[idx, 0] = (cc - min_col) * VOXEL_EDGE
         pos[idx, 1] = ground_height + (max_corner_row - rr) * VOXEL_EDGE
 
-    cell_index = {cell: i for i, cell in enumerate(cells)}
     materials = np.array([genome.grid[r, c] for r, c in cells], dtype=np.int8)
+    actuator_voxels = np.flatnonzero(np.isin(materials, (H_ACTUATOR, V_ACTUATOR)))
     corner_map = np.zeros((len(cells), 4), dtype=np.int64)
 
     # springs keyed by (endpoint a, endpoint b, axis); insertion order fixed
@@ -265,8 +267,9 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         axis=axis,
         incidence=incidence,
         cells=cells,
-        cell_index=cell_index,
         materials=materials,
+        actuator_voxels=actuator_voxels,
+        actuator_horizontal=materials[actuator_voxels] == H_ACTUATOR,
         corner_map=corner_map,
         scale_x=np.ones(len(cells)),
         scale_y=np.ones(len(cells)),
@@ -288,8 +291,9 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     )
 
 
-def apply_actuation(world: SimWorld, actions: dict[tuple[int, int], float]) -> None:
-    """Set spring rest lengths from per-voxel actions in [0, 1].
+def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
+    """Set spring rest lengths from actions in [0, 1], one per actuator in
+    `world.actuator_cells` order.
 
     Action a maps linearly onto scale s in [actuation_min, actuation_max].
     Horizontal actuators scale their horizontal edges, vertical actuators
@@ -297,21 +301,17 @@ def apply_actuation(world: SimWorld, actions: dict[tuple[int, int], float]) -> N
     scales and each voxel's diagonals become sqrt(w^2 + h^2) of its own
     per-axis extents.
     """
+    actions = np.asarray(actions, dtype=np.float64)
+    if actions.shape != world.actuator_voxels.shape:
+        raise ValueError(
+            f"expected {world.actuator_voxels.size} actions, got shape {actions.shape}")
+    if not ((actions >= 0.0) & (actions <= 1.0)).all():
+        raise ValueError(f"actions outside [0, 1]: {actions}")
     lo, hi = world.actuation_min, world.actuation_max
-    for cell, a in actions.items():
-        vox = world.cell_index.get(cell)
-        if vox is None:
-            raise ValueError(f"cell {cell} is not part of the robot")
-        material = int(world.materials[vox])
-        if material not in (H_ACTUATOR, V_ACTUATOR):
-            raise ValueError(f"cell {cell} is not an actuator voxel")
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"action {a!r} for cell {cell} outside [0, 1]")
-        s = lo + a * (hi - lo)
-        if material == H_ACTUATOR:
-            world.scale_x[vox] = s
-        else:
-            world.scale_y[vox] = s
+    scale = lo + actions * (hi - lo)
+    horizontal = world.actuator_horizontal
+    world.scale_x[world.actuator_voxels[horizontal]] = scale[horizontal]
+    world.scale_y[world.actuator_voxels[~horizontal]] = scale[~horizontal]
 
     sx = np.append(world.scale_x, 0.0)  # padding slot contributes 0
     sy = np.append(world.scale_y, 0.0)

@@ -11,9 +11,13 @@ The format is plain sectioned key=value text:
     mu = 16
     lambda = 16
 
-Sections and keys are fixed by the schema below; unknown names, duplicate
-keys, and malformed values are rejected with the offending line number.
-Every key has a default, so the empty file is a valid configuration.
+Sections and keys come from the configuration dataclasses: [run],
+[evolution] and [experiment] from the `RunConfig` fields tagged with that
+section, [physics] from `PhysicsConfig` plus `contact_*` keys from
+`ContactParams`, [observation] from `ObservationConfig` and [episode] from
+`EpisodeConfig`. Unknown names, duplicate keys, and malformed values are
+rejected with the offending line number. Every default lives in its
+dataclass, so the empty file is a valid configuration.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from .control import KINDS
 from .evolution import MODES, EvolutionConfig
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
@@ -61,85 +66,45 @@ def _parse_str_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(","))
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "run": {
-        "seed": int,
-        "out": str,
-        "workers": int,
-        "mode": str,
-        "paradigm": str,
-        "generations": int,
-    },
-    "evolution": {
-        "mu": int,
-        "lambda": int,
-        "p_body_mutation": float,
-        "controller_sigma": float,
-        "checkpoint_every": int,
-    },
-    "physics": {
-        "rigid_stiffness": float,
-        "soft_stiffness": float,
-        "actuator_stiffness": float,
-        "damping_ratio": float,
-        "gravity": float,
-        "contact_normal_stiffness": float,
-        "contact_normal_damping": float,
-        "contact_friction": float,
-        "physics_dt": float,
-        "substeps_per_env_step": int,
-        "actuation_min": float,
-        "actuation_max": float,
-    },
-    "observation": {
-        "neighborhood_distance": int,
-        "velocity_clamp": float,
-        "time_period": int,
-        "normalize_volume": _parse_bool,
-    },
-    "episode": {
-        "max_steps": int,
-        "action_repeat": int,
-        "terrain_end_x": float,
-        "step_penalty": float,
-        "shift_constant": float,
-        "divergence_floor": float,
-    },
-    "experiment": {
-        "n_runs": int,
-        "distances": _parse_int_list,
-        "samples_per_distance": int,
-        "one_shot_lambda": int,
-        "fixed_body": str,
-        "catalog_file": str,
-        "catalog_bodies": _parse_str_list,
-    },
+# value parser by annotation (all config modules use postponed annotations)
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[str, ...]": _parse_str_list,
 }
+
+
+def _in(section: str, default):
+    """A RunConfig field set by one key of the given file section."""
+    return field(default=default, metadata={"section": section})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    out: str | None = None
-    workers: int | None = None
-    mode: str = "co-optimize"
-    paradigm: str = "modular"
-    generations: int = 100
-    mu: int = 16
-    lambda_: int = 16
-    p_body_mutation: float = 0.5
-    controller_sigma: float = 0.1
-    checkpoint_every: int = 0
+    seed: int = _in("run", EvolutionConfig.master_seed)
+    out: str | None = _in("run", None)
+    workers: int | None = _in("run", None)
+    mode: str = _in("run", EvolutionConfig.mode)
+    paradigm: str = _in("run", EvolutionConfig.controller_kind)
+    generations: int = _in("run", EvolutionConfig.generations)
+    mu: int = _in("evolution", EvolutionConfig.mu)
+    lambda_: int = _in("evolution", EvolutionConfig.lambda_)
+    p_body_mutation: float = _in("evolution", EvolutionConfig.p_body_mutation)
+    controller_sigma: float = _in("evolution", EvolutionConfig.controller_sigma)
+    checkpoint_every: int = _in("evolution", EvolutionConfig.checkpoint_every)
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
     observation: ObservationConfig = field(default_factory=ObservationConfig)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
-    n_runs: int = 1
-    distances: tuple[int, ...] = (1, 2, 3)
-    samples_per_distance: int = 20
-    one_shot_lambda: int = 16
-    fixed_body: str = "biped"
-    catalog_file: str | None = None
-    catalog_bodies: tuple[str, ...] = CATALOG_ORDER
+    n_runs: int = _in("experiment", 1)
+    distances: tuple[int, ...] = _in("experiment", (1, 2, 3))
+    samples_per_distance: int = _in("experiment", 20)
+    one_shot_lambda: int = _in("experiment", 16)
+    fixed_body: str = _in("experiment", "biped")
+    catalog_file: str | None = _in("experiment", None)
+    catalog_bodies: tuple[str, ...] = _in("experiment", CATALOG_ORDER)
 
     def catalog(self) -> dict[str, Morphology]:
         if self.catalog_file:
@@ -182,9 +147,47 @@ class RunConfig:
         )
 
 
-def _read_pairs(text: str, path: str) -> dict[str, dict[str, tuple[str, int]]]:
-    """Sections of key -> (raw value, line number), validated against the schema."""
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _key(f: dataclasses.Field) -> str:
+    return f.name.rstrip("_")  # the field lambda_ is the key `lambda`
+
+
+# Configurable fields by file section. The contact parameters are keys of
+# their own, and the observation box is the morphology grid, not a setting.
+_RUN_FIELDS = {
+    section: [f for f in dataclasses.fields(RunConfig) if f.metadata.get("section") == section]
+    for section in ("run", "evolution", "experiment")
+}
+_PHYSICS_FIELDS = [f for f in dataclasses.fields(PhysicsConfig) if f.name != "contact"]
+_CONTACT_FIELDS = dataclasses.fields(ContactParams)
+_CONTACT_PREFIX = "contact_"
+_OBSERVATION_FIELDS = [f for f in dataclasses.fields(ObservationConfig) if f.name != "box_side"]
+_EPISODE_FIELDS = dataclasses.fields(EpisodeConfig)
+
+
+def _parsers(fields, prefix: str = "") -> dict[str, object]:
+    return {prefix + _key(f): _PARSERS[f.type.removesuffix(" | None")] for f in fields}
+
+
+_SCHEMA: dict[str, dict[str, object]] = {
+    **{section: _parsers(fields) for section, fields in _RUN_FIELDS.items()},
+    "physics": {**_parsers(_PHYSICS_FIELDS), **_parsers(_CONTACT_FIELDS, _CONTACT_PREFIX)},
+    "observation": _parsers(_OBSERVATION_FIELDS),
+    "episode": _parsers(_EPISODE_FIELDS),
+}
+
+# checks that no dataclass makes on construction, made here to name the line
+_CHECKS = {
+    ("run", "mode"): (lambda v: v in MODES, f"mode must be one of {MODES}"),
+    ("run", "paradigm"): (lambda v: v in KINDS, f"paradigm must be one of {KINDS}"),
+    ("experiment", "n_runs"): (lambda v: v >= 1, "n_runs must be >= 1"),
+}
+
+
+def _read(text: str, path: str) -> tuple[dict[str, dict[str, object]],
+                                          dict[str, dict[str, int]]]:
+    """Typed values and their line numbers, by section and key."""
+    values: dict[str, dict[str, object]] = {}
+    lines: dict[str, dict[str, int]] = {}
     current: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -195,111 +198,59 @@ def _read_pairs(text: str, path: str) -> dict[str, dict[str, tuple[str, int]]]:
             if name not in _SCHEMA:
                 raise ConfigError(f"unknown section [{name}]", path, line_no)
             current = name
-            sections.setdefault(name, {})
+            values.setdefault(name, {})
+            lines.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value' or '[section]'", path, line_no)
         if current is None:
             raise ConfigError("key outside any section", path, line_no)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]", path, line_no)
-        if key in sections[current]:
+        if key in values[current]:
             raise ConfigError(f"duplicate key {key!r}", path, line_no)
-        sections[current][key] = (value, line_no)
-    return sections
-
-
-def _convert(sections: dict[str, dict[str, tuple[str, int]]],
-             path: str) -> dict[str, dict[str, object]]:
-    typed: dict[str, dict[str, object]] = {}
-    for section, pairs in sections.items():
-        typed[section] = {}
-        for key, (raw, line_no) in pairs.items():
-            parser = _SCHEMA[section][key]
-            try:
-                typed[section][key] = parser(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}", path, line_no) from exc
-    return typed
+        try:
+            value = _SCHEMA[current][key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}", path, line_no) from exc
+        check = _CHECKS.get((current, key))
+        if check is not None and not check[0](value):
+            raise ConfigError(f"{check[1]}, got {value!r}", path, line_no)
+        values[current][key] = value
+        lines[current][key] = line_no
+    return values, lines
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
-    sections = _read_pairs(text, path)
-    typed = _convert(sections, path)
-    run = typed.get("run", {})
-    evo = typed.get("evolution", {})
-    exp = typed.get("experiment", {})
+    """Build a RunConfig from the keys present in `text`; every other field
+    keeps the default its dataclass declares."""
+    values, lines = _read(text, path)
 
-    def build(section: str, cls, rename: dict[str, str] | None = None):
-        kwargs = dict(typed.get(section, {}))
-        if rename:
-            for src, dst in rename.items():
-                if src in kwargs:
-                    kwargs[dst] = kwargs.pop(src)
-        first_line = min(
-            (ln for _, ln in sections.get(section, {}).values()), default=None)
+    def given(section: str, fields, prefix: str = "") -> dict[str, object]:
+        present = values.get(section, {})
+        return {f.name: present[prefix + _key(f)] for f in fields
+                if prefix + _key(f) in present}
+
+    def build(section: str, cls, fields, **extra):
         try:
-            return cls(**kwargs)
+            return cls(**given(section, fields), **extra)
         except ValueError as exc:
-            raise ConfigError(f"invalid [{section}] settings: {exc}", path, first_line) from exc
+            first_line = min(lines.get(section, {}).values(), default=None)
+            raise ConfigError(f"invalid [{section}] settings: {exc}", path,
+                              first_line) from exc
 
-    physics_kwargs = dict(typed.get("physics", {}))
-    contact = ContactParams(
-        normal_stiffness=physics_kwargs.pop(
-            "contact_normal_stiffness", ContactParams.normal_stiffness),
-        normal_damping=physics_kwargs.pop(
-            "contact_normal_damping", ContactParams.normal_damping),
-        friction=physics_kwargs.pop("contact_friction", ContactParams.friction),
+    contact = ContactParams(**given("physics", _CONTACT_FIELDS, _CONTACT_PREFIX))
+    run_values = {}
+    for section, fields in _RUN_FIELDS.items():
+        run_values.update(given(section, fields))
+    return RunConfig(
+        physics=build("physics", PhysicsConfig, _PHYSICS_FIELDS, contact=contact),
+        observation=build("observation", ObservationConfig, _OBSERVATION_FIELDS),
+        episode=build("episode", EpisodeConfig, _EPISODE_FIELDS),
+        **run_values,
     )
-    first_physics_line = min(
-        (ln for _, ln in sections.get("physics", {}).values()), default=None)
-    try:
-        physics = PhysicsConfig(contact=contact, **physics_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [physics] settings: {exc}", path,
-                          first_physics_line) from exc
-
-    observation = build("observation", ObservationConfig)
-    episode = build("episode", EpisodeConfig)
-
-    mode = run.get("mode", "co-optimize")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}", path,
-                          sections.get("run", {}).get("mode", (None, None))[1])
-    paradigm = run.get("paradigm", "modular")
-    if paradigm not in ("modular", "global"):
-        raise ConfigError(
-            f"paradigm must be 'modular' or 'global', got {paradigm!r}", path,
-            sections.get("run", {}).get("paradigm", (None, None))[1])
-
-    try:
-        return RunConfig(
-            seed=run.get("seed", 0),
-            out=run.get("out"),
-            workers=run.get("workers"),
-            mode=mode,
-            paradigm=paradigm,
-            generations=run.get("generations", 100),
-            mu=evo.get("mu", 16),
-            lambda_=evo.get("lambda", 16),
-            p_body_mutation=evo.get("p_body_mutation", 0.5),
-            controller_sigma=evo.get("controller_sigma", 0.1),
-            checkpoint_every=evo.get("checkpoint_every", 0),
-            physics=physics,
-            observation=observation,
-            episode=episode,
-            n_runs=exp.get("n_runs", 1),
-            distances=exp.get("distances", (1, 2, 3)),
-            samples_per_distance=exp.get("samples_per_distance", 20),
-            one_shot_lambda=exp.get("one_shot_lambda", 16),
-            fixed_body=exp.get("fixed_body", "biped"),
-            catalog_file=exp.get("catalog_file"),
-            catalog_bodies=exp.get("catalog_bodies", CATALOG_ORDER),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -56,16 +56,6 @@ class ObservationConfig:
         return self.window_side * self.window_side * BLOCK_SIZE + 1
 
 
-@dataclass(frozen=True)
-class VoxelObservation:
-    velocity: np.ndarray  # (2,)
-    volume: float
-    material: np.ndarray  # (N_MATERIALS,) one-hot
-
-    def as_block(self) -> np.ndarray:
-        return np.concatenate([self.velocity, [self.volume], self.material])
-
-
 def time_signal(env_step: int, period: int = 25) -> float:
     """Phase in [0, 2*pi), advancing one tick per environment step."""
     return 2.0 * math.pi * (env_step % period) / period
@@ -106,19 +96,21 @@ class ObservationBuilder:
             lookup[r, c] = i
         self._global_slots = lookup.ravel()
 
-        d = self.cfg.neighborhood_distance
-        self._local_slots: dict[tuple[int, int], np.ndarray] = {}
         act_cells = world.actuator_cells
-        for r, c in act_cells:
-            slots = np.full(self.cfg.window_side ** 2, self._pad, dtype=np.int64)
+        # raster index of each actuator: its block and its global-controller output
+        self.actuator_raster = np.array([r * side + c for r, c in act_cells], dtype=np.int64)
+
+        # one row of window slots per actuator, in action order
+        d = self.cfg.neighborhood_distance
+        self._local_slots = np.full((len(act_cells), self.cfg.window_side ** 2),
+                                    self._pad, dtype=np.int64)
+        for row, (r, c) in enumerate(act_cells):
             k = 0
             for wr in range(r - d, r + d + 1):
                 for wc in range(c - d, c + d + 1):
                     if 0 <= wr < side and 0 <= wc < side:
-                        slots[k] = lookup[wr, wc]
+                        self._local_slots[row, k] = lookup[wr, wc]
                     k += 1
-            self._local_slots[(r, c)] = slots
-        self._actuator_cells = act_cells
 
     def refresh(self) -> None:
         """Recompute the dynamic features (velocity, volume) from world state."""
@@ -137,51 +129,11 @@ class ObservationBuilder:
         blocks = self._features[self._global_slots].ravel()
         return np.append(blocks, time_signal(env_step, self.cfg.time_period))
 
-    def local_vector(self, cell: tuple[int, int], env_step: int) -> np.ndarray:
-        slots = self._local_slots.get(cell)
-        if slots is None:
-            raise ValueError(f"cell {cell} is not an actuator voxel of this robot")
+    def local_matrix(self, env_step: int) -> np.ndarray:
+        """All actuator windows at once, shape (n_act, local_size), rows in
+        `world.actuator_cells` order."""
         self.refresh()
-        blocks = self._features[slots].ravel()
-        return np.append(blocks, time_signal(env_step, self.cfg.time_period))
-
-    def local_matrix(self, env_step: int) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """All actuator windows at once: (cells, matrix of shape (n_act, local_size))."""
-        self.refresh()
-        cells = self._actuator_cells
-        if not cells:
-            return cells, np.zeros((0, self.cfg.local_size))
-        idx = np.stack([self._local_slots[c] for c in cells])
-        blocks = self._features[idx].reshape(len(cells), -1)
-        t = np.full((len(cells), 1), time_signal(env_step, self.cfg.time_period))
-        return cells, np.hstack([blocks, t])
-
-
-def observe_voxel(world: SimWorld, cell: tuple[int, int],
-                  cfg: ObservationConfig | None = None) -> VoxelObservation:
-    """Features of one cell; empty or out-of-grid cells give the missing triple."""
-    cfg = cfg or ObservationConfig()
-    vox = world.cell_index.get(cell)
-    if vox is None:
-        return VoxelObservation(MISSING_BLOCK[0:2].copy(), 0.0, MISSING_BLOCK[3:].copy())
-    corners = world.corner_map[vox]
-    vel = world.vel[corners].mean(axis=0)
-    np.clip(vel, -cfg.velocity_clamp, cfg.velocity_clamp, out=vel)
-    area = float(_quad_areas(world.pos, world.corner_map[vox:vox + 1])[0])
-    if cfg.normalize_volume:
-        area /= VOXEL_EDGE ** 2
-    onehot = np.zeros(N_MATERIALS)
-    onehot[int(world.materials[vox])] = 1.0
-    return VoxelObservation(vel, area, onehot)
-
-
-def observe_global(world: SimWorld, env_step: int,
-                   cfg: ObservationConfig | None = None) -> np.ndarray:
-    """Raster the full bounding box and append the time signal."""
-    return ObservationBuilder(world, cfg).global_vector(env_step)
-
-
-def observe_local(world: SimWorld, cell: tuple[int, int], env_step: int,
-                  cfg: ObservationConfig | None = None) -> np.ndarray:
-    """Raster the Moore window around one actuator and append the time signal."""
-    return ObservationBuilder(world, cfg).local_vector(cell, env_step)
+        n_act, n_slots = self._local_slots.shape
+        blocks = self._features[self._local_slots].reshape(n_act, n_slots * BLOCK_SIZE)
+        t = np.full((n_act, 1), time_signal(env_step, self.cfg.time_period))
+        return np.hstack([blocks, t])

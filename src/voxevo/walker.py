@@ -41,7 +41,6 @@ class EpisodeConfig:
     action_repeat: int = 4
     terrain_end_x: float = 40.0
     step_penalty: float = 0.01
-    shift_constant: float | None = None  # derived: max_steps * step_penalty
     divergence_floor: float = -10.0
 
     def __post_init__(self):
@@ -49,13 +48,11 @@ class EpisodeConfig:
             raise ValueError("max_steps must be >= 1")
         if self.action_repeat < 1:
             raise ValueError("action_repeat must be >= 1")
-        derived = self.max_steps * self.step_penalty
-        if self.shift_constant is None:
-            object.__setattr__(self, "shift_constant", derived)
-        elif self.shift_constant != derived:
-            raise ValueError(
-                f"shift_constant {self.shift_constant} must equal "
-                f"max_steps * step_penalty = {derived}")
+
+    @property
+    def shift_constant(self) -> float:
+        """Makes a robot that never moves over a full episode score 0."""
+        return self.max_steps * self.step_penalty
 
 
 @dataclass(frozen=True)

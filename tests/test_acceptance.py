@@ -9,6 +9,7 @@ single core). The paradigm-comparison trends are computed and logged,
 never asserted: they are directional expectations, not invariants.
 """
 
+import dataclasses
 import json
 import logging
 import math
@@ -31,9 +32,7 @@ from voxevo.experiments import (
     CATALOG_ORDER,
     default_catalog,
     directional_report,
-    multi_morph_training,
     per_body_fitness,
-    run_battery,
     transfer_analysis,
 )
 from voxevo.morphology import (
@@ -52,7 +51,7 @@ from voxevo.physics import (
     spring_forces,
     step_env,
 )
-from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationConfig, observe_global
+from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationBuilder, ObservationConfig
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
 
 logger = logging.getLogger("voxevo.acceptance")
@@ -84,7 +83,9 @@ class TestStructuralSizes:
         assert cfg.global_size == 201
         assert cfg.local_size == 201
         world = build_world(BODY, PhysicsConfig())
-        assert observe_global(world, 0, cfg).shape == (201,)
+        builder = ObservationBuilder(world, cfg)
+        assert builder.global_vector(0).shape == (201,)
+        assert builder.local_matrix(0).shape == (len(world.actuator_cells), 201)
 
 
 class TestRewardDefinition:
@@ -224,13 +225,13 @@ class TestTranslationEquivariance:
             return vec[i:i + BLOCK_SIZE]
 
         for name, morph in self.NARROW.items():
-            base_vec = observe_global(
-                build_world(with_left_column_at(morph, 0), physics), 0, obs_cfg)
+            base_vec = ObservationBuilder(
+                build_world(with_left_column_at(morph, 0), physics), obs_cfg).global_vector(0)
             for s in valid_shifts(morph):
                 if s == 0:
                     continue
-                vec = observe_global(
-                    build_world(with_left_column_at(morph, s), physics), 0, obs_cfg)
+                vec = ObservationBuilder(
+                    build_world(with_left_column_at(morph, s), physics), obs_cfg).global_vector(0)
                 assert not np.array_equal(vec, base_vec), name
                 assert vec[-1] == base_vec[-1]  # time signal is shared
                 for row in range(GRID_SIZE):
@@ -404,10 +405,16 @@ class TestParadigmComparison:
             n_runs, generations, mu, max_steps, samples, one_shot = 8, 300, 16, 300, 20, 16
         else:
             n_runs, generations, mu, max_steps, samples, one_shot = 2, 30, 8, 100, 4, 2
-        base_cfg = EvolutionConfig(mu=mu, lambda_=mu,
+        base_cfg = EvolutionConfig(mu=mu, lambda_=mu, generations=generations,
                                    episode=EpisodeConfig(max_steps=max_steps))
-        modular_runs = run_battery("modular", n_runs, generations, 3000, base_cfg)
-        global_runs = run_battery("global", n_runs, generations, 4000, base_cfg)
+
+        def battery(paradigm, base_seed):
+            return [run_evolution(dataclasses.replace(
+                base_cfg, controller_kind=paradigm, master_seed=base_seed + i))
+                for i in range(n_runs)]
+
+        modular_runs = battery("modular", 3000)
+        global_runs = battery("global", 4000)
         report = directional_report(
             modular_runs, global_runs,
             transfer_samples_per_run=samples, one_shot_lambda=one_shot,
@@ -457,10 +464,10 @@ class TestMultiBodyTraining:
         else:
             generations, mu, max_steps = 8, 4, 100
         catalog = [default_catalog()[name] for name in CATALOG_ORDER]
-        base_cfg = EvolutionConfig(mu=mu, lambda_=mu,
-                                   episode=EpisodeConfig(max_steps=max_steps))
-        run = multi_morph_training("modular", catalog, generations=generations,
-                                   seed=31, base_cfg=base_cfg)
+        run = run_evolution(EvolutionConfig(
+            mode=MODE_MULTI_BODY, catalog=tuple(catalog), mu=mu, lambda_=mu,
+            generations=generations, master_seed=31,
+            episode=EpisodeConfig(max_steps=max_steps)))
         per_body = per_body_fitness(run, catalog)
         assert len(per_body) == len(catalog)
         assert min(per_body) == run.champion.fitness

@@ -77,6 +77,18 @@ class TestIndividualRoundTrip:
         assert load_individual(path).fitness == 0.1 + 0.2
 
 
+    @pytest.mark.parametrize("kind, n_inputs", [(MODULAR_KIND, 73), (MODULAR_KIND, 9),
+                                                 (GLOBAL_KIND, 201)])
+    def test_input_size_follows_parameter_count(self, tmp_path, kind, n_inputs):
+        ind = make_individual(controller_kind=kind)
+        ind.controller = init_controller(kind, np.random.default_rng(5), n_inputs)
+        path = str(tmp_path / "ind.ckpt")
+        save_individual(path, ind)
+        loaded = load_individual(path)
+        assert loaded.controller.params.n_inputs == n_inputs
+        assert_same_individual(ind, loaded)
+
+
 class TestPopulationRoundTrip:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "pop.ckpt")
@@ -150,6 +162,21 @@ class TestIntegrity:
         corrupt = tmp_path / "corrupt.ckpt"
         corrupt.write_bytes(bytes(blob))
         with pytest.raises(CheckpointIntegrityError):
+            load_individual(str(corrupt))
+
+    @pytest.mark.parametrize("delta", [1, -1, 31])
+    def test_parameter_count_must_fit_the_kind(self, tmp_path, delta):
+        path = str(tmp_path / "ind.ckpt")
+        save_individual(path, make_individual())
+        blob = bytearray(open(path, "rb").read())
+        # parameter count u32 follows header, fixed record, 25 digits, kind byte
+        offset = 7 + 37 + 25 + 1
+        count = int.from_bytes(blob[offset:offset + 4], "little")
+        blob[offset:offset + 4] = (count + delta).to_bytes(4, "little")
+        blob += bytes(8 * max(delta, 0))
+        corrupt = tmp_path / "corrupt.ckpt"
+        corrupt.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointIntegrityError, match="do not fit"):
             load_individual(str(corrupt))
 
     def test_missing_file(self, tmp_path):

@@ -223,6 +223,22 @@ class TestReplay:
         assert meta["steps"] <= 500
 
 
+    def test_smaller_window_champion_loads_and_replays(self, tmp_path):
+        config = tmp_path / "window.cfg"
+        config.write_text(TINY_CONFIG + "\n[observation]\nneighborhood_distance = 1\n")
+        run_dir = str(tmp_path / "run")
+        assert main(["evolve", "--config", str(config), "--out", run_dir,
+                     "--workers", "1"]) == 0
+        champion_path = os.path.join(run_dir, "champion.ckpt")
+        champion = load_individual(champion_path)
+        assert champion.controller.params.n_inputs == 3 * 3 * 8 + 1
+        out = str(tmp_path / "replay.jsonl")
+        assert main(["replay", "--champion", champion_path, "--out", out,
+                     "--config", str(config)]) == 0
+        meta = json.loads(open(out, encoding="utf-8").readline())
+        assert meta["fitness"] == champion.fitness
+
+
 class TestReport:
     def test_single_run(self, trained_run, capsys):
         _, run_dir = trained_run

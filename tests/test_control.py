@@ -12,15 +12,13 @@ from voxevo.control import (
     ControllerGenome,
     MlpParams,
     act,
-    act_global,
-    act_modular,
     init_controller,
     mlp_forward,
     mutate_controller,
     params_from_flat,
 )
 from voxevo.physics import PhysicsConfig, build_world
-from voxevo.sensing import ObservationBuilder
+from voxevo.sensing import ObservationBuilder, ObservationConfig
 
 
 def manual_forward(params, x):
@@ -173,40 +171,53 @@ class TestActing:
         world = build_world(small_body, PhysicsConfig())
         genome = init_controller(GLOBAL_KIND, np.random.default_rng(10))
         builder = ObservationBuilder(world)
-        actions = act_global(genome, world, env_step=0, builder=builder)
-        assert set(actions) == set(world.actuator_cells)
+        actions = act(genome, world, env_step=0, builder=builder)
+        assert actions.shape == (len(world.actuator_cells),)
         full = mlp_forward(genome.params, builder.global_vector(0))
-        for (r, c), a in actions.items():
+        for (r, c), a in zip(world.actuator_cells, actions):
             assert a == full[r * 5 + c]
 
     def test_modular_shares_parameters_across_windows(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         genome = init_controller(MODULAR_KIND, np.random.default_rng(11))
         builder = ObservationBuilder(world)
-        actions = act_modular(genome, world, env_step=0, builder=builder)
-        assert set(actions) == set(world.actuator_cells)
-        from voxevo.sensing import observe_local
-        for cell, a in actions.items():
-            expected = mlp_forward(genome.params, observe_local(world, cell, 0))
+        actions = act(genome, world, env_step=0, builder=builder)
+        windows = builder.local_matrix(0)
+        assert actions.shape == (len(world.actuator_cells),)
+        assert windows.shape[0] == len(world.actuator_cells)
+        for window, a in zip(windows, actions):
+            expected = mlp_forward(genome.params, window)
             assert a == pytest.approx(expected[0], rel=1e-12)
 
     def test_dispatcher_routes_by_kind(self, small_body):
         world = build_world(small_body, PhysicsConfig())
+        builder = ObservationBuilder(world)
+        side = builder.cfg.box_side
+        raster = [r * side + c for r, c in world.actuator_cells]
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(12))
-            direct = (act_global if kind == GLOBAL_KIND else act_modular)(
-                genome, world, 0)
-            assert act(genome, world, 0) == direct
+            if kind == GLOBAL_KIND:
+                direct = mlp_forward(genome.params, builder.global_vector(0))[raster]
+            else:
+                direct = np.array([mlp_forward(genome.params, x)[0]
+                                   for x in builder.local_matrix(0)])
+            assert np.allclose(act(genome, world, 0), direct, rtol=1e-12, atol=0)
 
     def test_kind_mismatch_raises(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         modular = init_controller(MODULAR_KIND, np.random.default_rng(0))
+        # a genome cannot carry the other kind's output layer ...
         with pytest.raises(ValueError):
-            act_global(modular, world, 0)
+            ControllerGenome(GLOBAL_KIND, modular.params)
+        # ... and a window layout of another size is refused, not misread
+        builder = ObservationBuilder(world, ObservationConfig(neighborhood_distance=1))
+        with pytest.raises(ValueError):
+            act(modular, world, 0, builder)
 
     def test_actions_lie_in_unit_interval(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(13))
-            for a in act(genome, world, 0).values():
-                assert 0.0 <= a <= 1.0
+            actions = act(genome, world, 0)
+            assert actions.dtype == np.float64
+            assert np.all((actions >= 0.0) & (actions <= 1.0))

@@ -1,7 +1,11 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
-import voxevo.experiments
+from voxevo.checkpoints import load_individual
+from voxevo.cli import main
 from voxevo.control import MODULAR_KIND, init_controller
 from voxevo.evolution import (
     KIND_BODY,
@@ -11,6 +15,7 @@ from voxevo.evolution import (
     MODE_MULTI_BODY,
     EvolutionConfig,
     OffspringRecord,
+    run_evolution,
 )
 from voxevo.experiments import (
     CATALOG_ORDER,
@@ -20,17 +25,15 @@ from voxevo.experiments import (
     convergence_metrics,
     default_catalog,
     directional_report,
-    fixed_morph_training,
     load_catalog,
-    multi_morph_training,
     mutation_accounting,
     per_body_fitness,
-    run_battery,
     save_catalog,
     transfer_analysis,
 )
 from voxevo.morphology import grid_distance, validate
-from voxevo.walker import evaluate_fitness
+from voxevo.runconfig import load_config
+from voxevo.walker import EpisodeConfig, evaluate_fitness
 
 
 def fresh_record(ident, fitness):
@@ -91,34 +94,47 @@ class TestCatalog:
             load_catalog(str(path))
 
 
+BATTERY_CONFIG = """
+[run]
+seed = 10
+generations = 2
+
+[evolution]
+mu = 2
+lambda = 2
+
+[episode]
+max_steps = 60
+
+[experiment]
+n_runs = {n_runs}
+"""
+
+
+def battery(cfg, seeds):
+    return [run_evolution(dataclasses.replace(cfg, master_seed=s)) for s in seeds]
+
+
 class TestBattery:
-    def test_runs_use_consecutive_seeds(self, fast_episode):
-        base = EvolutionConfig(mu=2, lambda_=2, episode=fast_episode)
-        runs = run_battery("modular", 2, 2, base_seed=10, base_cfg=base)
-        assert len(runs) == 2
-        assert runs[0].config.master_seed == 10
-        assert runs[1].config.master_seed == 11
-        again = run_battery("modular", 2, 2, base_seed=10, base_cfg=base)
-        assert [r.champion.fitness for r in runs] == \
-            [r.champion.fitness for r in again]
+    def test_runs_use_consecutive_seeds(self, tmp_path):
+        path = tmp_path / "battery.cfg"
+        path.write_text(BATTERY_CONFIG.format(n_runs=2))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out),
+                     "--workers", "1"]) == 0
+        runs = battery(load_config(str(path)).evolution_config(workers=1), [10, 11])
+        for i, run in enumerate(runs):
+            champion = load_individual(str(out / f"run_{i:02d}" / "champion.ckpt"))
+            assert champion.fitness == run.champion.fitness
+        assert [r.config.master_seed for r in runs] == [10, 11]
 
-    def test_failed_run_becomes_none(self, fast_episode, monkeypatch):
-        real = voxevo.experiments.run_evolution
-
-        def flaky(cfg):
-            if cfg.master_seed == 11:
-                raise RuntimeError("boom")
-            return real(cfg)
-
-        monkeypatch.setattr(voxevo.experiments, "run_evolution", flaky)
-        base = EvolutionConfig(mu=2, lambda_=2, episode=fast_episode)
-        runs = run_battery("modular", 3, 1, base_seed=10, base_cfg=base)
-        assert runs[1] is None
-        assert runs[0] is not None and runs[2] is not None
-
-    def test_rejects_zero_runs(self):
-        with pytest.raises(ValueError):
-            run_battery("modular", 0, 1, base_seed=0)
+    def test_rejects_zero_runs(self, tmp_path, capsys):
+        path = tmp_path / "battery.cfg"
+        path.write_text(BATTERY_CONFIG.format(n_runs=0))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+        assert "n_runs" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestTransfer:
@@ -246,21 +262,29 @@ class TestConvergence:
 
 class TestTrainingWrappers:
     def test_multi_morph_sets_mode_and_catalog(self, small_body, plus_body, fast_episode):
-        base = EvolutionConfig(mu=2, lambda_=2, episode=fast_episode)
-        run = multi_morph_training("modular", [small_body, plus_body], 1, 3, base)
+        cfg = EvolutionConfig(mu=2, lambda_=2, generations=1, master_seed=3,
+                              mode=MODE_MULTI_BODY, catalog=(small_body, plus_body),
+                              episode=fast_episode)
+        run = run_evolution(cfg)
         assert run.config.mode == MODE_MULTI_BODY
         assert run.config.catalog == (small_body, plus_body)
         assert run.config.controller_kind == "modular"
+        assert {r.mutation_kind for r in run.lineage.values()} <= {KIND_FRESH, KIND_BRAIN}
 
     def test_fixed_morph_sets_mode(self, small_body, fast_episode):
-        base = EvolutionConfig(mu=2, lambda_=2, episode=fast_episode)
-        run = fixed_morph_training("global", small_body, 1, 3, base)
+        cfg = EvolutionConfig(controller_kind="global", mu=2, lambda_=2, generations=1,
+                              master_seed=3, mode=MODE_FIXED_BODY,
+                              fixed_morphology=small_body, episode=fast_episode)
+        run = run_evolution(cfg)
         assert run.config.mode == MODE_FIXED_BODY
         assert run.config.fixed_morphology == small_body
+        assert all(ind.morphology == small_body for ind in run.final_population)
 
     def test_per_body_fitness_bounds_joint_fitness(self, small_body, plus_body, fast_episode):
-        base = EvolutionConfig(mu=2, lambda_=2, episode=fast_episode)
-        run = multi_morph_training("modular", [small_body, plus_body], 2, 4, base)
+        cfg = EvolutionConfig(mu=2, lambda_=2, generations=2, master_seed=4,
+                              mode=MODE_MULTI_BODY, catalog=(small_body, plus_body),
+                              episode=fast_episode)
+        run = run_evolution(cfg)
         per_body = per_body_fitness(run, [small_body, plus_body])
         assert min(per_body) == run.champion.fitness
         for fitness in per_body:
@@ -269,10 +293,9 @@ class TestTrainingWrappers:
 
 @pytest.fixture(scope="module")
 def report_and_runs():
-    from voxevo.walker import EpisodeConfig
-    base = EvolutionConfig(mu=2, lambda_=2, episode=EpisodeConfig(max_steps=40))
-    modular = run_battery("modular", 2, 2, base_seed=20, base_cfg=base)
-    global_ = run_battery("global", 2, 2, base_seed=20, base_cfg=base)
+    base = EvolutionConfig(mu=2, lambda_=2, generations=2, episode=EpisodeConfig(max_steps=40))
+    modular = battery(base, [20, 21])
+    global_ = battery(dataclasses.replace(base, controller_kind="global"), [20, 21])
     report = directional_report(modular, global_,
                                 transfer_samples_per_run=2, one_shot_lambda=1)
     return report, modular, global_
@@ -301,9 +324,3 @@ class TestDirectionalReport:
         again = directional_report(modular, global_,
                                    transfer_samples_per_run=2, one_shot_lambda=1)
         assert again == report
-
-    def test_all_failed_battery_reports_none(self):
-        report = directional_report([None], [None])
-        assert report["paradigms"]["modular"] is None
-        assert report["paradigms"]["global"] is None
-        assert "trends" not in report

@@ -164,27 +164,26 @@ class TestActuation:
     def test_identity_action_keeps_rest_lengths(self):
         world = build_world(body_from_rows("34000", "11000"), PhysicsConfig())
         before = world.rest.copy()
-        apply_actuation(world, {cell: 0.4 for cell in world.actuator_cells})
+        apply_actuation(world, np.full(len(world.actuator_cells), 0.4))
         assert np.array_equal(world.rest, before)
 
     def test_extreme_actions_hit_bounds(self):
         world = build_world(single_voxel(), PhysicsConfig())
-        cell = world.actuator_cells[0]
-        apply_actuation(world, {cell: 0.0})
+        apply_actuation(world, np.array([0.0]))
         h = world.axis == AXIS_HORIZONTAL
         v = world.axis == AXIS_VERTICAL
         d = world.axis == AXIS_DIAGONAL
         assert np.allclose(world.rest[h], 0.6, rtol=0, atol=1e-15)
         assert np.allclose(world.rest[v], 1.0, rtol=0, atol=1e-15)
         assert np.allclose(world.rest[d], np.hypot(0.6, 1.0), rtol=0, atol=1e-15)
-        apply_actuation(world, {cell: 1.0})
+        apply_actuation(world, np.array([1.0]))
         assert np.allclose(world.rest[h], 1.6, rtol=0, atol=1e-15)
         assert np.allclose(world.rest[d], np.hypot(1.6, 1.0), rtol=0, atol=1e-15)
 
     def test_shared_edge_takes_mean_scale(self):
         world = build_world(body_from_rows("3", "3"), PhysicsConfig())
-        top, bottom = sorted(world.actuator_cells)
-        apply_actuation(world, {top: 0.0, bottom: 1.0})
+        assert world.actuator_cells == sorted(world.actuator_cells)  # top first
+        apply_actuation(world, np.array([0.0, 1.0]))
         shared = find_spring(world, (0.0, 1.0), (1.0, 1.0))
         assert world.rest[shared] == pytest.approx((0.6 + 1.6) / 2.0, rel=1e-12)
 
@@ -194,21 +193,30 @@ class TestActuation:
         hi = 1.6 * np.where(world.axis == AXIS_DIAGONAL,
                             np.sqrt(2.0) * VOXEL_EDGE, world.base_rest)
         for _ in range(200):
-            acts = {c: float(rng.random()) for c in world.actuator_cells}
-            apply_actuation(world, acts)
+            apply_actuation(world, rng.random(len(world.actuator_cells)))
             assert np.all(world.rest >= lo - 1e-12)
             assert np.all(world.rest <= hi + 1e-12)
 
+    def test_actions_follow_actuator_cell_order(self):
+        world = build_world(body_from_rows("34000", "11000"), PhysicsConfig())
+        assert world.actuator_cells == [(3, 0), (3, 1)]
+        apply_actuation(world, np.array([0.0, 1.0]))
+        h_vox, v_vox = world.cells.index((3, 0)), world.cells.index((3, 1))
+        assert world.scale_x.tolist() == [0.6 if v == h_vox else 1.0 for v in range(4)]
+        assert world.scale_y.tolist() == [1.6 if v == v_vox else 1.0 for v in range(4)]
+
     def test_rejects_bad_inputs(self):
         world = build_world(body_from_rows("34000", "11000"), PhysicsConfig())
-        cell = world.actuator_cells[0]
-        with pytest.raises(ValueError):
-            apply_actuation(world, {cell: 1.5})
-        with pytest.raises(ValueError):
-            apply_actuation(world, {(0, 0): 0.5})
-        rigid_cell = (4, 0)
-        with pytest.raises(ValueError):
-            apply_actuation(world, {rigid_cell: 0.5})
+        assert len(world.actuator_cells) == 2
+        before = world.rest.copy()
+        for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                apply_actuation(world, np.array(bad))
+        # one action per actuator: none for a missing or a rigid cell
+        for bad in ([0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                apply_actuation(world, np.array(bad))
+        assert np.array_equal(world.rest, before)
 
 
 class TestDynamics:
@@ -274,7 +282,7 @@ class TestDynamics:
         w_b = build_world(body, cfg)
         w_b.pos[:, 0] += 7.0
         for i in range(100):
-            acts = {c: 0.5 + 0.4 * np.sin(i / 5.0) for c in w_a.actuator_cells}
+            acts = np.full(len(w_a.actuator_cells), 0.5 + 0.4 * np.sin(i / 5.0))
             apply_actuation(w_a, acts)
             apply_actuation(w_b, acts)
             step_env(w_a)
@@ -289,7 +297,7 @@ class TestDynamics:
         worlds = [build_world(body, cfg) for _ in range(2)]
         for i in range(50):
             for w in worlds:
-                apply_actuation(w, {c: (i % 10) / 10.0 for c in w.actuator_cells})
+                apply_actuation(w, np.full(len(w.actuator_cells), (i % 10) / 10.0))
                 step_env(w)
         assert np.array_equal(worlds[0].pos, worlds[1].pos)
         assert np.array_equal(worlds[0].vel, worlds[1].vel)

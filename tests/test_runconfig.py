@@ -1,8 +1,19 @@
+import os
+import re
+
 import pytest
 
+from voxevo.cli import main
 from voxevo.evolution import MODE_FIXED_BODY, MODE_MULTI_BODY
 from voxevo.experiments import default_catalog, save_catalog
-from voxevo.runconfig import ConfigError, RunConfig, load_config, override, parse_config
+from voxevo.runconfig import (
+    _SCHEMA,
+    ConfigError,
+    RunConfig,
+    load_config,
+    override,
+    parse_config,
+)
 
 FULL_EXAMPLE = """
 # demo configuration
@@ -117,10 +128,9 @@ class TestErrors:
         assert "physics" in str(exc_info.value)
 
     def test_episode_shift_mismatch_surfaces(self):
-        with pytest.raises(ConfigError) as exc_info:
-            parse_config("[episode]\nmax_steps = 100\nshift_constant = 9\n")
-        assert "shift_constant" in str(exc_info.value)
-
+        # shift_constant is derived from max_steps * step_penalty, not a key
+        self.assert_error("[episode]\nmax_steps = 100\nshift_constant = 9\n",
+                          "unknown key 'shift_constant'", 3)
 
 class TestEvolutionConfigResolution:
     def test_co_optimize_has_no_bodies(self):
@@ -198,3 +208,87 @@ class TestOverride:
     def test_all_fields(self):
         new = override(RunConfig(), seed=2, workers=8, out="runs/x")
         assert (new.seed, new.workers, new.out) == (2, 8, "runs/x")
+
+
+# One non-default valid value per schema key; {out} and {catalog} are filled
+# in per test.
+NON_DEFAULT = {
+    ("run", "seed"): "3",
+    ("run", "out"): "{out}",
+    ("run", "workers"): "2",
+    ("run", "mode"): "fixed-body",
+    ("run", "paradigm"): "global",
+    ("run", "generations"): "2",
+    ("evolution", "mu"): "3",
+    ("evolution", "lambda"): "2",
+    ("evolution", "p_body_mutation"): "0.75",
+    ("evolution", "controller_sigma"): "0.2",
+    ("evolution", "checkpoint_every"): "1",
+    ("physics", "rigid_stiffness"): "5000",
+    ("physics", "soft_stiffness"): "500",
+    ("physics", "actuator_stiffness"): "700",
+    ("physics", "damping_ratio"): "0.2",
+    ("physics", "gravity"): "5.0",
+    ("physics", "physics_dt"): "0.002",
+    ("physics", "substeps_per_env_step"): "4",
+    ("physics", "actuation_min"): "0.7",
+    ("physics", "actuation_max"): "1.4",
+    ("physics", "contact_normal_stiffness"): "20000",
+    ("physics", "contact_normal_damping"): "20",
+    ("physics", "contact_friction"): "0.5",
+    ("observation", "neighborhood_distance"): "1",
+    ("observation", "velocity_clamp"): "5.0",
+    ("observation", "time_period"): "10",
+    ("observation", "normalize_volume"): "no",
+    ("episode", "max_steps"): "30",
+    ("episode", "action_repeat"): "2",
+    ("episode", "terrain_end_x"): "20",
+    ("episode", "step_penalty"): "0.02",
+    ("episode", "divergence_floor"): "-5",
+    ("experiment", "n_runs"): "2",
+    ("experiment", "distances"): "1, 2",
+    ("experiment", "samples_per_distance"): "3",
+    ("experiment", "one_shot_lambda"): "2",
+    ("experiment", "fixed_body"): "worm",
+    ("experiment", "catalog_file"): "{catalog}",
+    ("experiment", "catalog_bodies"): "worm, biped",
+}
+
+# one tiny generation; the key under test overrides these
+TINY = {"run": {"generations": "1"}, "evolution": {"mu": "2", "lambda": "1"},
+        "episode": {"max_steps": "20"}}
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section in _SCHEMA for key in _SCHEMA[section]])
+def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path,
+                                                     capsys, monkeypatch):
+    monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+    catalog = tmp_path / "catalog.txt"
+    save_catalog(str(catalog), default_catalog())
+    out = str(tmp_path / "out")
+    value = NON_DEFAULT[(section, key)].format(out=out, catalog=catalog)
+    assert parse_config(f"[{section}]\n{key} = {value}\n") != RunConfig()
+
+    sections = {name: dict(pairs) for name, pairs in TINY.items()}
+    sections.setdefault(section, {})[key] = value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in pairs.items())
+        for name, pairs in sections.items()))
+    argv = ["evolve", "--config", str(cfg)]
+    if key != "out":
+        argv += ["--out", out]
+    if key != "workers":
+        argv += ["--workers", "1"]
+
+    rc = main(argv)
+    if rc == 0:
+        run_dir = os.path.join(out, "run_00") if key == "n_runs" else out
+        assert os.path.exists(os.path.join(run_dir, "generations.csv"))
+        assert not [name for _, _, names in os.walk(out)
+                    for name in names if name.endswith(".partial")]
+    else:
+        assert rc == 2
+        assert re.search(rf"{re.escape(str(cfg))}:\d+: ", capsys.readouterr().err)
+        assert not os.path.exists(out)

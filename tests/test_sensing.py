@@ -1,19 +1,58 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from voxevo.physics import PhysicsConfig, build_world, step_env
+from voxevo.morphology import N_MATERIALS
+from voxevo.physics import VOXEL_EDGE, PhysicsConfig, build_world, step_env
 from voxevo.sensing import (
     BLOCK_SIZE,
     MISSING_BLOCK,
     ObservationBuilder,
     ObservationConfig,
-    observe_global,
-    observe_local,
-    observe_voxel,
     time_signal,
 )
+
+
+@dataclass(frozen=True)
+class VoxelObservation:
+    velocity: np.ndarray  # (2,)
+    volume: float
+    material: np.ndarray  # (N_MATERIALS,) one-hot
+
+    def as_block(self) -> np.ndarray:
+        return np.concatenate([self.velocity, [self.volume], self.material])
+
+
+def observe_voxel(world, cell, cfg=None):
+    """Independent oracle for one cell's block: computed from the world state
+    directly, without the builder's precomputed slots or shoelace helper."""
+    cfg = cfg or ObservationConfig()
+    if cell not in world.cells:
+        return VoxelObservation(MISSING_BLOCK[0:2].copy(), 0.0, MISSING_BLOCK[3:].copy())
+    vox = world.cells.index(cell)
+    corners = world.corner_map[vox]
+    vel = world.vel[corners].mean(axis=0)
+    np.clip(vel, -cfg.velocity_clamp, cfg.velocity_clamp, out=vel)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = world.pos[corners[[0, 1, 3, 2]]]
+    area = 0.5 * abs((x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
+                     + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
+    if cfg.normalize_volume:
+        area /= VOXEL_EDGE ** 2
+    onehot = np.zeros(N_MATERIALS)
+    onehot[int(world.materials[vox])] = 1.0
+    return VoxelObservation(vel, area, onehot)
+
+
+def global_vector(world, env_step):
+    return ObservationBuilder(world).global_vector(env_step)
+
+
+def window_row(world, cell, env_step):
+    """The builder's window row for one actuator cell."""
+    row = world.actuator_cells.index(cell)
+    return ObservationBuilder(world).local_matrix(env_step)[row]
 
 
 @pytest.fixture
@@ -79,21 +118,21 @@ class TestVoxelObservation:
 
     def test_velocity_is_corner_mean(self, world, small_body):
         cell = small_body.occupied_cells[0]
-        vox = world.cell_index[cell]
+        vox = world.cells.index(cell)
         world.vel[world.corner_map[vox]] = [1.0, -2.0]
         obs = observe_voxel(world, cell)
         assert np.allclose(obs.velocity, [1.0, -2.0], atol=1e-15)
 
     def test_velocity_clamped(self, world, small_body):
         cell = small_body.occupied_cells[0]
-        vox = world.cell_index[cell]
+        vox = world.cells.index(cell)
         world.vel[world.corner_map[vox]] = [100.0, -100.0]
         obs = observe_voxel(world, cell)
         assert obs.velocity.tolist() == [10.0, -10.0]
 
     def test_volume_tracks_deformation(self, world, small_body):
         cell = small_body.occupied_cells[0]
-        vox = world.cell_index[cell]
+        vox = world.cells.index(cell)
         tl, tr, bl, br = world.corner_map[vox]
         world.pos[tl] = [0.0, 0.8]
         world.pos[tr] = [0.8, 0.8]
@@ -113,12 +152,12 @@ class TestVoxelObservation:
 
 class TestGlobalObservation:
     def test_shape_and_time_slot(self, world):
-        vec = observe_global(world, env_step=3)
+        vec = global_vector(world, env_step=3)
         assert vec.shape == (201,)
         assert vec[-1] == time_signal(3)
 
     def test_empty_slots_hold_missing_block(self, world, small_body):
-        vec = observe_global(world, env_step=0)
+        vec = global_vector(world, env_step=0)
         occupied = set(small_body.occupied_cells)
         for r in range(5):
             for c in range(5):
@@ -131,7 +170,7 @@ class TestGlobalObservation:
     def test_blocks_match_per_voxel_view(self, world, small_body):
         for _ in range(5):
             step_env(world)
-        vec = observe_global(world, env_step=5)
+        vec = global_vector(world, env_step=5)
         for r, c in small_body.occupied_cells:
             start = (r * 5 + c) * BLOCK_SIZE
             block = vec[start:start + BLOCK_SIZE]
@@ -146,8 +185,8 @@ class TestGlobalObservation:
         shifted = Morphology(shifted_grid)
         w0 = build_world(narrow_body, cfg)
         w2 = build_world(shifted, cfg)
-        v0 = observe_global(w0, env_step=0)
-        v2 = observe_global(w2, env_step=0)
+        v0 = global_vector(w0, env_step=0)
+        v2 = global_vector(w2, env_step=0)
         for r in range(5):
             for c in range(3):
                 a = v0[(r * 5 + c) * BLOCK_SIZE:(r * 5 + c + 1) * BLOCK_SIZE]
@@ -159,7 +198,7 @@ class TestGlobalObservation:
 class TestLocalObservation:
     def test_shape_and_center(self, world, small_body):
         cell = small_body.actuator_cells[0]
-        vec = observe_local(world, cell, env_step=0)
+        vec = window_row(world, cell, env_step=0)
         assert vec.shape == (201,)
         center = (ObservationConfig().window_side ** 2) // 2
         block = vec[center * BLOCK_SIZE:(center + 1) * BLOCK_SIZE]
@@ -169,13 +208,13 @@ class TestLocalObservation:
     def test_out_of_grid_is_missing(self, world, small_body):
         # window rows above the grid must read as missing blocks
         cell = min(small_body.actuator_cells)
-        vec = observe_local(world, cell, env_step=0)
+        vec = window_row(world, cell, env_step=0)
         first = vec[0:BLOCK_SIZE]
         assert first.tolist() == MISSING_BLOCK.tolist()
 
-    def test_rejects_non_actuator_cell(self, world):
-        with pytest.raises(ValueError):
-            observe_local(world, (0, 0), env_step=0)
+    def test_rows_are_actuators_only(self, world):
+        matrix = ObservationBuilder(world).local_matrix(env_step=0)
+        assert matrix.shape == (len(world.actuator_cells), 201)
 
     def test_translation_leaves_window_unchanged(self, narrow_body):
         cfg = PhysicsConfig()
@@ -187,18 +226,23 @@ class TestLocalObservation:
         w1 = build_world(shifted, cfg)
         for (r0, c0), (r1, c1) in zip(sorted(w0.actuator_cells), sorted(w1.actuator_cells)):
             assert (r1, c1) == (r0, c0 + 1)
-            v0 = observe_local(w0, (r0, c0), env_step=4)
-            v1 = observe_local(w1, (r1, c1), env_step=4)
+            v0 = window_row(w0, (r0, c0), env_step=4)
+            v1 = window_row(w1, (r1, c1), env_step=4)
             assert np.array_equal(v0, v1)
 
 
 class TestBuilder:
     def test_local_matrix_matches_vectors(self, world):
-        builder = ObservationBuilder(world)
-        cells, mat = builder.local_matrix(env_step=2)
+        for _ in range(3):
+            step_env(world)
+        mat = ObservationBuilder(world).local_matrix(env_step=2)
+        cells = world.actuator_cells
         assert mat.shape == (len(cells), 201)
-        for i, cell in enumerate(cells):
-            assert np.array_equal(mat[i], builder.local_vector(cell, env_step=2))
+        for i, (r, c) in enumerate(cells):
+            oracle = [observe_voxel(world, (wr, wc)).as_block()
+                      for wr in range(r - 2, r + 3) for wc in range(c - 2, c + 3)]
+            expected = np.append(np.concatenate(oracle), time_signal(2))
+            assert np.allclose(mat[i], expected, rtol=0, atol=1e-15)
 
     def test_refresh_tracks_motion(self, world):
         builder = ObservationBuilder(world)
@@ -214,5 +258,5 @@ class TestBuilder:
         for _ in range(4):
             step_env(world)
         reused = builder.global_vector(env_step=4)
-        fresh = observe_global(world, env_step=4)
+        fresh = global_vector(world, env_step=4)
         assert np.array_equal(reused, fresh)

@@ -22,11 +22,15 @@ class TestEpisodeConfig:
         assert EpisodeConfig(max_steps=300).shift_constant == pytest.approx(3.0)
 
     def test_shift_constant_mismatch_raises(self):
-        with pytest.raises(ValueError):
+        # derived only: it cannot be given, so it cannot disagree
+        with pytest.raises(TypeError):
             EpisodeConfig(shift_constant=4.0)
 
-    def test_explicit_matching_shift_accepted(self):
-        assert EpisodeConfig(shift_constant=5.0).shift_constant == 5.0
+    def test_shift_constant_is_read_only(self):
+        cfg = EpisodeConfig(max_steps=200, step_penalty=0.02)
+        assert cfg.shift_constant == 200 * 0.02
+        with pytest.raises(AttributeError):
+            cfg.shift_constant = 4.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
