@@ -29,7 +29,8 @@ from .checkpoints import (
     save_individual,
     save_population,
 )
-from .evolution import EvolutionConfig, OffspringRecord, run_evolution
+from .control import input_size
+from .evolution import EvolutionConfig, Individual, OffspringRecord, run_evolution
 from .experiments import (
     accounting_from_lineage,
     convergence_metrics,
@@ -134,6 +135,19 @@ def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
     return artifacts
 
 
+def _check_input_size(champion: Individual, cfg: RunConfig, config_path: str) -> None:
+    """A champion replays only under the observation layout it evolved with."""
+    kind = champion.controller.kind
+    got = champion.controller.params.n_inputs
+    want = input_size(kind, cfg.observation)
+    if got != want:
+        raise ConfigError(
+            f"the {kind} champion's controller takes {got} inputs, but the "
+            f"observation layout of this config gives {want} "
+            f"(neighborhood_distance = {cfg.observation.neighborhood_distance})",
+            config_path)
+
+
 def cmd_evolve(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -177,6 +191,7 @@ def cmd_transfer(args) -> int:
             raise ConfigError("no output directory: set [run] out or pass --out",
                               args.config)
         champion = load_individual(args.champion)
+        _check_input_size(champion, cfg, args.config)
     except (ConfigError, CheckpointIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -237,6 +252,7 @@ def cmd_replay(args) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         champion = load_individual(args.champion)
+        _check_input_size(champion, cfg, args.config or "default config")
     except (ConfigError, CheckpointIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

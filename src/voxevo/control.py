@@ -30,6 +30,11 @@ MODULAR_OUTPUT_SIZE = 1
 EXPECTED_PARAM_COUNTS = {GLOBAL_KIND: 7289, MODULAR_KIND: 6497}
 
 
+def input_size(kind: str, obs: ObservationConfig) -> int:
+    """Controller input length of `kind` under the observation layout `obs`."""
+    return obs.local_size if kind == MODULAR_KIND else obs.global_size
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False

@@ -26,7 +26,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .control import MODULAR_KIND, ControllerGenome, init_controller, mutate_controller
+from .control import ControllerGenome, init_controller, input_size, mutate_controller
 from .morphology import (
     Morphology,
     MutationFailedError,
@@ -236,8 +236,7 @@ def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
         morph = cfg.fixed_morphology
     else:
         morph = cfg.catalog[0]
-    obs = cfg.observation
-    n_inputs = obs.local_size if cfg.controller_kind == MODULAR_KIND else obs.global_size
+    n_inputs = input_size(cfg.controller_kind, cfg.observation)
     return Individual(
         morphology=morph,
         controller=init_controller(cfg.controller_kind, rng, n_inputs),

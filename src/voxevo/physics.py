@@ -108,20 +108,22 @@ class SimWorld:
     incidence: np.ndarray      # (n_masses, n_springs) +1/-1/0
     cells: list[tuple[int, int]]  # active cells, raster order; index = voxel id
     materials: np.ndarray      # (n_voxels,) material codes
-    actuator_voxels: np.ndarray      # (n_act,) voxel id driven by each action
-    actuator_horizontal: np.ndarray  # (n_act,) True scales x, False scales y
+    actuator_voxels: np.ndarray  # (n_act,) voxel id driven by each action
     corner_map: np.ndarray     # (n_voxels, 4) mass indices
-    scale_x: np.ndarray        # (n_voxels,) current per-axis actuation scale
-    scale_y: np.ndarray
-    # adjacency used to recompute rest lengths after actuation
-    h_springs: np.ndarray      # indices into spring arrays
-    h_adjacent: np.ndarray     # (nh, 2) voxel ids, n_voxels = padding slot
-    h_count: np.ndarray        # (nh,) number of real adjacent voxels
-    v_springs: np.ndarray
-    v_adjacent: np.ndarray
-    v_count: np.ndarray
-    d_springs: np.ndarray
-    d_owner: np.ndarray
+    # current actuation scale, row 0 per-voxel x, row 1 per-voxel y; the last
+    # column is a padding slot that stays 0. actuator_slots, edge_adjacent and
+    # d_owner are flat indices into it
+    scale: np.ndarray          # (2, n_voxels + 1)
+    actuator_slots: np.ndarray  # (n_act,) the axis and voxel each action sets
+    edge_springs: np.ndarray   # horizontal and vertical spring indices
+    edge_base: np.ndarray      # (n_edge,) their pre-actuation rest lengths
+    edge_adjacent: np.ndarray  # (2, n_edge) adjacent voxels' scales on the
+                               # spring's axis; the padding slot if only one
+    edge_count: np.ndarray     # (n_edge,) number of real adjacent voxels
+    d_springs: np.ndarray      # diagonal spring indices
+    d_owner: np.ndarray        # (2, n_d) the owning voxel's x and y scales
+    mass_column: np.ndarray    # (n_masses, 1) view of mass
+    total_mass: float
     gravity: float
     ground_height: float
     contact: ContactParams
@@ -138,6 +140,16 @@ class SimWorld:
     @property
     def n_springs(self) -> int:
         return self.spring_a.shape[0]
+
+    @property
+    def scale_x(self) -> np.ndarray:
+        """(n_voxels,) current horizontal actuation scale, a view."""
+        return self.scale[0, :-1]
+
+    @property
+    def scale_y(self) -> np.ndarray:
+        """(n_voxels,) current vertical actuation scale, a view."""
+        return self.scale[1, :-1]
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
@@ -216,19 +228,12 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         add_spring(tr, bl, AXIS_DIAGONAL, diag_base, k, vox)
 
     n_springs = len(springs)
-    spring_a = np.zeros(n_springs, dtype=np.int64)
-    spring_b = np.zeros(n_springs, dtype=np.int64)
-    base_rest = np.zeros(n_springs)
-    stiffness = np.zeros(n_springs)
-    axis = np.zeros(n_springs, dtype=np.int8)
-    adjacency: list[list[int]] = []
-    for s, ((a, b, ax), entry) in enumerate(springs.items()):
-        spring_a[s] = a
-        spring_b[s] = b
-        base_rest[s] = entry["base"]
-        stiffness[s] = entry["k"]
-        axis[s] = ax
-        adjacency.append(entry["voxels"])
+    keys, entries = list(springs), list(springs.values())
+    spring_a = np.array([a for a, _, _ in keys], dtype=np.int64)
+    spring_b = np.array([b for _, b, _ in keys], dtype=np.int64)
+    axis = np.array([ax for _, _, ax in keys], dtype=np.int8)
+    base_rest = np.array([entry["base"] for entry in entries])
+    stiffness = np.array([entry["k"] for entry in entries])
 
     # damping from the post-dedup stiffness and the endpoints' reduced mass
     m_a, m_b = mass[spring_a], mass[spring_b]
@@ -239,20 +244,25 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     incidence[spring_a, np.arange(n_springs)] += 1.0
     incidence[spring_b, np.arange(n_springs)] -= 1.0
 
-    def axis_adjacency(ax: int):
-        sel = np.flatnonzero(axis == ax)
-        adj = np.full((len(sel), 2), len(cells), dtype=np.int64)  # pad slot
-        count = np.zeros(len(sel))
-        for row, s in enumerate(sel):
-            voxels = adjacency[s]
-            count[row] = len(voxels)
-            adj[row, : len(voxels)] = voxels
-        return sel, adj, count
-
-    h_springs, h_adjacent, h_count = axis_adjacency(AXIS_HORIZONTAL)
-    v_springs, v_adjacent, v_count = axis_adjacency(AXIS_VERTICAL)
-    d_springs = np.flatnonzero(axis == AXIS_DIAGONAL)
-    d_owner = np.array([adjacency[s][0] for s in d_springs], dtype=np.int64)
+    # actuation structure as flat indices into the (2, n_voxels + 1) scale
+    # array: x scales, then y scales, each row ending in a padding slot
+    row = len(cells) + 1
+    edge_springs, edge_adjacent, edge_count, d_springs, d_owner = [], [], [], [], []
+    for s, ((_, _, ax), entry) in enumerate(zip(keys, entries)):
+        voxels = entry["voxels"]
+        if ax == AXIS_DIAGONAL:
+            d_springs.append(s)
+            d_owner.append([voxels[0], row + voxels[0]])
+        else:
+            offset = 0 if ax == AXIS_HORIZONTAL else row
+            pad = offset + len(cells)
+            edge_springs.append(s)
+            edge_adjacent.append([offset + v for v in voxels] + [pad] * (2 - len(voxels)))
+            edge_count.append(len(voxels))
+    edge_springs = np.array(edge_springs, dtype=np.int64)
+    scale = np.ones((2, row))
+    scale[:, -1] = 0.0  # padding slot contributes 0
+    horizontal = materials[actuator_voxels] == H_ACTUATOR
 
     return SimWorld(
         pos=pos,
@@ -269,18 +279,17 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         cells=cells,
         materials=materials,
         actuator_voxels=actuator_voxels,
-        actuator_horizontal=materials[actuator_voxels] == H_ACTUATOR,
         corner_map=corner_map,
-        scale_x=np.ones(len(cells)),
-        scale_y=np.ones(len(cells)),
-        h_springs=h_springs,
-        h_adjacent=h_adjacent,
-        h_count=h_count,
-        v_springs=v_springs,
-        v_adjacent=v_adjacent,
-        v_count=v_count,
-        d_springs=d_springs,
-        d_owner=d_owner,
+        scale=scale,
+        actuator_slots=np.where(horizontal, 0, row) + actuator_voxels,
+        edge_springs=edge_springs,
+        edge_base=base_rest[edge_springs],
+        edge_adjacent=np.ascontiguousarray(np.array(edge_adjacent, dtype=np.int64).T),
+        edge_count=np.array(edge_count, dtype=np.float64),
+        d_springs=np.array(d_springs, dtype=np.int64),
+        d_owner=np.ascontiguousarray(np.array(d_owner, dtype=np.int64).T),
+        mass_column=mass[:, None],
+        total_mass=float(mass.sum()),
         gravity=cfg.gravity,
         ground_height=ground_height,
         contact=cfg.contact,
@@ -308,25 +317,29 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
     if not ((actions >= 0.0) & (actions <= 1.0)).all():
         raise ValueError(f"actions outside [0, 1]: {actions}")
     lo, hi = world.actuation_min, world.actuation_max
-    scale = lo + actions * (hi - lo)
-    horizontal = world.actuator_horizontal
-    world.scale_x[world.actuator_voxels[horizontal]] = scale[horizontal]
-    world.scale_y[world.actuator_voxels[~horizontal]] = scale[~horizontal]
+    scale = world.scale.reshape(-1)
+    scale[world.actuator_slots] = lo + actions * (hi - lo)
+    pair = scale[world.edge_adjacent]
+    world.rest[world.edge_springs] = (
+        world.edge_base * (pair[0] + pair[1]) / world.edge_count)
+    extent = scale[world.d_owner] * VOXEL_EDGE
+    world.rest[world.d_springs] = np.hypot(extent[0], extent[1])
 
-    sx = np.append(world.scale_x, 0.0)  # padding slot contributes 0
-    sy = np.append(world.scale_y, 0.0)
-    world.rest[world.h_springs] = (
-        world.base_rest[world.h_springs]
-        * sx[world.h_adjacent].sum(axis=1) / world.h_count
-    )
-    world.rest[world.v_springs] = (
-        world.base_rest[world.v_springs]
-        * sy[world.v_adjacent].sum(axis=1) / world.v_count
-    )
-    world.rest[world.d_springs] = np.hypot(
-        world.scale_x[world.d_owner] * VOXEL_EDGE,
-        world.scale_y[world.d_owner] * VOXEL_EDGE,
-    )
+
+def _spring_forces(world: SimWorld, x, y, vx, vy, per_spring: np.ndarray) -> np.ndarray:
+    """Internal forces from 1-D position and velocity columns; the per-spring
+    force is written into `per_spring`, shape (n_springs, 2)."""
+    a, b = world.spring_a, world.spring_b
+    dx = x[b] - x[a]
+    dy = y[b] - y[a]
+    length = np.sqrt(dx * dx + dy * dy)
+    ux = dx / length
+    uy = dy / length
+    v_rel = (vx[b] - vx[a]) * ux + (vy[b] - vy[a]) * uy
+    magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
+    np.multiply(magnitude, ux, out=per_spring[:, 0])
+    np.multiply(magnitude, uy, out=per_spring[:, 1])
+    return world.incidence @ per_spring
 
 
 def spring_forces(world: SimWorld) -> np.ndarray:
@@ -335,57 +348,61 @@ def spring_forces(world: SimWorld) -> np.ndarray:
     Pairwise construction guarantees the array sums to the zero vector up to
     rounding.
     """
-    d = world.pos[world.spring_b] - world.pos[world.spring_a]
-    length = np.sqrt((d * d).sum(axis=1))
-    unit = d / length[:, None]
-    v_rel = ((world.vel[world.spring_b] - world.vel[world.spring_a]) * unit).sum(axis=1)
-    magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
-    return world.incidence @ (magnitude[:, None] * unit)
-
-
-def _total_forces(world: SimWorld) -> np.ndarray:
-    forces = spring_forces(world)
-    forces[:, 1] -= world.mass * world.gravity
-    contact = world.contact
-    if contact.normal_stiffness > 0.0 or contact.friction > 0.0:
-        penetration = world.ground_height - world.pos[:, 1]
-        touching = penetration > 0.0
-        if touching.any():
-            normal = (
-                contact.normal_stiffness * penetration[touching]
-                - contact.normal_damping * world.vel[touching, 1]
-            )
-            normal = np.maximum(normal, 0.0)
-            vx = world.vel[touching, 0]
-            # Coulomb friction opposing sliding, capped so one substep cannot
-            # reverse the tangential velocity
-            stopping = world.mass[touching] * np.abs(vx) / world.physics_dt
-            friction = -np.sign(vx) * np.minimum(contact.friction * normal, stopping)
-            forces[touching, 1] += normal
-            forces[touching, 0] += friction
-    return forces
+    pos, vel = world.pos, world.vel
+    return _spring_forces(world, pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1],
+                          np.empty((world.n_springs, 2)))
 
 
 def step_env(world: SimWorld) -> None:
     """Advance one environment step (substeps_per_env_step physics substeps,
-    semi-implicit Euler). Raises SimulationDivergedError on non-finite state."""
+    semi-implicit Euler). Raises SimulationDivergedError on non-finite state.
+
+    Each substep sums spring forces, gravity and ground contact, then updates
+    velocities before positions.
+    """
     dt = world.physics_dt
-    inv_mass = 1.0 / world.mass[:, None]
+    pos, vel, mass = world.pos, world.vel, world.mass
+    x, y = pos[:, 0], pos[:, 1]
+    vx, vy = vel[:, 0], vel[:, 1]
+    per_spring = np.empty((world.n_springs, 2))
+    weight = mass * world.gravity
+    inv_mass = 1.0 / mass[:, None]
+    contact = world.contact
+    kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
+    has_contact = kn > 0.0 or mu > 0.0
+    ground = world.ground_height
     # divergence surfaces as the explicit finiteness check below, not as
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(world.substeps_per_env_step):
-            forces = _total_forces(world)
-            world.vel += dt * forces * inv_mass
-            world.pos += dt * world.vel
+            forces = _spring_forces(world, x, y, vx, vy, per_spring)
+            fx, fy = forces[:, 0], forces[:, 1]
+            fy -= weight
+            if has_contact:
+                penetration = ground - y
+                touching = (penetration > 0.0).nonzero()[0]
+                if touching.size:
+                    normal = kn * penetration[touching] - kd * vy[touching]
+                    np.maximum(normal, 0.0, out=normal)
+                    vx_t = vx[touching]
+                    # Coulomb friction opposing sliding, capped so one substep
+                    # cannot reverse the tangential velocity
+                    stopping = mass[touching] * np.abs(vx_t) / dt
+                    friction = -np.sign(vx_t) * np.minimum(mu * normal, stopping)
+                    fy[touching] += normal
+                    fx[touching] += friction
+            forces *= dt  # rounds as dt * forces * inv_mass
+            forces *= inv_mass
+            vel += forces
+            pos += dt * vel
     world.env_steps += 1
-    if not (np.isfinite(world.pos).all() and np.isfinite(world.vel).all()):
+    if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
         raise SimulationDivergedError(world.env_steps)
 
 
 def center_of_mass(world: SimWorld) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
-    return (world.mass[:, None] * world.pos).sum(axis=0) / world.mass.sum()
+    return (world.mass_column * world.pos).sum(axis=0) / world.total_mass
 
 
 def mechanical_energy(world: SimWorld) -> float:

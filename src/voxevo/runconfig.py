@@ -35,10 +35,15 @@ from .walker import EpisodeConfig
 
 
 class ConfigError(Exception):
-    def __init__(self, message: str, path: str | None = None, line: int | None = None):
+    """A config problem; `key` names the [experiment] key at fault when the
+    error is raised before the file's line numbers are known."""
+
+    def __init__(self, message: str, path: str | None = None, line: int | None = None,
+                 key: str | None = None):
         self.path = path
         self.line = line
         self.message = message
+        self.key = key
         where = path or "<config>"
         if line is not None:
             where = f"{where}:{line}"
@@ -119,14 +124,16 @@ class RunConfig:
             if self.fixed_body not in catalog:
                 raise ConfigError(
                     f"fixed_body {self.fixed_body!r} not in catalog "
-                    f"{sorted(catalog)}")
+                    f"{sorted(catalog)}", key="fixed_body")
             fixed = catalog[self.fixed_body]
         elif self.mode == "multi-body":
             missing = [b for b in self.catalog_bodies if b not in catalog]
             if missing:
-                raise ConfigError(f"catalog_bodies not in catalog: {missing}")
+                raise ConfigError(f"catalog_bodies not in catalog: {missing}",
+                                  key="catalog_bodies")
             if not self.catalog_bodies:
-                raise ConfigError("multi-body mode needs catalog_bodies")
+                raise ConfigError("multi-body mode needs catalog_bodies",
+                                  key="catalog_bodies")
             bodies = tuple(catalog[b] for b in self.catalog_bodies)
         return EvolutionConfig(
             controller_kind=self.paradigm,
@@ -179,6 +186,17 @@ _SCHEMA: dict[str, dict[str, object]] = {
 _CHECKS = {
     ("run", "mode"): (lambda v: v in MODES, f"mode must be one of {MODES}"),
     ("run", "paradigm"): (lambda v: v in KINDS, f"paradigm must be one of {KINDS}"),
+    ("run", "generations"): (lambda v: v >= 1, "generations must be >= 1"),
+    ("evolution", "mu"): (lambda v: v >= 1, "mu must be >= 1"),
+    ("evolution", "lambda"): (lambda v: v >= 1, "lambda must be >= 1"),
+    ("evolution", "p_body_mutation"): (lambda v: 0.0 <= v <= 1.0,
+                                       "p_body_mutation must be in [0, 1]"),
+    ("evolution", "controller_sigma"): (lambda v: v >= 0.0, "controller_sigma must be >= 0"),
+    ("experiment", "distances"): (lambda v: all(d >= 1 for d in v),
+                                  "distances must be >= 1"),
+    ("experiment", "samples_per_distance"): (lambda v: v >= 1,
+                                             "samples_per_distance must be >= 1"),
+    ("experiment", "one_shot_lambda"): (lambda v: v >= 0, "one_shot_lambda must be >= 0"),
     ("experiment", "n_runs"): (lambda v: v >= 1, "n_runs must be >= 1"),
 }
 
@@ -226,6 +244,11 @@ def _read(text: str, path: str) -> tuple[dict[str, dict[str, object]],
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
     """Build a RunConfig from the keys present in `text`; every other field
     keeps the default its dataclass declares."""
+    return _parse(text, path)[0]
+
+
+def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, int]]]:
+    """The RunConfig and the line number of each key present."""
     values, lines = _read(text, path)
 
     def given(section: str, fields, prefix: str = "") -> dict[str, object]:
@@ -245,12 +268,13 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     run_values = {}
     for section, fields in _RUN_FIELDS.items():
         run_values.update(given(section, fields))
-    return RunConfig(
+    cfg = RunConfig(
         physics=build("physics", PhysicsConfig, _PHYSICS_FIELDS, contact=contact),
         observation=build("observation", ObservationConfig, _OBSERVATION_FIELDS),
         episode=build("episode", EpisodeConfig, _EPISODE_FIELDS),
         **run_values,
     )
+    return cfg, lines
 
 
 def load_config(path: str) -> RunConfig:
@@ -259,11 +283,18 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path) from exc
-    cfg = parse_config(text, path)
-    # dry-run the evolution config so semantic errors surface before any output
+    cfg, lines = _parse(text, path)
+    # dry-run the evolution config so semantic errors surface before any output;
+    # catalog errors point at their key, else at the catalog file's line
+    experiment = lines.get("experiment", {})
     try:
         cfg.evolution_config(workers=1)
-    except (ValueError, CatalogError) as exc:
+    except ConfigError as exc:
+        line = experiment.get(exc.key, experiment.get("catalog_file"))
+        raise ConfigError(exc.message, path, line) from exc
+    except CatalogError as exc:
+        raise ConfigError(str(exc), path, experiment.get("catalog_file")) from exc
+    except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
     return cfg
 

@@ -61,13 +61,12 @@ def time_signal(env_step: int, period: int = 25) -> float:
     return 2.0 * math.pi * (env_step % period) / period
 
 
-def _quad_areas(pos: np.ndarray, corner_map: np.ndarray) -> np.ndarray:
-    """Shoelace area per voxel; corner_map columns are TL, TR, BL, BR."""
-    # polygon order TL -> TR -> BR -> BL
-    ring = pos[corner_map[:, [0, 1, 3, 2]]]  # (n, 4, 2)
-    x, y = ring[..., 0], ring[..., 1]
-    x_next, y_next = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    return 0.5 * np.abs((x * y_next - x_next * y).sum(axis=1))
+def _quad_areas(x: np.ndarray, y: np.ndarray, ring: np.ndarray,
+                ring_next: np.ndarray) -> np.ndarray:
+    """Shoelace area per voxel from corner coordinates `x`, `y`; `ring` rows
+    are corner mass indices in polygon order and `ring_next` the next corner
+    of each."""
+    return 0.5 * np.abs((x[ring] * y[ring_next] - x[ring_next] * y[ring]).sum(axis=1))
 
 
 class ObservationBuilder:
@@ -88,7 +87,12 @@ class ObservationBuilder:
         onehot = np.zeros((n, N_MATERIALS))
         onehot[np.arange(n), world.materials.astype(int)] = 1.0
         self._features[:n, 3:] = onehot
-        self._rest_area = VOXEL_EDGE ** 2 if self.cfg.normalize_volume else None
+        self._velocity = self._features[:n, 0:2]
+        self._area = self._features[:n, 2]
+        self._rest_area = VOXEL_EDGE ** 2 if self.cfg.normalize_volume else 1.0
+        # corner_map columns are TL, TR, BL, BR; polygon order TL -> TR -> BR -> BL
+        self._ring = world.corner_map[:, [0, 1, 3, 2]]
+        self._ring_next = self._ring[:, [1, 2, 3, 0]]
 
         side = self.cfg.box_side
         lookup = np.full((side, side), self._pad, dtype=np.int64)
@@ -114,15 +118,12 @@ class ObservationBuilder:
 
     def refresh(self) -> None:
         """Recompute the dynamic features (velocity, volume) from world state."""
-        w, f, n = self.world, self._features, self._pad
+        w = self.world
         vel = w.vel[w.corner_map].mean(axis=1)
         clamp = self.cfg.velocity_clamp
-        np.clip(vel, -clamp, clamp, out=vel)
-        f[:n, 0:2] = vel
-        areas = _quad_areas(w.pos, w.corner_map)
-        if self._rest_area is not None:
-            areas = areas / self._rest_area
-        f[:n, 2] = areas
+        np.clip(vel, -clamp, clamp, out=self._velocity)
+        areas = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
+        np.divide(areas, self._rest_area, out=self._area)
 
     def global_vector(self, env_step: int) -> np.ndarray:
         self.refresh()

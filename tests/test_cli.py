@@ -156,7 +156,30 @@ def trained_run(tmp_path_factory):
     return str(config), out
 
 
+@pytest.fixture(scope="module")
+def small_window_run(tmp_path_factory):
+    """A modular champion evolved with neighborhood_distance = 1 (73 inputs)."""
+    base = tmp_path_factory.mktemp("window")
+    config = base / "window.cfg"
+    config.write_text(TINY_CONFIG + "\n[observation]\nneighborhood_distance = 1\n")
+    out = str(base / "run")
+    assert main(["evolve", "--config", str(config), "--out", out,
+                 "--workers", "1"]) == 0
+    return str(config), os.path.join(out, "champion.ckpt")
+
+
 class TestTransfer:
+    def test_window_mismatch_exits_before_writing(self, small_window_run, config_path,
+                                                  tmp_path, capsys):
+        _, champion = small_window_run
+        out = str(tmp_path / "transfer")
+        assert main(["transfer", "--config", config_path, "--champion", champion,
+                     "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: ")
+        assert "takes 73 inputs" in err and "gives 201" in err
+        assert not os.path.exists(out)
+
     def test_outputs(self, trained_run, tmp_path, capsys):
         config, run_dir = trained_run
         out = str(tmp_path / "transfer")
@@ -223,20 +246,24 @@ class TestReplay:
         assert meta["steps"] <= 500
 
 
-    def test_smaller_window_champion_loads_and_replays(self, tmp_path):
-        config = tmp_path / "window.cfg"
-        config.write_text(TINY_CONFIG + "\n[observation]\nneighborhood_distance = 1\n")
-        run_dir = str(tmp_path / "run")
-        assert main(["evolve", "--config", str(config), "--out", run_dir,
-                     "--workers", "1"]) == 0
-        champion_path = os.path.join(run_dir, "champion.ckpt")
+    def test_smaller_window_champion_loads_and_replays(self, small_window_run, tmp_path):
+        config, champion_path = small_window_run
         champion = load_individual(champion_path)
         assert champion.controller.params.n_inputs == 3 * 3 * 8 + 1
         out = str(tmp_path / "replay.jsonl")
         assert main(["replay", "--champion", champion_path, "--out", out,
-                     "--config", str(config)]) == 0
+                     "--config", config]) == 0
         meta = json.loads(open(out, encoding="utf-8").readline())
         assert meta["fitness"] == champion.fitness
+
+    def test_window_mismatch_exits_before_writing(self, small_window_run, tmp_path,
+                                                  capsys):
+        _, champion_path = small_window_run
+        out = str(tmp_path / "replays" / "replay.jsonl")
+        assert main(["replay", "--champion", champion_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "takes 73 inputs" in err and "gives 201" in err
+        assert not os.path.exists(os.path.dirname(out))
 
 
 class TestReport:

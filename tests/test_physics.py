@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from voxevo.morphology import H_ACTUATOR, Morphology
+from voxevo.experiments import CATALOG_ORDER, default_catalog
+from voxevo.morphology import GRID_SIZE, H_ACTUATOR, Morphology, random_morphology
 from voxevo.physics import (
     AXIS_DIAGONAL,
     AXIS_HORIZONTAL,
@@ -19,6 +20,7 @@ from voxevo.physics import (
     spring_forces,
     step_env,
 )
+from voxevo.sensing import ObservationBuilder
 
 
 def body_from_rows(*rows):
@@ -338,3 +340,142 @@ class TestContactParams:
         assert params.normal_stiffness == 1e4
         assert params.normal_damping == 10.0
         assert params.friction == 0.8
+
+
+# Oracle: the single-world step as it was written before the hot path was
+# reworked (whole (n, 2) arrays, boolean-mask contact). The rewrite must match
+# it bit for bit.
+def oracle_spring_forces(world):
+    d = world.pos[world.spring_b] - world.pos[world.spring_a]
+    length = np.sqrt((d * d).sum(axis=1))
+    unit = d / length[:, None]
+    v_rel = ((world.vel[world.spring_b] - world.vel[world.spring_a]) * unit).sum(axis=1)
+    magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
+    return world.incidence @ (magnitude[:, None] * unit)
+
+
+def oracle_total_forces(world):
+    forces = oracle_spring_forces(world)
+    forces[:, 1] -= world.mass * world.gravity
+    contact = world.contact
+    if contact.normal_stiffness > 0.0 or contact.friction > 0.0:
+        penetration = world.ground_height - world.pos[:, 1]
+        touching = penetration > 0.0
+        if touching.any():
+            normal = (
+                contact.normal_stiffness * penetration[touching]
+                - contact.normal_damping * world.vel[touching, 1]
+            )
+            normal = np.maximum(normal, 0.0)
+            vx = world.vel[touching, 0]
+            stopping = world.mass[touching] * np.abs(vx) / world.physics_dt
+            friction = -np.sign(vx) * np.minimum(contact.friction * normal, stopping)
+            forces[touching, 1] += normal
+            forces[touching, 0] += friction
+    return forces
+
+
+def oracle_step_env(world):
+    dt = world.physics_dt
+    inv_mass = 1.0 / world.mass[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(world.substeps_per_env_step):
+            forces = oracle_total_forces(world)
+            world.vel += dt * forces * inv_mass
+            world.pos += dt * world.vel
+    world.env_steps += 1
+
+
+def spring_owners(world):
+    """Voxels whose corners include both ends of each spring."""
+    corners = [set(c.tolist()) for c in world.corner_map]
+    return [[v for v, cs in enumerate(corners)
+             if {int(world.spring_a[s]), int(world.spring_b[s])} <= cs]
+            for s in range(world.n_springs)]
+
+
+def oracle_rest(world, owners, actions):
+    """Rest lengths for `actions`, from the geometry alone: edges take the
+    mean scale of their voxels on their axis, diagonals sqrt(w^2 + h^2)."""
+    lo, hi = world.actuation_min, world.actuation_max
+    sx, sy = np.ones(len(world.cells)), np.ones(len(world.cells))
+    for voxel, action in zip(world.actuator_voxels, actions):
+        axis_scale = sx if world.materials[voxel] == H_ACTUATOR else sy
+        axis_scale[voxel] = lo + action * (hi - lo)
+    rest = np.empty(world.n_springs)
+    diagonal = world.axis == AXIS_DIAGONAL
+    for s in np.flatnonzero(~diagonal):
+        scale = sx if world.axis[s] == AXIS_HORIZONTAL else sy
+        first, *other = owners[s]
+        total = scale[first] + (scale[other[0]] if other else 0.0)
+        rest[s] = world.base_rest[s] * total / len(owners[s])
+    own = np.array([owners[s][0] for s in np.flatnonzero(diagonal)], dtype=np.int64)
+    rest[diagonal] = np.hypot(sx[own] * VOXEL_EDGE, sy[own] * VOXEL_EDGE)
+    return rest
+
+
+def oracle_features(world, clamp=10.0):
+    """Per-voxel (mean corner velocity, shoelace area) as computed with rolls."""
+    vel = world.vel[world.corner_map].mean(axis=1)
+    np.clip(vel, -clamp, clamp, out=vel)
+    ring = world.pos[world.corner_map[:, [0, 1, 3, 2]]]
+    x, y = ring[..., 0], ring[..., 1]
+    x_next, y_next = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+    areas = 0.5 * np.abs((x * y_next - x_next * y).sum(axis=1)) / VOXEL_EDGE ** 2
+    return np.column_stack([vel, areas])
+
+
+def oracle_bodies():
+    catalog = default_catalog()
+    bodies = [pytest.param(name, catalog[name], id=name) for name in CATALOG_ORDER]
+    for i in range(4):
+        body = random_morphology(np.random.default_rng([7, i]))
+        bodies.append(pytest.param(f"random{i}", body, id=f"random{i}"))
+    return bodies
+
+
+class TestMatchesOracle:
+    @pytest.mark.parametrize("contact", [True, False], ids=["contact", "no_contact"])
+    @pytest.mark.parametrize("name, body", oracle_bodies())
+    def test_actuated_episode_is_bit_identical(self, name, body, contact):
+        cfg = PhysicsConfig() if contact else PhysicsConfig().with_contact_disabled()
+        world, ref = build_world(body, cfg), build_world(body, cfg)
+        builder = ObservationBuilder(world)
+        owners = spring_owners(ref)
+        raster = [r * GRID_SIZE + c for r, c in world.cells]
+        rng = np.random.default_rng([11, len(name), int(contact)])
+        for step in range(500):
+            if step % 4 == 0:
+                actions = rng.random(len(world.actuator_cells))
+                apply_actuation(world, actions)
+                ref.rest[:] = oracle_rest(ref, owners, actions)
+                assert np.array_equal(world.rest, ref.rest), step
+                blocks = builder.global_vector(step)[:-1].reshape(GRID_SIZE ** 2, -1)
+                assert np.array_equal(blocks[raster, :3], oracle_features(world)), step
+            step_env(world)
+            oracle_step_env(ref)
+        assert np.array_equal(world.pos, ref.pos)
+        assert np.array_equal(world.vel, ref.vel)
+        assert world.env_steps == ref.env_steps == 500
+        com = (ref.mass[:, None] * ref.pos).sum(axis=0) / ref.mass.sum()
+        assert np.array_equal(center_of_mass(world), com)
+
+    def test_in_place_state_writes_are_seen_by_the_next_step(self):
+        body = default_catalog()["biped"]
+        world, ref = build_world(body, PhysicsConfig()), build_world(body, PhysicsConfig())
+        for w in (world, ref):
+            w.pos[:, 0] += 3.0
+            w.vel[2] = [1.5, -0.5]
+        moved = world.pos.copy()
+        step_env(world)
+        oracle_step_env(ref)
+        assert not np.array_equal(world.pos, moved)
+        for w in (world, ref):
+            w.pos[:, 1] += 0.25
+            w.vel *= 0.5
+        for _ in range(20):
+            step_env(world)
+            oracle_step_env(ref)
+        assert np.array_equal(world.pos, ref.pos)
+        assert np.array_equal(world.vel, ref.vel)
+        assert world.pos[:, 0].min() > 2.0  # the shifted start was kept

@@ -122,6 +122,21 @@ class TestErrors:
     def test_bad_paradigm(self):
         self.assert_error("[run]\nparadigm = central\n", "paradigm", 2)
 
+    @pytest.mark.parametrize("section, key, value, fragment", [
+        ("run", "generations", "0", "generations must be >= 1"),
+        ("evolution", "mu", "0", "mu must be >= 1"),
+        ("evolution", "lambda", "0", "lambda must be >= 1"),
+        ("evolution", "p_body_mutation", "1.5", "p_body_mutation must be in [0, 1]"),
+        ("evolution", "p_body_mutation", "-0.1", "p_body_mutation must be in [0, 1]"),
+        ("evolution", "controller_sigma", "-1", "controller_sigma must be >= 0"),
+        ("experiment", "distances", "1, 0", "distances must be >= 1"),
+        ("experiment", "samples_per_distance", "0", "samples_per_distance must be >= 1"),
+        ("experiment", "one_shot_lambda", "-1", "one_shot_lambda must be >= 0"),
+    ])
+    def test_evolution_bounds_name_their_line(self, section, key, value, fragment):
+        self.assert_error(f"[run]\nseed = 1\n[{section}]\n{key} = {value}\n",
+                          fragment, 4)
+
     def test_semantic_physics_error_points_at_section(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config("[physics]\nphysics_dt = 0\n", path="demo.cfg")
@@ -189,6 +204,35 @@ class TestLoadConfig:
         path.write_text("[run]\nmode = fixed-body\n[experiment]\nfixed_body = squid\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_mu_zero_names_its_line(self, tmp_path):
+        path = tmp_path / "mu0.cfg"
+        path.write_text("[run]\nseed = 1\n\n[evolution]\nlambda = 4\nmu = 0\n")
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(str(path))
+        assert re.match(rf"{re.escape(str(path))}:6: mu must be >= 1", str(exc_info.value))
+
+    @pytest.mark.parametrize("text, line", [
+        ("[run]\nmode = fixed-body\n[experiment]\nn_runs = 1\nfixed_body = squid\n", 5),
+        ("[experiment]\ncatalog_bodies = worm, squid\n[run]\nmode = multi-body\n", 2),
+    ])
+    def test_unknown_body_name_points_at_its_key(self, tmp_path, text, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(str(path))
+        assert exc_info.value.line == line
+        assert "squid" in exc_info.value.message
+
+    def test_default_body_missing_from_catalog_file_points_at_the_file(self, tmp_path):
+        catalog = tmp_path / "catalog.txt"
+        save_catalog(str(catalog), {"stub": default_catalog()["block"]})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[run]\nmode = fixed-body\n[experiment]\ncatalog_file = {catalog}\n")
+        with pytest.raises(ConfigError) as exc_info:
+            load_config(str(path))
+        assert exc_info.value.line == 4
+        assert "'biped' not in catalog" in exc_info.value.message
 
     def test_error_includes_path_and_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -292,3 +336,14 @@ def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path,
         assert rc == 2
         assert re.search(rf"{re.escape(str(cfg))}:\d+: ", capsys.readouterr().err)
         assert not os.path.exists(out)
+
+
+def test_zero_generations_is_rejected_before_any_output(tmp_path, capsys):
+    # a run with no generation would leave a generations.csv that `report` refuses
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ngenerations = 0\n")
+    out = str(tmp_path / "out")
+    assert main(["evolve", "--config", str(cfg), "--out", out, "--workers", "1"]) == 2
+    assert re.search(rf"{re.escape(str(cfg))}:2: generations must be >= 1",
+                     capsys.readouterr().err)
+    assert not os.path.exists(out)
