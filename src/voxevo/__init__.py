@@ -57,6 +57,7 @@ from .walker import (
 from .evolution import (
     EvolutionConfig,
     GenerationLog,
+    Evaluator,
     Individual,
     OffspringRecord,
     RunArtifacts,

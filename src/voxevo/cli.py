@@ -30,7 +30,7 @@ from .checkpoints import (
     save_population,
 )
 from .control import input_size
-from .evolution import EvolutionConfig, Individual, OffspringRecord, run_evolution
+from .evolution import Evaluator, EvolutionConfig, Individual, OffspringRecord, run_evolution
 from .experiments import (
     accounting_from_lineage,
     convergence_metrics,
@@ -39,7 +39,7 @@ from .experiments import (
     transfer_analysis,
 )
 from .runconfig import ConfigError, RunConfig, load_config, override
-from .walker import evaluate_fitness, run_episode
+from .walker import run_episode
 
 GENERATIONS_CSV = "generations.csv"
 LINEAGE_CSV = "lineage.csv"
@@ -80,17 +80,21 @@ def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _resolve_workers(flag: int | None, cfg_workers: int | None) -> int:
-    if flag is not None:
-        return flag
+    """The flag, else VOXEVO_WORKERS, else [run] workers (checked at load),
+    else the CPU count."""
     env = os.environ.get("VOXEVO_WORKERS")
-    if env:
+    if flag is not None:
+        workers, source = flag, "--workers"
+    elif env:
         try:
-            return int(env)
+            workers, source = int(env), "VOXEVO_WORKERS"
         except ValueError:
-            raise ConfigError(f"VOXEVO_WORKERS is not an integer: {env!r}")
-    if cfg_workers is not None:
-        return cfg_workers
-    return os.cpu_count() or 1
+            raise ConfigError(f"not an integer: {env!r}", "VOXEVO_WORKERS")
+    else:
+        return cfg_workers if cfg_workers is not None else os.cpu_count() or 1
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}", source)
+    return workers
 
 
 def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
@@ -190,27 +194,26 @@ def cmd_transfer(args) -> int:
         if cfg.out is None:
             raise ConfigError("no output directory: set [run] out or pass --out",
                               args.config)
+        workers = _resolve_workers(args.workers, cfg.workers)
         champion = load_individual(args.champion)
         _check_input_size(champion, cfg, args.config)
     except (ConfigError, CheckpointIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    source_fitness = champion.fitness
-    if source_fitness is None:
-        source_fitness = evaluate_fitness(
-            champion.morphology, champion.controller,
-            cfg.episode, cfg.physics, cfg.observation)
-
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, TRANSFER_STREAM_TAG]))
-    samples = transfer_analysis(
-        champion.morphology, champion.controller, source_fitness,
-        list(cfg.distances), rng,
-        samples_per_distance=cfg.samples_per_distance,
-        one_shot_lambda=cfg.one_shot_lambda,
-        source_id=champion.id,
-        episode_cfg=cfg.episode, physics_cfg=cfg.physics, obs_cfg=cfg.observation)
+    with Evaluator(cfg.evolution_config(workers)) as evaluator:
+        source_fitness = champion.fitness
+        if source_fitness is None:
+            source_fitness = evaluator.evaluate(
+                [((champion.morphology,), champion.controller)])[0]
+        samples = transfer_analysis(
+            champion.morphology, champion.controller, source_fitness,
+            list(cfg.distances), rng, evaluator,
+            samples_per_distance=cfg.samples_per_distance,
+            one_shot_lambda=cfg.one_shot_lambda,
+            source_id=champion.id)
 
     os.makedirs(cfg.out, exist_ok=True)
     rows = [

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControllerGenome, mutate_controller
-from .evolution import KIND_BODY, KIND_BRAIN, RunArtifacts
+from .evolution import KIND_BODY, KIND_BRAIN, Evaluator, RunArtifacts
 from .morphology import Morphology, MutationFailedError, sample_neighbor, validate
-from .physics import PhysicsConfig
-from .sensing import ObservationConfig
-from .walker import EpisodeConfig, evaluate_fitness
 
 logger = logging.getLogger(__name__)
 
@@ -159,14 +156,11 @@ def _distinct_neighbors(source: Morphology, distance: int, count: int,
 
 def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
                       source_fitness: float, distances: list[int],
-                      rng: np.random.Generator,
+                      rng: np.random.Generator, evaluator: Evaluator,
                       samples_per_distance: int = 20,
                       one_shot_lambda: int = 16,
                       one_shot_sigma: float = 0.1,
                       source_id: int = 0,
-                      episode_cfg: EpisodeConfig | None = None,
-                      physics_cfg: PhysicsConfig | None = None,
-                      obs_cfg: ObservationConfig | None = None,
                       min_source_magnitude: float = 0.1) -> list[TransferSample]:
     """Evaluate a trained controller on mutated bodies.
 
@@ -175,40 +169,46 @@ def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
     the new body, so one_shot >= zero_shot holds by construction. Relative
     changes are (f - f_source) / |f_source|, reported as None when the source
     fitness magnitude is below `min_source_magnitude`.
+
+    Every neighbor and mutant is drawn before any episode runs (episodes draw
+    no random numbers), and all episodes go to `evaluator` in one batch.
     """
-
-    def fitness_on(body: Morphology, ctrl: ControllerGenome) -> float:
-        return evaluate_fitness(body, ctrl, episode_cfg, physics_cfg, obs_cfg)
-
     guarded = abs(source_fitness) < min_source_magnitude
     if guarded:
         logger.warning(
             "source fitness %.4f below magnitude guard; relative changes omitted",
             source_fitness)
 
-    samples: list[TransferSample] = []
+    drawn: list[tuple[int, Morphology]] = []
+    jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]] = []
     for distance in distances:
         for neighbor in _distinct_neighbors(
                 champion_morph, distance, samples_per_distance, rng):
-            zero = fitness_on(neighbor, controller)
-            one = zero
-            for _ in range(one_shot_lambda):
-                mutant = mutate_controller(controller, rng, one_shot_sigma)
-                one = max(one, fitness_on(neighbor, mutant))
-            if guarded:
-                rel_zero = rel_one = None
-            else:
-                rel_zero = (zero - source_fitness) / abs(source_fitness)
-                rel_one = (one - source_fitness) / abs(source_fitness)
-            samples.append(TransferSample(
-                source_id=source_id,
-                distance=distance,
-                neighbor=neighbor,
-                zero_shot_fitness=zero,
-                one_shot_fitness=one,
-                relative_change_zero=rel_zero,
-                relative_change_one=rel_one,
-            ))
+            drawn.append((distance, neighbor))
+            jobs.append(((neighbor,), controller))
+            jobs.extend(((neighbor,), mutate_controller(controller, rng, one_shot_sigma))
+                        for _ in range(one_shot_lambda))
+    fitnesses = evaluator.evaluate(jobs)
+
+    per_neighbor = 1 + one_shot_lambda
+    samples: list[TransferSample] = []
+    for i, (distance, neighbor) in enumerate(drawn):
+        scores = fitnesses[i * per_neighbor:(i + 1) * per_neighbor]
+        zero, one = scores[0], max(scores)
+        if guarded:
+            rel_zero = rel_one = None
+        else:
+            rel_zero = (zero - source_fitness) / abs(source_fitness)
+            rel_one = (one - source_fitness) / abs(source_fitness)
+        samples.append(TransferSample(
+            source_id=source_id,
+            distance=distance,
+            neighbor=neighbor,
+            zero_shot_fitness=zero,
+            one_shot_fitness=one,
+            relative_change_zero=rel_zero,
+            relative_change_one=rel_one,
+        ))
     return samples
 
 
@@ -273,13 +273,10 @@ def convergence_metrics(best_fitness_series: list[float],
 
 
 def per_body_fitness(run: RunArtifacts, bodies: list[Morphology]) -> list[float]:
-    """Champion controller fitness on each body separately."""
-    cfg = run.config
-    return [
-        evaluate_fitness(body, run.champion.controller,
-                         cfg.episode, cfg.physics, cfg.observation)
-        for body in bodies
-    ]
+    """Champion controller fitness on each body separately, scored with the
+    run's own settings and worker count."""
+    with Evaluator(run.config) as evaluator:
+        return evaluator.evaluate([((body,), run.champion.controller) for body in bodies])
 
 
 def _median_iqr(values: list[float]) -> tuple[float, float, float]:
@@ -297,7 +294,8 @@ def directional_report(modular_runs: list[RunArtifacts],
 
     Emits champion-fitness medians/IQRs, mean zero-shot relative change at
     mutation distance 1, and body-mutation success fractions. The comparisons
-    are reported, not asserted; desk-scale batteries are noisy.
+    are reported, not asserted; desk-scale batteries are noisy. Each run's
+    transfer episodes are scored with that run's settings and worker count.
     """
     report: dict = {"paradigms": {}}
     for name, runs in (("modular", modular_runs), ("global", global_runs)):
@@ -307,17 +305,15 @@ def directional_report(modular_runs: list[RunArtifacts],
         rel_changes: list[float] = []
         paradigm_tag = 0 if name == "modular" else 1
         for i, run in enumerate(runs):
-            cfg = run.config
             rng = np.random.default_rng(
                 np.random.SeedSequence([transfer_seed, paradigm_tag, i]))
-            samples = transfer_analysis(
-                run.champion.morphology, run.champion.controller,
-                run.champion.fitness, [1], rng,
-                samples_per_distance=transfer_samples_per_run,
-                one_shot_lambda=one_shot_lambda,
-                source_id=run.champion.id,
-                episode_cfg=cfg.episode, physics_cfg=cfg.physics,
-                obs_cfg=cfg.observation)
+            with Evaluator(run.config) as evaluator:
+                samples = transfer_analysis(
+                    run.champion.morphology, run.champion.controller,
+                    run.champion.fitness, [1], rng, evaluator,
+                    samples_per_distance=transfer_samples_per_run,
+                    one_shot_lambda=one_shot_lambda,
+                    source_id=run.champion.id)
             rel_changes.extend(
                 s.relative_change_zero for s in samples
                 if s.relative_change_zero is not None)

@@ -187,6 +187,7 @@ _CHECKS = {
     ("run", "mode"): (lambda v: v in MODES, f"mode must be one of {MODES}"),
     ("run", "paradigm"): (lambda v: v in KINDS, f"paradigm must be one of {KINDS}"),
     ("run", "generations"): (lambda v: v >= 1, "generations must be >= 1"),
+    ("run", "workers"): (lambda v: v >= 1, "workers must be >= 1"),
     ("evolution", "mu"): (lambda v: v >= 1, "mu must be >= 1"),
     ("evolution", "lambda"): (lambda v: v >= 1, "lambda must be >= 1"),
     ("evolution", "p_body_mutation"): (lambda v: 0.0 <= v <= 1.0,

@@ -368,10 +368,8 @@ class TestTransferInvariants:
         champion = run.champion
         samples = transfer_analysis(
             champion.morphology, champion.controller, champion.fitness,
-            [1, 2], np.random.default_rng(910),
-            samples_per_distance=4, one_shot_lambda=2,
-            episode_cfg=cfg.episode, physics_cfg=cfg.physics,
-            obs_cfg=cfg.observation)
+            [1, 2], np.random.default_rng(910), Evaluator(cfg),
+            samples_per_distance=4, one_shot_lambda=2)
         assert samples
         for sample in samples:
             assert sample.one_shot_fitness >= sample.zero_shot_fitness

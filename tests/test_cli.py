@@ -144,6 +144,37 @@ class TestWorkersResolution:
         assert "VOXEVO_WORKERS" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["evolve", "transfer"])
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--workers", "0"], None, "error: --workers: workers must be >= 1, got 0"),
+        ([], "-2", "error: VOXEVO_WORKERS: workers must be >= 1, got -2"),
+    ])
+    def test_counts_below_one_rejected_before_output(self, command, flag, env, message,
+                                                     trained_run, tmp_path, monkeypatch,
+                                                     capsys):
+        config, run_dir = trained_run
+        if env is None:
+            monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("VOXEVO_WORKERS", env)
+        out = str(tmp_path / "out")
+        argv = [command, "--config", config, "--out", out, *flag]
+        if command == "transfer":
+            argv += ["--champion", os.path.join(run_dir, "champion.ckpt")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_config_count_below_one_names_its_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[run]\nworkers = 0\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:2" in err and "workers must be >= 1" in err
+        assert not out.exists()
+
 
 @pytest.fixture
 def trained_run(tmp_path_factory):
@@ -207,6 +238,19 @@ class TestTransfer:
         with open(os.path.join(outs[0], "transfer.csv"), "rb") as fa, \
                 open(os.path.join(outs[1], "transfer.csv"), "rb") as fb:
             assert fa.read() == fb.read()
+
+    def test_worker_count_does_not_change_output(self, trained_run, tmp_path):
+        config, run_dir = trained_run
+        champion = os.path.join(run_dir, "champion.ckpt")
+        outs = [str(tmp_path / name) for name in ("w1", "w2")]
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(["transfer", "--config", config, "--champion", champion,
+                         "--out", out, "--workers", workers]) == 0
+            assert not any(name.endswith(".partial") for name in os.listdir(out))
+        for name in ("transfer.csv", "transfer_summary.txt"):
+            with open(os.path.join(outs[0], name), "rb") as fa, \
+                    open(os.path.join(outs[1], name), "rb") as fb:
+                assert fa.read() == fb.read(), name
 
     def test_missing_champion(self, trained_run, tmp_path, capsys):
         config, _ = trained_run

@@ -6,13 +6,14 @@ import pytest
 
 from voxevo.checkpoints import load_individual
 from voxevo.cli import main
-from voxevo.control import MODULAR_KIND, init_controller
+from voxevo.control import MODULAR_KIND, init_controller, mutate_controller
 from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
     KIND_FRESH,
     MODE_FIXED_BODY,
     MODE_MULTI_BODY,
+    Evaluator,
     EvolutionConfig,
     OffspringRecord,
     run_evolution,
@@ -30,6 +31,7 @@ from voxevo.experiments import (
     per_body_fitness,
     save_catalog,
     transfer_analysis,
+    _distinct_neighbors,
 )
 from voxevo.morphology import grid_distance, validate
 from voxevo.runconfig import load_config
@@ -137,22 +139,28 @@ class TestBattery:
         assert not os.path.exists(out)
 
 
+@pytest.fixture
+def fast_evaluator(fast_episode):
+    with Evaluator(EvolutionConfig(episode=fast_episode)) as evaluator:
+        yield evaluator
+
+
 class TestTransfer:
-    def test_one_shot_never_below_zero_shot(self, small_body, fast_episode):
+    def test_one_shot_never_below_zero_shot(self, small_body, fast_episode, fast_evaluator):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(3))
         source = evaluate_fitness(small_body, controller, fast_episode)
         samples = transfer_analysis(
             small_body, controller, source, [1, 2], np.random.default_rng(4),
-            samples_per_distance=3, one_shot_lambda=2, episode_cfg=fast_episode)
+            fast_evaluator, samples_per_distance=3, one_shot_lambda=2)
         assert {s.distance for s in samples} == {1, 2}
         for s in samples:
             assert s.one_shot_fitness >= s.zero_shot_fitness
 
-    def test_neighbors_distinct_and_not_source(self, small_body, fast_episode):
+    def test_neighbors_distinct_and_not_source(self, small_body, fast_evaluator):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(5))
         samples = transfer_analysis(
             small_body, controller, 2.0, [1], np.random.default_rng(6),
-            samples_per_distance=6, one_shot_lambda=1, episode_cfg=fast_episode)
+            fast_evaluator, samples_per_distance=6, one_shot_lambda=1)
         neighbors = [s.neighbor for s in samples]
         assert len(set(neighbors)) == len(neighbors)
         assert all(n != small_body for n in neighbors)
@@ -165,35 +173,56 @@ class TestTransfer:
         again = evaluate_fitness(small_body, controller, fast_episode)
         assert (again - source) / abs(source) == 0.0
 
-    def test_low_magnitude_source_guards_relative_changes(self, small_body, fast_episode):
+    def test_low_magnitude_source_guards_relative_changes(self, small_body, fast_evaluator):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(8))
         samples = transfer_analysis(
             small_body, controller, 0.01, [1], np.random.default_rng(9),
-            samples_per_distance=2, one_shot_lambda=1, episode_cfg=fast_episode)
+            fast_evaluator, samples_per_distance=2, one_shot_lambda=1)
         for s in samples:
             assert s.relative_change_zero is None
             assert s.relative_change_one is None
 
-    def test_relative_change_formula(self, small_body, fast_episode):
+    def test_relative_change_formula(self, small_body, fast_evaluator):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(10))
         source = 2.0
         samples = transfer_analysis(
             small_body, controller, source, [1], np.random.default_rng(11),
-            samples_per_distance=2, one_shot_lambda=1, episode_cfg=fast_episode)
+            fast_evaluator, samples_per_distance=2, one_shot_lambda=1)
         for s in samples:
             assert s.relative_change_zero == (s.zero_shot_fitness - source) / abs(source)
             assert s.relative_change_one == (s.one_shot_fitness - source) / abs(source)
 
-    def test_reproducible(self, small_body, fast_episode):
+    def test_reproducible(self, small_body, fast_evaluator):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(12))
-        kwargs = dict(samples_per_distance=2, one_shot_lambda=2,
-                      episode_cfg=fast_episode)
+        kwargs = dict(samples_per_distance=2, one_shot_lambda=2)
         a = transfer_analysis(small_body, controller, 2.0, [1],
-                              np.random.default_rng(13), **kwargs)
+                              np.random.default_rng(13), fast_evaluator, **kwargs)
         b = transfer_analysis(small_body, controller, 2.0, [1],
-                              np.random.default_rng(13), **kwargs)
+                              np.random.default_rng(13), fast_evaluator, **kwargs)
         assert [s.zero_shot_fitness for s in a] == [s.zero_shot_fitness for s in b]
         assert [s.one_shot_fitness for s in a] == [s.one_shot_fitness for s in b]
+
+    def test_matches_scoring_each_draw_in_turn(self, small_body, fast_episode,
+                                               fast_evaluator):
+        """Oracle: the serial loop the batch replaced, which scored every
+        neighbor and every mutant as soon as it was drawn."""
+        controller = init_controller(MODULAR_KIND, np.random.default_rng(14))
+        rng = np.random.default_rng(15)
+        expected = []
+        for distance in (1, 2):
+            for neighbor in _distinct_neighbors(small_body, distance, 3, rng):
+                zero = evaluate_fitness(neighbor, controller, fast_episode)
+                one = zero
+                for _ in range(3):
+                    mutant = mutate_controller(controller, rng, 0.1)
+                    one = max(one, evaluate_fitness(neighbor, mutant, fast_episode))
+                expected.append((distance, neighbor, zero, one))
+        samples = transfer_analysis(
+            small_body, controller, 2.0, [1, 2], np.random.default_rng(15),
+            fast_evaluator, samples_per_distance=3, one_shot_lambda=3)
+        assert [(s.distance, s.neighbor, s.zero_shot_fitness, s.one_shot_fitness)
+                for s in samples] == expected
+        assert any(s.one_shot_fitness > s.zero_shot_fitness for s in samples)
 
 
 class TestAccounting:
@@ -289,6 +318,13 @@ class TestTrainingWrappers:
         assert min(per_body) == run.champion.fitness
         for fitness in per_body:
             assert fitness >= run.champion.fitness
+        pooled_run, = _on_two_workers([run])
+        assert per_body_fitness(pooled_run, [small_body, plus_body]) == per_body
+
+
+def _on_two_workers(runs):
+    return [dataclasses.replace(run, config=dataclasses.replace(run.config, workers=2))
+            for run in runs]
 
 
 @pytest.fixture(scope="module")
@@ -324,3 +360,9 @@ class TestDirectionalReport:
         again = directional_report(modular, global_,
                                    transfer_samples_per_run=2, one_shot_lambda=1)
         assert again == report
+
+    def test_worker_count_does_not_change_report(self, report_and_runs):
+        report, modular, global_ = report_and_runs
+        pooled = directional_report(_on_two_workers(modular), _on_two_workers(global_),
+                                    transfer_samples_per_run=2, one_shot_lambda=1)
+        assert pooled == report

@@ -124,6 +124,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("section, key, value, fragment", [
         ("run", "generations", "0", "generations must be >= 1"),
+        ("run", "workers", "0", "workers must be >= 1"),
         ("evolution", "mu", "0", "mu must be >= 1"),
         ("evolution", "lambda", "0", "lambda must be >= 1"),
         ("evolution", "p_body_mutation", "1.5", "p_body_mutation must be in [0, 1]"),
