@@ -81,7 +81,7 @@ def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
 
 def _resolve_workers(flag: int | None, cfg_workers: int | None) -> int:
     """The flag, else VOXEVO_WORKERS, else [run] workers (checked at load),
-    else the CPU count."""
+    else the number of CPUs this process may run on."""
     env = os.environ.get("VOXEVO_WORKERS")
     if flag is not None:
         workers, source = flag, "--workers"
@@ -91,7 +91,12 @@ def _resolve_workers(flag: int | None, cfg_workers: int | None) -> int:
         except ValueError:
             raise ConfigError(f"not an integer: {env!r}", "VOXEVO_WORKERS")
     else:
-        return cfg_workers if cfg_workers is not None else os.cpu_count() or 1
+        if cfg_workers is not None:
+            return cfg_workers
+        # the affinity mask honours taskset and cpusets; cpu_count() does not
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}", source)
     return workers

@@ -367,6 +367,7 @@ def step_env(world: SimWorld) -> None:
     per_spring = np.empty((world.n_springs, 2))
     weight = mass * world.gravity
     inv_mass = 1.0 / mass[:, None]
+    masses = mass.tolist()
     contact = world.contact
     kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
     has_contact = kn > 0.0 or mu > 0.0
@@ -379,18 +380,27 @@ def step_env(world: SimWorld) -> None:
             fx, fy = forces[:, 0], forces[:, 1]
             fy -= weight
             if has_contact:
-                penetration = ground - y
-                touching = (penetration > 0.0).nonzero()[0]
+                # few masses touch at a time, too few for numpy calls to pay
+                # off; Python floats round as numpy's float64 did here
+                touching = (y < ground).nonzero()[0]
                 if touching.size:
-                    normal = kn * penetration[touching] - kd * vy[touching]
-                    np.maximum(normal, 0.0, out=normal)
-                    vx_t = vx[touching]
-                    # Coulomb friction opposing sliding, capped so one substep
-                    # cannot reverse the tangential velocity
-                    stopping = mass[touching] * np.abs(vx_t) / dt
-                    friction = -np.sign(vx_t) * np.minimum(mu * normal, stopping)
-                    fy[touching] += normal
-                    fx[touching] += friction
+                    for i, yi, vxi, vyi in zip(touching.tolist(), y[touching].tolist(),
+                                               vx[touching].tolist(), vy[touching].tolist()):
+                        normal = kn * (ground - yi) - kd * vyi
+                        if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
+                            normal = 0.0
+                        # Coulomb friction opposing sliding, capped so one
+                        # substep cannot reverse the tangential velocity
+                        limit = mu * normal
+                        stopping = masses[i] * abs(vxi) / dt
+                        # as np.minimum on x86: a NaN on either side wins, a
+                        # tie gives the second operand
+                        cap = limit if (limit < stopping or limit != limit) else stopping
+                        # as np.sign: 0.0 for either zero, NaN for NaN
+                        sign = (1.0 if vxi > 0.0 else -1.0 if vxi < 0.0
+                                else 0.0 if vxi == 0.0 else vxi)
+                        fy[i] += normal
+                        fx[i] += -sign * cap
             forces *= dt  # rounds as dt * forces * inv_mass
             forces *= inv_mass
             vel += forces

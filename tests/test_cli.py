@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from voxevo.checkpoints import load_individual, load_population
-from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, main
+from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, _resolve_workers, main
 
 TINY_CONFIG = """
 [run]
@@ -164,6 +164,15 @@ class TestWorkersResolution:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _resolve_workers(None, None) == 1
+        assert _resolve_workers(None, 3) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _resolve_workers(None, None) == 64
 
     def test_config_count_below_one_names_its_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("VOXEVO_WORKERS", raising=False)

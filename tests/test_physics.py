@@ -1,6 +1,10 @@
+import copy
+import sys
+
 import numpy as np
 import pytest
 
+from voxevo import physics
 from voxevo.experiments import CATALOG_ORDER, default_catalog
 from voxevo.morphology import GRID_SIZE, H_ACTUATOR, Morphology, random_morphology
 from voxevo.physics import (
@@ -312,12 +316,29 @@ class TestDynamics:
         assert world.env_steps == 7
 
     def test_divergence_raises_with_step_index(self):
+        body = body_from_rows("33000", "11000")
+        fast = build_world(body, PhysicsConfig())
+        fast.vel[:] = 1e154
+        # far too stiff for the time step: a small offset grows until it overflows
+        stiff = build_world(body, PhysicsConfig(rigid_stiffness=1e8, soft_stiffness=1e8,
+                                                actuator_stiffness=1e8))
+        stiff.pos[0, 0] += 0.01
+        for world, expected in ((fast, 1), (stiff, 8)):
+            assert oracle_divergence_step(world, limit=20) == expected
+            with pytest.raises(SimulationDivergedError) as exc_info:
+                for _ in range(20):
+                    step_env(world)
+            assert exc_info.value.step_index == expected == world.env_steps
+
+    def test_nan_velocity_of_a_touching_mass_raises_at_once(self):
         world = build_world(body_from_rows("33000", "11000"), PhysicsConfig())
-        world.vel[:] = 1e154
+        bottom = int(np.argmin(world.pos[:, 1]))
+        world.pos[bottom, 1] = -0.01
+        world.vel[bottom, 1] = np.nan
+        assert oracle_divergence_step(world, limit=10) == 1
         with pytest.raises(SimulationDivergedError) as exc_info:
-            for _ in range(10):
-                step_env(world)
-        assert exc_info.value.step_index >= 0
+            step_env(world)
+        assert exc_info.value.step_index == 1
 
     def test_com_of_single_voxel(self):
         world = build_world(single_voxel(), PhysicsConfig())
@@ -386,6 +407,17 @@ def oracle_step_env(world):
     world.env_steps += 1
 
 
+def oracle_divergence_step(world, limit):
+    """The first env step after which the oracle's copy of `world` holds a
+    non-finite position or velocity."""
+    ref = copy.deepcopy(world)
+    for _ in range(limit):
+        oracle_step_env(ref)
+        if not (np.isfinite(ref.pos).all() and np.isfinite(ref.vel).all()):
+            return ref.env_steps
+    raise AssertionError(f"the oracle stays finite for {limit} steps")
+
+
 def spring_owners(world):
     """Voxels whose corners include both ends of each spring."""
     corners = [set(c.tolist()) for c in world.corner_map]
@@ -425,6 +457,14 @@ def oracle_features(world, clamp=10.0):
     return np.column_stack([vel, areas])
 
 
+def assert_same_state(world, ref):
+    """Equal values and equal bytes: array_equal alone takes -0.0 for 0.0."""
+    assert np.array_equal(world.pos, ref.pos)
+    assert np.array_equal(world.vel, ref.vel)
+    assert world.pos.tobytes() == ref.pos.tobytes()
+    assert world.vel.tobytes() == ref.vel.tobytes()
+
+
 def oracle_bodies():
     catalog = default_catalog()
     bodies = [pytest.param(name, catalog[name], id=name) for name in CATALOG_ORDER]
@@ -454,8 +494,7 @@ class TestMatchesOracle:
                 assert np.array_equal(blocks[raster, :3], oracle_features(world)), step
             step_env(world)
             oracle_step_env(ref)
-        assert np.array_equal(world.pos, ref.pos)
-        assert np.array_equal(world.vel, ref.vel)
+        assert_same_state(world, ref)
         assert world.env_steps == ref.env_steps == 500
         com = (ref.mass[:, None] * ref.pos).sum(axis=0) / ref.mass.sum()
         assert np.array_equal(center_of_mass(world), com)
@@ -476,6 +515,75 @@ class TestMatchesOracle:
         for _ in range(20):
             step_env(world)
             oracle_step_env(ref)
-        assert np.array_equal(world.pos, ref.pos)
-        assert np.array_equal(world.vel, ref.vel)
+        assert_same_state(world, ref)
         assert world.pos[:, 0].min() > 2.0  # the shifted start was kept
+
+
+# One bottom corner of a single voxel, set by hand, meets the ground in one
+# substep: (contact, y, vx, vy) per branch of the contact force.
+CONTACT_BRANCHES = {
+    "at_ground_not_touching": (ContactParams(), 0.0, 0.3, -1.0),
+    "normal_clips_to_zero": (ContactParams(), -0.001, 0.3, 50.0),
+    "stopping_caps_friction": (ContactParams(), -0.01, 1e-4, 0.0),
+    "mu_normal_caps_friction": (ContactParams(), -0.01, 5.0, 0.0),
+    "vx_positive_zero": (ContactParams(), -0.01, 0.0, -0.5),
+    "vx_negative_zero": (ContactParams(), -0.01, -0.0, -0.5),
+    "no_normal_stiffness": (ContactParams(0.0, 10.0, 0.8), -0.01, 0.5, -1.0),
+}
+
+
+class TestContactBranches:
+    @pytest.mark.parametrize("branch", list(CONTACT_BRANCHES))
+    def test_step_matches_oracle_bytes(self, branch):
+        contact, y, vx, vy = CONTACT_BRANCHES[branch]
+        world = build_world(single_voxel(), PhysicsConfig(substeps_per_env_step=1,
+                                                          contact=contact))
+        corner = int(world.corner_map[0, 2])  # bottom-left
+        world.pos[corner, 1], world.vel[corner] = y, (vx, vy)
+        kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
+        normal = kn * (world.ground_height - y) - kd * vy
+        limit = mu * max(normal, 0.0)
+        stopping = world.mass[corner] * abs(vx) / world.physics_dt
+        reached = {
+            "at_ground_not_touching": y == world.ground_height,
+            "normal_clips_to_zero": normal < 0.0,
+            "stopping_caps_friction": 0.0 < stopping < limit,
+            "mu_normal_caps_friction": 0.0 < limit < stopping,
+            "vx_positive_zero": vx == 0.0 and not np.signbit(vx) and limit > 0.0,
+            "vx_negative_zero": vx == 0.0 and np.signbit(vx) and limit > 0.0,
+            "no_normal_stiffness": kn == 0.0 and 0.0 < limit < stopping,
+        }
+        assert reached[branch]
+        ref = copy.deepcopy(world)
+        step_env(world)
+        oracle_step_env(ref)
+        assert_same_state(world, ref)
+
+    # With the spring forces and gravity at zero and every velocity at -0.0,
+    # the sign of a zero contact force shows in the new velocity: -0.0 + 0.0
+    # is 0.0, -0.0 + -0.0 stays -0.0.
+    @pytest.mark.parametrize("contact", [
+        # the normal force is -0.0 before the clip, the friction limit 0.0
+        # before the cap
+        pytest.param(ContactParams(-0.0, -0.0, 0.8), id="normal_clip_of_negative_zero"),
+        # the friction limit is -0.0 against a stopping force of 0.0; numpy
+        # takes the second operand of a tie on x86, IEEE minimum takes -0.0
+        pytest.param(ContactParams(1e4, 10.0, -0.0), id="friction_cap_tie_of_zeros",
+                     marks=pytest.mark.skipif(
+                         np.signbit(np.minimum(np.array([-0.0]), 0.0))[0],
+                         reason="numpy's minimum breaks ties of signed zeros the IEEE way")),
+    ])
+    def test_signed_zero_contact_forces_match_oracle_bytes(self, contact, monkeypatch):
+        def zero_springs(world, *_):
+            return np.full((world.n_masses, 2), -0.0)
+
+        monkeypatch.setattr(physics, "_spring_forces", zero_springs)
+        monkeypatch.setattr(sys.modules[__name__], "oracle_spring_forces", zero_springs)
+        cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, contact=contact)
+        world = build_world(single_voxel(), cfg)
+        world.pos[:, 1] -= 0.01
+        world.vel[:] = -0.0
+        ref = copy.deepcopy(world)
+        step_env(world)
+        oracle_step_env(ref)
+        assert_same_state(world, ref)
