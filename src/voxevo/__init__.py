@@ -17,7 +17,6 @@ from .morphology import (
     InvalidMorphologyError,
     Morphology,
     MutationFailedError,
-    grid_distance,
     mutate_morphology,
     random_morphology,
     sample_neighbor,
@@ -31,7 +30,6 @@ from .physics import (
     apply_actuation,
     build_world,
     center_of_mass,
-    mechanical_energy,
     step_env,
 )
 from .sensing import (
@@ -73,10 +71,7 @@ from .experiments import (
     TransferSample,
     convergence_metrics,
     default_catalog,
-    directional_report,
     load_catalog,
-    mutation_accounting,
-    save_catalog,
     transfer_analysis,
 )
 from .runconfig import ConfigError, RunConfig, load_config, parse_config

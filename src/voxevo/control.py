@@ -131,14 +131,14 @@ def _batch_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
 
 
 def act(genome: ControllerGenome, world: SimWorld, env_step: int,
-        builder: ObservationBuilder | None = None) -> np.ndarray:
-    """Actions in (0, 1), one per actuator in `world.actuator_cells` order.
+        builder: ObservationBuilder) -> np.ndarray:
+    """Actions in (0, 1), one per actuator in `world.actuator_cells` order,
+    from the observations `builder` assembles for `world`.
 
     Global: one forward pass on the full-box observation, read at each
     actuator's raster index. Modular: the shared network on every actuator's
     own window.
     """
-    builder = builder or ObservationBuilder(world)
     if genome.kind == GLOBAL_KIND:
         out = mlp_forward(genome.params, builder.global_vector(env_step))
         return out[builder.actuator_raster]
@@ -168,7 +168,7 @@ def init_controller(kind: str, rng: np.random.Generator,
 
 
 def mutate_controller(genome: ControllerGenome, rng: np.random.Generator,
-                      sigma: float = 0.1) -> ControllerGenome:
+                      sigma: float) -> ControllerGenome:
     """Add independent N(0, sigma) noise to every parameter (sigma is the
     standard deviation). The parent is untouched."""
     if sigma < 0:

@@ -273,7 +273,6 @@ class Evaluator:
         self.episode = cfg.episode
         self.physics = cfg.physics
         self.observation = cfg.observation
-        self.n_evaluations = 0
         self._pool = Pool(cfg.workers) if cfg.workers > 1 else None
 
     def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]) -> list[float]:
@@ -281,7 +280,6 @@ class Evaluator:
             (bodies, ctrl, self.episode, self.physics, self.observation)
             for bodies, ctrl in jobs
         ]
-        self.n_evaluations += len(packed)
         if self._pool is None:
             return [_evaluate_job(job) for job in packed]
         return self._pool.map(_evaluate_job, packed)

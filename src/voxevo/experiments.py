@@ -1,9 +1,9 @@
 """Study procedures built on the evolution loop.
 
 Covers the body catalog, controller transfer onto mutated bodies (zero-shot
-and one-shot), mutation success accounting along champion lineages,
-convergence metrics over best-fitness series, and the comparison report of
-the two controller paradigms. All procedures are pure functions of
+and one-shot), mutation success accounting along champion lineages, and
+convergence metrics over best-fitness series. The `transfer` and `report`
+commands of the CLI are their callers. All procedures are pure functions of
 (config, seed).
 """
 
@@ -15,12 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import ControllerGenome, mutate_controller
-from .evolution import KIND_BODY, KIND_BRAIN, Evaluator, RunArtifacts
+from .evolution import KIND_BODY, KIND_BRAIN, Evaluator
 from .morphology import Morphology, MutationFailedError, sample_neighbor, validate
 
 logger = logging.getLogger(__name__)
 
 CONVERGENCE_THRESHOLDS = (0.8, 0.9, 0.95, 0.99)
+
+# one-shot transfer: standard deviation of the controller mutants
+ONE_SHOT_SIGMA = 0.1
+# relative transfer changes are omitted below this source fitness magnitude
+MIN_SOURCE_MAGNITUDE = 0.1
+# neighbour draws per transfer sample before its slot is skipped
+NEIGHBOR_ATTEMPTS = 50
 
 # Fixed single-material bodies (horizontal actuator everywhere), row 0 at the
 # top of the grid. Shapes are conventional placeholders; swap via catalog
@@ -96,12 +103,6 @@ def load_catalog(path: str) -> dict[str, Morphology]:
     return catalog
 
 
-def save_catalog(path: str, catalog: dict[str, Morphology]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, body in catalog.items():
-            fh.write(f"[{name}]\n{body.to_text()}\n")
-
-
 @dataclass(frozen=True)
 class TransferSample:
     source_id: int
@@ -132,14 +133,13 @@ class LineageIntegrityError(RuntimeError):
 
 
 def _distinct_neighbors(source: Morphology, distance: int, count: int,
-                        rng: np.random.Generator, attempts_per_sample: int = 50
-                        ) -> list[Morphology]:
+                        rng: np.random.Generator) -> list[Morphology]:
     """Pairwise-distinct neighbors at the given mutation distance, none equal
     to the source. Unfillable slots are skipped with a log entry."""
     found: list[Morphology] = []
     seen = {source}
     for _ in range(count):
-        for _ in range(attempts_per_sample):
+        for _ in range(NEIGHBOR_ATTEMPTS):
             try:
                 cand = sample_neighbor(source, distance, rng)
             except MutationFailedError:
@@ -157,23 +157,21 @@ def _distinct_neighbors(source: Morphology, distance: int, count: int,
 def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
                       source_fitness: float, distances: list[int],
                       rng: np.random.Generator, evaluator: Evaluator,
-                      samples_per_distance: int = 20,
-                      one_shot_lambda: int = 16,
-                      one_shot_sigma: float = 0.1,
-                      source_id: int = 0,
-                      min_source_magnitude: float = 0.1) -> list[TransferSample]:
+                      samples_per_distance: int, one_shot_lambda: int,
+                      source_id: int = 0) -> list[TransferSample]:
     """Evaluate a trained controller on mutated bodies.
 
     Zero-shot keeps the controller unchanged. One-shot takes the best of the
-    original controller and `one_shot_lambda` Gaussian mutants evaluated on
-    the new body, so one_shot >= zero_shot holds by construction. Relative
-    changes are (f - f_source) / |f_source|, reported as None when the source
-    fitness magnitude is below `min_source_magnitude`.
+    original controller and `one_shot_lambda` Gaussian mutants (standard
+    deviation ONE_SHOT_SIGMA) evaluated on the new body, so one_shot >=
+    zero_shot holds by construction. Relative changes are
+    (f - f_source) / |f_source|, reported as None when the source fitness
+    magnitude is below MIN_SOURCE_MAGNITUDE.
 
     Every neighbor and mutant is drawn before any episode runs (episodes draw
     no random numbers), and all episodes go to `evaluator` in one batch.
     """
-    guarded = abs(source_fitness) < min_source_magnitude
+    guarded = abs(source_fitness) < MIN_SOURCE_MAGNITUDE
     if guarded:
         logger.warning(
             "source fitness %.4f below magnitude guard; relative changes omitted",
@@ -186,7 +184,7 @@ def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
                 champion_morph, distance, samples_per_distance, rng):
             drawn.append((distance, neighbor))
             jobs.append(((neighbor,), controller))
-            jobs.extend(((neighbor,), mutate_controller(controller, rng, one_shot_sigma))
+            jobs.extend(((neighbor,), mutate_controller(controller, rng, ONE_SHOT_SIGMA))
                         for _ in range(one_shot_lambda))
     fitnesses = evaluator.evaluate(jobs)
 
@@ -246,10 +244,6 @@ def accounting_from_lineage(lineage: dict, champion_id: int) -> MutationAccounti
     )
 
 
-def mutation_accounting(run: RunArtifacts) -> MutationAccounting:
-    return accounting_from_lineage(run.lineage, run.champion.id)
-
-
 def convergence_metrics(best_fitness_series: list[float],
                         thresholds: tuple[float, ...] = CONVERGENCE_THRESHOLDS
                         ) -> ConvergenceMetrics:
@@ -270,90 +264,3 @@ def convergence_metrics(best_fitness_series: list[float],
         reached = np.flatnonzero(series >= theta * final)
         generations[theta] = int(reached[0])
     return ConvergenceMetrics(generations_to=generations, shifted=shifted)
-
-
-def per_body_fitness(run: RunArtifacts, bodies: list[Morphology]) -> list[float]:
-    """Champion controller fitness on each body separately, scored with the
-    run's own settings and worker count."""
-    with Evaluator(run.config) as evaluator:
-        return evaluator.evaluate([((body,), run.champion.controller) for body in bodies])
-
-
-def _median_iqr(values: list[float]) -> tuple[float, float, float]:
-    arr = np.asarray(values, dtype=float)
-    q1, med, q3 = np.percentile(arr, [25, 50, 75])
-    return float(med), float(q1), float(q3)
-
-
-def directional_report(modular_runs: list[RunArtifacts],
-                       global_runs: list[RunArtifacts],
-                       transfer_samples_per_run: int = 20,
-                       one_shot_lambda: int = 16,
-                       transfer_seed: int = 0) -> dict:
-    """Aggregate comparison of the two controller paradigms.
-
-    Emits champion-fitness medians/IQRs, mean zero-shot relative change at
-    mutation distance 1, and body-mutation success fractions. The comparisons
-    are reported, not asserted; desk-scale batteries are noisy. Each run's
-    transfer episodes are scored with that run's settings and worker count.
-    """
-    report: dict = {"paradigms": {}}
-    for name, runs in (("modular", modular_runs), ("global", global_runs)):
-        champs = [r.champion.fitness for r in runs]
-        med, q1, q3 = _median_iqr(champs)
-
-        rel_changes: list[float] = []
-        paradigm_tag = 0 if name == "modular" else 1
-        for i, run in enumerate(runs):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([transfer_seed, paradigm_tag, i]))
-            with Evaluator(run.config) as evaluator:
-                samples = transfer_analysis(
-                    run.champion.morphology, run.champion.controller,
-                    run.champion.fitness, [1], rng, evaluator,
-                    samples_per_distance=transfer_samples_per_run,
-                    one_shot_lambda=one_shot_lambda,
-                    source_id=run.champion.id)
-            rel_changes.extend(
-                s.relative_change_zero for s in samples
-                if s.relative_change_zero is not None)
-
-        body_fractions = []
-        for run in runs:
-            acc = mutation_accounting(run)
-            if acc.population_body_fraction is not None:
-                body_fractions.append(acc.population_body_fraction)
-
-        report["paradigms"][name] = {
-            "n_runs": len(runs),
-            "champion_median": med,
-            "champion_iqr": (q1, q3),
-            "mean_zero_shot_relative_change_d1":
-                float(np.mean(rel_changes)) if rel_changes else None,
-            "mean_population_body_success_fraction":
-                float(np.mean(body_fractions)) if body_fractions else None,
-        }
-
-    mod, glo = report["paradigms"]["modular"], report["paradigms"]["global"]
-    report["trends"] = {
-        "modular_champion_ge_global": mod["champion_median"] >= glo["champion_median"],
-        "both_zero_shot_negative_d1": (
-            mod["mean_zero_shot_relative_change_d1"] is not None
-            and glo["mean_zero_shot_relative_change_d1"] is not None
-            and mod["mean_zero_shot_relative_change_d1"] < 0
-            and glo["mean_zero_shot_relative_change_d1"] < 0
-        ),
-        "modular_drop_le_global": (
-            mod["mean_zero_shot_relative_change_d1"] is not None
-            and glo["mean_zero_shot_relative_change_d1"] is not None
-            and mod["mean_zero_shot_relative_change_d1"]
-            >= glo["mean_zero_shot_relative_change_d1"]
-        ),
-        "modular_body_fraction_higher": (
-            mod["mean_population_body_success_fraction"] is not None
-            and glo["mean_population_body_success_fraction"] is not None
-            and mod["mean_population_body_success_fraction"]
-            > glo["mean_population_body_success_fraction"]
-        ),
-    }
-    return report

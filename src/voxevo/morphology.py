@@ -203,8 +203,3 @@ def sample_neighbor(
     for _ in range(distance):
         current = mutate_morphology(current, rng, retry_cap=retry_cap)
     return current
-
-
-def grid_distance(a: Morphology, b: Morphology) -> int:
-    """Hamming distance: number of cells whose material codes differ."""
-    return int(np.count_nonzero(a.grid != b.grid))

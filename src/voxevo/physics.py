@@ -13,7 +13,7 @@ Unit system: voxel edge = 1 length unit, per-voxel mass = 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,13 @@ class ContactParams:
     normal_stiffness: float = 1.0e4
     normal_damping: float = 10.0
     friction: float = 0.8
+
+    def __post_init__(self):
+        # a negative stiffness with a negative friction switches contact off
+        for f in fields(self):
+            if getattr(self, f.name) < 0.0:
+                raise ValueError(
+                    f"contact {f.name} must be >= 0, got {getattr(self, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,10 @@ class PhysicsConfig:
         )
         if not all(math.isfinite(v) for v in values):
             raise ValueError("physics config values must be finite")
+        for name in ("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
+                     "damping_ratio"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.physics_dt <= 0:
             raise ValueError("physics_dt must be positive")
         if self.substeps_per_env_step < 1:
@@ -81,9 +92,6 @@ class PhysicsConfig:
         if code == 2:
             return self.soft_stiffness
         return self.actuator_stiffness
-
-    def with_contact_disabled(self) -> "PhysicsConfig":
-        return replace(self, contact=ContactParams(0.0, 0.0, 0.0))
 
 
 @dataclass
@@ -101,10 +109,8 @@ class SimWorld:
     spring_a: np.ndarray       # (n_springs,) endpoint index
     spring_b: np.ndarray       # (n_springs,)
     rest: np.ndarray           # (n_springs,) current rest length
-    base_rest: np.ndarray      # (n_springs,) pre-actuation rest length
     stiffness: np.ndarray      # (n_springs,)
     damping: np.ndarray        # (n_springs,)
-    axis: np.ndarray           # (n_springs,) AXIS_* code
     incidence: np.ndarray      # (n_masses, n_springs) +1/-1/0
     cells: list[tuple[int, int]]  # active cells, raster order; index = voxel id
     materials: np.ndarray      # (n_voxels,) material codes
@@ -140,16 +146,6 @@ class SimWorld:
     @property
     def n_springs(self) -> int:
         return self.spring_a.shape[0]
-
-    @property
-    def scale_x(self) -> np.ndarray:
-        """(n_voxels,) current horizontal actuation scale, a view."""
-        return self.scale[0, :-1]
-
-    @property
-    def scale_y(self) -> np.ndarray:
-        """(n_voxels,) current vertical actuation scale, a view."""
-        return self.scale[1, :-1]
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
@@ -231,7 +227,6 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     keys, entries = list(springs), list(springs.values())
     spring_a = np.array([a for a, _, _ in keys], dtype=np.int64)
     spring_b = np.array([b for _, b, _ in keys], dtype=np.int64)
-    axis = np.array([ax for _, _, ax in keys], dtype=np.int8)
     base_rest = np.array([entry["base"] for entry in entries])
     stiffness = np.array([entry["k"] for entry in entries])
 
@@ -271,10 +266,8 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         spring_a=spring_a,
         spring_b=spring_b,
         rest=base_rest.copy(),
-        base_rest=base_rest,
         stiffness=stiffness,
         damping=damping,
-        axis=axis,
         incidence=incidence,
         cells=cells,
         materials=materials,
@@ -342,17 +335,6 @@ def _spring_forces(world: SimWorld, x, y, vx, vy, per_spring: np.ndarray) -> np.
     return world.incidence @ per_spring
 
 
-def spring_forces(world: SimWorld) -> np.ndarray:
-    """Per-mass internal forces (Hooke + axial damping), shape (n_masses, 2).
-
-    Pairwise construction guarantees the array sums to the zero vector up to
-    rounding.
-    """
-    pos, vel = world.pos, world.vel
-    return _spring_forces(world, pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1],
-                          np.empty((world.n_springs, 2)))
-
-
 def step_env(world: SimWorld) -> None:
     """Advance one environment step (substeps_per_env_step physics substeps,
     semi-implicit Euler). Raises SimulationDivergedError on non-finite state.
@@ -413,13 +395,3 @@ def step_env(world: SimWorld) -> None:
 def center_of_mass(world: SimWorld) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
     return (world.mass_column * world.pos).sum(axis=0) / world.total_mass
-
-
-def mechanical_energy(world: SimWorld) -> float:
-    """Kinetic + spring potential + gravitational energy (ground as datum)."""
-    kinetic = 0.5 * (world.mass * (world.vel * world.vel).sum(axis=1)).sum()
-    d = world.pos[world.spring_b] - world.pos[world.spring_a]
-    length = np.sqrt((d * d).sum(axis=1))
-    elastic = 0.5 * (world.stiffness * (length - world.rest) ** 2).sum()
-    gravitational = (world.mass * world.gravity * (world.pos[:, 1] - world.ground_height)).sum()
-    return float(kinetic + elastic + gravitational)

@@ -50,15 +50,6 @@ class ConfigError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     if not raw.strip():
         return ()
@@ -76,7 +67,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_list,
     "tuple[str, ...]": _parse_str_list,
 }
@@ -158,8 +148,8 @@ def _key(f: dataclasses.Field) -> str:
     return f.name.rstrip("_")  # the field lambda_ is the key `lambda`
 
 
-# Configurable fields by file section. The contact parameters are keys of
-# their own, and the observation box is the morphology grid, not a setting.
+# Configurable fields by file section; the contact parameters are keys of
+# their own.
 _RUN_FIELDS = {
     section: [f for f in dataclasses.fields(RunConfig) if f.metadata.get("section") == section]
     for section in ("run", "evolution", "experiment")
@@ -167,7 +157,7 @@ _RUN_FIELDS = {
 _PHYSICS_FIELDS = [f for f in dataclasses.fields(PhysicsConfig) if f.name != "contact"]
 _CONTACT_FIELDS = dataclasses.fields(ContactParams)
 _CONTACT_PREFIX = "contact_"
-_OBSERVATION_FIELDS = [f for f in dataclasses.fields(ObservationConfig) if f.name != "box_side"]
+_OBSERVATION_FIELDS = dataclasses.fields(ObservationConfig)
 _EPISODE_FIELDS = dataclasses.fields(EpisodeConfig)
 
 
@@ -257,15 +247,15 @@ def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, int]]]:
         return {f.name: present[prefix + _key(f)] for f in fields
                 if prefix + _key(f) in present}
 
-    def build(section: str, cls, fields, **extra):
+    def build(section: str, cls, fields, prefix: str = "", **extra):
         try:
-            return cls(**given(section, fields), **extra)
+            return cls(**given(section, fields, prefix), **extra)
         except ValueError as exc:
             first_line = min(lines.get(section, {}).values(), default=None)
             raise ConfigError(f"invalid [{section}] settings: {exc}", path,
                               first_line) from exc
 
-    contact = ContactParams(**given("physics", _CONTACT_FIELDS, _CONTACT_PREFIX))
+    contact = build("physics", ContactParams, _CONTACT_FIELDS, _CONTACT_PREFIX)
     run_values = {}
     for section, fields in _RUN_FIELDS.items():
         run_values.update(given(section, fields))

@@ -1,9 +1,9 @@
 """Observation vectors for voxel robots.
 
 Each grid cell contributes an 8-scalar block: mean corner velocity (clamped),
-normalized quadrilateral area, and a 5-way material one-hot. Empty or
-out-of-grid cells contribute the missing-voxel block (zero velocity, zero
-volume, empty one-hot). The global layout rasters the full bounding box; the
+quadrilateral area (1 for a voxel at rest), and a 5-way material one-hot.
+Empty or out-of-grid cells contribute the missing-voxel block (zero
+velocity, zero volume, empty one-hot). The global layout rasters the full bounding box; the
 local layout rasters the Moore window centered on one actuator. Both end with
 a periodic time signal, giving 201 entries at the default sizes.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphology import EMPTY, GRID_SIZE, N_MATERIALS
-from .physics import VOXEL_EDGE, SimWorld
+from .physics import SimWorld
 
 BLOCK_SIZE = 3 + N_MATERIALS  # V.x, V.y, v, M[0..4]
 
@@ -28,16 +28,12 @@ MISSING_BLOCK.flags.writeable = False
 @dataclass(frozen=True)
 class ObservationConfig:
     neighborhood_distance: int = 2
-    box_side: int = GRID_SIZE
     velocity_clamp: float = 10.0
     time_period: int = 25
-    normalize_volume: bool = True
 
     def __post_init__(self):
         if self.neighborhood_distance < 0:
             raise ValueError("neighborhood distance must be >= 0")
-        if self.box_side < 1:
-            raise ValueError("box side must be >= 1")
         if self.time_period < 1:
             raise ValueError("time period must be >= 1")
         if self.velocity_clamp <= 0.0:
@@ -49,14 +45,14 @@ class ObservationConfig:
 
     @property
     def global_size(self) -> int:
-        return self.box_side * self.box_side * BLOCK_SIZE + 1
+        return GRID_SIZE * GRID_SIZE * BLOCK_SIZE + 1
 
     @property
     def local_size(self) -> int:
         return self.window_side * self.window_side * BLOCK_SIZE + 1
 
 
-def time_signal(env_step: int, period: int = 25) -> float:
+def time_signal(env_step: int, period: int) -> float:
     """Phase in [0, 2*pi), advancing one tick per environment step."""
     return 2.0 * math.pi * (env_step % period) / period
 
@@ -89,20 +85,18 @@ class ObservationBuilder:
         self._features[:n, 3:] = onehot
         self._velocity = self._features[:n, 0:2]
         self._area = self._features[:n, 2]
-        self._rest_area = VOXEL_EDGE ** 2 if self.cfg.normalize_volume else 1.0
         # corner_map columns are TL, TR, BL, BR; polygon order TL -> TR -> BR -> BL
         self._ring = world.corner_map[:, [0, 1, 3, 2]]
         self._ring_next = self._ring[:, [1, 2, 3, 0]]
 
-        side = self.cfg.box_side
-        lookup = np.full((side, side), self._pad, dtype=np.int64)
+        lookup = np.full((GRID_SIZE, GRID_SIZE), self._pad, dtype=np.int64)
         for i, (r, c) in enumerate(world.cells):
             lookup[r, c] = i
         self._global_slots = lookup.ravel()
 
         act_cells = world.actuator_cells
         # raster index of each actuator: its block and its global-controller output
-        self.actuator_raster = np.array([r * side + c for r, c in act_cells], dtype=np.int64)
+        self.actuator_raster = np.array([r * GRID_SIZE + c for r, c in act_cells], dtype=np.int64)
 
         # one row of window slots per actuator, in action order
         d = self.cfg.neighborhood_distance
@@ -112,7 +106,7 @@ class ObservationBuilder:
             k = 0
             for wr in range(r - d, r + d + 1):
                 for wc in range(c - d, c + d + 1):
-                    if 0 <= wr < side and 0 <= wc < side:
+                    if 0 <= wr < GRID_SIZE and 0 <= wc < GRID_SIZE:
                         self._local_slots[row, k] = lookup[wr, wc]
                     k += 1
 
@@ -122,8 +116,7 @@ class ObservationBuilder:
         vel = w.vel[w.corner_map].mean(axis=1)
         clamp = self.cfg.velocity_clamp
         np.clip(vel, -clamp, clamp, out=self._velocity)
-        areas = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
-        np.divide(areas, self._rest_area, out=self._area)
+        self._area[:] = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
 
     def global_vector(self, env_step: int) -> np.ndarray:
         self.refresh()

@@ -1,0 +1,72 @@
+"""Oracles and small file helpers shared by the test modules."""
+
+import numpy as np
+
+from voxevo.morphology import Morphology
+from voxevo.physics import (
+    AXIS_DIAGONAL,
+    AXIS_HORIZONTAL,
+    AXIS_VERTICAL,
+    VOXEL_EDGE,
+    ContactParams,
+)
+
+# ground contact switched off, for free-fall and energy oracles
+NO_CONTACT = ContactParams(0.0, 0.0, 0.0)
+
+# corner pairs of one voxel (corner_map columns TL, TR, BL, BR) by spring axis
+_AXIS_OF_CORNER_PAIR = {
+    frozenset((0, 1)): AXIS_HORIZONTAL, frozenset((2, 3)): AXIS_HORIZONTAL,
+    frozenset((0, 2)): AXIS_VERTICAL, frozenset((1, 3)): AXIS_VERTICAL,
+    frozenset((0, 3)): AXIS_DIAGONAL, frozenset((1, 2)): AXIS_DIAGONAL,
+}
+
+
+def spring_axes(world) -> np.ndarray:
+    """AXIS_* code of each spring, from the corners of a voxel that holds
+    both of its ends."""
+    corner_rows = world.corner_map.tolist()
+    axes = np.empty(world.n_springs, dtype=np.int8)
+    for s, (a, b) in enumerate(zip(world.spring_a.tolist(), world.spring_b.tolist())):
+        corners = next(row for row in corner_rows if a in row and b in row)
+        axes[s] = _AXIS_OF_CORNER_PAIR[frozenset((corners.index(a), corners.index(b)))]
+    return axes
+
+
+def base_rest_lengths(axes: np.ndarray) -> np.ndarray:
+    """Unactuated rest length of each spring: a voxel edge, or its diagonal."""
+    return np.where(axes == AXIS_DIAGONAL, np.sqrt(2.0) * VOXEL_EDGE, VOXEL_EDGE)
+
+
+def oracle_spring_forces(world):
+    """Per-mass internal forces (Hooke + axial damping), shape (n_masses, 2),
+    from whole (n, 2) arrays as the step computed them before the hot path
+    was reworked."""
+    d = world.pos[world.spring_b] - world.pos[world.spring_a]
+    length = np.sqrt((d * d).sum(axis=1))
+    unit = d / length[:, None]
+    v_rel = ((world.vel[world.spring_b] - world.vel[world.spring_a]) * unit).sum(axis=1)
+    magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
+    return world.incidence @ (magnitude[:, None] * unit)
+
+
+def mechanical_energy(world) -> float:
+    """Kinetic + spring potential + gravitational energy (ground as datum)."""
+    kinetic = 0.5 * (world.mass * (world.vel * world.vel).sum(axis=1)).sum()
+    d = world.pos[world.spring_b] - world.pos[world.spring_a]
+    length = np.sqrt((d * d).sum(axis=1))
+    elastic = 0.5 * (world.stiffness * (length - world.rest) ** 2).sum()
+    gravitational = (world.mass * world.gravity * (world.pos[:, 1] - world.ground_height)).sum()
+    return float(kinetic + elastic + gravitational)
+
+
+def grid_distance(a: Morphology, b: Morphology) -> int:
+    """Hamming distance: number of cells whose material codes differ."""
+    return int(np.count_nonzero(a.grid != b.grid))
+
+
+def save_catalog(path: str, catalog: dict[str, Morphology]) -> None:
+    """Write bodies in the catalog file format that `load_catalog` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, body in catalog.items():
+            fh.write(f"[{name}]\n{body.to_text()}\n")

@@ -3,13 +3,15 @@
 Each class checks one release gate: exact structural facts, reward and
 physics oracles, operator statistics, selection guarantees, determinism,
 transfer invariants, the paradigm-comparison battery, and multi-body
-training. The two expensive gates run at a reduced scale by default;
-set VOXEVO_ACCEPTANCE_FULL=1 to run them at full scale (hours on a
-single core). The paradigm-comparison trends are computed and logged,
+training. The two expensive gates drive the command line (`evolve`,
+`report`, `transfer`) as a user would, on every CPU the process may use.
+They run at a reduced scale by default; set VOXEVO_ACCEPTANCE_FULL=1 to
+run them at full scale (several core-hours). The paradigm-comparison
+trends are computed from `report.csv` and `transfer.csv` and logged,
 never asserted: they are directional expectations, not invariants.
 """
 
-import dataclasses
+import csv
 import json
 import logging
 import math
@@ -18,7 +20,8 @@ import os
 import numpy as np
 import pytest
 
-from voxevo.cli import main
+from voxevo.checkpoints import load_individual
+from voxevo.cli import _resolve_workers, main
 from voxevo.control import init_controller, mutate_controller
 from voxevo.evolution import (
     Evaluator,
@@ -28,13 +31,7 @@ from voxevo.evolution import (
     run_evolution,
     select_survivors,
 )
-from voxevo.experiments import (
-    CATALOG_ORDER,
-    default_catalog,
-    directional_report,
-    per_body_fitness,
-    transfer_analysis,
-)
+from voxevo.experiments import CATALOG_ORDER, default_catalog, transfer_analysis
 from voxevo.morphology import (
     GRID_SIZE,
     Morphology,
@@ -43,16 +40,12 @@ from voxevo.morphology import (
     resample_cells,
     validate,
 )
-from voxevo.physics import (
-    PhysicsConfig,
-    build_world,
-    center_of_mass,
-    mechanical_energy,
-    spring_forces,
-    step_env,
-)
+from voxevo.physics import PhysicsConfig, build_world, center_of_mass, step_env
+from voxevo.runconfig import load_config
 from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationBuilder, ObservationConfig
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
+
+from helpers import NO_CONTACT, mechanical_energy, oracle_spring_forces
 
 logger = logging.getLogger("voxevo.acceptance")
 
@@ -94,8 +87,8 @@ class TestRewardDefinition:
         # controller (sigmoid(0) = 0.5 maps to scale exactly 1.0) leave
         # every mass bitwise in place, so the displacement terms vanish
         # and the shift constant cancels the step penalty exactly.
-        physics = PhysicsConfig(gravity=0.0, actuation_min=0.5,
-                                actuation_max=1.5).with_contact_disabled()
+        physics = PhysicsConfig(gravity=0.0, actuation_min=0.5, actuation_max=1.5,
+                                contact=NO_CONTACT)
         result = run_episode(BODY, zero_modular_controller(),
                              EpisodeConfig(max_steps=500), physics)
         assert result.delta_px == 0.0
@@ -125,7 +118,7 @@ class TestRewardDefinition:
 
 class TestPhysicsOracles:
     def test_free_fall_com_acceleration(self):
-        physics = PhysicsConfig().with_contact_disabled()
+        physics = PhysicsConfig(contact=NO_CONTACT)
         world = build_world(BODY, physics, ground_height=-1e9)
         v0 = center_of_mass_velocity(world)
         n_env = 50
@@ -138,15 +131,21 @@ class TestPhysicsOracles:
         assert abs(accel[1] + physics.gravity) / physics.gravity < 1e-6
 
     def test_internal_forces_sum_to_zero(self):
-        world = build_world(BODY, PhysicsConfig())
+        # with no gravity and no contact only the springs act, so the
+        # engine's step conserves momentum exactly when their forces cancel
+        physics = PhysicsConfig(gravity=0.0, contact=NO_CONTACT)
+        world = build_world(BODY, physics)
         rng = np.random.default_rng(3)
         world.pos += rng.normal(0.0, 0.05, world.pos.shape)
         world.vel += rng.normal(0.0, 0.5, world.vel.shape)
-        total = spring_forces(world).sum(axis=0)
-        assert np.abs(total).max() < 1e-9
+        assert np.abs(oracle_spring_forces(world).sum(axis=0)).max() < 1e-9
+        momentum = world.mass @ world.vel
+        step_env(world)
+        dt = physics.physics_dt * physics.substeps_per_env_step
+        assert np.abs(world.mass @ world.vel - momentum).max() < 1e-9 * dt
 
     def test_energy_non_increasing_without_contact(self):
-        physics = PhysicsConfig(substeps_per_env_step=1).with_contact_disabled()
+        physics = PhysicsConfig(substeps_per_env_step=1, contact=NO_CONTACT)
         world = build_world(BODY, physics, ground_height=-1e6)
         rng = np.random.default_rng(4)
         world.vel += rng.normal(0.0, 0.5, world.vel.shape)
@@ -390,36 +389,92 @@ class TestTransferInvariants:
         assert (again - champion.fitness) / abs(champion.fitness) == 0.0
 
 
+def read_csv(path) -> list[dict[str, str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+BATTERY_CONFIG = """
+[run]
+paradigm = {paradigm}
+seed = {seed}
+generations = {generations}
+
+[evolution]
+mu = {mu}
+lambda = {mu}
+
+[episode]
+max_steps = {max_steps}
+
+[experiment]
+n_runs = {n_runs}
+distances = 1
+samples_per_distance = {samples}
+one_shot_lambda = {one_shot}
+"""
+
+
 class TestParadigmComparison:
     """Directional battery: modular vs global controllers.
 
-    The medians, transfer drops, and body-success fractions are computed
-    and emitted; whether each trend holds is logged, not asserted, since
-    small batteries are noisy by nature.
+    Per paradigm: an `evolve` battery, `report` on it, and `transfer` at
+    distance 1 on each run's champion. The medians, transfer drops, and
+    body-success fractions are read from `report.csv` and `transfer.csv`;
+    whether each trend holds is logged, not asserted, since small
+    batteries are noisy by nature.
     """
 
-    def test_battery_report(self):
+    def test_battery_report(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
         if FULL_SCALE:
             n_runs, generations, mu, max_steps, samples, one_shot = 8, 300, 16, 300, 20, 16
         else:
             n_runs, generations, mu, max_steps, samples, one_shot = 2, 30, 8, 100, 4, 2
-        base_cfg = EvolutionConfig(mu=mu, lambda_=mu, generations=generations,
-                                   episode=EpisodeConfig(max_steps=max_steps))
 
-        def battery(paradigm, base_seed):
-            return [run_evolution(dataclasses.replace(
-                base_cfg, controller_kind=paradigm, master_seed=base_seed + i))
-                for i in range(n_runs)]
+        paradigms = {}
+        for name, base_seed in (("modular", 3000), ("global", 4000)):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(BATTERY_CONFIG.format(
+                paradigm=name, seed=base_seed, generations=generations, mu=mu,
+                max_steps=max_steps, n_runs=n_runs, samples=samples, one_shot=one_shot))
+            battery = tmp_path / name
+            assert main(["evolve", "--config", str(config), "--out", str(battery)]) == 0
+            assert main(["report", str(battery)]) == 0
+            *runs, aggregate = read_csv(battery / "report.csv")
+            assert [row["run"] for row in runs] == [f"run_{i:02d}" for i in range(n_runs)]
+            assert aggregate["run"] == "aggregate_median"
 
-        modular_runs = battery("modular", 3000)
-        global_runs = battery("global", 4000)
-        report = directional_report(
-            modular_runs, global_runs,
-            transfer_samples_per_run=samples, one_shot_lambda=one_shot,
-            transfer_seed=7)
+            rel_changes = []
+            for i, row in enumerate(runs):
+                out = tmp_path / f"{name}-transfer" / row["run"]
+                assert main(["transfer", "--config", str(config),
+                             "--seed", str(base_seed + i),
+                             "--champion", str(battery / row["run"] / "champion.ckpt"),
+                             "--out", str(out)]) == 0
+                transfer = read_csv(out / "transfer.csv")
+                assert 0 < len(transfer) <= samples
+                assert {t["distance"] for t in transfer} == {"1"}
+                rel_changes.extend(float(t["relative_change_zero"]) for t in transfer
+                                   if t["relative_change_zero"])
+
+            champions = [float(row["champion_fitness"]) for row in runs]
+            q1, median, q3 = (float(v) for v in np.percentile(champions, [25, 50, 75]))
+            assert float(aggregate["champion_fitness"]) == median
+            fractions = [float(row["population_body_fraction"]) for row in runs
+                         if row["population_body_fraction"]]
+            paradigms[name] = {
+                "n_runs": len(runs),
+                "champion_median": median,
+                "champion_iqr": (q1, q3),
+                "mean_zero_shot_relative_change_d1":
+                    float(np.mean(rel_changes)) if rel_changes else None,
+                "mean_population_body_success_fraction":
+                    float(np.mean(fractions)) if fractions else None,
+            }
 
         for name in ("modular", "global"):
-            paradigm = report["paradigms"][name]
+            paradigm = paradigms[name]
             assert paradigm is not None
             assert paradigm["n_runs"] == n_runs
             assert math.isfinite(paradigm["champion_median"])
@@ -430,7 +485,21 @@ class TestParadigmComparison:
             fraction = paradigm["mean_population_body_success_fraction"]
             assert fraction is not None and 0.0 <= fraction <= 1.0
 
-        trends = report["trends"]
+        mod, glo = paradigms["modular"], paradigms["global"]
+        mod_drop = mod["mean_zero_shot_relative_change_d1"]
+        glo_drop = glo["mean_zero_shot_relative_change_d1"]
+        trends = {
+            "modular_champion_ge_global":
+                mod["champion_median"] >= glo["champion_median"],
+            "both_zero_shot_negative_d1": (
+                mod_drop is not None and glo_drop is not None
+                and mod_drop < 0 and glo_drop < 0),
+            "modular_drop_le_global": (
+                mod_drop is not None and glo_drop is not None and mod_drop >= glo_drop),
+            "modular_body_fraction_higher": (
+                mod["mean_population_body_success_fraction"]
+                > glo["mean_population_body_success_fraction"]),
+        }
         assert set(trends) == {
             "modular_champion_ge_global",
             "both_zero_shot_negative_d1",
@@ -438,11 +507,26 @@ class TestParadigmComparison:
             "modular_body_fraction_higher",
         }
         print("\nparadigm comparison report:")
-        print(json.dumps(report["paradigms"], indent=2))
+        print(json.dumps(paradigms, indent=2))
         for key, held in trends.items():
             level = logging.INFO if held else logging.WARNING
             logger.log(level, "trend %s: %s", key, "held" if held else "NOT held")
             print(f"trend {key}: {'held' if held else 'NOT held'}")
+
+
+MULTI_BODY_CONFIG = """
+[run]
+mode = multi-body
+seed = 31
+generations = {generations}
+
+[evolution]
+mu = {mu}
+lambda = {mu}
+
+[episode]
+max_steps = {max_steps}
+"""
 
 
 class TestMultiBodyTraining:
@@ -456,17 +540,26 @@ class TestMultiBodyTraining:
         singles = [evaluator.evaluate([((body,), ctrl)])[0] for body in catalog]
         assert joint == min(singles)
 
-    def test_joint_champion_bounded_by_each_body(self):
+    def test_joint_champion_bounded_by_each_body(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
         if FULL_SCALE:
             generations, mu, max_steps = 200, 16, 300
         else:
             generations, mu, max_steps = 8, 4, 100
+        config = tmp_path / "multi-body.cfg"
+        config.write_text(MULTI_BODY_CONFIG.format(
+            generations=generations, mu=mu, max_steps=max_steps))
+        out = tmp_path / "multi-body"
+        assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
+
+        cfg = load_config(str(config))
+        assert cfg.catalog_bodies == CATALOG_ORDER
         catalog = [default_catalog()[name] for name in CATALOG_ORDER]
-        run = run_evolution(EvolutionConfig(
-            mode=MODE_MULTI_BODY, catalog=tuple(catalog), mu=mu, lambda_=mu,
-            generations=generations, master_seed=31,
-            episode=EpisodeConfig(max_steps=max_steps)))
-        per_body = per_body_fitness(run, catalog)
+        champion = load_individual(str(out / "champion.ckpt"))
+        evo_cfg = cfg.evolution_config(_resolve_workers(None, cfg.workers))
+        with Evaluator(evo_cfg) as evaluator:
+            per_body = evaluator.evaluate(
+                [((body,), champion.controller) for body in catalog])
         assert len(per_body) == len(catalog)
-        assert min(per_body) == run.champion.fitness
-        assert all(f >= run.champion.fitness for f in per_body)
+        assert min(per_body) == champion.fitness
+        assert all(f >= champion.fitness for f in per_body)

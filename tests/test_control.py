@@ -17,6 +17,7 @@ from voxevo.control import (
     mutate_controller,
     params_from_flat,
 )
+from voxevo.morphology import GRID_SIZE
 from voxevo.physics import PhysicsConfig, build_world
 from voxevo.sensing import ObservationBuilder, ObservationConfig
 
@@ -138,7 +139,7 @@ class TestMutation:
         rng = np.random.default_rng(2)
         deltas = []
         for _ in range(8):
-            child = mutate_controller(genome, rng)
+            child = mutate_controller(genome, rng, 0.1)
             deltas.append(child.params.to_flat() - genome.params.to_flat())
         pooled = np.concatenate(deltas)
         assert 0.098 < pooled.std() < 0.102
@@ -152,7 +153,7 @@ class TestMutation:
     def test_parent_untouched(self):
         genome = init_controller(GLOBAL_KIND, np.random.default_rng(1))
         before = genome.params.to_flat()
-        mutate_controller(genome, np.random.default_rng(3))
+        mutate_controller(genome, np.random.default_rng(3), 0.1)
         assert np.array_equal(genome.params.to_flat(), before)
 
     def test_negative_sigma_raises(self):
@@ -163,7 +164,7 @@ class TestMutation:
     def test_kind_preserved(self):
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(4))
-            assert mutate_controller(genome, np.random.default_rng(5)).kind == kind
+            assert mutate_controller(genome, np.random.default_rng(5), 0.1).kind == kind
 
 
 class TestActing:
@@ -192,8 +193,7 @@ class TestActing:
     def test_dispatcher_routes_by_kind(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         builder = ObservationBuilder(world)
-        side = builder.cfg.box_side
-        raster = [r * side + c for r, c in world.actuator_cells]
+        raster = [r * GRID_SIZE + c for r, c in world.actuator_cells]
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(12))
             if kind == GLOBAL_KIND:
@@ -201,7 +201,7 @@ class TestActing:
             else:
                 direct = np.array([mlp_forward(genome.params, x)[0]
                                    for x in builder.local_matrix(0)])
-            assert np.allclose(act(genome, world, 0), direct, rtol=1e-12, atol=0)
+            assert np.allclose(act(genome, world, 0, builder), direct, rtol=1e-12, atol=0)
 
     def test_kind_mismatch_raises(self, small_body):
         world = build_world(small_body, PhysicsConfig())
@@ -218,6 +218,6 @@ class TestActing:
         world = build_world(small_body, PhysicsConfig())
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(13))
-            actions = act(genome, world, 0)
+            actions = act(genome, world, 0, ObservationBuilder(world))
             assert actions.dtype == np.float64
             assert np.all((actions >= 0.0) & (actions <= 1.0))

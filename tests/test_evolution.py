@@ -202,7 +202,7 @@ class TestEvaluation:
         pool_cfg = EvolutionConfig(episode=fast_episode, workers=2)
         with Evaluator(serial_cfg) as ev:
             serial = ev.evaluate(jobs)
-            assert ev.n_evaluations == len(jobs)
+            assert len(serial) == len(jobs)
         with Evaluator(pool_cfg) as ev:
             pooled = ev.evaluate(jobs)
         assert serial == pooled

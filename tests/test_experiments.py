@@ -20,22 +20,21 @@ from voxevo.evolution import (
 )
 from voxevo.experiments import (
     CATALOG_ORDER,
+    ONE_SHOT_SIGMA,
     CatalogError,
     LineageIntegrityError,
     accounting_from_lineage,
     convergence_metrics,
     default_catalog,
-    directional_report,
     load_catalog,
-    mutation_accounting,
-    per_body_fitness,
-    save_catalog,
     transfer_analysis,
     _distinct_neighbors,
 )
-from voxevo.morphology import grid_distance, validate
+from voxevo.morphology import validate
 from voxevo.runconfig import load_config
-from voxevo.walker import EpisodeConfig, evaluate_fitness
+from voxevo.walker import evaluate_fitness
+
+from helpers import grid_distance, save_catalog
 
 
 def fresh_record(ident, fitness):
@@ -214,7 +213,7 @@ class TestTransfer:
                 zero = evaluate_fitness(neighbor, controller, fast_episode)
                 one = zero
                 for _ in range(3):
-                    mutant = mutate_controller(controller, rng, 0.1)
+                    mutant = mutate_controller(controller, rng, ONE_SHOT_SIGMA)
                     one = max(one, evaluate_fitness(neighbor, mutant, fast_episode))
                 expected.append((distance, neighbor, zero, one))
         samples = transfer_analysis(
@@ -262,8 +261,8 @@ class TestAccounting:
             accounting_from_lineage(lineage, champion_id=5)
 
     def test_wrapper_on_real_run(self, tiny_evolution):
-        from voxevo.evolution import run_evolution
-        acc = mutation_accounting(run_evolution(tiny_evolution))
+        run = run_evolution(tiny_evolution)
+        acc = accounting_from_lineage(run.lineage, run.champion.id)
         for fraction in (acc.lineage_body_fraction, acc.population_body_fraction):
             assert fraction is None or 0.0 <= fraction <= 1.0
 
@@ -314,55 +313,11 @@ class TestTrainingWrappers:
                               mode=MODE_MULTI_BODY, catalog=(small_body, plus_body),
                               episode=fast_episode)
         run = run_evolution(cfg)
-        per_body = per_body_fitness(run, [small_body, plus_body])
+        jobs = [((body,), run.champion.controller) for body in (small_body, plus_body)]
+        with Evaluator(cfg) as evaluator:
+            per_body = evaluator.evaluate(jobs)
         assert min(per_body) == run.champion.fitness
         for fitness in per_body:
             assert fitness >= run.champion.fitness
-        pooled_run, = _on_two_workers([run])
-        assert per_body_fitness(pooled_run, [small_body, plus_body]) == per_body
-
-
-def _on_two_workers(runs):
-    return [dataclasses.replace(run, config=dataclasses.replace(run.config, workers=2))
-            for run in runs]
-
-
-@pytest.fixture(scope="module")
-def report_and_runs():
-    base = EvolutionConfig(mu=2, lambda_=2, generations=2, episode=EpisodeConfig(max_steps=40))
-    modular = battery(base, [20, 21])
-    global_ = battery(dataclasses.replace(base, controller_kind="global"), [20, 21])
-    report = directional_report(modular, global_,
-                                transfer_samples_per_run=2, one_shot_lambda=1)
-    return report, modular, global_
-
-
-class TestDirectionalReport:
-    def test_structure(self, report_and_runs):
-        report, _, _ = report_and_runs
-        for name in ("modular", "global"):
-            entry = report["paradigms"][name]
-            assert entry["n_runs"] == 2
-            assert np.isfinite(entry["champion_median"])
-            q1, q3 = entry["champion_iqr"]
-            assert q1 <= entry["champion_median"] <= q3
-        assert set(report["trends"]) == {
-            "modular_champion_ge_global",
-            "both_zero_shot_negative_d1",
-            "modular_drop_le_global",
-            "modular_body_fraction_higher",
-        }
-        for value in report["trends"].values():
-            assert isinstance(value, bool)
-
-    def test_deterministic(self, report_and_runs):
-        report, modular, global_ = report_and_runs
-        again = directional_report(modular, global_,
-                                   transfer_samples_per_run=2, one_shot_lambda=1)
-        assert again == report
-
-    def test_worker_count_does_not_change_report(self, report_and_runs):
-        report, modular, global_ = report_and_runs
-        pooled = directional_report(_on_two_workers(modular), _on_two_workers(global_),
-                                    transfer_samples_per_run=2, one_shot_lambda=1)
-        assert pooled == report
+        with Evaluator(dataclasses.replace(cfg, workers=2)) as evaluator:
+            assert evaluator.evaluate(jobs) == per_body

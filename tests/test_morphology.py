@@ -16,13 +16,14 @@ from voxevo.morphology import (
     InvalidMorphologyError,
     Morphology,
     MutationFailedError,
-    grid_distance,
     mutate_morphology,
     random_morphology,
     resample_cells,
     sample_neighbor,
     validate,
 )
+
+from helpers import grid_distance
 
 
 def grid_from_rows(*rows):

@@ -20,11 +20,17 @@ from voxevo.physics import (
     apply_actuation,
     build_world,
     center_of_mass,
-    mechanical_energy,
-    spring_forces,
     step_env,
 )
 from voxevo.sensing import ObservationBuilder
+
+from helpers import (
+    NO_CONTACT,
+    base_rest_lengths,
+    mechanical_energy,
+    oracle_spring_forces,
+    spring_axes,
+)
 
 
 def body_from_rows(*rows):
@@ -77,11 +83,10 @@ class TestConfig:
             PhysicsConfig(physics_dt=0.0)
         with pytest.raises(ValueError):
             PhysicsConfig(actuation_min=1.6, actuation_max=0.6)
-
-    def test_contact_disabled_copy(self):
-        cfg = PhysicsConfig().with_contact_disabled()
-        assert cfg.contact.normal_stiffness == 0.0
-        assert cfg.contact.friction == 0.0
+        for name in ("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
+                     "damping_ratio"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                PhysicsConfig(**{name: -1.0})
 
 
 class TestWorldConstruction:
@@ -89,9 +94,10 @@ class TestWorldConstruction:
         world = build_world(single_voxel(), PhysicsConfig())
         assert world.n_masses == 4
         assert world.n_springs == 6
-        assert np.count_nonzero(world.axis == AXIS_HORIZONTAL) == 2
-        assert np.count_nonzero(world.axis == AXIS_VERTICAL) == 2
-        assert np.count_nonzero(world.axis == AXIS_DIAGONAL) == 2
+        axes = spring_axes(world)
+        assert np.count_nonzero(axes == AXIS_HORIZONTAL) == 2
+        assert np.count_nonzero(axes == AXIS_VERTICAL) == 2
+        assert np.count_nonzero(axes == AXIS_DIAGONAL) == 2
 
     def test_pair_counts(self):
         world = build_world(body_from_rows("33000"), PhysicsConfig())
@@ -102,9 +108,10 @@ class TestWorldConstruction:
         world = build_world(Morphology(np.full((5, 5), 3, dtype=np.int8)), PhysicsConfig())
         assert world.n_masses == 36
         assert world.n_springs == 110
-        assert np.count_nonzero(world.axis == AXIS_HORIZONTAL) == 30
-        assert np.count_nonzero(world.axis == AXIS_VERTICAL) == 30
-        assert np.count_nonzero(world.axis == AXIS_DIAGONAL) == 50
+        axes = spring_axes(world)
+        assert np.count_nonzero(axes == AXIS_HORIZONTAL) == 30
+        assert np.count_nonzero(axes == AXIS_VERTICAL) == 30
+        assert np.count_nonzero(axes == AXIS_DIAGONAL) == 50
 
     def test_total_mass_accumulates_per_voxel(self):
         for rows, n_vox in (
@@ -161,9 +168,10 @@ class TestWorldConstruction:
 
     def test_diagonal_rest_length(self):
         world = build_world(single_voxel(), PhysicsConfig())
-        diag = world.axis == AXIS_DIAGONAL
+        axes = spring_axes(world)
+        diag = axes == AXIS_DIAGONAL
         assert np.allclose(world.rest[diag], np.sqrt(2.0) * VOXEL_EDGE, rtol=0, atol=1e-15)
-        assert np.array_equal(world.rest, world.base_rest)
+        assert np.array_equal(world.rest, base_rest_lengths(axes))
 
 
 class TestActuation:
@@ -176,9 +184,10 @@ class TestActuation:
     def test_extreme_actions_hit_bounds(self):
         world = build_world(single_voxel(), PhysicsConfig())
         apply_actuation(world, np.array([0.0]))
-        h = world.axis == AXIS_HORIZONTAL
-        v = world.axis == AXIS_VERTICAL
-        d = world.axis == AXIS_DIAGONAL
+        axes = spring_axes(world)
+        h = axes == AXIS_HORIZONTAL
+        v = axes == AXIS_VERTICAL
+        d = axes == AXIS_DIAGONAL
         assert np.allclose(world.rest[h], 0.6, rtol=0, atol=1e-15)
         assert np.allclose(world.rest[v], 1.0, rtol=0, atol=1e-15)
         assert np.allclose(world.rest[d], np.hypot(0.6, 1.0), rtol=0, atol=1e-15)
@@ -195,9 +204,9 @@ class TestActuation:
 
     def test_rest_lengths_stay_in_band(self, rng):
         world = build_world(body_from_rows("34340", "11110"), PhysicsConfig())
-        lo = 0.6 * world.base_rest
-        hi = 1.6 * np.where(world.axis == AXIS_DIAGONAL,
-                            np.sqrt(2.0) * VOXEL_EDGE, world.base_rest)
+        base = base_rest_lengths(spring_axes(world))
+        lo = 0.6 * base
+        hi = 1.6 * base
         for _ in range(200):
             apply_actuation(world, rng.random(len(world.actuator_cells)))
             assert np.all(world.rest >= lo - 1e-12)
@@ -208,8 +217,9 @@ class TestActuation:
         assert world.actuator_cells == [(3, 0), (3, 1)]
         apply_actuation(world, np.array([0.0, 1.0]))
         h_vox, v_vox = world.cells.index((3, 0)), world.cells.index((3, 1))
-        assert world.scale_x.tolist() == [0.6 if v == h_vox else 1.0 for v in range(4)]
-        assert world.scale_y.tolist() == [1.6 if v == v_vox else 1.0 for v in range(4)]
+        scale_x, scale_y = world.scale[:, :-1].tolist()
+        assert scale_x == [0.6 if v == h_vox else 1.0 for v in range(4)]
+        assert scale_y == [1.6 if v == v_vox else 1.0 for v in range(4)]
 
     def test_rejects_bad_inputs(self):
         world = build_world(body_from_rows("34000", "11000"), PhysicsConfig())
@@ -227,7 +237,7 @@ class TestActuation:
 
 class TestDynamics:
     def test_free_fall_matches_closed_form(self):
-        cfg = PhysicsConfig().with_contact_disabled()
+        cfg = PhysicsConfig(contact=NO_CONTACT)
         world = build_world(body_from_rows("33000", "11000"), cfg, ground_height=-100.0)
         y0 = center_of_mass(world)[1]
         n_env = 50
@@ -246,11 +256,11 @@ class TestDynamics:
         world = build_world(body_from_rows("34340", "11110"), PhysicsConfig())
         world.pos += rng.normal(0.0, 0.05, size=world.pos.shape)
         world.vel += rng.normal(0.0, 1.0, size=world.vel.shape)
-        total = spring_forces(world).sum(axis=0)
+        total = oracle_spring_forces(world).sum(axis=0)
         assert np.abs(total).max() < 1e-9
 
     def test_energy_non_increasing_without_contact(self, rng):
-        cfg = PhysicsConfig(substeps_per_env_step=1).with_contact_disabled()
+        cfg = PhysicsConfig(substeps_per_env_step=1, contact=NO_CONTACT)
         world = build_world(body_from_rows("34000", "22000"), cfg, ground_height=-1e6)
         world.vel += rng.normal(0.0, 2.0, size=world.vel.shape)
         energies = [mechanical_energy(world)]
@@ -362,19 +372,17 @@ class TestContactParams:
         assert params.normal_damping == 10.0
         assert params.friction == 0.8
 
+    def test_rejects_negative_values(self):
+        for name in ("normal_stiffness", "normal_damping", "friction"):
+            with pytest.raises(ValueError, match=f"contact {name} must be >= 0"):
+                ContactParams(**{name: -1.0})
+        # a signed zero is not below zero
+        assert ContactParams(-0.0, -0.0, -0.0).friction == 0.0
+
 
 # Oracle: the single-world step as it was written before the hot path was
 # reworked (whole (n, 2) arrays, boolean-mask contact). The rewrite must match
 # it bit for bit.
-def oracle_spring_forces(world):
-    d = world.pos[world.spring_b] - world.pos[world.spring_a]
-    length = np.sqrt((d * d).sum(axis=1))
-    unit = d / length[:, None]
-    v_rel = ((world.vel[world.spring_b] - world.vel[world.spring_a]) * unit).sum(axis=1)
-    magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
-    return world.incidence @ (magnitude[:, None] * unit)
-
-
 def oracle_total_forces(world):
     forces = oracle_spring_forces(world)
     forces[:, 1] -= world.mass * world.gravity
@@ -426,7 +434,7 @@ def spring_owners(world):
             for s in range(world.n_springs)]
 
 
-def oracle_rest(world, owners, actions):
+def oracle_rest(world, owners, axes, actions):
     """Rest lengths for `actions`, from the geometry alone: edges take the
     mean scale of their voxels on their axis, diagonals sqrt(w^2 + h^2)."""
     lo, hi = world.actuation_min, world.actuation_max
@@ -435,12 +443,13 @@ def oracle_rest(world, owners, actions):
         axis_scale = sx if world.materials[voxel] == H_ACTUATOR else sy
         axis_scale[voxel] = lo + action * (hi - lo)
     rest = np.empty(world.n_springs)
-    diagonal = world.axis == AXIS_DIAGONAL
+    base = base_rest_lengths(axes)
+    diagonal = axes == AXIS_DIAGONAL
     for s in np.flatnonzero(~diagonal):
-        scale = sx if world.axis[s] == AXIS_HORIZONTAL else sy
+        scale = sx if axes[s] == AXIS_HORIZONTAL else sy
         first, *other = owners[s]
         total = scale[first] + (scale[other[0]] if other else 0.0)
-        rest[s] = world.base_rest[s] * total / len(owners[s])
+        rest[s] = base[s] * total / len(owners[s])
     own = np.array([owners[s][0] for s in np.flatnonzero(diagonal)], dtype=np.int64)
     rest[diagonal] = np.hypot(sx[own] * VOXEL_EDGE, sy[own] * VOXEL_EDGE)
     return rest
@@ -478,17 +487,17 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("contact", [True, False], ids=["contact", "no_contact"])
     @pytest.mark.parametrize("name, body", oracle_bodies())
     def test_actuated_episode_is_bit_identical(self, name, body, contact):
-        cfg = PhysicsConfig() if contact else PhysicsConfig().with_contact_disabled()
+        cfg = PhysicsConfig() if contact else PhysicsConfig(contact=NO_CONTACT)
         world, ref = build_world(body, cfg), build_world(body, cfg)
         builder = ObservationBuilder(world)
-        owners = spring_owners(ref)
+        owners, axes = spring_owners(ref), spring_axes(ref)
         raster = [r * GRID_SIZE + c for r, c in world.cells]
         rng = np.random.default_rng([11, len(name), int(contact)])
         for step in range(500):
             if step % 4 == 0:
                 actions = rng.random(len(world.actuator_cells))
                 apply_actuation(world, actions)
-                ref.rest[:] = oracle_rest(ref, owners, actions)
+                ref.rest[:] = oracle_rest(ref, owners, axes, actions)
                 assert np.array_equal(world.rest, ref.rest), step
                 blocks = builder.global_vector(step)[:-1].reshape(GRID_SIZE ** 2, -1)
                 assert np.array_equal(blocks[raster, :3], oracle_features(world)), step

@@ -5,7 +5,7 @@ import pytest
 
 from voxevo.cli import main
 from voxevo.evolution import MODE_FIXED_BODY, MODE_MULTI_BODY
-from voxevo.experiments import default_catalog, save_catalog
+from voxevo.experiments import default_catalog
 from voxevo.runconfig import (
     _SCHEMA,
     ConfigError,
@@ -14,6 +14,8 @@ from voxevo.runconfig import (
     override,
     parse_config,
 )
+
+from helpers import save_catalog
 
 FULL_EXAMPLE = """
 # demo configuration
@@ -38,7 +40,6 @@ contact_friction = 0.5
 
 [observation]
 neighborhood_distance = 1
-normalize_volume = no
 
 [episode]
 max_steps = 120
@@ -73,7 +74,6 @@ class TestParsing:
         assert cfg.physics.contact.friction == 0.5
         assert cfg.physics.rigid_stiffness == 6000.0  # untouched default
         assert cfg.observation.neighborhood_distance == 1
-        assert cfg.observation.normalize_volume is False
         assert cfg.episode.max_steps == 120
         assert cfg.episode.step_penalty == 0.02
         assert cfg.episode.shift_constant == pytest.approx(2.4)
@@ -113,8 +113,8 @@ class TestErrors:
     def test_bad_int(self):
         self.assert_error("[run]\nseed = many\n", "bad value", 2)
 
-    def test_bad_bool(self):
-        self.assert_error("[observation]\nnormalize_volume = maybe\n", "bad value", 2)
+    def test_bad_float(self):
+        self.assert_error("[observation]\nvelocity_clamp = fast\n", "bad value", 2)
 
     def test_bad_mode(self):
         self.assert_error("[run]\nmode = lamarckian\n", "mode", 2)
@@ -147,6 +147,11 @@ class TestErrors:
         # shift_constant is derived from max_steps * step_penalty, not a key
         self.assert_error("[episode]\nmax_steps = 100\nshift_constant = 9\n",
                           "unknown key 'shift_constant'", 3)
+
+    def test_normalize_volume_is_an_unknown_key(self):
+        # with a rest area of 1 both of its settings gave the same bits
+        self.assert_error("[observation]\nnormalize_volume = no\n",
+                          "unknown key 'normalize_volume'", 2)
 
 class TestEvolutionConfigResolution:
     def test_co_optimize_has_no_bodies(self):
@@ -284,7 +289,6 @@ NON_DEFAULT = {
     ("observation", "neighborhood_distance"): "1",
     ("observation", "velocity_clamp"): "5.0",
     ("observation", "time_period"): "10",
-    ("observation", "normalize_volume"): "no",
     ("episode", "max_steps"): "30",
     ("episode", "action_repeat"): "2",
     ("episode", "terrain_end_x"): "20",
@@ -337,6 +341,34 @@ def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path,
         assert rc == 2
         assert re.search(rf"{re.escape(str(cfg))}:\d+: ", capsys.readouterr().err)
         assert not os.path.exists(out)
+
+
+
+# Values below 0 that load_config once accepted. The last pair switched
+# ground contact off without a word, and the body fell through the floor.
+NEGATIVE_PHYSICS = [
+    {"rigid_stiffness": "-5.0"},
+    {"soft_stiffness": "-5.0"},
+    {"actuator_stiffness": "-5.0"},
+    {"damping_ratio": "-1"},
+    {"contact_normal_stiffness": "-5.0"},
+    {"contact_normal_damping": "-5.0"},
+    {"contact_friction": "-2.0"},
+    {"contact_normal_stiffness": "-5.0", "contact_friction": "-2.0"},
+]
+
+
+@pytest.mark.parametrize("keys", NEGATIVE_PHYSICS, ids=lambda keys: "+".join(keys))
+def test_negative_physics_value_is_rejected_with_its_line(keys, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ngenerations = 1\n[physics]\n"
+                   + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    out = str(tmp_path / "out")
+    assert main(["evolve", "--config", str(cfg), "--out", out, "--workers", "1"]) == 2
+    assert re.search(rf"{re.escape(str(cfg))}:4: invalid \[physics\] settings: "
+                     rf"[a-z_ ]+ must be >= 0, got -",
+                     capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 def test_zero_generations_is_rejected_before_any_output(tmp_path, capsys):

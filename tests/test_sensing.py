@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from voxevo.morphology import N_MATERIALS
-from voxevo.physics import VOXEL_EDGE, PhysicsConfig, build_world, step_env
+from voxevo.physics import PhysicsConfig, build_world, step_env
 from voxevo.sensing import (
     BLOCK_SIZE,
     MISSING_BLOCK,
@@ -38,8 +38,6 @@ def observe_voxel(world, cell, cfg=None):
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = world.pos[corners[[0, 1, 3, 2]]]
     area = 0.5 * abs((x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
                      + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
-    if cfg.normalize_volume:
-        area /= VOXEL_EDGE ** 2
     onehot = np.zeros(N_MATERIALS)
     onehot[int(world.materials[vox])] = 1.0
     return VoxelObservation(vel, area, onehot)
@@ -84,13 +82,13 @@ class TestConfig:
 
 class TestTimeSignal:
     def test_phase_values(self):
-        assert time_signal(0) == 0.0
-        assert time_signal(1) == pytest.approx(2.0 * math.pi / 25.0, rel=1e-15)
-        assert time_signal(24) == pytest.approx(2.0 * math.pi * 24.0 / 25.0, rel=1e-15)
+        assert time_signal(0, 25) == 0.0
+        assert time_signal(1, 25) == pytest.approx(2.0 * math.pi / 25.0, rel=1e-15)
+        assert time_signal(24, 25) == pytest.approx(2.0 * math.pi * 24.0 / 25.0, rel=1e-15)
 
     def test_wraps_at_period(self):
-        assert time_signal(25) == time_signal(0)
-        assert time_signal(26) == time_signal(1)
+        assert time_signal(25, 25) == time_signal(0, 25)
+        assert time_signal(26, 25) == time_signal(1, 25)
         assert time_signal(7, period=4) == time_signal(3, period=4)
 
 
@@ -154,7 +152,7 @@ class TestGlobalObservation:
     def test_shape_and_time_slot(self, world):
         vec = global_vector(world, env_step=3)
         assert vec.shape == (201,)
-        assert vec[-1] == time_signal(3)
+        assert vec[-1] == time_signal(3, ObservationConfig().time_period)
 
     def test_empty_slots_hold_missing_block(self, world, small_body):
         vec = global_vector(world, env_step=0)
@@ -241,7 +239,8 @@ class TestBuilder:
         for i, (r, c) in enumerate(cells):
             oracle = [observe_voxel(world, (wr, wc)).as_block()
                       for wr in range(r - 2, r + 3) for wc in range(c - 2, c + 3)]
-            expected = np.append(np.concatenate(oracle), time_signal(2))
+            expected = np.append(np.concatenate(oracle),
+                                 time_signal(2, ObservationConfig().time_period))
             assert np.allclose(mat[i], expected, rtol=0, atol=1e-15)
 
     def test_refresh_tracks_motion(self, world):

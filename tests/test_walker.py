@@ -8,6 +8,8 @@ from voxevo.control import GLOBAL_KIND, MODULAR_KIND, MlpParams, ControllerGenom
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass
 from voxevo.walker import EpisodeConfig, EpisodeResult, episode_fitness, evaluate_fitness, run_episode
 
+from helpers import NO_CONTACT
+
 
 def zero_controller():
     return ControllerGenome(MODULAR_KIND, MlpParams(
@@ -66,8 +68,8 @@ class TestRunEpisode:
             result.delta_px, result.reached_end, result.steps_used, fast_episode)
 
     def test_exactly_stationary_episode_scores_zero(self, small_body):
-        physics = PhysicsConfig(gravity=0.0, actuation_min=0.5,
-                                actuation_max=1.5).with_contact_disabled()
+        physics = PhysicsConfig(gravity=0.0, actuation_min=0.5, actuation_max=1.5,
+                                contact=NO_CONTACT)
         result = run_episode(small_body, zero_controller(), physics_cfg=physics)
         assert result.delta_px == 0.0
         assert result.steps_used == 500
@@ -95,7 +97,7 @@ class TestRunEpisode:
         calls = []
         real_act = voxevo.walker.act
 
-        def counting_act(genome, world, env_step, builder=None):
+        def counting_act(genome, world, env_step, builder):
             calls.append(env_step)
             return real_act(genome, world, env_step, builder)
 
