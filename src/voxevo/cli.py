@@ -112,11 +112,7 @@ def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
     writer.writerow(GENERATION_COLUMNS)
 
     def on_generation(generation, log, population, champion):
-        writer.writerow([
-            _fmt(log.generation), _fmt(log.best_fitness), _fmt(log.mean_fitness),
-            _fmt(log.n_body_success), _fmt(log.n_brain_success),
-            _fmt(log.n_body_attempted), _fmt(log.n_brain_attempted),
-        ])
+        writer.writerow([_fmt(getattr(log, column)) for column in GENERATION_COLUMNS])
         fh.flush()
         if evo_cfg.checkpoint_every and generation % evo_cfg.checkpoint_every == 0:
             save_population(

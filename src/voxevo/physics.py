@@ -172,13 +172,8 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     max_corner_row = max(r for r, _ in cells) + 1
 
     # corner lattice points (row, col), deterministic raster order
-    corner_ids: dict[tuple[int, int], int] = {}
-    for r, c in cells:
-        for corner in ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)):
-            if corner not in corner_ids:
-                corner_ids[corner] = -1
-    for i, corner in enumerate(sorted(corner_ids)):
-        corner_ids[corner] = i
+    corners = sorted({(r + dr, c + dc) for r, c in cells for dr in (0, 1) for dc in (0, 1)})
+    corner_ids = {corner: i for i, corner in enumerate(corners)}
     n_masses = len(corner_ids)
 
     pos = np.zeros((n_masses, 2))
@@ -212,9 +207,7 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         tl, tr = (r, c), (r, c + 1)
         bl, br = (r + 1, c), (r + 1, c + 1)
         corner_map[vox] = [corner_ids[tl], corner_ids[tr], corner_ids[bl], corner_ids[br]]
-        per_corner = VOXEL_MASS / 4.0
-        for corner in (tl, tr, bl, br):
-            mass[corner_ids[corner]] += per_corner
+        mass[corner_map[vox]] += VOXEL_MASS / 4.0
         k = cfg.material_stiffness(int(materials[vox]))
         add_spring(tl, tr, AXIS_HORIZONTAL, VOXEL_EDGE, k, vox)
         add_spring(bl, br, AXIS_HORIZONTAL, VOXEL_EDGE, k, vox)
@@ -319,20 +312,20 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
     world.rest[world.d_springs] = np.hypot(extent[0], extent[1])
 
 
-def _spring_forces(world: SimWorld, x, y, vx, vy, per_spring: np.ndarray) -> np.ndarray:
-    """Internal forces from 1-D position and velocity columns; the per-spring
-    force is written into `per_spring`, shape (n_springs, 2)."""
+def _spring_forces(world: SimWorld, z, w, per_spring: np.ndarray) -> np.ndarray:
+    """Internal forces from complex views of the positions and velocities; the
+    per-spring force is written into `per_spring`, shape (n_springs, 2)."""
     a, b = world.spring_a, world.spring_b
-    dx = x[b] - x[a]
-    dy = y[b] - y[a]
+    d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
+    dx, dy = d.real, d.imag
     length = np.sqrt(dx * dx + dy * dy)
     ux = dx / length
     uy = dy / length
-    v_rel = (vx[b] - vx[a]) * ux + (vy[b] - vy[a]) * uy
+    v_rel = dv.real * ux + dv.imag * uy
     magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
     np.multiply(magnitude, ux, out=per_spring[:, 0])
     np.multiply(magnitude, uy, out=per_spring[:, 1])
-    return world.incidence @ per_spring
+    return world.incidence.dot(per_spring)  # the BLAS gemm of `@`, less dispatch
 
 
 def step_env(world: SimWorld) -> None:
@@ -344,11 +337,11 @@ def step_env(world: SimWorld) -> None:
     """
     dt = world.physics_dt
     pos, vel, mass = world.pos, world.vel, world.mass
-    x, y = pos[:, 0], pos[:, 1]
-    vx, vy = vel[:, 0], vel[:, 1]
+    # one complex per mass; taken per call, so a rebound pos or vel is seen
+    z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
     per_spring = np.empty((world.n_springs, 2))
     weight = mass * world.gravity
-    inv_mass = 1.0 / mass[:, None]
+    inv_mass = (1.0 / mass[:, None]).repeat(2, axis=1)  # dense: no broadcast per substep
     masses = mass.tolist()
     contact = world.contact
     kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
@@ -358,7 +351,7 @@ def step_env(world: SimWorld) -> None:
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(world.substeps_per_env_step):
-            forces = _spring_forces(world, x, y, vx, vy, per_spring)
+            forces = _spring_forces(world, z, w, per_spring)
             fx, fy = forces[:, 0], forces[:, 1]
             fy -= weight
             if has_contact:
@@ -366,8 +359,9 @@ def step_env(world: SimWorld) -> None:
                 # off; Python floats round as numpy's float64 did here
                 touching = (y < ground).nonzero()[0]
                 if touching.size:
-                    for i, yi, vxi, vyi in zip(touching.tolist(), y[touching].tolist(),
-                                               vx[touching].tolist(), vy[touching].tolist()):
+                    for i, yi, wi in zip(touching.tolist(), y[touching].tolist(),
+                                         w[touching].tolist()):
+                        vxi, vyi = wi.real, wi.imag
                         normal = kn * (ground - yi) - kd * vyi
                         if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
                             normal = 0.0

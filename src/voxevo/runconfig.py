@@ -242,23 +242,30 @@ def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, int]]]:
     """The RunConfig and the line number of each key present."""
     values, lines = _read(text, path)
 
-    def given(section: str, fields, prefix: str = "") -> dict[str, object]:
-        present = values.get(section, {})
+    def given(present: dict[str, object], fields, prefix: str = "") -> dict[str, object]:
         return {f.name: present[prefix + _key(f)] for f in fields
                 if prefix + _key(f) in present}
 
     def build(section: str, cls, fields, prefix: str = "", **extra):
+        present = values.get(section, {})
         try:
-            return cls(**given(section, fields, prefix), **extra)
+            return cls(**given(present, fields, prefix), **extra)
         except ValueError as exc:
-            first_line = min(lines.get(section, {}).values(), default=None)
+            # blame the first key, in file order, whose addition makes the
+            # section fail; `present` keeps the file order
+            keys = list(present)
+            for n, key in enumerate(keys, start=1):
+                try:
+                    cls(**given({k: present[k] for k in keys[:n]}, fields, prefix), **extra)
+                except ValueError:
+                    break
             raise ConfigError(f"invalid [{section}] settings: {exc}", path,
-                              first_line) from exc
+                              lines[section][key]) from exc
 
     contact = build("physics", ContactParams, _CONTACT_FIELDS, _CONTACT_PREFIX)
     run_values = {}
     for section, fields in _RUN_FIELDS.items():
-        run_values.update(given(section, fields))
+        run_values.update(given(values.get(section, {}), fields))
     cfg = RunConfig(
         physics=build("physics", PhysicsConfig, _PHYSICS_FIELDS, contact=contact),
         observation=build("observation", ObservationConfig, _OBSERVATION_FIELDS),

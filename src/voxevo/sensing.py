@@ -36,8 +36,8 @@ class ObservationConfig:
             raise ValueError("neighborhood distance must be >= 0")
         if self.time_period < 1:
             raise ValueError("time period must be >= 1")
-        if self.velocity_clamp <= 0.0:
-            raise ValueError("velocity clamp must be positive")
+        if not 0.0 < self.velocity_clamp < math.inf:
+            raise ValueError("velocity clamp must be positive and finite")
 
     @property
     def window_side(self) -> int:

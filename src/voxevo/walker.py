@@ -48,6 +48,9 @@ class EpisodeConfig:
             raise ValueError("max_steps must be >= 1")
         if self.action_repeat < 1:
             raise ValueError("action_repeat must be >= 1")
+        if not all(map(math.isfinite, (self.terrain_end_x, self.step_penalty,
+                                       self.divergence_floor))):
+            raise ValueError("episode config values must be finite")
 
     @property
     def shift_constant(self) -> float:

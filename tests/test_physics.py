@@ -527,6 +527,25 @@ class TestMatchesOracle:
         assert_same_state(world, ref)
         assert world.pos[:, 0].min() > 2.0  # the shifted start was kept
 
+    def test_copied_or_rebound_state_steps_to_the_same_bytes(self):
+        # a view of the state or a scratch buffer kept across calls would
+        # keep writing to the arrays the world held before
+        world = build_world(default_catalog()["biped"], PhysicsConfig())
+        step_env(world)
+        copied, rebound = copy.deepcopy(world), copy.deepcopy(world)
+        rng = np.random.default_rng(3)
+        for step in range(50):
+            if step % 4 == 0:
+                actions = rng.random(world.actuator_voxels.size)
+                for w in (world, copied, rebound):
+                    apply_actuation(w, actions)
+            rebound.pos, rebound.vel = rebound.pos.copy(), rebound.vel.copy()
+            for w in (world, copied, rebound):
+                step_env(w)
+        assert_same_state(copied, world)
+        assert_same_state(rebound, world)
+        assert world.env_steps == 51
+
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
 # substep: (contact, y, vx, vy) per branch of the contact force.

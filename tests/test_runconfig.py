@@ -138,6 +138,27 @@ class TestErrors:
         self.assert_error(f"[run]\nseed = 1\n[{section}]\n{key} = {value}\n",
                           fragment, 4)
 
+    # a NaN step penalty evolved an all-NaN lineage and a NaN clamp died
+    # mid-run; each is now rejected at load, at its own line
+    @pytest.mark.parametrize("section, key, value", [
+        ("episode", "terrain_end_x", "inf"),
+        ("episode", "step_penalty", "nan"),
+        ("episode", "divergence_floor", "-inf"),
+        ("observation", "velocity_clamp", "nan"),
+    ])
+    def test_non_finite_value_names_its_line(self, section, key, value):
+        self.assert_error(f"[run]\nseed = 1\n[{section}]\n{key} = {value}\n",
+                          "finite", 4)
+
+    # the first key, in file order, whose addition makes the section fail
+    @pytest.mark.parametrize("text, line", [
+        ("[physics]\ngravity = 5\nsoft_stiffness = 500\ncontact_friction = -2\n", 4),
+        ("[observation]\nneighborhood_distance = 1\nvelocity_clamp = 5.0\ntime_period = 0\n", 4),
+        ("[episode]\nmax_steps = 5\nstep_penalty = nan\naction_repeat = 0\n", 3),
+    ])
+    def test_section_error_names_the_key_at_fault(self, text, line):
+        self.assert_error(text, "invalid [", line)
+
     def test_semantic_physics_error_points_at_section(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config("[physics]\nphysics_dt = 0\n", path="demo.cfg")
