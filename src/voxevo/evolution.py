@@ -21,6 +21,7 @@ change any logged value.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -84,6 +85,8 @@ class EvolutionConfig:
             raise ValueError("mu and lambda must be >= 1")
         if not 0.0 <= self.p_body_mutation <= 1.0:
             raise ValueError("p_body_mutation must be in [0, 1]")
+        if not 0.0 <= self.controller_sigma < math.inf:
+            raise ValueError("controller_sigma must be >= 0 and finite")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.workers < 1:

@@ -312,9 +312,9 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
     world.rest[world.d_springs] = np.hypot(extent[0], extent[1])
 
 
-def _spring_forces(world: SimWorld, z, w, per_spring: np.ndarray) -> np.ndarray:
-    """Internal forces from complex views of the positions and velocities; the
-    per-spring force is written into `per_spring`, shape (n_springs, 2)."""
+def _spring_forces(world: SimWorld, z, w, px, py, per_spring, forces) -> None:
+    """Internal forces from complex views of the positions and velocities, per
+    spring into `per_spring` (columns `px`, `py`), per mass into `forces`."""
     a, b = world.spring_a, world.spring_b
     d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
     dx, dy = d.real, d.imag
@@ -323,9 +323,9 @@ def _spring_forces(world: SimWorld, z, w, per_spring: np.ndarray) -> np.ndarray:
     uy = dy / length
     v_rel = dv.real * ux + dv.imag * uy
     magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
-    np.multiply(magnitude, ux, out=per_spring[:, 0])
-    np.multiply(magnitude, uy, out=per_spring[:, 1])
-    return world.incidence.dot(per_spring)  # the BLAS gemm of `@`, less dispatch
+    np.multiply(magnitude, ux, out=px)
+    np.multiply(magnitude, uy, out=py)
+    np.dot(world.incidence, per_spring, out=forces)  # the BLAS gemm of `@`
 
 
 def step_env(world: SimWorld) -> None:
@@ -337,9 +337,11 @@ def step_env(world: SimWorld) -> None:
     """
     dt = world.physics_dt
     pos, vel, mass = world.pos, world.vel, world.mass
-    # one complex per mass; taken per call, so a rebound pos or vel is seen
+    # views and buffers per call, not on the world, so a rebound pos or vel is seen
     z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
-    per_spring = np.empty((world.n_springs, 2))
+    per_spring, forces = np.empty((world.n_springs, 2)), np.empty_like(pos)
+    px, py, fy = per_spring[:, 0], per_spring[:, 1], forces[:, 1]
+    P, V, F = memoryview(pos), memoryview(vel), memoryview(forces)
     weight = mass * world.gravity
     inv_mass = (1.0 / mass[:, None]).repeat(2, axis=1)  # dense: no broadcast per substep
     masses = mass.tolist()
@@ -351,38 +353,36 @@ def step_env(world: SimWorld) -> None:
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(world.substeps_per_env_step):
-            forces = _spring_forces(world, z, w, per_spring)
-            fx, fy = forces[:, 0], forces[:, 1]
+            _spring_forces(world, z, w, px, py, per_spring, forces)
             fy -= weight
             if has_contact:
                 # few masses touch at a time, too few for numpy calls to pay
                 # off; Python floats round as numpy's float64 did here
-                touching = (y < ground).nonzero()[0]
-                if touching.size:
-                    for i, yi, wi in zip(touching.tolist(), y[touching].tolist(),
-                                         w[touching].tolist()):
-                        vxi, vyi = wi.real, wi.imag
-                        normal = kn * (ground - yi) - kd * vyi
-                        if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
-                            normal = 0.0
-                        # Coulomb friction opposing sliding, capped so one
-                        # substep cannot reverse the tangential velocity
-                        limit = mu * normal
-                        stopping = masses[i] * abs(vxi) / dt
-                        # as np.minimum on x86: a NaN on either side wins, a
-                        # tie gives the second operand
-                        cap = limit if (limit < stopping or limit != limit) else stopping
-                        # as np.sign: 0.0 for either zero, NaN for NaN
-                        sign = (1.0 if vxi > 0.0 else -1.0 if vxi < 0.0
-                                else 0.0 if vxi == 0.0 else vxi)
-                        fy[i] += normal
-                        fx[i] += -sign * cap
+                for i in (y < ground).nonzero()[0].tolist():
+                    vxi, vyi = V[i, 0], V[i, 1]
+                    normal = kn * (ground - P[i, 1]) - kd * vyi
+                    if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
+                        normal = 0.0
+                    # Coulomb friction opposing sliding, capped so one
+                    # substep cannot reverse the tangential velocity
+                    limit = mu * normal
+                    stopping = masses[i] * abs(vxi) / dt
+                    # as np.minimum on x86: a NaN on either side wins, a
+                    # tie gives the second operand
+                    cap = limit if (limit < stopping or limit != limit) else stopping
+                    # as np.sign: 0.0 for either zero, NaN for NaN
+                    sign = (1.0 if vxi > 0.0 else -1.0 if vxi < 0.0
+                            else 0.0 if vxi == 0.0 else vxi)
+                    F[i, 1] += normal
+                    F[i, 0] += -sign * cap
             forces *= dt  # rounds as dt * forces * inv_mass
             forces *= inv_mass
             vel += forces
             pos += dt * vel
     world.env_steps += 1
-    if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
+    # with dt finite and positive, a non-finite velocity makes pos non-finite
+    # in the same substep, and a non-finite position stays so
+    if not np.isfinite(pos).all():
         raise SimulationDivergedError(world.env_steps)
 
 

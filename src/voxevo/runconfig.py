@@ -23,6 +23,7 @@ dataclass, so the empty file is a valid configuration.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .control import KINDS
@@ -182,7 +183,8 @@ _CHECKS = {
     ("evolution", "lambda"): (lambda v: v >= 1, "lambda must be >= 1"),
     ("evolution", "p_body_mutation"): (lambda v: 0.0 <= v <= 1.0,
                                        "p_body_mutation must be in [0, 1]"),
-    ("evolution", "controller_sigma"): (lambda v: v >= 0.0, "controller_sigma must be >= 0"),
+    ("evolution", "controller_sigma"): (lambda v: 0.0 <= v < math.inf,
+                                        "controller_sigma must be >= 0 and finite"),
     ("experiment", "distances"): (lambda v: all(d >= 1 for d in v),
                                   "distances must be >= 1"),
     ("experiment", "samples_per_distance"): (lambda v: v >= 1,

@@ -109,25 +109,35 @@ class ObservationBuilder:
                     if 0 <= wr < GRID_SIZE and 0 <= wc < GRID_SIZE:
                         self._local_slots[row, k] = lookup[wr, wc]
                     k += 1
+        # controller inputs, refilled in place: blocks, then the time signal
+        self._global_input = np.empty(self.cfg.global_size)
+        self._global_blocks = self._global_input[:-1].reshape(-1, BLOCK_SIZE)
+        self._local_input = np.empty((len(act_cells), self.cfg.local_size))
+        self._local_blocks = self._local_input[:, :-1].reshape(
+            *self._local_slots.shape, BLOCK_SIZE)
 
     def refresh(self) -> None:
         """Recompute the dynamic features (velocity, volume) from world state."""
         w = self.world
-        vel = w.vel[w.corner_map].mean(axis=1)
+        vel = np.add.reduce(w.vel[w.corner_map], axis=1)
+        vel /= 4.0  # what .mean(axis=1) computes
         clamp = self.cfg.velocity_clamp
         np.clip(vel, -clamp, clamp, out=self._velocity)
         self._area[:] = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
 
     def global_vector(self, env_step: int) -> np.ndarray:
+        """The full-box observation, shape (global_size,). The result is the
+        builder's own buffer, overwritten by the next call."""
         self.refresh()
-        blocks = self._features[self._global_slots].ravel()
-        return np.append(blocks, time_signal(env_step, self.cfg.time_period))
+        np.take(self._features, self._global_slots, axis=0, out=self._global_blocks)
+        self._global_input[-1] = time_signal(env_step, self.cfg.time_period)
+        return self._global_input
 
     def local_matrix(self, env_step: int) -> np.ndarray:
         """All actuator windows at once, shape (n_act, local_size), rows in
-        `world.actuator_cells` order."""
+        `world.actuator_cells` order. The result is the builder's own buffer,
+        overwritten by the next call."""
         self.refresh()
-        n_act, n_slots = self._local_slots.shape
-        blocks = self._features[self._local_slots].reshape(n_act, n_slots * BLOCK_SIZE)
-        t = np.full((n_act, 1), time_signal(env_step, self.cfg.time_period))
-        return np.hstack([blocks, t])
+        np.take(self._features, self._local_slots, axis=0, out=self._local_blocks)
+        self._local_input[:, -1] = time_signal(env_step, self.cfg.time_period)
+        return self._local_input

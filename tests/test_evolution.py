@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ class TestConfigValidation:
             EvolutionConfig(mode=MODE_FIXED_BODY)
         with pytest.raises(ValueError):
             EvolutionConfig(mode=MODE_MULTI_BODY, catalog=())
+
+    # a non-finite sigma would reach the first generation's controller mutation
+    @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_controller_sigma(self, sigma):
+        with pytest.raises(ValueError, match="controller_sigma"):
+            EvolutionConfig(controller_sigma=sigma)
 
     def test_brain_only_property(self, small_body):
         assert not EvolutionConfig().brain_only

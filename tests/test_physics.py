@@ -350,6 +350,20 @@ class TestDynamics:
             step_env(world)
         assert exc_info.value.step_index == 1
 
+    # the engine's finiteness check reads pos alone: a non-finite velocity
+    # must reach pos within the env step that first holds it
+    @pytest.mark.parametrize("substeps", [1, 6])
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_velocity_raises_at_once(self, substeps, value):
+        world = build_world(body_from_rows("33000", "11000"),
+                            PhysicsConfig(substeps_per_env_step=substeps))
+        top = int(np.argmax(world.pos[:, 1]))
+        world.vel[top, 0] = value
+        assert np.isfinite(world.pos).all()
+        with pytest.raises(SimulationDivergedError) as exc_info:
+            step_env(world)
+        assert exc_info.value.step_index == 1
+
     def test_com_of_single_voxel(self):
         world = build_world(single_voxel(), PhysicsConfig())
         assert np.allclose(center_of_mass(world), [0.5, 0.5], rtol=0, atol=1e-15)
@@ -602,8 +616,11 @@ class TestContactBranches:
                          reason="numpy's minimum breaks ties of signed zeros the IEEE way")),
     ])
     def test_signed_zero_contact_forces_match_oracle_bytes(self, contact, monkeypatch):
-        def zero_springs(world, *_):
-            return np.full((world.n_masses, 2), -0.0)
+        def zero_springs(world, *buffers):
+            forces = np.full((world.n_masses, 2), -0.0)
+            if buffers:  # the engine's form fills its forces buffer in place
+                buffers[-1][:] = forces
+            return forces
 
         monkeypatch.setattr(physics, "_spring_forces", zero_springs)
         monkeypatch.setattr(sys.modules[__name__], "oracle_spring_forces", zero_springs)

@@ -130,6 +130,8 @@ class TestErrors:
         ("evolution", "p_body_mutation", "1.5", "p_body_mutation must be in [0, 1]"),
         ("evolution", "p_body_mutation", "-0.1", "p_body_mutation must be in [0, 1]"),
         ("evolution", "controller_sigma", "-1", "controller_sigma must be >= 0"),
+        ("evolution", "controller_sigma", "inf", "controller_sigma must be >= 0 and finite"),
+        ("evolution", "controller_sigma", "nan", "controller_sigma must be >= 0 and finite"),
         ("experiment", "distances", "1, 0", "distances must be >= 1"),
         ("experiment", "samples_per_distance", "0", "samples_per_distance must be >= 1"),
         ("experiment", "one_shot_lambda", "-1", "one_shot_lambda must be >= 0"),

@@ -4,8 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from voxevo.control import KINDS, act, init_controller
 from voxevo.morphology import N_MATERIALS
-from voxevo.physics import PhysicsConfig, build_world, step_env
+from voxevo.physics import PhysicsConfig, apply_actuation, build_world, step_env
 from voxevo.sensing import (
     BLOCK_SIZE,
     MISSING_BLOCK,
@@ -259,3 +260,16 @@ class TestBuilder:
         reused = builder.global_vector(env_step=4)
         fresh = global_vector(world, env_step=4)
         assert np.array_equal(reused, fresh)
+
+    # global_vector and local_matrix return the builder's own buffer, refilled
+    # on each call: a long-lived builder must act as a fresh one at every step
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_long_lived_builder_acts_as_fresh_ones(self, world, kind):
+        controller = init_controller(kind, np.random.default_rng(5))
+        builder = ObservationBuilder(world)
+        for step in range(40):
+            actions = act(controller, world, step, builder)
+            fresh = act(controller, world, step, ObservationBuilder(world))
+            assert actions.tobytes() == fresh.tobytes()
+            apply_actuation(world, actions)
+            step_env(world)
