@@ -87,6 +87,8 @@ class EvolutionConfig:
             raise ValueError("p_body_mutation must be in [0, 1]")
         if not 0.0 <= self.controller_sigma < math.inf:
             raise ValueError("controller_sigma must be >= 0 and finite")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.workers < 1:

@@ -100,7 +100,9 @@ class SimWorld:
 
     Masses and springs are stored as flat arrays; `incidence` maps per-spring
     forces onto masses (+1 on endpoint a, -1 on endpoint b). Corner order in
-    `corner_map` is (top-left, top-right, bottom-left, bottom-right).
+    `corner_map` is (top-left, top-right, bottom-left, bottom-right). `pos` and
+    `vel` are C-contiguous, and the constants derived from `mass` and `gravity`
+    (`weight`, `inv_mass`, `mass_list`, `total_mass`) are fixed at build.
     """
 
     pos: np.ndarray            # (n_masses, 2)
@@ -129,6 +131,9 @@ class SimWorld:
     d_springs: np.ndarray      # diagonal spring indices
     d_owner: np.ndarray        # (2, n_d) the owning voxel's x and y scales
     mass_column: np.ndarray    # (n_masses, 1) view of mass
+    weight: np.ndarray         # (n_masses,) mass * gravity
+    inv_mass: np.ndarray       # (n_masses, 2) 1 / mass, dense: no broadcast per substep
+    mass_list: list[float]     # mass as Python floats, for the contact loop
     total_mass: float
     gravity: float
     ground_height: float
@@ -275,6 +280,9 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         d_springs=np.array(d_springs, dtype=np.int64),
         d_owner=np.ascontiguousarray(np.array(d_owner, dtype=np.int64).T),
         mass_column=mass[:, None],
+        weight=mass * cfg.gravity,
+        inv_mass=(1.0 / mass[:, None]).repeat(2, axis=1),
+        mass_list=mass.tolist(),
         total_mass=float(mass.sum()),
         gravity=cfg.gravity,
         ground_height=ground_height,
@@ -325,7 +333,7 @@ def _spring_forces(world: SimWorld, z, w, px, py, per_spring, forces) -> None:
     magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
     np.multiply(magnitude, ux, out=px)
     np.multiply(magnitude, uy, out=py)
-    np.dot(world.incidence, per_spring, out=forces)  # the BLAS gemm of `@`
+    world.incidence.dot(per_spring, out=forces)  # the BLAS gemm of `@`
 
 
 def step_env(world: SimWorld) -> None:
@@ -336,15 +344,13 @@ def step_env(world: SimWorld) -> None:
     velocities before positions.
     """
     dt = world.physics_dt
-    pos, vel, mass = world.pos, world.vel, world.mass
+    pos, vel = world.pos, world.vel
     # views and buffers per call, not on the world, so a rebound pos or vel is seen
     z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
     per_spring, forces = np.empty((world.n_springs, 2)), np.empty_like(pos)
     px, py, fy = per_spring[:, 0], per_spring[:, 1], forces[:, 1]
-    P, V, F = memoryview(pos), memoryview(vel), memoryview(forces)
-    weight = mass * world.gravity
-    inv_mass = (1.0 / mass[:, None]).repeat(2, axis=1)  # dense: no broadcast per substep
-    masses = mass.tolist()
+    P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
+    weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
     contact = world.contact
     kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
     has_contact = kn > 0.0 or mu > 0.0
@@ -359,8 +365,9 @@ def step_env(world: SimWorld) -> None:
                 # few masses touch at a time, too few for numpy calls to pay
                 # off; Python floats round as numpy's float64 did here
                 for i in (y < ground).nonzero()[0].tolist():
-                    vxi, vyi = V[i, 0], V[i, 1]
-                    normal = kn * (ground - P[i, 1]) - kd * vyi
+                    j = 2 * i  # mass i's x in the flat views, its y at j + 1
+                    vxi, vyi = V[j], V[j + 1]
+                    normal = kn * (ground - P[j + 1]) - kd * vyi
                     if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
                         normal = 0.0
                     # Coulomb friction opposing sliding, capped so one
@@ -370,11 +377,13 @@ def step_env(world: SimWorld) -> None:
                     # as np.minimum on x86: a NaN on either side wins, a
                     # tie gives the second operand
                     cap = limit if (limit < stopping or limit != limit) else stopping
-                    # as np.sign: 0.0 for either zero, NaN for NaN
-                    sign = (1.0 if vxi > 0.0 else -1.0 if vxi < 0.0
-                            else 0.0 if vxi == 0.0 else vxi)
-                    F[i, 1] += normal
-                    F[i, 0] += -sign * cap
+                    F[j + 1] += normal
+                    if vxi > 0.0:  # f - cap rounds exactly as f + (-1.0 * cap)
+                        F[j] -= cap
+                    elif vxi < 0.0:
+                        F[j] += cap
+                    else:  # as np.sign: 0.0 for either zero, NaN for NaN
+                        F[j] += -(0.0 if vxi == 0.0 else vxi) * cap
             forces *= dt  # rounds as dt * forces * inv_mass
             forces *= inv_mass
             vel += forces
@@ -388,4 +397,4 @@ def step_env(world: SimWorld) -> None:
 
 def center_of_mass(world: SimWorld) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
-    return (world.mass_column * world.pos).sum(axis=0) / world.total_mass
+    return np.add.reduce(world.mass_column * world.pos, axis=0) / world.total_mass

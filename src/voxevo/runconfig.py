@@ -26,6 +26,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
+from .checkpoints import MAX_POPULATION
 from .control import KINDS
 from .evolution import MODES, EvolutionConfig
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
@@ -177,9 +178,11 @@ _SCHEMA: dict[str, dict[str, object]] = {
 _CHECKS = {
     ("run", "mode"): (lambda v: v in MODES, f"mode must be one of {MODES}"),
     ("run", "paradigm"): (lambda v: v in KINDS, f"paradigm must be one of {KINDS}"),
+    ("run", "seed"): (lambda v: v >= 0, "seed must be >= 0"),
     ("run", "generations"): (lambda v: v >= 1, "generations must be >= 1"),
     ("run", "workers"): (lambda v: v >= 1, "workers must be >= 1"),
-    ("evolution", "mu"): (lambda v: v >= 1, "mu must be >= 1"),
+    ("evolution", "mu"): (lambda v: 1 <= v <= MAX_POPULATION, "mu must be >= 1 and at most "
+                          f"{MAX_POPULATION}, the most a population checkpoint holds"),
     ("evolution", "lambda"): (lambda v: v >= 1, "lambda must be >= 1"),
     ("evolution", "p_body_mutation"): (lambda v: 0.0 <= v <= 1.0,
                                        "p_body_mutation must be in [0, 1]"),
@@ -303,6 +306,8 @@ def override(cfg: RunConfig, seed: int | None = None, workers: int | None = None
              out: str | None = None) -> RunConfig:
     updates = {}
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}", "--seed")
         updates["seed"] = seed
     if workers is not None:
         updates["workers"] = workers

@@ -62,7 +62,7 @@ def _quad_areas(x: np.ndarray, y: np.ndarray, ring: np.ndarray,
     """Shoelace area per voxel from corner coordinates `x`, `y`; `ring` rows
     are corner mass indices in polygon order and `ring_next` the next corner
     of each."""
-    return 0.5 * np.abs((x[ring] * y[ring_next] - x[ring_next] * y[ring]).sum(axis=1))
+    return 0.5 * np.abs(np.add.reduce(x[ring] * y[ring_next] - x[ring_next] * y[ring], axis=1))
 
 
 class ObservationBuilder:
@@ -122,7 +122,8 @@ class ObservationBuilder:
         vel = np.add.reduce(w.vel[w.corner_map], axis=1)
         vel /= 4.0  # what .mean(axis=1) computes
         clamp = self.cfg.velocity_clamp
-        np.clip(vel, -clamp, clamp, out=self._velocity)
+        np.maximum(vel, -clamp, out=vel)  # what np.clip computes, NaN kept
+        np.minimum(vel, clamp, out=self._velocity)
         self._area[:] = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
 
     def global_vector(self, env_step: int) -> np.ndarray:

@@ -165,6 +165,19 @@ class TestWorkersResolution:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    # np.random.SeedSequence would reject it after the output directory exists
+    @pytest.mark.parametrize("command", ["evolve", "transfer"])
+    def test_negative_seed_rejected_before_output(self, command, trained_run, tmp_path,
+                                                  capsys):
+        config, run_dir = trained_run
+        out = str(tmp_path / "out")
+        argv = [command, "--config", config, "--out", out, "--seed", "-1", "--workers", "1"]
+        if command == "transfer":
+            argv += ["--champion", os.path.join(run_dir, "champion.ckpt")]
+        assert main(argv) == 2
+        assert "error: --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

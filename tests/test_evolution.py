@@ -63,6 +63,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="controller_sigma"):
             EvolutionConfig(controller_sigma=sigma)
 
+    # np.random.SeedSequence rejects it only once the first generation draws
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            EvolutionConfig(master_seed=-1)
+
     def test_brain_only_property(self, small_body):
         assert not EvolutionConfig().brain_only
         assert EvolutionConfig(mode=MODE_FIXED_BODY,

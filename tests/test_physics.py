@@ -560,6 +560,15 @@ class TestMatchesOracle:
         assert_same_state(rebound, world)
         assert world.env_steps == 51
 
+    def test_non_contiguous_state_is_refused(self):
+        # the contact loop reads and writes the state through flat views
+        world = build_world(single_voxel(), PhysicsConfig())
+        world.pos = np.repeat(world.pos, 2, axis=0)[::2]  # strided rows
+        before = world.pos.copy()
+        with pytest.raises(TypeError):
+            step_env(world)
+        assert np.array_equal(world.pos, before) and world.env_steps == 0
+
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
 # substep: (contact, y, vx, vy) per branch of the contact force.
@@ -571,6 +580,8 @@ CONTACT_BRANCHES = {
     "vx_positive_zero": (ContactParams(), -0.01, 0.0, -0.5),
     "vx_negative_zero": (ContactParams(), -0.01, -0.0, -0.5),
     "no_normal_stiffness": (ContactParams(0.0, 10.0, 0.8), -0.01, 0.5, -1.0),
+    "vx_negative_mu_normal_caps_friction": (ContactParams(), -0.01, -5.0, 0.0),
+    "vx_negative_stopping_caps_friction": (ContactParams(), -0.01, -1e-4, 0.0),
 }
 
 
@@ -594,6 +605,8 @@ class TestContactBranches:
             "vx_positive_zero": vx == 0.0 and not np.signbit(vx) and limit > 0.0,
             "vx_negative_zero": vx == 0.0 and np.signbit(vx) and limit > 0.0,
             "no_normal_stiffness": kn == 0.0 and 0.0 < limit < stopping,
+            "vx_negative_mu_normal_caps_friction": vx < 0.0 and 0.0 < limit < stopping,
+            "vx_negative_stopping_caps_friction": vx < 0.0 and 0.0 < stopping < limit,
         }
         assert reached[branch]
         ref = copy.deepcopy(world)

@@ -122,10 +122,16 @@ class TestErrors:
     def test_bad_paradigm(self):
         self.assert_error("[run]\nparadigm = central\n", "paradigm", 2)
 
+    # np.random.SeedSequence rejects a negative entropy once the run has started
+    def test_negative_seed(self):
+        self.assert_error("[run]\nmode = co-optimize\nseed = -1\n", "seed must be >= 0", 3)
+
     @pytest.mark.parametrize("section, key, value, fragment", [
         ("run", "generations", "0", "generations must be >= 1"),
         ("run", "workers", "0", "workers must be >= 1"),
         ("evolution", "mu", "0", "mu must be >= 1"),
+        # population checkpoints record their count in 16 bits
+        ("evolution", "mu", "65536", "mu must be >= 1 and at most 65535"),
         ("evolution", "lambda", "0", "lambda must be >= 1"),
         ("evolution", "p_body_mutation", "1.5", "p_body_mutation must be in [0, 1]"),
         ("evolution", "p_body_mutation", "-0.1", "p_body_mutation must be in [0, 1]"),
