@@ -116,16 +116,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """sigmoid(W2 @ relu(W1 @ x + b1) + b2); outputs in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.n_inputs,):
-        raise ValueError(f"expected input of length {params.n_inputs}, got {x.shape}")
-    h = np.maximum(params.W1 @ x + params.b1, 0.0)
-    return _sigmoid(params.W2 @ h + params.b2)
-
-
-def _batch_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
+def mlp_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
+    """sigmoid(relu(xs @ W1.T + b1) @ W2.T + b2), outputs in (0, 1), for one
+    input vector or a matrix of input rows."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim not in (1, 2) or xs.shape[-1] != params.n_inputs:
+        raise ValueError(f"expected inputs of length {params.n_inputs}, got {xs.shape}")
     h = np.maximum(xs @ params.W1.T + params.b1, 0.0)
     return _sigmoid(h @ params.W2.T + params.b2)
 
@@ -142,7 +138,7 @@ def act(genome: ControllerGenome, world: SimWorld, env_step: int,
     if genome.kind == GLOBAL_KIND:
         out = mlp_forward(genome.params, builder.global_vector(env_step))
         return out[builder.actuator_raster]
-    return _batch_forward(genome.params, builder.local_matrix(env_step))[:, 0]
+    return mlp_forward(genome.params, builder.local_matrix(env_step))[:, 0]
 
 
 def init_controller(kind: str, rng: np.random.Generator,

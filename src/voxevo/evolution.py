@@ -118,7 +118,6 @@ class GenerationLog:
     generation: int
     best_fitness: float
     mean_fitness: float
-    pool_size: int
     records: tuple[OffspringRecord, ...]
 
     @property
@@ -346,7 +345,6 @@ def evolve_generation(population: list[Individual], cfg: EvolutionConfig,
         generation=generation,
         best_fitness=max(ind.fitness for ind in pool),
         mean_fitness=float(np.mean([ind.fitness for ind in survivors])),
-        pool_size=len(pool),
         records=records,
     )
     return survivors, log, next_id

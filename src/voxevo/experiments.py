@@ -118,8 +118,6 @@ class TransferSample:
 class MutationAccounting:
     lineage_body_fraction: float | None
     population_body_fraction: float | None
-    lineage_counts: dict[str, int]
-    population_counts: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -239,15 +237,11 @@ def accounting_from_lineage(lineage: dict, champion_id: int) -> MutationAccounti
     return MutationAccounting(
         lineage_body_fraction=fraction(chain_counts),
         population_body_fraction=fraction(pop_counts),
-        lineage_counts=chain_counts,
-        population_counts=pop_counts,
     )
 
 
-def convergence_metrics(best_fitness_series: list[float],
-                        thresholds: tuple[float, ...] = CONVERGENCE_THRESHOLDS
-                        ) -> ConvergenceMetrics:
-    """First index reaching each fraction of the final value.
+def convergence_metrics(best_fitness_series: list[float]) -> ConvergenceMetrics:
+    """First index reaching each CONVERGENCE_THRESHOLDS fraction of the final value.
 
     Series containing negative values are shifted so their minimum is zero
     before thresholding; `shifted` records that this happened.
@@ -260,7 +254,7 @@ def convergence_metrics(best_fitness_series: list[float],
         series = series - series.min()
     final = series[-1]
     generations: dict[float, int] = {}
-    for theta in thresholds:
+    for theta in CONVERGENCE_THRESHOLDS:
         reached = np.flatnonzero(series >= theta * final)
         generations[theta] = int(reached[0])
     return ConvergenceMetrics(generations_to=generations, shifted=shifted)

@@ -19,7 +19,6 @@ SOFT = 2
 H_ACTUATOR = 3
 V_ACTUATOR = 4
 N_MATERIALS = 5
-ACTUATOR_CODES = (H_ACTUATOR, V_ACTUATOR)
 
 GRID_SIZE = 5
 MIN_FILLED = 5          # 20% of 25 cells

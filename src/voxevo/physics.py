@@ -103,6 +103,11 @@ class SimWorld:
     `corner_map` is (top-left, top-right, bottom-left, bottom-right). `pos` and
     `vel` are C-contiguous, and the constants derived from `mass` and `gravity`
     (`weight`, `inv_mass`, `mass_list`, `total_mass`) are fixed at build.
+
+    Every rest length is hypot(mean x-extent, mean y-extent) of the scales
+    that `rest_scales` picks: an edge has extent only on its own axis, as the
+    mean scale of its one or two voxels; a diagonal takes its voxel's x and y
+    scales. `rest` is set from `scale` at build and by each actuation.
     """
 
     pos: np.ndarray            # (n_masses, 2)
@@ -119,17 +124,15 @@ class SimWorld:
     actuator_voxels: np.ndarray  # (n_act,) voxel id driven by each action
     corner_map: np.ndarray     # (n_voxels, 4) mass indices
     # current actuation scale, row 0 per-voxel x, row 1 per-voxel y; the last
-    # column is a padding slot that stays 0. actuator_slots, edge_adjacent and
-    # d_owner are flat indices into it
+    # column is a padding slot that stays 0. actuator_slots and rest_scales
+    # are flat indices into it
     scale: np.ndarray          # (2, n_voxels + 1)
     actuator_slots: np.ndarray  # (n_act,) the axis and voxel each action sets
-    edge_springs: np.ndarray   # horizontal and vertical spring indices
-    edge_base: np.ndarray      # (n_edge,) their pre-actuation rest lengths
-    edge_adjacent: np.ndarray  # (2, n_edge) adjacent voxels' scales on the
-                               # spring's axis; the padding slot if only one
-    edge_count: np.ndarray     # (n_edge,) number of real adjacent voxels
-    d_springs: np.ndarray      # diagonal spring indices
-    d_owner: np.ndarray        # (2, n_d) the owning voxel's x and y scales
+    rest_scales: np.ndarray    # (2 voxels, 2 axes, n_springs) the scales that
+                               # set each spring's x and y extent; padding
+                               # slot where a voxel or an axis does not count
+    rest_count: np.ndarray     # (2 axes, n_springs) real voxels on each axis,
+                               # 1 where there are none
     mass_column: np.ndarray    # (n_masses, 1) view of mass
     weight: np.ndarray         # (n_masses,) mass * gravity
     inv_mass: np.ndarray       # (n_masses, 2) 1 / mass, dense: no broadcast per substep
@@ -195,37 +198,35 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     springs: dict[tuple[int, int, int], dict] = {}
 
     def add_spring(pa: tuple[int, int], pb: tuple[int, int], axis_kind: int,
-                   base: float, k: float, voxel: int):
+                   k: float, voxel: int):
         a, b = corner_ids[pa], corner_ids[pb]
         if a > b:
             a, b = b, a
         key = (a, b, axis_kind)
         entry = springs.get(key)
         if entry is None:
-            springs[key] = {"base": base, "k": k, "voxels": [voxel]}
+            springs[key] = {"k": k, "voxels": [voxel]}
         else:
             entry["k"] += k
             entry["voxels"].append(voxel)
 
-    diag_base = math.sqrt(2.0) * VOXEL_EDGE
     for vox, (r, c) in enumerate(cells):
         tl, tr = (r, c), (r, c + 1)
         bl, br = (r + 1, c), (r + 1, c + 1)
         corner_map[vox] = [corner_ids[tl], corner_ids[tr], corner_ids[bl], corner_ids[br]]
         mass[corner_map[vox]] += VOXEL_MASS / 4.0
         k = cfg.material_stiffness(int(materials[vox]))
-        add_spring(tl, tr, AXIS_HORIZONTAL, VOXEL_EDGE, k, vox)
-        add_spring(bl, br, AXIS_HORIZONTAL, VOXEL_EDGE, k, vox)
-        add_spring(tl, bl, AXIS_VERTICAL, VOXEL_EDGE, k, vox)
-        add_spring(tr, br, AXIS_VERTICAL, VOXEL_EDGE, k, vox)
-        add_spring(tl, br, AXIS_DIAGONAL, diag_base, k, vox)
-        add_spring(tr, bl, AXIS_DIAGONAL, diag_base, k, vox)
+        add_spring(tl, tr, AXIS_HORIZONTAL, k, vox)
+        add_spring(bl, br, AXIS_HORIZONTAL, k, vox)
+        add_spring(tl, bl, AXIS_VERTICAL, k, vox)
+        add_spring(tr, br, AXIS_VERTICAL, k, vox)
+        add_spring(tl, br, AXIS_DIAGONAL, k, vox)
+        add_spring(tr, bl, AXIS_DIAGONAL, k, vox)
 
     n_springs = len(springs)
     keys, entries = list(springs), list(springs.values())
     spring_a = np.array([a for a, _, _ in keys], dtype=np.int64)
     spring_b = np.array([b for _, b, _ in keys], dtype=np.int64)
-    base_rest = np.array([entry["base"] for entry in entries])
     stiffness = np.array([entry["k"] for entry in entries])
 
     # damping from the post-dedup stiffness and the endpoints' reduced mass
@@ -238,32 +239,28 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     incidence[spring_b, np.arange(n_springs)] -= 1.0
 
     # actuation structure as flat indices into the (2, n_voxels + 1) scale
-    # array: x scales, then y scales, each row ending in a padding slot
+    # array: x scales, then y scales, each row ending in a padding slot. An
+    # edge spans its own axis, a diagonal (one voxel) both; the padding slot
+    # stands in for a missing second voxel and for an axis not spanned
     row = len(cells) + 1
-    edge_springs, edge_adjacent, edge_count, d_springs, d_owner = [], [], [], [], []
-    for s, ((_, _, ax), entry) in enumerate(zip(keys, entries)):
-        voxels = entry["voxels"]
-        if ax == AXIS_DIAGONAL:
-            d_springs.append(s)
-            d_owner.append([voxels[0], row + voxels[0]])
-        else:
-            offset = 0 if ax == AXIS_HORIZONTAL else row
-            pad = offset + len(cells)
-            edge_springs.append(s)
-            edge_adjacent.append([offset + v for v in voxels] + [pad] * (2 - len(voxels)))
-            edge_count.append(len(voxels))
-    edge_springs = np.array(edge_springs, dtype=np.int64)
+    pad = row - 1
+    voxels = np.array([e["voxels"] + [pad] * (2 - len(e["voxels"])) for e in entries])
+    voxels = np.ascontiguousarray(voxels.T)  # (2 voxels, n_springs)
+    axes = np.array([ax for _, _, ax in keys])
+    spans = np.array([axes != AXIS_VERTICAL, axes != AXIS_HORIZONTAL])  # (2 axes, n)
+    rest_scales = np.where(spans, voxels[:, None, :], pad) + np.array([[0], [row]])
+    rest_count = np.where(spans, np.count_nonzero(voxels != pad, axis=0), 1.0)
     scale = np.ones((2, row))
     scale[:, -1] = 0.0  # padding slot contributes 0
     horizontal = materials[actuator_voxels] == H_ACTUATOR
 
-    return SimWorld(
+    world = SimWorld(
         pos=pos,
         vel=np.zeros_like(pos),
         mass=mass,
         spring_a=spring_a,
         spring_b=spring_b,
-        rest=base_rest.copy(),
+        rest=np.empty(n_springs),
         stiffness=stiffness,
         damping=damping,
         incidence=incidence,
@@ -273,12 +270,8 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         corner_map=corner_map,
         scale=scale,
         actuator_slots=np.where(horizontal, 0, row) + actuator_voxels,
-        edge_springs=edge_springs,
-        edge_base=base_rest[edge_springs],
-        edge_adjacent=np.ascontiguousarray(np.array(edge_adjacent, dtype=np.int64).T),
-        edge_count=np.array(edge_count, dtype=np.float64),
-        d_springs=np.array(d_springs, dtype=np.int64),
-        d_owner=np.ascontiguousarray(np.array(d_owner, dtype=np.int64).T),
+        rest_scales=rest_scales,
+        rest_count=rest_count,
         mass_column=mass[:, None],
         weight=mass * cfg.gravity,
         inv_mass=(1.0 / mass[:, None]).repeat(2, axis=1),
@@ -292,6 +285,18 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         actuation_min=cfg.actuation_min,
         actuation_max=cfg.actuation_max,
     )
+    _set_rest(world)
+    return world
+
+
+def _set_rest(world: SimWorld) -> None:
+    """Rest lengths from the current scales, in place: hypot of the mean x
+    and the mean y extent, in voxel edges (VOXEL_EDGE is the unit length).
+    An edge's other axis sums padding to +0.0, and hypot(x, 0.0) is |x|."""
+    scale = world.scale.reshape(-1)
+    pair = scale[world.rest_scales]
+    extent = (pair[0] + pair[1]) / world.rest_count
+    np.hypot(extent[0], extent[1], out=world.rest)
 
 
 def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
@@ -313,11 +318,7 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
     lo, hi = world.actuation_min, world.actuation_max
     scale = world.scale.reshape(-1)
     scale[world.actuator_slots] = lo + actions * (hi - lo)
-    pair = scale[world.edge_adjacent]
-    world.rest[world.edge_springs] = (
-        world.edge_base * (pair[0] + pair[1]) / world.edge_count)
-    extent = scale[world.d_owner] * VOXEL_EDGE
-    world.rest[world.d_springs] = np.hypot(extent[0], extent[1])
+    _set_rest(world)
 
 
 def _spring_forces(world: SimWorld, z, w, px, py, per_spring, forces) -> None:

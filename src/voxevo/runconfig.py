@@ -179,6 +179,7 @@ _CHECKS = {
     ("run", "mode"): (lambda v: v in MODES, f"mode must be one of {MODES}"),
     ("run", "paradigm"): (lambda v: v in KINDS, f"paradigm must be one of {KINDS}"),
     ("run", "seed"): (lambda v: v >= 0, "seed must be >= 0"),
+    ("run", "out"): (lambda v: v != "", "out must not be empty"),
     ("run", "generations"): (lambda v: v >= 1, "generations must be >= 1"),
     ("run", "workers"): (lambda v: v >= 1, "workers must be >= 1"),
     ("evolution", "mu"): (lambda v: 1 <= v <= MAX_POPULATION, "mu must be >= 1 and at most "
@@ -312,5 +313,7 @@ def override(cfg: RunConfig, seed: int | None = None, workers: int | None = None
     if workers is not None:
         updates["workers"] = workers
     if out is not None:
+        if out == "":
+            raise ConfigError("out must not be empty, got ''", "--out")
         updates["out"] = out
     return dataclasses.replace(cfg, **updates) if updates else cfg

@@ -310,17 +310,24 @@ class TestSelectionGuarantees:
         assert unique_min_age_pools > 0
 
     def test_pool_size_during_evolution(self):
+        """Each generation picks mu survivors from a pool of mu + lambda + 1:
+        the previous survivors, lambda offspring and one fresh individual."""
         cfg = EvolutionConfig(mu=4, lambda_=4, generations=5, master_seed=11,
                               episode=EpisodeConfig(max_steps=30))
         seen = []
 
         def probe(generation, log, population, champion):
-            seen.append((log.pool_size, len(population)))
+            seen.append((log, [ind.id for ind in population]))
 
-        run_evolution(cfg, on_generation=probe)
+        run = run_evolution(cfg, on_generation=probe)
         assert len(seen) == 5
-        assert all(pool == cfg.mu + cfg.lambda_ + 1 for pool, _ in seen)
-        assert all(pop == cfg.mu for _, pop in seen)
+        survivors = list(range(cfg.mu))  # the initial population's ids
+        for log, population in seen:
+            pool = survivors + [r.id for r in log.records]
+            assert len(set(pool)) == cfg.mu + cfg.lambda_ + 1
+            assert len(population) == cfg.mu and set(population) <= set(pool)
+            assert log.best_fitness == max(run.lineage[i].fitness for i in pool)
+            survivors = population
 
 
 DETERMINISM_CONFIG = """

@@ -178,6 +178,29 @@ class TestWorkersResolution:
         assert "error: --seed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    # evolve died on makedirs(""), transfer only after scoring every episode
+    @pytest.mark.parametrize("command", ["evolve", "transfer"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_rejected_before_output(self, command, source, trained_run, tmp_path,
+                                              monkeypatch, capsys):
+        config, run_dir = trained_run
+        if source == "config":
+            empty = tmp_path / "empty_out.cfg"
+            empty.write_text(TINY_CONFIG.replace("seed = 5\n", "seed = 5\nout =\n"))
+            argv = [command, "--config", str(empty)]
+            message = f"error: {empty}:4: out must not be empty, got ''"
+        else:
+            argv = [command, "--config", config, "--out", ""]
+            message = "error: --out: out must not be empty, got ''"
+        argv += ["--workers", "1"]
+        if command == "transfer":
+            argv += ["--champion", os.path.join(run_dir, "champion.ckpt")]
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -232,7 +232,10 @@ class TestGenerationStep:
                 population, cfg, 1, cfg.mu, evaluator)
         assert [a + 1 for a in ages_before] == [ind.age for ind in population]
         assert len(survivors) == cfg.mu
-        assert log.pool_size == cfg.mu + cfg.lambda_ + 1
+        # the best of the pool: the mu parents, lambda offspring and one fresh
+        pool_fitness = [ind.fitness for ind in population] + [r.fitness for r in log.records]
+        assert len(pool_fitness) == cfg.mu + cfg.lambda_ + 1
+        assert log.best_fitness == max(pool_fitness)
         assert next_id == cfg.mu + cfg.lambda_ + 1
         assert len(log.records) == cfg.lambda_ + 1
         assert log.n_body_attempted + log.n_brain_attempted == cfg.lambda_

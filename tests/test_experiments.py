@@ -233,10 +233,18 @@ class TestAccounting:
             3: child_record(3, 1, KIND_BRAIN, 4.0, 2.0),
         }
         acc = accounting_from_lineage(lineage, champion_id=3)
-        assert acc.lineage_counts == {KIND_BODY: 1, KIND_BRAIN: 1}
-        assert acc.lineage_body_fraction == 0.5
-        assert acc.population_counts == {KIND_BODY: 2, KIND_BRAIN: 1}
-        assert acc.population_body_fraction == pytest.approx(2.0 / 3.0)
+        # chain 3 <- 1 <- 0: one body and one brain success; population-wide
+        # two body successes and one brain success
+        assert acc.lineage_body_fraction == 1 / 2
+        assert acc.population_body_fraction == 2 / 3
+        # chain 2 <- 0 holds the one body success alone
+        assert accounting_from_lineage(lineage, champion_id=2).lineage_body_fraction == 1.0
+        # a chain of brain successes only reads 0, not None
+        lineage[4] = child_record(4, 3, KIND_BRAIN, 5.0, 4.0)
+        lineage[5] = child_record(5, 0, KIND_BRAIN, 6.0, 1.0)
+        assert accounting_from_lineage(lineage, champion_id=5).lineage_body_fraction == 0.0
+        assert accounting_from_lineage(lineage, champion_id=4).population_body_fraction \
+            == 2 / 5
 
     def test_unsuccessful_steps_do_not_count(self):
         lineage = {

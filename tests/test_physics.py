@@ -174,12 +174,26 @@ class TestWorldConstruction:
         assert np.array_equal(world.rest, base_rest_lengths(axes))
 
 
+def oracle_bodies():
+    catalog = default_catalog()
+    bodies = [pytest.param(name, catalog[name], id=name) for name in CATALOG_ORDER]
+    for i in range(4):
+        body = random_morphology(np.random.default_rng([7, i]))
+        bodies.append(pytest.param(f"random{i}", body, id=f"random{i}"))
+    return bodies
+
+
 class TestActuation:
-    def test_identity_action_keeps_rest_lengths(self):
-        world = build_world(body_from_rows("34000", "11000"), PhysicsConfig())
+    # build and actuation set rest through one map: scale 1.0 gives the
+    # build-time bytes, which are the unactuated edge and diagonal lengths
+    @pytest.mark.parametrize("name, body", oracle_bodies())
+    def test_identity_action_keeps_rest_lengths(self, name, body):
+        world = build_world(body, PhysicsConfig())
         before = world.rest.copy()
+        assert before.tobytes() == base_rest_lengths(spring_axes(world)).tobytes()
         apply_actuation(world, np.full(len(world.actuator_cells), 0.4))
-        assert np.array_equal(world.rest, before)
+        assert world.scale[:, :-1].tolist() == [[1.0] * len(world.cells)] * 2
+        assert world.rest.tobytes() == before.tobytes()
 
     def test_extreme_actions_hit_bounds(self):
         world = build_world(single_voxel(), PhysicsConfig())
@@ -486,15 +500,6 @@ def assert_same_state(world, ref):
     assert np.array_equal(world.vel, ref.vel)
     assert world.pos.tobytes() == ref.pos.tobytes()
     assert world.vel.tobytes() == ref.vel.tobytes()
-
-
-def oracle_bodies():
-    catalog = default_catalog()
-    bodies = [pytest.param(name, catalog[name], id=name) for name in CATALOG_ORDER]
-    for i in range(4):
-        body = random_morphology(np.random.default_rng([7, i]))
-        bodies.append(pytest.param(f"random{i}", body, id=f"random{i}"))
-    return bodies
 
 
 class TestMatchesOracle:

@@ -129,6 +129,8 @@ class TestErrors:
     @pytest.mark.parametrize("section, key, value, fragment", [
         ("run", "generations", "0", "generations must be >= 1"),
         ("run", "workers", "0", "workers must be >= 1"),
+        # an empty out passed load and failed only when the run opened it
+        ("run", "out", "", "out must not be empty, got ''"),
         ("evolution", "mu", "0", "mu must be >= 1"),
         # population checkpoints record their count in 16 bits
         ("evolution", "mu", "65536", "mu must be >= 1 and at most 65535"),
