@@ -198,7 +198,8 @@ def cmd_transfer(args) -> int:
         workers = _resolve_workers(args.workers, cfg.workers)
         champion = load_individual(args.champion)
         _check_input_size(champion, cfg, args.config)
-    except (ConfigError, CheckpointIntegrityError) as exc:
+        os.makedirs(cfg.out, exist_ok=True)
+    except (ConfigError, CheckpointIntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -216,7 +217,6 @@ def cmd_transfer(args) -> int:
             one_shot_lambda=cfg.one_shot_lambda,
             source_id=champion.id)
 
-    os.makedirs(cfg.out, exist_ok=True)
     rows = [
         [s.source_id, s.distance, s.neighbor.to_text().replace("\n", ""),
          s.zero_shot_fitness, s.one_shot_fitness,
@@ -257,7 +257,10 @@ def cmd_replay(args) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         champion = load_individual(args.champion)
         _check_input_size(champion, cfg, args.config or "default config")
-    except (ConfigError, CheckpointIntegrityError) as exc:
+        if os.path.isdir(args.out):
+            raise ConfigError(f"output is a directory: {args.out}", "--out")
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    except (ConfigError, CheckpointIntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -278,8 +281,6 @@ def cmd_replay(args) -> int:
     for step, frame in enumerate(result.trajectory):
         lines.append(json.dumps(
             {"type": "frame", "step": step, "positions": frame.tolist()}))
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_bytes(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"replay fitness: {result.fitness!r} ({result.steps_used} steps) -> {args.out}")
     return 0

@@ -7,10 +7,11 @@ evaluated, and mu survivors are selected by non-dominated sorting on
 (minimize age, maximize fitness). Age resets to zero on every mutation, so
 new genetic material always starts on the first Pareto front.
 
-Three training modes share this loop. Co-optimization evolves body and brain
-together; fixed-body mode evolves a controller for one given body (brain-only
-mutation); multi-body mode evolves one controller scored by its minimum
-fitness over a catalog of bodies (also brain-only).
+The config's body catalog says what an individual is scored on. Without a
+catalog, body and brain co-evolve and each individual is scored on its own
+body. With one, only the brain evolves and each individual is scored by its
+minimum fitness over the catalog bodies; a one-body catalog evolves a
+controller for that body.
 
 Determinism: every random decision draws from a generator seeded by
 (master_seed, generation, slot), created in the driving process. Evaluations
@@ -38,11 +39,6 @@ from .physics import PhysicsConfig
 from .sensing import ObservationConfig
 from .walker import EpisodeConfig, evaluate_fitness
 
-MODE_CO_OPTIMIZE = "co-optimize"
-MODE_FIXED_BODY = "fixed-body"
-MODE_MULTI_BODY = "multi-body"
-MODES = (MODE_CO_OPTIMIZE, MODE_FIXED_BODY, MODE_MULTI_BODY)
-
 KIND_BODY = "body"
 KIND_BRAIN = "brain"
 KIND_FRESH = "fresh"
@@ -68,9 +64,7 @@ class EvolutionConfig:
     generations: int = 100
     p_body_mutation: float = 0.5
     controller_sigma: float = 0.1
-    mode: str = MODE_CO_OPTIMIZE
-    fixed_morphology: Morphology | None = None
-    catalog: tuple[Morphology, ...] | None = None
+    catalog: tuple[Morphology, ...] | None = None  # None co-evolves the body
     master_seed: int = 0
     workers: int = 1
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
@@ -79,8 +73,6 @@ class EvolutionConfig:
     observation: ObservationConfig = field(default_factory=ObservationConfig)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.mu < 1 or self.lambda_ < 1:
             raise ValueError("mu and lambda must be >= 1")
         if not 0.0 <= self.p_body_mutation <= 1.0:
@@ -93,14 +85,12 @@ class EvolutionConfig:
             raise ValueError("generations must be >= 0")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mode == MODE_FIXED_BODY and self.fixed_morphology is None:
-            raise ValueError("fixed-body mode needs a fixed_morphology")
-        if self.mode == MODE_MULTI_BODY and not self.catalog:
-            raise ValueError("multi-body mode needs a non-empty catalog")
+        if self.catalog is not None and not self.catalog:
+            raise ValueError("catalog must be None or non-empty")
 
     @property
     def brain_only(self) -> bool:
-        return self.mode != MODE_CO_OPTIMIZE
+        return self.catalog is not None
 
 
 @dataclass(frozen=True)
@@ -202,10 +192,9 @@ def make_offspring(parent: Individual, cfg: EvolutionConfig,
                    rng: np.random.Generator, new_id: int) -> Individual:
     """Mutate exactly one genome half; the other is shared with the parent.
 
-    Fixed-body and multi-body modes always mutate the brain and do not draw
-    the body/brain choice, so a one-body catalog reproduces fixed-body runs
-    bit for bit. A failed body mutation falls back to a brain mutation to
-    keep the offspring count unconditional.
+    With a body catalog only the brain mutates, and the body/brain choice is
+    not drawn. A failed body mutation falls back to a brain mutation to keep
+    the offspring count unconditional.
     """
     morph, ctrl = parent.morphology, parent.controller
     kind = KIND_BRAIN
@@ -234,12 +223,7 @@ def _generator(master_seed: int, generation: int, slot: int) -> np.random.Genera
 
 def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
                       new_id: int) -> Individual:
-    if cfg.mode == MODE_CO_OPTIMIZE:
-        morph = random_morphology(rng)
-    elif cfg.mode == MODE_FIXED_BODY:
-        morph = cfg.fixed_morphology
-    else:
-        morph = cfg.catalog[0]
+    morph = random_morphology(rng) if cfg.catalog is None else cfg.catalog[0]
     n_inputs = input_size(cfg.controller_kind, cfg.observation)
     return Individual(
         morphology=morph,
@@ -254,11 +238,7 @@ def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
 
 def evaluation_bodies(cfg: EvolutionConfig, ind: Individual) -> tuple[Morphology, ...]:
     """Bodies an individual is scored on; fitness is the minimum over them."""
-    if cfg.mode == MODE_CO_OPTIMIZE:
-        return (ind.morphology,)
-    if cfg.mode == MODE_FIXED_BODY:
-        return (cfg.fixed_morphology,)
-    return tuple(cfg.catalog)
+    return (ind.morphology,) if cfg.catalog is None else tuple(cfg.catalog)
 
 
 def _evaluate_job(job) -> float:

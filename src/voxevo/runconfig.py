@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .checkpoints import MAX_POPULATION
 from .control import KINDS
-from .evolution import MODES, EvolutionConfig
+from .evolution import EvolutionConfig
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
 from .physics import ContactParams, PhysicsConfig
@@ -74,6 +74,11 @@ _PARSERS = {
 }
 
 
+# co-optimize evolves body and brain; multi-body evolves one controller on
+# the catalog_bodies, scored by its minimum fitness over them
+MODES = ("co-optimize", "multi-body")
+
+
 def _in(section: str, default):
     """A RunConfig field set by one key of the given file section."""
     return field(default=default, metadata={"section": section})
@@ -84,7 +89,7 @@ class RunConfig:
     seed: int = _in("run", EvolutionConfig.master_seed)
     out: str | None = _in("run", None)
     workers: int | None = _in("run", None)
-    mode: str = _in("run", EvolutionConfig.mode)
+    mode: str = _in("run", MODES[0])
     paradigm: str = _in("run", EvolutionConfig.controller_kind)
     generations: int = _in("run", EvolutionConfig.generations)
     mu: int = _in("evolution", EvolutionConfig.mu)
@@ -99,32 +104,21 @@ class RunConfig:
     distances: tuple[int, ...] = _in("experiment", (1, 2, 3))
     samples_per_distance: int = _in("experiment", 20)
     one_shot_lambda: int = _in("experiment", 16)
-    fixed_body: str = _in("experiment", "biped")
     catalog_file: str | None = _in("experiment", None)
     catalog_bodies: tuple[str, ...] = _in("experiment", CATALOG_ORDER)
 
     def catalog(self) -> dict[str, Morphology]:
-        if self.catalog_file:
+        if self.catalog_file is not None:
             return load_catalog(self.catalog_file)
         return default_catalog()
 
     def evolution_config(self, workers: int, seed: int | None = None) -> EvolutionConfig:
         catalog = self.catalog()
-        fixed = None
         bodies = None
-        if self.mode == "fixed-body":
-            if self.fixed_body not in catalog:
-                raise ConfigError(
-                    f"fixed_body {self.fixed_body!r} not in catalog "
-                    f"{sorted(catalog)}", key="fixed_body")
-            fixed = catalog[self.fixed_body]
-        elif self.mode == "multi-body":
+        if self.mode == "multi-body":
             missing = [b for b in self.catalog_bodies if b not in catalog]
             if missing:
                 raise ConfigError(f"catalog_bodies not in catalog: {missing}",
-                                  key="catalog_bodies")
-            if not self.catalog_bodies:
-                raise ConfigError("multi-body mode needs catalog_bodies",
                                   key="catalog_bodies")
             bodies = tuple(catalog[b] for b in self.catalog_bodies)
         return EvolutionConfig(
@@ -134,8 +128,6 @@ class RunConfig:
             generations=self.generations,
             p_body_mutation=self.p_body_mutation,
             controller_sigma=self.controller_sigma,
-            mode=self.mode,
-            fixed_morphology=fixed,
             catalog=bodies,
             master_seed=seed if seed is not None else self.seed,
             workers=workers,
@@ -189,12 +181,16 @@ _CHECKS = {
                                        "p_body_mutation must be in [0, 1]"),
     ("evolution", "controller_sigma"): (lambda v: 0.0 <= v < math.inf,
                                         "controller_sigma must be >= 0 and finite"),
-    ("experiment", "distances"): (lambda v: all(d >= 1 for d in v),
-                                  "distances must be >= 1"),
+    ("evolution", "checkpoint_every"): (lambda v: v >= 0, "checkpoint_every must be >= 0"),
+    ("experiment", "distances"): (lambda v: len(v) > 0 and all(d >= 1 for d in v),
+                                  "distances must be >= 1 and non-empty"),
     ("experiment", "samples_per_distance"): (lambda v: v >= 1,
                                              "samples_per_distance must be >= 1"),
     ("experiment", "one_shot_lambda"): (lambda v: v >= 0, "one_shot_lambda must be >= 0"),
     ("experiment", "n_runs"): (lambda v: v >= 1, "n_runs must be >= 1"),
+    ("experiment", "catalog_file"): (lambda v: v != "", "catalog_file must not be empty"),
+    ("experiment", "catalog_bodies"): (lambda v: len(v) > 0,
+                                       "catalog_bodies must not be empty"),
 }
 
 

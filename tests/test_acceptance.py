@@ -27,7 +27,6 @@ from voxevo.evolution import (
     Evaluator,
     EvolutionConfig,
     Individual,
-    MODE_MULTI_BODY,
     run_evolution,
     select_survivors,
 )
@@ -539,8 +538,7 @@ max_steps = {max_steps}
 class TestMultiBodyTraining:
     def test_joint_fitness_is_exact_minimum(self):
         catalog = tuple(default_catalog()[name] for name in CATALOG_ORDER)
-        cfg = EvolutionConfig(mode=MODE_MULTI_BODY, catalog=catalog,
-                              episode=EpisodeConfig(max_steps=30))
+        cfg = EvolutionConfig(catalog=catalog, episode=EpisodeConfig(max_steps=30))
         evaluator = Evaluator(cfg)
         ctrl = init_controller("modular", np.random.default_rng(3))
         joint = evaluator.evaluate([(catalog, ctrl)])[0]

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from voxevo.checkpoints import load_individual, load_population
+import voxevo.cli
 from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, _resolve_workers, main
 
 TINY_CONFIG = """
@@ -304,6 +305,23 @@ class TestTransfer:
                      "--out", str(tmp_path / "t")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # the directory was made only after every episode had been scored
+    def test_out_naming_a_file_is_refused_before_any_episode(self, trained_run, tmp_path,
+                                                             monkeypatch, capsys):
+        config, run_dir = trained_run
+        out = tmp_path / "afile"
+        out.write_text("kept\n")
+
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(voxevo.cli, "transfer_analysis", no_episodes)
+        assert main(["transfer", "--config", config, "--out", str(out), "--workers", "1",
+                     "--champion", os.path.join(run_dir, "champion.ckpt")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile"]
+
 
 class TestReplay:
     def test_trajectory_stream(self, trained_run, tmp_path):
@@ -353,6 +371,24 @@ class TestReplay:
         err = capsys.readouterr().err
         assert "takes 73 inputs" in err and "gives 201" in err
         assert not os.path.exists(os.path.dirname(out))
+
+    # the episode ran first, then the rename failed and left <out>.partial
+    def test_out_naming_a_directory_is_refused_before_the_episode(self, trained_run,
+                                                                  tmp_path, monkeypatch,
+                                                                  capsys):
+        _, run_dir = trained_run
+        out = tmp_path / "replays"
+        out.mkdir()
+
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("an episode ran")
+
+        monkeypatch.setattr(voxevo.cli, "run_episode", no_episodes)
+        assert main(["replay", "--champion", os.path.join(run_dir, "champion.ckpt"),
+                     "--out", str(out)]) == 2
+        assert f"error: --out: output is a directory: {out}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["replays"]
+        assert os.listdir(out) == []
 
 
 class TestReport:

@@ -10,9 +10,6 @@ from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
     KIND_FRESH,
-    MODE_CO_OPTIMIZE,
-    MODE_FIXED_BODY,
-    MODE_MULTI_BODY,
     Evaluator,
     EvolutionConfig,
     Individual,
@@ -47,15 +44,14 @@ def parent(small_body):
 class TestConfigValidation:
     def test_rejects_bad_values(self, small_body):
         with pytest.raises(ValueError):
-            EvolutionConfig(mode="lamarckian")
-        with pytest.raises(ValueError):
             EvolutionConfig(mu=0)
         with pytest.raises(ValueError):
             EvolutionConfig(p_body_mutation=1.5)
-        with pytest.raises(ValueError):
-            EvolutionConfig(mode=MODE_FIXED_BODY)
-        with pytest.raises(ValueError):
-            EvolutionConfig(mode=MODE_MULTI_BODY, catalog=())
+
+    # None co-evolves the body; an empty catalog would score on no body
+    def test_rejects_empty_catalog(self):
+        with pytest.raises(ValueError, match="catalog"):
+            EvolutionConfig(catalog=())
 
     # a non-finite sigma would reach the first generation's controller mutation
     @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
@@ -70,10 +66,7 @@ class TestConfigValidation:
 
     def test_brain_only_property(self, small_body):
         assert not EvolutionConfig().brain_only
-        assert EvolutionConfig(mode=MODE_FIXED_BODY,
-                               fixed_morphology=small_body).brain_only
-        assert EvolutionConfig(mode=MODE_MULTI_BODY,
-                               catalog=(small_body,)).brain_only
+        assert EvolutionConfig(catalog=(small_body,)).brain_only
 
 
 class TestDominance:
@@ -167,7 +160,7 @@ class TestOffspring:
         assert saw[KIND_BODY] > 10 and saw[KIND_BRAIN] > 10
 
     def test_brain_only_modes_never_touch_body(self, parent, small_body):
-        cfg = EvolutionConfig(mode=MODE_FIXED_BODY, fixed_morphology=small_body)
+        cfg = EvolutionConfig(catalog=(small_body,), p_body_mutation=1.0)
         for seed in range(30):
             child = make_offspring(parent, cfg, np.random.default_rng(seed), 1)
             assert child.mutation_kind == KIND_BRAIN
@@ -191,15 +184,14 @@ class TestEvaluation:
         ind = stub_individual(0, None)
         co = EvolutionConfig()
         assert evaluation_bodies(co, ind) == (ind.morphology,)
-        fixed = EvolutionConfig(mode=MODE_FIXED_BODY, fixed_morphology=small_body)
-        assert evaluation_bodies(fixed, ind) == (small_body,)
-        multi = EvolutionConfig(mode=MODE_MULTI_BODY, catalog=(small_body, plus_body))
+        one = EvolutionConfig(catalog=(small_body,))
+        assert evaluation_bodies(one, ind) == (small_body,)
+        multi = EvolutionConfig(catalog=(small_body, plus_body))
         assert evaluation_bodies(multi, ind) == (small_body, plus_body)
 
     def test_min_aggregation_over_bodies(self, small_body, plus_body, fast_episode):
         ctrl = init_controller(MODULAR_KIND, np.random.default_rng(21))
-        cfg = EvolutionConfig(mode=MODE_MULTI_BODY, catalog=(small_body, plus_body),
-                              episode=fast_episode)
+        cfg = EvolutionConfig(catalog=(small_body, plus_body), episode=fast_episode)
         with Evaluator(cfg) as evaluator:
             joint = evaluator.evaluate([((small_body, plus_body), ctrl)])[0]
         singles = [evaluate_fitness(b, ctrl, fast_episode)
@@ -291,17 +283,18 @@ class TestFullRun:
             [log.best_fitness for log in parallel.logs]
         assert serial.champion.fitness == parallel.champion.fitness
 
-    def test_single_body_catalog_equals_fixed_body(self, small_body, fast_episode):
-        base = dict(controller_kind=MODULAR_KIND, mu=2, lambda_=2, generations=2,
-                    master_seed=5, episode=fast_episode)
-        fixed = run_evolution(EvolutionConfig(
-            mode=MODE_FIXED_BODY, fixed_morphology=small_body, **base))
-        multi = run_evolution(EvolutionConfig(
-            mode=MODE_MULTI_BODY, catalog=(small_body,), **base))
-        assert [log.best_fitness for log in fixed.logs] == \
-            [log.best_fitness for log in multi.logs]
-        assert np.array_equal(fixed.champion.controller.params.to_flat(),
-                              multi.champion.controller.params.to_flat())
+    def test_one_body_catalog_never_draws_a_body_mutation(self, small_body, fast_episode,
+                                                          monkeypatch):
+        def no_body_mutation(*args, **kwargs):
+            raise AssertionError("a one-body catalog drew a body mutation")
+
+        monkeypatch.setattr(voxevo.evolution, "mutate_morphology", no_body_mutation)
+        monkeypatch.setattr(voxevo.evolution, "random_morphology", no_body_mutation)
+        run = run_evolution(EvolutionConfig(
+            catalog=(small_body,), p_body_mutation=1.0, mu=2, lambda_=2,
+            generations=2, master_seed=5, episode=fast_episode))
+        assert {r.mutation_kind for r in run.lineage.values()} == {KIND_FRESH, KIND_BRAIN}
+        assert all(ind.morphology == small_body for ind in run.final_population)
 
     def test_callback_sees_every_generation(self, tiny_evolution):
         seen = []

@@ -11,8 +11,6 @@ from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
     KIND_FRESH,
-    MODE_FIXED_BODY,
-    MODE_MULTI_BODY,
     Evaluator,
     EvolutionConfig,
     OffspringRecord,
@@ -299,27 +297,25 @@ class TestConvergence:
 class TestTrainingWrappers:
     def test_multi_morph_sets_mode_and_catalog(self, small_body, plus_body, fast_episode):
         cfg = EvolutionConfig(mu=2, lambda_=2, generations=1, master_seed=3,
-                              mode=MODE_MULTI_BODY, catalog=(small_body, plus_body),
-                              episode=fast_episode)
+                              catalog=(small_body, plus_body), episode=fast_episode)
         run = run_evolution(cfg)
-        assert run.config.mode == MODE_MULTI_BODY
+        assert run.config.brain_only
         assert run.config.catalog == (small_body, plus_body)
         assert run.config.controller_kind == "modular"
         assert {r.mutation_kind for r in run.lineage.values()} <= {KIND_FRESH, KIND_BRAIN}
 
+    # one body is a one-body catalog
     def test_fixed_morph_sets_mode(self, small_body, fast_episode):
         cfg = EvolutionConfig(controller_kind="global", mu=2, lambda_=2, generations=1,
-                              master_seed=3, mode=MODE_FIXED_BODY,
-                              fixed_morphology=small_body, episode=fast_episode)
+                              master_seed=3, catalog=(small_body,), episode=fast_episode)
         run = run_evolution(cfg)
-        assert run.config.mode == MODE_FIXED_BODY
-        assert run.config.fixed_morphology == small_body
+        assert run.config.brain_only
+        assert run.config.catalog == (small_body,)
         assert all(ind.morphology == small_body for ind in run.final_population)
 
     def test_per_body_fitness_bounds_joint_fitness(self, small_body, plus_body, fast_episode):
         cfg = EvolutionConfig(mu=2, lambda_=2, generations=2, master_seed=4,
-                              mode=MODE_MULTI_BODY, catalog=(small_body, plus_body),
-                              episode=fast_episode)
+                              catalog=(small_body, plus_body), episode=fast_episode)
         run = run_evolution(cfg)
         jobs = [((body,), run.champion.controller) for body in (small_body, plus_body)]
         with Evaluator(cfg) as evaluator:

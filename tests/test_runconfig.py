@@ -4,7 +4,6 @@ import re
 import pytest
 
 from voxevo.cli import main
-from voxevo.evolution import MODE_FIXED_BODY, MODE_MULTI_BODY
 from voxevo.experiments import default_catalog
 from voxevo.runconfig import (
     _SCHEMA,
@@ -23,7 +22,7 @@ FULL_EXAMPLE = """
 seed = 42
 out = runs/demo
 workers = 2
-mode = fixed-body
+mode = multi-body
 paradigm = global
 generations = 7
 
@@ -50,7 +49,7 @@ n_runs = 3
 distances = 1, 2
 samples_per_distance = 4
 one_shot_lambda = 2
-fixed_body = worm
+catalog_bodies = worm
 """
 
 
@@ -63,7 +62,7 @@ class TestParsing:
         assert cfg.seed == 42
         assert cfg.out == "runs/demo"
         assert cfg.workers == 2
-        assert cfg.mode == "fixed-body"
+        assert cfg.mode == "multi-body"
         assert cfg.paradigm == "global"
         assert cfg.generations == 7
         assert (cfg.mu, cfg.lambda_) == (4, 5)
@@ -79,7 +78,7 @@ class TestParsing:
         assert cfg.episode.shift_constant == pytest.approx(2.4)
         assert cfg.n_runs == 3
         assert cfg.distances == (1, 2)
-        assert cfg.fixed_body == "worm"
+        assert cfg.catalog_bodies == ("worm",)
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("\n# note\n\n[run]\n# another\nseed = 3\n")
@@ -140,7 +139,14 @@ class TestErrors:
         ("evolution", "controller_sigma", "-1", "controller_sigma must be >= 0"),
         ("evolution", "controller_sigma", "inf", "controller_sigma must be >= 0 and finite"),
         ("evolution", "controller_sigma", "nan", "controller_sigma must be >= 0 and finite"),
+        # a negative period wrote checkpoints as if it were positive
+        ("evolution", "checkpoint_every", "-2", "checkpoint_every must be >= 0"),
         ("experiment", "distances", "1, 0", "distances must be >= 1"),
+        # no distances made transfer write a header-only transfer.csv
+        ("experiment", "distances", "", "distances must be >= 1 and non-empty"),
+        # an empty catalog_file silently loaded the default catalog
+        ("experiment", "catalog_file", "", "catalog_file must not be empty"),
+        ("experiment", "catalog_bodies", "", "catalog_bodies must not be empty"),
         ("experiment", "samples_per_distance", "0", "samples_per_distance must be >= 1"),
         ("experiment", "one_shot_lambda", "-1", "one_shot_lambda must be >= 0"),
     ])
@@ -187,18 +193,18 @@ class TestErrors:
 class TestEvolutionConfigResolution:
     def test_co_optimize_has_no_bodies(self):
         evo = parse_config("").evolution_config(workers=1)
-        assert evo.mode == "co-optimize"
-        assert evo.fixed_morphology is None
         assert evo.catalog is None
+        assert not evo.brain_only
 
+    # a fixed-body run is a one-body catalog
     def test_fixed_body_resolves_name(self):
-        cfg = parse_config("[run]\nmode = fixed-body\n[experiment]\nfixed_body = worm\n")
+        cfg = parse_config("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = worm\n")
         evo = cfg.evolution_config(workers=1)
-        assert evo.mode == MODE_FIXED_BODY
-        assert evo.fixed_morphology == default_catalog()["worm"]
+        assert evo.brain_only
+        assert evo.catalog == (default_catalog()["worm"],)
 
     def test_unknown_fixed_body_raises(self):
-        cfg = parse_config("[run]\nmode = fixed-body\n[experiment]\nfixed_body = squid\n")
+        cfg = parse_config("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = squid\n")
         with pytest.raises(ConfigError):
             cfg.evolution_config(workers=1)
 
@@ -206,7 +212,7 @@ class TestEvolutionConfigResolution:
         cfg = parse_config(
             "[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = biped, worm\n")
         evo = cfg.evolution_config(workers=1)
-        assert evo.mode == MODE_MULTI_BODY
+        assert evo.brain_only
         catalog = default_catalog()
         assert evo.catalog == (catalog["biped"], catalog["worm"])
 
@@ -220,10 +226,10 @@ class TestEvolutionConfigResolution:
         path = tmp_path / "catalog.txt"
         save_catalog(str(path), {"stub": default_catalog()["block"]})
         cfg = parse_config(
-            f"[run]\nmode = fixed-body\n[experiment]\n"
-            f"catalog_file = {path}\nfixed_body = stub\n")
+            f"[run]\nmode = multi-body\n[experiment]\n"
+            f"catalog_file = {path}\ncatalog_bodies = stub\n")
         evo = cfg.evolution_config(workers=1)
-        assert evo.fixed_morphology == default_catalog()["block"]
+        assert evo.catalog == (default_catalog()["block"],)
 
 
 class TestLoadConfig:
@@ -238,7 +244,7 @@ class TestLoadConfig:
 
     def test_semantic_errors_surface_at_load(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[run]\nmode = fixed-body\n[experiment]\nfixed_body = squid\n")
+        path.write_text("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = squid\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
 
@@ -250,7 +256,7 @@ class TestLoadConfig:
         assert re.match(rf"{re.escape(str(path))}:6: mu must be >= 1", str(exc_info.value))
 
     @pytest.mark.parametrize("text, line", [
-        ("[run]\nmode = fixed-body\n[experiment]\nn_runs = 1\nfixed_body = squid\n", 5),
+        ("[run]\nmode = multi-body\n[experiment]\nn_runs = 1\ncatalog_bodies = squid\n", 5),
         ("[experiment]\ncatalog_bodies = worm, squid\n[run]\nmode = multi-body\n", 2),
     ])
     def test_unknown_body_name_points_at_its_key(self, tmp_path, text, line):
@@ -265,11 +271,11 @@ class TestLoadConfig:
         catalog = tmp_path / "catalog.txt"
         save_catalog(str(catalog), {"stub": default_catalog()["block"]})
         path = tmp_path / "run.cfg"
-        path.write_text(f"[run]\nmode = fixed-body\n[experiment]\ncatalog_file = {catalog}\n")
+        path.write_text(f"[run]\nmode = multi-body\n[experiment]\ncatalog_file = {catalog}\n")
         with pytest.raises(ConfigError) as exc_info:
             load_config(str(path))
         assert exc_info.value.line == 4
-        assert "'biped' not in catalog" in exc_info.value.message
+        assert "catalog_bodies not in catalog: ['biped'," in exc_info.value.message
 
     def test_error_includes_path_and_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -297,7 +303,7 @@ NON_DEFAULT = {
     ("run", "seed"): "3",
     ("run", "out"): "{out}",
     ("run", "workers"): "2",
-    ("run", "mode"): "fixed-body",
+    ("run", "mode"): "multi-body",
     ("run", "paradigm"): "global",
     ("run", "generations"): "2",
     ("evolution", "mu"): "3",
@@ -329,7 +335,6 @@ NON_DEFAULT = {
     ("experiment", "distances"): "1, 2",
     ("experiment", "samples_per_distance"): "3",
     ("experiment", "one_shot_lambda"): "2",
-    ("experiment", "fixed_body"): "worm",
     ("experiment", "catalog_file"): "{catalog}",
     ("experiment", "catalog_bodies"): "worm, biped",
 }
@@ -399,6 +404,22 @@ def test_negative_physics_value_is_rejected_with_its_line(keys, tmp_path, capsys
     assert re.search(rf"{re.escape(str(cfg))}:4: invalid \[physics\] settings: "
                      rf"[a-z_ ]+ must be >= 0, got -",
                      capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
+# a fixed-body run is `mode = multi-body` with `catalog_bodies = <name>`
+@pytest.mark.parametrize("text, line, message", [
+    ("[run]\ngenerations = 1\nmode = fixed-body\n", 3,
+     "mode must be one of ('co-optimize', 'multi-body'), got 'fixed-body'"),
+    ("[run]\ngenerations = 1\n[experiment]\nfixed_body = worm\n", 4,
+     "unknown key 'fixed_body' in section [experiment]"),
+])
+def test_fixed_body_keys_are_rejected_with_their_line(text, line, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = str(tmp_path / "out")
+    assert main(["evolve", "--config", str(cfg), "--out", out, "--workers", "1"]) == 2
+    assert f"error: {cfg}:{line}: {message}" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
