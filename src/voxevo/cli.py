@@ -80,26 +80,18 @@ def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _resolve_workers(flag: int | None, cfg_workers: int | None) -> int:
-    """The flag, else VOXEVO_WORKERS, else [run] workers (checked at load),
-    else the number of CPUs this process may run on."""
-    env = os.environ.get("VOXEVO_WORKERS")
+    """The flag, else [run] workers (checked at load), else the number of
+    CPUs this process may run on."""
     if flag is not None:
-        workers, source = flag, "--workers"
-    elif env:
-        try:
-            workers, source = int(env), "VOXEVO_WORKERS"
-        except ValueError:
-            raise ConfigError(f"not an integer: {env!r}", "VOXEVO_WORKERS")
-    else:
-        if cfg_workers is not None:
-            return cfg_workers
-        # the affinity mask honours taskset and cpusets; cpu_count() does not
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}", source)
-    return workers
+        if flag < 1:
+            raise ConfigError(f"workers must be >= 1, got {flag}", "--workers")
+        return flag
+    if cfg_workers is not None:
+        return cfg_workers
+    # the affinity mask honours taskset and cpusets; cpu_count() does not
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
@@ -400,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--workers", type=int,
                        help="parallel evaluation processes "
-                            "(falls back to VOXEVO_WORKERS, then CPU count)")
+                            "(falls back to [run] workers, then CPU count)")
         p.add_argument("--out", help="override the output directory")
 
     p_evolve = sub.add_parser("evolve", help="run the evolutionary algorithm")

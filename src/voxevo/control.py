@@ -15,12 +15,9 @@ import numpy as np
 
 from .morphology import GRID_SIZE
 from .physics import SimWorld
-from .sensing import ObservationBuilder, ObservationConfig
+from .sensing import GLOBAL_KIND, KINDS, MODULAR_KIND, ObservationBuilder, ObservationConfig
 
 HIDDEN_UNITS = 32
-GLOBAL_KIND = "global"
-MODULAR_KIND = "modular"
-KINDS = (GLOBAL_KIND, MODULAR_KIND)
 
 DEFAULT_INPUT_SIZE = ObservationConfig().global_size  # == local_size == 201
 GLOBAL_OUTPUT_SIZE = GRID_SIZE * GRID_SIZE
@@ -128,17 +125,13 @@ def mlp_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
 
 def act(genome: ControllerGenome, world: SimWorld, env_step: int,
         builder: ObservationBuilder) -> np.ndarray:
-    """Actions in (0, 1), one per actuator in `world.actuator_cells` order,
-    from the observations `builder` assembles for `world`.
-
-    Global: one forward pass on the full-box observation, read at each
-    actuator's raster index. Modular: the shared network on every actuator's
-    own window.
-    """
-    if genome.kind == GLOBAL_KIND:
-        out = mlp_forward(genome.params, builder.global_vector(env_step))
-        return out[builder.actuator_raster]
-    return mlp_forward(genome.params, builder.local_matrix(env_step))[:, 0]
+    """Actions in (0, 1), one per actuator in `world.actuator_cells` order:
+    one forward pass on the inputs `builder` assembles for `world`, read at
+    the builder's `pick`. The builder must be of the genome's kind."""
+    if genome.kind != builder.kind:
+        raise ValueError(f"a {genome.kind} controller cannot read a {builder.kind} "
+                         "observation builder")
+    return mlp_forward(genome.params, builder.inputs(env_step))[builder.pick]
 
 
 def init_controller(kind: str, rng: np.random.Generator,

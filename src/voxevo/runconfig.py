@@ -113,9 +113,9 @@ class RunConfig:
         return default_catalog()
 
     def evolution_config(self, workers: int, seed: int | None = None) -> EvolutionConfig:
-        catalog = self.catalog()
         bodies = None
         if self.mode == "multi-body":
+            catalog = self.catalog()
             missing = [b for b in self.catalog_bodies if b not in catalog]
             if missing:
                 raise ConfigError(f"catalog_bodies not in catalog: {missing}",
@@ -243,6 +243,12 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, int]]]:
     """The RunConfig and the line number of each key present."""
     values, lines = _read(text, path)
+    # the catalog keys name the bodies of a multi-body run and nothing else
+    if values.get("run", {}).get("mode", MODES[0]) != "multi-body":
+        for key in values.get("experiment", {}):
+            if key in ("catalog_file", "catalog_bodies"):
+                raise ConfigError(f"{key} applies only to mode = multi-body", path,
+                                  lines["experiment"][key])
 
     def given(present: dict[str, object], fields, prefix: str = "") -> dict[str, object]:
         return {f.name: present[prefix + _key(f)] for f in fields

@@ -3,8 +3,9 @@
 Each grid cell contributes an 8-scalar block: mean corner velocity (clamped),
 quadrilateral area (1 for a voxel at rest), and a 5-way material one-hot.
 Empty or out-of-grid cells contribute the missing-voxel block (zero
-velocity, zero volume, empty one-hot). The global layout rasters the full bounding box; the
-local layout rasters the Moore window centered on one actuator. Both end with
+velocity, zero volume, empty one-hot). The global controller reads one
+Moore window of radius GRID_SIZE // 2 centred on the grid, the full bounding
+box; the modular controller one window around each actuator. Both end with
 a periodic time signal, giving 201 entries at the default sizes.
 """
 
@@ -17,6 +18,10 @@ import numpy as np
 
 from .morphology import EMPTY, GRID_SIZE, N_MATERIALS
 from .physics import SimWorld
+
+GLOBAL_KIND = "global"
+MODULAR_KIND = "modular"
+KINDS = (GLOBAL_KIND, MODULAR_KIND)
 
 BLOCK_SIZE = 3 + N_MATERIALS  # V.x, V.y, v, M[0..4]
 
@@ -65,20 +70,34 @@ def _quad_areas(x: np.ndarray, y: np.ndarray, ring: np.ndarray,
     return 0.5 * np.abs(np.add.reduce(x[ring] * y[ring_next] - x[ring_next] * y[ring], axis=1))
 
 
-class ObservationBuilder:
-    """Precomputed observation assembly for one world.
+def _windows(lookup: np.ndarray, centres, d: int, pad: int) -> np.ndarray:
+    """Entries of `lookup` in the (2d+1)^2 window around each (row, col)
+    centre, in raster order, shape (len(centres), (2d+1)^2); cells outside
+    the grid read `pad`."""
+    side = 2 * d + 1
+    padded = np.pad(lookup, d, constant_values=pad)
+    return np.array([padded[r:r + side, c:c + side].ravel() for r, c in centres],
+                    dtype=np.int64).reshape(len(centres), side * side)
 
-    Static structure (which voxel feeds which slot of which layout) is fixed
-    at construction; per-step feature blocks are recomputed from the live
+
+class ObservationBuilder:
+    """Precomputed observation assembly for one world and one controller kind.
+
+    Static structure (which voxel feeds which input slot) is fixed at
+    construction; per-step feature blocks are recomputed from the live
     simulation state. Row `n_voxels` of the feature matrix is the
-    missing-voxel block, so unoccupied slots index the padding row.
+    missing-voxel block, so unoccupied slots index the padding row. `pick`
+    reads the actions, in `world.actuator_cells` order, from the forward
+    pass on `inputs`.
     """
 
-    def __init__(self, world: SimWorld, cfg: ObservationConfig | None = None):
+    def __init__(self, world: SimWorld, kind: str, cfg: ObservationConfig | None = None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown controller kind {kind!r}")
         self.world = world
+        self.kind = kind
         self.cfg = cfg or ObservationConfig()
         n = len(world.cells)
-        self._pad = n
         self._features = np.tile(MISSING_BLOCK, (n + 1, 1))
         onehot = np.zeros((n, N_MATERIALS))
         onehot[np.arange(n), world.materials.astype(int)] = 1.0
@@ -89,32 +108,25 @@ class ObservationBuilder:
         self._ring = world.corner_map[:, [0, 1, 3, 2]]
         self._ring_next = self._ring[:, [1, 2, 3, 0]]
 
-        lookup = np.full((GRID_SIZE, GRID_SIZE), self._pad, dtype=np.int64)
+        lookup = np.full((GRID_SIZE, GRID_SIZE), n, dtype=np.int64)
         for i, (r, c) in enumerate(world.cells):
             lookup[r, c] = i
-        self._global_slots = lookup.ravel()
-
         act_cells = world.actuator_cells
-        # raster index of each actuator: its block and its global-controller output
-        self.actuator_raster = np.array([r * GRID_SIZE + c for r, c in act_cells], dtype=np.int64)
-
-        # one row of window slots per actuator, in action order
-        d = self.cfg.neighborhood_distance
-        self._local_slots = np.full((len(act_cells), self.cfg.window_side ** 2),
-                                    self._pad, dtype=np.int64)
-        for row, (r, c) in enumerate(act_cells):
-            k = 0
-            for wr in range(r - d, r + d + 1):
-                for wc in range(c - d, c + d + 1):
-                    if 0 <= wr < GRID_SIZE and 0 <= wc < GRID_SIZE:
-                        self._local_slots[row, k] = lookup[wr, wc]
-                    k += 1
-        # controller inputs, refilled in place: blocks, then the time signal
-        self._global_input = np.empty(self.cfg.global_size)
-        self._global_blocks = self._global_input[:-1].reshape(-1, BLOCK_SIZE)
-        self._local_input = np.empty((len(act_cells), self.cfg.local_size))
-        self._local_blocks = self._local_input[:, :-1].reshape(
-            *self._local_slots.shape, BLOCK_SIZE)
+        if kind == GLOBAL_KIND:
+            # one unstacked window over the whole grid; the network emits one
+            # output per cell, read at each actuator's raster index
+            centre = GRID_SIZE // 2
+            self._slots = _windows(lookup, [(centre, centre)], centre, n)[0]
+            self.pick = np.array([r * GRID_SIZE + c for r, c in act_cells], dtype=np.int64)
+        else:
+            # one window per actuator, in action order; one output per row
+            self._slots = _windows(lookup, act_cells, self.cfg.neighborhood_distance, n)
+            self.pick = (slice(None), 0)
+        # the controller input, refilled in place: blocks, then the time signal
+        self._input = np.empty(self._slots.shape[:-1]
+                               + (self._slots.shape[-1] * BLOCK_SIZE + 1,))
+        self._blocks = self._input[..., :-1].reshape(*self._slots.shape, BLOCK_SIZE)
+        self._time = self._input[..., -1]
 
     def refresh(self) -> None:
         """Recompute the dynamic features (velocity, volume) from world state."""
@@ -126,19 +138,11 @@ class ObservationBuilder:
         np.minimum(vel, clamp, out=self._velocity)
         self._area[:] = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
 
-    def global_vector(self, env_step: int) -> np.ndarray:
-        """The full-box observation, shape (global_size,). The result is the
-        builder's own buffer, overwritten by the next call."""
+    def inputs(self, env_step: int) -> np.ndarray:
+        """The controller input at `env_step`: shape (global_size,) for the
+        global kind, (n_act, local_size) for the modular one. The result is
+        the builder's own buffer, overwritten by the next call."""
         self.refresh()
-        np.take(self._features, self._global_slots, axis=0, out=self._global_blocks)
-        self._global_input[-1] = time_signal(env_step, self.cfg.time_period)
-        return self._global_input
-
-    def local_matrix(self, env_step: int) -> np.ndarray:
-        """All actuator windows at once, shape (n_act, local_size), rows in
-        `world.actuator_cells` order. The result is the builder's own buffer,
-        overwritten by the next call."""
-        self.refresh()
-        np.take(self._features, self._local_slots, axis=0, out=self._local_blocks)
-        self._local_input[:, -1] = time_signal(env_step, self.cfg.time_period)
-        return self._local_input
+        np.take(self._features, self._slots, axis=0, out=self._blocks)
+        self._time[...] = time_signal(env_step, self.cfg.time_period)
+        return self._input

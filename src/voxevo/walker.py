@@ -89,7 +89,7 @@ def run_episode(morph: Morphology, controller: ControllerGenome,
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
     world = build_world(morph, physics_cfg)
-    builder = ObservationBuilder(world, obs_cfg)
+    builder = ObservationBuilder(world, controller.kind, obs_cfg)
     start_x = float(center_of_mass(world)[0])
 
     frames: list[np.ndarray] | None = [] if record else None

@@ -75,9 +75,9 @@ class TestStructuralSizes:
         assert cfg.global_size == 201
         assert cfg.local_size == 201
         world = build_world(BODY, PhysicsConfig())
-        builder = ObservationBuilder(world, cfg)
-        assert builder.global_vector(0).shape == (201,)
-        assert builder.local_matrix(0).shape == (len(world.actuator_cells), 201)
+        assert ObservationBuilder(world, "global", cfg).inputs(0).shape == (201,)
+        assert ObservationBuilder(world, "modular", cfg).inputs(0).shape == (
+            len(world.actuator_cells), 201)
 
 
 class TestRewardDefinition:
@@ -223,13 +223,13 @@ class TestTranslationEquivariance:
             return vec[i:i + BLOCK_SIZE]
 
         for name, morph in self.NARROW.items():
-            base_vec = ObservationBuilder(
-                build_world(with_left_column_at(morph, 0), physics), obs_cfg).global_vector(0)
+            base_vec = ObservationBuilder(build_world(with_left_column_at(morph, 0), physics),
+                                          "global", obs_cfg).inputs(0)
             for s in valid_shifts(morph):
                 if s == 0:
                     continue
-                vec = ObservationBuilder(
-                    build_world(with_left_column_at(morph, s), physics), obs_cfg).global_vector(0)
+                vec = ObservationBuilder(build_world(with_left_column_at(morph, s), physics),
+                                         "global", obs_cfg).inputs(0)
                 assert not np.array_equal(vec, base_vec), name
                 assert vec[-1] == base_vec[-1]  # time signal is shared
                 for row in range(GRID_SIZE):
@@ -431,8 +431,7 @@ class TestParadigmComparison:
     batteries are noisy by nature.
     """
 
-    def test_battery_report(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+    def test_battery_report(self, tmp_path):
         if FULL_SCALE:
             n_runs, generations, mu, max_steps, samples, one_shot = 8, 300, 16, 300, 20, 16
         else:
@@ -545,8 +544,7 @@ class TestMultiBodyTraining:
         singles = [evaluator.evaluate([((body,), ctrl)])[0] for body in catalog]
         assert joint == min(singles)
 
-    def test_joint_champion_bounded_by_each_body(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+    def test_joint_champion_bounded_by_each_body(self, tmp_path):
         if FULL_SCALE:
             generations, mu, max_steps = 200, 16, 300
         else:

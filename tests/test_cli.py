@@ -133,22 +133,19 @@ class TestEvolve:
 
 
 class TestWorkersResolution:
-    def test_env_variable_used(self, config_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("VOXEVO_WORKERS", "1")
-        out = str(tmp_path / "out")
-        assert evolve(config_path, out) == 0
-
-    def test_bad_env_variable_rejected(self, config_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("VOXEVO_WORKERS", "lots")
-        out = str(tmp_path / "out")
-        assert evolve(config_path, out) == 2
-        assert "VOXEVO_WORKERS" in capsys.readouterr().err
-        assert not os.path.exists(out)
+    # VOXEVO_WORKERS was once a third source of the count; it is now ignored
+    # whatever its value
+    @pytest.mark.parametrize("env", ["lots", "-2", "1"])
+    def test_environment_variable_is_ignored(self, env, config_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("VOXEVO_WORKERS", env)
+        assert _resolve_workers(None, 3) == 3
+        assert _resolve_workers(2, None) == 2
+        assert evolve(config_path, str(tmp_path / "out")) == 0
 
     @pytest.mark.parametrize("command", ["evolve", "transfer"])
     @pytest.mark.parametrize("flag, env, message", [
         (["--workers", "0"], None, "error: --workers: workers must be >= 1, got 0"),
-        ([], "-2", "error: VOXEVO_WORKERS: workers must be >= 1, got -2"),
+        (["--workers", "0"], "-2", "error: --workers: workers must be >= 1, got 0"),
     ])
     def test_counts_below_one_rejected_before_output(self, command, flag, env, message,
                                                      trained_run, tmp_path, monkeypatch,
@@ -203,7 +200,6 @@ class TestWorkersResolution:
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert _resolve_workers(None, None) == 1
@@ -211,8 +207,7 @@ class TestWorkersResolution:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _resolve_workers(None, None) == 64
 
-    def test_config_count_below_one_names_its_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+    def test_config_count_below_one_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text("[run]\nworkers = 0\n")
         out = tmp_path / "out"

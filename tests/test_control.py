@@ -171,19 +171,19 @@ class TestActing:
     def test_global_uses_raster_indexed_outputs(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         genome = init_controller(GLOBAL_KIND, np.random.default_rng(10))
-        builder = ObservationBuilder(world)
+        builder = ObservationBuilder(world, GLOBAL_KIND)
         actions = act(genome, world, env_step=0, builder=builder)
         assert actions.shape == (len(world.actuator_cells),)
-        full = mlp_forward(genome.params, builder.global_vector(0))
+        full = mlp_forward(genome.params, builder.inputs(0))
         for (r, c), a in zip(world.actuator_cells, actions):
             assert a == full[r * 5 + c]
 
     def test_modular_shares_parameters_across_windows(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         genome = init_controller(MODULAR_KIND, np.random.default_rng(11))
-        builder = ObservationBuilder(world)
+        builder = ObservationBuilder(world, MODULAR_KIND)
         actions = act(genome, world, env_step=0, builder=builder)
-        windows = builder.local_matrix(0)
+        windows = builder.inputs(0)
         assert actions.shape == (len(world.actuator_cells),)
         assert windows.shape[0] == len(world.actuator_cells)
         for window, a in zip(windows, actions):
@@ -192,15 +192,15 @@ class TestActing:
 
     def test_dispatcher_routes_by_kind(self, small_body):
         world = build_world(small_body, PhysicsConfig())
-        builder = ObservationBuilder(world)
         raster = [r * GRID_SIZE + c for r, c in world.actuator_cells]
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(12))
+            builder = ObservationBuilder(world, kind)
             if kind == GLOBAL_KIND:
-                direct = mlp_forward(genome.params, builder.global_vector(0))[raster]
+                direct = mlp_forward(genome.params, builder.inputs(0))[raster]
             else:
                 direct = np.array([mlp_forward(genome.params, x)[0]
-                                   for x in builder.local_matrix(0)])
+                                   for x in builder.inputs(0)])
             assert np.allclose(act(genome, world, 0, builder), direct, rtol=1e-12, atol=0)
 
     def test_kind_mismatch_raises(self, small_body):
@@ -209,15 +209,24 @@ class TestActing:
         # a genome cannot carry the other kind's output layer ...
         with pytest.raises(ValueError):
             ControllerGenome(GLOBAL_KIND, modular.params)
-        # ... and a window layout of another size is refused, not misread
-        builder = ObservationBuilder(world, ObservationConfig(neighborhood_distance=1))
+        # ... a window layout of another size is refused, not misread ...
+        builder = ObservationBuilder(world, MODULAR_KIND,
+                                     ObservationConfig(neighborhood_distance=1))
         with pytest.raises(ValueError):
             act(modular, world, 0, builder)
+        # ... and so is a builder of the other kind, though at the default
+        # d = 2 both layouts are 201 wide and the forward pass would run
+        global_genome = init_controller(GLOBAL_KIND, np.random.default_rng(0))
+        for genome, other in ((modular, GLOBAL_KIND), (global_genome, MODULAR_KIND)):
+            builder = ObservationBuilder(world, other)
+            assert builder.inputs(0).shape[-1] == genome.params.n_inputs
+            with pytest.raises(ValueError, match="cannot read"):
+                act(genome, world, 0, builder)
 
     def test_actions_lie_in_unit_interval(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(13))
-            actions = act(genome, world, 0, ObservationBuilder(world))
+            actions = act(genome, world, 0, ObservationBuilder(world, kind))
             assert actions.dtype == np.float64
             assert np.all((actions >= 0.0) & (actions <= 1.0))

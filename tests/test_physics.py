@@ -22,7 +22,7 @@ from voxevo.physics import (
     center_of_mass,
     step_env,
 )
-from voxevo.sensing import ObservationBuilder
+from voxevo.sensing import GLOBAL_KIND, ObservationBuilder
 
 from helpers import (
     NO_CONTACT,
@@ -508,7 +508,7 @@ class TestMatchesOracle:
     def test_actuated_episode_is_bit_identical(self, name, body, contact):
         cfg = PhysicsConfig() if contact else PhysicsConfig(contact=NO_CONTACT)
         world, ref = build_world(body, cfg), build_world(body, cfg)
-        builder = ObservationBuilder(world)
+        builder = ObservationBuilder(world, GLOBAL_KIND)
         owners, axes = spring_owners(ref), spring_axes(ref)
         raster = [r * GRID_SIZE + c for r, c in world.cells]
         rng = np.random.default_rng([11, len(name), int(contact)])
@@ -518,7 +518,7 @@ class TestMatchesOracle:
                 apply_actuation(world, actions)
                 ref.rest[:] = oracle_rest(ref, owners, axes, actions)
                 assert np.array_equal(world.rest, ref.rest), step
-                blocks = builder.global_vector(step)[:-1].reshape(GRID_SIZE ** 2, -1)
+                blocks = builder.inputs(step)[:-1].reshape(GRID_SIZE ** 2, -1)
                 assert np.array_equal(blocks[raster, :3], oracle_features(world)), step
             step_env(world)
             oracle_step_env(ref)

@@ -121,6 +121,15 @@ class TestErrors:
     def test_bad_paradigm(self):
         self.assert_error("[run]\nparadigm = central\n", "paradigm", 2)
 
+    # under co-optimize the catalog keys loaded and were silently ignored
+    @pytest.mark.parametrize("key, value", [("catalog_bodies", "squid"),
+                                            ("catalog_file", "bodies.txt")])
+    def test_catalog_keys_need_multi_body(self, key, value):
+        message = f"{key} applies only to mode = multi-body"
+        self.assert_error(f"[experiment]\n{key} = {value}\n", message, 2)
+        self.assert_error(f"[experiment]\nn_runs = 2\n{key} = {value}\n"
+                          "[run]\nmode = co-optimize\n", message, 3)
+
     # np.random.SeedSequence rejects a negative entropy once the run has started
     def test_negative_seed(self):
         self.assert_error("[run]\nmode = co-optimize\nseed = -1\n", "seed must be >= 0", 3)
@@ -343,17 +352,20 @@ NON_DEFAULT = {
 TINY = {"run": {"generations": "1"}, "evolution": {"mu": "2", "lambda": "1"},
         "episode": {"max_steps": "20"}}
 
+# keys that TINY's default co-optimize mode rejects: they name the bodies of
+# a multi-body run
+MULTI_BODY_ONLY = {("experiment", "catalog_file"), ("experiment", "catalog_bodies")}
+
 
 @pytest.mark.parametrize("section, key", [
     (section, key) for section in _SCHEMA for key in _SCHEMA[section]])
-def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path,
-                                                     capsys, monkeypatch):
-    monkeypatch.delenv("VOXEVO_WORKERS", raising=False)
+def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path, capsys):
     catalog = tmp_path / "catalog.txt"
     save_catalog(str(catalog), default_catalog())
     out = str(tmp_path / "out")
     value = NON_DEFAULT[(section, key)].format(out=out, catalog=catalog)
-    assert parse_config(f"[{section}]\n{key} = {value}\n") != RunConfig()
+    mode = "[run]\nmode = multi-body\n" if (section, key) in MULTI_BODY_ONLY else ""
+    assert parse_config(f"{mode}[{section}]\n{key} = {value}\n") != parse_config(mode)
 
     sections = {name: dict(pairs) for name, pairs in TINY.items()}
     sections.setdefault(section, {})[key] = value
@@ -368,6 +380,7 @@ def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path,
         argv += ["--workers", "1"]
 
     rc = main(argv)
+    assert (rc == 2) == ((section, key) in MULTI_BODY_ONLY)
     if rc == 0:
         run_dir = os.path.join(out, "run_00") if key == "n_runs" else out
         assert os.path.exists(os.path.join(run_dir, "generations.csv"))

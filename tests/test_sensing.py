@@ -4,12 +4,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from voxevo.control import KINDS, act, init_controller
-from voxevo.morphology import N_MATERIALS
+from voxevo.control import act, init_controller
+from voxevo.morphology import GRID_SIZE, H_ACTUATOR, N_MATERIALS, Morphology
 from voxevo.physics import PhysicsConfig, apply_actuation, build_world, step_env
 from voxevo.sensing import (
     BLOCK_SIZE,
+    GLOBAL_KIND,
+    KINDS,
     MISSING_BLOCK,
+    MODULAR_KIND,
     ObservationBuilder,
     ObservationConfig,
     time_signal,
@@ -44,14 +47,14 @@ def observe_voxel(world, cell, cfg=None):
     return VoxelObservation(vel, area, onehot)
 
 
-def global_vector(world, env_step):
-    return ObservationBuilder(world).global_vector(env_step)
+def global_input(world, env_step):
+    return ObservationBuilder(world, GLOBAL_KIND).inputs(env_step)
 
 
 def window_row(world, cell, env_step):
-    """The builder's window row for one actuator cell."""
+    """The modular builder's window row for one actuator cell."""
     row = world.actuator_cells.index(cell)
-    return ObservationBuilder(world).local_matrix(env_step)[row]
+    return ObservationBuilder(world, MODULAR_KIND).inputs(env_step)[row]
 
 
 @pytest.fixture
@@ -151,12 +154,12 @@ class TestVoxelObservation:
 
 class TestGlobalObservation:
     def test_shape_and_time_slot(self, world):
-        vec = global_vector(world, env_step=3)
+        vec = global_input(world, env_step=3)
         assert vec.shape == (201,)
         assert vec[-1] == time_signal(3, ObservationConfig().time_period)
 
     def test_empty_slots_hold_missing_block(self, world, small_body):
-        vec = global_vector(world, env_step=0)
+        vec = global_input(world, env_step=0)
         occupied = set(small_body.occupied_cells)
         for r in range(5):
             for c in range(5):
@@ -169,7 +172,7 @@ class TestGlobalObservation:
     def test_blocks_match_per_voxel_view(self, world, small_body):
         for _ in range(5):
             step_env(world)
-        vec = global_vector(world, env_step=5)
+        vec = global_input(world, env_step=5)
         for r, c in small_body.occupied_cells:
             start = (r * 5 + c) * BLOCK_SIZE
             block = vec[start:start + BLOCK_SIZE]
@@ -180,12 +183,11 @@ class TestGlobalObservation:
         cfg = PhysicsConfig()
         shifted_grid = np.zeros((5, 5), dtype=np.int8)
         shifted_grid[:, 2:5] = narrow_body.grid[:, 0:3]
-        from voxevo.morphology import Morphology
         shifted = Morphology(shifted_grid)
         w0 = build_world(narrow_body, cfg)
         w2 = build_world(shifted, cfg)
-        v0 = global_vector(w0, env_step=0)
-        v2 = global_vector(w2, env_step=0)
+        v0 = global_input(w0, env_step=0)
+        v2 = global_input(w2, env_step=0)
         for r in range(5):
             for c in range(3):
                 a = v0[(r * 5 + c) * BLOCK_SIZE:(r * 5 + c + 1) * BLOCK_SIZE]
@@ -212,14 +214,13 @@ class TestLocalObservation:
         assert first.tolist() == MISSING_BLOCK.tolist()
 
     def test_rows_are_actuators_only(self, world):
-        matrix = ObservationBuilder(world).local_matrix(env_step=0)
+        matrix = ObservationBuilder(world, MODULAR_KIND).inputs(env_step=0)
         assert matrix.shape == (len(world.actuator_cells), 201)
 
     def test_translation_leaves_window_unchanged(self, narrow_body):
         cfg = PhysicsConfig()
         shifted_grid = np.zeros((5, 5), dtype=np.int8)
         shifted_grid[:, 1:4] = narrow_body.grid[:, 0:3]
-        from voxevo.morphology import Morphology
         shifted = Morphology(shifted_grid)
         w0 = build_world(narrow_body, cfg)
         w1 = build_world(shifted, cfg)
@@ -234,7 +235,7 @@ class TestBuilder:
     def test_local_matrix_matches_vectors(self, world):
         for _ in range(3):
             step_env(world)
-        mat = ObservationBuilder(world).local_matrix(env_step=2)
+        mat = ObservationBuilder(world, MODULAR_KIND).inputs(env_step=2)
         cells = world.actuator_cells
         assert mat.shape == (len(cells), 201)
         for i, (r, c) in enumerate(cells):
@@ -244,32 +245,48 @@ class TestBuilder:
                                  time_signal(2, ObservationConfig().time_period))
             assert np.allclose(mat[i], expected, rtol=0, atol=1e-15)
 
-    def test_refresh_tracks_motion(self, world):
-        builder = ObservationBuilder(world)
-        before = builder.global_vector(env_step=0).copy()
+    def test_global_input_is_the_grid_centre_window(self, plus_body):
+        # both layouts come from one window builder: the global input is the
+        # modular row of an actuator at the grid centre, at d = GRID_SIZE // 2
+        assert ObservationConfig().neighborhood_distance == GRID_SIZE // 2
+        grid = plus_body.grid.copy()
+        grid[2, 2] = H_ACTUATOR
+        world = build_world(Morphology(grid), PhysicsConfig())
         for _ in range(3):
             step_env(world)
-        after = builder.global_vector(env_step=3)
+        centre = window_row(world, (2, 2), env_step=3)
+        assert global_input(world, env_step=3).tobytes() == centre.tobytes()
+
+    def test_unknown_kind_raises(self, world):
+        with pytest.raises(ValueError):
+            ObservationBuilder(world, "central")
+
+    def test_refresh_tracks_motion(self, world):
+        builder = ObservationBuilder(world, GLOBAL_KIND)
+        before = builder.inputs(env_step=0).copy()
+        for _ in range(3):
+            step_env(world)
+        after = builder.inputs(env_step=3)
         assert not np.array_equal(before, after)
 
     def test_reuse_equals_fresh_builder(self, world):
-        builder = ObservationBuilder(world)
-        builder.global_vector(env_step=0)
+        builder = ObservationBuilder(world, GLOBAL_KIND)
+        builder.inputs(env_step=0)
         for _ in range(4):
             step_env(world)
-        reused = builder.global_vector(env_step=4)
-        fresh = global_vector(world, env_step=4)
+        reused = builder.inputs(env_step=4)
+        fresh = global_input(world, env_step=4)
         assert np.array_equal(reused, fresh)
 
-    # global_vector and local_matrix return the builder's own buffer, refilled
-    # on each call: a long-lived builder must act as a fresh one at every step
+    # inputs() returns the builder's own buffer, refilled on each call: a
+    # long-lived builder must act as a fresh one at every step
     @pytest.mark.parametrize("kind", KINDS)
     def test_long_lived_builder_acts_as_fresh_ones(self, world, kind):
         controller = init_controller(kind, np.random.default_rng(5))
-        builder = ObservationBuilder(world)
+        builder = ObservationBuilder(world, kind)
         for step in range(40):
             actions = act(controller, world, step, builder)
-            fresh = act(controller, world, step, ObservationBuilder(world))
+            fresh = act(controller, world, step, ObservationBuilder(world, kind))
             assert actions.tobytes() == fresh.tobytes()
             apply_actuation(world, actions)
             step_env(world)
