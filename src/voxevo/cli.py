@@ -201,7 +201,7 @@ def cmd_transfer(args) -> int:
         source_fitness = champion.fitness
         if source_fitness is None:
             source_fitness = evaluator.evaluate(
-                [((champion.morphology,), champion.controller)])[0]
+                [((champion.morphology,), champion.controller)])[0][0].fitness
         samples = transfer_analysis(
             champion.morphology, champion.controller, source_fitness,
             list(cfg.distances), rng, evaluator,

@@ -37,7 +37,7 @@ from .morphology import (
 )
 from .physics import PhysicsConfig
 from .sensing import ObservationConfig
-from .walker import EpisodeConfig, evaluate_fitness
+from .walker import EpisodeConfig, EpisodeResult, run_episode
 
 KIND_BODY = "body"
 KIND_BRAIN = "brain"
@@ -237,21 +237,20 @@ def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
 
 
 def evaluation_bodies(cfg: EvolutionConfig, ind: Individual) -> tuple[Morphology, ...]:
-    """Bodies an individual is scored on; fitness is the minimum over them."""
+    """Bodies an individual is scored on: its own, or the catalog in order."""
     return (ind.morphology,) if cfg.catalog is None else tuple(cfg.catalog)
 
 
-def _evaluate_job(job) -> float:
+def _evaluate_job(job) -> tuple[EpisodeResult, ...]:
     bodies, controller, episode_cfg, physics_cfg, obs_cfg = job
-    return min(
-        evaluate_fitness(body, controller, episode_cfg, physics_cfg, obs_cfg)
-        for body in bodies
-    )
+    return tuple(run_episode(body, controller, episode_cfg, physics_cfg, obs_cfg)
+                 for body in bodies)
 
 
 class Evaluator:
     """Evaluates batches of (bodies, controller) jobs, optionally in a worker
-    pool. Results are order-preserving and independent of worker count."""
+    pool. Each job yields one trajectory-free `EpisodeResult` per body, in
+    body order; results are in job order and independent of worker count."""
 
     def __init__(self, cfg: EvolutionConfig):
         self.episode = cfg.episode
@@ -259,7 +258,8 @@ class Evaluator:
         self.observation = cfg.observation
         self._pool = Pool(cfg.workers) if cfg.workers > 1 else None
 
-    def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]) -> list[float]:
+    def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]
+                 ) -> list[tuple[EpisodeResult, ...]]:
         packed = [
             (bodies, ctrl, self.episode, self.physics, self.observation)
             for bodies, ctrl in jobs
@@ -281,6 +281,16 @@ class Evaluator:
         self.close()
 
 
+def score(individuals: list[Individual], cfg: EvolutionConfig,
+          evaluator: Evaluator) -> None:
+    """Set each individual's fitness: the minimum episode fitness over its
+    evaluation bodies."""
+    results = evaluator.evaluate(
+        [(evaluation_bodies(cfg, ind), ind.controller) for ind in individuals])
+    for ind, episodes in zip(individuals, results):
+        ind.fitness = float(min(r.fitness for r in episodes))
+
+
 def evolve_generation(population: list[Individual], cfg: EvolutionConfig,
                       generation: int, next_id: int,
                       evaluator: Evaluator) -> tuple[list[Individual], GenerationLog, int]:
@@ -300,10 +310,7 @@ def evolve_generation(population: list[Individual], cfg: EvolutionConfig,
     new.append(_fresh_individual(cfg, fresh_rng, next_id))
     next_id += 1
 
-    fitnesses = evaluator.evaluate(
-        [(evaluation_bodies(cfg, ind), ind.controller) for ind in new])
-    for ind, fit in zip(new, fitnesses):
-        ind.fitness = float(fit)
+    score(new, cfg, evaluator)
 
     records = tuple(
         OffspringRecord(
@@ -336,10 +343,7 @@ def initial_population(cfg: EvolutionConfig, evaluator: Evaluator) -> list[Indiv
         rng = _generator(cfg.master_seed, 0, i)
         ind = _fresh_individual(cfg, rng, i)
         population.append(ind)
-    fitnesses = evaluator.evaluate(
-        [(evaluation_bodies(cfg, ind), ind.controller) for ind in population])
-    for ind, fit in zip(population, fitnesses):
-        ind.fitness = float(fit)
+    score(population, cfg, evaluator)
     return population
 
 

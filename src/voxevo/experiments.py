@@ -58,7 +58,7 @@ def load_catalog(path: str) -> dict[str, Morphology]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CatalogError(f"{path}: cannot read catalog: {exc}") from exc
 
     catalog: dict[str, Morphology] = {}
@@ -184,7 +184,7 @@ def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
             jobs.append(((neighbor,), controller))
             jobs.extend(((neighbor,), mutate_controller(controller, rng, ONE_SHOT_SIGMA))
                         for _ in range(one_shot_lambda))
-    fitnesses = evaluator.evaluate(jobs)
+    fitnesses = [episode.fitness for (episode,) in evaluator.evaluate(jobs)]
 
     per_neighbor = 1 + one_shot_lambda
     samples: list[TransferSample] = []

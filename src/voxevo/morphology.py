@@ -73,13 +73,6 @@ class Morphology:
         return list(zip(rows.tolist(), cols.tolist()))
 
     @property
-    def actuator_cells(self) -> list[tuple[int, int]]:
-        """Row-major (row, col) list of actuator-material cells."""
-        mask = (self.grid == H_ACTUATOR) | (self.grid == V_ACTUATOR)
-        rows, cols = np.nonzero(mask)
-        return list(zip(rows.tolist(), cols.tolist()))
-
-    @property
     def n_filled(self) -> int:
         return int(np.count_nonzero(self.grid))
 

@@ -287,7 +287,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path) from exc
     cfg, lines = _parse(text, path)
     # dry-run the evolution config so semantic errors surface before any output;

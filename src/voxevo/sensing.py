@@ -143,6 +143,7 @@ class ObservationBuilder:
         global kind, (n_act, local_size) for the modular one. The result is
         the builder's own buffer, overwritten by the next call."""
         self.refresh()
-        np.take(self._features, self._slots, axis=0, out=self._blocks)
+        # slots are in range by construction; mode='raise' would buffer the gather
+        np.take(self._features, self._slots, axis=0, mode="clip", out=self._blocks)
         self._time[...] = time_signal(env_step, self.cfg.time_period)
         return self._input

@@ -131,5 +131,6 @@ def evaluate_fitness(morph: Morphology, controller: ControllerGenome,
                      episode_cfg: EpisodeConfig | None = None,
                      physics_cfg: PhysicsConfig | None = None,
                      obs_cfg: ObservationConfig | None = None) -> float:
-    """Episode fitness without trajectory recording."""
+    """Episode fitness without trajectory recording: the benchmark's entry
+    point for re-scoring. The package scores through `Evaluator.evaluate`."""
     return run_episode(morph, controller, episode_cfg, physics_cfg, obs_cfg).fitness

@@ -28,6 +28,7 @@ from voxevo.evolution import (
     EvolutionConfig,
     Individual,
     run_evolution,
+    score,
     select_survivors,
 )
 from voxevo.experiments import CATALOG_ORDER, default_catalog, transfer_analysis
@@ -540,9 +541,12 @@ class TestMultiBodyTraining:
         cfg = EvolutionConfig(catalog=catalog, episode=EpisodeConfig(max_steps=30))
         evaluator = Evaluator(cfg)
         ctrl = init_controller("modular", np.random.default_rng(3))
-        joint = evaluator.evaluate([(catalog, ctrl)])[0]
-        singles = [evaluator.evaluate([((body,), ctrl)])[0] for body in catalog]
-        assert joint == min(singles)
+        (joint,) = evaluator.evaluate([(catalog, ctrl)])
+        singles = tuple(evaluator.evaluate([((body,), ctrl)])[0][0] for body in catalog)
+        assert joint == singles  # one result per catalog body, in catalog order
+        ind = Individual(catalog[0], ctrl, 0, 0, None, "fresh", None)
+        score([ind], cfg, evaluator)
+        assert ind.fitness == min(r.fitness for r in singles)
 
     def test_joint_champion_bounded_by_each_body(self, tmp_path):
         if FULL_SCALE:
@@ -561,8 +565,8 @@ class TestMultiBodyTraining:
         champion = load_individual(str(out / "champion.ckpt"))
         evo_cfg = cfg.evolution_config(_resolve_workers(None, cfg.workers))
         with Evaluator(evo_cfg) as evaluator:
-            per_body = evaluator.evaluate(
-                [((body,), champion.controller) for body in catalog])
+            per_body = [r.fitness for (r,) in evaluator.evaluate(
+                [((body,), champion.controller) for body in catalog])]
         assert len(per_body) == len(catalog)
         assert min(per_body) == champion.fitness
         assert all(f >= champion.fitness for f in per_body)

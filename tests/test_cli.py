@@ -109,6 +109,31 @@ class TestEvolve:
         assert f"{bad}:3" in err and "unknown key" in err
         assert not out.exists()
 
+    # a config that is not UTF-8 raised UnicodeDecodeError, a traceback and exit 1
+    def test_undecodable_config_exits_2_before_output(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[run]\nseed = 1\n\xff\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: cannot read config: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    # an undecodable catalog was reported against the config, not the catalog
+    def test_undecodable_catalog_names_the_catalog_file(self, tmp_path, capsys):
+        catalog = tmp_path / "bodies.txt"
+        catalog.write_bytes(b"[stub]\n\xff3333\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nmode = multi-body\n[experiment]\ncatalog_file = {catalog}\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {cfg}:4: {catalog}: cannot read catalog: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_battery_layout(self, tmp_path, capsys):
         cfg = tmp_path / "battery.cfg"
         cfg.write_text(TINY_CONFIG + "n_runs = 2\n")

@@ -20,10 +20,11 @@ from voxevo.evolution import (
     make_offspring,
     pareto_rank,
     run_evolution,
+    score,
     select_survivors,
 )
 from voxevo.morphology import MutationFailedError, random_morphology
-from voxevo.walker import EpisodeConfig, evaluate_fitness
+from voxevo.walker import EpisodeConfig, EpisodeResult, evaluate_fitness, run_episode
 
 
 def stub_individual(age, fitness, ident=0):
@@ -192,23 +193,39 @@ class TestEvaluation:
     def test_min_aggregation_over_bodies(self, small_body, plus_body, fast_episode):
         ctrl = init_controller(MODULAR_KIND, np.random.default_rng(21))
         cfg = EvolutionConfig(catalog=(small_body, plus_body), episode=fast_episode)
+        ind = dataclasses.replace(stub_individual(0, None), controller=ctrl)
         with Evaluator(cfg) as evaluator:
-            joint = evaluator.evaluate([((small_body, plus_body), ctrl)])[0]
+            score([ind], cfg, evaluator)
         singles = [evaluate_fitness(b, ctrl, fast_episode)
                    for b in (small_body, plus_body)]
-        assert joint == min(singles)
+        assert ind.fitness == min(singles)
+
+    def test_multi_body_job_is_each_body_alone(self, small_body, plus_body, fast_episode):
+        ctrl = init_controller(MODULAR_KIND, np.random.default_rng(22))
+        catalog = (plus_body, small_body)
+        cfg = EvolutionConfig(catalog=catalog, episode=fast_episode)
+        with Evaluator(cfg) as evaluator:
+            (joint,) = evaluator.evaluate([(catalog, ctrl)])
+        alone = tuple(run_episode(b, ctrl, fast_episode) for b in catalog)
+        assert not any(r.diverged for r in alone)  # NaN delta_px never compares equal
+        assert joint == alone
+        assert all(r.trajectory is None for r in joint)
 
     def test_worker_pool_matches_serial(self, small_body, plus_body, fast_episode):
         controllers = [init_controller(MODULAR_KIND, np.random.default_rng(s))
                        for s in range(4)]
         jobs = [((small_body,), c) for c in controllers] + [((plus_body,), c) for c in controllers]
+        jobs.append(((small_body, plus_body), controllers[0]))
         serial_cfg = EvolutionConfig(episode=fast_episode, workers=1)
         pool_cfg = EvolutionConfig(episode=fast_episode, workers=2)
         with Evaluator(serial_cfg) as ev:
             serial = ev.evaluate(jobs)
-            assert len(serial) == len(jobs)
+            assert [len(results) for results in serial] == [len(b) for b, _ in jobs]
         with Evaluator(pool_cfg) as ev:
             pooled = ev.evaluate(jobs)
+        assert all(isinstance(r, EpisodeResult) and not r.diverged
+                   for results in serial for r in results)
+        # whole results, not only their fitness values
         assert serial == pooled
 
 

@@ -319,9 +319,10 @@ class TestTrainingWrappers:
         run = run_evolution(cfg)
         jobs = [((body,), run.champion.controller) for body in (small_body, plus_body)]
         with Evaluator(cfg) as evaluator:
-            per_body = evaluator.evaluate(jobs)
+            results = evaluator.evaluate(jobs)
+        per_body = [r.fitness for (r,) in results]
         assert min(per_body) == run.champion.fitness
         for fitness in per_body:
             assert fitness >= run.champion.fitness
         with Evaluator(dataclasses.replace(cfg, workers=2)) as evaluator:
-            assert evaluator.evaluate(jobs) == per_body
+            assert evaluator.evaluate(jobs) == results

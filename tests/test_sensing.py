@@ -197,8 +197,8 @@ class TestGlobalObservation:
 
 
 class TestLocalObservation:
-    def test_shape_and_center(self, world, small_body):
-        cell = small_body.actuator_cells[0]
+    def test_shape_and_center(self, world):
+        cell = world.actuator_cells[0]
         vec = window_row(world, cell, env_step=0)
         assert vec.shape == (201,)
         center = (ObservationConfig().window_side ** 2) // 2
@@ -206,9 +206,9 @@ class TestLocalObservation:
         assert np.allclose(block, observe_voxel(world, cell).as_block(),
                            rtol=0, atol=1e-15)
 
-    def test_out_of_grid_is_missing(self, world, small_body):
+    def test_out_of_grid_is_missing(self, world):
         # window rows above the grid must read as missing blocks
-        cell = min(small_body.actuator_cells)
+        cell = min(world.actuator_cells)
         vec = window_row(world, cell, env_step=0)
         first = vec[0:BLOCK_SIZE]
         assert first.tolist() == MISSING_BLOCK.tolist()
