@@ -66,7 +66,6 @@ from .evolution import (
     select_survivors,
 )
 from .experiments import (
-    ConvergenceMetrics,
     MutationAccounting,
     TransferSample,
     convergence_metrics,

@@ -46,8 +46,7 @@ PAYLOAD_POPULATION = 2
 
 _HEADER = struct.Struct("<4sHB")
 _RECORD_FIXED = struct.Struct("<qqIBdd")
-_COUNT = struct.Struct("<H")
-MAX_POPULATION = 2 ** (8 * _COUNT.size) - 1  # the most _COUNT can record
+_COUNT = struct.Struct("<H")  # records up to evolution.MAX_POPULATION individuals
 _CTRL_HEAD = struct.Struct("<BI")
 
 _KIND_CODES = {KIND_FRESH: 0, KIND_BODY: 1, KIND_BRAIN: 2}

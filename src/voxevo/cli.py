@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -79,15 +78,11 @@ def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
-def _resolve_workers(flag: int | None, cfg_workers: int | None) -> int:
-    """The flag, else [run] workers (checked at load), else the number of
+def _resolve_workers(workers: int | None) -> int:
+    """[run] workers, as --workers or the file set it, else the number of
     CPUs this process may run on."""
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError(f"workers must be >= 1, got {flag}", "--workers")
-        return flag
-    if cfg_workers is not None:
-        return cfg_workers
+    if workers is not None:
+        return workers
     # the affinity mask honours taskset and cpusets; cpu_count() does not
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -152,7 +147,7 @@ def cmd_evolve(args) -> int:
         if cfg.out is None:
             raise ConfigError("no output directory: set [run] out or pass --out",
                               args.config)
-        workers = _resolve_workers(args.workers, cfg.workers)
+        workers = _resolve_workers(cfg.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -187,7 +182,7 @@ def cmd_transfer(args) -> int:
         if cfg.out is None:
             raise ConfigError("no output directory: set [run] out or pass --out",
                               args.config)
-        workers = _resolve_workers(args.workers, cfg.workers)
+        workers = _resolve_workers(cfg.workers)
         champion = load_individual(args.champion)
         _check_input_size(champion, cfg, args.config)
         os.makedirs(cfg.out, exist_ok=True)
@@ -261,7 +256,7 @@ def cmd_replay(args) -> int:
     meta = {
         "type": "meta",
         "fitness": result.fitness,
-        "delta_px": None if math.isnan(result.delta_px) else result.delta_px,
+        "delta_px": result.delta_px,
         "reached_end": result.reached_end,
         "steps": result.steps_used,
         "diverged": result.diverged,
@@ -313,13 +308,12 @@ def _summarize_run(run_dir: str) -> dict:
     champion = load_individual(os.path.join(run_dir, CHAMPION_CKPT))
     lineage = _read_lineage_csv(os.path.join(run_dir, LINEAGE_CSV))
     accounting = accounting_from_lineage(lineage, champion.id)
-    convergence = convergence_metrics(best_so_far)
 
     return {
         "run_dir": run_dir,
         "champion_fitness": champion.fitness,
         "convergence": {theta: generations[idx]
-                        for theta, idx in convergence.generations_to.items()},
+                        for theta, idx in convergence_metrics(best_so_far).items()},
         "lineage_body_fraction": accounting.lineage_body_fraction,
         "population_body_fraction": accounting.population_body_fraction,
     }

@@ -28,7 +28,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .control import ControllerGenome, init_controller, input_size, mutate_controller
+from .control import KINDS, ControllerGenome, init_controller, input_size, mutate_controller
 from .morphology import (
     Morphology,
     MutationFailedError,
@@ -42,6 +42,9 @@ from .walker import EpisodeConfig, EpisodeResult, run_episode
 KIND_BODY = "body"
 KIND_BRAIN = "brain"
 KIND_FRESH = "fresh"
+
+# the most individuals a population checkpoint records: its count is a u16
+MAX_POPULATION = 65535
 
 
 @dataclass
@@ -73,18 +76,21 @@ class EvolutionConfig:
     observation: ObservationConfig = field(default_factory=ObservationConfig)
 
     def __post_init__(self):
-        if self.mu < 1 or self.lambda_ < 1:
-            raise ValueError("mu and lambda must be >= 1")
-        if not 0.0 <= self.p_body_mutation <= 1.0:
-            raise ValueError("p_body_mutation must be in [0, 1]")
-        if not 0.0 <= self.controller_sigma < math.inf:
-            raise ValueError("controller_sigma must be >= 0 and finite")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name, ok, rule in (
+            ("controller_kind", self.controller_kind in KINDS, f"must be one of {KINDS}"),
+            ("mu", 1 <= self.mu <= MAX_POPULATION, f"must be >= 1 and at most "
+             f"{MAX_POPULATION}, the most a population checkpoint holds"),
+            ("lambda_", self.lambda_ >= 1, "must be >= 1"),
+            ("generations", self.generations >= 1, "must be >= 1"),
+            ("p_body_mutation", 0.0 <= self.p_body_mutation <= 1.0, "must be in [0, 1]"),
+            ("controller_sigma", 0.0 <= self.controller_sigma < math.inf,
+             "must be >= 0 and finite"),
+            ("master_seed", self.master_seed >= 0, "must be >= 0"),
+            ("workers", self.workers >= 1, "must be >= 1"),
+            ("checkpoint_every", self.checkpoint_every >= 0, "must be >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name.rstrip('_')} {rule}, got {getattr(self, name)!r}")
         if self.catalog is not None and not self.catalog:
             raise ValueError("catalog must be None or non-empty")
 

@@ -120,12 +120,6 @@ class MutationAccounting:
     population_body_fraction: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceMetrics:
-    generations_to: dict[float, int]
-    shifted: bool
-
-
 class LineageIntegrityError(RuntimeError):
     pass
 
@@ -240,21 +234,18 @@ def accounting_from_lineage(lineage: dict, champion_id: int) -> MutationAccounti
     )
 
 
-def convergence_metrics(best_fitness_series: list[float]) -> ConvergenceMetrics:
-    """First index reaching each CONVERGENCE_THRESHOLDS fraction of the final value.
+def convergence_metrics(best_fitness_series: list[float]) -> dict[float, int]:
+    """First index reaching each CONVERGENCE_THRESHOLDS fraction of the final
+    value, by threshold.
 
     Series containing negative values are shifted so their minimum is zero
-    before thresholding; `shifted` records that this happened.
+    before thresholding.
     """
     if not best_fitness_series:
         raise ValueError("series must be non-empty")
     series = np.asarray(best_fitness_series, dtype=float)
-    shifted = bool(series.min() < 0)
-    if shifted:
+    if series.min() < 0:
         series = series - series.min()
     final = series[-1]
-    generations: dict[float, int] = {}
-    for theta in CONVERGENCE_THRESHOLDS:
-        reached = np.flatnonzero(series >= theta * final)
-        generations[theta] = int(reached[0])
-    return ConvergenceMetrics(generations_to=generations, shifted=shifted)
+    return {theta: int(np.flatnonzero(series >= theta * final)[0])
+            for theta in CONVERGENCE_THRESHOLDS}

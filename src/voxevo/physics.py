@@ -44,9 +44,11 @@ class ContactParams:
     def __post_init__(self):
         # a negative stiffness with a negative friction switches contact off
         for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ValueError(
-                    f"contact {f.name} must be >= 0, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if value < 0.0:
+                raise ValueError(f"contact {f.name} must be >= 0, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"contact {f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,6 @@ class PhysicsConfig:
             self.rigid_stiffness, self.soft_stiffness, self.actuator_stiffness,
             self.damping_ratio, self.gravity, self.physics_dt,
             self.actuation_min, self.actuation_max,
-            self.contact.normal_stiffness, self.contact.normal_damping,
-            self.contact.friction,
         )
         if not all(math.isfinite(v) for v in values):
             raise ValueError("physics config values must be finite")
@@ -101,8 +101,9 @@ class SimWorld:
     Masses and springs are stored as flat arrays; `incidence` maps per-spring
     forces onto masses (+1 on endpoint a, -1 on endpoint b). Corner order in
     `corner_map` is (top-left, top-right, bottom-left, bottom-right). `pos` and
-    `vel` are C-contiguous, and the constants derived from `mass` and `gravity`
-    (`weight`, `inv_mass`, `mass_list`, `total_mass`) are fixed at build.
+    `vel` are C-contiguous, and the constants derived from `mass` and
+    `physics.gravity` (`weight`, `inv_mass`, `mass_list`, `total_mass`) are
+    fixed at build.
 
     Every rest length is hypot(mean x-extent, mean y-extent) of the scales
     that `rest_scales` picks: an edge has extent only on its own axis, as the
@@ -138,13 +139,8 @@ class SimWorld:
     inv_mass: np.ndarray       # (n_masses, 2) 1 / mass, dense: no broadcast per substep
     mass_list: list[float]     # mass as Python floats, for the contact loop
     total_mass: float
-    gravity: float
     ground_height: float
-    contact: ContactParams
-    physics_dt: float
-    substeps_per_env_step: int
-    actuation_min: float
-    actuation_max: float
+    physics: PhysicsConfig
     env_steps: int = 0
 
     @property
@@ -154,6 +150,16 @@ class SimWorld:
     @property
     def n_springs(self) -> int:
         return self.spring_a.shape[0]
+
+    # the step length and count, for readers outside the engine: the bench
+    # counts substeps, and the contact tests recompute one substep's friction
+    @property
+    def physics_dt(self) -> float:
+        return self.physics.physics_dt
+
+    @property
+    def substeps_per_env_step(self) -> int:
+        return self.physics.substeps_per_env_step
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
@@ -277,13 +283,8 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         inv_mass=(1.0 / mass[:, None]).repeat(2, axis=1),
         mass_list=mass.tolist(),
         total_mass=float(mass.sum()),
-        gravity=cfg.gravity,
         ground_height=ground_height,
-        contact=cfg.contact,
-        physics_dt=cfg.physics_dt,
-        substeps_per_env_step=cfg.substeps_per_env_step,
-        actuation_min=cfg.actuation_min,
-        actuation_max=cfg.actuation_max,
+        physics=cfg,
     )
     _set_rest(world)
     return world
@@ -315,7 +316,7 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
             f"expected {world.actuator_voxels.size} actions, got shape {actions.shape}")
     if not ((actions >= 0.0) & (actions <= 1.0)).all():
         raise ValueError(f"actions outside [0, 1]: {actions}")
-    lo, hi = world.actuation_min, world.actuation_max
+    lo, hi = world.physics.actuation_min, world.physics.actuation_max
     scale = world.scale.reshape(-1)
     scale[world.actuator_slots] = lo + actions * (hi - lo)
     _set_rest(world)
@@ -344,7 +345,8 @@ def step_env(world: SimWorld) -> None:
     Each substep sums spring forces, gravity and ground contact, then updates
     velocities before positions.
     """
-    dt = world.physics_dt
+    physics = world.physics
+    dt = physics.physics_dt
     pos, vel = world.pos, world.vel
     # views and buffers per call, not on the world, so a rebound pos or vel is seen
     z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
@@ -352,14 +354,14 @@ def step_env(world: SimWorld) -> None:
     px, py, fy = per_spring[:, 0], per_spring[:, 1], forces[:, 1]
     P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
-    contact = world.contact
+    contact = physics.contact
     kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
     has_contact = kn > 0.0 or mu > 0.0
     ground = world.ground_height
     # divergence surfaces as the explicit finiteness check below, not as
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(world.substeps_per_env_step):
+        for _ in range(physics.substeps_per_env_step):
             _spring_forces(world, z, w, px, py, per_spring, forces)
             fy -= weight
             if has_contact:

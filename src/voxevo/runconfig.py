@@ -15,19 +15,26 @@ Sections and keys come from the configuration dataclasses: [run],
 [evolution] and [experiment] from the `RunConfig` fields tagged with that
 section, [physics] from `PhysicsConfig` plus `contact_*` keys from
 `ContactParams`, [observation] from `ObservationConfig` and [episode] from
-`EpisodeConfig`. Unknown names, duplicate keys, and malformed values are
-rejected with the offending line number. Every default lives in its
-dataclass, so the empty file is a valid configuration.
+`EpisodeConfig`. Every default lives in its dataclass, so the empty file is
+a valid configuration.
+
+The parser rejects unknown names, duplicate keys and malformed values at
+their line. Every bound on a value is checked once, in the `__post_init__`
+of the dataclass that declares the field: `RunConfig` checks its own run and
+experiment fields and builds an `EvolutionConfig` from the fields that
+class declares too (seed, workers, paradigm, generations and the
+[evolution] keys). So a config built in code is rejected as a file is, with
+the same message. The parser only names the line: it blames the first key,
+in file order, whose addition makes the construction fail. `override` names
+the flag. The one check of the file itself comes last: the catalog keys
+apply only to `mode = multi-body`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
-from .checkpoints import MAX_POPULATION
-from .control import KINDS
 from .evolution import EvolutionConfig
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
@@ -107,6 +114,23 @@ class RunConfig:
     catalog_file: str | None = _in("experiment", None)
     catalog_bodies: tuple[str, ...] = _in("experiment", CATALOG_ORDER)
 
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("out", self.out != "", "must not be empty"),
+            ("mode", self.mode in MODES, f"must be one of {MODES}"),
+            ("n_runs", self.n_runs >= 1, "must be >= 1"),
+            ("distances", len(self.distances) > 0 and all(d >= 1 for d in self.distances),
+             "must be >= 1 and non-empty"),
+            ("samples_per_distance", self.samples_per_distance >= 1, "must be >= 1"),
+            ("one_shot_lambda", self.one_shot_lambda >= 0, "must be >= 0"),
+            ("catalog_file", self.catalog_file != "", "must not be empty"),
+            ("catalog_bodies", len(self.catalog_bodies) > 0, "must not be empty"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+        # the fields EvolutionConfig declares too are checked there
+        self._evolution(None, 1 if self.workers is None else self.workers, self.seed)
+
     def catalog(self) -> dict[str, Morphology]:
         if self.catalog_file is not None:
             return load_catalog(self.catalog_file)
@@ -121,6 +145,10 @@ class RunConfig:
                 raise ConfigError(f"catalog_bodies not in catalog: {missing}",
                                   key="catalog_bodies")
             bodies = tuple(catalog[b] for b in self.catalog_bodies)
+        return self._evolution(bodies, workers, self.seed if seed is None else seed)
+
+    def _evolution(self, catalog: tuple[Morphology, ...] | None, workers: int,
+                   seed: int) -> EvolutionConfig:
         return EvolutionConfig(
             controller_kind=self.paradigm,
             mu=self.mu,
@@ -128,8 +156,8 @@ class RunConfig:
             generations=self.generations,
             p_body_mutation=self.p_body_mutation,
             controller_sigma=self.controller_sigma,
-            catalog=bodies,
-            master_seed=seed if seed is not None else self.seed,
+            catalog=catalog,
+            master_seed=seed,
             workers=workers,
             checkpoint_every=self.checkpoint_every,
             episode=self.episode,
@@ -166,39 +194,10 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "episode": _parsers(_EPISODE_FIELDS),
 }
 
-# checks that no dataclass makes on construction, made here to name the line
-_CHECKS = {
-    ("run", "mode"): (lambda v: v in MODES, f"mode must be one of {MODES}"),
-    ("run", "paradigm"): (lambda v: v in KINDS, f"paradigm must be one of {KINDS}"),
-    ("run", "seed"): (lambda v: v >= 0, "seed must be >= 0"),
-    ("run", "out"): (lambda v: v != "", "out must not be empty"),
-    ("run", "generations"): (lambda v: v >= 1, "generations must be >= 1"),
-    ("run", "workers"): (lambda v: v >= 1, "workers must be >= 1"),
-    ("evolution", "mu"): (lambda v: 1 <= v <= MAX_POPULATION, "mu must be >= 1 and at most "
-                          f"{MAX_POPULATION}, the most a population checkpoint holds"),
-    ("evolution", "lambda"): (lambda v: v >= 1, "lambda must be >= 1"),
-    ("evolution", "p_body_mutation"): (lambda v: 0.0 <= v <= 1.0,
-                                       "p_body_mutation must be in [0, 1]"),
-    ("evolution", "controller_sigma"): (lambda v: 0.0 <= v < math.inf,
-                                        "controller_sigma must be >= 0 and finite"),
-    ("evolution", "checkpoint_every"): (lambda v: v >= 0, "checkpoint_every must be >= 0"),
-    ("experiment", "distances"): (lambda v: len(v) > 0 and all(d >= 1 for d in v),
-                                  "distances must be >= 1 and non-empty"),
-    ("experiment", "samples_per_distance"): (lambda v: v >= 1,
-                                             "samples_per_distance must be >= 1"),
-    ("experiment", "one_shot_lambda"): (lambda v: v >= 0, "one_shot_lambda must be >= 0"),
-    ("experiment", "n_runs"): (lambda v: v >= 1, "n_runs must be >= 1"),
-    ("experiment", "catalog_file"): (lambda v: v != "", "catalog_file must not be empty"),
-    ("experiment", "catalog_bodies"): (lambda v: len(v) > 0,
-                                       "catalog_bodies must not be empty"),
-}
 
-
-def _read(text: str, path: str) -> tuple[dict[str, dict[str, object]],
-                                          dict[str, dict[str, int]]]:
-    """Typed values and their line numbers, by section and key."""
-    values: dict[str, dict[str, object]] = {}
-    lines: dict[str, dict[str, int]] = {}
+def _read(text: str, path: str) -> dict[str, dict[str, tuple[int, object]]]:
+    """Each key's line number and typed value, by section, in file order."""
+    entries: dict[str, dict[str, tuple[int, object]]] = {}
     current: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -209,8 +208,7 @@ def _read(text: str, path: str) -> tuple[dict[str, dict[str, object]],
             if name not in _SCHEMA:
                 raise ConfigError(f"unknown section [{name}]", path, line_no)
             current = name
-            values.setdefault(name, {})
-            lines.setdefault(name, {})
+            entries.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value' or '[section]'", path, line_no)
@@ -220,18 +218,13 @@ def _read(text: str, path: str) -> tuple[dict[str, dict[str, object]],
         key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]", path, line_no)
-        if key in values[current]:
+        if key in entries[current]:
             raise ConfigError(f"duplicate key {key!r}", path, line_no)
         try:
-            value = _SCHEMA[current][key](raw)
+            entries[current][key] = (line_no, _SCHEMA[current][key](raw))
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", path, line_no) from exc
-        check = _CHECKS.get((current, key))
-        if check is not None and not check[0](value):
-            raise ConfigError(f"{check[1]}, got {value!r}", path, line_no)
-        values[current][key] = value
-        lines[current][key] = line_no
-    return values, lines
+    return entries
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -240,47 +233,53 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     return _parse(text, path)[0]
 
 
-def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, int]]]:
-    """The RunConfig and the line number of each key present."""
-    values, lines = _read(text, path)
-    # the catalog keys name the bodies of a multi-body run and nothing else
-    if values.get("run", {}).get("mode", MODES[0]) != "multi-body":
-        for key in values.get("experiment", {}):
-            if key in ("catalog_file", "catalog_bodies"):
-                raise ConfigError(f"{key} applies only to mode = multi-body", path,
-                                  lines["experiment"][key])
+def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, tuple[int, object]]]]:
+    """The RunConfig and each key's line number and value."""
+    entries = _read(text, path)
 
-    def given(present: dict[str, object], fields, prefix: str = "") -> dict[str, object]:
-        return {f.name: present[prefix + _key(f)] for f in fields
-                if prefix + _key(f) in present}
+    def given(section: str, fields, prefix: str = "") -> dict[int, tuple[str, object]]:
+        """The field name and value of each key present, by line."""
+        present = entries.get(section, {})
+        return {present[k][0]: (f.name, present[k][1]) for f in fields
+                if (k := prefix + _key(f)) in present}
 
-    def build(section: str, cls, fields, prefix: str = "", **extra):
-        present = values.get(section, {})
+    def build(cls, keys: dict[int, tuple[str, object]], section: str | None = None,
+              **extra):
+        """`cls` from the keys given; RunConfig's messages name the key, the
+        other dataclasses' are prefixed with their section."""
         try:
-            return cls(**given(present, fields, prefix), **extra)
-        except ValueError as exc:
+            return cls(**dict(keys.values()), **extra)
+        except ValueError:
             # blame the first key, in file order, whose addition makes the
-            # section fail; `present` keeps the file order
-            keys = list(present)
-            for n, key in enumerate(keys, start=1):
+            # construction fail
+            lines = sorted(keys)
+            for n, line in enumerate(lines, start=1):
                 try:
-                    cls(**given({k: present[k] for k in keys[:n]}, fields, prefix), **extra)
-                except ValueError:
-                    break
-            raise ConfigError(f"invalid [{section}] settings: {exc}", path,
-                              lines[section][key]) from exc
+                    cls(**dict(keys[k] for k in lines[:n]), **extra)
+                except ValueError as exc:
+                    where = f"invalid [{section}] settings: " if section else ""
+                    raise ConfigError(f"{where}{exc}", path, line) from exc
+            raise
 
-    contact = build("physics", ContactParams, _CONTACT_FIELDS, _CONTACT_PREFIX)
-    run_values = {}
+    contact = build(ContactParams, given("physics", _CONTACT_FIELDS, _CONTACT_PREFIX),
+                    "physics")
+    run_keys: dict[int, tuple[str, object]] = {}
     for section, fields in _RUN_FIELDS.items():
-        run_values.update(given(values.get(section, {}), fields))
-    cfg = RunConfig(
-        physics=build("physics", PhysicsConfig, _PHYSICS_FIELDS, contact=contact),
-        observation=build("observation", ObservationConfig, _OBSERVATION_FIELDS),
-        episode=build("episode", EpisodeConfig, _EPISODE_FIELDS),
-        **run_values,
+        run_keys.update(given(section, fields))
+    cfg = build(
+        RunConfig, run_keys,
+        physics=build(PhysicsConfig, given("physics", _PHYSICS_FIELDS), "physics",
+                      contact=contact),
+        observation=build(ObservationConfig, given("observation", _OBSERVATION_FIELDS),
+                          "observation"),
+        episode=build(EpisodeConfig, given("episode", _EPISODE_FIELDS), "episode"),
     )
-    return cfg, lines
+    # the catalog keys name the bodies of a multi-body run and nothing else
+    if cfg.mode != "multi-body":
+        for key, (line, _) in entries.get("experiment", {}).items():
+            if key in ("catalog_file", "catalog_bodies"):
+                raise ConfigError(f"{key} applies only to mode = multi-body", path, line)
+    return cfg, entries
 
 
 def load_config(path: str) -> RunConfig:
@@ -289,10 +288,10 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path) from exc
-    cfg, lines = _parse(text, path)
-    # dry-run the evolution config so semantic errors surface before any output;
+    cfg, entries = _parse(text, path)
+    # dry-run the catalog so a missing body surfaces before any output;
     # catalog errors point at their key, else at the catalog file's line
-    experiment = lines.get("experiment", {})
+    experiment = {key: line for key, (line, _) in entries.get("experiment", {}).items()}
     try:
         cfg.evolution_config(workers=1)
     except ConfigError as exc:
@@ -300,22 +299,17 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(exc.message, path, line) from exc
     except CatalogError as exc:
         raise ConfigError(str(exc), path, experiment.get("catalog_file")) from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
     return cfg
 
 
 def override(cfg: RunConfig, seed: int | None = None, workers: int | None = None,
              out: str | None = None) -> RunConfig:
-    updates = {}
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}", "--seed")
-        updates["seed"] = seed
-    if workers is not None:
-        updates["workers"] = workers
-    if out is not None:
-        if out == "":
-            raise ConfigError("out must not be empty, got ''", "--out")
-        updates["out"] = out
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    """`cfg` with each given command-line flag written into its field."""
+    for flag, name, value in (("--seed", "seed", seed), ("--workers", "workers", workers),
+                              ("--out", "out", out)):
+        if value is not None:
+            try:
+                cfg = dataclasses.replace(cfg, **{name: value})
+            except ValueError as exc:
+                raise ConfigError(str(exc), flag) from exc
+    return cfg

@@ -61,7 +61,7 @@ class EpisodeConfig:
 @dataclass(frozen=True)
 class EpisodeResult:
     fitness: float
-    delta_px: float
+    delta_px: float | None  # None when diverged: the robot has no final position
     reached_end: bool
     steps_used: int
     diverged: bool
@@ -105,7 +105,7 @@ def run_episode(morph: Morphology, controller: ControllerGenome,
         except SimulationDivergedError:
             return EpisodeResult(
                 fitness=episode_cfg.divergence_floor,
-                delta_px=math.nan,
+                delta_px=None,
                 reached_end=False,
                 steps_used=step + 1,
                 diverged=True,

@@ -56,7 +56,8 @@ def mechanical_energy(world) -> float:
     d = world.pos[world.spring_b] - world.pos[world.spring_a]
     length = np.sqrt((d * d).sum(axis=1))
     elastic = 0.5 * (world.stiffness * (length - world.rest) ** 2).sum()
-    gravitational = (world.mass * world.gravity * (world.pos[:, 1] - world.ground_height)).sum()
+    height = world.pos[:, 1] - world.ground_height
+    gravitational = (world.mass * world.physics.gravity * height).sum()
     return float(kinetic + elastic + gravitational)
 
 

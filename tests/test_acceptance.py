@@ -563,7 +563,7 @@ class TestMultiBodyTraining:
         assert cfg.catalog_bodies == CATALOG_ORDER
         catalog = [default_catalog()[name] for name in CATALOG_ORDER]
         champion = load_individual(str(out / "champion.ckpt"))
-        evo_cfg = cfg.evolution_config(_resolve_workers(None, cfg.workers))
+        evo_cfg = cfg.evolution_config(_resolve_workers(cfg.workers))
         with Evaluator(evo_cfg) as evaluator:
             per_body = [r.fitness for (r,) in evaluator.evaluate(
                 [((body,), champion.controller) for body in catalog])]

@@ -1,10 +1,12 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from voxevo.checkpoints import (
+    _COUNT,
     MAGIC,
     CheckpointIntegrityError,
     atomic_write_bytes,
@@ -14,7 +16,7 @@ from voxevo.checkpoints import (
     save_population,
 )
 from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
-from voxevo.evolution import KIND_BODY, KIND_FRESH, Individual
+from voxevo.evolution import KIND_BODY, KIND_FRESH, MAX_POPULATION, Individual
 from voxevo.morphology import random_morphology
 
 
@@ -103,6 +105,12 @@ class TestPopulationRoundTrip:
         path = str(tmp_path / "pop.ckpt")
         save_population(path, [])
         assert load_population(path) == []
+
+    # EvolutionConfig bounds mu by the largest count the header records
+    def test_count_holds_the_largest_population(self):
+        assert _COUNT.unpack(_COUNT.pack(MAX_POPULATION)) == (MAX_POPULATION,)
+        with pytest.raises(struct.error):
+            _COUNT.pack(MAX_POPULATION + 1)
 
     def test_kind_confusion_rejected(self, tmp_path):
         ind_path = str(tmp_path / "ind.ckpt")

@@ -163,8 +163,8 @@ class TestWorkersResolution:
     @pytest.mark.parametrize("env", ["lots", "-2", "1"])
     def test_environment_variable_is_ignored(self, env, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("VOXEVO_WORKERS", env)
-        assert _resolve_workers(None, 3) == 3
-        assert _resolve_workers(2, None) == 2
+        assert _resolve_workers(3) == 3
+        assert _resolve_workers(2) == 2
         assert evolve(config_path, str(tmp_path / "out")) == 0
 
     @pytest.mark.parametrize("command", ["evolve", "transfer"])
@@ -198,7 +198,7 @@ class TestWorkersResolution:
         if command == "transfer":
             argv += ["--champion", os.path.join(run_dir, "champion.ckpt")]
         assert main(argv) == 2
-        assert "error: --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "error: --seed: master_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     # evolve died on makedirs(""), transfer only after scoring every episode
@@ -227,10 +227,10 @@ class TestWorkersResolution:
     def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _resolve_workers(None, None) == 1
-        assert _resolve_workers(None, 3) == 3
+        assert _resolve_workers(None) == 1
+        assert _resolve_workers(3) == 3
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert _resolve_workers(None, None) == 64
+        assert _resolve_workers(None) == 64
 
     def test_config_count_below_one_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
     KIND_FRESH,
+    MAX_POPULATION,
     Evaluator,
     EvolutionConfig,
     Individual,
@@ -24,6 +26,7 @@ from voxevo.evolution import (
     select_survivors,
 )
 from voxevo.morphology import MutationFailedError, random_morphology
+from voxevo.physics import PhysicsConfig
 from voxevo.walker import EpisodeConfig, EpisodeResult, evaluate_fitness, run_episode
 
 
@@ -64,6 +67,18 @@ class TestConfigValidation:
     def test_rejects_negative_master_seed(self):
         with pytest.raises(ValueError, match="master_seed"):
             EvolutionConfig(master_seed=-1)
+
+    # a file rejects each of these at its line; the dataclass rejects them too
+    @pytest.mark.parametrize("field, value, message", [
+        ("controller_kind", "foo", "controller_kind must be one of"),
+        ("generations", 0, "generations must be >= 1"),
+        ("checkpoint_every", -3, "checkpoint_every must be >= 0"),
+        # a population checkpoint records its count in 16 bits
+        ("mu", MAX_POPULATION + 1, f"mu must be >= 1 and at most {MAX_POPULATION}"),
+    ])
+    def test_rejects_what_a_config_file_rejects(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EvolutionConfig(**{field: value})
 
     def test_brain_only_property(self, small_body):
         assert not EvolutionConfig().brain_only
@@ -207,7 +222,6 @@ class TestEvaluation:
         with Evaluator(cfg) as evaluator:
             (joint,) = evaluator.evaluate([(catalog, ctrl)])
         alone = tuple(run_episode(b, ctrl, fast_episode) for b in catalog)
-        assert not any(r.diverged for r in alone)  # NaN delta_px never compares equal
         assert joint == alone
         assert all(r.trajectory is None for r in joint)
 
@@ -227,6 +241,20 @@ class TestEvaluation:
                    for results in serial for r in results)
         # whole results, not only their fitness values
         assert serial == pooled
+        # small_body diverges under this rigid stiffness; a diverged result
+        # has no displacement, so the same job scored twice compares equal
+        # whichever process scored it
+        diverging = [((small_body,), controllers[0])] * 2
+        by_workers = []
+        for workers in (1, 2):
+            cfg = EvolutionConfig(episode=EpisodeConfig(max_steps=50), workers=workers,
+                                  physics=PhysicsConfig(rigid_stiffness=6e7))
+            with Evaluator(cfg) as ev:
+                by_workers.append(ev.evaluate(diverging))
+        assert all(r.diverged and r.delta_px is None
+                   for results in by_workers for (r,) in results)
+        assert all(results[0] == results[1] for results in by_workers)
+        assert by_workers[0] == by_workers[1]
 
 
 class TestGenerationStep:

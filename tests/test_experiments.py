@@ -275,19 +275,19 @@ class TestAccounting:
 
 class TestConvergence:
     def test_threshold_indices(self):
-        metrics = convergence_metrics([0.0, 5.0, 9.0, 10.0])
-        assert metrics.generations_to == {0.8: 2, 0.9: 2, 0.95: 3, 0.99: 3}
-        assert not metrics.shifted
+        assert convergence_metrics([0.0, 5.0, 9.0, 10.0]) == {0.8: 2, 0.9: 2, 0.95: 3,
+                                                              0.99: 3}
 
     def test_negative_series_is_shifted(self):
-        metrics = convergence_metrics([-2.0, 0.0, 6.0])
-        assert metrics.shifted
-        assert metrics.generations_to[0.8] == 2
-        assert metrics.generations_to[0.99] == 2
+        generations = convergence_metrics([-2.0, 0.0, 6.0])
+        assert generations[0.8] == 2
+        assert generations[0.99] == 2
+        # shifted to [0, 7, 8], 0.8 of the final 8 is reached at index 1;
+        # unshifted, 0.8 of the final 4 would be reached only at index 2
+        assert convergence_metrics([-4.0, 3.0, 4.0]) == {0.8: 1, 0.9: 2, 0.95: 2, 0.99: 2}
 
     def test_flat_series(self):
-        metrics = convergence_metrics([0.0, 0.0, 0.0])
-        assert all(v == 0 for v in metrics.generations_to.values())
+        assert all(v == 0 for v in convergence_metrics([0.0, 0.0, 0.0]).values())
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

@@ -384,7 +384,7 @@ class TestDynamics:
 
     def test_energy_at_rest_is_pure_gravity_potential(self):
         world = build_world(body_from_rows("33000", "11000"), PhysicsConfig())
-        expected = float((world.mass * world.gravity * world.pos[:, 1]).sum())
+        expected = float((world.mass * world.physics.gravity * world.pos[:, 1]).sum())
         assert mechanical_energy(world) == pytest.approx(expected, rel=1e-12)
 
 
@@ -413,8 +413,8 @@ class TestContactParams:
 # it bit for bit.
 def oracle_total_forces(world):
     forces = oracle_spring_forces(world)
-    forces[:, 1] -= world.mass * world.gravity
-    contact = world.contact
+    forces[:, 1] -= world.mass * world.physics.gravity
+    contact = world.physics.contact
     if contact.normal_stiffness > 0.0 or contact.friction > 0.0:
         penetration = world.ground_height - world.pos[:, 1]
         touching = penetration > 0.0
@@ -465,7 +465,7 @@ def spring_owners(world):
 def oracle_rest(world, owners, axes, actions):
     """Rest lengths for `actions`, from the geometry alone: edges take the
     mean scale of their voxels on their axis, diagonals sqrt(w^2 + h^2)."""
-    lo, hi = world.actuation_min, world.actuation_max
+    lo, hi = world.physics.actuation_min, world.physics.actuation_max
     sx, sy = np.ones(len(world.cells)), np.ones(len(world.cells))
     for voxel, action in zip(world.actuator_voxels, actions):
         axis_scale = sx if world.materials[voxel] == H_ACTUATOR else sy

@@ -85,6 +85,34 @@ class TestParsing:
         assert cfg.seed == 3
 
 
+# One value per bound that a file rejects, with a fragment of its message.
+BOUNDS = [
+    ("run", "generations", "0", "generations must be >= 1"),
+    ("run", "workers", "0", "workers must be >= 1"),
+    # an empty out passed load and failed only when the run opened it
+    ("run", "out", "", "out must not be empty, got ''"),
+    ("evolution", "mu", "0", "mu must be >= 1"),
+    # population checkpoints record their count in 16 bits
+    ("evolution", "mu", "65536", "mu must be >= 1 and at most 65535"),
+    ("evolution", "lambda", "0", "lambda must be >= 1"),
+    ("evolution", "p_body_mutation", "1.5", "p_body_mutation must be in [0, 1]"),
+    ("evolution", "p_body_mutation", "-0.1", "p_body_mutation must be in [0, 1]"),
+    ("evolution", "controller_sigma", "-1", "controller_sigma must be >= 0"),
+    ("evolution", "controller_sigma", "inf", "controller_sigma must be >= 0 and finite"),
+    ("evolution", "controller_sigma", "nan", "controller_sigma must be >= 0 and finite"),
+    # a negative period wrote checkpoints as if it were positive
+    ("evolution", "checkpoint_every", "-2", "checkpoint_every must be >= 0"),
+    ("experiment", "distances", "1, 0", "distances must be >= 1"),
+    # no distances made transfer write a header-only transfer.csv
+    ("experiment", "distances", "", "distances must be >= 1 and non-empty"),
+    # an empty catalog_file silently loaded the default catalog
+    ("experiment", "catalog_file", "", "catalog_file must not be empty"),
+    ("experiment", "catalog_bodies", "", "catalog_bodies must not be empty"),
+    ("experiment", "samples_per_distance", "0", "samples_per_distance must be >= 1"),
+    ("experiment", "one_shot_lambda", "-1", "one_shot_lambda must be >= 0"),
+]
+
+
 class TestErrors:
     def assert_error(self, text, fragment, line):
         with pytest.raises(ConfigError) as exc_info:
@@ -119,7 +147,7 @@ class TestErrors:
         self.assert_error("[run]\nmode = lamarckian\n", "mode", 2)
 
     def test_bad_paradigm(self):
-        self.assert_error("[run]\nparadigm = central\n", "paradigm", 2)
+        self.assert_error("[run]\nparadigm = central\n", "controller_kind must be one of", 2)
 
     # under co-optimize the catalog keys loaded and were silently ignored
     @pytest.mark.parametrize("key, value", [("catalog_bodies", "squid"),
@@ -134,31 +162,7 @@ class TestErrors:
     def test_negative_seed(self):
         self.assert_error("[run]\nmode = co-optimize\nseed = -1\n", "seed must be >= 0", 3)
 
-    @pytest.mark.parametrize("section, key, value, fragment", [
-        ("run", "generations", "0", "generations must be >= 1"),
-        ("run", "workers", "0", "workers must be >= 1"),
-        # an empty out passed load and failed only when the run opened it
-        ("run", "out", "", "out must not be empty, got ''"),
-        ("evolution", "mu", "0", "mu must be >= 1"),
-        # population checkpoints record their count in 16 bits
-        ("evolution", "mu", "65536", "mu must be >= 1 and at most 65535"),
-        ("evolution", "lambda", "0", "lambda must be >= 1"),
-        ("evolution", "p_body_mutation", "1.5", "p_body_mutation must be in [0, 1]"),
-        ("evolution", "p_body_mutation", "-0.1", "p_body_mutation must be in [0, 1]"),
-        ("evolution", "controller_sigma", "-1", "controller_sigma must be >= 0"),
-        ("evolution", "controller_sigma", "inf", "controller_sigma must be >= 0 and finite"),
-        ("evolution", "controller_sigma", "nan", "controller_sigma must be >= 0 and finite"),
-        # a negative period wrote checkpoints as if it were positive
-        ("evolution", "checkpoint_every", "-2", "checkpoint_every must be >= 0"),
-        ("experiment", "distances", "1, 0", "distances must be >= 1"),
-        # no distances made transfer write a header-only transfer.csv
-        ("experiment", "distances", "", "distances must be >= 1 and non-empty"),
-        # an empty catalog_file silently loaded the default catalog
-        ("experiment", "catalog_file", "", "catalog_file must not be empty"),
-        ("experiment", "catalog_bodies", "", "catalog_bodies must not be empty"),
-        ("experiment", "samples_per_distance", "0", "samples_per_distance must be >= 1"),
-        ("experiment", "one_shot_lambda", "-1", "one_shot_lambda must be >= 0"),
-    ])
+    @pytest.mark.parametrize("section, key, value, fragment", BOUNDS)
     def test_evolution_bounds_name_their_line(self, section, key, value, fragment):
         self.assert_error(f"[run]\nseed = 1\n[{section}]\n{key} = {value}\n",
                           fragment, 4)
@@ -445,3 +449,36 @@ def test_zero_generations_is_rejected_before_any_output(tmp_path, capsys):
     assert re.search(rf"{re.escape(str(cfg))}:2: generations must be >= 1",
                      capsys.readouterr().err)
     assert not os.path.exists(out)
+
+
+# the command-line flags that set a [run] key
+FLAGS = {"seed": "--seed", "workers": "--workers", "out": "--out"}
+
+
+# Each bound lives in the dataclass that declares its field: the file names
+# the line, the dataclass gives the same message, and a flag names itself.
+@pytest.mark.parametrize("section, key, value, fragment", BOUNDS + [
+    ("run", "seed", "-1", "master_seed must be >= 0"),
+    ("run", "mode", "fixed-body", "mode must be one of"),
+    ("run", "paradigm", "central", "controller_kind must be one of"),
+    ("experiment", "n_runs", "0", "n_runs must be >= 1"),
+])
+def test_file_dataclass_and_flag_reject_alike(section, key, value, fragment, tmp_path,
+                                              monkeypatch, capsys):
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"[{section}]\n{key} = {value}\n", path="demo.cfg")
+    message = from_file.value.message
+    assert from_file.value.line == 2 and fragment in message
+
+    field = "lambda_" if key == "lambda" else key
+    with pytest.raises(ValueError) as from_dataclass:
+        RunConfig(**{field: _SCHEMA[section][key](value)})
+    assert str(from_dataclass.value) == message
+
+    if key in FLAGS:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\ngenerations = 1\nout = {tmp_path / 'out'}\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--config", str(cfg), FLAGS[key], value]) == 2
+        assert f"error: {FLAGS[key]}: {message}\n" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
