@@ -59,6 +59,13 @@ class ReportIntegrityError(RuntimeError):
     pass
 
 
+# A command refuses its input by raising one of these before its first write,
+# the claim of its output; `main` alone reports it, as one `error:` line and
+# exit status 2. Any other error escapes as a traceback.
+REJECTIONS = (ConfigError, CheckpointIntegrityError, ReportIntegrityError,
+              LineageIntegrityError)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -127,8 +134,20 @@ def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
     return artifacts
 
 
-def _check_input_size(champion: Individual, cfg: RunConfig, config_path: str) -> None:
-    """A champion replays only under the observation layout it evolved with."""
+def _prologue(args) -> tuple[RunConfig, int]:
+    """The config of `evolve` and `transfer` with --seed, --workers and --out
+    written in, and the worker count it resolves to."""
+    cfg = override(load_config(args.config),
+                   seed=args.seed, workers=args.workers, out=args.out)
+    if cfg.out is None:
+        raise ConfigError("no output directory: set [run] out or pass --out", args.config)
+    return cfg, _resolve_workers(cfg.workers)
+
+
+def _load_champion(path: str, cfg: RunConfig, config_path: str) -> Individual:
+    """The champion checkpoint at `path`, which replays only under the
+    observation layout it evolved with."""
+    champion = load_individual(path)
     kind = champion.controller.kind
     got = champion.controller.params.n_inputs
     want = input_size(kind, cfg.observation)
@@ -138,61 +157,47 @@ def _check_input_size(champion: Individual, cfg: RunConfig, config_path: str) ->
             f"observation layout of this config gives {want} "
             f"(neighborhood_distance = {cfg.observation.neighborhood_distance})",
             config_path)
+    return champion
+
+
+def _claim_output(directory: str, fresh: bool = False) -> None:
+    """Make `directory`, the one a command writes into, and its parents: every
+    command's first write. A `fresh` claim refuses a directory that exists;
+    a path that cannot be made (a file in the way, no permission) is refused."""
+    try:
+        os.makedirs(directory, exist_ok=not fresh)
+    except OSError as exc:
+        message = ("output directory already exists" if os.path.isdir(directory)
+                   else f"cannot create output directory: {exc.strerror}")
+        raise ConfigError(message, directory) from exc
 
 
 def cmd_evolve(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        cfg = override(cfg, seed=args.seed, workers=args.workers, out=args.out)
-        if cfg.out is None:
-            raise ConfigError("no output directory: set [run] out or pass --out",
-                              args.config)
-        workers = _resolve_workers(cfg.workers)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        os.makedirs(cfg.out, exist_ok=False)
-    except FileExistsError:
-        print(f"error: output directory already exists: {cfg.out}", file=sys.stderr)
-        return 2
-
-    if cfg.n_runs == 1:
-        artifacts = _execute_run(cfg.out, cfg.evolution_config(workers))
-        print(f"champion fitness: {artifacts.champion.fitness!r}")
-    else:
-        best = None
-        for i in range(cfg.n_runs):
-            run_dir = os.path.join(cfg.out, f"run_{i:02d}")
-            evo_cfg = cfg.evolution_config(workers, seed=cfg.seed + i)
-            artifacts = _execute_run(run_dir, evo_cfg)
-            print(f"run {i:02d} (seed {cfg.seed + i}) champion fitness: "
-                  f"{artifacts.champion.fitness!r}")
-            if best is None or artifacts.champion.fitness > best:
-                best = artifacts.champion.fitness
-        print(f"battery best champion fitness: {best!r}")
+    cfg, workers = _prologue(args)
+    evo_cfgs = [cfg.evolution_config(workers, seed=cfg.seed + i) for i in range(cfg.n_runs)]
+    _claim_output(cfg.out, fresh=True)
+    # a single run is a battery of one, written in place
+    battery = cfg.n_runs > 1
+    fitnesses = []
+    for i, evo_cfg in enumerate(evo_cfgs):
+        run = f"run {i:02d} (seed {evo_cfg.master_seed}) " if battery else ""
+        run_dir = os.path.join(cfg.out, f"run_{i:02d}") if battery else cfg.out
+        fitnesses.append(_execute_run(run_dir, evo_cfg).champion.fitness)
+        print(f"{run}champion fitness: {fitnesses[-1]!r}")
+    if battery:
+        print(f"battery best champion fitness: {max(fitnesses)!r}")
     return 0
 
 
 def cmd_transfer(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        cfg = override(cfg, seed=args.seed, workers=args.workers, out=args.out)
-        if cfg.out is None:
-            raise ConfigError("no output directory: set [run] out or pass --out",
-                              args.config)
-        workers = _resolve_workers(cfg.workers)
-        champion = load_individual(args.champion)
-        _check_input_size(champion, cfg, args.config)
-        os.makedirs(cfg.out, exist_ok=True)
-    except (ConfigError, CheckpointIntegrityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg, workers = _prologue(args)
+    champion = _load_champion(args.champion, cfg, args.config)
+    evo_cfg = cfg.evolution_config(workers)
+    _claim_output(cfg.out)
 
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, TRANSFER_STREAM_TAG]))
-    with Evaluator(cfg.evolution_config(workers)) as evaluator:
+    with Evaluator(evo_cfg) as evaluator:
         source_fitness = champion.fitness
         if source_fitness is None:
             source_fitness = evaluator.evaluate(
@@ -240,16 +245,11 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        champion = load_individual(args.champion)
-        _check_input_size(champion, cfg, args.config or "default config")
-        if os.path.isdir(args.out):
-            raise ConfigError(f"output is a directory: {args.out}", "--out")
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    except (ConfigError, CheckpointIntegrityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config) if args.config else RunConfig()
+    champion = _load_champion(args.champion, cfg, args.config or "default config")
+    if os.path.isdir(args.out):
+        raise ConfigError(f"output is a directory: {args.out}", "--out")
+    _claim_output(os.path.dirname(os.path.abspath(args.out)))
 
     result = run_episode(champion.morphology, champion.controller,
                          cfg.episode, cfg.physics, cfg.observation, record=True)
@@ -333,10 +333,9 @@ def cmd_report(args) -> int:
                 raise ReportIntegrityError(
                     f"{run_dir}: no {GENERATIONS_CSV} and no run_* subdirectories")
         summaries = [_summarize_run(d) for d in run_dirs]
-    except (ReportIntegrityError, CheckpointIntegrityError,
-            LineageIntegrityError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:
+        raise ReportIntegrityError(f"cannot read run: {exc}") from exc
+    _claim_output(run_dir)
 
     header = (["run", "champion_fitness"]
               + [f"gens_to_{int(t * 100)}" for t in CONVERGENCE_THRESHOLDS]
@@ -417,7 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except REJECTIONS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ class ContactParams:
     friction: float = 0.8
 
     def __post_init__(self):
-        # a negative stiffness with a negative friction switches contact off
+        # ground contact is on when any of the three is positive and off when
+        # all are zero; a negative value is refused, not read as zero
         for f in fields(self):
             value = getattr(self, f.name)
             if value < 0.0:
@@ -356,7 +357,7 @@ def step_env(world: SimWorld) -> None:
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
     contact = physics.contact
     kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
-    has_contact = kn > 0.0 or mu > 0.0
+    has_contact = kn > 0.0 or kd > 0.0 or mu > 0.0
     ground = world.ground_height
     # divergence surfaces as the explicit finiteness check below, not as
     # floating-point warnings mid-substep

@@ -37,8 +37,10 @@ class ObservationConfig:
     time_period: int = 25
 
     def __post_init__(self):
-        if self.neighborhood_distance < 0:
-            raise ValueError("neighborhood distance must be >= 0")
+        # a radius-(GRID_SIZE - 1) window centred on any cell covers the grid
+        if not 0 <= self.neighborhood_distance <= GRID_SIZE - 1:
+            raise ValueError(f"neighborhood distance must be in [0, {GRID_SIZE - 1}], "
+                             f"got {self.neighborhood_distance!r}")
         if self.time_period < 1:
             raise ValueError("time period must be >= 1")
         if not 0.0 < self.velocity_clamp < math.inf:

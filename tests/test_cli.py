@@ -10,6 +10,7 @@ import pytest
 from voxevo.checkpoints import load_individual, load_population
 import voxevo.cli
 from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, _resolve_workers, main
+from voxevo.runconfig import load_config
 
 TINY_CONFIG = """
 [run]
@@ -44,6 +45,17 @@ def evolve(config_path, out, extra=()):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def tree(root):
+    """Every path under `root` with the bytes of each file."""
+    found = {}
+    for parent, _, files in os.walk(root):
+        found[os.path.relpath(parent, root)] = None
+        for name in files:
+            with open(os.path.join(parent, name), "rb") as fh:
+                found[os.path.relpath(os.path.join(parent, name), root)] = fh.read()
+    return found
 
 
 class TestEvolve:
@@ -132,6 +144,33 @@ class TestEvolve:
         assert captured.err.startswith(
             f"error: {cfg}:4: {catalog}: cannot read catalog: ")
         assert captured.out == ""
+        assert not out.exists()
+
+    # makedirs raised NotADirectoryError: a traceback and exit 1
+    def test_out_under_a_regular_file_is_refused_and_writes_nothing(self, config_path,
+                                                                    tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        before = tree(tmp_path)
+        assert evolve(config_path, str(afile / "run"), ["--workers", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {afile / 'run'}: cannot create output directory: Not a directory\n")
+        assert tree(tmp_path) == before
+        assert afile.read_text() == "kept\n"
+
+    # a wider window reads only missing voxels beyond the grid; a huge one
+    # exhausted memory in the first generation, after the output existed
+    def test_neighborhood_distance_beyond_the_grid_refused_before_output(self, tmp_path,
+                                                                         capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("[run]\nseed = 1\n[observation]\nneighborhood_distance = 4\n")
+        assert load_config(str(cfg)).observation.neighborhood_distance == 4
+        cfg.write_text("[run]\nseed = 1\n[observation]\nneighborhood_distance = 5\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:4: invalid [observation] settings: "
+            "neighborhood distance must be in [0, 4], got 5\n")
         assert not out.exists()
 
     def test_battery_layout(self, tmp_path, capsys):
@@ -448,6 +487,37 @@ class TestReport:
         assert main(["report", str(broken)]) == 2
         err = capsys.readouterr().err
         assert "lineage.csv" in err and "champion.ckpt" in err
+
+
+class TestOneErrorExit:
+    # each command once printed its own error and returned 2, with four
+    # different sets of exceptions; main now reports every refusal
+    @pytest.mark.parametrize("command", ["evolve", "transfer", "replay", "report"])
+    def test_input_problem_exits_2_with_one_error_line_and_no_output(
+            self, command, trained_run, tmp_path, capsys):
+        config, run_dir = trained_run
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[run]\nseed = 1\nbogus = 2\n")
+        out = tmp_path / "out"
+        argv = {
+            "evolve": ["evolve", "--config", str(bad), "--out", str(out)],
+            "transfer": ["transfer", "--config", config, "--out", str(out),
+                         "--champion", str(tmp_path / "missing.ckpt")],
+            "replay": ["replay", "--config", str(bad), "--out", str(out / "replay.jsonl"),
+                       "--champion", os.path.join(run_dir, "champion.ckpt")],
+            "report": ["report", str(out)],
+        }[command]
+        if command == "report":  # a run that stopped before its lineage
+            out.mkdir()
+            (out / "generations.csv").write_text(
+                ",".join(GENERATION_COLUMNS) + "\n1,0.1,0.1,0,1,1,1\n")
+        before = tree(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert tree(tmp_path) == before
 
 
 class TestEntryPoints:

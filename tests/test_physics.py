@@ -415,7 +415,8 @@ def oracle_total_forces(world):
     forces = oracle_spring_forces(world)
     forces[:, 1] -= world.mass * world.physics.gravity
     contact = world.physics.contact
-    if contact.normal_stiffness > 0.0 or contact.friction > 0.0:
+    if (contact.normal_stiffness > 0.0 or contact.normal_damping > 0.0
+            or contact.friction > 0.0):
         penetration = world.ground_height - world.pos[:, 1]
         touching = penetration > 0.0
         if touching.any():
@@ -618,6 +619,22 @@ class TestContactBranches:
         step_env(world)
         oracle_step_env(ref)
         assert_same_state(world, ref)
+
+    # contact was switched on by stiffness or friction alone, so a ground with
+    # only damping let a falling body through as if there were no ground
+    def test_damping_alone_slows_a_falling_voxel(self):
+        def step_falling(contact):
+            world = build_world(single_voxel(), PhysicsConfig(contact=contact))
+            world.pos[:, 1] -= 0.01
+            world.vel[:, 1] = -1.0
+            ref = copy.deepcopy(world)
+            step_env(world)
+            oracle_step_env(ref)
+            assert_same_state(world, ref)
+            return world.vel[:, 1].mean()
+
+        no_ground = step_falling(ContactParams(0.0, 0.0, 0.0))
+        assert step_falling(ContactParams(0.0, 10.0, 0.0)) > no_ground + 0.1
 
     # With the spring forces and gravity at zero and every velocity at -0.0,
     # the sign of a zero contact force shows in the new velocity: -0.0 + 0.0

@@ -75,6 +75,13 @@ class TestConfig:
         assert cfg.window_side == 3
         assert cfg.local_size == 9 * BLOCK_SIZE + 1
 
+    # a radius-4 window centred on any cell covers the 5x5 grid; a wider one
+    # adds only missing-voxel blocks, and a huge one exhausted memory
+    def test_distance_up_to_grid_size_minus_one(self):
+        assert ObservationConfig(neighborhood_distance=GRID_SIZE - 1).window_side == 9
+        with pytest.raises(ValueError, match=r"must be in \[0, 4\], got 5"):
+            ObservationConfig(neighborhood_distance=GRID_SIZE)
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ObservationConfig(neighborhood_distance=-1)
