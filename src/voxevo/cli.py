@@ -273,21 +273,30 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _read_lineage_csv(path: str) -> dict[int, OffspringRecord]:
-    lineage: dict[int, OffspringRecord] = {}
+def _read_csv(path: str, types: dict) -> list[dict]:
+    """Each row of a run's CSV as {column: types[column](field)}; a missing
+    column or a field that does not parse is refused, naming the file and
+    its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            record = OffspringRecord(
-                id=int(row["id"]),
-                parent_id=int(row["parent_id"]) if row["parent_id"] else None,
-                mutation_kind=row["mutation_kind"],
-                fitness=float(row["fitness"]),
-                parent_fitness_at_birth=(float(row["parent_fitness_at_birth"])
-                                         if row["parent_fitness_at_birth"] else None),
-                success=row["success"] == "1",
-            )
-            lineage[record.id] = record
-    return lineage
+        reader = csv.DictReader(fh)
+        rows = []
+        for row in reader:
+            try:
+                rows.append({name: convert(row[name]) for name, convert in types.items()})
+            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None
+                problem = f"no {exc} column" if isinstance(exc, KeyError) else exc
+                raise ReportIntegrityError(f"{path}: line {reader.line_num}: {problem}") from exc
+    return rows
+
+
+def _optional(convert):
+    return lambda text: convert(text) if text else None
+
+
+# lineage.csv's columns are OffspringRecord's fields
+LINEAGE_TYPES = {"id": int, "parent_id": _optional(int), "mutation_kind": str,
+                 "fitness": float, "parent_fitness_at_birth": _optional(float),
+                 "success": lambda text: text == "1"}
 
 
 def _summarize_run(run_dir: str) -> dict:
@@ -297,16 +306,16 @@ def _summarize_run(run_dir: str) -> dict:
         raise ReportIntegrityError(
             f"{run_dir}: missing artifacts: {', '.join(missing)}")
 
-    with open(os.path.join(run_dir, GENERATIONS_CSV), encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_csv(os.path.join(run_dir, GENERATIONS_CSV),
+                     {"generation": int, "best_fitness": float})
     if not rows:
         raise ReportIntegrityError(f"{run_dir}: {GENERATIONS_CSV} has no rows")
-    generations = [int(r["generation"]) for r in rows]
-    best = [float(r["best_fitness"]) for r in rows]
-    best_so_far = list(np.maximum.accumulate(best))
+    generations = [r["generation"] for r in rows]
+    best_so_far = list(np.maximum.accumulate([r["best_fitness"] for r in rows]))
 
     champion = load_individual(os.path.join(run_dir, CHAMPION_CKPT))
-    lineage = _read_lineage_csv(os.path.join(run_dir, LINEAGE_CSV))
+    lineage = {r["id"]: OffspringRecord(**r)
+               for r in _read_csv(os.path.join(run_dir, LINEAGE_CSV), LINEAGE_TYPES)}
     accounting = accounting_from_lineage(lineage, champion.id)
 
     return {

@@ -95,8 +95,30 @@ class PhysicsConfig:
         return self.actuator_stiffness
 
 
+class _Stepped:
+    """What `step_env` and the bench read off any stepped world."""
+
+    @property
+    def n_masses(self) -> int:
+        return self.pos.shape[0]
+
+    @property
+    def n_springs(self) -> int:
+        return self.spring_a.shape[0]
+
+    # the step length and count, for readers outside the engine: the bench
+    # counts substeps, and the contact tests recompute one substep's friction
+    @property
+    def physics_dt(self) -> float:
+        return self.physics.physics_dt
+
+    @property
+    def substeps_per_env_step(self) -> int:
+        return self.physics.substeps_per_env_step
+
+
 @dataclass
-class SimWorld:
+class SimWorld(_Stepped):
     """Mutable simulation state compiled from a genome.
 
     Masses and springs are stored as flat arrays; `incidence` maps per-spring
@@ -145,27 +167,44 @@ class SimWorld:
     env_steps: int = 0
 
     @property
-    def n_masses(self) -> int:
-        return self.pos.shape[0]
-
-    @property
-    def n_springs(self) -> int:
-        return self.spring_a.shape[0]
-
-    # the step length and count, for readers outside the engine: the bench
-    # counts substeps, and the contact tests recompute one substep's friction
-    @property
-    def physics_dt(self) -> float:
-        return self.physics.physics_dt
-
-    @property
-    def substeps_per_env_step(self) -> int:
-        return self.physics.substeps_per_env_step
+    def blocks(self) -> tuple:  # a world alone scatters as one block
+        return ((self.incidence, slice(None), slice(None)),)
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
         """Actuator cells in raster order: the order of every action array."""
         return [self.cells[v] for v in self.actuator_voxels]
+
+
+class JoinedWorld(_Stepped):
+    """Worlds of one physics and ground height, stepped as one by `step_env`:
+    their masses and springs concatenated in member order, and one scatter
+    block (incidence, mass rows, spring rows) per member. Each member's
+    `pos`, `vel` and `rest` are rebound to row views of the joined arrays,
+    so actuation, observations and `center_of_mass` work on it as alone."""
+
+    def __init__(self, worlds: tuple[SimWorld, ...]):
+        first = worlds[0]
+        if any(w.physics != first.physics or w.ground_height != first.ground_height
+               for w in worlds):
+            raise ValueError("joined worlds must share their physics and ground height")
+        self.physics, self.ground_height, self.env_steps = first.physics, first.ground_height, 0
+        for name in ("pos", "vel", "rest", "stiffness", "damping", "weight", "inv_mass"):
+            setattr(self, name, np.concatenate([getattr(w, name) for w in worlds]))
+        masses = np.cumsum([0] + [w.n_masses for w in worlds]).tolist()
+        springs = np.cumsum([0] + [w.n_springs for w in worlds]).tolist()
+        self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(worlds, masses)])
+        self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(worlds, masses)])
+        self.mass_list = [m for w in worlds for m in w.mass_list]
+        self.blocks = tuple((w.incidence, slice(m0, m1), slice(s0, s1)) for w, m0, m1, s0, s1
+                            in zip(worlds, masses, masses[1:], springs, springs[1:]))
+        for w, (_, rows, spring_rows) in zip(worlds, self.blocks):
+            w.pos, w.vel, w.rest = self.pos[rows], self.vel[rows], self.rest[spring_rows]
+
+
+def join_worlds(worlds) -> JoinedWorld:
+    """One joined world of `worlds`; see `JoinedWorld`."""
+    return JoinedWorld(tuple(worlds))
 
 
 def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0.0) -> SimWorld:
@@ -323,9 +362,10 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
     _set_rest(world)
 
 
-def _spring_forces(world: SimWorld, z, w, px, py, per_spring, forces) -> None:
+def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
     """Internal forces from complex views of the positions and velocities, per
-    spring into `per_spring` (columns `px`, `py`), per mass into `forces`."""
+    spring into the columns `px`, `py`, per mass into `forces` through
+    `scatter`: each block's incidence with its rows of both buffers."""
     a, b = world.spring_a, world.spring_b
     d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
     dx, dy = d.real, d.imag
@@ -336,12 +376,16 @@ def _spring_forces(world: SimWorld, z, w, px, py, per_spring, forces) -> None:
     magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
     np.multiply(magnitude, ux, out=px)
     np.multiply(magnitude, uy, out=py)
-    world.incidence.dot(per_spring, out=forces)  # the BLAS gemm of `@`
+    # the BLAS gemm of `@`, one per block: one block-diagonal gemm would
+    # block its longer inner dimension differently and change the bits
+    for incidence, springs, masses in scatter:
+        incidence.dot(springs, out=masses)
 
 
-def step_env(world: SimWorld) -> None:
+def step_env(world: SimWorld | JoinedWorld) -> None:
     """Advance one environment step (substeps_per_env_step physics substeps,
-    semi-implicit Euler). Raises SimulationDivergedError on non-finite state.
+    semi-implicit Euler). Raises SimulationDivergedError on non-finite state,
+    of a joined world when any member's state is non-finite.
 
     Each substep sums spring forces, gravity and ground contact, then updates
     velocities before positions.
@@ -353,6 +397,8 @@ def step_env(world: SimWorld) -> None:
     z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
     per_spring, forces = np.empty((world.n_springs, 2)), np.empty_like(pos)
     px, py, fy = per_spring[:, 0], per_spring[:, 1], forces[:, 1]
+    scatter = [(incidence, per_spring[springs], forces[masses])
+               for incidence, masses, springs in world.blocks]
     P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
     contact = physics.contact
@@ -363,7 +409,7 @@ def step_env(world: SimWorld) -> None:
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(physics.substeps_per_env_step):
-            _spring_forces(world, z, w, px, py, per_spring, forces)
+            _spring_forces(world, z, w, px, py, scatter, forces)
             fy -= weight
             if has_contact:
                 # few masses touch at a time, too few for numpy calls to pay

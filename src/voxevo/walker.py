@@ -30,6 +30,7 @@ from .physics import (
     build_world,
     apply_actuation,
     center_of_mass,
+    join_worlds,
     step_env,
 )
 from .sensing import ObservationBuilder, ObservationConfig
@@ -86,45 +87,60 @@ def run_episode(morph: Morphology, controller: ControllerGenome,
     entry, so frame 0 is the build placement and the frame count equals the
     number of steps simulated.
     """
+    return run_episodes((morph,), controller, episode_cfg, physics_cfg, obs_cfg, record)[0]
+
+
+def run_episodes(bodies: tuple[Morphology, ...], controller: ControllerGenome,
+                 episode_cfg: EpisodeConfig | None = None,
+                 physics_cfg: PhysicsConfig | None = None,
+                 obs_cfg: ObservationConfig | None = None,
+                 record: bool = False) -> tuple[EpisodeResult, ...]:
+    """One episode per body under one controller, the bodies' worlds joined
+    and stepped in lockstep; each result is the body's `run_episode` result.
+    A body that diverges or crosses the terrain end leaves the batch at that
+    step, and the bodies still running are joined again without it.
+    """
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
-    world = build_world(morph, physics_cfg)
-    builder = ObservationBuilder(world, controller.kind, obs_cfg)
-    start_x = float(center_of_mass(world)[0])
+    worlds = [build_world(body, physics_cfg) for body in bodies]
+    builders = [ObservationBuilder(w, controller.kind, obs_cfg) for w in worlds]
+    start_x = [float(center_of_mass(w)[0]) for w in worlds]
+    frames = [[] if record else None for _ in worlds]
+    results: list[EpisodeResult | None] = [None] * len(worlds)
 
-    frames: list[np.ndarray] | None = [] if record else None
-    steps_used = 0
-    reached_end = False
+    def finish(i: int, steps_used: int, reached_end: bool, diverged: bool = False) -> None:
+        delta_px = None if diverged else float(center_of_mass(worlds[i])[0]) - start_x[i]
+        fitness = (episode_cfg.divergence_floor if diverged
+                   else episode_fitness(delta_px, reached_end, steps_used, episode_cfg))
+        results[i] = EpisodeResult(fitness, delta_px, reached_end, steps_used, diverged,
+                                   trajectory=frames[i])
+
+    live = list(range(len(worlds)))
+    joined = join_worlds(worlds)
     for step in range(episode_cfg.max_steps):
-        if step % episode_cfg.action_repeat == 0:
-            apply_actuation(world, act(controller, world, step, builder))
-        if frames is not None:
-            frames.append(world.pos.copy())
+        for i in live:
+            if step % episode_cfg.action_repeat == 0:
+                apply_actuation(worlds[i], act(controller, worlds[i], step, builders[i]))
+            if record:
+                frames[i].append(worlds[i].pos.copy())
         try:
-            step_env(world)
+            step_env(joined)
         except SimulationDivergedError:
-            return EpisodeResult(
-                fitness=episode_cfg.divergence_floor,
-                delta_px=None,
-                reached_end=False,
-                steps_used=step + 1,
-                diverged=True,
-                trajectory=frames,
-            )
-        steps_used = step + 1
-        if float(center_of_mass(world)[0]) >= episode_cfg.terrain_end_x:
-            reached_end = True
-            break
-
-    delta_px = float(center_of_mass(world)[0]) - start_x
-    return EpisodeResult(
-        fitness=episode_fitness(delta_px, reached_end, steps_used, episode_cfg),
-        delta_px=delta_px,
-        reached_end=reached_end,
-        steps_used=steps_used,
-        diverged=False,
-        trajectory=frames,
-    )
+            for i in live:
+                if not np.isfinite(worlds[i].pos).all():
+                    finish(i, step + 1, False, diverged=True)
+        for i in live:
+            if (results[i] is None
+                    and float(center_of_mass(worlds[i])[0]) >= episode_cfg.terrain_end_x):
+                finish(i, step + 1, True)
+        if results.count(None) < len(live):  # a body left the batch this step
+            live = [i for i in live if results[i] is None]
+            if not live:
+                break
+            joined = join_worlds(worlds[i] for i in live)
+    for i in live:
+        finish(i, episode_cfg.max_steps, False)
+    return tuple(results)
 
 
 def evaluate_fitness(morph: Morphology, controller: ControllerGenome,

@@ -489,6 +489,32 @@ class TestReport:
         assert "lineage.csv" in err and "champion.ckpt" in err
 
 
+    # non-numeric fields and dropped columns escaped as tracebacks, exit 1
+    @pytest.mark.parametrize("name, column, value, expected", [
+        ("generations.csv", "best_fitness", "zz", "could not convert string to float: 'zz'"),
+        ("lineage.csv", "fitness", "abc", "could not convert string to float: 'abc'"),
+        ("lineage.csv", "fitness", None, "no 'fitness' column"),
+    ], ids=["bad_best_fitness", "bad_fitness", "dropped_column"])
+    def test_malformed_artifact_is_refused_with_file_and_line(
+            self, trained_run, capsys, name, column, value, expected):
+        _, run_dir = trained_run
+        path = os.path.join(run_dir, name)
+        rows = read_rows(path)
+        at = rows[0].index(column)
+        if value is None:
+            rows = [row[:at] + row[at + 1:] for row in rows]
+        else:
+            rows[2][at] = value  # the second data row: line 3 of the file
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["report", run_dir]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {path}: line {2 if value is None else 3}: {expected}"]
+        assert not os.path.exists(os.path.join(run_dir, "report.csv"))
+
+
 class TestOneErrorExit:
     # each command once printed its own error and returned 2, with four
     # different sets of exceptions; main now reports every refusal

@@ -25,7 +25,7 @@ from voxevo.evolution import (
     score,
     select_survivors,
 )
-from voxevo.morphology import MutationFailedError, random_morphology
+from voxevo.morphology import Morphology, MutationFailedError, random_morphology
 from voxevo.physics import PhysicsConfig
 from voxevo.walker import EpisodeConfig, EpisodeResult, evaluate_fitness, run_episode
 
@@ -215,15 +215,42 @@ class TestEvaluation:
                    for b in (small_body, plus_body)]
         assert ind.fitness == min(singles)
 
+    # a multi-body job steps its bodies as one joined world; a body that
+    # diverges or finishes early leaves the batch, and the rest run on
     def test_multi_body_job_is_each_body_alone(self, small_body, plus_body, fast_episode):
         ctrl = init_controller(MODULAR_KIND, np.random.default_rng(22))
-        catalog = (plus_body, small_body)
-        cfg = EvolutionConfig(catalog=catalog, episode=fast_episode)
-        with Evaluator(cfg) as evaluator:
-            (joint,) = evaluator.evaluate([(catalog, ctrl)])
-        alone = tuple(run_episode(b, ctrl, fast_episode) for b in catalog)
-        assert joint == alone
-        assert all(r.trajectory is None for r in joint)
+        soft = np.zeros((5, 5), dtype=np.int8)
+        soft[3, 1:4], soft[4, 1:4] = [3, 2, 4], [2, 2, 2]
+        rigid = np.zeros((5, 5), dtype=np.int8)
+        rigid[3, 1:4], rigid[4, 1:4] = [1, 3, 1], [1, 1, 1]
+        narrow = np.zeros((5, 5), dtype=np.int8)
+        narrow[3:5, 0] = [3, 4]
+        soft, rigid, narrow = Morphology(soft), Morphology(rigid), Morphology(narrow)
+        # each case with the (diverged, reached_end) of each body alone
+        cases = {
+            "all_run": ((plus_body, small_body), fast_episode, PhysicsConfig(),
+                        [(False, False), (False, False)]),
+            # near the time step's stability limit the rigid body diverges
+            # and the all-soft one does not
+            "mixed_divergence": ((rigid, soft), fast_episode,
+                                 PhysicsConfig(physics_dt=1.0 / 120.0),
+                                 [(True, False), (False, False)]),
+            # the terrain ends between the starting centres of mass: 0.5 for
+            # the one-column body, 1.5 for the three-column one
+            "mixed_early_finish": ((narrow, small_body),
+                                   dataclasses.replace(fast_episode, terrain_end_x=1.0),
+                                   PhysicsConfig(), [(False, False), (False, True)]),
+        }
+        for name, (catalog, episode, physics, outcomes) in cases.items():
+            alone = tuple(run_episode(b, ctrl, episode, physics) for b in catalog)
+            assert [(r.diverged, r.reached_end) for r in alone] == outcomes, name
+            for workers in (1, 2):
+                cfg = EvolutionConfig(catalog=catalog, episode=episode, physics=physics,
+                                      workers=workers)
+                with Evaluator(cfg) as evaluator:
+                    (joint,) = evaluator.evaluate([(catalog, ctrl)])
+                assert joint == alone, (name, workers)
+                assert all(r.trajectory is None for r in joint)
 
     def test_worker_pool_matches_serial(self, small_body, plus_body, fast_episode):
         controllers = [init_controller(MODULAR_KIND, np.random.default_rng(s))

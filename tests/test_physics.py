@@ -667,3 +667,78 @@ class TestContactBranches:
         step_env(world)
         oracle_step_env(ref)
         assert_same_state(world, ref)
+
+
+def step_joined_and_alone(bodies, seeds, steps, poison=None):
+    """Step `bodies` as one joined world and each as a world alone, with
+    the actions of body i drawn from the stream seeded by `seeds[i]`; then
+    require every member to hold the bytes of its world alone. `poison`
+    makes that member's state non-finite before the first step."""
+    cfg = PhysicsConfig()
+    members = [build_world(b, cfg) for b in bodies]
+    alone = [build_world(b, cfg) for b in bodies]
+    joined = physics.join_worlds(members)
+    if poison is not None:
+        members[poison].vel[0, 0] = np.nan  # a view: the joined state changes
+    streams = [np.random.default_rng(s) for s in seeds]
+    for step in range(steps):
+        if step % 4 == 0:
+            for m, a, stream in zip(members, alone, streams):
+                actions = stream.random(m.actuator_voxels.size)
+                apply_actuation(m, actions)
+                apply_actuation(a, actions)
+        if poison is None:
+            step_env(joined)
+        else:
+            with pytest.raises(SimulationDivergedError):
+                step_env(joined)
+        for i, a in enumerate(alone):
+            if i != poison:
+                step_env(a)
+    for i, (m, a) in enumerate(zip(members, alone)):
+        if i != poison:
+            assert_same_state(m, a)
+    assert joined.env_steps == steps
+
+
+class TestJoinedWorlds:
+    # any one member steps to the bytes it reaches alone: one gemm scatter per
+    # member, every other pass row by row
+    @pytest.mark.parametrize("seed", range(6))
+    def test_members_step_to_the_bytes_of_each_world_alone(self, seed):
+        rng = np.random.default_rng([31, seed])
+        bodies = [random_morphology(rng) for _ in range(1 + seed)]
+        seeds = [[32, seed, i] for i in range(len(bodies))]
+        step_joined_and_alone(bodies, seeds, 120)
+        step_joined_and_alone(bodies[::-1], seeds[::-1], 120)
+
+    def test_catalog_members_step_to_the_bytes_of_each_world_alone(self):
+        catalog = default_catalog()
+        bodies = [catalog[name] for name in CATALOG_ORDER]
+        step_joined_and_alone(bodies, [[33, i] for i in range(len(bodies))], 120)
+
+    @pytest.mark.parametrize("poison", [0, 2])
+    def test_a_non_finite_member_leaves_the_others_untouched(self, poison):
+        rng = np.random.default_rng(34)
+        bodies = [random_morphology(rng) for _ in range(3)]
+        step_joined_and_alone(bodies, [[35, i] for i in range(3)], 20, poison=poison)
+
+    def test_members_are_views_of_the_joined_state(self):
+        members = [build_world(b, PhysicsConfig()) for b in default_catalog().values()]
+        joined = physics.join_worlds(members)
+        assert joined.n_masses == sum(m.n_masses for m in members)
+        assert joined.n_springs == sum(m.n_springs for m in members)
+        assert joined.substeps_per_env_step == PhysicsConfig().substeps_per_env_step
+        for m, (_, rows, springs) in zip(members, joined.blocks):
+            assert np.shares_memory(m.pos, joined.pos) and m.pos.flags.c_contiguous
+            assert np.shares_memory(m.vel, joined.vel)
+            assert np.shares_memory(m.rest, joined.rest)
+            assert np.array_equal(joined.spring_a[springs] - rows.start, m.spring_a)
+
+    def test_refuses_members_of_other_physics_or_ground(self):
+        body = single_voxel()
+        world = build_world(body, PhysicsConfig())
+        for other in (build_world(body, PhysicsConfig(physics_dt=1.0 / 300.0)),
+                      build_world(body, PhysicsConfig(), ground_height=1.0)):
+            with pytest.raises(ValueError, match="physics and ground height"):
+                physics.join_worlds([world, other])
