@@ -30,6 +30,7 @@ from .physics import (
     apply_actuation,
     build_world,
     center_of_mass,
+    join_worlds,
     step_env,
 )
 from .sensing import (

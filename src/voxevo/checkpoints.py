@@ -37,7 +37,7 @@ from .control import (
     params_from_flat,
 )
 from .evolution import KIND_BODY, KIND_BRAIN, KIND_FRESH, Individual
-from .morphology import GRID_SIZE, Morphology
+from .morphology import GRID_SIZE, Morphology, validate
 
 MAGIC = b"VXCK"
 VERSION = 1
@@ -104,6 +104,8 @@ def _unpack_individual(reader: _Reader) -> Individual:
         morph = Morphology.from_text("\n".join(rows))
     except ValueError as exc:
         raise CheckpointIntegrityError(f"{reader.path}: bad morphology: {exc}") from exc
+    if not validate(morph):
+        raise CheckpointIntegrityError(f"{reader.path}: the body is not a valid robot")
     ctrl_code, n_params = _CTRL_HEAD.unpack(reader.take(_CTRL_HEAD.size))
     if ctrl_code not in _CTRL_NAMES:
         raise CheckpointIntegrityError(

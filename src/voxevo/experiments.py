@@ -63,29 +63,28 @@ def load_catalog(path: str) -> dict[str, Morphology]:
 
     catalog: dict[str, Morphology] = {}
     name: str | None = None
+    header = 0  # the [name] line of the body being read: its faults are reported there
     rows: list[str] = []
 
-    def finish(line_no: int):
-        nonlocal name, rows
+    def finish():
         if name is None:
             return
         if len(rows) != GRID_SIZE:
             raise CatalogError(
-                f"{path}:{line_no}: body {name!r} has {len(rows)} rows, "
+                f"{path}:{header}: body {name!r} has {len(rows)} rows, "
                 f"expected {GRID_SIZE}")
         body = Morphology.from_text("\n".join(rows))
         if not validate(body):
-            raise CatalogError(f"{path}:{line_no}: body {name!r} is not a valid robot")
+            raise CatalogError(f"{path}:{header}: body {name!r} is not a valid robot")
         catalog[name] = body
-        name, rows = None, []
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            finish(line_no)
-            name = line[1:-1].strip()
+            finish()
+            name, header, rows = line[1:-1].strip(), line_no, []
             if not name:
                 raise CatalogError(f"{path}:{line_no}: empty body name")
             if name in catalog:
@@ -97,7 +96,7 @@ def load_catalog(path: str) -> dict[str, Morphology]:
             raise CatalogError(
                 f"{path}:{line_no}: expected {GRID_SIZE} material digits (0-4)")
         rows.append(line)
-    finish(len(lines) + 1)
+    finish()
     if not catalog:
         raise CatalogError(f"{path}: catalog is empty")
     return catalog

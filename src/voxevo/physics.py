@@ -3,9 +3,10 @@
 Each occupied grid cell compiles to a cross-braced unit square: four corner
 masses (shared with neighboring cells), four edge springs, and two diagonal
 braces. Forces are Hooke + axial damping per spring, constant gravity, and a
-penalty-model ground contact with Coulomb-style friction. Integration is
-semi-implicit Euler (velocity update first), which is stable for the default
-stiffness range at physics_dt = 1/600 with 6 substeps per environment step.
+penalty-model contact with the ground y = 0, with Coulomb-style friction.
+Integration is semi-implicit Euler (velocity update first), which is stable
+for the default stiffness range at physics_dt = 1/600 with 6 substeps per
+environment step.
 
 Unit system: voxel edge = 1 length unit, per-voxel mass = 1.0.
 """
@@ -28,7 +29,8 @@ AXIS_DIAGONAL = 2
 
 
 class SimulationDivergedError(RuntimeError):
-    """Non-finite state detected; carries the environment step index."""
+    """Non-finite state detected; carries the index of the env step, counted
+    over the steps of the batch that raised it (`JoinedWorld.env_steps`)."""
 
     def __init__(self, step_index: int):
         super().__init__(f"simulation diverged at env step {step_index}")
@@ -95,38 +97,15 @@ class PhysicsConfig:
         return self.actuator_stiffness
 
 
-class _Stepped:
-    """What `step_env` and the bench read off any stepped world."""
-
-    @property
-    def n_masses(self) -> int:
-        return self.pos.shape[0]
-
-    @property
-    def n_springs(self) -> int:
-        return self.spring_a.shape[0]
-
-    # the step length and count, for readers outside the engine: the bench
-    # counts substeps, and the contact tests recompute one substep's friction
-    @property
-    def physics_dt(self) -> float:
-        return self.physics.physics_dt
-
-    @property
-    def substeps_per_env_step(self) -> int:
-        return self.physics.substeps_per_env_step
-
-
 @dataclass
-class SimWorld(_Stepped):
-    """Mutable simulation state compiled from a genome.
+class SimWorld:
+    """One body compiled from a genome, and its state; `step_env` steps it
+    as a member of a `JoinedWorld`.
 
     Masses and springs are stored as flat arrays; `incidence` maps per-spring
     forces onto masses (+1 on endpoint a, -1 on endpoint b). Corner order in
     `corner_map` is (top-left, top-right, bottom-left, bottom-right). `pos` and
-    `vel` are C-contiguous, and the constants derived from `mass` and
-    `physics.gravity` (`weight`, `inv_mass`, `mass_list`, `total_mass`) are
-    fixed at build.
+    `vel` are C-contiguous.
 
     Every rest length is hypot(mean x-extent, mean y-extent) of the scales
     that `rest_scales` picks: an edge has extent only on its own axis, as the
@@ -157,18 +136,16 @@ class SimWorld(_Stepped):
                                # slot where a voxel or an axis does not count
     rest_count: np.ndarray     # (2 axes, n_springs) real voxels on each axis,
                                # 1 where there are none
-    mass_column: np.ndarray    # (n_masses, 1) view of mass
-    weight: np.ndarray         # (n_masses,) mass * gravity
-    inv_mass: np.ndarray       # (n_masses, 2) 1 / mass, dense: no broadcast per substep
-    mass_list: list[float]     # mass as Python floats, for the contact loop
     total_mass: float
-    ground_height: float
     physics: PhysicsConfig
-    env_steps: int = 0
 
     @property
-    def blocks(self) -> tuple:  # a world alone scatters as one block
-        return ((self.incidence, slice(None), slice(None)),)
+    def n_masses(self) -> int:
+        return self.pos.shape[0]
+
+    @property
+    def n_springs(self) -> int:
+        return self.spring_a.shape[0]
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
@@ -176,30 +153,43 @@ class SimWorld(_Stepped):
         return [self.cells[v] for v in self.actuator_voxels]
 
 
-class JoinedWorld(_Stepped):
-    """Worlds of one physics and ground height, stepped as one by `step_env`:
-    their masses and springs concatenated in member order, and one scatter
-    block (incidence, mass rows, spring rows) per member. Each member's
-    `pos`, `vel` and `rest` are rebound to row views of the joined arrays,
-    so actuation, observations and `center_of_mass` work on it as alone."""
+class JoinedWorld:
+    """Worlds of one physics, stepped as one batch by `step_env`; a world
+    alone is a batch of one. Their masses and springs are concatenated in
+    member order, with one scatter block (incidence, mass rows, spring rows)
+    per member. Each member's `pos`, `vel` and `rest` are rebound to row
+    views of the joined arrays, so actuation, observations and
+    `center_of_mass` work on it as alone.
+
+    The integration constants are derived here from the members' masses:
+    the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
+    as Python floats for the contact loop. `env_steps` counts this batch's
+    steps, for the index a `SimulationDivergedError` carries."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
         first = worlds[0]
-        if any(w.physics != first.physics or w.ground_height != first.ground_height
-               for w in worlds):
-            raise ValueError("joined worlds must share their physics and ground height")
-        self.physics, self.ground_height, self.env_steps = first.physics, first.ground_height, 0
-        for name in ("pos", "vel", "rest", "stiffness", "damping", "weight", "inv_mass"):
+        if any(w.physics != first.physics for w in worlds):
+            raise ValueError("joined worlds must share their physics")
+        self.physics, self.env_steps = first.physics, 0
+        for name in ("pos", "vel", "rest", "stiffness", "damping"):
             setattr(self, name, np.concatenate([getattr(w, name) for w in worlds]))
+        mass = np.concatenate([w.mass for w in worlds])
+        self.weight = mass * self.physics.gravity
+        self.inv_mass = (1.0 / mass[:, None]).repeat(2, axis=1)
+        self.mass_list = mass.tolist()
         masses = np.cumsum([0] + [w.n_masses for w in worlds]).tolist()
         springs = np.cumsum([0] + [w.n_springs for w in worlds]).tolist()
+        self.n_masses, self.n_springs = masses[-1], springs[-1]
         self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(worlds, masses)])
         self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(worlds, masses)])
-        self.mass_list = [m for w in worlds for m in w.mass_list]
         self.blocks = tuple((w.incidence, slice(m0, m1), slice(s0, s1)) for w, m0, m1, s0, s1
                             in zip(worlds, masses, masses[1:], springs, springs[1:]))
         for w, (_, rows, spring_rows) in zip(worlds, self.blocks):
             w.pos, w.vel, w.rest = self.pos[rows], self.vel[rows], self.rest[spring_rows]
+
+    @property
+    def substeps_per_env_step(self) -> int:  # the bench counts spring substeps
+        return self.physics.substeps_per_env_step
 
 
 def join_worlds(worlds) -> JoinedWorld:
@@ -207,11 +197,11 @@ def join_worlds(worlds) -> JoinedWorld:
     return JoinedWorld(tuple(worlds))
 
 
-def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0.0) -> SimWorld:
+def build_world(genome: Morphology, cfg: PhysicsConfig) -> SimWorld:
     """Compile a genome into a mass-spring world resting on the ground.
 
-    Placement: leftmost occupied column at x = 0, lowest corner row at
-    y = ground_height. One mass per occupied lattice corner; shared edges are
+    Placement: leftmost occupied column at x = 0, lowest corner row on the
+    ground at y = 0. One mass per occupied lattice corner; shared edges are
     deduplicated with their stiffness contributions summed; each voxel's mass
     1.0 is split equally over its four corners.
 
@@ -234,7 +224,7 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
     mass = np.zeros(n_masses)
     for (rr, cc), idx in corner_ids.items():
         pos[idx, 0] = (cc - min_col) * VOXEL_EDGE
-        pos[idx, 1] = ground_height + (max_corner_row - rr) * VOXEL_EDGE
+        pos[idx, 1] = (max_corner_row - rr) * VOXEL_EDGE
 
     materials = np.array([genome.grid[r, c] for r, c in cells], dtype=np.int8)
     actuator_voxels = np.flatnonzero(np.isin(materials, (H_ACTUATOR, V_ACTUATOR)))
@@ -318,12 +308,7 @@ def build_world(genome: Morphology, cfg: PhysicsConfig, ground_height: float = 0
         actuator_slots=np.where(horizontal, 0, row) + actuator_voxels,
         rest_scales=rest_scales,
         rest_count=rest_count,
-        mass_column=mass[:, None],
-        weight=mass * cfg.gravity,
-        inv_mass=(1.0 / mass[:, None]).repeat(2, axis=1),
-        mass_list=mass.tolist(),
         total_mass=float(mass.sum()),
-        ground_height=ground_height,
         physics=cfg,
     )
     _set_rest(world)
@@ -382,10 +367,10 @@ def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
         incidence.dot(springs, out=masses)
 
 
-def step_env(world: SimWorld | JoinedWorld) -> None:
-    """Advance one environment step (substeps_per_env_step physics substeps,
-    semi-implicit Euler). Raises SimulationDivergedError on non-finite state,
-    of a joined world when any member's state is non-finite.
+def step_env(world: JoinedWorld) -> None:
+    """Advance a batch of worlds one environment step (substeps_per_env_step
+    physics substeps, semi-implicit Euler). Raises SimulationDivergedError
+    when any member's state is non-finite.
 
     Each substep sums spring forces, gravity and ground contact, then updates
     velocities before positions.
@@ -404,7 +389,6 @@ def step_env(world: SimWorld | JoinedWorld) -> None:
     contact = physics.contact
     kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
     has_contact = kn > 0.0 or kd > 0.0 or mu > 0.0
-    ground = world.ground_height
     # divergence surfaces as the explicit finiteness check below, not as
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -414,10 +398,10 @@ def step_env(world: SimWorld | JoinedWorld) -> None:
             if has_contact:
                 # few masses touch at a time, too few for numpy calls to pay
                 # off; Python floats round as numpy's float64 did here
-                for i in (y < ground).nonzero()[0].tolist():
+                for i in (y < 0.0).nonzero()[0].tolist():
                     j = 2 * i  # mass i's x in the flat views, its y at j + 1
                     vxi, vyi = V[j], V[j + 1]
-                    normal = kn * (ground - P[j + 1]) - kd * vyi
+                    normal = kn * -P[j + 1] - kd * vyi  # the ground is y = 0
                     if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
                         normal = 0.0
                     # Coulomb friction opposing sliding, capped so one
@@ -447,4 +431,4 @@ def step_env(world: SimWorld | JoinedWorld) -> None:
 
 def center_of_mass(world: SimWorld) -> np.ndarray:
     """Mass-weighted mean position, shape (2,)."""
-    return np.add.reduce(world.mass_column * world.pos, axis=0) / world.total_mass
+    return np.add.reduce(world.mass[:, None] * world.pos, axis=0) / world.total_mass

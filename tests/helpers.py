@@ -14,6 +14,13 @@ from voxevo.physics import (
 # ground contact switched off, for free-fall and energy oracles
 NO_CONTACT = ContactParams(0.0, 0.0, 0.0)
 
+# well-formed grids that are not robots, one per validity constraint
+INVALID_BODIES = {
+    "empty": Morphology(np.zeros((5, 5), dtype=np.int8)),
+    "disconnected": Morphology.from_text("33000\n33000\n00000\n00033\n00033"),
+    "no_actuator": Morphology.from_text("00000\n00000\n00000\n11111\n11111"),
+}
+
 # corner pairs of one voxel (corner_map columns TL, TR, BL, BR) by spring axis
 _AXIS_OF_CORNER_PAIR = {
     frozenset((0, 1)): AXIS_HORIZONTAL, frozenset((2, 3)): AXIS_HORIZONTAL,
@@ -51,13 +58,12 @@ def oracle_spring_forces(world):
 
 
 def mechanical_energy(world) -> float:
-    """Kinetic + spring potential + gravitational energy (ground as datum)."""
+    """Kinetic + spring potential + gravitational energy (ground y = 0 as datum)."""
     kinetic = 0.5 * (world.mass * (world.vel * world.vel).sum(axis=1)).sum()
     d = world.pos[world.spring_b] - world.pos[world.spring_a]
     length = np.sqrt((d * d).sum(axis=1))
     elastic = 0.5 * (world.stiffness * (length - world.rest) ** 2).sum()
-    height = world.pos[:, 1] - world.ground_height
-    gravitational = (world.mass * world.physics.gravity * height).sum()
+    gravitational = (world.mass * world.physics.gravity * world.pos[:, 1]).sum()
     return float(kinetic + elastic + gravitational)
 
 

@@ -40,7 +40,7 @@ from voxevo.morphology import (
     resample_cells,
     validate,
 )
-from voxevo.physics import PhysicsConfig, build_world, center_of_mass, step_env
+from voxevo.physics import PhysicsConfig, build_world, center_of_mass, join_worlds, step_env
 from voxevo.runconfig import load_config
 from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationBuilder, ObservationConfig
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
@@ -116,52 +116,66 @@ class TestRewardDefinition:
         assert checked == 100
 
 
+def oracle_batches(physics):
+    """The batches each physics gate runs on, as (joined world, member
+    worlds): BODY alone, a batch of one as every one-body job steps it, then
+    the four catalog bodies joined. Each gate holds for every member."""
+    catalog = default_catalog()
+    for bodies in ((BODY,), tuple(catalog[name] for name in CATALOG_ORDER)):
+        worlds = [build_world(body, physics) for body in bodies]
+        yield join_worlds(worlds), worlds
+
+
 class TestPhysicsOracles:
     def test_free_fall_com_acceleration(self):
         physics = PhysicsConfig(contact=NO_CONTACT)
-        world = build_world(BODY, physics, ground_height=-1e9)
-        v0 = center_of_mass_velocity(world)
-        n_env = 50
-        for _ in range(n_env):
-            step_env(world)
-        v1 = center_of_mass_velocity(world)
-        dt = physics.physics_dt * physics.substeps_per_env_step * n_env
-        accel = (v1 - v0) / dt
-        assert abs(accel[0]) < 1e-9
-        assert abs(accel[1] + physics.gravity) / physics.gravity < 1e-6
+        for batch, worlds in oracle_batches(physics):
+            v0 = [center_of_mass_velocity(world) for world in worlds]
+            n_env = 50
+            for _ in range(n_env):
+                step_env(batch)
+            dt = physics.physics_dt * physics.substeps_per_env_step * n_env
+            for world, v in zip(worlds, v0):
+                accel = (center_of_mass_velocity(world) - v) / dt
+                assert abs(accel[0]) < 1e-9
+                assert abs(accel[1] + physics.gravity) / physics.gravity < 1e-6
 
     def test_internal_forces_sum_to_zero(self):
         # with no gravity and no contact only the springs act, so the
         # engine's step conserves momentum exactly when their forces cancel
         physics = PhysicsConfig(gravity=0.0, contact=NO_CONTACT)
-        world = build_world(BODY, physics)
         rng = np.random.default_rng(3)
-        world.pos += rng.normal(0.0, 0.05, world.pos.shape)
-        world.vel += rng.normal(0.0, 0.5, world.vel.shape)
-        assert np.abs(oracle_spring_forces(world).sum(axis=0)).max() < 1e-9
-        momentum = world.mass @ world.vel
-        step_env(world)
-        dt = physics.physics_dt * physics.substeps_per_env_step
-        assert np.abs(world.mass @ world.vel - momentum).max() < 1e-9 * dt
+        for batch, worlds in oracle_batches(physics):
+            for world in worlds:
+                world.pos += rng.normal(0.0, 0.05, world.pos.shape)
+                world.vel += rng.normal(0.0, 0.5, world.vel.shape)
+                assert np.abs(oracle_spring_forces(world).sum(axis=0)).max() < 1e-9
+            momentum = [world.mass @ world.vel for world in worlds]
+            step_env(batch)
+            dt = physics.physics_dt * physics.substeps_per_env_step
+            for world, p in zip(worlds, momentum):
+                assert np.abs(world.mass @ world.vel - p).max() < 1e-9 * dt
 
     def test_energy_non_increasing_without_contact(self):
         physics = PhysicsConfig(substeps_per_env_step=1, contact=NO_CONTACT)
-        world = build_world(BODY, physics, ground_height=-1e6)
         rng = np.random.default_rng(4)
-        world.vel += rng.normal(0.0, 0.5, world.vel.shape)
-        energy = mechanical_energy(world)
-        for _ in range(1000):
-            step_env(world)
-            nxt = mechanical_energy(world)
-            assert nxt <= energy + 1e-9
-            energy = nxt
+        for batch, worlds in oracle_batches(physics):
+            for world in worlds:
+                world.vel += rng.normal(0.0, 0.5, world.vel.shape)
+            energy = [mechanical_energy(world) for world in worlds]
+            for _ in range(1000):
+                step_env(batch)
+                nxt = [mechanical_energy(world) for world in worlds]
+                assert all(n <= e + 1e-9 for n, e in zip(nxt, energy))
+                energy = nxt
 
     def test_resting_robot_does_not_creep(self):
-        world = build_world(BODY, PhysicsConfig())
-        x0 = center_of_mass(world)[0]
-        for _ in range(500):
-            step_env(world)
-        assert abs(center_of_mass(world)[0] - x0) < 0.05
+        for batch, worlds in oracle_batches(PhysicsConfig()):
+            x0 = [center_of_mass(world)[0] for world in worlds]
+            for _ in range(500):
+                step_env(batch)
+            for world, x in zip(worlds, x0):
+                assert abs(center_of_mass(world)[0] - x) < 0.05
 
 
 def center_of_mass_velocity(world):

@@ -19,6 +19,8 @@ from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
 from voxevo.evolution import KIND_BODY, KIND_FRESH, MAX_POPULATION, Individual
 from voxevo.morphology import random_morphology
 
+from helpers import INVALID_BODIES
+
 
 def make_individual(ident=3, kind=KIND_BODY, controller_kind=MODULAR_KIND,
                     fitness=1.25, parent=1, parent_fitness=0.5, age=2):
@@ -190,6 +192,17 @@ class TestIntegrity:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointIntegrityError):
             load_individual(str(tmp_path / "nope.ckpt"))
+
+    # such a body loaded, then failed to build in the first episode
+    @pytest.mark.parametrize("body", list(INVALID_BODIES))
+    def test_body_that_is_not_a_robot_rejected(self, tmp_path, body):
+        path = str(tmp_path / "ind.ckpt")
+        ind = make_individual()
+        ind.morphology = INVALID_BODIES[body]
+        save_individual(path, ind)
+        with pytest.raises(CheckpointIntegrityError, match="not a valid robot") as exc_info:
+            load_individual(path)
+        assert str(exc_info.value).startswith(path)
 
 
 class TestAtomicWrite:

@@ -7,10 +7,12 @@ import sys
 
 import pytest
 
-from voxevo.checkpoints import load_individual, load_population
+from voxevo.checkpoints import load_individual, load_population, save_individual
 import voxevo.cli
 from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, _resolve_workers, main
 from voxevo.runconfig import load_config
+
+from helpers import INVALID_BODIES
 
 TINY_CONFIG = """
 [run]
@@ -448,6 +450,25 @@ class TestReplay:
         assert f"error: --out: output is a directory: {out}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["replays"]
         assert os.listdir(out) == []
+
+
+class TestInvalidChampion:
+    # transfer and replay died with a traceback in the first episode's build,
+    # transfer leaving its --out directory behind
+    @pytest.mark.parametrize("body", list(INVALID_BODIES))
+    @pytest.mark.parametrize("command", ["transfer", "replay"])
+    def test_refused_before_writing(self, trained_run, tmp_path, capsys, command, body):
+        config, run_dir = trained_run
+        champion = load_individual(os.path.join(run_dir, "champion.ckpt"))
+        champion.morphology = INVALID_BODIES[body]
+        path = str(tmp_path / "champion.ckpt")
+        save_individual(path, champion)
+        out = tmp_path / "out"
+        argv = {"transfer": ["--out", str(out), "--workers", "1"],
+                "replay": ["--out", str(out / "replay.jsonl")]}[command]
+        assert main([command, "--config", config, "--champion", path, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {path}: the body is not a valid robot\n"
+        assert not out.exists()
 
 
 class TestReport:

@@ -79,6 +79,18 @@ class TestCatalog:
             load_catalog(str(path))
         assert "2 rows" in str(exc_info.value)
 
+    # a short body was named at the next body's header, and a short last
+    # body at a line past the end of the file
+    def test_short_body_reports_its_own_header_line(self, tmp_path):
+        path = tmp_path / "cat.txt"
+        full = "33333\n" * 5
+        for text, line in (("[a]\n33333\n33333\n[b]\n" + full, 1),
+                           ("[a]\n" + full + "[b]\n33333\n33333\n", 7)):
+            path.write_text(text)
+            with pytest.raises(CatalogError, match="2 rows") as exc_info:
+                load_catalog(str(path))
+            assert f"cat.txt:{line}: body " in str(exc_info.value)
+
     def test_body_must_be_valid(self, tmp_path):
         path = tmp_path / "bad.txt"
         rows = "\n".join(["11111"] * 5)  # rigid only: no actuators

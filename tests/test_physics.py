@@ -20,6 +20,7 @@ from voxevo.physics import (
     apply_actuation,
     build_world,
     center_of_mass,
+    join_worlds,
     step_env,
 )
 from voxevo.sensing import GLOBAL_KIND, ObservationBuilder
@@ -130,7 +131,7 @@ class TestWorldConstruction:
         assert counts == {0.25: 4, 0.5: 16, 1.0: 16}
 
     def test_placement_normalization(self):
-        world = build_world(body_from_rows("00330"), PhysicsConfig(), ground_height=0.0)
+        world = build_world(body_from_rows("00330"), PhysicsConfig())
         assert world.pos[:, 0].min() == 0.0
         assert world.pos[:, 1].min() == 0.0
         assert world.pos[:, 0].max() == 2.0 * VOXEL_EDGE
@@ -252,11 +253,12 @@ class TestActuation:
 class TestDynamics:
     def test_free_fall_matches_closed_form(self):
         cfg = PhysicsConfig(contact=NO_CONTACT)
-        world = build_world(body_from_rows("33000", "11000"), cfg, ground_height=-100.0)
+        world = build_world(body_from_rows("33000", "11000"), cfg)
+        batch = join_worlds([world])
         y0 = center_of_mass(world)[1]
         n_env = 50
         for _ in range(n_env):
-            step_env(world)
+            step_env(batch)
         n = n_env * cfg.substeps_per_env_step
         dt = cfg.physics_dt
         expected_y = y0 - cfg.gravity * dt * dt * n * (n + 1) / 2.0
@@ -275,11 +277,12 @@ class TestDynamics:
 
     def test_energy_non_increasing_without_contact(self, rng):
         cfg = PhysicsConfig(substeps_per_env_step=1, contact=NO_CONTACT)
-        world = build_world(body_from_rows("34000", "22000"), cfg, ground_height=-1e6)
+        world = build_world(body_from_rows("34000", "22000"), cfg)
+        batch = join_worlds([world])
         world.vel += rng.normal(0.0, 2.0, size=world.vel.shape)
         energies = [mechanical_energy(world)]
         for _ in range(1000):
-            step_env(world)
+            step_env(batch)
             energies.append(mechanical_energy(world))
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-9)
@@ -287,9 +290,10 @@ class TestDynamics:
 
     def test_resting_robot_stays_put(self):
         world = build_world(body_from_rows("33000", "11000"), PhysicsConfig())
+        batch = join_worlds([world])
         x0 = center_of_mass(world)[0]
         for _ in range(500):
-            step_env(world)
+            step_env(batch)
         assert abs(center_of_mass(world)[0] - x0) < 0.05
         assert np.abs(world.vel).max() < 1e-2
         # corners sink only by the contact compliance scale
@@ -297,11 +301,12 @@ class TestDynamics:
 
     def test_friction_stops_sliding(self):
         world = build_world(body_from_rows("33000", "11000"), PhysicsConfig())
+        batch = join_worlds([world])
         for _ in range(100):
-            step_env(world)
+            step_env(batch)
         world.vel[:, 0] += 2.0
         for _ in range(300):
-            step_env(world)
+            step_env(batch)
         com_v = (world.vel * world.mass[:, None]).sum(axis=0) / world.mass.sum()
         assert abs(com_v[0]) < 1e-2
 
@@ -311,12 +316,13 @@ class TestDynamics:
         w_a = build_world(body, cfg)
         w_b = build_world(body, cfg)
         w_b.pos[:, 0] += 7.0
+        batches = [join_worlds([w_a]), join_worlds([w_b])]
         for i in range(100):
             acts = np.full(len(w_a.actuator_cells), 0.5 + 0.4 * np.sin(i / 5.0))
             apply_actuation(w_a, acts)
             apply_actuation(w_b, acts)
-            step_env(w_a)
-            step_env(w_b)
+            for batch in batches:
+                step_env(batch)
         w_a.pos[:, 0] += 7.0
         assert np.abs(w_a.pos - w_b.pos).max() < 1e-9
         assert np.abs(w_a.vel - w_b.vel).max() < 1e-9
@@ -325,19 +331,20 @@ class TestDynamics:
         cfg = PhysicsConfig()
         body = body_from_rows("34000", "11000")
         worlds = [build_world(body, cfg) for _ in range(2)]
+        batches = [join_worlds([w]) for w in worlds]
         for i in range(50):
-            for w in worlds:
+            for w, batch in zip(worlds, batches):
                 apply_actuation(w, np.full(len(w.actuator_cells), (i % 10) / 10.0))
-                step_env(w)
+                step_env(batch)
         assert np.array_equal(worlds[0].pos, worlds[1].pos)
         assert np.array_equal(worlds[0].vel, worlds[1].vel)
 
     def test_env_step_counter(self):
-        world = build_world(single_voxel(), PhysicsConfig())
-        assert world.env_steps == 0
+        batch = join_worlds([build_world(single_voxel(), PhysicsConfig())])
+        assert batch.env_steps == 0
         for _ in range(7):
-            step_env(world)
-        assert world.env_steps == 7
+            step_env(batch)
+        assert batch.env_steps == 7
 
     def test_divergence_raises_with_step_index(self):
         body = body_from_rows("33000", "11000")
@@ -349,10 +356,11 @@ class TestDynamics:
         stiff.pos[0, 0] += 0.01
         for world, expected in ((fast, 1), (stiff, 8)):
             assert oracle_divergence_step(world, limit=20) == expected
+            batch = join_worlds([world])
             with pytest.raises(SimulationDivergedError) as exc_info:
                 for _ in range(20):
-                    step_env(world)
-            assert exc_info.value.step_index == expected == world.env_steps
+                    step_env(batch)
+            assert exc_info.value.step_index == expected == batch.env_steps
 
     def test_nan_velocity_of_a_touching_mass_raises_at_once(self):
         world = build_world(body_from_rows("33000", "11000"), PhysicsConfig())
@@ -361,7 +369,7 @@ class TestDynamics:
         world.vel[bottom, 1] = np.nan
         assert oracle_divergence_step(world, limit=10) == 1
         with pytest.raises(SimulationDivergedError) as exc_info:
-            step_env(world)
+            step_env(join_worlds([world]))
         assert exc_info.value.step_index == 1
 
     # the engine's finiteness check reads pos alone: a non-finite velocity
@@ -375,7 +383,7 @@ class TestDynamics:
         world.vel[top, 0] = value
         assert np.isfinite(world.pos).all()
         with pytest.raises(SimulationDivergedError) as exc_info:
-            step_env(world)
+            step_env(join_worlds([world]))
         assert exc_info.value.step_index == 1
 
     def test_com_of_single_voxel(self):
@@ -417,7 +425,7 @@ def oracle_total_forces(world):
     contact = world.physics.contact
     if (contact.normal_stiffness > 0.0 or contact.normal_damping > 0.0
             or contact.friction > 0.0):
-        penetration = world.ground_height - world.pos[:, 1]
+        penetration = -world.pos[:, 1]  # the ground is y = 0
         touching = penetration > 0.0
         if touching.any():
             normal = (
@@ -426,7 +434,7 @@ def oracle_total_forces(world):
             )
             normal = np.maximum(normal, 0.0)
             vx = world.vel[touching, 0]
-            stopping = world.mass[touching] * np.abs(vx) / world.physics_dt
+            stopping = world.mass[touching] * np.abs(vx) / world.physics.physics_dt
             friction = -np.sign(vx) * np.minimum(contact.friction * normal, stopping)
             forces[touching, 1] += normal
             forces[touching, 0] += friction
@@ -434,24 +442,23 @@ def oracle_total_forces(world):
 
 
 def oracle_step_env(world):
-    dt = world.physics_dt
+    dt = world.physics.physics_dt
     inv_mass = 1.0 / world.mass[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(world.substeps_per_env_step):
+        for _ in range(world.physics.substeps_per_env_step):
             forces = oracle_total_forces(world)
             world.vel += dt * forces * inv_mass
             world.pos += dt * world.vel
-    world.env_steps += 1
 
 
 def oracle_divergence_step(world, limit):
     """The first env step after which the oracle's copy of `world` holds a
     non-finite position or velocity."""
     ref = copy.deepcopy(world)
-    for _ in range(limit):
+    for env_steps in range(1, limit + 1):
         oracle_step_env(ref)
         if not (np.isfinite(ref.pos).all() and np.isfinite(ref.vel).all()):
-            return ref.env_steps
+            return env_steps
     raise AssertionError(f"the oracle stays finite for {limit} steps")
 
 
@@ -509,6 +516,7 @@ class TestMatchesOracle:
     def test_actuated_episode_is_bit_identical(self, name, body, contact):
         cfg = PhysicsConfig() if contact else PhysicsConfig(contact=NO_CONTACT)
         world, ref = build_world(body, cfg), build_world(body, cfg)
+        batch = join_worlds([world])
         builder = ObservationBuilder(world, GLOBAL_KIND)
         owners, axes = spring_owners(ref), spring_axes(ref)
         raster = [r * GRID_SIZE + c for r, c in world.cells]
@@ -521,28 +529,29 @@ class TestMatchesOracle:
                 assert np.array_equal(world.rest, ref.rest), step
                 blocks = builder.inputs(step)[:-1].reshape(GRID_SIZE ** 2, -1)
                 assert np.array_equal(blocks[raster, :3], oracle_features(world)), step
-            step_env(world)
+            step_env(batch)
             oracle_step_env(ref)
         assert_same_state(world, ref)
-        assert world.env_steps == ref.env_steps == 500
+        assert batch.env_steps == 500
         com = (ref.mass[:, None] * ref.pos).sum(axis=0) / ref.mass.sum()
         assert np.array_equal(center_of_mass(world), com)
 
     def test_in_place_state_writes_are_seen_by_the_next_step(self):
         body = default_catalog()["biped"]
         world, ref = build_world(body, PhysicsConfig()), build_world(body, PhysicsConfig())
+        batch = join_worlds([world])
         for w in (world, ref):
             w.pos[:, 0] += 3.0
             w.vel[2] = [1.5, -0.5]
         moved = world.pos.copy()
-        step_env(world)
+        step_env(batch)
         oracle_step_env(ref)
         assert not np.array_equal(world.pos, moved)
         for w in (world, ref):
             w.pos[:, 1] += 0.25
             w.vel *= 0.5
         for _ in range(20):
-            step_env(world)
+            step_env(batch)
             oracle_step_env(ref)
         assert_same_state(world, ref)
         assert world.pos[:, 0].min() > 2.0  # the shifted start was kept
@@ -551,29 +560,32 @@ class TestMatchesOracle:
         # a view of the state or a scratch buffer kept across calls would
         # keep writing to the arrays the world held before
         world = build_world(default_catalog()["biped"], PhysicsConfig())
-        step_env(world)
-        copied, rebound = copy.deepcopy(world), copy.deepcopy(world)
+        batch = join_worlds([world])
+        step_env(batch)
+        members = [world, copy.deepcopy(world), copy.deepcopy(world)]
+        batches = [batch] + [join_worlds([m]) for m in members[1:]]
+        _, copied, rebound = batches
         rng = np.random.default_rng(3)
         for step in range(50):
             if step % 4 == 0:
                 actions = rng.random(world.actuator_voxels.size)
-                for w in (world, copied, rebound):
+                for w in members:
                     apply_actuation(w, actions)
             rebound.pos, rebound.vel = rebound.pos.copy(), rebound.vel.copy()
-            for w in (world, copied, rebound):
-                step_env(w)
-        assert_same_state(copied, world)
-        assert_same_state(rebound, world)
-        assert world.env_steps == 51
+            for b in batches:
+                step_env(b)
+        assert_same_state(copied, batch)
+        assert_same_state(rebound, batch)
+        assert batch.env_steps == 51
 
     def test_non_contiguous_state_is_refused(self):
         # the contact loop reads and writes the state through flat views
-        world = build_world(single_voxel(), PhysicsConfig())
-        world.pos = np.repeat(world.pos, 2, axis=0)[::2]  # strided rows
-        before = world.pos.copy()
+        batch = join_worlds([build_world(single_voxel(), PhysicsConfig())])
+        batch.pos = np.repeat(batch.pos, 2, axis=0)[::2]  # strided rows
+        before = batch.pos.copy()
         with pytest.raises(TypeError):
-            step_env(world)
-        assert np.array_equal(world.pos, before) and world.env_steps == 0
+            step_env(batch)
+        assert np.array_equal(batch.pos, before) and batch.env_steps == 0
 
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
@@ -600,11 +612,11 @@ class TestContactBranches:
         corner = int(world.corner_map[0, 2])  # bottom-left
         world.pos[corner, 1], world.vel[corner] = y, (vx, vy)
         kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
-        normal = kn * (world.ground_height - y) - kd * vy
+        normal = kn * -y - kd * vy  # the ground is y = 0
         limit = mu * max(normal, 0.0)
-        stopping = world.mass[corner] * abs(vx) / world.physics_dt
+        stopping = world.mass[corner] * abs(vx) / world.physics.physics_dt
         reached = {
-            "at_ground_not_touching": y == world.ground_height,
+            "at_ground_not_touching": y == 0.0,
             "normal_clips_to_zero": normal < 0.0,
             "stopping_caps_friction": 0.0 < stopping < limit,
             "mu_normal_caps_friction": 0.0 < limit < stopping,
@@ -616,7 +628,7 @@ class TestContactBranches:
         }
         assert reached[branch]
         ref = copy.deepcopy(world)
-        step_env(world)
+        step_env(join_worlds([world]))
         oracle_step_env(ref)
         assert_same_state(world, ref)
 
@@ -628,7 +640,7 @@ class TestContactBranches:
             world.pos[:, 1] -= 0.01
             world.vel[:, 1] = -1.0
             ref = copy.deepcopy(world)
-            step_env(world)
+            step_env(join_worlds([world]))
             oracle_step_env(ref)
             assert_same_state(world, ref)
             return world.vel[:, 1].mean()
@@ -664,20 +676,21 @@ class TestContactBranches:
         world.pos[:, 1] -= 0.01
         world.vel[:] = -0.0
         ref = copy.deepcopy(world)
-        step_env(world)
+        step_env(join_worlds([world]))
         oracle_step_env(ref)
         assert_same_state(world, ref)
 
 
 def step_joined_and_alone(bodies, seeds, steps, poison=None):
-    """Step `bodies` as one joined world and each as a world alone, with
+    """Step `bodies` as one joined world and each as a batch of one, with
     the actions of body i drawn from the stream seeded by `seeds[i]`; then
     require every member to hold the bytes of its world alone. `poison`
     makes that member's state non-finite before the first step."""
     cfg = PhysicsConfig()
     members = [build_world(b, cfg) for b in bodies]
     alone = [build_world(b, cfg) for b in bodies]
-    joined = physics.join_worlds(members)
+    joined = join_worlds(members)
+    batches = [join_worlds([a]) for a in alone]
     if poison is not None:
         members[poison].vel[0, 0] = np.nan  # a view: the joined state changes
     streams = [np.random.default_rng(s) for s in seeds]
@@ -692,9 +705,9 @@ def step_joined_and_alone(bodies, seeds, steps, poison=None):
         else:
             with pytest.raises(SimulationDivergedError):
                 step_env(joined)
-        for i, a in enumerate(alone):
+        for i, batch in enumerate(batches):
             if i != poison:
-                step_env(a)
+                step_env(batch)
     for i, (m, a) in enumerate(zip(members, alone)):
         if i != poison:
             assert_same_state(m, a)
@@ -725,7 +738,7 @@ class TestJoinedWorlds:
 
     def test_members_are_views_of_the_joined_state(self):
         members = [build_world(b, PhysicsConfig()) for b in default_catalog().values()]
-        joined = physics.join_worlds(members)
+        joined = join_worlds(members)
         assert joined.n_masses == sum(m.n_masses for m in members)
         assert joined.n_springs == sum(m.n_springs for m in members)
         assert joined.substeps_per_env_step == PhysicsConfig().substeps_per_env_step
@@ -735,10 +748,9 @@ class TestJoinedWorlds:
             assert np.shares_memory(m.rest, joined.rest)
             assert np.array_equal(joined.spring_a[springs] - rows.start, m.spring_a)
 
-    def test_refuses_members_of_other_physics_or_ground(self):
+    def test_refuses_members_of_other_physics(self):
         body = single_voxel()
         world = build_world(body, PhysicsConfig())
-        for other in (build_world(body, PhysicsConfig(physics_dt=1.0 / 300.0)),
-                      build_world(body, PhysicsConfig(), ground_height=1.0)):
-            with pytest.raises(ValueError, match="physics and ground height"):
-                physics.join_worlds([world, other])
+        other = build_world(body, PhysicsConfig(physics_dt=1.0 / 300.0))
+        with pytest.raises(ValueError, match="share their physics"):
+            join_worlds([world, other])

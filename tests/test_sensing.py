@@ -6,7 +6,7 @@ import pytest
 
 from voxevo.control import act, init_controller
 from voxevo.morphology import GRID_SIZE, H_ACTUATOR, N_MATERIALS, Morphology
-from voxevo.physics import PhysicsConfig, apply_actuation, build_world, step_env
+from voxevo.physics import PhysicsConfig, apply_actuation, build_world, join_worlds, step_env
 from voxevo.sensing import (
     BLOCK_SIZE,
     GLOBAL_KIND,
@@ -177,8 +177,9 @@ class TestGlobalObservation:
                     assert block.tolist() == MISSING_BLOCK.tolist()
 
     def test_blocks_match_per_voxel_view(self, world, small_body):
+        batch = join_worlds([world])
         for _ in range(5):
-            step_env(world)
+            step_env(batch)
         vec = global_input(world, env_step=5)
         for r, c in small_body.occupied_cells:
             start = (r * 5 + c) * BLOCK_SIZE
@@ -240,8 +241,9 @@ class TestLocalObservation:
 
 class TestBuilder:
     def test_local_matrix_matches_vectors(self, world):
+        batch = join_worlds([world])
         for _ in range(3):
-            step_env(world)
+            step_env(batch)
         mat = ObservationBuilder(world, MODULAR_KIND).inputs(env_step=2)
         cells = world.actuator_cells
         assert mat.shape == (len(cells), 201)
@@ -259,8 +261,9 @@ class TestBuilder:
         grid = plus_body.grid.copy()
         grid[2, 2] = H_ACTUATOR
         world = build_world(Morphology(grid), PhysicsConfig())
+        batch = join_worlds([world])
         for _ in range(3):
-            step_env(world)
+            step_env(batch)
         centre = window_row(world, (2, 2), env_step=3)
         assert global_input(world, env_step=3).tobytes() == centre.tobytes()
 
@@ -271,16 +274,18 @@ class TestBuilder:
     def test_refresh_tracks_motion(self, world):
         builder = ObservationBuilder(world, GLOBAL_KIND)
         before = builder.inputs(env_step=0).copy()
+        batch = join_worlds([world])
         for _ in range(3):
-            step_env(world)
+            step_env(batch)
         after = builder.inputs(env_step=3)
         assert not np.array_equal(before, after)
 
     def test_reuse_equals_fresh_builder(self, world):
         builder = ObservationBuilder(world, GLOBAL_KIND)
         builder.inputs(env_step=0)
+        batch = join_worlds([world])
         for _ in range(4):
-            step_env(world)
+            step_env(batch)
         reused = builder.inputs(env_step=4)
         fresh = global_input(world, env_step=4)
         assert np.array_equal(reused, fresh)
@@ -291,9 +296,10 @@ class TestBuilder:
     def test_long_lived_builder_acts_as_fresh_ones(self, world, kind):
         controller = init_controller(kind, np.random.default_rng(5))
         builder = ObservationBuilder(world, kind)
+        batch = join_worlds([world])
         for step in range(40):
             actions = act(controller, world, step, builder)
             fresh = act(controller, world, step, ObservationBuilder(world, kind))
             assert actions.tobytes() == fresh.tobytes()
             apply_actuation(world, actions)
-            step_env(world)
+            step_env(batch)
