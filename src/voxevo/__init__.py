@@ -54,7 +54,6 @@ from .walker import (
     run_episode,
 )
 from .evolution import (
-    EvolutionConfig,
     GenerationLog,
     Evaluator,
     Individual,

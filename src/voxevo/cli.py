@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from .checkpoints import (
     save_population,
 )
 from .control import input_size
-from .evolution import Evaluator, EvolutionConfig, Individual, OffspringRecord, run_evolution
+from .evolution import Evaluator, Individual, OffspringRecord, run_evolution
 from .experiments import (
     accounting_from_lineage,
     convergence_metrics,
@@ -48,9 +49,7 @@ GENERATION_COLUMNS = [
     "generation", "best_fitness", "mean_fitness",
     "n_body_success", "n_brain_success", "n_body_attempted", "n_brain_attempted",
 ]
-LINEAGE_COLUMNS = [
-    "id", "parent_id", "mutation_kind", "fitness", "parent_fitness_at_birth", "success",
-]
+LINEAGE_COLUMNS = [f.name for f in dataclasses.fields(OffspringRecord)]
 
 TRANSFER_STREAM_TAG = 1001
 
@@ -85,18 +84,7 @@ def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """[run] workers, as --workers or the file set it, else the number of
-    CPUs this process may run on."""
-    if workers is not None:
-        return workers
-    # the affinity mask honours taskset and cpusets; cpu_count() does not
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
+def _execute_run(run_dir: str, cfg: RunConfig):
     """One evolution run with streaming CSV logging and checkpoints."""
     os.makedirs(run_dir, exist_ok=True)
     gen_path = os.path.join(run_dir, GENERATIONS_CSV)
@@ -108,25 +96,22 @@ def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
     def on_generation(generation, log, population, champion):
         writer.writerow([_fmt(getattr(log, column)) for column in GENERATION_COLUMNS])
         fh.flush()
-        if evo_cfg.checkpoint_every and generation % evo_cfg.checkpoint_every == 0:
+        if cfg.checkpoint_every and generation % cfg.checkpoint_every == 0:
             save_population(
                 os.path.join(run_dir, f"population_gen{generation:05d}.ckpt"),
                 population)
             save_individual(os.path.join(run_dir, CHAMPION_CKPT), champion)
 
     try:
-        artifacts = run_evolution(evo_cfg, on_generation=on_generation)
+        artifacts = run_evolution(cfg, on_generation=on_generation)
     except Exception:
         fh.close()  # leaves the .partial marker behind
         raise
     fh.close()
     os.replace(partial, gen_path)
 
-    lineage_rows = [
-        [r.id, r.parent_id, r.mutation_kind, r.fitness,
-         r.parent_fitness_at_birth, r.success]
-        for r in sorted(artifacts.lineage.values(), key=lambda r: r.id)
-    ]
+    lineage_rows = [[getattr(r, column) for column in LINEAGE_COLUMNS]
+                    for r in sorted(artifacts.lineage.values(), key=lambda r: r.id)]
     _write_csv_atomic(os.path.join(run_dir, LINEAGE_CSV), LINEAGE_COLUMNS, lineage_rows)
     save_individual(os.path.join(run_dir, CHAMPION_CKPT), artifacts.champion)
     save_population(os.path.join(run_dir, "population_final.ckpt"),
@@ -134,14 +119,14 @@ def _execute_run(run_dir: str, evo_cfg: EvolutionConfig):
     return artifacts
 
 
-def _prologue(args) -> tuple[RunConfig, int]:
+def _prologue(args) -> RunConfig:
     """The config of `evolve` and `transfer` with --seed, --workers and --out
-    written in, and the worker count it resolves to."""
+    written in."""
     cfg = override(load_config(args.config),
                    seed=args.seed, workers=args.workers, out=args.out)
     if cfg.out is None:
         raise ConfigError("no output directory: set [run] out or pass --out", args.config)
-    return cfg, _resolve_workers(cfg.workers)
+    return cfg
 
 
 def _load_champion(path: str, cfg: RunConfig, config_path: str) -> Individual:
@@ -173,16 +158,16 @@ def _claim_output(directory: str, fresh: bool = False) -> None:
 
 
 def cmd_evolve(args) -> int:
-    cfg, workers = _prologue(args)
-    evo_cfgs = [cfg.evolution_config(workers, seed=cfg.seed + i) for i in range(cfg.n_runs)]
+    cfg = _prologue(args)
     _claim_output(cfg.out, fresh=True)
     # a single run is a battery of one, written in place
     battery = cfg.n_runs > 1
     fitnesses = []
-    for i, evo_cfg in enumerate(evo_cfgs):
-        run = f"run {i:02d} (seed {evo_cfg.master_seed}) " if battery else ""
+    for i in range(cfg.n_runs):
+        run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
+        run = f"run {i:02d} (seed {run_cfg.seed}) " if battery else ""
         run_dir = os.path.join(cfg.out, f"run_{i:02d}") if battery else cfg.out
-        fitnesses.append(_execute_run(run_dir, evo_cfg).champion.fitness)
+        fitnesses.append(_execute_run(run_dir, run_cfg).champion.fitness)
         print(f"{run}champion fitness: {fitnesses[-1]!r}")
     if battery:
         print(f"battery best champion fitness: {max(fitnesses)!r}")
@@ -190,14 +175,13 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    cfg, workers = _prologue(args)
+    cfg = _prologue(args)
     champion = _load_champion(args.champion, cfg, args.config)
-    evo_cfg = cfg.evolution_config(workers)
     _claim_output(cfg.out)
 
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, TRANSFER_STREAM_TAG]))
-    with Evaluator(evo_cfg) as evaluator:
+    with Evaluator(cfg) as evaluator:
         source_fitness = champion.fitness
         if source_fitness is None:
             source_fitness = evaluator.evaluate(

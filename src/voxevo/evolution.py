@@ -7,37 +7,39 @@ evaluated, and mu survivors are selected by non-dominated sorting on
 (minimize age, maximize fitness). Age resets to zero on every mutation, so
 new genetic material always starts on the first Pareto front.
 
-The config's body catalog says what an individual is scored on. Without a
-catalog, body and brain co-evolve and each individual is scored on its own
-body. With one, only the brain evolves and each individual is scored by its
-minimum fitness over the catalog bodies; a one-body catalog evolves a
-controller for that body.
+Every function here reads a `RunConfig`. Its body catalog says what an
+individual is scored on. Without a catalog, body and brain co-evolve and
+each individual is scored on its own body. With one, only the brain evolves
+and each individual is scored by its minimum fitness over the catalog
+bodies; a one-body catalog evolves a controller for that body.
 
-Determinism: every random decision draws from a generator seeded by
-(master_seed, generation, slot), created in the driving process. Evaluations
-are pure functions of their inputs, so the number of worker processes cannot
-change any logged value.
+Determinism: every random decision draws from a generator seeded by the
+config's (seed, generation, slot), created in the driving process.
+Evaluations are pure functions of their inputs, so the number of worker
+processes cannot change any logged value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .control import KINDS, ControllerGenome, init_controller, input_size, mutate_controller
+from .control import ControllerGenome, init_controller, input_size, mutate_controller
 from .morphology import (
     Morphology,
     MutationFailedError,
     mutate_morphology,
     random_morphology,
 )
-from .physics import PhysicsConfig
-from .sensing import ObservationConfig
-from .walker import EpisodeConfig, EpisodeResult, run_episode, run_episodes
+from .walker import EpisodeResult, run_episode, run_episodes
+
+if TYPE_CHECKING:  # runconfig imports this module through experiments
+    from .runconfig import RunConfig
 
 KIND_BODY = "body"
 KIND_BRAIN = "brain"
@@ -57,46 +59,6 @@ class Individual:
     mutation_kind: str
     parent_fitness_at_birth: float | None
     fitness: float | None = None
-
-
-@dataclass(frozen=True)
-class EvolutionConfig:
-    controller_kind: str = "modular"
-    mu: int = 16
-    lambda_: int = 16
-    generations: int = 100
-    p_body_mutation: float = 0.5
-    controller_sigma: float = 0.1
-    catalog: tuple[Morphology, ...] | None = None  # None co-evolves the body
-    master_seed: int = 0
-    workers: int = 1
-    checkpoint_every: int = 0  # 0 disables periodic checkpoints
-    episode: EpisodeConfig = field(default_factory=EpisodeConfig)
-    physics: PhysicsConfig = field(default_factory=PhysicsConfig)
-    observation: ObservationConfig = field(default_factory=ObservationConfig)
-
-    def __post_init__(self):
-        for name, ok, rule in (
-            ("controller_kind", self.controller_kind in KINDS, f"must be one of {KINDS}"),
-            ("mu", 1 <= self.mu <= MAX_POPULATION, f"must be >= 1 and at most "
-             f"{MAX_POPULATION}, the most a population checkpoint holds"),
-            ("lambda_", self.lambda_ >= 1, "must be >= 1"),
-            ("generations", self.generations >= 1, "must be >= 1"),
-            ("p_body_mutation", 0.0 <= self.p_body_mutation <= 1.0, "must be in [0, 1]"),
-            ("controller_sigma", 0.0 <= self.controller_sigma < math.inf,
-             "must be >= 0 and finite"),
-            ("master_seed", self.master_seed >= 0, "must be >= 0"),
-            ("workers", self.workers >= 1, "must be >= 1"),
-            ("checkpoint_every", self.checkpoint_every >= 0, "must be >= 0"),
-        ):
-            if not ok:
-                raise ValueError(f"{name.rstrip('_')} {rule}, got {getattr(self, name)!r}")
-        if self.catalog is not None and not self.catalog:
-            raise ValueError("catalog must be None or non-empty")
-
-    @property
-    def brain_only(self) -> bool:
-        return self.catalog is not None
 
 
 @dataclass(frozen=True)
@@ -139,7 +101,7 @@ class RunArtifacts:
     logs: list[GenerationLog]
     lineage: dict[int, OffspringRecord]
     final_population: list[Individual]
-    config: EvolutionConfig
+    config: RunConfig
 
 
 def dominates(a: Individual, b: Individual) -> bool:
@@ -194,7 +156,7 @@ def select_survivors(pool: list[Individual], mu: int) -> list[Individual]:
     return survivors
 
 
-def make_offspring(parent: Individual, cfg: EvolutionConfig,
+def make_offspring(parent: Individual, cfg: RunConfig,
                    rng: np.random.Generator, new_id: int) -> Individual:
     """Mutate exactly one genome half; the other is shared with the parent.
 
@@ -223,17 +185,17 @@ def make_offspring(parent: Individual, cfg: EvolutionConfig,
     )
 
 
-def _generator(master_seed: int, generation: int, slot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, generation, slot]))
+def _generator(seed: int, generation: int, slot: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([seed, generation, slot]))
 
 
-def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
+def _fresh_individual(cfg: RunConfig, rng: np.random.Generator,
                       new_id: int) -> Individual:
     morph = random_morphology(rng) if cfg.catalog is None else cfg.catalog[0]
-    n_inputs = input_size(cfg.controller_kind, cfg.observation)
+    n_inputs = input_size(cfg.paradigm, cfg.observation)
     return Individual(
         morphology=morph,
-        controller=init_controller(cfg.controller_kind, rng, n_inputs),
+        controller=init_controller(cfg.paradigm, rng, n_inputs),
         age=0,
         id=new_id,
         parent_id=None,
@@ -242,7 +204,7 @@ def _fresh_individual(cfg: EvolutionConfig, rng: np.random.Generator,
     )
 
 
-def evaluation_bodies(cfg: EvolutionConfig, ind: Individual) -> tuple[Morphology, ...]:
+def evaluation_bodies(cfg: RunConfig, ind: Individual) -> tuple[Morphology, ...]:
     """Bodies an individual is scored on: its own, or the catalog in order."""
     return (ind.morphology,) if cfg.catalog is None else tuple(cfg.catalog)
 
@@ -260,13 +222,22 @@ def _evaluate_job(job) -> tuple[EpisodeResult, ...]:
 class Evaluator:
     """Evaluates batches of (bodies, controller) jobs, optionally in a worker
     pool. Each job yields one trajectory-free `EpisodeResult` per body, in
-    body order; results are in job order and independent of worker count."""
+    body order; results are in job order and independent of worker count.
+    A config without a worker count gets one worker per CPU this process may
+    run on."""
 
-    def __init__(self, cfg: EvolutionConfig):
+    def __init__(self, cfg: RunConfig):
         self.episode = cfg.episode
         self.physics = cfg.physics
         self.observation = cfg.observation
-        self._pool = Pool(cfg.workers) if cfg.workers > 1 else None
+        workers = cfg.workers
+        if workers is None:
+            # the affinity mask honours taskset and cpusets; cpu_count() does not
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+        self._pool = Pool(workers) if workers > 1 else None
 
     def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]
                  ) -> list[tuple[EpisodeResult, ...]]:
@@ -291,7 +262,7 @@ class Evaluator:
         self.close()
 
 
-def score(individuals: list[Individual], cfg: EvolutionConfig,
+def score(individuals: list[Individual], cfg: RunConfig,
           evaluator: Evaluator) -> None:
     """Set each individual's fitness: the minimum episode fitness over its
     evaluation bodies."""
@@ -301,7 +272,21 @@ def score(individuals: list[Individual], cfg: EvolutionConfig,
         ind.fitness = float(min(r.fitness for r in episodes))
 
 
-def evolve_generation(population: list[Individual], cfg: EvolutionConfig,
+def _record(ind: Individual) -> OffspringRecord:
+    """The lineage record of a scored individual; one without a parent is no
+    success."""
+    return OffspringRecord(
+        id=ind.id,
+        parent_id=ind.parent_id,
+        mutation_kind=ind.mutation_kind,
+        fitness=ind.fitness,
+        parent_fitness_at_birth=ind.parent_fitness_at_birth,
+        success=(ind.parent_fitness_at_birth is not None
+                 and ind.fitness > ind.parent_fitness_at_birth),
+    )
+
+
+def evolve_generation(population: list[Individual], cfg: RunConfig,
                       generation: int, next_id: int,
                       evaluator: Evaluator) -> tuple[list[Individual], GenerationLog, int]:
     """One generation step; returns (survivors, log, next free id)."""
@@ -312,28 +297,16 @@ def evolve_generation(population: list[Individual], cfg: EvolutionConfig,
 
     new: list[Individual] = []
     for slot in range(cfg.lambda_):
-        rng = _generator(cfg.master_seed, generation, slot)
+        rng = _generator(cfg.seed, generation, slot)
         parent = population[int(rng.integers(len(population)))]
         new.append(make_offspring(parent, cfg, rng, next_id))
         next_id += 1
-    fresh_rng = _generator(cfg.master_seed, generation, cfg.lambda_)
+    fresh_rng = _generator(cfg.seed, generation, cfg.lambda_)
     new.append(_fresh_individual(cfg, fresh_rng, next_id))
     next_id += 1
 
     score(new, cfg, evaluator)
-
-    records = tuple(
-        OffspringRecord(
-            id=ind.id,
-            parent_id=ind.parent_id,
-            mutation_kind=ind.mutation_kind,
-            fitness=ind.fitness,
-            parent_fitness_at_birth=ind.parent_fitness_at_birth,
-            success=(ind.parent_fitness_at_birth is not None
-                     and ind.fitness > ind.parent_fitness_at_birth),
-        )
-        for ind in new
-    )
+    records = tuple(_record(ind) for ind in new)
 
     pool = population + new
     assert len(pool) == cfg.mu + cfg.lambda_ + 1
@@ -347,17 +320,17 @@ def evolve_generation(population: list[Individual], cfg: EvolutionConfig,
     return survivors, log, next_id
 
 
-def initial_population(cfg: EvolutionConfig, evaluator: Evaluator) -> list[Individual]:
+def initial_population(cfg: RunConfig, evaluator: Evaluator) -> list[Individual]:
     population = []
     for i in range(cfg.mu):
-        rng = _generator(cfg.master_seed, 0, i)
+        rng = _generator(cfg.seed, 0, i)
         ind = _fresh_individual(cfg, rng, i)
         population.append(ind)
     score(population, cfg, evaluator)
     return population
 
 
-def run_evolution(cfg: EvolutionConfig, on_generation=None) -> RunArtifacts:
+def run_evolution(cfg: RunConfig, on_generation=None) -> RunArtifacts:
     """Full run: initialize, iterate generations, track the best-ever champion.
 
     `on_generation(generation, log, population, champion)` is called after
@@ -365,10 +338,7 @@ def run_evolution(cfg: EvolutionConfig, on_generation=None) -> RunArtifacts:
     """
     with Evaluator(cfg) as evaluator:
         population = initial_population(cfg, evaluator)
-        lineage: dict[int, OffspringRecord] = {
-            ind.id: OffspringRecord(ind.id, None, KIND_FRESH, ind.fitness, None, False)
-            for ind in population
-        }
+        lineage = {ind.id: _record(ind) for ind in population}
         champion = dataclasses.replace(max(population, key=lambda i: i.fitness))
         logs: list[GenerationLog] = []
         next_id = cfg.mu

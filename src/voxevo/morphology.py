@@ -24,7 +24,7 @@ GRID_SIZE = 5
 MIN_FILLED = 5          # 20% of 25 cells
 MIN_ACTUATORS = 2
 CELL_MUTATION_RATE = 0.1
-DEFAULT_RETRY_CAP = 1000
+RETRY_CAP = 1000  # draws before a mutation or a growth gives up
 
 
 class InvalidMorphologyError(ValueError):
@@ -145,11 +145,7 @@ def resample_cells(grid: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarr
     return new_grid, events
 
 
-def mutate_morphology(
-    morph: Morphology,
-    rng: np.random.Generator,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-) -> Morphology:
+def mutate_morphology(morph: Morphology, rng: np.random.Generator) -> Morphology:
     """Stochastic body mutation with reject-and-retry.
 
     Each retry re-draws the whole per-cell operator from the same parent;
@@ -159,39 +155,32 @@ def mutate_morphology(
     if not validate(morph):
         raise InvalidMorphologyError("parent genome is invalid")
     parent = morph.grid
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         child, _ = resample_cells(parent, rng)
         if np.array_equal(child, parent):
             continue
         if validate(child):
             return Morphology(child)
-    raise MutationFailedError(f"no valid mutation found in {retry_cap} draws")
+    raise MutationFailedError(f"no valid mutation found in {RETRY_CAP} draws")
 
 
-def random_morphology(
-    rng: np.random.Generator,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-) -> Morphology:
+def random_morphology(rng: np.random.Generator) -> Morphology:
     """Grow a random genome by repeatedly resampling cells of the empty grid
     until the accumulated grid is valid."""
     grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int8)
-    for _ in range(retry_cap):
+    for _ in range(RETRY_CAP):
         grid, _ = resample_cells(grid, rng)
         if validate(grid):
             return Morphology(grid)
-    raise MutationFailedError(f"no valid genome grown in {retry_cap} rounds")
+    raise MutationFailedError(f"no valid genome grown in {RETRY_CAP} rounds")
 
 
-def sample_neighbor(
-    morph: Morphology,
-    distance: int,
-    rng: np.random.Generator,
-    retry_cap: int = DEFAULT_RETRY_CAP,
-) -> Morphology:
+def sample_neighbor(morph: Morphology, distance: int,
+                    rng: np.random.Generator) -> Morphology:
     """Apply the body mutation `distance` times; every intermediate is valid."""
     if distance < 1:
         raise ValueError("distance must be >= 1")
     current = morph
     for _ in range(distance):
-        current = mutate_morphology(current, rng, retry_cap=retry_cap)
+        current = mutate_morphology(current, rng)
     return current

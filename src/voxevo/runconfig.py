@@ -15,27 +15,30 @@ Sections and keys come from the configuration dataclasses: [run],
 [evolution] and [experiment] from the `RunConfig` fields tagged with that
 section, [physics] from `PhysicsConfig` plus `contact_*` keys from
 `ContactParams`, [observation] from `ObservationConfig` and [episode] from
-`EpisodeConfig`. Every default lives in its dataclass, so the empty file is
-a valid configuration.
+`EpisodeConfig`. Three keys are the file's syntax for `RunConfig.catalog`:
+[run] mode, and [experiment] catalog_file and catalog_bodies, name the
+bodies of a multi-body run. Every default lives in its dataclass, so the
+empty file is a valid configuration.
 
 The parser rejects unknown names, duplicate keys and malformed values at
 their line. Every bound on a value is checked once, in the `__post_init__`
-of the dataclass that declares the field: `RunConfig` checks its own run and
-experiment fields and builds an `EvolutionConfig` from the fields that
-class declares too (seed, workers, paradigm, generations and the
-[evolution] keys). So a config built in code is rejected as a file is, with
-the same message. The parser only names the line: it blames the first key,
-in file order, whose addition makes the construction fail. `override` names
-the flag. The one check of the file itself comes last: the catalog keys
-apply only to `mode = multi-body`.
+of the dataclass that declares the field, so a config built in code is
+rejected as a file is, with the same message. The parser only names the
+line: it blames the first key, in file order, whose addition makes the
+construction fail; the values of the three catalog keys are checked in the
+same pass. `override` names the flag. The catalog is resolved last: its keys
+apply only to `mode = multi-body`, and the catalog must hold every body
+they name.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
-from .evolution import EvolutionConfig
+from .control import KINDS
+from .evolution import MAX_POPULATION
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
 from .physics import ContactParams, PhysicsConfig
@@ -44,15 +47,12 @@ from .walker import EpisodeConfig
 
 
 class ConfigError(Exception):
-    """A config problem; `key` names the [experiment] key at fault when the
-    error is raised before the file's line numbers are known."""
+    """A config problem, located by its file or flag and, in a file, its line."""
 
-    def __init__(self, message: str, path: str | None = None, line: int | None = None,
-                 key: str | None = None):
+    def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
         self.message = message
-        self.key = key
         where = path or "<config>"
         if line is not None:
             where = f"{where}:{line}"
@@ -93,17 +93,16 @@ def _in(section: str, default):
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = _in("run", EvolutionConfig.master_seed)
+    seed: int = _in("run", 0)
     out: str | None = _in("run", None)
-    workers: int | None = _in("run", None)
-    mode: str = _in("run", MODES[0])
-    paradigm: str = _in("run", EvolutionConfig.controller_kind)
-    generations: int = _in("run", EvolutionConfig.generations)
-    mu: int = _in("evolution", EvolutionConfig.mu)
-    lambda_: int = _in("evolution", EvolutionConfig.lambda_)
-    p_body_mutation: float = _in("evolution", EvolutionConfig.p_body_mutation)
-    controller_sigma: float = _in("evolution", EvolutionConfig.controller_sigma)
-    checkpoint_every: int = _in("evolution", EvolutionConfig.checkpoint_every)
+    workers: int | None = _in("run", None)  # None: every CPU the process may run on
+    paradigm: str = _in("run", "modular")
+    generations: int = _in("run", 100)
+    mu: int = _in("evolution", 16)
+    lambda_: int = _in("evolution", 16)
+    p_body_mutation: float = _in("evolution", 0.5)
+    controller_sigma: float = _in("evolution", 0.1)
+    checkpoint_every: int = _in("evolution", 0)  # 0 disables periodic checkpoints
     physics: PhysicsConfig = field(default_factory=PhysicsConfig)
     observation: ObservationConfig = field(default_factory=ObservationConfig)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
@@ -111,59 +110,44 @@ class RunConfig:
     distances: tuple[int, ...] = _in("experiment", (1, 2, 3))
     samples_per_distance: int = _in("experiment", 20)
     one_shot_lambda: int = _in("experiment", 16)
-    catalog_file: str | None = _in("experiment", None)
-    catalog_bodies: tuple[str, ...] = _in("experiment", CATALOG_ORDER)
+    # the bodies every individual is scored on, when only the brain evolves;
+    # None co-evolves body and brain
+    catalog: tuple[Morphology, ...] | None = None
 
     def __post_init__(self):
         for name, ok, rule in (
+            ("seed", self.seed >= 0, "must be >= 0"),
             ("out", self.out != "", "must not be empty"),
-            ("mode", self.mode in MODES, f"must be one of {MODES}"),
+            ("workers", self.workers is None or self.workers >= 1, "must be >= 1"),
+            ("paradigm", self.paradigm in KINDS, f"must be one of {KINDS}"),
+            ("generations", self.generations >= 1, "must be >= 1"),
+            ("mu", 1 <= self.mu <= MAX_POPULATION, f"must be >= 1 and at most "
+             f"{MAX_POPULATION}, the most a population checkpoint holds"),
+            ("lambda_", self.lambda_ >= 1, "must be >= 1"),
+            ("p_body_mutation", 0.0 <= self.p_body_mutation <= 1.0, "must be in [0, 1]"),
+            ("controller_sigma", 0.0 <= self.controller_sigma < math.inf,
+             "must be >= 0 and finite"),
+            ("checkpoint_every", self.checkpoint_every >= 0, "must be >= 0"),
             ("n_runs", self.n_runs >= 1, "must be >= 1"),
             ("distances", len(self.distances) > 0 and all(d >= 1 for d in self.distances),
              "must be >= 1 and non-empty"),
             ("samples_per_distance", self.samples_per_distance >= 1, "must be >= 1"),
             ("one_shot_lambda", self.one_shot_lambda >= 0, "must be >= 0"),
-            ("catalog_file", self.catalog_file != "", "must not be empty"),
-            ("catalog_bodies", len(self.catalog_bodies) > 0, "must not be empty"),
+            ("catalog", self.catalog is None or len(self.catalog) > 0,
+             "must be None or non-empty"),
         ):
             if not ok:
-                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
-        # the fields EvolutionConfig declares too are checked there
-        self._evolution(None, 1 if self.workers is None else self.workers, self.seed)
+                raise ValueError(f"{name.rstrip('_')} {rule}, got {getattr(self, name)!r}")
 
-    def catalog(self) -> dict[str, Morphology]:
-        if self.catalog_file is not None:
-            return load_catalog(self.catalog_file)
-        return default_catalog()
+    @property
+    def brain_only(self) -> bool:
+        return self.catalog is not None
 
-    def evolution_config(self, workers: int, seed: int | None = None) -> EvolutionConfig:
-        bodies = None
-        if self.mode == "multi-body":
-            catalog = self.catalog()
-            missing = [b for b in self.catalog_bodies if b not in catalog]
-            if missing:
-                raise ConfigError(f"catalog_bodies not in catalog: {missing}",
-                                  key="catalog_bodies")
-            bodies = tuple(catalog[b] for b in self.catalog_bodies)
-        return self._evolution(bodies, workers, self.seed if seed is None else seed)
-
-    def _evolution(self, catalog: tuple[Morphology, ...] | None, workers: int,
-                   seed: int) -> EvolutionConfig:
-        return EvolutionConfig(
-            controller_kind=self.paradigm,
-            mu=self.mu,
-            lambda_=self.lambda_,
-            generations=self.generations,
-            p_body_mutation=self.p_body_mutation,
-            controller_sigma=self.controller_sigma,
-            catalog=catalog,
-            master_seed=seed,
-            workers=workers,
-            checkpoint_every=self.checkpoint_every,
-            episode=self.episode,
-            physics=self.physics,
-            observation=self.observation,
-        )
+    def evolution_config(self, workers: int, seed: int | None = None) -> RunConfig:
+        """This config with `workers` and `seed` set; kept only because
+        perfbench/child.py calls it."""
+        return dataclasses.replace(self, workers=workers,
+                                   seed=self.seed if seed is None else seed)
 
 
 def _key(f: dataclasses.Field) -> str:
@@ -187,8 +171,13 @@ def _parsers(fields, prefix: str = "") -> dict[str, object]:
     return {prefix + _key(f): _PARSERS[f.type.removesuffix(" | None")] for f in fields}
 
 
+# the keys that name RunConfig.catalog, by section, with their parsers
+_CATALOG_KEYS = {"run": {"mode": str},
+                 "experiment": {"catalog_file": str, "catalog_bodies": _parse_str_list}}
+
 _SCHEMA: dict[str, dict[str, object]] = {
-    **{section: _parsers(fields) for section, fields in _RUN_FIELDS.items()},
+    **{section: _parsers(fields) | _CATALOG_KEYS.get(section, {})
+       for section, fields in _RUN_FIELDS.items()},
     "physics": {**_parsers(_PHYSICS_FIELDS), **_parsers(_CONTACT_FIELDS, _CONTACT_PREFIX)},
     "observation": _parsers(_OBSERVATION_FIELDS),
     "episode": _parsers(_EPISODE_FIELDS),
@@ -227,14 +216,44 @@ def _read(text: str, path: str) -> dict[str, dict[str, tuple[int, object]]]:
     return entries
 
 
+def _run_config(mode: str = MODES[0], catalog_file: str | None = None,
+                catalog_bodies: tuple[str, ...] | None = None, **fields) -> RunConfig:
+    """A RunConfig from its fields' keys, once the values of the catalog keys
+    pass checks of their own; the catalog is resolved from the whole file."""
+    for key, value, ok, rule in (
+        ("mode", mode, mode in MODES, f"must be one of {MODES}"),
+        ("catalog_file", catalog_file, catalog_file != "", "must not be empty"),
+        ("catalog_bodies", catalog_bodies, catalog_bodies != (), "must not be empty"),
+    ):
+        if not ok:
+            raise ValueError(f"{key} {rule}, got {value!r}")
+    return RunConfig(**fields)
+
+
+def _catalog(given: dict[int, tuple[str, object]], path: str) -> tuple[Morphology, ...] | None:
+    """The bodies that the catalog keys given (each key and value, by line)
+    name, or None without `mode = multi-body`."""
+    keys = {key: (line, value) for line, (key, value) in sorted(given.items())}
+    if keys.get("mode", (None, None))[1] != "multi-body":
+        for key, (line, _) in keys.items():
+            if key != "mode":
+                raise ConfigError(f"{key} applies only to mode = multi-body", path, line)
+        return None
+    file_line, file = keys.get("catalog_file", (None, None))
+    try:
+        catalog = default_catalog() if file is None else load_catalog(file)
+    except CatalogError as exc:
+        raise ConfigError(str(exc), path, file_line) from exc
+    line, names = keys.get("catalog_bodies", (file_line, CATALOG_ORDER))
+    missing = [name for name in names if name not in catalog]
+    if missing:
+        raise ConfigError(f"catalog_bodies not in catalog: {missing}", path, line)
+    return tuple(catalog[name] for name in names)
+
+
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
     """Build a RunConfig from the keys present in `text`; every other field
     keeps the default its dataclass declares."""
-    return _parse(text, path)[0]
-
-
-def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, tuple[int, object]]]]:
-    """The RunConfig and each key's line number and value."""
     entries = _read(text, path)
 
     def given(section: str, fields, prefix: str = "") -> dict[int, tuple[str, object]]:
@@ -243,19 +262,19 @@ def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, tuple[i
         return {present[k][0]: (f.name, present[k][1]) for f in fields
                 if (k := prefix + _key(f)) in present}
 
-    def build(cls, keys: dict[int, tuple[str, object]], section: str | None = None,
+    def build(make, keys: dict[int, tuple[str, object]], section: str | None = None,
               **extra):
-        """`cls` from the keys given; RunConfig's messages name the key, the
+        """`make` from the keys given; RunConfig's messages name the key, the
         other dataclasses' are prefixed with their section."""
         try:
-            return cls(**dict(keys.values()), **extra)
+            return make(**dict(keys.values()), **extra)
         except ValueError:
             # blame the first key, in file order, whose addition makes the
             # construction fail
             lines = sorted(keys)
             for n, line in enumerate(lines, start=1):
                 try:
-                    cls(**dict(keys[k] for k in lines[:n]), **extra)
+                    make(**dict(keys[k] for k in lines[:n]), **extra)
                 except ValueError as exc:
                     where = f"invalid [{section}] settings: " if section else ""
                     raise ConfigError(f"{where}{exc}", path, line) from exc
@@ -263,23 +282,22 @@ def _parse(text: str, path: str) -> tuple[RunConfig, dict[str, dict[str, tuple[i
 
     contact = build(ContactParams, given("physics", _CONTACT_FIELDS, _CONTACT_PREFIX),
                     "physics")
-    run_keys: dict[int, tuple[str, object]] = {}
+    # the catalog keys are checked with the fields and resolved after them
+    catalog_keys = {line: (key, value) for section, keys in _CATALOG_KEYS.items()
+                    for key, (line, value) in entries.get(section, {}).items() if key in keys}
+    run_keys = dict(catalog_keys)
     for section, fields in _RUN_FIELDS.items():
         run_keys.update(given(section, fields))
     cfg = build(
-        RunConfig, run_keys,
+        _run_config, run_keys,
         physics=build(PhysicsConfig, given("physics", _PHYSICS_FIELDS), "physics",
                       contact=contact),
         observation=build(ObservationConfig, given("observation", _OBSERVATION_FIELDS),
                           "observation"),
         episode=build(EpisodeConfig, given("episode", _EPISODE_FIELDS), "episode"),
     )
-    # the catalog keys name the bodies of a multi-body run and nothing else
-    if cfg.mode != "multi-body":
-        for key, (line, _) in entries.get("experiment", {}).items():
-            if key in ("catalog_file", "catalog_bodies"):
-                raise ConfigError(f"{key} applies only to mode = multi-body", path, line)
-    return cfg, entries
+    catalog = _catalog(catalog_keys, path)
+    return cfg if catalog is None else dataclasses.replace(cfg, catalog=catalog)
 
 
 def load_config(path: str) -> RunConfig:
@@ -288,18 +306,7 @@ def load_config(path: str) -> RunConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", path) from exc
-    cfg, entries = _parse(text, path)
-    # dry-run the catalog so a missing body surfaces before any output;
-    # catalog errors point at their key, else at the catalog file's line
-    experiment = {key: line for key, (line, _) in entries.get("experiment", {}).items()}
-    try:
-        cfg.evolution_config(workers=1)
-    except ConfigError as exc:
-        line = experiment.get(exc.key, experiment.get("catalog_file"))
-        raise ConfigError(exc.message, path, line) from exc
-    except CatalogError as exc:
-        raise ConfigError(str(exc), path, experiment.get("catalog_file")) from exc
-    return cfg
+    return parse_config(text, path)
 
 
 def override(cfg: RunConfig, seed: int | None = None, workers: int | None = None,

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from voxevo.evolution import EvolutionConfig
 from voxevo.morphology import Morphology
 from voxevo.physics import PhysicsConfig
+from voxevo.runconfig import RunConfig
 from voxevo.walker import EpisodeConfig
 
 
@@ -46,8 +46,8 @@ def fast_episode():
 
 @pytest.fixture
 def tiny_evolution(fast_episode):
-    return EvolutionConfig(mu=3, lambda_=3, generations=3, master_seed=77,
-                           episode=fast_episode)
+    return RunConfig(mu=3, lambda_=3, generations=3, seed=77, workers=1,
+                     episode=fast_episode)
 
 
 @pytest.fixture

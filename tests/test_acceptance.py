@@ -21,11 +21,10 @@ import numpy as np
 import pytest
 
 from voxevo.checkpoints import load_individual
-from voxevo.cli import _resolve_workers, main
+from voxevo.cli import main
 from voxevo.control import init_controller, mutate_controller
 from voxevo.evolution import (
     Evaluator,
-    EvolutionConfig,
     Individual,
     run_evolution,
     score,
@@ -41,7 +40,7 @@ from voxevo.morphology import (
     validate,
 )
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass, join_worlds, step_env
-from voxevo.runconfig import load_config
+from voxevo.runconfig import RunConfig, load_config
 from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationBuilder, ObservationConfig
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
 
@@ -326,8 +325,8 @@ class TestSelectionGuarantees:
     def test_pool_size_during_evolution(self):
         """Each generation picks mu survivors from a pool of mu + lambda + 1:
         the previous survivors, lambda offspring and one fresh individual."""
-        cfg = EvolutionConfig(mu=4, lambda_=4, generations=5, master_seed=11,
-                              episode=EpisodeConfig(max_steps=30))
+        cfg = RunConfig(mu=4, lambda_=4, generations=5, seed=11, workers=1,
+                        episode=EpisodeConfig(max_steps=30))
         seen = []
 
         def probe(generation, log, population, champion):
@@ -377,8 +376,8 @@ class TestRunDeterminism:
 
 @pytest.fixture(scope="module")
 def trained_run():
-    cfg = EvolutionConfig(mu=4, lambda_=4, generations=10, master_seed=909,
-                          episode=EpisodeConfig(max_steps=100))
+    cfg = RunConfig(mu=4, lambda_=4, generations=10, seed=909, workers=1,
+                    episode=EpisodeConfig(max_steps=100))
     return run_evolution(cfg), cfg
 
 
@@ -552,7 +551,7 @@ max_steps = {max_steps}
 class TestMultiBodyTraining:
     def test_joint_fitness_is_exact_minimum(self):
         catalog = tuple(default_catalog()[name] for name in CATALOG_ORDER)
-        cfg = EvolutionConfig(catalog=catalog, episode=EpisodeConfig(max_steps=30))
+        cfg = RunConfig(catalog=catalog, episode=EpisodeConfig(max_steps=30), workers=1)
         evaluator = Evaluator(cfg)
         ctrl = init_controller("modular", np.random.default_rng(3))
         (joint,) = evaluator.evaluate([(catalog, ctrl)])
@@ -574,11 +573,10 @@ class TestMultiBodyTraining:
         assert main(["evolve", "--config", str(config), "--out", str(out)]) == 0
 
         cfg = load_config(str(config))
-        assert cfg.catalog_bodies == CATALOG_ORDER
         catalog = [default_catalog()[name] for name in CATALOG_ORDER]
+        assert cfg.catalog == tuple(catalog)
         champion = load_individual(str(out / "champion.ckpt"))
-        evo_cfg = cfg.evolution_config(_resolve_workers(cfg.workers))
-        with Evaluator(evo_cfg) as evaluator:
+        with Evaluator(cfg) as evaluator:
             per_body = [r.fitness for (r,) in evaluator.evaluate(
                 [((body,), champion.controller) for body in catalog])]
         assert len(per_body) == len(catalog)

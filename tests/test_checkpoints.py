@@ -108,7 +108,7 @@ class TestPopulationRoundTrip:
         save_population(path, [])
         assert load_population(path) == []
 
-    # EvolutionConfig bounds mu by the largest count the header records
+    # RunConfig bounds mu by the largest count the header records
     def test_count_holds_the_largest_population(self):
         assert _COUNT.unpack(_COUNT.pack(MAX_POPULATION)) == (MAX_POPULATION,)
         with pytest.raises(struct.error):

@@ -9,8 +9,10 @@ import pytest
 
 from voxevo.checkpoints import load_individual, load_population, save_individual
 import voxevo.cli
-from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, _resolve_workers, main
-from voxevo.runconfig import load_config
+import voxevo.evolution
+from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, main
+from voxevo.evolution import Evaluator
+from voxevo.runconfig import RunConfig, load_config
 
 from helpers import INVALID_BODIES
 
@@ -198,14 +200,36 @@ class TestEvolve:
         assert len(snapshot) == 2
 
 
+class _CountingPool:
+    """Stands in for multiprocessing.Pool and keeps its process count."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+def pool_processes(workers):
+    """The process count of the pool an Evaluator makes for `workers`, or
+    None when it makes no pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(voxevo.evolution, "Pool", _CountingPool)
+        with Evaluator(RunConfig(workers=workers)) as evaluator:
+            return None if evaluator._pool is None else evaluator._pool.processes
+
+
 class TestWorkersResolution:
     # VOXEVO_WORKERS was once a third source of the count; it is now ignored
     # whatever its value
     @pytest.mark.parametrize("env", ["lots", "-2", "1"])
     def test_environment_variable_is_ignored(self, env, config_path, tmp_path, monkeypatch):
         monkeypatch.setenv("VOXEVO_WORKERS", env)
-        assert _resolve_workers(3) == 3
-        assert _resolve_workers(2) == 2
+        assert pool_processes(3) == 3
+        assert pool_processes(2) == 2
         assert evolve(config_path, str(tmp_path / "out")) == 0
 
     @pytest.mark.parametrize("command", ["evolve", "transfer"])
@@ -239,7 +263,7 @@ class TestWorkersResolution:
         if command == "transfer":
             argv += ["--champion", os.path.join(run_dir, "champion.ckpt")]
         assert main(argv) == 2
-        assert "error: --seed: master_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "error: --seed: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     # evolve died on makedirs(""), transfer only after scoring every episode
@@ -265,13 +289,20 @@ class TestWorkersResolution:
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    # the Evaluator resolves the count where it makes the pool; one worker
+    # evaluates in-process
     def test_default_counts_the_cpus_this_process_may_use(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _resolve_workers(None) == 1
-        assert _resolve_workers(3) == 3
+        assert pool_processes(None) is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert pool_processes(None) == 3
+        assert pool_processes(1) is None
+        assert pool_processes(4) == 4
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert _resolve_workers(None) == 64
+        assert pool_processes(None) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_processes(None) is None
 
     def test_config_count_below_one_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"

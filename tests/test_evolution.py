@@ -13,7 +13,6 @@ from voxevo.evolution import (
     KIND_FRESH,
     MAX_POPULATION,
     Evaluator,
-    EvolutionConfig,
     Individual,
     dominates,
     evaluation_bodies,
@@ -27,6 +26,7 @@ from voxevo.evolution import (
 )
 from voxevo.morphology import Morphology, MutationFailedError, random_morphology
 from voxevo.physics import PhysicsConfig
+from voxevo.runconfig import RunConfig
 from voxevo.walker import EpisodeConfig, EpisodeResult, evaluate_fitness, run_episode
 
 
@@ -48,29 +48,29 @@ def parent(small_body):
 class TestConfigValidation:
     def test_rejects_bad_values(self, small_body):
         with pytest.raises(ValueError):
-            EvolutionConfig(mu=0)
+            RunConfig(mu=0)
         with pytest.raises(ValueError):
-            EvolutionConfig(p_body_mutation=1.5)
+            RunConfig(p_body_mutation=1.5)
 
     # None co-evolves the body; an empty catalog would score on no body
     def test_rejects_empty_catalog(self):
         with pytest.raises(ValueError, match="catalog"):
-            EvolutionConfig(catalog=())
+            RunConfig(catalog=())
 
     # a non-finite sigma would reach the first generation's controller mutation
     @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
     def test_rejects_bad_controller_sigma(self, sigma):
         with pytest.raises(ValueError, match="controller_sigma"):
-            EvolutionConfig(controller_sigma=sigma)
+            RunConfig(controller_sigma=sigma)
 
     # np.random.SeedSequence rejects it only once the first generation draws
     def test_rejects_negative_master_seed(self):
-        with pytest.raises(ValueError, match="master_seed"):
-            EvolutionConfig(master_seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RunConfig(seed=-1)
 
     # a file rejects each of these at its line; the dataclass rejects them too
     @pytest.mark.parametrize("field, value, message", [
-        ("controller_kind", "foo", "controller_kind must be one of"),
+        ("paradigm", "foo", "paradigm must be one of"),
         ("generations", 0, "generations must be >= 1"),
         ("checkpoint_every", -3, "checkpoint_every must be >= 0"),
         # a population checkpoint records its count in 16 bits
@@ -78,11 +78,11 @@ class TestConfigValidation:
     ])
     def test_rejects_what_a_config_file_rejects(self, field, value, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            EvolutionConfig(**{field: value})
+            RunConfig(**{field: value})
 
     def test_brain_only_property(self, small_body):
-        assert not EvolutionConfig().brain_only
-        assert EvolutionConfig(catalog=(small_body,)).brain_only
+        assert not RunConfig().brain_only
+        assert RunConfig(catalog=(small_body,)).brain_only
 
 
 class TestDominance:
@@ -157,7 +157,7 @@ class TestSurvivorSelection:
 
 class TestOffspring:
     def test_mutates_exactly_one_half(self, parent):
-        cfg = EvolutionConfig()
+        cfg = RunConfig()
         saw = {KIND_BODY: 0, KIND_BRAIN: 0}
         for seed in range(60):
             child = make_offspring(parent, cfg, np.random.default_rng(seed), 100 + seed)
@@ -176,7 +176,7 @@ class TestOffspring:
         assert saw[KIND_BODY] > 10 and saw[KIND_BRAIN] > 10
 
     def test_brain_only_modes_never_touch_body(self, parent, small_body):
-        cfg = EvolutionConfig(catalog=(small_body,), p_body_mutation=1.0)
+        cfg = RunConfig(catalog=(small_body,), p_body_mutation=1.0)
         for seed in range(30):
             child = make_offspring(parent, cfg, np.random.default_rng(seed), 1)
             assert child.mutation_kind == KIND_BRAIN
@@ -187,7 +187,7 @@ class TestOffspring:
             raise MutationFailedError("forced")
 
         monkeypatch.setattr(voxevo.evolution, "mutate_morphology", always_fails)
-        cfg = EvolutionConfig(p_body_mutation=1.0)
+        cfg = RunConfig(p_body_mutation=1.0)
         child = make_offspring(parent, cfg, np.random.default_rng(0), 1)
         assert child.mutation_kind == KIND_BRAIN
         assert child.morphology is parent.morphology
@@ -198,16 +198,16 @@ class TestOffspring:
 class TestEvaluation:
     def test_bodies_by_mode(self, small_body, plus_body):
         ind = stub_individual(0, None)
-        co = EvolutionConfig()
+        co = RunConfig()
         assert evaluation_bodies(co, ind) == (ind.morphology,)
-        one = EvolutionConfig(catalog=(small_body,))
+        one = RunConfig(catalog=(small_body,))
         assert evaluation_bodies(one, ind) == (small_body,)
-        multi = EvolutionConfig(catalog=(small_body, plus_body))
+        multi = RunConfig(catalog=(small_body, plus_body))
         assert evaluation_bodies(multi, ind) == (small_body, plus_body)
 
     def test_min_aggregation_over_bodies(self, small_body, plus_body, fast_episode):
         ctrl = init_controller(MODULAR_KIND, np.random.default_rng(21))
-        cfg = EvolutionConfig(catalog=(small_body, plus_body), episode=fast_episode)
+        cfg = RunConfig(catalog=(small_body, plus_body), episode=fast_episode, workers=1)
         ind = dataclasses.replace(stub_individual(0, None), controller=ctrl)
         with Evaluator(cfg) as evaluator:
             score([ind], cfg, evaluator)
@@ -245,8 +245,8 @@ class TestEvaluation:
             alone = tuple(run_episode(b, ctrl, episode, physics) for b in catalog)
             assert [(r.diverged, r.reached_end) for r in alone] == outcomes, name
             for workers in (1, 2):
-                cfg = EvolutionConfig(catalog=catalog, episode=episode, physics=physics,
-                                      workers=workers)
+                cfg = RunConfig(catalog=catalog, episode=episode, physics=physics,
+                                workers=workers)
                 with Evaluator(cfg) as evaluator:
                     (joint,) = evaluator.evaluate([(catalog, ctrl)])
                 assert joint == alone, (name, workers)
@@ -257,8 +257,8 @@ class TestEvaluation:
                        for s in range(4)]
         jobs = [((small_body,), c) for c in controllers] + [((plus_body,), c) for c in controllers]
         jobs.append(((small_body, plus_body), controllers[0]))
-        serial_cfg = EvolutionConfig(episode=fast_episode, workers=1)
-        pool_cfg = EvolutionConfig(episode=fast_episode, workers=2)
+        serial_cfg = RunConfig(episode=fast_episode, workers=1)
+        pool_cfg = RunConfig(episode=fast_episode, workers=2)
         with Evaluator(serial_cfg) as ev:
             serial = ev.evaluate(jobs)
             assert [len(results) for results in serial] == [len(b) for b, _ in jobs]
@@ -274,8 +274,8 @@ class TestEvaluation:
         diverging = [((small_body,), controllers[0])] * 2
         by_workers = []
         for workers in (1, 2):
-            cfg = EvolutionConfig(episode=EpisodeConfig(max_steps=50), workers=workers,
-                                  physics=PhysicsConfig(rigid_stiffness=6e7))
+            cfg = RunConfig(episode=EpisodeConfig(max_steps=50), workers=workers,
+                            physics=PhysicsConfig(rigid_stiffness=6e7))
             with Evaluator(cfg) as ev:
                 by_workers.append(ev.evaluate(diverging))
         assert all(r.diverged and r.delta_px is None
@@ -362,9 +362,9 @@ class TestFullRun:
 
         monkeypatch.setattr(voxevo.evolution, "mutate_morphology", no_body_mutation)
         monkeypatch.setattr(voxevo.evolution, "random_morphology", no_body_mutation)
-        run = run_evolution(EvolutionConfig(
+        run = run_evolution(RunConfig(
             catalog=(small_body,), p_body_mutation=1.0, mu=2, lambda_=2,
-            generations=2, master_seed=5, episode=fast_episode))
+            generations=2, seed=5, workers=1, episode=fast_episode))
         assert {r.mutation_kind for r in run.lineage.values()} == {KIND_FRESH, KIND_BRAIN}
         assert all(ind.morphology == small_body for ind in run.final_population)
 

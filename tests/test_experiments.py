@@ -12,7 +12,6 @@ from voxevo.evolution import (
     KIND_BRAIN,
     KIND_FRESH,
     Evaluator,
-    EvolutionConfig,
     OffspringRecord,
     run_evolution,
 )
@@ -29,7 +28,7 @@ from voxevo.experiments import (
     _distinct_neighbors,
 )
 from voxevo.morphology import validate
-from voxevo.runconfig import load_config
+from voxevo.runconfig import RunConfig, load_config
 from voxevo.walker import evaluate_fitness
 
 from helpers import grid_distance, save_catalog
@@ -123,7 +122,7 @@ n_runs = {n_runs}
 
 
 def battery(cfg, seeds):
-    return [run_evolution(dataclasses.replace(cfg, master_seed=s)) for s in seeds]
+    return [run_evolution(dataclasses.replace(cfg, seed=s, workers=1)) for s in seeds]
 
 
 class TestBattery:
@@ -133,11 +132,11 @@ class TestBattery:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(path), "--out", str(out),
                      "--workers", "1"]) == 0
-        runs = battery(load_config(str(path)).evolution_config(workers=1), [10, 11])
+        runs = battery(load_config(str(path)), [10, 11])
         for i, run in enumerate(runs):
             champion = load_individual(str(out / f"run_{i:02d}" / "champion.ckpt"))
             assert champion.fitness == run.champion.fitness
-        assert [r.config.master_seed for r in runs] == [10, 11]
+        assert [r.config.seed for r in runs] == [10, 11]
 
     def test_rejects_zero_runs(self, tmp_path, capsys):
         path = tmp_path / "battery.cfg"
@@ -150,7 +149,7 @@ class TestBattery:
 
 @pytest.fixture
 def fast_evaluator(fast_episode):
-    with Evaluator(EvolutionConfig(episode=fast_episode)) as evaluator:
+    with Evaluator(RunConfig(episode=fast_episode, workers=1)) as evaluator:
         yield evaluator
 
 
@@ -308,26 +307,26 @@ class TestConvergence:
 
 class TestTrainingWrappers:
     def test_multi_morph_sets_mode_and_catalog(self, small_body, plus_body, fast_episode):
-        cfg = EvolutionConfig(mu=2, lambda_=2, generations=1, master_seed=3,
-                              catalog=(small_body, plus_body), episode=fast_episode)
+        cfg = RunConfig(mu=2, lambda_=2, generations=1, seed=3, workers=1,
+                        catalog=(small_body, plus_body), episode=fast_episode)
         run = run_evolution(cfg)
         assert run.config.brain_only
         assert run.config.catalog == (small_body, plus_body)
-        assert run.config.controller_kind == "modular"
+        assert run.config.paradigm == "modular"
         assert {r.mutation_kind for r in run.lineage.values()} <= {KIND_FRESH, KIND_BRAIN}
 
     # one body is a one-body catalog
     def test_fixed_morph_sets_mode(self, small_body, fast_episode):
-        cfg = EvolutionConfig(controller_kind="global", mu=2, lambda_=2, generations=1,
-                              master_seed=3, catalog=(small_body,), episode=fast_episode)
+        cfg = RunConfig(paradigm="global", mu=2, lambda_=2, generations=1, seed=3,
+                        workers=1, catalog=(small_body,), episode=fast_episode)
         run = run_evolution(cfg)
         assert run.config.brain_only
         assert run.config.catalog == (small_body,)
         assert all(ind.morphology == small_body for ind in run.final_population)
 
     def test_per_body_fitness_bounds_joint_fitness(self, small_body, plus_body, fast_episode):
-        cfg = EvolutionConfig(mu=2, lambda_=2, generations=2, master_seed=4,
-                              catalog=(small_body, plus_body), episode=fast_episode)
+        cfg = RunConfig(mu=2, lambda_=2, generations=2, seed=4, workers=1,
+                        catalog=(small_body, plus_body), episode=fast_episode)
         run = run_evolution(cfg)
         jobs = [((body,), run.champion.controller) for body in (small_body, plus_body)]
         with Evaluator(cfg) as evaluator:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from voxevo import morphology
 from voxevo.morphology import (
     CELL_MUTATION_RATE,
     EMPTY,
@@ -176,9 +177,10 @@ class TestMutation:
         b = mutate_morphology(small_body, np.random.default_rng(5))
         assert a == b
 
-    def test_retry_cap_raises(self, small_body):
+    def test_retry_cap_raises(self, small_body, monkeypatch):
+        monkeypatch.setattr(morphology, "RETRY_CAP", 0)
         with pytest.raises(MutationFailedError):
-            mutate_morphology(small_body, np.random.default_rng(0), retry_cap=0)
+            mutate_morphology(small_body, np.random.default_rng(0))
 
 
 class TestRandomMorphology:

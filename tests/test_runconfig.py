@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+import voxevo.runconfig
 from voxevo.cli import main
-from voxevo.experiments import default_catalog
+from voxevo.experiments import CATALOG_ORDER, default_catalog, load_catalog
 from voxevo.runconfig import (
     _SCHEMA,
     ConfigError,
@@ -62,7 +63,6 @@ class TestParsing:
         assert cfg.seed == 42
         assert cfg.out == "runs/demo"
         assert cfg.workers == 2
-        assert cfg.mode == "multi-body"
         assert cfg.paradigm == "global"
         assert cfg.generations == 7
         assert (cfg.mu, cfg.lambda_) == (4, 5)
@@ -78,7 +78,7 @@ class TestParsing:
         assert cfg.episode.shift_constant == pytest.approx(2.4)
         assert cfg.n_runs == 3
         assert cfg.distances == (1, 2)
-        assert cfg.catalog_bodies == ("worm",)
+        assert cfg.catalog == (default_catalog()["worm"],)
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("\n# note\n\n[run]\n# another\nseed = 3\n")
@@ -147,7 +147,7 @@ class TestErrors:
         self.assert_error("[run]\nmode = lamarckian\n", "mode", 2)
 
     def test_bad_paradigm(self):
-        self.assert_error("[run]\nparadigm = central\n", "controller_kind must be one of", 2)
+        self.assert_error("[run]\nparadigm = central\n", "paradigm must be one of", 2)
 
     # under co-optimize the catalog keys loaded and were silently ignored
     @pytest.mark.parametrize("key, value", [("catalog_bodies", "squid"),
@@ -203,37 +203,49 @@ class TestErrors:
         self.assert_error("[observation]\nnormalize_volume = no\n",
                           "unknown key 'normalize_volume'", 2)
 
+
+# the parser resolves mode, catalog_file and catalog_bodies into the catalog
 class TestEvolutionConfigResolution:
     def test_co_optimize_has_no_bodies(self):
-        evo = parse_config("").evolution_config(workers=1)
-        assert evo.catalog is None
-        assert not evo.brain_only
+        cfg = parse_config("")
+        assert cfg.catalog is None
+        assert not cfg.brain_only
 
     # a fixed-body run is a one-body catalog
     def test_fixed_body_resolves_name(self):
         cfg = parse_config("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = worm\n")
-        evo = cfg.evolution_config(workers=1)
-        assert evo.brain_only
-        assert evo.catalog == (default_catalog()["worm"],)
+        assert cfg.brain_only
+        assert cfg.catalog == (default_catalog()["worm"],)
 
+    # parse_config returned this config; the missing body surfaced only when
+    # its bodies were resolved
     def test_unknown_fixed_body_raises(self):
-        cfg = parse_config("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = squid\n")
-        with pytest.raises(ConfigError):
-            cfg.evolution_config(workers=1)
+        with pytest.raises(ConfigError) as exc_info:
+            parse_config("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = squid\n",
+                         path="demo.cfg")
+        assert str(exc_info.value) == "demo.cfg:4: catalog_bodies not in catalog: ['squid']"
 
     def test_multi_body_resolves_catalog(self):
         cfg = parse_config(
             "[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = biped, worm\n")
-        evo = cfg.evolution_config(workers=1)
-        assert evo.brain_only
+        assert cfg.brain_only
         catalog = default_catalog()
-        assert evo.catalog == (catalog["biped"], catalog["worm"])
+        assert cfg.catalog == (catalog["biped"], catalog["worm"])
+
+    # a config built in code is the config of the file that names its bodies
+    def test_code_built_catalog_equals_the_parsed_file(self):
+        catalog = default_catalog()
+        assert parse_config("[run]\nmode = multi-body\n") == RunConfig(
+            catalog=tuple(catalog[name] for name in CATALOG_ORDER))
+        assert parse_config(
+            "[run]\nseed = 4\nmode = multi-body\n[experiment]\ncatalog_bodies = worm, biped\n"
+        ) == RunConfig(seed=4, catalog=(catalog["worm"], catalog["biped"]))
 
     def test_seed_and_workers_plumbed(self):
         cfg = parse_config("[run]\nseed = 9\n")
         evo = cfg.evolution_config(workers=3)
-        assert evo.master_seed == 9 and evo.workers == 3
-        assert cfg.evolution_config(workers=1, seed=17).master_seed == 17
+        assert evo.seed == 9 and evo.workers == 3
+        assert cfg.evolution_config(workers=1, seed=17).seed == 17
 
     def test_custom_catalog_file(self, tmp_path):
         path = tmp_path / "catalog.txt"
@@ -241,8 +253,26 @@ class TestEvolutionConfigResolution:
         cfg = parse_config(
             f"[run]\nmode = multi-body\n[experiment]\n"
             f"catalog_file = {path}\ncatalog_bodies = stub\n")
-        evo = cfg.evolution_config(workers=1)
-        assert evo.catalog == (default_catalog()["block"],)
+        assert cfg.catalog == (default_catalog()["block"],)
+
+    # a battery read its catalog file once to check the config and again for
+    # every run
+    def test_catalog_file_is_read_once(self, tmp_path, monkeypatch):
+        catalog = tmp_path / "catalog.txt"
+        save_catalog(str(catalog), {"stub": default_catalog()["block"]})
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"[run]\nmode = multi-body\ngenerations = 1\n[evolution]\nmu = 2\nlambda = 1\n"
+            f"[episode]\nmax_steps = 20\n[experiment]\nn_runs = 2\n"
+            f"catalog_file = {catalog}\ncatalog_bodies = stub\n")
+        reads = []
+        monkeypatch.setattr(voxevo.runconfig, "load_catalog",
+                            lambda path: reads.append(path) or load_catalog(path))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(config), "--out", str(out),
+                     "--workers", "1"]) == 0
+        assert reads == [str(catalog)]
+        assert sorted(os.listdir(out)) == ["run_00", "run_01"]
 
 
 class TestLoadConfig:
@@ -364,8 +394,12 @@ MULTI_BODY_ONLY = {("experiment", "catalog_file"), ("experiment", "catalog_bodie
 @pytest.mark.parametrize("section, key", [
     (section, key) for section in _SCHEMA for key in _SCHEMA[section]])
 def test_every_key_runs_or_is_rejected_with_its_line(section, key, tmp_path, capsys):
+    # the file gives each built-in name another built-in body, so the config
+    # that names it differs from the default multi-body config
+    builtin = default_catalog()
+    renamed = CATALOG_ORDER[1:] + CATALOG_ORDER[:1]
     catalog = tmp_path / "catalog.txt"
-    save_catalog(str(catalog), default_catalog())
+    save_catalog(str(catalog), {name: builtin[body] for name, body in zip(CATALOG_ORDER, renamed)})
     out = str(tmp_path / "out")
     value = NON_DEFAULT[(section, key)].format(out=out, catalog=catalog)
     mode = "[run]\nmode = multi-body\n" if (section, key) in MULTI_BODY_ONLY else ""
@@ -455,12 +489,16 @@ def test_zero_generations_is_rejected_before_any_output(tmp_path, capsys):
 FLAGS = {"seed": "--seed", "workers": "--workers", "out": "--out"}
 
 
+# the keys that name the catalog, not a field of their own
+CATALOG_KEYS = {"mode", "catalog_file", "catalog_bodies"}
+
+
 # Each bound lives in the dataclass that declares its field: the file names
 # the line, the dataclass gives the same message, and a flag names itself.
 @pytest.mark.parametrize("section, key, value, fragment", BOUNDS + [
-    ("run", "seed", "-1", "master_seed must be >= 0"),
+    ("run", "seed", "-1", "seed must be >= 0"),
     ("run", "mode", "fixed-body", "mode must be one of"),
-    ("run", "paradigm", "central", "controller_kind must be one of"),
+    ("run", "paradigm", "central", "paradigm must be one of"),
     ("experiment", "n_runs", "0", "n_runs must be >= 1"),
 ])
 def test_file_dataclass_and_flag_reject_alike(section, key, value, fragment, tmp_path,
@@ -470,10 +508,12 @@ def test_file_dataclass_and_flag_reject_alike(section, key, value, fragment, tmp
     message = from_file.value.message
     assert from_file.value.line == 2 and fragment in message
 
-    field = "lambda_" if key == "lambda" else key
-    with pytest.raises(ValueError) as from_dataclass:
-        RunConfig(**{field: _SCHEMA[section][key](value)})
-    assert str(from_dataclass.value) == message
+    assert message.startswith(f"{key} ")
+    if key not in CATALOG_KEYS:
+        field = "lambda_" if key == "lambda" else key
+        with pytest.raises(ValueError) as from_dataclass:
+            RunConfig(**{field: _SCHEMA[section][key](value)})
+        assert str(from_dataclass.value) == message
 
     if key in FLAGS:
         cfg = tmp_path / "run.cfg"
