@@ -16,7 +16,8 @@ bodies; a one-body catalog evolves a controller for that body.
 Determinism: every random decision draws from a generator seeded by the
 config's (seed, generation, slot), created in the driving process.
 Evaluations are pure functions of their inputs, so the number of worker
-processes cannot change any logged value.
+processes cannot change any logged value, nor can the per-worker grouping
+of multi-body jobs: a body keeps its bits in any joined world.
 """
 
 from __future__ import annotations
@@ -210,19 +211,26 @@ def evaluation_bodies(cfg: RunConfig, ind: Individual) -> tuple[Morphology, ...]
 
 
 def _evaluate_job(job) -> tuple[EpisodeResult, ...]:
-    bodies, controller, episode_cfg, physics_cfg, obs_cfg = job
-    # a one-body job runs through run_episode because the bench's tracer
-    # counts episodes by its spans; ROADMAP item 1 moves that count to the
-    # returned results, and then this branch goes
-    if len(bodies) == 1:
-        return (run_episode(bodies[0], controller, episode_cfg, physics_cfg, obs_cfg),)
-    return run_episodes(bodies, controller, episode_cfg, physics_cfg, obs_cfg)
+    (body,), controller, episode_cfg, physics_cfg, obs_cfg = job
+    return (run_episode(body, controller, episode_cfg, physics_cfg, obs_cfg),)
+
+
+def _evaluate_group(task) -> list[tuple[EpisodeResult, ...]]:
+    """A worker's contiguous group of jobs, their bodies stepped as one
+    joined world, each under its own job's controller."""
+    jobs, episode_cfg, physics_cfg, obs_cfg = task
+    bodies = tuple(body for job_bodies, _ in jobs for body in job_bodies)
+    controllers = tuple(ctrl for job_bodies, ctrl in jobs for _ in job_bodies)
+    flat = iter(run_episodes(bodies, controllers, episode_cfg, physics_cfg, obs_cfg))
+    return [tuple(next(flat) for _ in job_bodies) for job_bodies, _ in jobs]
 
 
 class Evaluator:
     """Evaluates batches of (bodies, controller) jobs, optionally in a worker
     pool. Each job yields one trajectory-free `EpisodeResult` per body, in
     body order; results are in job order and independent of worker count.
+    An evaluation with a multi-body job is split into one contiguous group of
+    near-equal size per worker, whose bodies run as one joined world.
     A config without a worker count gets one worker per CPU this process may
     run on."""
 
@@ -238,16 +246,26 @@ class Evaluator:
             else:
                 workers = os.cpu_count() or 1
         self._pool = Pool(workers) if workers > 1 else None
+        self._workers = workers
 
     def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]
                  ) -> list[tuple[EpisodeResult, ...]]:
-        packed = [
-            (bodies, ctrl, self.episode, self.physics, self.observation)
-            for bodies, ctrl in jobs
-        ]
-        if self._pool is None:
-            return [_evaluate_job(job) for job in packed]
-        return self._pool.map(_evaluate_job, packed)
+        # one-body jobs run one by one through run_episode because the
+        # bench's tracer counts episodes by its spans; ROADMAP item 1 moves
+        # that count to the returned results, and then this branch goes
+        if all(len(bodies) == 1 for bodies, _ in jobs):
+            return self._map(_evaluate_job, [
+                (bodies, ctrl, self.episode, self.physics, self.observation)
+                for bodies, ctrl in jobs])
+        n = min(self._workers, len(jobs))
+        cuts = [len(jobs) * k // n for k in range(n + 1)]
+        groups = self._map(_evaluate_group, [
+            (jobs[a:b], self.episode, self.physics, self.observation)
+            for a, b in zip(cuts, cuts[1:])])
+        return [results for group in groups for results in group]
+
+    def _map(self, fn, tasks: list) -> list:
+        return list(map(fn, tasks)) if self._pool is None else self._pool.map(fn, tasks)
 
     def close(self):
         if self._pool is not None:

@@ -87,23 +87,24 @@ def run_episode(morph: Morphology, controller: ControllerGenome,
     entry, so frame 0 is the build placement and the frame count equals the
     number of steps simulated.
     """
-    return run_episodes((morph,), controller, episode_cfg, physics_cfg, obs_cfg, record)[0]
+    return run_episodes((morph,), (controller,), episode_cfg, physics_cfg, obs_cfg, record)[0]
 
 
-def run_episodes(bodies: tuple[Morphology, ...], controller: ControllerGenome,
+def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGenome, ...],
                  episode_cfg: EpisodeConfig | None = None,
                  physics_cfg: PhysicsConfig | None = None,
                  obs_cfg: ObservationConfig | None = None,
                  record: bool = False) -> tuple[EpisodeResult, ...]:
-    """One episode per body under one controller, the bodies' worlds joined
-    and stepped in lockstep; each result is the body's `run_episode` result.
-    A body that diverges or crosses the terrain end leaves the batch at that
-    step, and the bodies still running are joined again without it.
+    """One episode per body, body i under `controllers[i]` (the bodies may
+    come from several jobs), the worlds joined and stepped in lockstep; each
+    result is the body's `run_episode` result. A body that diverges or
+    crosses the terrain end leaves the batch at that step, and the bodies
+    still running are joined again without it.
     """
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
     worlds = [build_world(body, physics_cfg) for body in bodies]
-    builders = [ObservationBuilder(w, controller.kind, obs_cfg) for w in worlds]
+    builders = [ObservationBuilder(w, c.kind, obs_cfg) for w, c in zip(worlds, controllers)]
     start_x = [float(center_of_mass(w)[0]) for w in worlds]
     frames = [[] if record else None for _ in worlds]
     results: list[EpisodeResult | None] = [None] * len(worlds)
@@ -120,7 +121,7 @@ def run_episodes(bodies: tuple[Morphology, ...], controller: ControllerGenome,
     for step in range(episode_cfg.max_steps):
         for i in live:
             if step % episode_cfg.action_repeat == 0:
-                apply_actuation(worlds[i], act(controller, worlds[i], step, builders[i]))
+                apply_actuation(worlds[i], act(controllers[i], worlds[i], step, builders[i]))
             if record:
                 frames[i].append(worlds[i].pos.copy())
         try:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import voxevo.evolution
-from voxevo.control import MODULAR_KIND, init_controller
+from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
 from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
@@ -27,7 +27,13 @@ from voxevo.evolution import (
 from voxevo.morphology import Morphology, MutationFailedError, random_morphology
 from voxevo.physics import PhysicsConfig
 from voxevo.runconfig import RunConfig
-from voxevo.walker import EpisodeConfig, EpisodeResult, evaluate_fitness, run_episode
+from voxevo.walker import (
+    EpisodeConfig,
+    EpisodeResult,
+    evaluate_fitness,
+    run_episode,
+    run_episodes,
+)
 
 
 def stub_individual(age, fitness, ident=0):
@@ -251,6 +257,60 @@ class TestEvaluation:
                     (joint,) = evaluator.evaluate([(catalog, ctrl)])
                 assert joint == alone, (name, workers)
                 assert all(r.trajectory is None for r in joint)
+
+    # an evaluation with a multi-body job gives each worker one contiguous
+    # group of jobs, whose bodies run as one joined world, each body under
+    # its own job's controller
+    def test_grouped_jobs_are_each_job_alone(self, small_body, fast_episode, monkeypatch):
+        soft = np.zeros((5, 5), dtype=np.int8)
+        soft[3, 1:4], soft[4, 1:4] = [3, 2, 4], [2, 2, 2]
+        narrow = np.zeros((5, 5), dtype=np.int8)
+        narrow[3:5, 0] = [3, 4]
+        soft, narrow = Morphology(soft), Morphology(narrow)
+        controllers = [init_controller(kind, np.random.default_rng(30 + s))
+                       for s, kind in enumerate([MODULAR_KIND, GLOBAL_KIND] * 2)]
+        # each case with the (diverged, reached_end) of each job's bodies alone
+        cases = {
+            # small_body diverges under this rigid stiffness; the bodies
+            # without rigid voxels run on
+            "divergence": (
+                [((small_body, soft), controllers[0]), ((soft, narrow), controllers[1]),
+                 ((narrow, soft), controllers[2])],
+                EpisodeConfig(max_steps=50), PhysicsConfig(rigid_stiffness=6e7),
+                [[(True, False), (False, False)], [(False, False)] * 2,
+                 [(False, False)] * 2]),
+            # the terrain ends before the three-column bodies' starting
+            # centres of mass, so the second job ends at its first step
+            "early_finish": (
+                [((narrow, small_body), controllers[3]), ((soft, small_body), controllers[0])],
+                dataclasses.replace(fast_episode, terrain_end_x=1.0), PhysicsConfig(),
+                [[(False, False), (False, True)], [(False, True)] * 2]),
+        }
+        for name, (jobs, episode, physics, outcomes) in cases.items():
+            alone = [run_episodes(bodies, (ctrl,) * len(bodies), episode, physics)
+                     for bodies, ctrl in jobs]
+            assert [[(r.diverged, r.reached_end) for r in results]
+                    for results in alone] == outcomes, name
+            # 3 workers are more than the early_finish case's jobs
+            for workers in (1, 2, 3):
+                cfg = RunConfig(episode=episode, physics=physics, workers=workers)
+                with Evaluator(cfg) as evaluator:
+                    assert evaluator.evaluate(jobs) == alone, (name, workers)
+        for workers in (1, 2):
+            with Evaluator(RunConfig(workers=workers)) as evaluator:
+                assert evaluator.evaluate([]) == []
+
+        # one worker steps all five jobs' bodies in one call
+        calls = []
+
+        def spy(bodies, controllers, *args):
+            calls.append(len(bodies))
+            return run_episodes(bodies, controllers, *args)
+
+        monkeypatch.setattr(voxevo.evolution, "run_episodes", spy)
+        with Evaluator(RunConfig(episode=fast_episode, workers=1)) as evaluator:
+            evaluator.evaluate([job for jobs, *_ in cases.values() for job in jobs])
+        assert calls == [10]
 
     def test_worker_pool_matches_serial(self, small_body, plus_body, fast_episode):
         controllers = [init_controller(MODULAR_KIND, np.random.default_rng(s))

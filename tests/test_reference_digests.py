@@ -80,11 +80,12 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _evolve(tmp_path, name, text):
+def _evolve(tmp_path, name, text, workers=1):
     cfg = tmp_path / f"{name}.cfg"
     cfg.write_text(text)
     out = str(tmp_path / name)
-    assert main(["evolve", "--config", str(cfg), "--out", out, "--workers", "1"]) == 0
+    assert main(["evolve", "--config", str(cfg), "--out", out,
+                 "--workers", str(workers)]) == 0
     return out
 
 
@@ -99,6 +100,14 @@ def _check(out, case):
 ])
 def test_evolve_digests(tmp_path, case, text):
     _check(_evolve(tmp_path, case, text), case)
+
+
+# each worker steps its contiguous group of multi-body jobs as one joined
+# world, so the group boundaries move with the worker count and the bits may not
+@pytest.mark.parametrize("workers", [2, 3])
+def test_multi_body_digests_any_worker_count(tmp_path, workers):
+    case = "multi-body-global"
+    _check(_evolve(tmp_path, case, MULTI_BODY_GLOBAL, workers), case)
 
 
 def test_transfer_digest(tmp_path):
