@@ -155,37 +155,45 @@ class SimWorld:
 
 class JoinedWorld:
     """Worlds of one physics, stepped as one batch by `step_env`; a world
-    alone is a batch of one. Their masses and springs are concatenated in
-    member order, with one scatter block (incidence, mass rows, spring rows)
-    per member. Each member's `pos`, `vel` and `rest` are rebound to row
-    views of the joined arrays, so actuation, observations and
-    `center_of_mass` work on it as alone.
+    alone is a batch of one. Members of one body shape (equal `cells`, so
+    equal `incidence`) are laid out side by side, shapes in order of first
+    appearance, and their masses and springs concatenated in that order.
+    The scatter keeps one block (incidence, mass rows, spring rows, member
+    count k) per body shape. Each member's `pos`, `vel` and `rest` are
+    rebound to row views of the joined arrays, so actuation, observations
+    and `center_of_mass` work on it as alone.
 
     The integration constants are derived here from the members' masses:
     the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
-    as Python floats for the contact loop. `env_steps` counts this batch's
-    steps, for the index a `SimulationDivergedError` carries."""
+    as an array and as Python floats, for the two forms of the contact.
+    `env_steps` counts this batch's steps, for the index a
+    `SimulationDivergedError` carries."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
         first = worlds[0]
         if any(w.physics != first.physics for w in worlds):
             raise ValueError("joined worlds must share their physics")
         self.physics, self.env_steps = first.physics, 0
-        for name in ("pos", "vel", "rest", "stiffness", "damping"):
-            setattr(self, name, np.concatenate([getattr(w, name) for w in worlds]))
-        mass = np.concatenate([w.mass for w in worlds])
-        self.weight = mass * self.physics.gravity
-        self.inv_mass = (1.0 / mass[:, None]).repeat(2, axis=1)
-        self.mass_list = mass.tolist()
-        masses = np.cumsum([0] + [w.n_masses for w in worlds]).tolist()
-        springs = np.cumsum([0] + [w.n_springs for w in worlds]).tolist()
+        shapes: dict[tuple, list[SimWorld]] = {}
+        for w in worlds:
+            shapes.setdefault(tuple(w.cells), []).append(w)
+        members = [w for shape in shapes.values() for w in shape]
+        for name in ("pos", "vel", "rest", "stiffness", "damping", "mass"):
+            setattr(self, name, np.concatenate([getattr(w, name) for w in members]))
+        self.weight = self.mass * self.physics.gravity
+        self.inv_mass = (1.0 / self.mass[:, None]).repeat(2, axis=1)
+        self.mass_list = self.mass.tolist()
+        masses = np.cumsum([0] + [w.n_masses for w in members]).tolist()
+        springs = np.cumsum([0] + [w.n_springs for w in members]).tolist()
         self.n_masses, self.n_springs = masses[-1], springs[-1]
-        self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(worlds, masses)])
-        self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(worlds, masses)])
-        self.blocks = tuple((w.incidence, slice(m0, m1), slice(s0, s1)) for w, m0, m1, s0, s1
-                            in zip(worlds, masses, masses[1:], springs, springs[1:]))
-        for w, (_, rows, spring_rows) in zip(worlds, self.blocks):
-            w.pos, w.vel, w.rest = self.pos[rows], self.vel[rows], self.rest[spring_rows]
+        self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(members, masses)])
+        self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(members, masses)])
+        for w, m0, m1, s0, s1 in zip(members, masses, masses[1:], springs, springs[1:]):
+            w.pos, w.vel, w.rest = self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1]
+        starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
+        self.blocks = tuple(
+            (shape[0].incidence, slice(masses[i], masses[j]), slice(springs[i], springs[j]),
+             j - i) for shape, i, j in zip(shapes.values(), starts, starts[1:]))
 
     @property
     def substeps_per_env_step(self) -> int:  # the bench counts spring substeps
@@ -350,7 +358,9 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
 def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
     """Internal forces from complex views of the positions and velocities, per
     spring into the columns `px`, `py`, per mass into `forces` through
-    `scatter`: each block's incidence with its rows of both buffers."""
+    `scatter`: each block's incidence with its rows of both buffers, as 2-D
+    arrays for a body shape of one member, and stacked (k, rows, 2) per
+    member for a shape of k > 1."""
     a, b = world.spring_a, world.spring_b
     d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
     dx, dy = d.real, d.imag
@@ -361,10 +371,39 @@ def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
     magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
     np.multiply(magnitude, ux, out=px)
     np.multiply(magnitude, uy, out=py)
-    # the BLAS gemm of `@`, one per block: one block-diagonal gemm would
-    # block its longer inner dimension differently and change the bits
+    # the BLAS gemm of `@`, one per member: one block-diagonal gemm would
+    # block its longer inner dimension differently and change the bits.
+    # np.matmul over a stack makes that same gemm call once per member of a
+    # body shape; a shape of one member keeps `dot`, which costs less per call
     for incidence, springs, masses in scatter:
-        incidence.dot(springs, out=masses)
+        if masses.ndim == 2:
+            incidence.dot(springs, out=masses)
+        else:
+            np.matmul(incidence, springs, out=masses)
+
+
+# From this many touching masses on, a substep's contact is one set of numpy
+# calls over them instead of the Python loop. Break-even measured on a
+# 2-vCPU AVX-512 host (numpy 2.4.6, process_time, best of 15 rounds): the
+# loop costs about 0.39 us per touching mass, the numpy form about 12 us
+# plus 0.045 us per mass; they cross at 36 to 40 masses. A one-body world
+# touches at most 6, so only a joined world of several bodies reaches it.
+VECTOR_CONTACT_MIN = 36
+
+
+def _contact_forces(world, touching, forces) -> None:
+    """Ground contact on the masses `touching`, added into `forces`: the
+    contact loop's arithmetic as numpy calls over all of them at once, in
+    the numpy form the loop was written to match bit for bit."""
+    contact = world.physics.contact
+    pos, vel = world.pos[touching], world.vel[touching]
+    vx = vel[:, 0]
+    normal = contact.normal_stiffness * -pos[:, 1] - contact.normal_damping * vel[:, 1]
+    np.maximum(normal, 0.0, out=normal)
+    stopping = world.mass[touching] * np.abs(vx) / world.physics.physics_dt
+    friction = -np.sign(vx) * np.minimum(contact.friction * normal, stopping)
+    forces[touching, 1] += normal
+    forces[touching, 0] += friction
 
 
 def step_env(world: JoinedWorld) -> None:
@@ -382,8 +421,10 @@ def step_env(world: JoinedWorld) -> None:
     z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
     per_spring, forces = np.empty((world.n_springs, 2)), np.empty_like(pos)
     px, py, fy = per_spring[:, 0], per_spring[:, 1], forces[:, 1]
-    scatter = [(incidence, per_spring[springs], forces[masses])
-               for incidence, masses, springs in world.blocks]
+    scatter = [(incidence, per_spring[springs], forces[masses]) if k == 1 else
+               (incidence, per_spring[springs].reshape(k, -1, 2),
+                forces[masses].reshape(k, -1, 2))
+               for incidence, masses, springs, k in world.blocks]
     P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
     contact = physics.contact
@@ -396,28 +437,32 @@ def step_env(world: JoinedWorld) -> None:
             _spring_forces(world, z, w, px, py, scatter, forces)
             fy -= weight
             if has_contact:
-                # few masses touch at a time, too few for numpy calls to pay
-                # off; Python floats round as numpy's float64 did here
-                for i in (y < 0.0).nonzero()[0].tolist():
-                    j = 2 * i  # mass i's x in the flat views, its y at j + 1
-                    vxi, vyi = V[j], V[j + 1]
-                    normal = kn * -P[j + 1] - kd * vyi  # the ground is y = 0
-                    if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
-                        normal = 0.0
-                    # Coulomb friction opposing sliding, capped so one
-                    # substep cannot reverse the tangential velocity
-                    limit = mu * normal
-                    stopping = masses[i] * abs(vxi) / dt
-                    # as np.minimum on x86: a NaN on either side wins, a
-                    # tie gives the second operand
-                    cap = limit if (limit < stopping or limit != limit) else stopping
-                    F[j + 1] += normal
-                    if vxi > 0.0:  # f - cap rounds exactly as f + (-1.0 * cap)
-                        F[j] -= cap
-                    elif vxi < 0.0:
-                        F[j] += cap
-                    else:  # as np.sign: 0.0 for either zero, NaN for NaN
-                        F[j] += -(0.0 if vxi == 0.0 else vxi) * cap
+                touching = (y < 0.0).nonzero()[0]
+                if touching.size >= VECTOR_CONTACT_MIN:
+                    _contact_forces(world, touching, forces)
+                else:
+                    # few masses touch, too few for numpy calls to pay off;
+                    # Python floats round as numpy's float64 did here
+                    for i in touching.tolist():
+                        j = 2 * i  # mass i's x in the flat views, its y at j + 1
+                        vxi, vyi = V[j], V[j + 1]
+                        normal = kn * -P[j + 1] - kd * vyi  # the ground is y = 0
+                        if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
+                            normal = 0.0
+                        # Coulomb friction opposing sliding, capped so one
+                        # substep cannot reverse the tangential velocity
+                        limit = mu * normal
+                        stopping = masses[i] * abs(vxi) / dt
+                        # as np.minimum on x86: a NaN on either side wins, a
+                        # tie gives the second operand
+                        cap = limit if (limit < stopping or limit != limit) else stopping
+                        F[j + 1] += normal
+                        if vxi > 0.0:  # f - cap rounds exactly as f + (-1.0 * cap)
+                            F[j] -= cap
+                        elif vxi < 0.0:
+                            F[j] += cap
+                        else:  # as np.sign: 0.0 for either zero, NaN for NaN
+                            F[j] += -(0.0 if vxi == 0.0 else vxi) * cap
             forces *= dt  # rounds as dt * forces * inv_mass
             forces *= inv_mass
             vel += forces

@@ -6,7 +6,15 @@ import pytest
 
 from voxevo import physics
 from voxevo.experiments import CATALOG_ORDER, default_catalog
-from voxevo.morphology import GRID_SIZE, H_ACTUATOR, Morphology, random_morphology
+from voxevo.morphology import (
+    GRID_SIZE,
+    H_ACTUATOR,
+    RIGID,
+    SOFT,
+    V_ACTUATOR,
+    Morphology,
+    random_morphology,
+)
 from voxevo.physics import (
     AXIS_DIAGONAL,
     AXIS_HORIZONTAL,
@@ -603,14 +611,73 @@ CONTACT_BRANCHES = {
 }
 
 
+def branch_world(branch):
+    """A single voxel whose bottom-left corner is set to `branch`."""
+    contact, y, vx, vy = CONTACT_BRANCHES[branch]
+    world = build_world(single_voxel(), PhysicsConfig(substeps_per_env_step=1,
+                                                      contact=contact))
+    corner = int(world.corner_map[0, 2])  # bottom-left
+    world.pos[corner, 1], world.vel[corner] = y, (vx, vy)
+    return world, corner
+
+
+def step_wide_batch_as_oracle(worlds):
+    """Step `worlds` joined, one batch with enough touching masses for the
+    numpy contact, and require each to hold the oracle's bytes alone."""
+    refs = [copy.deepcopy(w) for w in worlds]
+    joined = join_worlds(worlds)
+    # one substep per step: the touching masses now are the substep's
+    assert joined.physics.substeps_per_env_step == 1
+    assert np.count_nonzero(joined.pos[:, 1] < 0.0) >= physics.VECTOR_CONTACT_MIN
+    step_env(joined)
+    for world, ref in zip(worlds, refs):
+        oracle_step_env(ref)
+        assert_same_state(world, ref)
+
+
+def sinking_voxels(cfg, count):
+    """`count` single voxels whose two bottom corners are 0.01 below the
+    ground and slide at different speeds."""
+    voxels = [build_world(single_voxel(), cfg) for _ in range(count)]
+    for i, voxel in enumerate(voxels):
+        voxel.pos[:, 1] -= 0.01
+        voxel.vel[:, 0] = 0.5 * (i - count // 2)
+    return voxels
+
+
+# With the spring forces and gravity at zero and every velocity at -0.0,
+# the sign of a zero contact force shows in the new velocity: -0.0 + 0.0
+# is 0.0, -0.0 + -0.0 stays -0.0.
+SIGNED_ZERO_CONTACTS = [
+    # the normal force is -0.0 before the clip, the friction limit 0.0
+    # before the cap
+    pytest.param(ContactParams(-0.0, -0.0, 0.8), id="normal_clip_of_negative_zero"),
+    # the friction limit is -0.0 against a stopping force of 0.0; numpy
+    # takes the second operand of a tie on x86, IEEE minimum takes -0.0
+    pytest.param(ContactParams(1e4, 10.0, -0.0), id="friction_cap_tie_of_zeros",
+                 marks=pytest.mark.skipif(
+                     np.signbit(np.minimum(np.array([-0.0]), 0.0))[0],
+                     reason="numpy's minimum breaks ties of signed zeros the IEEE way")),
+]
+
+
+def zero_spring_forces(monkeypatch):
+    """Spring forces of -0.0 in the engine and in the oracle."""
+    def zero_springs(world, *buffers):
+        forces = np.full((world.n_masses, 2), -0.0)
+        if buffers:  # the engine's form fills its forces buffer in place
+            buffers[-1][:] = forces
+        return forces
+
+    monkeypatch.setattr(physics, "_spring_forces", zero_springs)
+    monkeypatch.setattr(sys.modules[__name__], "oracle_spring_forces", zero_springs)
+
+
 class TestContactBranches:
     @pytest.mark.parametrize("branch", list(CONTACT_BRANCHES))
     def test_step_matches_oracle_bytes(self, branch):
         contact, y, vx, vy = CONTACT_BRANCHES[branch]
-        world = build_world(single_voxel(), PhysicsConfig(substeps_per_env_step=1,
-                                                          contact=contact))
-        corner = int(world.corner_map[0, 2])  # bottom-left
-        world.pos[corner, 1], world.vel[corner] = y, (vx, vy)
+        world, corner = branch_world(branch)
         kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
         normal = kn * -y - kd * vy  # the ground is y = 0
         limit = mu * max(normal, 0.0)
@@ -648,29 +715,9 @@ class TestContactBranches:
         no_ground = step_falling(ContactParams(0.0, 0.0, 0.0))
         assert step_falling(ContactParams(0.0, 10.0, 0.0)) > no_ground + 0.1
 
-    # With the spring forces and gravity at zero and every velocity at -0.0,
-    # the sign of a zero contact force shows in the new velocity: -0.0 + 0.0
-    # is 0.0, -0.0 + -0.0 stays -0.0.
-    @pytest.mark.parametrize("contact", [
-        # the normal force is -0.0 before the clip, the friction limit 0.0
-        # before the cap
-        pytest.param(ContactParams(-0.0, -0.0, 0.8), id="normal_clip_of_negative_zero"),
-        # the friction limit is -0.0 against a stopping force of 0.0; numpy
-        # takes the second operand of a tie on x86, IEEE minimum takes -0.0
-        pytest.param(ContactParams(1e4, 10.0, -0.0), id="friction_cap_tie_of_zeros",
-                     marks=pytest.mark.skipif(
-                         np.signbit(np.minimum(np.array([-0.0]), 0.0))[0],
-                         reason="numpy's minimum breaks ties of signed zeros the IEEE way")),
-    ])
+    @pytest.mark.parametrize("contact", SIGNED_ZERO_CONTACTS)
     def test_signed_zero_contact_forces_match_oracle_bytes(self, contact, monkeypatch):
-        def zero_springs(world, *buffers):
-            forces = np.full((world.n_masses, 2), -0.0)
-            if buffers:  # the engine's form fills its forces buffer in place
-                buffers[-1][:] = forces
-            return forces
-
-        monkeypatch.setattr(physics, "_spring_forces", zero_springs)
-        monkeypatch.setattr(sys.modules[__name__], "oracle_spring_forces", zero_springs)
+        zero_spring_forces(monkeypatch)
         cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, contact=contact)
         world = build_world(single_voxel(), cfg)
         world.pos[:, 1] -= 0.01
@@ -679,6 +726,23 @@ class TestContactBranches:
         step_env(join_worlds([world]))
         oracle_step_env(ref)
         assert_same_state(world, ref)
+
+    # The same cases through the numpy contact: the branch's voxel joined
+    # with voxels that sink, enough touching masses for that form
+    @pytest.mark.parametrize("branch", list(CONTACT_BRANCHES))
+    def test_numpy_contact_matches_oracle_bytes(self, branch):
+        world, _ = branch_world(branch)
+        others = sinking_voxels(world.physics, physics.VECTOR_CONTACT_MIN // 2 + 1)
+        step_wide_batch_as_oracle([world] + others)
+
+    @pytest.mark.parametrize("contact", SIGNED_ZERO_CONTACTS)
+    def test_numpy_contact_signed_zeros_match_oracle_bytes(self, contact, monkeypatch):
+        zero_spring_forces(monkeypatch)
+        cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, contact=contact)
+        voxels = sinking_voxels(cfg, physics.VECTOR_CONTACT_MIN // 2 + 1)
+        for voxel in voxels:
+            voxel.vel[:] = -0.0
+        step_wide_batch_as_oracle(voxels)
 
 
 def step_joined_and_alone(bodies, seeds, steps, poison=None):
@@ -712,6 +776,12 @@ def step_joined_and_alone(bodies, seeds, steps, poison=None):
         if i != poison:
             assert_same_state(m, a)
     assert joined.env_steps == steps
+    return joined
+
+
+def stacked_counts(joined):
+    """Members per scatter block of `joined`, for the blocks of more than one."""
+    return [k for *_, k in joined.blocks if k > 1]
 
 
 class TestJoinedWorlds:
@@ -736,17 +806,57 @@ class TestJoinedWorlds:
         bodies = [random_morphology(rng) for _ in range(3)]
         step_joined_and_alone(bodies, [[35, i] for i in range(3)], 20, poison=poison)
 
+    # members of one body shape share a stacked scatter block; each still
+    # steps to the bytes it reaches alone, wherever it sits in the join
+    def test_repeated_bodies_step_to_the_bytes_of_each_world_alone(self):
+        catalog = default_catalog()
+        rng = np.random.default_rng(36)
+        randoms = [random_morphology(rng) for _ in range(6)]
+        bodies = [catalog[name] for name in CATALOG_ORDER] * 5 + randoms * 3
+        order = rng.permutation(len(bodies))
+        bodies = [bodies[i] for i in order]
+        joined = step_joined_and_alone(bodies, [[37, i] for i in range(len(bodies))], 200)
+        assert sorted(stacked_counts(joined)) == [3] * 6 + [5] * 4
+
+    def test_same_cells_of_other_materials_share_a_block(self):
+        rng = np.random.default_rng(38)
+        body = random_morphology(rng)
+        swap = np.array([0, SOFT, RIGID, V_ACTUATOR, H_ACTUATOR], dtype=np.int8)
+        other = Morphology(swap[body.grid])  # rigid <-> soft, actuator axes swapped
+        assert other.occupied_cells == body.occupied_cells
+        worlds = [build_world(b, PhysicsConfig()) for b in (body, other)]
+        assert not np.array_equal(worlds[0].stiffness, worlds[1].stiffness)
+        joined = step_joined_and_alone([body, other], [[39, 0], [39, 1]], 200)
+        assert stacked_counts(joined) == [2] and len(joined.blocks) == 1
+
+    @pytest.mark.parametrize("poison", [0, 1, 3])
+    def test_a_non_finite_member_leaves_its_stacked_block_untouched(self, poison):
+        rng = np.random.default_rng(40)
+        body, other = random_morphology(rng), random_morphology(rng)
+        bodies = [body, other, body, body]
+        joined = step_joined_and_alone(bodies, [[41, i] for i in range(4)], 20, poison=poison)
+        assert sorted(stacked_counts(joined)) == [3]
+
     def test_members_are_views_of_the_joined_state(self):
-        members = [build_world(b, PhysicsConfig()) for b in default_catalog().values()]
+        # twice the catalog: the join lays each body shape's members side by side
+        bodies = list(default_catalog().values()) * 2
+        members = [build_world(b, PhysicsConfig()) for b in bodies]
         joined = join_worlds(members)
         assert joined.n_masses == sum(m.n_masses for m in members)
         assert joined.n_springs == sum(m.n_springs for m in members)
         assert joined.substeps_per_env_step == PhysicsConfig().substeps_per_env_step
-        for m, (_, rows, springs) in zip(members, joined.blocks):
+        def first_row(view, base):
+            offset = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+            return offset // base.strides[0]
+
+        for m in members:
             assert np.shares_memory(m.pos, joined.pos) and m.pos.flags.c_contiguous
             assert np.shares_memory(m.vel, joined.vel)
             assert np.shares_memory(m.rest, joined.rest)
-            assert np.array_equal(joined.spring_a[springs] - rows.start, m.spring_a)
+            row, spring = first_row(m.pos, joined.pos), first_row(m.rest, joined.rest)
+            assert first_row(m.vel, joined.vel) == row
+            springs = slice(spring, spring + m.n_springs)
+            assert np.array_equal(joined.spring_a[springs] - row, m.spring_a)
 
     def test_refuses_members_of_other_physics(self):
         body = single_voxel()

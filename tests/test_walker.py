@@ -5,9 +5,18 @@ import pytest
 import voxevo.walker
 from voxevo.control import GLOBAL_KIND, MODULAR_KIND, MlpParams, ControllerGenome, init_controller
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass
-from voxevo.walker import EpisodeConfig, EpisodeResult, episode_fitness, evaluate_fitness, run_episode
+from voxevo.walker import (
+    EpisodeConfig,
+    EpisodeResult,
+    episode_fitness,
+    evaluate_fitness,
+    run_episode,
+    run_episodes,
+)
 
 from helpers import NO_CONTACT
+
+GLIDE = PhysicsConfig(contact=NO_CONTACT)
 
 
 def zero_controller():
@@ -82,6 +91,49 @@ class TestRunEpisode:
         assert result.reached_end
         assert result.steps_used == 1
         assert result.fitness == episode_fitness(result.delta_px, True, 1, cfg)
+
+    # the terrain check is skipped while every mass is well short of the end:
+    # a batch still ends each body at the first step its centre of mass
+    # reaches the end, a line at or left of the start included
+    def test_batch_sees_the_terrain_end_at_the_step_it_is_reached(self, small_body,
+                                                                  monkeypatch):
+        real_build = voxevo.walker.build_world
+        world = real_build(small_body, PhysicsConfig())
+
+        def gliding(speeds):
+            # bodies without ground contact sliding right at their own speeds
+            speeds = iter(speeds)
+
+            def build(body, cfg):
+                glider = real_build(body, cfg)
+                glider.vel[:, 0] = next(speeds)
+                return glider
+            monkeypatch.setattr(voxevo.walker, "build_world", build)
+
+        def com_x(pos):
+            world.pos = pos
+            return float(center_of_mass(world)[0])
+
+        controllers = [init_controller(MODULAR_KIND, np.random.default_rng([9, i]))
+                       for i in range(3)]
+        bodies, speeds = (small_body,) * 3, (6.0, 8.0, 10.0)
+        gliding(speeds)
+        far = EpisodeConfig(max_steps=61, terrain_end_x=1e9)
+        runs = run_episodes(bodies, controllers, far, physics_cfg=GLIDE, record=True)
+        # centre of mass after each of 60 steps: frame t + 1 holds the state
+        # after step t
+        paths = [[com_x(frame) for frame in run.trajectory[1:]] for run in runs]
+        for end in (6.0, 0.0, -1.0):
+            gliding(speeds)
+            cfg = EpisodeConfig(max_steps=60, terrain_end_x=end)
+            results = run_episodes(bodies, controllers, cfg, physics_cfg=GLIDE)
+            for path, result in zip(paths, results):
+                reached = [step + 1 for step, x in enumerate(path) if x >= end]
+                assert result.reached_end == bool(reached)
+                assert result.steps_used == (reached[0] if reached else 60)
+            if end > 0.0:  # the slowest body stays short, the others reach it midway
+                assert [r.reached_end for r in results] == [False, True, True]
+                assert 1 < results[2].steps_used < results[1].steps_used < 60
 
     def test_divergence_scores_floor(self, small_body, fast_episode):
         unstable = PhysicsConfig(physics_dt=0.05)
