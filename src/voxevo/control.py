@@ -123,12 +123,13 @@ def mlp_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
 def act(genome: ControllerGenome, world: SimWorld, env_step: int,
         builder: ObservationBuilder) -> np.ndarray:
     """Actions in (0, 1), one per actuator in `world.actuator_cells` order:
-    one forward pass on the inputs `builder` assembles for `world`, read at
-    the builder's `pick`. The builder must be of the genome's kind."""
+    one forward pass on the inputs `builder` assembles from `world`'s state,
+    read at the builder's `pick`. The builder must be of the genome's kind
+    and built for `world`'s body."""
     if genome.kind != builder.kind:
         raise ValueError(f"a {genome.kind} controller cannot read a {builder.kind} "
                          "observation builder")
-    return mlp_forward(genome.params, builder.inputs(env_step))[builder.pick]
+    return mlp_forward(genome.params, builder.inputs(world, env_step))[builder.pick]
 
 
 def init_controller(kind: str, rng: np.random.Generator,

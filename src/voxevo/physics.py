@@ -29,12 +29,8 @@ AXIS_DIAGONAL = 2
 
 
 class SimulationDivergedError(RuntimeError):
-    """Non-finite state detected; carries the index of the env step, counted
-    over the steps of the batch that raised it (`JoinedWorld.env_steps`)."""
-
-    def __init__(self, step_index: int):
-        super().__init__(f"simulation diverged at env step {step_index}")
-        self.step_index = step_index
+    """Non-finite state after an env step of some member of a batch; the
+    caller counts the steps (`run_episodes` records them as `steps_used`)."""
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,9 @@ class SimWorld:
     """One body compiled from a genome, and its state; `step_env` steps it
     as a member of a `JoinedWorld`.
 
-    Masses and springs are stored as flat arrays; `incidence` maps per-spring
-    forces onto masses (+1 on endpoint a, -1 on endpoint b). Corner order in
-    `corner_map` is (top-left, top-right, bottom-left, bottom-right). `pos` and
-    `vel` are C-contiguous.
+    Masses and springs are stored as flat arrays; spring s joins masses
+    `spring_a[s] < spring_b[s]`. Corner order in `corner_map` is (top-left,
+    top-right, bottom-left, bottom-right). `pos` and `vel` are C-contiguous.
 
     Every rest length is hypot(mean x-extent, mean y-extent) of the scales
     that `rest_scales` picks: an edge has extent only on its own axis, as the
@@ -121,7 +116,6 @@ class SimWorld:
     rest: np.ndarray           # (n_springs,) current rest length
     stiffness: np.ndarray      # (n_springs,)
     damping: np.ndarray        # (n_springs,)
-    incidence: np.ndarray      # (n_masses, n_springs) +1/-1/0
     cells: list[tuple[int, int]]  # active cells, raster order; index = voxel id
     materials: np.ndarray      # (n_voxels,) material codes
     actuator_voxels: np.ndarray  # (n_act,) voxel id driven by each action
@@ -156,24 +150,23 @@ class SimWorld:
 class JoinedWorld:
     """Worlds of one physics, stepped as one batch by `step_env`; a world
     alone is a batch of one. Members of one body shape (equal `cells`, so
-    equal `incidence`) are laid out side by side, shapes in order of first
+    equal springs) are laid out side by side, shapes in order of first
     appearance, and their masses and springs concatenated in that order.
     The scatter keeps one block (incidence, mass rows, spring rows, member
-    count k) per body shape. Each member's `pos`, `vel` and `rest` are
-    rebound to row views of the joined arrays, so actuation, observations
-    and `center_of_mass` work on it as alone.
+    count k) per body shape, its incidence derived here from the shape's
+    first member. Each member's `pos`, `vel` and `rest` are rebound to row
+    views of the joined arrays, so actuation, observations and
+    `center_of_mass` work on it as alone.
 
     The integration constants are derived here from the members' masses:
     the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
-    as an array and as Python floats, for the two forms of the contact.
-    `env_steps` counts this batch's steps, for the index a
-    `SimulationDivergedError` carries."""
+    as an array and as Python floats, for the two forms of the contact."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
         first = worlds[0]
         if any(w.physics != first.physics for w in worlds):
             raise ValueError("joined worlds must share their physics")
-        self.physics, self.env_steps = first.physics, 0
+        self.physics = first.physics
         shapes: dict[tuple, list[SimWorld]] = {}
         for w in worlds:
             shapes.setdefault(tuple(w.cells), []).append(w)
@@ -185,19 +178,28 @@ class JoinedWorld:
         self.mass_list = self.mass.tolist()
         masses = np.cumsum([0] + [w.n_masses for w in members]).tolist()
         springs = np.cumsum([0] + [w.n_springs for w in members]).tolist()
-        self.n_masses, self.n_springs = masses[-1], springs[-1]
+        self.n_springs = springs[-1]
         self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(members, masses)])
         self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(members, masses)])
         for w, m0, m1, s0, s1 in zip(members, masses, masses[1:], springs, springs[1:]):
             w.pos, w.vel, w.rest = self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1]
         starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
         self.blocks = tuple(
-            (shape[0].incidence, slice(masses[i], masses[j]), slice(springs[i], springs[j]),
+            (_incidence(shape[0]), slice(masses[i], masses[j]), slice(springs[i], springs[j]),
              j - i) for shape, i, j in zip(shapes.values(), starts, starts[1:]))
 
     @property
     def substeps_per_env_step(self) -> int:  # the bench counts spring substeps
         return self.physics.substeps_per_env_step
+
+
+def _incidence(world: SimWorld) -> np.ndarray:
+    """The dense (n_masses, n_springs) map of per-spring forces onto the
+    masses of `world`: +1 on each spring's endpoint a, -1 on its endpoint b."""
+    incidence = np.zeros((world.n_masses, world.n_springs))
+    incidence[world.spring_a, range(world.n_springs)] = 1.0
+    incidence[world.spring_b, range(world.n_springs)] = -1.0
+    return incidence
 
 
 def join_worlds(worlds) -> JoinedWorld:
@@ -243,10 +245,8 @@ def build_world(genome: Morphology, cfg: PhysicsConfig) -> SimWorld:
 
     def add_spring(pa: tuple[int, int], pb: tuple[int, int], axis_kind: int,
                    k: float, voxel: int):
-        a, b = corner_ids[pa], corner_ids[pb]
-        if a > b:
-            a, b = b, a
-        key = (a, b, axis_kind)
+        # corner ids are raster-sorted and `pa` always precedes `pb`: a < b
+        key = (corner_ids[pa], corner_ids[pb], axis_kind)
         entry = springs.get(key)
         if entry is None:
             springs[key] = {"k": k, "voxels": [voxel]}
@@ -278,10 +278,6 @@ def build_world(genome: Morphology, cfg: PhysicsConfig) -> SimWorld:
     reduced = m_a * m_b / (m_a + m_b)
     damping = 2.0 * cfg.damping_ratio * np.sqrt(stiffness * reduced)
 
-    incidence = np.zeros((n_masses, n_springs))
-    incidence[spring_a, np.arange(n_springs)] += 1.0
-    incidence[spring_b, np.arange(n_springs)] -= 1.0
-
     # actuation structure as flat indices into the (2, n_voxels + 1) scale
     # array: x scales, then y scales, each row ending in a padding slot. An
     # edge spans its own axis, a diagonal (one voxel) both; the padding slot
@@ -307,7 +303,6 @@ def build_world(genome: Morphology, cfg: PhysicsConfig) -> SimWorld:
         rest=np.empty(n_springs),
         stiffness=stiffness,
         damping=damping,
-        incidence=incidence,
         cells=cells,
         materials=materials,
         actuator_voxels=actuator_voxels,
@@ -358,9 +353,9 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
 def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
     """Internal forces from complex views of the positions and velocities, per
     spring into the columns `px`, `py`, per mass into `forces` through
-    `scatter`: each block's incidence with its rows of both buffers, as 2-D
-    arrays for a body shape of one member, and stacked (k, rows, 2) per
-    member for a shape of k > 1."""
+    `scatter`: each body shape's incidence, derived at the join, with its
+    rows of both buffers, as 2-D arrays for a shape of one member, and
+    stacked (k, rows, 2) per member for a shape of k > 1."""
     a, b = world.spring_a, world.spring_b
     d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
     dx, dy = d.real, d.imag
@@ -467,11 +462,10 @@ def step_env(world: JoinedWorld) -> None:
             forces *= inv_mass
             vel += forces
             pos += dt * vel
-    world.env_steps += 1
     # with dt finite and positive, a non-finite velocity makes pos non-finite
     # in the same substep, and a non-finite position stays so
     if not np.isfinite(pos).all():
-        raise SimulationDivergedError(world.env_steps)
+        raise SimulationDivergedError("non-finite state after an env step")
 
 
 def center_of_mass(world: SimWorld) -> np.ndarray:

@@ -83,20 +83,20 @@ def _windows(lookup: np.ndarray, centres, d: int, pad: int) -> np.ndarray:
 
 
 class ObservationBuilder:
-    """Precomputed observation assembly for one world and one controller kind.
+    """Precomputed observation assembly for one body and one controller kind.
 
     Static structure (which voxel feeds which input slot) is fixed at
-    construction; per-step feature blocks are recomputed from the live
-    simulation state. Row `n_voxels` of the feature matrix is the
-    missing-voxel block, so unoccupied slots index the padding row. `pick`
-    reads the actions, in `world.actuator_cells` order, from the forward
-    pass on `inputs`.
+    construction from the body of `world`; the builder keeps no world, and
+    per-step feature blocks are recomputed from the state of the world each
+    call is handed, any world of that body. Row `n_voxels` of the feature
+    matrix is the missing-voxel block, so unoccupied slots index the padding
+    row. `pick` reads the actions, in `world.actuator_cells` order, from the
+    forward pass on `inputs`.
     """
 
     def __init__(self, world: SimWorld, kind: str, cfg: ObservationConfig | None = None):
         if kind not in KINDS:
             raise ValueError(f"unknown controller kind {kind!r}")
-        self.world = world
         self.kind = kind
         self.cfg = cfg or ObservationConfig()
         n = len(world.cells)
@@ -130,21 +130,20 @@ class ObservationBuilder:
         self._blocks = self._input[..., :-1].reshape(*self._slots.shape, BLOCK_SIZE)
         self._time = self._input[..., -1]
 
-    def refresh(self) -> None:
-        """Recompute the dynamic features (velocity, volume) from world state."""
-        w = self.world
-        vel = np.add.reduce(w.vel[w.corner_map], axis=1)
+    def refresh(self, world: SimWorld) -> None:
+        """Recompute the dynamic features (velocity, volume) from `world`'s state."""
+        vel = np.add.reduce(world.vel[world.corner_map], axis=1)
         vel /= 4.0  # what .mean(axis=1) computes
         clamp = self.cfg.velocity_clamp
         np.maximum(vel, -clamp, out=vel)  # what np.clip computes, NaN kept
         np.minimum(vel, clamp, out=self._velocity)
-        self._area[:] = _quad_areas(w.pos[:, 0], w.pos[:, 1], self._ring, self._ring_next)
+        self._area[:] = _quad_areas(world.pos[:, 0], world.pos[:, 1], self._ring, self._ring_next)
 
-    def inputs(self, env_step: int) -> np.ndarray:
-        """The controller input at `env_step`: shape (global_size,) for the
-        global kind, (n_act, local_size) for the modular one. The result is
-        the builder's own buffer, overwritten by the next call."""
-        self.refresh()
+    def inputs(self, world: SimWorld, env_step: int) -> np.ndarray:
+        """The controller input of `world` at `env_step`: shape (global_size,)
+        for the global kind, (n_act, local_size) for the modular one. The
+        result is the builder's own buffer, overwritten by the next call."""
+        self.refresh(world)
         # slots are in range by construction; mode='raise' would buffer the gather
         np.take(self._features, self._slots, axis=0, mode="clip", out=self._blocks)
         self._time[...] = time_signal(env_step, self.cfg.time_period)

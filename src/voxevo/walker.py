@@ -66,7 +66,8 @@ class EpisodeResult:
     reached_end: bool
     steps_used: int
     diverged: bool
-    trajectory: list[np.ndarray] | None = field(default=None, repr=False)
+    # a recording, not an outcome: results compare equal with or without one
+    trajectory: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 def episode_fitness(delta_px: float, reached_end: bool, steps_used: int,

@@ -48,13 +48,18 @@ def base_rest_lengths(axes: np.ndarray) -> np.ndarray:
 def oracle_spring_forces(world):
     """Per-mass internal forces (Hooke + axial damping), shape (n_masses, 2),
     from whole (n, 2) arrays as the step computed them before the hot path
-    was reworked."""
+    was reworked: a dense incidence (+1 on each spring's endpoint a, -1 on
+    its endpoint b) times the per-spring forces."""
     d = world.pos[world.spring_b] - world.pos[world.spring_a]
     length = np.sqrt((d * d).sum(axis=1))
     unit = d / length[:, None]
     v_rel = ((world.vel[world.spring_b] - world.vel[world.spring_a]) * unit).sum(axis=1)
     magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
-    return world.incidence @ (magnitude[:, None] * unit)
+    springs = np.arange(len(world.spring_a))
+    incidence = np.zeros((len(world.pos), len(springs)))
+    incidence[world.spring_a, springs] += 1.0
+    incidence[world.spring_b, springs] -= 1.0
+    return incidence @ (magnitude[:, None] * unit)
 
 
 def mechanical_energy(world) -> float:

@@ -75,8 +75,8 @@ class TestStructuralSizes:
         assert cfg.global_size == 201
         assert cfg.local_size == 201
         world = build_world(BODY, PhysicsConfig())
-        assert ObservationBuilder(world, "global", cfg).inputs(0).shape == (201,)
-        assert ObservationBuilder(world, "modular", cfg).inputs(0).shape == (
+        assert ObservationBuilder(world, "global", cfg).inputs(world, 0).shape == (201,)
+        assert ObservationBuilder(world, "modular", cfg).inputs(world, 0).shape == (
             len(world.actuator_cells), 201)
 
 
@@ -236,14 +236,16 @@ class TestTranslationEquivariance:
             i = (row * GRID_SIZE + col) * BLOCK_SIZE
             return vec[i:i + BLOCK_SIZE]
 
+        def global_vec(morph):
+            world = build_world(morph, physics)
+            return ObservationBuilder(world, "global", obs_cfg).inputs(world, 0)
+
         for name, morph in self.NARROW.items():
-            base_vec = ObservationBuilder(build_world(with_left_column_at(morph, 0), physics),
-                                          "global", obs_cfg).inputs(0)
+            base_vec = global_vec(with_left_column_at(morph, 0))
             for s in valid_shifts(morph):
                 if s == 0:
                     continue
-                vec = ObservationBuilder(build_world(with_left_column_at(morph, s), physics),
-                                         "global", obs_cfg).inputs(0)
+                vec = global_vec(with_left_column_at(morph, s))
                 assert not np.array_equal(vec, base_vec), name
                 assert vec[-1] == base_vec[-1]  # time signal is shared
                 for row in range(GRID_SIZE):

@@ -17,7 +17,7 @@ from voxevo.control import (
     params_from_flat,
 )
 from voxevo.morphology import GRID_SIZE
-from voxevo.physics import PhysicsConfig, build_world
+from voxevo.physics import PhysicsConfig, apply_actuation, build_world, join_worlds, step_env
 from voxevo.sensing import ObservationBuilder, ObservationConfig
 
 
@@ -171,7 +171,7 @@ class TestActing:
         builder = ObservationBuilder(world, GLOBAL_KIND)
         actions = act(genome, world, env_step=0, builder=builder)
         assert actions.shape == (len(world.actuator_cells),)
-        full = mlp_forward(genome.params, builder.inputs(0))
+        full = mlp_forward(genome.params, builder.inputs(world, 0))
         for (r, c), a in zip(world.actuator_cells, actions):
             assert a == full[r * 5 + c]
 
@@ -180,7 +180,7 @@ class TestActing:
         genome = init_controller(MODULAR_KIND, np.random.default_rng(11))
         builder = ObservationBuilder(world, MODULAR_KIND)
         actions = act(genome, world, env_step=0, builder=builder)
-        windows = builder.inputs(0)
+        windows = builder.inputs(world, 0)
         assert actions.shape == (len(world.actuator_cells),)
         assert windows.shape[0] == len(world.actuator_cells)
         for window, a in zip(windows, actions):
@@ -194,10 +194,10 @@ class TestActing:
             genome = init_controller(kind, np.random.default_rng(12))
             builder = ObservationBuilder(world, kind)
             if kind == GLOBAL_KIND:
-                direct = mlp_forward(genome.params, builder.inputs(0))[raster]
+                direct = mlp_forward(genome.params, builder.inputs(world, 0))[raster]
             else:
                 direct = np.array([mlp_forward(genome.params, x)[0]
-                                   for x in builder.inputs(0)])
+                                   for x in builder.inputs(world, 0)])
             assert np.allclose(act(genome, world, 0, builder), direct, rtol=1e-12, atol=0)
 
     def test_kind_mismatch_raises(self, small_body):
@@ -216,7 +216,7 @@ class TestActing:
         global_genome = init_controller(GLOBAL_KIND, np.random.default_rng(0))
         for genome, other in ((modular, GLOBAL_KIND), (global_genome, MODULAR_KIND)):
             builder = ObservationBuilder(world, other)
-            assert builder.inputs(0).shape[-1] == genome.params.n_inputs
+            assert builder.inputs(world, 0).shape[-1] == genome.params.n_inputs
             with pytest.raises(ValueError, match="cannot read"):
                 act(genome, world, 0, builder)
 
@@ -227,3 +227,19 @@ class TestActing:
             actions = act(genome, world, 0, ObservationBuilder(world, kind))
             assert actions.dtype == np.float64
             assert np.all((actions >= 0.0) & (actions <= 1.0))
+
+    # act observes the world it is given, through a builder of that body
+    # built on any world of it
+    def test_acts_on_the_world_it_is_given(self, small_body):
+        world, other = (build_world(small_body, PhysicsConfig()) for _ in range(2))
+        batch = join_worlds([other])
+        for _ in range(30):
+            apply_actuation(other, np.full(len(other.actuator_cells), 0.9))
+            step_env(batch)
+        for kind in (GLOBAL_KIND, MODULAR_KIND):
+            genome = init_controller(kind, np.random.default_rng(14))
+            builder = ObservationBuilder(world, kind)
+            actions = act(genome, other, 30, builder)
+            fresh = act(genome, other, 30, ObservationBuilder(other, kind))
+            assert actions.tobytes() == fresh.tobytes()
+            assert actions.tobytes() != act(genome, world, 30, builder).tobytes()

@@ -48,13 +48,13 @@ def observe_voxel(world, cell, cfg=None):
 
 
 def global_input(world, env_step):
-    return ObservationBuilder(world, GLOBAL_KIND).inputs(env_step)
+    return ObservationBuilder(world, GLOBAL_KIND).inputs(world, env_step)
 
 
 def window_row(world, cell, env_step):
     """The modular builder's window row for one actuator cell."""
     row = world.actuator_cells.index(cell)
-    return ObservationBuilder(world, MODULAR_KIND).inputs(env_step)[row]
+    return ObservationBuilder(world, MODULAR_KIND).inputs(world, env_step)[row]
 
 
 @pytest.fixture
@@ -222,7 +222,7 @@ class TestLocalObservation:
         assert first.tolist() == MISSING_BLOCK.tolist()
 
     def test_rows_are_actuators_only(self, world):
-        matrix = ObservationBuilder(world, MODULAR_KIND).inputs(env_step=0)
+        matrix = ObservationBuilder(world, MODULAR_KIND).inputs(world, env_step=0)
         assert matrix.shape == (len(world.actuator_cells), 201)
 
     def test_translation_leaves_window_unchanged(self, narrow_body):
@@ -244,7 +244,7 @@ class TestBuilder:
         batch = join_worlds([world])
         for _ in range(3):
             step_env(batch)
-        mat = ObservationBuilder(world, MODULAR_KIND).inputs(env_step=2)
+        mat = ObservationBuilder(world, MODULAR_KIND).inputs(world, env_step=2)
         cells = world.actuator_cells
         assert mat.shape == (len(cells), 201)
         for i, (r, c) in enumerate(cells):
@@ -273,22 +273,40 @@ class TestBuilder:
 
     def test_refresh_tracks_motion(self, world):
         builder = ObservationBuilder(world, GLOBAL_KIND)
-        before = builder.inputs(env_step=0).copy()
+        before = builder.inputs(world, env_step=0).copy()
         batch = join_worlds([world])
         for _ in range(3):
             step_env(batch)
-        after = builder.inputs(env_step=3)
+        after = builder.inputs(world, env_step=3)
         assert not np.array_equal(before, after)
 
     def test_reuse_equals_fresh_builder(self, world):
         builder = ObservationBuilder(world, GLOBAL_KIND)
-        builder.inputs(env_step=0)
+        builder.inputs(world, env_step=0)
         batch = join_worlds([world])
         for _ in range(4):
             step_env(batch)
-        reused = builder.inputs(env_step=4)
+        reused = builder.inputs(world, env_step=4)
         fresh = global_input(world, env_step=4)
         assert np.array_equal(reused, fresh)
+
+    # a builder keeps no world: built on one, it reads any world of that
+    # body it is handed, here a joined member in another state
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_builder_reads_the_world_it_is_handed(self, world, small_body, kind):
+        builder = ObservationBuilder(world, kind)
+        builder.inputs(world, env_step=0)
+        other = build_world(small_body, PhysicsConfig())
+        batch = join_worlds([build_world(small_body, PhysicsConfig()), other])
+        rng = np.random.default_rng(6)
+        for step in range(50):
+            if step % 4 == 0:
+                apply_actuation(other, rng.random(len(other.actuator_cells)))
+            step_env(batch)
+        assert not np.array_equal(other.pos, world.pos)
+        read = builder.inputs(other, env_step=50)
+        fresh = ObservationBuilder(other, kind).inputs(other, env_step=50)
+        assert read.tobytes() == fresh.tobytes()
 
     # inputs() returns the builder's own buffer, refilled on each call: a
     # long-lived builder must act as a fresh one at every step

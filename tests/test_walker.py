@@ -167,6 +167,15 @@ class TestRunEpisode:
         assert bare.trajectory is None
         assert bare.fitness == result.fitness
 
+    # a trajectory is a list of arrays, which == cannot compare; results
+    # compare by their outcome alone
+    def test_recorded_results_compare_by_outcome(self, small_body, fast_episode):
+        controller = init_controller(MODULAR_KIND, np.random.default_rng(4))
+        recorded = [run_episode(small_body, controller, fast_episode, record=True)
+                    for _ in range(2)]
+        assert recorded[0] == recorded[1]
+        assert recorded[0] == run_episode(small_body, controller, fast_episode)
+
     def test_deterministic(self, small_body, fast_episode):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(5))
         a = run_episode(small_body, controller, fast_episode)
