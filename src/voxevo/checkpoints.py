@@ -13,29 +13,22 @@ that many individual records). Each individual record:
     controller kind u8 | parameter count u32 | parameters f64[count]
 
 Controller parameters are the flat layout: W1 row-major, b1, W2 row-major,
-b2. The input size is not stored: the hidden width (32) and the kind's
-output count are fixed, so the parameter count determines it. Files are
-written to a `.partial` sibling and renamed into place, so a finished file
-is never half-written.
+b2. The input size is not stored: `control.genome_from_flat` infers it from
+the parameter count. Every file a command writes, checkpoint or not, goes
+through `atomic_open`: it is written to a `.partial` sibling and renamed into
+place, so a finished file is never half-written.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 import math
 import os
 import struct
 
 import numpy as np
 
-from .control import (
-    GLOBAL_KIND,
-    HIDDEN_UNITS,
-    MODULAR_KIND,
-    GLOBAL_OUTPUT_SIZE,
-    MODULAR_OUTPUT_SIZE,
-    ControllerGenome,
-    params_from_flat,
-)
+from .control import GLOBAL_KIND, MODULAR_KIND, genome_from_flat
 from .evolution import KIND_BODY, KIND_BRAIN, KIND_FRESH, Individual
 from .morphology import GRID_SIZE, Morphology, validate
 
@@ -98,6 +91,8 @@ def _unpack_individual(reader: _Reader) -> Individual:
     if kind_code not in _KIND_NAMES:
         raise CheckpointIntegrityError(
             f"{reader.path}: unknown mutation kind {kind_code}")
+    if math.isinf(fitness) or math.isinf(parent_fitness):  # NaN encodes "none"
+        raise CheckpointIntegrityError(f"{reader.path}: infinite fitness")
     digits = reader.take(GRID_SIZE * GRID_SIZE).decode("ascii", errors="replace")
     rows = [digits[i * GRID_SIZE:(i + 1) * GRID_SIZE] for i in range(GRID_SIZE)]
     try:
@@ -110,19 +105,11 @@ def _unpack_individual(reader: _Reader) -> Individual:
     if ctrl_code not in _CTRL_NAMES:
         raise CheckpointIntegrityError(
             f"{reader.path}: unknown controller kind {ctrl_code}")
-    kind = _CTRL_NAMES[ctrl_code]
-    # count = hidden * (n_in + 1) + n_out * (hidden + 1)
-    n_out = GLOBAL_OUTPUT_SIZE if kind == GLOBAL_KIND else MODULAR_OUTPUT_SIZE
-    n_in, rest = divmod(n_params - n_out * (HIDDEN_UNITS + 1), HIDDEN_UNITS)
-    n_in -= 1
-    if rest or n_in < 1:
-        raise CheckpointIntegrityError(
-            f"{reader.path}: {n_params} parameters do not fit a {kind} controller "
-            f"with {HIDDEN_UNITS} hidden units")
     flat = np.frombuffer(reader.take(n_params * 8), dtype="<f8")
-    if not np.isfinite(flat).all():
-        raise CheckpointIntegrityError(f"{reader.path}: non-finite parameters")
-    controller = ControllerGenome(kind, params_from_flat(flat, n_in, HIDDEN_UNITS, n_out))
+    try:
+        controller = genome_from_flat(_CTRL_NAMES[ctrl_code], flat)
+    except ValueError as exc:
+        raise CheckpointIntegrityError(f"{reader.path}: {exc}") from exc
     return Individual(
         morphology=morph,
         controller=controller,
@@ -135,11 +122,21 @@ def _unpack_individual(reader: _Reader) -> Individual:
     )
 
 
-def atomic_write_bytes(path: str, blob: bytes) -> None:
+@contextmanager
+def atomic_open(path: str, binary: bool = False):
+    """A file open on `path`'s `.partial` sibling (text: UTF-8, newlines
+    untranslated), renamed onto `path` only when the block exits cleanly; an
+    error leaves the `.partial` behind as the marker of an unfinished write."""
     partial = f"{path}.partial"
-    with open(partial, "wb") as fh:
-        fh.write(blob)
+    with (open(partial, "wb") if binary
+          else open(partial, "w", encoding="utf-8", newline="")) as fh:
+        yield fh
     os.replace(partial, path)
+
+
+def atomic_write_bytes(path: str, blob: bytes) -> None:
+    with atomic_open(path, binary=True) as fh:
+        fh.write(blob)
 
 
 def save_individual(path: str, ind: Individual) -> None:

@@ -6,8 +6,8 @@ episode as line-delimited JSON frames), and report (summarize a finished run
 directory). All randomness flows from the configured master seed; re-running
 any command with the same inputs reproduces its output files byte for byte.
 
-Files are written through `.partial` siblings and renamed when complete, so
-a file without the suffix is always whole.
+Every file is written through `checkpoints.atomic_open`, to a `.partial`
+sibling renamed when complete, so a file without the suffix is always whole.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
+import math
 import os
 import sys
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .checkpoints import (
     CheckpointIntegrityError,
+    atomic_open,
     atomic_write_bytes,
     load_individual,
     save_individual,
@@ -36,8 +37,10 @@ from .experiments import (
     convergence_metrics,
     CONVERGENCE_THRESHOLDS,
     LineageIntegrityError,
+    TransferSample,
     transfer_analysis,
 )
+from .morphology import Morphology
 from .runconfig import ConfigError, RunConfig, load_config, override
 from .walker import run_episode
 
@@ -50,6 +53,7 @@ GENERATION_COLUMNS = [
     "n_body_success", "n_brain_success", "n_body_attempted", "n_brain_attempted",
 ]
 LINEAGE_COLUMNS = [f.name for f in dataclasses.fields(OffspringRecord)]
+TRANSFER_COLUMNS = [f.name for f in dataclasses.fields(TransferSample)]
 
 TRANSFER_STREAM_TAG = 1001
 
@@ -72,43 +76,35 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, Morphology):
+        return value.to_text().replace("\n", "")  # 25 digits, row-major
     return str(value)
 
 
 def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _execute_run(run_dir: str, cfg: RunConfig):
     """One evolution run with streaming CSV logging and checkpoints."""
     os.makedirs(run_dir, exist_ok=True)
-    gen_path = os.path.join(run_dir, GENERATIONS_CSV)
-    partial = f"{gen_path}.partial"
-    fh = open(partial, "w", encoding="utf-8", newline="")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(GENERATION_COLUMNS)
+    with atomic_open(os.path.join(run_dir, GENERATIONS_CSV)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(GENERATION_COLUMNS)
 
-    def on_generation(generation, log, population, champion):
-        writer.writerow([_fmt(getattr(log, column)) for column in GENERATION_COLUMNS])
-        fh.flush()
-        if cfg.checkpoint_every and generation % cfg.checkpoint_every == 0:
-            save_population(
-                os.path.join(run_dir, f"population_gen{generation:05d}.ckpt"),
-                population)
-            save_individual(os.path.join(run_dir, CHAMPION_CKPT), champion)
+        def on_generation(generation, log, population, champion):
+            writer.writerow([_fmt(getattr(log, column)) for column in GENERATION_COLUMNS])
+            fh.flush()
+            if cfg.checkpoint_every and generation % cfg.checkpoint_every == 0:
+                save_population(
+                    os.path.join(run_dir, f"population_gen{generation:05d}.ckpt"),
+                    population)
+                save_individual(os.path.join(run_dir, CHAMPION_CKPT), champion)
 
-    try:
         artifacts = run_evolution(cfg, on_generation=on_generation)
-    except Exception:
-        fh.close()  # leaves the .partial marker behind
-        raise
-    fh.close()
-    os.replace(partial, gen_path)
 
     lineage_rows = [[getattr(r, column) for column in LINEAGE_COLUMNS]
                     for r in sorted(artifacts.lineage.values(), key=lambda r: r.id)]
@@ -193,17 +189,8 @@ def cmd_transfer(args) -> int:
             one_shot_lambda=cfg.one_shot_lambda,
             source_id=champion.id)
 
-    rows = [
-        [s.source_id, s.distance, s.neighbor.to_text().replace("\n", ""),
-         s.zero_shot_fitness, s.one_shot_fitness,
-         s.relative_change_zero, s.relative_change_one]
-        for s in samples
-    ]
-    _write_csv_atomic(
-        os.path.join(cfg.out, "transfer.csv"),
-        ["source_id", "distance", "neighbor", "zero_shot_fitness",
-         "one_shot_fitness", "relative_change_zero", "relative_change_one"],
-        rows)
+    rows = [[getattr(s, column) for column in TRANSFER_COLUMNS] for s in samples]
+    _write_csv_atomic(os.path.join(cfg.out, "transfer.csv"), TRANSFER_COLUMNS, rows)
 
     lines = [f"source fitness: {source_fitness!r}", ""]
     for distance in cfg.distances:
@@ -277,9 +264,17 @@ def _optional(convert):
     return lambda text: convert(text) if text else None
 
 
+def _finite(text: str) -> float:
+    """A fitness field: every episode scores a finite one."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 # lineage.csv's columns are OffspringRecord's fields
 LINEAGE_TYPES = {"id": int, "parent_id": _optional(int), "mutation_kind": str,
-                 "fitness": float, "parent_fitness_at_birth": _optional(float),
+                 "fitness": _finite, "parent_fitness_at_birth": _optional(_finite),
                  "success": lambda text: text == "1"}
 
 
@@ -291,7 +286,7 @@ def _summarize_run(run_dir: str) -> dict:
             f"{run_dir}: missing artifacts: {', '.join(missing)}")
 
     rows = _read_csv(os.path.join(run_dir, GENERATIONS_CSV),
-                     {"generation": int, "best_fitness": float})
+                     {"generation": int, "best_fitness": _finite})
     if not rows:
         raise ReportIntegrityError(f"{run_dir}: {GENERATIONS_CSV} has no rows")
     generations = [r["generation"] for r in rows]

@@ -29,6 +29,13 @@ def input_size(kind: str, obs: ObservationConfig) -> int:
     return obs.local_size if kind == MODULAR_KIND else obs.global_size
 
 
+def output_size(kind: str) -> int:
+    """Controller output length of `kind`: one per grid cell or per actuator."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown controller kind {kind!r}")
+    return GLOBAL_OUTPUT_SIZE if kind == GLOBAL_KIND else MODULAR_OUTPUT_SIZE
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.flags.writeable = False
@@ -92,17 +99,24 @@ class ControllerGenome:
     params: MlpParams
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown controller kind {self.kind!r}")
-        expected_out = GLOBAL_OUTPUT_SIZE if self.kind == GLOBAL_KIND else MODULAR_OUTPUT_SIZE
+        expected_out = output_size(self.kind)
         if self.params.n_outputs != expected_out:
             raise ValueError(
                 f"{self.kind} controller needs {expected_out} outputs, "
                 f"got {self.params.n_outputs}")
 
-    @property
-    def n_params(self) -> int:
-        return self.params.n_params
+
+def genome_from_flat(kind: str, flat: np.ndarray) -> ControllerGenome:
+    """The `kind` controller with the parameters `flat` (`MlpParams.to_flat`'s
+    layout); the hidden width and the kind's output count are fixed, so the
+    parameter count gives the input size."""
+    n_out = output_size(kind)
+    # count = hidden * n_in + hidden + n_out * (hidden + 1)
+    n_in, rest = divmod(len(flat) - HIDDEN_UNITS - n_out * (HIDDEN_UNITS + 1), HIDDEN_UNITS)
+    if rest or n_in < 1:
+        raise ValueError(f"{len(flat)} parameters do not fit a {kind} controller "
+                         f"with {HIDDEN_UNITS} hidden units")
+    return ControllerGenome(kind, params_from_flat(flat, n_in, HIDDEN_UNITS, n_out))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -135,9 +149,7 @@ def act(genome: ControllerGenome, world: SimWorld, env_step: int,
 def init_controller(kind: str, rng: np.random.Generator,
                     n_inputs: int = DEFAULT_INPUT_SIZE) -> ControllerGenome:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown controller kind {kind!r}")
-    n_out = GLOBAL_OUTPUT_SIZE if kind == GLOBAL_KIND else MODULAR_OUTPUT_SIZE
+    n_out = output_size(kind)
     r1 = 1.0 / np.sqrt(n_inputs)
     r2 = 1.0 / np.sqrt(HIDDEN_UNITS)
     params = MlpParams(

@@ -99,10 +99,8 @@ class GenerationLog:
 @dataclass
 class RunArtifacts:
     champion: Individual
-    logs: list[GenerationLog]
     lineage: dict[int, OffspringRecord]
     final_population: list[Individual]
-    config: RunConfig
 
 
 def dominates(a: Individual, b: Individual) -> bool:
@@ -358,23 +356,15 @@ def run_evolution(cfg: RunConfig, on_generation=None) -> RunArtifacts:
         population = initial_population(cfg, evaluator)
         lineage = {ind.id: _record(ind) for ind in population}
         champion = dataclasses.replace(max(population, key=lambda i: i.fitness))
-        logs: list[GenerationLog] = []
         next_id = cfg.mu
         for generation in range(1, cfg.generations + 1):
             population, log, next_id = evolve_generation(
                 population, cfg, generation, next_id, evaluator)
             for record in log.records:
                 lineage[record.id] = record
-            logs.append(log)
             best = max(population, key=lambda i: i.fitness)
             if best.fitness > champion.fitness:
                 champion = dataclasses.replace(best)
             if on_generation is not None:
                 on_generation(generation, log, population, champion)
-    return RunArtifacts(
-        champion=champion,
-        logs=logs,
-        lineage=lineage,
-        final_population=population,
-        config=cfg,
-    )
+    return RunArtifacts(champion=champion, lineage=lineage, final_population=population)

@@ -28,6 +28,15 @@ AXIS_VERTICAL = 1
 AXIS_DIAGONAL = 2
 
 
+def check_fields(config, checks) -> None:
+    """Refuse `config` at the first of its `(field, ok, rule)` checks that
+    fails, with the message `<key> <rule>, got <value>` (the key of a field
+    is its name without a trailing `_`)."""
+    for name, ok, rule in checks:
+        if not ok:
+            raise ValueError(f"{name.rstrip('_')} {rule}, got {getattr(config, name)!r}")
+
+
 class SimulationDivergedError(RuntimeError):
     """Non-finite state after an env step of some member of a batch; the
     caller counts the steps (`run_episodes` records them as `steps_used`)."""
@@ -67,23 +76,19 @@ class PhysicsConfig:
     actuation_max: float = 1.6
 
     def __post_init__(self):
-        values = (
-            self.rigid_stiffness, self.soft_stiffness, self.actuator_stiffness,
-            self.damping_ratio, self.gravity, self.physics_dt,
-            self.actuation_min, self.actuation_max,
-        )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("physics config values must be finite")
-        for name in ("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
-                     "damping_ratio"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.physics_dt <= 0:
-            raise ValueError("physics_dt must be positive")
-        if self.substeps_per_env_step < 1:
-            raise ValueError("substeps_per_env_step must be >= 1")
-        if not (self.actuation_min < 1.0 < self.actuation_max):
-            raise ValueError("actuation range must straddle 1.0")
+        stiffnesses = ("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
+                       "damping_ratio")
+        check_fields(self, (
+            *((name, math.isfinite(getattr(self, name)), "must be finite")
+              for name in (*stiffnesses, "gravity", "physics_dt", "actuation_min",
+                           "actuation_max")),
+            *((name, getattr(self, name) >= 0.0, "must be >= 0") for name in stiffnesses),
+            ("physics_dt", self.physics_dt > 0.0, "must be > 0"),
+            ("substeps_per_env_step", self.substeps_per_env_step >= 1, "must be >= 1"),
+            # the actuation range straddles 1.0, the unactuated rest length
+            ("actuation_min", self.actuation_min < 1.0, "must be < 1.0"),
+            ("actuation_max", self.actuation_max > 1.0, "must be > 1.0"),
+        ))
 
     def material_stiffness(self, code: int) -> float:
         if code == 1:

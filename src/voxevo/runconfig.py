@@ -41,7 +41,7 @@ from .control import KINDS
 from .evolution import MAX_POPULATION
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
-from .physics import ContactParams, PhysicsConfig
+from .physics import ContactParams, PhysicsConfig, check_fields
 from .sensing import ObservationConfig
 from .walker import EpisodeConfig
 
@@ -115,7 +115,7 @@ class RunConfig:
     catalog: tuple[Morphology, ...] | None = None
 
     def __post_init__(self):
-        for name, ok, rule in (
+        check_fields(self, (
             ("seed", self.seed >= 0, "must be >= 0"),
             ("out", self.out != "", "must not be empty"),
             ("workers", self.workers is None or self.workers >= 1, "must be >= 1"),
@@ -135,9 +135,7 @@ class RunConfig:
             ("one_shot_lambda", self.one_shot_lambda >= 0, "must be >= 0"),
             ("catalog", self.catalog is None or len(self.catalog) > 0,
              "must be None or non-empty"),
-        ):
-            if not ok:
-                raise ValueError(f"{name.rstrip('_')} {rule}, got {getattr(self, name)!r}")
+        ))
 
     @property
     def brain_only(self) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphology import EMPTY, GRID_SIZE, N_MATERIALS
-from .physics import SimWorld
+from .physics import SimWorld, check_fields
 
 GLOBAL_KIND = "global"
 MODULAR_KIND = "modular"
@@ -37,14 +37,14 @@ class ObservationConfig:
     time_period: int = 25
 
     def __post_init__(self):
-        # a radius-(GRID_SIZE - 1) window centred on any cell covers the grid
-        if not 0 <= self.neighborhood_distance <= GRID_SIZE - 1:
-            raise ValueError(f"neighborhood distance must be in [0, {GRID_SIZE - 1}], "
-                             f"got {self.neighborhood_distance!r}")
-        if self.time_period < 1:
-            raise ValueError("time period must be >= 1")
-        if not 0.0 < self.velocity_clamp < math.inf:
-            raise ValueError("velocity clamp must be positive and finite")
+        check_fields(self, (
+            # a radius-(GRID_SIZE - 1) window centred on any cell covers the grid
+            ("neighborhood_distance", 0 <= self.neighborhood_distance <= GRID_SIZE - 1,
+             f"must be in [0, {GRID_SIZE - 1}]"),
+            ("time_period", self.time_period >= 1, "must be >= 1"),
+            ("velocity_clamp", 0.0 < self.velocity_clamp < math.inf,
+             "must be > 0 and finite"),
+        ))
 
     @property
     def window_side(self) -> int:

@@ -30,6 +30,7 @@ from .physics import (
     build_world,
     apply_actuation,
     center_of_mass,
+    check_fields,
     join_worlds,
     step_env,
 )
@@ -45,13 +46,12 @@ class EpisodeConfig:
     divergence_floor: float = -10.0
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.action_repeat < 1:
-            raise ValueError("action_repeat must be >= 1")
-        if not all(map(math.isfinite, (self.terrain_end_x, self.step_penalty,
-                                       self.divergence_floor))):
-            raise ValueError("episode config values must be finite")
+        check_fields(self, (
+            ("max_steps", self.max_steps >= 1, "must be >= 1"),
+            ("action_repeat", self.action_repeat >= 1, "must be >= 1"),
+            *((name, math.isfinite(getattr(self, name)), "must be finite")
+              for name in ("terrain_end_x", "step_penalty", "divergence_floor")),
+        ))
 
     @property
     def shift_constant(self) -> float:

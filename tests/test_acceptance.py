@@ -67,8 +67,8 @@ def zero_modular_controller():
 class TestStructuralSizes:
     def test_controller_parameter_counts(self):
         rng = np.random.default_rng(0)
-        assert init_controller("modular", rng).n_params == 6497
-        assert init_controller("global", rng).n_params == 7289
+        assert init_controller("modular", rng).params.n_params == 6497
+        assert init_controller("global", rng).params.n_params == 7289
 
     def test_observation_vector_lengths(self):
         cfg = ObservationConfig()

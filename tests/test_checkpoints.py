@@ -193,6 +193,18 @@ class TestIntegrity:
         with pytest.raises(CheckpointIntegrityError):
             load_individual(str(tmp_path / "nope.ckpt"))
 
+    # NaN is "unevaluated"; an infinite champion fitness loaded, and transfer
+    # then wrote NaN relative changes
+    @pytest.mark.parametrize("fitness, parent_fitness", [
+        (math.inf, 0.5), (-math.inf, 0.5), (1.25, math.inf), (1.25, -math.inf)])
+    def test_infinite_fitness_rejected(self, tmp_path, fitness, parent_fitness):
+        path = str(tmp_path / "ind.ckpt")
+        save_individual(path, make_individual(fitness=fitness,
+                                              parent_fitness=parent_fitness))
+        with pytest.raises(CheckpointIntegrityError) as exc_info:
+            load_individual(path)
+        assert str(exc_info.value) == f"{path}: infinite fitness"
+
     # such a body loaded, then failed to build in the first episode
     @pytest.mark.parametrize("body", list(INVALID_BODIES))
     def test_body_that_is_not_a_robot_rejected(self, tmp_path, body):

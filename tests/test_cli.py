@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -174,8 +175,29 @@ class TestEvolve:
         assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {cfg}:4: invalid [observation] settings: "
-            "neighborhood distance must be in [0, 4], got 5\n")
+            "neighborhood_distance must be in [0, 4], got 5\n")
         assert not out.exists()
+
+    # every file commits through its `.partial` sibling: a run that fails
+    # mid-way raises and leaves the marker with the generations that finished
+    def test_interrupted_run_leaves_only_the_partial_marker(self, config_path, tmp_path,
+                                                            monkeypatch):
+        evolve_generation = voxevo.evolution.evolve_generation
+
+        def interrupted_at_generation_2(population, cfg, generation, *args):
+            if generation == 2:
+                raise RuntimeError("interrupted")
+            return evolve_generation(population, cfg, generation, *args)
+
+        monkeypatch.setattr(voxevo.evolution, "evolve_generation",
+                            interrupted_at_generation_2)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            evolve(config_path, str(out), ["--workers", "1"])
+        assert os.listdir(out) == ["generations.csv.partial"]
+        rows = read_rows(out / "generations.csv.partial")
+        assert rows[0] == GENERATION_COLUMNS
+        assert [row[0] for row in rows[1:]] == ["1"]
 
     def test_battery_layout(self, tmp_path, capsys):
         cfg = tmp_path / "battery.cfg"
@@ -390,6 +412,21 @@ class TestTransfer:
                     open(os.path.join(outs[1], name), "rb") as fb:
                 assert fa.read() == fb.read(), name
 
+    # the champion's fitness is the source of every relative change
+    @pytest.mark.parametrize("fitness", [math.inf, -math.inf])
+    def test_infinite_champion_fitness_refused_before_writing(self, trained_run, tmp_path,
+                                                              capsys, fitness):
+        config, run_dir = trained_run
+        champion = load_individual(os.path.join(run_dir, "champion.ckpt"))
+        champion.fitness = fitness
+        path = str(tmp_path / "champion.ckpt")
+        save_individual(path, champion)
+        out = tmp_path / "out"
+        assert main(["transfer", "--config", config, "--champion", path,
+                     "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: infinite fitness\n"
+        assert not out.exists()
+
     def test_missing_champion(self, trained_run, tmp_path, capsys):
         config, _ = trained_run
         assert main(["transfer", "--config", config,
@@ -541,12 +578,19 @@ class TestReport:
         assert "lineage.csv" in err and "champion.ckpt" in err
 
 
-    # non-numeric fields and dropped columns escaped as tracebacks, exit 1
+    # non-numeric fields and dropped columns escaped as tracebacks, exit 1; a
+    # NaN best fitness crashed convergence_metrics and an infinite one was
+    # reported
     @pytest.mark.parametrize("name, column, value, expected", [
         ("generations.csv", "best_fitness", "zz", "could not convert string to float: 'zz'"),
         ("lineage.csv", "fitness", "abc", "could not convert string to float: 'abc'"),
         ("lineage.csv", "fitness", None, "no 'fitness' column"),
-    ], ids=["bad_best_fitness", "bad_fitness", "dropped_column"])
+        *((name, column, value, f"not a finite number: {value!r}")
+          for name, column in (("generations.csv", "best_fitness"), ("lineage.csv", "fitness"))
+          for value in ("nan", "inf", "-inf")),
+    ], ids=["bad_best_fitness", "bad_fitness", "dropped_column",
+            *(f"{column}_{value}" for column in ("best_fitness", "fitness")
+              for value in ("nan", "inf", "-inf"))])
     def test_malformed_artifact_is_refused_with_file_and_line(
             self, trained_run, capsys, name, column, value, expected):
         _, run_dir = trained_run

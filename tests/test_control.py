@@ -30,11 +30,11 @@ def manual_forward(params, x):
 class TestParamCounts:
     def test_global(self):
         genome = init_controller(GLOBAL_KIND, np.random.default_rng(0))
-        assert genome.n_params == 7289
+        assert genome.params.n_params == 7289
 
     def test_modular(self):
         genome = init_controller(MODULAR_KIND, np.random.default_rng(0))
-        assert genome.n_params == 6497
+        assert genome.params.n_params == 6497
 
     def test_counts_follow_architecture(self):
         n_in, h = DEFAULT_INPUT_SIZE, HIDDEN_UNITS

@@ -385,34 +385,42 @@ class TestGenerationStep:
                 evolve_generation(population[:-1], cfg, 1, cfg.mu, evaluator)
 
 
+def run_with_logs(cfg):
+    """The run's artifacts and its generation logs, collected as they come."""
+    logs = []
+    run = run_evolution(cfg, on_generation=lambda gen, log, pop, champ: logs.append(log))
+    return run, logs
+
+
 class TestFullRun:
     def test_artifact_shapes(self, tiny_evolution):
-        run = run_evolution(tiny_evolution)
+        run, logs = run_with_logs(tiny_evolution)
         cfg = tiny_evolution
-        assert len(run.logs) == cfg.generations
+        assert len(logs) == cfg.generations
         assert len(run.final_population) == cfg.mu
         expected_ids = cfg.mu + cfg.generations * (cfg.lambda_ + 1)
         assert sorted(run.lineage) == list(range(expected_ids))
         # the running best of generations.csv's best_fitness column
-        series = np.maximum.accumulate([log.best_fitness for log in run.logs])
+        series = np.maximum.accumulate([log.best_fitness for log in logs])
         assert len(series) == cfg.generations
         assert all(b >= a for a, b in zip(series, series[1:]))
         assert run.champion.fitness == series[-1]
 
     def test_reproducible(self, tiny_evolution):
-        a = run_evolution(tiny_evolution)
-        b = run_evolution(tiny_evolution)
-        assert [log.best_fitness for log in a.logs] == [log.best_fitness for log in b.logs]
-        assert [log.mean_fitness for log in a.logs] == [log.mean_fitness for log in b.logs]
+        a, a_logs = run_with_logs(tiny_evolution)
+        b, b_logs = run_with_logs(tiny_evolution)
+        assert [log.best_fitness for log in a_logs] == [log.best_fitness for log in b_logs]
+        assert [log.mean_fitness for log in a_logs] == [log.mean_fitness for log in b_logs]
         assert a.champion.fitness == b.champion.fitness
         assert np.array_equal(a.champion.controller.params.to_flat(),
                               b.champion.controller.params.to_flat())
 
     def test_worker_count_does_not_change_results(self, tiny_evolution):
-        serial = run_evolution(tiny_evolution)
-        parallel = run_evolution(dataclasses.replace(tiny_evolution, workers=2))
-        assert [log.best_fitness for log in serial.logs] == \
-            [log.best_fitness for log in parallel.logs]
+        serial, serial_logs = run_with_logs(tiny_evolution)
+        parallel, parallel_logs = run_with_logs(
+            dataclasses.replace(tiny_evolution, workers=2))
+        assert [log.best_fitness for log in serial_logs] == \
+            [log.best_fitness for log in parallel_logs]
         assert serial.champion.fitness == parallel.champion.fitness
 
     def test_one_body_catalog_never_draws_a_body_mutation(self, small_body, fast_episode,

@@ -136,7 +136,6 @@ class TestBattery:
         for i, run in enumerate(runs):
             champion = load_individual(str(out / f"run_{i:02d}" / "champion.ckpt"))
             assert champion.fitness == run.champion.fitness
-        assert [r.config.seed for r in runs] == [10, 11]
 
     def test_rejects_zero_runs(self, tmp_path, capsys):
         path = tmp_path / "battery.cfg"
@@ -310,9 +309,6 @@ class TestTrainingWrappers:
         cfg = RunConfig(mu=2, lambda_=2, generations=1, seed=3, workers=1,
                         catalog=(small_body, plus_body), episode=fast_episode)
         run = run_evolution(cfg)
-        assert run.config.brain_only
-        assert run.config.catalog == (small_body, plus_body)
-        assert run.config.paradigm == "modular"
         assert {r.mutation_kind for r in run.lineage.values()} <= {KIND_FRESH, KIND_BRAIN}
 
     # one body is a one-body catalog
@@ -320,8 +316,6 @@ class TestTrainingWrappers:
         cfg = RunConfig(paradigm="global", mu=2, lambda_=2, generations=1, seed=3,
                         workers=1, catalog=(small_body,), episode=fast_episode)
         run = run_evolution(cfg)
-        assert run.config.brain_only
-        assert run.config.catalog == (small_body,)
         assert all(ind.morphology == small_body for ind in run.final_population)
 
     def test_per_body_fitness_bounds_joint_fitness(self, small_body, plus_body, fast_episode):

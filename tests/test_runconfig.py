@@ -6,6 +6,7 @@ import pytest
 import voxevo.runconfig
 from voxevo.cli import main
 from voxevo.experiments import CATALOG_ORDER, default_catalog, load_catalog
+from voxevo.physics import PhysicsConfig
 from voxevo.runconfig import (
     _SCHEMA,
     ConfigError,
@@ -14,6 +15,8 @@ from voxevo.runconfig import (
     override,
     parse_config,
 )
+from voxevo.sensing import ObservationConfig
+from voxevo.walker import EpisodeConfig
 
 from helpers import save_catalog
 
@@ -522,3 +525,40 @@ def test_file_dataclass_and_flag_reject_alike(section, key, value, fragment, tmp
         assert main(["evolve", "--config", str(cfg), FLAGS[key], value]) == 2
         assert f"error: {FLAGS[key]}: {message}\n" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+SECTION_CONFIGS = {"physics": PhysicsConfig, "observation": ObservationConfig,
+                   "episode": EpisodeConfig}
+
+
+# the section dataclasses refuse as RunConfig does, naming the key: they once
+# said "physics config values must be finite", "actuation range must straddle
+# 1.0", "episode config values must be finite" or spelled "time period"
+@pytest.mark.parametrize("section, key, value, rule", [
+    ("physics", "rigid_stiffness", "nan", "must be finite"),
+    ("physics", "damping_ratio", "-inf", "must be finite"),
+    ("physics", "gravity", "inf", "must be finite"),
+    ("physics", "physics_dt", "inf", "must be finite"),
+    ("physics", "actuation_min", "-inf", "must be finite"),
+    ("physics", "actuation_min", "1.2", "must be < 1.0"),
+    ("physics", "actuation_max", "nan", "must be finite"),
+    ("physics", "actuation_max", "0.9", "must be > 1.0"),
+    ("observation", "neighborhood_distance", "5", "must be in [0, 4]"),
+    ("observation", "time_period", "0", "must be >= 1"),
+    ("observation", "velocity_clamp", "0", "must be > 0 and finite"),
+    ("observation", "velocity_clamp", "inf", "must be > 0 and finite"),
+    ("episode", "max_steps", "0", "must be >= 1"),
+    ("episode", "action_repeat", "0", "must be >= 1"),
+    ("episode", "terrain_end_x", "inf", "must be finite"),
+    ("episode", "step_penalty", "nan", "must be finite"),
+    ("episode", "divergence_floor", "-inf", "must be finite"),
+])
+def test_section_refusals_name_their_key(section, key, value, rule):
+    typed = _SCHEMA[section][key](value)
+    expected = f"{key} {rule}, got {typed!r}"
+    with pytest.raises(ValueError) as from_dataclass:
+        SECTION_CONFIGS[section](**{key: typed})
+    assert str(from_dataclass.value) == expected
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"[{section}]\n{key} = {value}\n", path="demo.cfg")
+    assert str(from_file.value) == f"demo.cfg:2: invalid [{section}] settings: {expected}"
