@@ -23,7 +23,6 @@ from .morphology import (
     validate,
 )
 from .physics import (
-    ContactParams,
     PhysicsConfig,
     SimulationDivergedError,
     SimWorld,

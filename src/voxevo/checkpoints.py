@@ -12,6 +12,9 @@ that many individual records). Each individual record:
     morphology: 25 material digits (bytes, row-major) |
     controller kind u8 | parameter count u32 | parameters f64[count]
 
+Neither fitness may be infinite: saving refuses such an individual before
+any byte is written, and loading refuses such a record.
+
 Controller parameters are the flat layout: W1 row-major, b1, W2 row-major,
 b2. The input size is not stored: `control.genome_from_flat` infers it from
 the parameter count. Every file a command writes, checkpoint or not, goes
@@ -56,6 +59,8 @@ def _pack_individual(ind: Individual) -> bytes:
     fitness = math.nan if ind.fitness is None else float(ind.fitness)
     parent_fitness = (math.nan if ind.parent_fitness_at_birth is None
                       else float(ind.parent_fitness_at_birth))
+    if math.isinf(fitness) or math.isinf(parent_fitness):  # refused on load as well
+        raise ValueError(f"individual {ind.id}: infinite fitness cannot be checkpointed")
     parent_id = -1 if ind.parent_id is None else int(ind.parent_id)
     chunks = [
         _RECORD_FIXED.pack(int(ind.id), parent_id, int(ind.age),

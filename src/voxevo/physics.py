@@ -4,6 +4,8 @@ Each occupied grid cell compiles to a cross-braced unit square: four corner
 masses (shared with neighboring cells), four edge springs, and two diagonal
 braces. Forces are Hooke + axial damping per spring, constant gravity, and a
 penalty-model contact with the ground y = 0, with Coulomb-style friction.
+Every constant, the three of the contact among them, is a field of
+`PhysicsConfig`, and each field is a key of a config file's [physics].
 Integration is semi-implicit Euler (velocity update first), which is stable
 for the default stiffness range at physics_dt = 1/600 with 6 substeps per
 environment step.
@@ -14,7 +16,7 @@ Unit system: voxel edge = 1 length unit, per-voxel mass = 1.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +45,6 @@ class SimulationDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ContactParams:
-    normal_stiffness: float = 1.0e4
-    normal_damping: float = 10.0
-    friction: float = 0.8
-
-    def __post_init__(self):
-        # ground contact is on when any of the three is positive and off when
-        # all are zero; a negative value is refused, not read as zero
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < 0.0:
-                raise ValueError(f"contact {f.name} must be >= 0, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"contact {f.name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
 class PhysicsConfig:
     """Engine constants. Stiffness is per material; shared edges sum the
     contributions of both adjacent voxels."""
@@ -69,20 +54,25 @@ class PhysicsConfig:
     actuator_stiffness: float = 600.0
     damping_ratio: float = 0.1
     gravity: float = 9.81
-    contact: ContactParams = field(default_factory=ContactParams)
+    # ground contact is on when any of the three is positive and off when
+    # all are zero; a negative value is refused, not read as zero
+    contact_normal_stiffness: float = 1.0e4
+    contact_normal_damping: float = 10.0
+    contact_friction: float = 0.8
     physics_dt: float = 1.0 / 600.0
     substeps_per_env_step: int = 6
     actuation_min: float = 0.6
     actuation_max: float = 1.6
 
     def __post_init__(self):
-        stiffnesses = ("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
-                       "damping_ratio")
+        non_negative = ("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
+                        "damping_ratio", "contact_normal_stiffness",
+                        "contact_normal_damping", "contact_friction")
         check_fields(self, (
             *((name, math.isfinite(getattr(self, name)), "must be finite")
-              for name in (*stiffnesses, "gravity", "physics_dt", "actuation_min",
+              for name in (*non_negative, "gravity", "physics_dt", "actuation_min",
                            "actuation_max")),
-            *((name, getattr(self, name) >= 0.0, "must be >= 0") for name in stiffnesses),
+            *((name, getattr(self, name) >= 0.0, "must be >= 0") for name in non_negative),
             ("physics_dt", self.physics_dt > 0.0, "must be > 0"),
             ("substeps_per_env_step", self.substeps_per_env_step >= 1, "must be >= 1"),
             # the actuation range straddles 1.0, the unactuated rest length
@@ -395,13 +385,14 @@ def _contact_forces(world, touching, forces) -> None:
     """Ground contact on the masses `touching`, added into `forces`: the
     contact loop's arithmetic as numpy calls over all of them at once, in
     the numpy form the loop was written to match bit for bit."""
-    contact = world.physics.contact
+    physics = world.physics
     pos, vel = world.pos[touching], world.vel[touching]
     vx = vel[:, 0]
-    normal = contact.normal_stiffness * -pos[:, 1] - contact.normal_damping * vel[:, 1]
+    normal = (physics.contact_normal_stiffness * -pos[:, 1]
+              - physics.contact_normal_damping * vel[:, 1])
     np.maximum(normal, 0.0, out=normal)
-    stopping = world.mass[touching] * np.abs(vx) / world.physics.physics_dt
-    friction = -np.sign(vx) * np.minimum(contact.friction * normal, stopping)
+    stopping = world.mass[touching] * np.abs(vx) / physics.physics_dt
+    friction = -np.sign(vx) * np.minimum(physics.contact_friction * normal, stopping)
     forces[touching, 1] += normal
     forces[touching, 0] += friction
 
@@ -427,8 +418,8 @@ def step_env(world: JoinedWorld) -> None:
                for incidence, masses, springs, k in world.blocks]
     P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
-    contact = physics.contact
-    kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
+    kn, kd, mu = (physics.contact_normal_stiffness, physics.contact_normal_damping,
+                  physics.contact_friction)
     has_contact = kn > 0.0 or kd > 0.0 or mu > 0.0
     # divergence surfaces as the explicit finiteness check below, not as
     # floating-point warnings mid-substep

@@ -13,12 +13,12 @@ The format is plain sectioned key=value text:
 
 Sections and keys come from the configuration dataclasses: [run],
 [evolution] and [experiment] from the `RunConfig` fields tagged with that
-section, [physics] from `PhysicsConfig` plus `contact_*` keys from
-`ContactParams`, [observation] from `ObservationConfig` and [episode] from
-`EpisodeConfig`. Three keys are the file's syntax for `RunConfig.catalog`:
-[run] mode, and [experiment] catalog_file and catalog_bodies, name the
-bodies of a multi-body run. Every default lives in its dataclass, so the
-empty file is a valid configuration.
+section, and [physics], [observation] and [episode] each from one dataclass,
+`PhysicsConfig`, `ObservationConfig` and `EpisodeConfig`, whose field names
+are the section's keys. Three keys are the file's syntax for
+`RunConfig.catalog`: [run] mode, and [experiment] catalog_file and
+catalog_bodies, name the bodies of a multi-body run. Every default lives in
+its dataclass, so the empty file is a valid configuration.
 
 The parser rejects unknown names, duplicate keys and malformed values at
 their line. Every bound on a value is checked once, in the `__post_init__`
@@ -41,7 +41,7 @@ from .control import KINDS
 from .evolution import MAX_POPULATION
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
-from .physics import ContactParams, PhysicsConfig, check_fields
+from .physics import PhysicsConfig, check_fields
 from .sensing import ObservationConfig
 from .walker import EpisodeConfig
 
@@ -129,12 +129,14 @@ class RunConfig:
              "must be >= 0 and finite"),
             ("checkpoint_every", self.checkpoint_every >= 0, "must be >= 0"),
             ("n_runs", self.n_runs >= 1, "must be >= 1"),
-            ("distances", len(self.distances) > 0 and all(d >= 1 for d in self.distances),
-             "must be >= 1 and non-empty"),
+            # a repeated distance was sampled twice
+            ("distances", 0 < len(self.distances) == len(set(self.distances))
+             and all(d >= 1 for d in self.distances), "must be >= 1, non-empty and distinct"),
             ("samples_per_distance", self.samples_per_distance >= 1, "must be >= 1"),
             ("one_shot_lambda", self.one_shot_lambda >= 0, "must be >= 0"),
-            ("catalog", self.catalog is None or len(self.catalog) > 0,
-             "must be None or non-empty"),
+            # a repeated body was scored twice
+            ("catalog", self.catalog is None or 0 < len(self.catalog) == len(set(self.catalog)),
+             "must be None or non-empty and distinct"),
         ))
 
     @property
@@ -152,33 +154,26 @@ def _key(f: dataclasses.Field) -> str:
     return f.name.rstrip("_")  # the field lambda_ is the key `lambda`
 
 
-# Configurable fields by file section; the contact parameters are keys of
-# their own.
-_RUN_FIELDS = {
-    section: [f for f in dataclasses.fields(RunConfig) if f.metadata.get("section") == section]
-    for section in ("run", "evolution", "experiment")
+# The sections that are each one dataclass, the keys their field names
+_SECTIONS = {"physics": PhysicsConfig, "observation": ObservationConfig,
+             "episode": EpisodeConfig}
+_RUN_SECTIONS = ("run", "evolution", "experiment")
+# Configurable fields by file section: RunConfig's by their section tag, then
+# each section dataclass's
+_FIELDS = {
+    **{section: [f for f in dataclasses.fields(RunConfig)
+                 if f.metadata.get("section") == section] for section in _RUN_SECTIONS},
+    **{section: dataclasses.fields(make) for section, make in _SECTIONS.items()},
 }
-_PHYSICS_FIELDS = [f for f in dataclasses.fields(PhysicsConfig) if f.name != "contact"]
-_CONTACT_FIELDS = dataclasses.fields(ContactParams)
-_CONTACT_PREFIX = "contact_"
-_OBSERVATION_FIELDS = dataclasses.fields(ObservationConfig)
-_EPISODE_FIELDS = dataclasses.fields(EpisodeConfig)
-
-
-def _parsers(fields, prefix: str = "") -> dict[str, object]:
-    return {prefix + _key(f): _PARSERS[f.type.removesuffix(" | None")] for f in fields}
-
 
 # the keys that name RunConfig.catalog, by section, with their parsers
 _CATALOG_KEYS = {"run": {"mode": str},
                  "experiment": {"catalog_file": str, "catalog_bodies": _parse_str_list}}
 
 _SCHEMA: dict[str, dict[str, object]] = {
-    **{section: _parsers(fields) | _CATALOG_KEYS.get(section, {})
-       for section, fields in _RUN_FIELDS.items()},
-    "physics": {**_parsers(_PHYSICS_FIELDS), **_parsers(_CONTACT_FIELDS, _CONTACT_PREFIX)},
-    "observation": _parsers(_OBSERVATION_FIELDS),
-    "episode": _parsers(_EPISODE_FIELDS),
+    section: {_key(f): _PARSERS[f.type.removesuffix(" | None")] for f in fields}
+    | _CATALOG_KEYS.get(section, {})
+    for section, fields in _FIELDS.items()
 }
 
 
@@ -246,7 +241,11 @@ def _catalog(given: dict[int, tuple[str, object]], path: str) -> tuple[Morpholog
     missing = [name for name in names if name not in catalog]
     if missing:
         raise ConfigError(f"catalog_bodies not in catalog: {missing}", path, line)
-    return tuple(catalog[name] for name in names)
+    bodies = tuple(catalog[name] for name in names)
+    if len(set(bodies)) < len(bodies):
+        raise ConfigError(f"catalog_bodies must name distinct bodies, got {names!r}",
+                          path, line)
+    return bodies
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -254,11 +253,11 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     keeps the default its dataclass declares."""
     entries = _read(text, path)
 
-    def given(section: str, fields, prefix: str = "") -> dict[int, tuple[str, object]]:
-        """The field name and value of each key present, by line."""
+    def given(section: str) -> dict[int, tuple[str, object]]:
+        """The field name and value of each key of `section` present, by line."""
         present = entries.get(section, {})
-        return {present[k][0]: (f.name, present[k][1]) for f in fields
-                if (k := prefix + _key(f)) in present}
+        return {present[k][0]: (f.name, present[k][1]) for f in _FIELDS[section]
+                if (k := _key(f)) in present}
 
     def build(make, keys: dict[int, tuple[str, object]], section: str | None = None,
               **extra):
@@ -278,22 +277,14 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                     raise ConfigError(f"{where}{exc}", path, line) from exc
             raise
 
-    contact = build(ContactParams, given("physics", _CONTACT_FIELDS, _CONTACT_PREFIX),
-                    "physics")
     # the catalog keys are checked with the fields and resolved after them
     catalog_keys = {line: (key, value) for section, keys in _CATALOG_KEYS.items()
                     for key, (line, value) in entries.get(section, {}).items() if key in keys}
     run_keys = dict(catalog_keys)
-    for section, fields in _RUN_FIELDS.items():
-        run_keys.update(given(section, fields))
-    cfg = build(
-        _run_config, run_keys,
-        physics=build(PhysicsConfig, given("physics", _PHYSICS_FIELDS), "physics",
-                      contact=contact),
-        observation=build(ObservationConfig, given("observation", _OBSERVATION_FIELDS),
-                          "observation"),
-        episode=build(EpisodeConfig, given("episode", _EPISODE_FIELDS), "episode"),
-    )
+    for section in _RUN_SECTIONS:
+        run_keys.update(given(section))
+    cfg = build(_run_config, run_keys, **{section: build(make, given(section), section)
+                                          for section, make in _SECTIONS.items()})
     catalog = _catalog(catalog_keys, path)
     return cfg if catalog is None else dataclasses.replace(cfg, catalog=catalog)
 

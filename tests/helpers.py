@@ -1,18 +1,27 @@
 """Oracles and small file helpers shared by the test modules."""
 
+import struct
+
 import numpy as np
 
+from voxevo.checkpoints import _HEADER, _RECORD_FIXED
 from voxevo.morphology import Morphology
 from voxevo.physics import (
     AXIS_DIAGONAL,
     AXIS_HORIZONTAL,
     AXIS_VERTICAL,
     VOXEL_EDGE,
-    ContactParams,
 )
 
+
+def contact(normal_stiffness, normal_damping, friction) -> dict:
+    """The `PhysicsConfig` keyword arguments that set the ground contact."""
+    return {"contact_normal_stiffness": normal_stiffness,
+            "contact_normal_damping": normal_damping, "contact_friction": friction}
+
+
 # ground contact switched off, for free-fall and energy oracles
-NO_CONTACT = ContactParams(0.0, 0.0, 0.0)
+NO_CONTACT = contact(0.0, 0.0, 0.0)
 
 # well-formed grids that are not robots, one per validity constraint
 INVALID_BODIES = {
@@ -82,3 +91,12 @@ def save_catalog(path: str, catalog: dict[str, Morphology]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for name, body in catalog.items():
             fh.write(f"[{name}]\n{body.to_text()}\n")
+
+
+def patch_checkpoint_fitness(path: str, fitness: float, parent_fitness: float) -> None:
+    """Overwrite the fitness and parent fitness of the individual checkpoint
+    at `path`, the two f64s that end its record's fixed part: the way to put
+    values there that `save_individual` refuses to write."""
+    with open(path, "r+b") as fh:
+        fh.seek(_HEADER.size + _RECORD_FIXED.size - 16)
+        fh.write(struct.pack("<dd", fitness, parent_fitness))

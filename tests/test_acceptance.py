@@ -87,7 +87,7 @@ class TestRewardDefinition:
         # every mass bitwise in place, so the displacement terms vanish
         # and the shift constant cancels the step penalty exactly.
         physics = PhysicsConfig(gravity=0.0, actuation_min=0.5, actuation_max=1.5,
-                                contact=NO_CONTACT)
+                                **NO_CONTACT)
         result = run_episode(BODY, zero_modular_controller(),
                              EpisodeConfig(max_steps=500), physics)
         assert result.delta_px == 0.0
@@ -127,7 +127,7 @@ def oracle_batches(physics):
 
 class TestPhysicsOracles:
     def test_free_fall_com_acceleration(self):
-        physics = PhysicsConfig(contact=NO_CONTACT)
+        physics = PhysicsConfig(**NO_CONTACT)
         for batch, worlds in oracle_batches(physics):
             v0 = [center_of_mass_velocity(world) for world in worlds]
             n_env = 50
@@ -142,7 +142,7 @@ class TestPhysicsOracles:
     def test_internal_forces_sum_to_zero(self):
         # with no gravity and no contact only the springs act, so the
         # engine's step conserves momentum exactly when their forces cancel
-        physics = PhysicsConfig(gravity=0.0, contact=NO_CONTACT)
+        physics = PhysicsConfig(gravity=0.0, **NO_CONTACT)
         rng = np.random.default_rng(3)
         for batch, worlds in oracle_batches(physics):
             for world in worlds:
@@ -156,7 +156,7 @@ class TestPhysicsOracles:
                 assert np.abs(world.mass @ world.vel - p).max() < 1e-9 * dt
 
     def test_energy_non_increasing_without_contact(self):
-        physics = PhysicsConfig(substeps_per_env_step=1, contact=NO_CONTACT)
+        physics = PhysicsConfig(substeps_per_env_step=1, **NO_CONTACT)
         rng = np.random.default_rng(4)
         for batch, worlds in oracle_batches(physics):
             for world in worlds:

@@ -19,7 +19,9 @@ from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
 from voxevo.evolution import KIND_BODY, KIND_FRESH, MAX_POPULATION, Individual
 from voxevo.morphology import random_morphology
 
-from helpers import INVALID_BODIES
+from helpers import INVALID_BODIES, patch_checkpoint_fitness
+
+INFINITE_FITNESSES = [(math.inf, 0.5), (-math.inf, 0.5), (1.25, math.inf), (1.25, -math.inf)]
 
 
 def make_individual(ident=3, kind=KIND_BODY, controller_kind=MODULAR_KIND,
@@ -194,16 +196,26 @@ class TestIntegrity:
             load_individual(str(tmp_path / "nope.ckpt"))
 
     # NaN is "unevaluated"; an infinite champion fitness loaded, and transfer
-    # then wrote NaN relative changes
-    @pytest.mark.parametrize("fitness, parent_fitness", [
-        (math.inf, 0.5), (-math.inf, 0.5), (1.25, math.inf), (1.25, -math.inf)])
+    # then wrote NaN relative changes. Saving refuses such an individual, so
+    # the infinities are patched into a finite file
+    @pytest.mark.parametrize("fitness, parent_fitness", INFINITE_FITNESSES)
     def test_infinite_fitness_rejected(self, tmp_path, fitness, parent_fitness):
         path = str(tmp_path / "ind.ckpt")
-        save_individual(path, make_individual(fitness=fitness,
-                                              parent_fitness=parent_fitness))
+        save_individual(path, make_individual())
+        patch_checkpoint_fitness(path, fitness, parent_fitness)
         with pytest.raises(CheckpointIntegrityError) as exc_info:
             load_individual(path)
         assert str(exc_info.value) == f"{path}: infinite fitness"
+
+    # a checkpoint with an infinite fitness was written and then refused on load
+    @pytest.mark.parametrize("fitness, parent_fitness", INFINITE_FITNESSES)
+    def test_infinite_fitness_is_not_saved(self, tmp_path, fitness, parent_fitness):
+        ind = make_individual(fitness=fitness, parent_fitness=parent_fitness)
+        with pytest.raises(ValueError, match="infinite fitness"):
+            save_individual(str(tmp_path / "ind.ckpt"), ind)
+        with pytest.raises(ValueError, match="infinite fitness"):
+            save_population(str(tmp_path / "pop.ckpt"), [make_individual(ident=4), ind])
+        assert os.listdir(tmp_path) == []
 
     # such a body loaded, then failed to build in the first episode
     @pytest.mark.parametrize("body", list(INVALID_BODIES))

@@ -15,7 +15,7 @@ from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, main
 from voxevo.evolution import Evaluator
 from voxevo.runconfig import RunConfig, load_config
 
-from helpers import INVALID_BODIES
+from helpers import INVALID_BODIES, patch_checkpoint_fitness
 
 TINY_CONFIG = """
 [run]
@@ -417,10 +417,11 @@ class TestTransfer:
     def test_infinite_champion_fitness_refused_before_writing(self, trained_run, tmp_path,
                                                               capsys, fitness):
         config, run_dir = trained_run
-        champion = load_individual(os.path.join(run_dir, "champion.ckpt"))
-        champion.fitness = fitness
         path = str(tmp_path / "champion.ckpt")
-        save_individual(path, champion)
+        shutil.copyfile(os.path.join(run_dir, "champion.ckpt"), path)
+        parent_fitness = load_individual(path).parent_fitness_at_birth
+        patch_checkpoint_fitness(path, fitness,
+                                 math.nan if parent_fitness is None else parent_fitness)
         out = tmp_path / "out"
         assert main(["transfer", "--config", config, "--champion", path,
                      "--out", str(out), "--workers", "1"]) == 2

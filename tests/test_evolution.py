@@ -63,6 +63,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="catalog"):
             RunConfig(catalog=())
 
+    # a body named twice was scored twice
+    def test_rejects_repeated_catalog_body(self, small_body, plus_body):
+        with pytest.raises(ValueError, match="^catalog must be None or non-empty and distinct"):
+            RunConfig(catalog=(small_body, plus_body, small_body))
+
     # a non-finite sigma would reach the first generation's controller mutation
     @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
     def test_rejects_bad_controller_sigma(self, sigma):

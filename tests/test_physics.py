@@ -21,7 +21,6 @@ from voxevo.physics import (
     AXIS_VERTICAL,
     VOXEL_EDGE,
     VOXEL_MASS,
-    ContactParams,
     PhysicsConfig,
     SimulationDivergedError,
     SimWorld,
@@ -36,6 +35,7 @@ from voxevo.sensing import GLOBAL_KIND, ObservationBuilder
 from helpers import (
     NO_CONTACT,
     base_rest_lengths,
+    contact,
     mechanical_energy,
     oracle_spring_forces,
     spring_axes,
@@ -78,7 +78,7 @@ class TestConfig:
         assert cfg.physics_dt == pytest.approx(1.0 / 600.0)
         assert cfg.substeps_per_env_step == 6
         assert (cfg.actuation_min, cfg.actuation_max) == (0.6, 1.6)
-        assert cfg.contact.normal_stiffness == 1e4
+        assert cfg.contact_normal_stiffness == 1e4
 
     def test_material_stiffness(self):
         cfg = PhysicsConfig()
@@ -273,7 +273,7 @@ class TestActuation:
 
 class TestDynamics:
     def test_free_fall_matches_closed_form(self):
-        cfg = PhysicsConfig(contact=NO_CONTACT)
+        cfg = PhysicsConfig(**NO_CONTACT)
         world = build_world(body_from_rows("33000", "11000"), cfg)
         batch = join_worlds([world])
         y0 = center_of_mass(world)[1]
@@ -297,7 +297,7 @@ class TestDynamics:
         assert np.abs(total).max() < 1e-9
 
     def test_energy_non_increasing_without_contact(self, rng):
-        cfg = PhysicsConfig(substeps_per_env_step=1, contact=NO_CONTACT)
+        cfg = PhysicsConfig(substeps_per_env_step=1, **NO_CONTACT)
         world = build_world(body_from_rows("34000", "22000"), cfg)
         batch = join_worlds([world])
         world.vel += rng.normal(0.0, 2.0, size=world.vel.shape)
@@ -402,24 +402,25 @@ class TestDynamics:
         assert mechanical_energy(world) == pytest.approx(expected, rel=1e-12)
 
 
-class TestContactParams:
+class TestContactConfig:
     def test_frozen(self):
-        params = ContactParams()
+        cfg = PhysicsConfig()
         with pytest.raises(Exception):
-            params.friction = 0.0
+            cfg.contact_friction = 0.0
 
     def test_defaults(self):
-        params = ContactParams()
-        assert params.normal_stiffness == 1e4
-        assert params.normal_damping == 10.0
-        assert params.friction == 0.8
+        cfg = PhysicsConfig()
+        assert cfg.contact_normal_stiffness == 1e4
+        assert cfg.contact_normal_damping == 10.0
+        assert cfg.contact_friction == 0.8
 
     def test_rejects_negative_values(self):
-        for name in ("normal_stiffness", "normal_damping", "friction"):
-            with pytest.raises(ValueError, match=f"contact {name} must be >= 0"):
-                ContactParams(**{name: -1.0})
+        for name in ("contact_normal_stiffness", "contact_normal_damping",
+                     "contact_friction"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1.0$"):
+                PhysicsConfig(**{name: -1.0})
         # a signed zero is not below zero
-        assert ContactParams(-0.0, -0.0, -0.0).friction == 0.0
+        assert PhysicsConfig(**contact(-0.0, -0.0, -0.0)).contact_friction == 0.0
 
 
 # Oracle: the single-world step as it was written before the hot path was
@@ -428,20 +429,17 @@ class TestContactParams:
 def oracle_total_forces(world):
     forces = oracle_spring_forces(world)
     forces[:, 1] -= world.mass * world.physics.gravity
-    contact = world.physics.contact
-    if (contact.normal_stiffness > 0.0 or contact.normal_damping > 0.0
-            or contact.friction > 0.0):
+    cfg = world.physics
+    kn, kd, mu = cfg.contact_normal_stiffness, cfg.contact_normal_damping, cfg.contact_friction
+    if kn > 0.0 or kd > 0.0 or mu > 0.0:
         penetration = -world.pos[:, 1]  # the ground is y = 0
         touching = penetration > 0.0
         if touching.any():
-            normal = (
-                contact.normal_stiffness * penetration[touching]
-                - contact.normal_damping * world.vel[touching, 1]
-            )
+            normal = kn * penetration[touching] - kd * world.vel[touching, 1]
             normal = np.maximum(normal, 0.0)
             vx = world.vel[touching, 0]
             stopping = world.mass[touching] * np.abs(vx) / world.physics.physics_dt
-            friction = -np.sign(vx) * np.minimum(contact.friction * normal, stopping)
+            friction = -np.sign(vx) * np.minimum(mu * normal, stopping)
             forces[touching, 1] += normal
             forces[touching, 0] += friction
     return forces
@@ -528,16 +526,16 @@ def assert_same_state(world, ref):
 
 
 class TestMatchesOracle:
-    @pytest.mark.parametrize("contact", [True, False], ids=["contact", "no_contact"])
+    @pytest.mark.parametrize("grounded", [True, False], ids=["contact", "no_contact"])
     @pytest.mark.parametrize("name, body", oracle_bodies())
-    def test_actuated_episode_is_bit_identical(self, name, body, contact):
-        cfg = PhysicsConfig() if contact else PhysicsConfig(contact=NO_CONTACT)
+    def test_actuated_episode_is_bit_identical(self, name, body, grounded):
+        cfg = PhysicsConfig() if grounded else PhysicsConfig(**NO_CONTACT)
         world, ref = build_world(body, cfg), build_world(body, cfg)
         batch = join_worlds([world])
         builder = ObservationBuilder(world, GLOBAL_KIND)
         owners, axes = spring_owners(ref), spring_axes(ref)
         raster = [r * GRID_SIZE + c for r, c in world.cells]
-        rng = np.random.default_rng([11, len(name), int(contact)])
+        rng = np.random.default_rng([11, len(name), int(grounded)])
         for step in range(500):
             if step % 4 == 0:
                 actions = rng.random(len(world.actuator_cells))
@@ -604,25 +602,25 @@ class TestMatchesOracle:
 
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
-# substep: (contact, y, vx, vy) per branch of the contact force.
+# substep: (contact keywords, y, vx, vy) per branch of the contact force;
+# no keywords keep the default contact.
 CONTACT_BRANCHES = {
-    "at_ground_not_touching": (ContactParams(), 0.0, 0.3, -1.0),
-    "normal_clips_to_zero": (ContactParams(), -0.001, 0.3, 50.0),
-    "stopping_caps_friction": (ContactParams(), -0.01, 1e-4, 0.0),
-    "mu_normal_caps_friction": (ContactParams(), -0.01, 5.0, 0.0),
-    "vx_positive_zero": (ContactParams(), -0.01, 0.0, -0.5),
-    "vx_negative_zero": (ContactParams(), -0.01, -0.0, -0.5),
-    "no_normal_stiffness": (ContactParams(0.0, 10.0, 0.8), -0.01, 0.5, -1.0),
-    "vx_negative_mu_normal_caps_friction": (ContactParams(), -0.01, -5.0, 0.0),
-    "vx_negative_stopping_caps_friction": (ContactParams(), -0.01, -1e-4, 0.0),
+    "at_ground_not_touching": ({}, 0.0, 0.3, -1.0),
+    "normal_clips_to_zero": ({}, -0.001, 0.3, 50.0),
+    "stopping_caps_friction": ({}, -0.01, 1e-4, 0.0),
+    "mu_normal_caps_friction": ({}, -0.01, 5.0, 0.0),
+    "vx_positive_zero": ({}, -0.01, 0.0, -0.5),
+    "vx_negative_zero": ({}, -0.01, -0.0, -0.5),
+    "no_normal_stiffness": (contact(0.0, 10.0, 0.8), -0.01, 0.5, -1.0),
+    "vx_negative_mu_normal_caps_friction": ({}, -0.01, -5.0, 0.0),
+    "vx_negative_stopping_caps_friction": ({}, -0.01, -1e-4, 0.0),
 }
 
 
 def branch_world(branch):
     """A single voxel whose bottom-left corner is set to `branch`."""
-    contact, y, vx, vy = CONTACT_BRANCHES[branch]
-    world = build_world(single_voxel(), PhysicsConfig(substeps_per_env_step=1,
-                                                      contact=contact))
+    ground, y, vx, vy = CONTACT_BRANCHES[branch]
+    world = build_world(single_voxel(), PhysicsConfig(substeps_per_env_step=1, **ground))
     corner = int(world.corner_map[0, 2])  # bottom-left
     world.pos[corner, 1], world.vel[corner] = y, (vx, vy)
     return world, corner
@@ -658,10 +656,10 @@ def sinking_voxels(cfg, count):
 SIGNED_ZERO_CONTACTS = [
     # the normal force is -0.0 before the clip, the friction limit 0.0
     # before the cap
-    pytest.param(ContactParams(-0.0, -0.0, 0.8), id="normal_clip_of_negative_zero"),
+    pytest.param(contact(-0.0, -0.0, 0.8), id="normal_clip_of_negative_zero"),
     # the friction limit is -0.0 against a stopping force of 0.0; numpy
     # takes the second operand of a tie on x86, IEEE minimum takes -0.0
-    pytest.param(ContactParams(1e4, 10.0, -0.0), id="friction_cap_tie_of_zeros",
+    pytest.param(contact(1e4, 10.0, -0.0), id="friction_cap_tie_of_zeros",
                  marks=pytest.mark.skipif(
                      np.signbit(np.minimum(np.array([-0.0]), 0.0))[0],
                      reason="numpy's minimum breaks ties of signed zeros the IEEE way")),
@@ -683,9 +681,10 @@ def zero_spring_forces(monkeypatch):
 class TestContactBranches:
     @pytest.mark.parametrize("branch", list(CONTACT_BRANCHES))
     def test_step_matches_oracle_bytes(self, branch):
-        contact, y, vx, vy = CONTACT_BRANCHES[branch]
+        _, y, vx, vy = CONTACT_BRANCHES[branch]
         world, corner = branch_world(branch)
-        kn, kd, mu = contact.normal_stiffness, contact.normal_damping, contact.friction
+        cfg = world.physics
+        kn, kd, mu = cfg.contact_normal_stiffness, cfg.contact_normal_damping, cfg.contact_friction
         normal = kn * -y - kd * vy  # the ground is y = 0
         limit = mu * max(normal, 0.0)
         stopping = world.mass[corner] * abs(vx) / world.physics.physics_dt
@@ -709,8 +708,8 @@ class TestContactBranches:
     # contact was switched on by stiffness or friction alone, so a ground with
     # only damping let a falling body through as if there were no ground
     def test_damping_alone_slows_a_falling_voxel(self):
-        def step_falling(contact):
-            world = build_world(single_voxel(), PhysicsConfig(contact=contact))
+        def step_falling(ground):
+            world = build_world(single_voxel(), PhysicsConfig(**ground))
             world.pos[:, 1] -= 0.01
             world.vel[:, 1] = -1.0
             ref = copy.deepcopy(world)
@@ -719,13 +718,13 @@ class TestContactBranches:
             assert_same_state(world, ref)
             return world.vel[:, 1].mean()
 
-        no_ground = step_falling(ContactParams(0.0, 0.0, 0.0))
-        assert step_falling(ContactParams(0.0, 10.0, 0.0)) > no_ground + 0.1
+        no_ground = step_falling(NO_CONTACT)
+        assert step_falling(contact(0.0, 10.0, 0.0)) > no_ground + 0.1
 
-    @pytest.mark.parametrize("contact", SIGNED_ZERO_CONTACTS)
-    def test_signed_zero_contact_forces_match_oracle_bytes(self, contact, monkeypatch):
+    @pytest.mark.parametrize("ground", SIGNED_ZERO_CONTACTS)
+    def test_signed_zero_contact_forces_match_oracle_bytes(self, ground, monkeypatch):
         zero_spring_forces(monkeypatch)
-        cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, contact=contact)
+        cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, **ground)
         world = build_world(single_voxel(), cfg)
         world.pos[:, 1] -= 0.01
         world.vel[:] = -0.0
@@ -742,10 +741,10 @@ class TestContactBranches:
         others = sinking_voxels(world.physics, physics.VECTOR_CONTACT_MIN // 2 + 1)
         step_wide_batch_as_oracle([world] + others)
 
-    @pytest.mark.parametrize("contact", SIGNED_ZERO_CONTACTS)
-    def test_numpy_contact_signed_zeros_match_oracle_bytes(self, contact, monkeypatch):
+    @pytest.mark.parametrize("ground", SIGNED_ZERO_CONTACTS)
+    def test_numpy_contact_signed_zeros_match_oracle_bytes(self, ground, monkeypatch):
         zero_spring_forces(monkeypatch)
-        cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, contact=contact)
+        cfg = PhysicsConfig(substeps_per_env_step=1, gravity=0.0, **ground)
         voxels = sinking_voxels(cfg, physics.VECTOR_CONTACT_MIN // 2 + 1)
         for voxel in voxels:
             voxel.vel[:] = -0.0

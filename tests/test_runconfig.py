@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -73,7 +74,7 @@ class TestParsing:
         assert cfg.controller_sigma == 0.05
         assert cfg.checkpoint_every == 3
         assert cfg.physics.gravity == 9.0
-        assert cfg.physics.contact.friction == 0.5
+        assert cfg.physics.contact_friction == 0.5
         assert cfg.physics.rigid_stiffness == 6000.0  # untouched default
         assert cfg.observation.neighborhood_distance == 1
         assert cfg.episode.max_steps == 120
@@ -107,7 +108,9 @@ BOUNDS = [
     ("evolution", "checkpoint_every", "-2", "checkpoint_every must be >= 0"),
     ("experiment", "distances", "1, 0", "distances must be >= 1"),
     # no distances made transfer write a header-only transfer.csv
-    ("experiment", "distances", "", "distances must be >= 1 and non-empty"),
+    ("experiment", "distances", "", "distances must be >= 1, non-empty and distinct"),
+    # a repeated distance was sampled twice
+    ("experiment", "distances", "2, 1, 2", "distances must be >= 1, non-empty and distinct"),
     # an empty catalog_file silently loaded the default catalog
     ("experiment", "catalog_file", "", "catalog_file must not be empty"),
     ("experiment", "catalog_bodies", "", "catalog_bodies must not be empty"),
@@ -456,7 +459,7 @@ def test_negative_physics_value_is_rejected_with_its_line(keys, tmp_path, capsys
     out = str(tmp_path / "out")
     assert main(["evolve", "--config", str(cfg), "--out", out, "--workers", "1"]) == 2
     assert re.search(rf"{re.escape(str(cfg))}:4: invalid \[physics\] settings: "
-                     rf"[a-z_ ]+ must be >= 0, got -",
+                     rf"[a-z_]+ must be >= 0, got -",
                      capsys.readouterr().err)
     assert not os.path.exists(out)
 
@@ -486,6 +489,27 @@ def test_zero_generations_is_rejected_before_any_output(tmp_path, capsys):
     assert re.search(rf"{re.escape(str(cfg))}:2: generations must be >= 1",
                      capsys.readouterr().err)
     assert not os.path.exists(out)
+
+
+# a repeated distance wrote its samples twice, and transfer_summary.txt
+# reported the doubled distance twice; a repeated body was scored twice
+@pytest.mark.parametrize("command, text, line, message", [
+    ("transfer", "[experiment]\ndistances = 1, 1\nsamples_per_distance = 2\n", 2,
+     "distances must be >= 1, non-empty and distinct, got (1, 1)"),
+    ("evolve", "[run]\ngenerations = 1\nmode = multi-body\n"
+     "[experiment]\ncatalog_bodies = worm, worm\n", 5,
+     "catalog_bodies must name distinct bodies, got ('worm', 'worm')"),
+])
+def test_repeated_list_entry_is_refused_before_any_output(command, text, line, message,
+                                                          tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = str(tmp_path / "out")
+    champion = ["--champion", str(tmp_path / "champion.ckpt")] if command == "transfer" else []
+    assert main([command, "--config", str(cfg), "--out", out, "--workers", "1",
+                 *champion]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 # the command-line flags that set a [run] key
@@ -531,6 +555,15 @@ SECTION_CONFIGS = {"physics": PhysicsConfig, "observation": ObservationConfig,
                    "episode": EpisodeConfig}
 
 
+# each of these sections is one dataclass, and its keys are that dataclass's
+# field names: the contact constants were once a nested dataclass whose keys
+# took a prefix and whose refusals spelled them with a space
+@pytest.mark.parametrize("section", list(SECTION_CONFIGS))
+def test_section_keys_are_the_field_names(section):
+    names = [f.name for f in dataclasses.fields(SECTION_CONFIGS[section])]
+    assert list(_SCHEMA[section]) == names
+
+
 # the section dataclasses refuse as RunConfig does, naming the key: they once
 # said "physics config values must be finite", "actuation range must straddle
 # 1.0", "episode config values must be finite" or spelled "time period"
@@ -543,6 +576,10 @@ SECTION_CONFIGS = {"physics": PhysicsConfig, "observation": ObservationConfig,
     ("physics", "actuation_min", "1.2", "must be < 1.0"),
     ("physics", "actuation_max", "nan", "must be finite"),
     ("physics", "actuation_max", "0.9", "must be > 1.0"),
+    ("physics", "contact_normal_stiffness", "-1", "must be >= 0"),
+    ("physics", "contact_normal_damping", "-1", "must be >= 0"),
+    ("physics", "contact_friction", "-1", "must be >= 0"),
+    ("physics", "contact_friction", "-inf", "must be finite"),
     ("observation", "neighborhood_distance", "5", "must be in [0, 4]"),
     ("observation", "time_period", "0", "must be >= 1"),
     ("observation", "velocity_clamp", "0", "must be > 0 and finite"),

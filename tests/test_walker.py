@@ -16,7 +16,7 @@ from voxevo.walker import (
 
 from helpers import NO_CONTACT
 
-GLIDE = PhysicsConfig(contact=NO_CONTACT)
+GLIDE = PhysicsConfig(**NO_CONTACT)
 
 
 def zero_controller():
@@ -77,7 +77,7 @@ class TestRunEpisode:
 
     def test_exactly_stationary_episode_scores_zero(self, small_body):
         physics = PhysicsConfig(gravity=0.0, actuation_min=0.5, actuation_max=1.5,
-                                contact=NO_CONTACT)
+                                **NO_CONTACT)
         result = run_episode(small_body, zero_controller(), physics_cfg=physics)
         assert result.delta_px == 0.0
         assert result.steps_used == 500
