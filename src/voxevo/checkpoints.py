@@ -12,8 +12,9 @@ that many individual records). Each individual record:
     morphology: 25 material digits (bytes, row-major) |
     controller kind u8 | parameter count u32 | parameters f64[count]
 
-Neither fitness may be infinite: saving refuses such an individual before
-any byte is written, and loading refuses such a record.
+Neither fitness may be infinite, and the body must be a valid robot: saving
+refuses any other individual before any byte is written, and loading refuses
+any other record.
 
 Controller parameters are the flat layout: W1 row-major, b1, W2 row-major,
 b2. The input size is not stored: `control.genome_from_flat` infers it from
@@ -61,6 +62,8 @@ def _pack_individual(ind: Individual) -> bytes:
                       else float(ind.parent_fitness_at_birth))
     if math.isinf(fitness) or math.isinf(parent_fitness):  # refused on load as well
         raise ValueError(f"individual {ind.id}: infinite fitness cannot be checkpointed")
+    if not validate(ind.morphology):  # refused on load as well
+        raise ValueError(f"individual {ind.id}: the body is not a valid robot")
     parent_id = -1 if ind.parent_id is None else int(ind.parent_id)
     chunks = [
         _RECORD_FIXED.pack(int(ind.id), parent_id, int(ind.age),

@@ -8,6 +8,9 @@ any command with the same inputs reproduces its output files byte for byte.
 
 Every file is written through `checkpoints.atomic_open`, to a `.partial`
 sibling renamed when complete, so a file without the suffix is always whole.
+Each CSV's rows are the records of one dataclass, its header their field
+names; `report` parses each field by its annotation and builds the record,
+refusing at file:line a field that does not parse or check.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .checkpoints import (
     save_population,
 )
 from .control import input_size
-from .evolution import Evaluator, Individual, OffspringRecord, run_evolution
+from .evolution import Evaluator, GenerationLog, Individual, OffspringRecord, run_evolution
 from .experiments import (
     accounting_from_lineage,
     convergence_metrics,
@@ -47,13 +51,6 @@ from .walker import run_episode
 GENERATIONS_CSV = "generations.csv"
 LINEAGE_CSV = "lineage.csv"
 CHAMPION_CKPT = "champion.ckpt"
-
-GENERATION_COLUMNS = [
-    "generation", "best_fitness", "mean_fitness",
-    "n_body_success", "n_brain_success", "n_body_attempted", "n_brain_attempted",
-]
-LINEAGE_COLUMNS = [f.name for f in dataclasses.fields(OffspringRecord)]
-TRANSFER_COLUMNS = [f.name for f in dataclasses.fields(TransferSample)]
 
 TRANSFER_STREAM_TAG = 1001
 
@@ -81,11 +78,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv_atomic(path: str, header: list[str], rows: list[list]) -> None:
+def _columns(record_type) -> list[str]:
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+def _row(record) -> list[str]:
+    return [_fmt(getattr(record, name)) for name in _columns(record)]
+
+
+def _write_records(path: str, cls, records) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerow(_columns(cls))
+        writer.writerows(map(_row, records))
 
 
 def _execute_run(run_dir: str, cfg: RunConfig):
@@ -93,10 +98,10 @@ def _execute_run(run_dir: str, cfg: RunConfig):
     os.makedirs(run_dir, exist_ok=True)
     with atomic_open(os.path.join(run_dir, GENERATIONS_CSV)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GENERATION_COLUMNS)
+        writer.writerow(_columns(GenerationLog))
 
         def on_generation(generation, log, population, champion):
-            writer.writerow([_fmt(getattr(log, column)) for column in GENERATION_COLUMNS])
+            writer.writerow(_row(log))
             fh.flush()
             if cfg.checkpoint_every and generation % cfg.checkpoint_every == 0:
                 save_population(
@@ -106,9 +111,8 @@ def _execute_run(run_dir: str, cfg: RunConfig):
 
         artifacts = run_evolution(cfg, on_generation=on_generation)
 
-    lineage_rows = [[getattr(r, column) for column in LINEAGE_COLUMNS]
-                    for r in sorted(artifacts.lineage.values(), key=lambda r: r.id)]
-    _write_csv_atomic(os.path.join(run_dir, LINEAGE_CSV), LINEAGE_COLUMNS, lineage_rows)
+    _write_records(os.path.join(run_dir, LINEAGE_CSV), OffspringRecord,
+                   sorted(artifacts.lineage.values(), key=lambda r: r.id))
     save_individual(os.path.join(run_dir, CHAMPION_CKPT), artifacts.champion)
     save_population(os.path.join(run_dir, "population_final.ckpt"),
                     artifacts.final_population)
@@ -189,8 +193,7 @@ def cmd_transfer(args) -> int:
             one_shot_lambda=cfg.one_shot_lambda,
             source_id=champion.id)
 
-    rows = [[getattr(s, column) for column in TRANSFER_COLUMNS] for s in samples]
-    _write_csv_atomic(os.path.join(cfg.out, "transfer.csv"), TRANSFER_COLUMNS, rows)
+    _write_records(os.path.join(cfg.out, "transfer.csv"), TransferSample, samples)
 
     lines = [f"source fitness: {source_fitness!r}", ""]
     for distance in cfg.distances:
@@ -211,7 +214,7 @@ def cmd_transfer(args) -> int:
             lines.append("  relative changes omitted (source fitness below guard)")
     atomic_write_bytes(os.path.join(cfg.out, "transfer_summary.txt"),
                        ("\n".join(lines) + "\n").encode("utf-8"))
-    print(f"wrote {len(rows)} transfer samples to {cfg.out}")
+    print(f"wrote {len(samples)} transfer samples to {cfg.out}")
     return 0
 
 
@@ -244,67 +247,90 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _read_csv(path: str, types: dict) -> list[dict]:
-    """Each row of a run's CSV as {column: types[column](field)}; a missing
-    column or a field that does not parse is refused, naming the file and
-    its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            try:
-                rows.append({name: convert(row[name]) for name, convert in types.items()})
-            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None
-                problem = f"no {exc} column" if isinstance(exc, KeyError) else exc
-                raise ReportIntegrityError(f"{path}: line {reader.line_num}: {problem}") from exc
-    return rows
-
-
-def _optional(convert):
-    return lambda text: convert(text) if text else None
-
-
 def _finite(text: str) -> float:
-    """A fitness field: every episode scores a finite one."""
+    """A float field: every fitness and mean a run records is finite."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value
 
 
-# lineage.csv's columns are OffspringRecord's fields
-LINEAGE_TYPES = {"id": int, "parent_id": _optional(int), "mutation_kind": str,
-                 "fitness": _finite, "parent_fitness_at_birth": _optional(_finite),
-                 "success": lambda text: text == "1"}
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"not 0 or 1: {text!r}")
+    return text == "1"
 
 
-def _summarize_run(run_dir: str) -> dict:
+_PARSERS = {int: int, float: _finite, str: str, bool: _flag}
+
+
+def _parser(annotation):
+    """The parser of a field annotated `X`, or `X | None` with None as ''."""
+    inner = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if not inner:
+        return _PARSERS[annotation]
+    return lambda text: _PARSERS[inner[0]](text) if text else None
+
+
+def _read_records(path: str, cls) -> list:
+    """The `cls` records of a CSV; a missing column, or a field that does not
+    parse by its annotation or check in `cls`, is refused at file:line."""
+    hints = typing.get_type_hints(cls)
+    parsers = {name: _parser(hints[name]) for name in _columns(cls)}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        records = []
+        for row in reader:
+            try:
+                records.append(cls(**{name: parse(row[name])
+                                      for name, parse in parsers.items()}))
+            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None
+                problem = f"no {exc} column" if isinstance(exc, KeyError) else exc
+                raise ReportIntegrityError(f"{path}: line {reader.line_num}: {problem}") from exc
+    return records
+
+
+@dataclasses.dataclass(frozen=True)
+class RunSummary:
+    """One `report.csv` row; `gens_to_80` is the first generation whose best
+    fitness so far reaches 80% of the final one (see CONVERGENCE_THRESHOLDS)."""
+    run: str
+    champion_fitness: float
+    gens_to_80: float
+    gens_to_90: float
+    gens_to_95: float
+    gens_to_99: float
+    lineage_body_fraction: float | None
+    population_body_fraction: float | None
+
+
+def _summarize_run(run_dir: str) -> RunSummary:
     missing = [name for name in (GENERATIONS_CSV, LINEAGE_CSV, CHAMPION_CKPT)
                if not os.path.exists(os.path.join(run_dir, name))]
     if missing:
         raise ReportIntegrityError(
             f"{run_dir}: missing artifacts: {', '.join(missing)}")
 
-    rows = _read_csv(os.path.join(run_dir, GENERATIONS_CSV),
-                     {"generation": int, "best_fitness": _finite})
-    if not rows:
+    logs = _read_records(os.path.join(run_dir, GENERATIONS_CSV), GenerationLog)
+    if not logs:
         raise ReportIntegrityError(f"{run_dir}: {GENERATIONS_CSV} has no rows")
-    generations = [r["generation"] for r in rows]
-    best_so_far = list(np.maximum.accumulate([r["best_fitness"] for r in rows]))
+    best_so_far = list(np.maximum.accumulate([log.best_fitness for log in logs]))
 
     champion = load_individual(os.path.join(run_dir, CHAMPION_CKPT))
-    lineage = {r["id"]: OffspringRecord(**r)
-               for r in _read_csv(os.path.join(run_dir, LINEAGE_CSV), LINEAGE_TYPES)}
+    if champion.fitness is None:
+        raise ReportIntegrityError(f"{run_dir}: {CHAMPION_CKPT} has no fitness")
+    lineage = {r.id: r for r in _read_records(os.path.join(run_dir, LINEAGE_CSV),
+                                              OffspringRecord)}
     accounting = accounting_from_lineage(lineage, champion.id)
+    return RunSummary(
+        os.path.basename(run_dir) or run_dir, champion.fitness,
+        *(logs[i].generation for i in convergence_metrics(best_so_far).values()),
+        accounting.lineage_body_fraction, accounting.population_body_fraction)
 
-    return {
-        "run_dir": run_dir,
-        "champion_fitness": champion.fitness,
-        "convergence": {theta: generations[idx]
-                        for theta, idx in convergence_metrics(best_so_far).items()},
-        "lineage_body_fraction": accounting.lineage_body_fraction,
-        "population_body_fraction": accounting.population_body_fraction,
-    }
+
+def _median(values: list) -> float | None:
+    values = [v for v in values if v is not None]
+    return float(np.median(values)) if values else None
 
 
 def cmd_report(args) -> int:
@@ -325,34 +351,20 @@ def cmd_report(args) -> int:
         raise ReportIntegrityError(f"cannot read run: {exc}") from exc
     _claim_output(run_dir)
 
-    header = (["run", "champion_fitness"]
-              + [f"gens_to_{int(t * 100)}" for t in CONVERGENCE_THRESHOLDS]
-              + ["lineage_body_fraction", "population_body_fraction"])
-    rows = []
-    for s in summaries:
-        rows.append([os.path.basename(s["run_dir"]) or s["run_dir"],
-                     s["champion_fitness"]]
-                    + [s["convergence"][t] for t in CONVERGENCE_THRESHOLDS]
-                    + [s["lineage_body_fraction"], s["population_body_fraction"]])
+    rows = list(summaries)
     if len(summaries) > 1:
-        champs = [s["champion_fitness"] for s in summaries]
-        q1, med, q3 = (float(v) for v in np.percentile(champs, [25, 50, 75]))
-        aggregate = ["aggregate_median", med]
-        for t in CONVERGENCE_THRESHOLDS:
-            aggregate.append(float(np.median([s["convergence"][t] for s in summaries])))
-        for key in ("lineage_body_fraction", "population_body_fraction"):
-            vals = [s[key] for s in summaries if s[key] is not None]
-            aggregate.append(float(np.median(vals)) if vals else None)
-        rows.append(aggregate)
-
-    report_csv = os.path.join(run_dir, "report.csv")
-    _write_csv_atomic(report_csv, header, rows)
+        q1, med, q3 = (float(v) for v in np.percentile(
+            [s.champion_fitness for s in summaries], [25, 50, 75]))
+        rows.append(RunSummary("aggregate_median", med, *(
+            _median([getattr(s, name) for s in summaries])
+            for name in _columns(RunSummary)[2:])))
+    _write_records(os.path.join(run_dir, "report.csv"), RunSummary, rows)
 
     lines = [f"runs: {len(summaries)}"]
-    for s in summaries:
-        conv = ", ".join(f"{int(t*100)}%@gen {s['convergence'][t]}"
+    for d, s in zip(run_dirs, summaries):
+        conv = ", ".join(f"{int(t * 100)}%@gen {getattr(s, f'gens_to_{int(t * 100)}')}"
                          for t in CONVERGENCE_THRESHOLDS)
-        lines.append(f"{s['run_dir']}: champion {s['champion_fitness']!r} ({conv})")
+        lines.append(f"{d}: champion {s.champion_fitness!r} ({conv})")
     if len(summaries) > 1:
         lines.append(f"champion fitness median {med!r} IQR [{q1!r}, {q3!r}]")
     text = "\n".join(lines) + "\n"

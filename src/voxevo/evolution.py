@@ -13,6 +13,9 @@ each individual is scored on its own body. With one, only the brain evolves
 and each individual is scored by its minimum fitness over the catalog
 bodies; a one-body catalog evolves a controller for that body.
 
+A generation yields its `generations.csv` row, a `GenerationLog`, and beside
+it its new individuals' `lineage.csv` rows, `OffspringRecord`s.
+
 Determinism: every random decision draws from a generator seeded by the
 config's (seed, generation, slot), created in the driving process.
 Evaluations are pure functions of their inputs, so the number of worker
@@ -64,6 +67,7 @@ class Individual:
 
 @dataclass(frozen=True)
 class OffspringRecord:
+    """One `lineage.csv` row: a scored individual, and whether it beat its parent."""
     id: int
     parent_id: int | None
     mutation_kind: str
@@ -71,29 +75,22 @@ class OffspringRecord:
     parent_fitness_at_birth: float | None
     success: bool
 
+    def __post_init__(self):
+        if self.mutation_kind not in (KIND_BODY, KIND_BRAIN, KIND_FRESH):
+            raise ValueError(f"unknown mutation_kind {self.mutation_kind!r}")
+
 
 @dataclass(frozen=True)
 class GenerationLog:
+    """One `generations.csv` row: the pool's best fitness, the survivors'
+    mean, and the offspring's body and brain mutations, successful and tried."""
     generation: int
     best_fitness: float
     mean_fitness: float
-    records: tuple[OffspringRecord, ...]
-
-    @property
-    def n_body_success(self) -> int:
-        return sum(1 for r in self.records if r.mutation_kind == KIND_BODY and r.success)
-
-    @property
-    def n_brain_success(self) -> int:
-        return sum(1 for r in self.records if r.mutation_kind == KIND_BRAIN and r.success)
-
-    @property
-    def n_body_attempted(self) -> int:
-        return sum(1 for r in self.records if r.mutation_kind == KIND_BODY)
-
-    @property
-    def n_brain_attempted(self) -> int:
-        return sum(1 for r in self.records if r.mutation_kind == KIND_BRAIN)
+    n_body_success: int
+    n_brain_success: int
+    n_body_attempted: int
+    n_brain_attempted: int
 
 
 @dataclass
@@ -110,32 +107,16 @@ def dominates(a: Individual, b: Individual) -> bool:
 
 
 def pareto_rank(pool: list[Individual]) -> list[list[Individual]]:
-    """Non-dominated sorting; fronts ordered best-first."""
+    """Non-dominated sorting by peeling fronts, best-first, each in pool order."""
     for ind in pool:
         if ind.fitness is None:
             raise ValueError(f"individual {ind.id} has no fitness")
-    n = len(pool)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(pool[i], pool[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(pool[j], pool[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
     fronts: list[list[Individual]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    while current:
-        fronts.append([pool[i] for i in current])
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
+    rest = list(pool)
+    while rest:
+        dominated = [any(dominates(b, a) for b in rest) for a in rest]
+        fronts.append([a for a, d in zip(rest, dominated) if not d])
+        rest = [a for a, d in zip(rest, dominated) if d]
     return fronts
 
 
@@ -302,10 +283,10 @@ def _record(ind: Individual) -> OffspringRecord:
     )
 
 
-def evolve_generation(population: list[Individual], cfg: RunConfig,
-                      generation: int, next_id: int,
-                      evaluator: Evaluator) -> tuple[list[Individual], GenerationLog, int]:
-    """One generation step; returns (survivors, log, next free id)."""
+def evolve_generation(population: list[Individual], cfg: RunConfig, generation: int,
+                      next_id: int, evaluator: Evaluator) -> tuple[
+        list[Individual], GenerationLog, tuple[OffspringRecord, ...], int]:
+    """One generation step; returns (survivors, log, new records, next free id)."""
     if len(population) != cfg.mu:
         raise ValueError(f"expected a population of {cfg.mu}, got {len(population)}")
     for ind in population:
@@ -327,13 +308,17 @@ def evolve_generation(population: list[Individual], cfg: RunConfig,
     pool = population + new
     assert len(pool) == cfg.mu + cfg.lambda_ + 1
     survivors = select_survivors(pool, cfg.mu)
+    kinds = [r.mutation_kind for r in records]
     log = GenerationLog(
         generation=generation,
         best_fitness=max(ind.fitness for ind in pool),
         mean_fitness=float(np.mean([ind.fitness for ind in survivors])),
-        records=records,
+        n_body_success=sum(r.success for r in records if r.mutation_kind == KIND_BODY),
+        n_brain_success=sum(r.success for r in records if r.mutation_kind == KIND_BRAIN),
+        n_body_attempted=kinds.count(KIND_BODY),
+        n_brain_attempted=kinds.count(KIND_BRAIN),
     )
-    return survivors, log, next_id
+    return survivors, log, records, next_id
 
 
 def initial_population(cfg: RunConfig, evaluator: Evaluator) -> list[Individual]:
@@ -358,10 +343,9 @@ def run_evolution(cfg: RunConfig, on_generation=None) -> RunArtifacts:
         champion = dataclasses.replace(max(population, key=lambda i: i.fitness))
         next_id = cfg.mu
         for generation in range(1, cfg.generations + 1):
-            population, log, next_id = evolve_generation(
+            population, log, records, next_id = evolve_generation(
                 population, cfg, generation, next_id, evaluator)
-            for record in log.records:
-                lineage[record.id] = record
+            lineage.update((record.id, record) for record in records)
             best = max(population, key=lambda i: i.fitness)
             if best.fitness > champion.fitness:
                 champion = dataclasses.replace(best)

@@ -338,7 +338,10 @@ class TestSelectionGuarantees:
         assert len(seen) == 5
         survivors = list(range(cfg.mu))  # the initial population's ids
         for log, population in seen:
-            pool = survivors + [r.id for r in log.records]
+            # generation g's lambda offspring and fresh individual take the
+            # next lambda + 1 ids
+            first = cfg.mu + (log.generation - 1) * (cfg.lambda_ + 1)
+            pool = survivors + list(range(first, first + cfg.lambda_ + 1))
             assert len(set(pool)) == cfg.mu + cfg.lambda_ + 1
             assert len(population) == cfg.mu and set(population) <= set(pool)
             assert log.best_fitness == max(run.lineage[i].fitness for i in pool)

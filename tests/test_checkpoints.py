@@ -19,7 +19,7 @@ from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
 from voxevo.evolution import KIND_BODY, KIND_FRESH, MAX_POPULATION, Individual
 from voxevo.morphology import random_morphology
 
-from helpers import INVALID_BODIES, patch_checkpoint_fitness
+from helpers import INVALID_BODIES, patch_checkpoint_body, patch_checkpoint_fitness
 
 INFINITE_FITNESSES = [(math.inf, 0.5), (-math.inf, 0.5), (1.25, math.inf), (1.25, -math.inf)]
 
@@ -217,16 +217,27 @@ class TestIntegrity:
             save_population(str(tmp_path / "pop.ckpt"), [make_individual(ident=4), ind])
         assert os.listdir(tmp_path) == []
 
-    # such a body loaded, then failed to build in the first episode
+    # such a body loaded, then failed to build in the first episode. Saving
+    # refuses it, so the body is patched into a valid file
     @pytest.mark.parametrize("body", list(INVALID_BODIES))
     def test_body_that_is_not_a_robot_rejected(self, tmp_path, body):
         path = str(tmp_path / "ind.ckpt")
-        ind = make_individual()
-        ind.morphology = INVALID_BODIES[body]
-        save_individual(path, ind)
+        save_individual(path, make_individual())
+        patch_checkpoint_body(path, INVALID_BODIES[body])
         with pytest.raises(CheckpointIntegrityError, match="not a valid robot") as exc_info:
             load_individual(path)
         assert str(exc_info.value).startswith(path)
+
+    # a checkpoint with such a body was written and then refused on load
+    @pytest.mark.parametrize("body", list(INVALID_BODIES))
+    def test_body_that_is_not_a_robot_is_not_saved(self, tmp_path, body):
+        ind = make_individual()
+        ind.morphology = INVALID_BODIES[body]
+        with pytest.raises(ValueError, match="individual 3: the body is not a valid robot"):
+            save_individual(str(tmp_path / "ind.ckpt"), ind)
+        with pytest.raises(ValueError, match="the body is not a valid robot"):
+            save_population(str(tmp_path / "pop.ckpt"), [make_individual(ident=4), ind])
+        assert os.listdir(tmp_path) == []
 
 
 class TestAtomicWrite:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,11 +12,12 @@ import pytest
 from voxevo.checkpoints import load_individual, load_population, save_individual
 import voxevo.cli
 import voxevo.evolution
-from voxevo.cli import GENERATION_COLUMNS, LINEAGE_COLUMNS, main
-from voxevo.evolution import Evaluator
+from voxevo.cli import RunSummary, main
+from voxevo.evolution import Evaluator, GenerationLog, OffspringRecord
+from voxevo.experiments import CONVERGENCE_THRESHOLDS, TransferSample
 from voxevo.runconfig import RunConfig, load_config
 
-from helpers import INVALID_BODIES, patch_checkpoint_fitness
+from helpers import INVALID_BODIES, patch_checkpoint_body, patch_checkpoint_fitness
 
 TINY_CONFIG = """
 [run]
@@ -41,6 +43,14 @@ def config_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(TINY_CONFIG)
     return str(path)
+
+
+def columns(record_type):
+    """A record CSV's header: its dataclass's field names."""
+    return [f.name for f in dataclasses.fields(record_type)]
+
+
+GENERATION_COLUMNS = columns(GenerationLog)
 
 
 def evolve(config_path, out, extra=()):
@@ -75,7 +85,7 @@ class TestEvolve:
         assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
 
         lineage = read_rows(os.path.join(out, "lineage.csv"))
-        assert lineage[0] == LINEAGE_COLUMNS
+        assert lineage[0] == columns(OffspringRecord)
         assert len(lineage) == 1 + 2 + 3 * 3  # header, mu, G*(lambda+1)
 
         champion = load_individual(os.path.join(out, "champion.ckpt"))
@@ -378,7 +388,7 @@ class TestTransfer:
         assert main(["transfer", "--config", config, "--champion", champion,
                      "--out", out]) == 0
         rows = read_rows(os.path.join(out, "transfer.csv"))
-        assert rows[0][:3] == ["source_id", "distance", "neighbor"]
+        assert rows[0] == columns(TransferSample)
         assert len(rows) > 1
         for row in rows[1:]:
             assert row[1] == "1"
@@ -411,6 +421,26 @@ class TestTransfer:
             with open(os.path.join(outs[0], name), "rb") as fa, \
                     open(os.path.join(outs[1], name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+    # a champion without a fitness is scored under the config first, to the
+    # fitness its run recorded
+    def test_unevaluated_champion_is_scored_as_its_run_scored_it(self, trained_run,
+                                                                 tmp_path):
+        config, run_dir = trained_run
+        scored = os.path.join(run_dir, "champion.ckpt")
+        unscored = str(tmp_path / "champion.ckpt")
+        champion = load_individual(scored)
+        save_individual(unscored, dataclasses.replace(champion, fitness=None))
+        outs = [str(tmp_path / name) for name in ("scored", "unscored")]
+        for out, path in zip(outs, (scored, unscored)):
+            assert main(["transfer", "--config", config, "--champion", path,
+                         "--out", out, "--workers", "1"]) == 0
+        for name in ("transfer.csv", "transfer_summary.txt"):
+            with open(os.path.join(outs[0], name), "rb") as fa, \
+                    open(os.path.join(outs[1], name), "rb") as fb:
+                assert fa.read() == fb.read(), name
+        summary = open(os.path.join(outs[1], "transfer_summary.txt")).read()
+        assert summary.startswith(f"source fitness: {champion.fitness!r}\n")
 
     # the champion's fitness is the source of every relative change
     @pytest.mark.parametrize("fitness", [math.inf, -math.inf])
@@ -528,10 +558,9 @@ class TestInvalidChampion:
     @pytest.mark.parametrize("command", ["transfer", "replay"])
     def test_refused_before_writing(self, trained_run, tmp_path, capsys, command, body):
         config, run_dir = trained_run
-        champion = load_individual(os.path.join(run_dir, "champion.ckpt"))
-        champion.morphology = INVALID_BODIES[body]
         path = str(tmp_path / "champion.ckpt")
-        save_individual(path, champion)
+        shutil.copyfile(os.path.join(run_dir, "champion.ckpt"), path)
+        patch_checkpoint_body(path, INVALID_BODIES[body])
         out = tmp_path / "out"
         argv = {"transfer": ["--out", str(out), "--workers", "1"],
                 "replay": ["--out", str(out / "replay.jsonl")]}[command]
@@ -547,8 +576,7 @@ class TestReport:
         printed = capsys.readouterr().out
         assert "runs: 1" in printed
         rows = read_rows(os.path.join(run_dir, "report.csv"))
-        assert rows[0][:2] == ["run", "champion_fitness"]
-        assert "gens_to_80" in rows[0]
+        assert rows[0] == columns(RunSummary)
         assert len(rows) == 2
         assert os.path.exists(os.path.join(run_dir, "report.txt"))
 
@@ -562,6 +590,28 @@ class TestReport:
         rows = read_rows(os.path.join(out, "report.csv"))
         assert [r[0] for r in rows[1:]] == ["run_00", "run_01", "aggregate_median"]
         assert "median" in capsys.readouterr().out
+
+    def test_convergence_columns_follow_the_thresholds(self):
+        assert columns(RunSummary)[2:-2] == [
+            f"gens_to_{round(t * 100)}" for t in CONVERGENCE_THRESHOLDS]
+
+    # a champion with no fitness was reported as an empty champion_fitness
+    # and exit 0, and crashed np.percentile in a battery
+    @pytest.mark.parametrize("battery", [False, True], ids=["single", "battery"])
+    def test_unevaluated_champion_is_refused(self, tmp_path, capsys, battery):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CONFIG + ("n_runs = 2\n" if battery else ""))
+        out = str(tmp_path / "out")
+        assert main(["evolve", "--config", str(cfg), "--out", out, "--workers", "1"]) == 0
+        run_dir = os.path.join(out, "run_01") if battery else out
+        path = os.path.join(run_dir, "champion.ckpt")
+        save_individual(path, dataclasses.replace(load_individual(path), fitness=None))
+        capsys.readouterr()
+        assert main(["report", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {run_dir}: champion.ckpt has no fitness\n"
+        assert not os.path.exists(os.path.join(out, "report.csv"))
 
     def test_missing_artifacts(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -581,7 +631,9 @@ class TestReport:
 
     # non-numeric fields and dropped columns escaped as tracebacks, exit 1; a
     # NaN best fitness crashed convergence_metrics and an infinite one was
-    # reported
+    # reported. A success of "yes" was read as 0, an unknown mutation kind
+    # was left out of the accounting, and only two generations.csv columns
+    # were read, all with exit 0
     @pytest.mark.parametrize("name, column, value, expected", [
         ("generations.csv", "best_fitness", "zz", "could not convert string to float: 'zz'"),
         ("lineage.csv", "fitness", "abc", "could not convert string to float: 'abc'"),
@@ -589,9 +641,15 @@ class TestReport:
         *((name, column, value, f"not a finite number: {value!r}")
           for name, column in (("generations.csv", "best_fitness"), ("lineage.csv", "fitness"))
           for value in ("nan", "inf", "-inf")),
+        ("lineage.csv", "success", "yes", "not 0 or 1: 'yes'"),
+        ("lineage.csv", "mutation_kind", "bdy", "unknown mutation_kind 'bdy'"),
+        ("generations.csv", "mean_fitness", "zz", "could not convert string to float: 'zz'"),
+        ("generations.csv", "n_body_success", "one",
+         "invalid literal for int() with base 10: 'one'"),
     ], ids=["bad_best_fitness", "bad_fitness", "dropped_column",
             *(f"{column}_{value}" for column in ("best_fitness", "fitness")
-              for value in ("nan", "inf", "-inf"))])
+              for value in ("nan", "inf", "-inf")),
+            "bad_success", "bad_mutation_kind", "bad_mean_fitness", "bad_n_body_success"])
     def test_malformed_artifact_is_refused_with_file_and_line(
             self, trained_run, capsys, name, column, value, expected):
         _, run_dir = trained_run

@@ -14,6 +14,7 @@ from voxevo.evolution import (
     MAX_POPULATION,
     Evaluator,
     Individual,
+    OffspringRecord,
     dominates,
     evaluation_bodies,
     evolve_generation,
@@ -131,6 +132,22 @@ class TestParetoRank:
         fronts = pareto_rank(pool)
         ids = sorted(i.id for front in fronts for i in front)
         assert ids == list(range(40))
+
+    # each front is what no member of it or of a later front dominates, and
+    # each of a later front's members is dominated from the front before
+    def test_fronts_are_the_non_dominated_layers_in_pool_order(self, rng):
+        base = stub_individual(0, 0.0)
+        for _ in range(50):
+            pool = [dataclasses.replace(base, age=int(rng.integers(0, 4)),
+                                        fitness=float(rng.integers(0, 5)), id=i)
+                    for i in range(int(rng.integers(1, 34)))]
+            fronts = pareto_rank(pool)
+            for k, front in enumerate(fronts):
+                assert [i.id for i in front] == sorted(i.id for i in front)
+                rest = [i for later in fronts[k:] for i in later]
+                assert not any(dominates(b, a) for a in front for b in rest)
+                if k:
+                    assert all(any(dominates(b, a) for b in fronts[k - 1]) for a in front)
 
 
 class TestSurvivorSelection:
@@ -349,6 +366,14 @@ class TestEvaluation:
         assert by_workers[0] == by_workers[1]
 
 
+class TestOffspringRecord:
+    # a record with another kind was written to lineage.csv and then skipped
+    # by the mutation accounting
+    def test_unknown_mutation_kind_refused(self):
+        with pytest.raises(ValueError, match="unknown mutation_kind 'bdy'"):
+            OffspringRecord(1, 0, "bdy", 1.0, 0.5, True)
+
+
 class TestGenerationStep:
     def test_bookkeeping(self, tiny_evolution):
         cfg = tiny_evolution
@@ -357,26 +382,31 @@ class TestGenerationStep:
             assert [ind.id for ind in population] == [0, 1, 2]
             assert all(ind.age == 0 and ind.fitness is not None for ind in population)
             ages_before = [ind.age for ind in population]
-            survivors, log, next_id = evolve_generation(
+            survivors, log, records, next_id = evolve_generation(
                 population, cfg, 1, cfg.mu, evaluator)
         assert [a + 1 for a in ages_before] == [ind.age for ind in population]
         assert len(survivors) == cfg.mu
         # the best of the pool: the mu parents, lambda offspring and one fresh
-        pool_fitness = [ind.fitness for ind in population] + [r.fitness for r in log.records]
+        pool_fitness = [ind.fitness for ind in population] + [r.fitness for r in records]
         assert len(pool_fitness) == cfg.mu + cfg.lambda_ + 1
         assert log.best_fitness == max(pool_fitness)
         assert next_id == cfg.mu + cfg.lambda_ + 1
-        assert len(log.records) == cfg.lambda_ + 1
+        assert [r.id for r in records] == list(range(cfg.mu, next_id))
         assert log.n_body_attempted + log.n_brain_attempted == cfg.lambda_
-        fresh = [r for r in log.records if r.mutation_kind == KIND_FRESH]
+        assert log.n_body_attempted == sum(r.mutation_kind == KIND_BODY for r in records)
+        assert log.n_body_success == sum(
+            r.success for r in records if r.mutation_kind == KIND_BODY)
+        assert log.n_brain_success == sum(
+            r.success for r in records if r.mutation_kind == KIND_BRAIN)
+        fresh = [r for r in records if r.mutation_kind == KIND_FRESH]
         assert len(fresh) == 1 and not fresh[0].success
 
     def test_success_is_strict_improvement(self, tiny_evolution):
         cfg = tiny_evolution
         with Evaluator(cfg) as evaluator:
             population = initial_population(cfg, evaluator)
-            _, log, _ = evolve_generation(population, cfg, 1, cfg.mu, evaluator)
-        for r in log.records:
+            _, _, records, _ = evolve_generation(population, cfg, 1, cfg.mu, evaluator)
+        for r in records:
             if r.parent_fitness_at_birth is None:
                 assert not r.success
             else:
