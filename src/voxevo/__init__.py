@@ -42,7 +42,6 @@ from .control import (
     MlpParams,
     act,
     init_controller,
-    mlp_forward,
     mutate_controller,
 )
 from .walker import (

@@ -261,7 +261,16 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-_PARSERS = {int: int, float: _finite, str: str, bool: _flag}
+def _integer(text: str) -> int:
+    """An int field as `str(int)` writes it: no sign, space, underscore or
+    leading zero that `int` would accept."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not an integer as written: {text!r}")
+    return value
+
+
+_PARSERS = {int: _integer, float: _finite, str: str, bool: _flag}
 
 
 def _parser(annotation):
@@ -311,9 +320,14 @@ def _summarize_run(run_dir: str) -> RunSummary:
         raise ReportIntegrityError(
             f"{run_dir}: missing artifacts: {', '.join(missing)}")
 
-    logs = _read_records(os.path.join(run_dir, GENERATIONS_CSV), GenerationLog)
+    generations = os.path.join(run_dir, GENERATIONS_CSV)
+    logs = _read_records(generations, GenerationLog)
     if not logs:
         raise ReportIntegrityError(f"{run_dir}: {GENERATIONS_CSV} has no rows")
+    for number, log in enumerate(logs, start=1):
+        if log.generation != number:  # row n is line n + 1: no field spans lines
+            raise ReportIntegrityError(f"{generations}: line {number + 1}: generation "
+                                       f"{log.generation}, expected {number}")
     best_so_far = list(np.maximum.accumulate([log.best_fitness for log in logs]))
 
     champion = load_individual(os.path.join(run_dir, CHAMPION_CKPT))

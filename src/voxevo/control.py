@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphology import GRID_SIZE
-from .physics import SimWorld
+from .physics import JoinedWorld, SimWorld
 from .sensing import GLOBAL_KIND, KINDS, MODULAR_KIND, ObservationBuilder, ObservationConfig
 
 HIDDEN_UNITS = 32
@@ -119,31 +119,80 @@ def genome_from_flat(kind: str, flat: np.ndarray) -> ControllerGenome:
     return ControllerGenome(kind, params_from_flat(flat, n_in, HIDDEN_UNITS, n_out))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp-safe formulation: sigmoid(x) = exp(-logaddexp(0, -x))
-    return np.exp(-np.logaddexp(0.0, -x))
+def _forward(xs: np.ndarray, W1T: np.ndarray, b1: np.ndarray, W2T: np.ndarray,
+             b2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sigmoid(relu(xs @ W1T + b1) @ W2T + b2), outputs in (0, 1), into
+    `out` if given: one network on its inputs, or a stack of networks on a
+    stack of inputs, one gemm (or gemv) per item of the stack."""
+    h = xs @ W1T
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    z = h @ W2T
+    z += b2
+    # exp-safe formulation: sigmoid(z) = exp(-logaddexp(0, -z))
+    np.negative(z, out=z)
+    np.logaddexp(0.0, z, out=z)
+    np.negative(z, out=z)
+    return np.exp(z, out=out)
 
 
 def mlp_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
-    """sigmoid(relu(xs @ W1.T + b1) @ W2.T + b2), outputs in (0, 1), for one
-    input vector or a matrix of input rows."""
+    """One network's forward pass on one input vector or a matrix of input
+    rows; `act` gives each member of a batch these bytes."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim not in (1, 2) or xs.shape[-1] != params.n_inputs:
         raise ValueError(f"expected inputs of length {params.n_inputs}, got {xs.shape}")
-    h = np.maximum(xs @ params.W1.T + params.b1, 0.0)
-    return _sigmoid(h @ params.W2.T + params.b2)
+    return _forward(xs, params.W1.T, params.b1, params.W2.T, params.b2)
 
 
-def act(genome: ControllerGenome, world: SimWorld, env_step: int,
-        builder: ObservationBuilder) -> np.ndarray:
-    """Actions in (0, 1), one per actuator in `world.actuator_cells` order:
-    one forward pass on the inputs `builder` assembles from `world`'s state,
-    read at the builder's `pick`. The builder must be of the genome's kind
-    and built for `world`'s body."""
-    if genome.kind != builder.kind:
-        raise ValueError(f"a {genome.kind} controller cannot read a {builder.kind} "
-                         "observation builder")
-    return mlp_forward(genome.params, builder.inputs(world, env_step))[builder.pick]
+class ControllerBatch:
+    """The controllers of `builder`'s members, in member order, with their
+    weights stacked once per group of the builder (members of one kind and
+    one input row count): `W1` as `np.stack(W1s).transpose(0, 2, 1)`, so
+    each member's matrix keeps the memory layout of its own `W1.T`, `W2`
+    likewise, and the biases as `(k, 1, width)`, each group's beside the
+    builder's output stack that its forward pass fills. `kind` is the
+    members' one kind, None when the batch holds both."""
+
+    def __init__(self, controllers, builder: ObservationBuilder):
+        if len(controllers) != len(builder.kinds):
+            raise ValueError(f"{len(controllers)} controllers for a builder of "
+                             f"{len(builder.kinds)} worlds")
+        for genome, kind in zip(controllers, builder.kinds):
+            if genome.kind != kind:
+                raise ValueError(f"a {genome.kind} controller cannot read a {kind} "
+                                 "observation builder")
+            if genome.params.n_inputs != input_size(kind, builder.cfg):
+                raise ValueError(f"expected inputs of length {genome.params.n_inputs}, "
+                                 f"got {input_size(kind, builder.cfg)}")
+        self.kind = builder.kinds[0] if len(set(builder.kinds)) == 1 else None
+        self.builder = builder
+        self.layers = []  # each group's (W1T, b1, W2T, b2, output stack)
+        for (_, group), out in zip(builder.groups, builder.output_stacks):
+            W1, b1, W2, b2 = (np.stack([getattr(controllers[i].params, name) for i in group])
+                              for name in ("W1", "b1", "W2", "b2"))
+            self.layers.append((W1.transpose(0, 2, 1), b1[:, None], W2.transpose(0, 2, 1),
+                                b2[:, None], out))
+
+
+def act(controllers: ControllerGenome | ControllerBatch, world: SimWorld | JoinedWorld,
+        env_step: int, builder: ObservationBuilder) -> np.ndarray:
+    """Actions in (0, 1), one per actuator in `world.actuator_cells` order,
+    for `apply_actuation` on `world`: a world alone under one genome (a
+    batch of one), or a joined world's members under the `ControllerBatch`
+    stacked for `builder`. One refresh and gather of the inputs that
+    `builder` assembles from `world`'s state, then one stacked forward pass
+    per group into the builder's output stacks, never rows of several
+    members in one gemm, so each member gets the bytes of its own
+    `mlp_forward`; the actions are read from the builder's `output` at its
+    `pick`. The builder must be built for `world`'s bodies."""
+    if isinstance(controllers, ControllerGenome):
+        controllers = ControllerBatch((controllers,), builder)
+    elif controllers.builder is not builder:
+        raise ValueError("the controllers are stacked for another builder")
+    for xs, layers in zip(builder.stacked_inputs(world, env_step), controllers.layers):
+        _forward(xs, *layers)
+    return builder.output[builder.pick]
 
 
 def init_controller(kind: str, rng: np.random.Generator,

@@ -65,6 +65,12 @@ class Individual:
     fitness: float | None = None
 
 
+def _beats_parent(fitness: float, parent_fitness_at_birth: float | None) -> bool:
+    """A success: strictly fitter than the parent was at birth; an
+    individual without a parent is no success."""
+    return parent_fitness_at_birth is not None and fitness > parent_fitness_at_birth
+
+
 @dataclass(frozen=True)
 class OffspringRecord:
     """One `lineage.csv` row: a scored individual, and whether it beat its parent."""
@@ -78,6 +84,10 @@ class OffspringRecord:
     def __post_init__(self):
         if self.mutation_kind not in (KIND_BODY, KIND_BRAIN, KIND_FRESH):
             raise ValueError(f"unknown mutation_kind {self.mutation_kind!r}")
+        if self.success != _beats_parent(self.fitness, self.parent_fitness_at_birth):
+            raise ValueError(f"success {self.success} disagrees with fitness {self.fitness!r} "
+                             f"against parent_fitness_at_birth "
+                             f"{self.parent_fitness_at_birth!r}")
 
 
 @dataclass(frozen=True)
@@ -270,16 +280,14 @@ def score(individuals: list[Individual], cfg: RunConfig,
 
 
 def _record(ind: Individual) -> OffspringRecord:
-    """The lineage record of a scored individual; one without a parent is no
-    success."""
+    """The lineage record of a scored individual."""
     return OffspringRecord(
         id=ind.id,
         parent_id=ind.parent_id,
         mutation_kind=ind.mutation_kind,
         fitness=ind.fitness,
         parent_fitness_at_birth=ind.parent_fitness_at_birth,
-        success=(ind.parent_fitness_at_birth is not None
-                 and ind.fitness > ind.parent_fitness_at_birth),
+        success=_beats_parent(ind.fitness, ind.parent_fitness_at_birth),
     )
 
 

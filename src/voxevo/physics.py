@@ -141,17 +141,30 @@ class SimWorld:
         """Actuator cells in raster order: the order of every action array."""
         return [self.cells[v] for v in self.actuator_voxels]
 
+    @property
+    def members(self) -> tuple[SimWorld, ...]:
+        """A world alone is a batch of one (see `JoinedWorld.members`)."""
+        return (self,)
+
 
 class JoinedWorld:
-    """Worlds of one physics, stepped as one batch by `step_env`; a world
-    alone is a batch of one. Members of one body shape (equal `cells`, so
-    equal springs) are laid out side by side, shapes in order of first
-    appearance, and their masses and springs concatenated in that order.
+    """Worlds of one physics, stepped as one batch by `step_env` and actuated
+    as one by `apply_actuation`; a world alone is a batch of one. Members
+    of one body shape (equal `cells`, so equal springs) are laid out side
+    by side, shapes in order of first appearance: `members` holds the
+    worlds in that order and `order` the position of each among the worlds
+    given. Their masses, springs and voxels are concatenated in that order.
     The scatter keeps one block (incidence, mass rows, spring rows, member
     count k) per body shape, its incidence derived here from the shape's
-    first member. Each member's `pos`, `vel` and `rest` are rebound to row
-    views of the joined arrays, so actuation, observations and
-    `center_of_mass` work on it as alone.
+    first member. Each member's `pos`, `vel`, `rest` and `scale` are
+    rebound to views of the joined arrays, so stepping, actuation,
+    observations and `center_of_mass` work on it as alone.
+
+    The actuation state is joined as the state is: one flat `scale` of the
+    members' scale arrays, with `actuator_slots` and `rest_scales` offset
+    into it and `rest_count` concatenated, so one action array, in the
+    members' `actuator_cells` order, actuates every member. `corner_map` is
+    offset into the joined masses, for one observation refresh of all.
 
     The integration constants are derived here from the members' masses:
     the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
@@ -162,10 +175,11 @@ class JoinedWorld:
         if any(w.physics != first.physics for w in worlds):
             raise ValueError("joined worlds must share their physics")
         self.physics = first.physics
-        shapes: dict[tuple, list[SimWorld]] = {}
-        for w in worlds:
-            shapes.setdefault(tuple(w.cells), []).append(w)
-        members = [w for shape in shapes.values() for w in shape]
+        shapes: dict[tuple, list[int]] = {}
+        for i, w in enumerate(worlds):
+            shapes.setdefault(tuple(w.cells), []).append(i)
+        self.order = tuple(i for shape in shapes.values() for i in shape)
+        self.members = members = tuple(worlds[i] for i in self.order)
         for name in ("pos", "vel", "rest", "stiffness", "damping", "mass"):
             setattr(self, name, np.concatenate([getattr(w, name) for w in members]))
         self.weight = self.mass * self.physics.gravity
@@ -173,15 +187,32 @@ class JoinedWorld:
         self.mass_list = self.mass.tolist()
         masses = np.cumsum([0] + [w.n_masses for w in members]).tolist()
         springs = np.cumsum([0] + [w.n_springs for w in members]).tolist()
+        scales = np.cumsum([0] + [w.scale.size for w in members]).tolist()
         self.n_springs = springs[-1]
         self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(members, masses)])
         self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(members, masses)])
-        for w, m0, m1, s0, s1 in zip(members, masses, masses[1:], springs, springs[1:]):
+        self.corner_map = np.concatenate([w.corner_map + m for w, m in zip(members, masses)])
+        self.scale = np.concatenate([w.scale.reshape(-1) for w in members])
+        self.actuator_slots = np.concatenate(
+            [w.actuator_slots + c for w, c in zip(members, scales)])
+        self.rest_scales = np.concatenate(
+            [w.rest_scales + c for w, c in zip(members, scales)], axis=2)
+        self.rest_count = np.concatenate([w.rest_count for w in members], axis=1)
+        for w, m0, m1, s0, s1, c0, c1 in zip(members, masses, masses[1:], springs,
+                                             springs[1:], scales, scales[1:]):
             w.pos, w.vel, w.rest = self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1]
+            w.scale = self.scale[c0:c1].reshape(w.scale.shape)
         starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
         self.blocks = tuple(
-            (_incidence(shape[0]), slice(masses[i], masses[j]), slice(springs[i], springs[j]),
-             j - i) for shape, i, j in zip(shapes.values(), starts, starts[1:]))
+            (_incidence(worlds[shape[0]]), slice(masses[i], masses[j]),
+             slice(springs[i], springs[j]), j - i)
+            for shape, i, j in zip(shapes.values(), starts, starts[1:]))
+
+    @property
+    def actuator_cells(self) -> list[tuple[int, int]]:
+        """The members' actuator cells in member order: the order of the
+        joined action array."""
+        return [cell for w in self.members for cell in w.actuator_cells]
 
     @property
     def substeps_per_env_step(self) -> int:  # the bench counts spring substeps
@@ -313,7 +344,7 @@ def build_world(genome: Morphology, cfg: PhysicsConfig) -> SimWorld:
     return world
 
 
-def _set_rest(world: SimWorld) -> None:
+def _set_rest(world: SimWorld | JoinedWorld) -> None:
     """Rest lengths from the current scales, in place: hypot of the mean x
     and the mean y extent, in voxel edges (VOXEL_EDGE is the unit length).
     An edge's other axis sums padding to +0.0, and hypot(x, 0.0) is |x|."""
@@ -323,9 +354,10 @@ def _set_rest(world: SimWorld) -> None:
     np.hypot(extent[0], extent[1], out=world.rest)
 
 
-def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
+def apply_actuation(world: SimWorld | JoinedWorld, actions: np.ndarray) -> None:
     """Set spring rest lengths from actions in [0, 1], one per actuator in
-    `world.actuator_cells` order.
+    `world.actuator_cells` order: a world's own, or a joined world's, which
+    sets every member's in one scatter and one `_set_rest`.
 
     Action a maps linearly onto scale s in [actuation_min, actuation_max].
     Horizontal actuators scale their horizontal edges, vertical actuators
@@ -334,9 +366,9 @@ def apply_actuation(world: SimWorld, actions: np.ndarray) -> None:
     per-axis extents.
     """
     actions = np.asarray(actions, dtype=np.float64)
-    if actions.shape != world.actuator_voxels.shape:
+    if actions.shape != world.actuator_slots.shape:
         raise ValueError(
-            f"expected {world.actuator_voxels.size} actions, got shape {actions.shape}")
+            f"expected {world.actuator_slots.size} actions, got shape {actions.shape}")
     if not ((actions >= 0.0) & (actions <= 1.0)).all():
         raise ValueError(f"actions outside [0, 1]: {actions}")
     lo, hi = world.physics.actuation_min, world.physics.actuation_max

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphology import EMPTY, GRID_SIZE, N_MATERIALS
-from .physics import SimWorld, check_fields
+from .physics import JoinedWorld, SimWorld, check_fields
 
 GLOBAL_KIND = "global"
 MODULAR_KIND = "modular"
@@ -83,26 +83,43 @@ def _windows(lookup: np.ndarray, centres, d: int, pad: int) -> np.ndarray:
 
 
 class ObservationBuilder:
-    """Precomputed observation assembly for one body and one controller kind.
+    """Precomputed observation assembly for the members of a world (a
+    `SimWorld` alone is a batch of one, a `JoinedWorld` holds its
+    `members`), one controller kind per member.
 
     Static structure (which voxel feeds which input slot) is fixed at
-    construction from the body of `world`; the builder keeps no world, and
-    per-step feature blocks are recomputed from the state of the world each
-    call is handed, any world of that body. Row `n_voxels` of the feature
-    matrix is the missing-voxel block, so unoccupied slots index the padding
-    row. `pick` reads the actions, in `world.actuator_cells` order, from the
-    forward pass on `inputs`.
+    construction from the bodies of `world`; the builder keeps no world,
+    and per-step feature blocks are recomputed from the state of the world
+    each call is handed, any world of those bodies in that order. One
+    feature matrix holds every member's voxels in member order; its last
+    row is the missing-voxel block, so unoccupied slots index that row.
+
+    Members of equal kind and input rows (one for the global kind, one per
+    actuator for the modular) form a group, groups in order of first
+    appearance: `groups` holds each group's `(kind, member indices)`,
+    `stacked_inputs` one `(k, rows, width)` input stack per group, and
+    `output_stacks` each group's `(k, rows, outputs)` forward-pass output,
+    views of one flat `output` in group order. `pick` reads the actions
+    from `output`, in `world.actuator_cells` order.
     """
 
-    def __init__(self, world: SimWorld, kind: str, cfg: ObservationConfig | None = None):
-        if kind not in KINDS:
-            raise ValueError(f"unknown controller kind {kind!r}")
-        self.kind = kind
+    def __init__(self, world: SimWorld | JoinedWorld, kinds: str | tuple[str, ...],
+                 cfg: ObservationConfig | None = None):
+        members = world.members
+        if isinstance(kinds, str):
+            kinds = (kinds,) * len(members)
+        for kind in kinds:
+            if kind not in KINDS:
+                raise ValueError(f"unknown controller kind {kind!r}")
+        if len(kinds) != len(members):
+            raise ValueError(f"{len(kinds)} controller kinds for {len(members)} worlds")
+        self.kinds = tuple(kinds)
         self.cfg = cfg or ObservationConfig()
-        n = len(world.cells)
+        voxels = np.cumsum([0] + [len(w.cells) for w in members]).tolist()
+        n = voxels[-1]
         self._features = np.tile(MISSING_BLOCK, (n + 1, 1))
         onehot = np.zeros((n, N_MATERIALS))
-        onehot[np.arange(n), world.materials.astype(int)] = 1.0
+        onehot[np.arange(n), np.concatenate([w.materials for w in members]).astype(int)] = 1.0
         self._features[:n, 3:] = onehot
         self._velocity = self._features[:n, 0:2]
         self._area = self._features[:n, 2]
@@ -110,27 +127,45 @@ class ObservationBuilder:
         self._ring = world.corner_map[:, [0, 1, 3, 2]]
         self._ring_next = self._ring[:, [1, 2, 3, 0]]
 
-        lookup = np.full((GRID_SIZE, GRID_SIZE), n, dtype=np.int64)
-        for i, (r, c) in enumerate(world.cells):
-            lookup[r, c] = i
-        act_cells = world.actuator_cells
-        if kind == GLOBAL_KIND:
-            # one unstacked window over the whole grid; the network emits one
-            # output per cell, read at each actuator's raster index
-            centre = GRID_SIZE // 2
-            self._slots = _windows(lookup, [(centre, centre)], centre, n)[0]
-            self.pick = np.array([r * GRID_SIZE + c for r, c in act_cells], dtype=np.int64)
-        else:
-            # one window per actuator, in action order; one output per row
-            self._slots = _windows(lookup, act_cells, self.cfg.neighborhood_distance, n)
-            self.pick = (slice(None), 0)
-        # the controller input, refilled in place: blocks, then the time signal
-        self._input = np.empty(self._slots.shape[:-1]
-                               + (self._slots.shape[-1] * BLOCK_SIZE + 1,))
-        self._blocks = self._input[..., :-1].reshape(*self._slots.shape, BLOCK_SIZE)
-        self._time = self._input[..., -1]
+        windows, groups = [], {}
+        for i, (w, kind, first) in enumerate(zip(members, kinds, voxels)):
+            lookup = np.full((GRID_SIZE, GRID_SIZE), n, dtype=np.int64)
+            for v, (r, c) in enumerate(w.cells):
+                lookup[r, c] = first + v
+            if kind == GLOBAL_KIND:
+                # one window over the whole grid
+                centre = GRID_SIZE // 2
+                windows.append(_windows(lookup, [(centre, centre)], centre, n))
+            else:
+                # one window per actuator, in action order
+                windows.append(_windows(lookup, w.actuator_cells,
+                                        self.cfg.neighborhood_distance, n))
+            groups.setdefault((kind, len(windows[-1])), []).append(i)
+        self.groups = tuple((kind, tuple(group)) for (kind, _), group in groups.items())
+        slots = [np.stack([windows[i] for i in group]) for _, group in self.groups]
+        # the controller inputs, refilled in place: blocks, then the time signal
+        self._inputs = [np.empty(s.shape[:-1] + (s.shape[-1] * BLOCK_SIZE + 1,)) for s in slots]
+        self._gathers = [(s, x[..., :-1].reshape(*s.shape, BLOCK_SIZE), x[..., -1])
+                         for x, s in zip(self._inputs, slots)]
 
-    def refresh(self, world: SimWorld) -> None:
+        # the forward pass fills one (k, rows, outputs) stack per group, a view
+        # of the one flat `output` that `pick` reads: the global network emits
+        # one output per grid cell, read at each actuator's raster index, the
+        # modular one output per row
+        sizes = [GRID_SIZE * GRID_SIZE if kind == GLOBAL_KIND else 1 for kind, _ in self.groups]
+        ends = np.cumsum([0] + [s.shape[0] * s.shape[1] * m for s, m in zip(slots, sizes)])
+        self.output, positions = np.empty(ends[-1]), np.arange(ends[-1])
+        self.output_stacks, picks = [], [None] * len(members)
+        for (kind, group), s, m, a, b in zip(self.groups, slots, sizes, ends, ends[1:]):
+            self.output_stacks.append(self.output[a:b].reshape(*s.shape[:2], m))
+            at = positions[a:b].reshape(*s.shape[:2], m)
+            for j, i in enumerate(group):
+                cells = members[i].actuator_cells
+                picks[i] = (at[j, 0, [r * GRID_SIZE + c for r, c in cells]]
+                            if kind == GLOBAL_KIND else at[j, :, 0])
+        self.pick = np.concatenate(picks)
+
+    def refresh(self, world: SimWorld | JoinedWorld) -> None:
         """Recompute the dynamic features (velocity, volume) from `world`'s state."""
         vel = np.add.reduce(world.vel[world.corner_map], axis=1)
         vel /= 4.0  # what .mean(axis=1) computes
@@ -139,12 +174,23 @@ class ObservationBuilder:
         np.minimum(vel, clamp, out=self._velocity)
         self._area[:] = _quad_areas(world.pos[:, 0], world.pos[:, 1], self._ring, self._ring_next)
 
-    def inputs(self, world: SimWorld, env_step: int) -> np.ndarray:
-        """The controller input of `world` at `env_step`: shape (global_size,)
-        for the global kind, (n_act, local_size) for the modular one. The
-        result is the builder's own buffer, overwritten by the next call."""
+    def stacked_inputs(self, world: SimWorld | JoinedWorld, env_step: int) -> list[np.ndarray]:
+        """The controller inputs of `world`'s members at `env_step`, one
+        `(k, rows, width)` stack per group. The stacks are the builder's
+        own buffers, overwritten by the next call."""
         self.refresh(world)
-        # slots are in range by construction; mode='raise' would buffer the gather
-        np.take(self._features, self._slots, axis=0, mode="clip", out=self._blocks)
-        self._time[...] = time_signal(env_step, self.cfg.time_period)
-        return self._input
+        phase = time_signal(env_step, self.cfg.time_period)
+        for slots, blocks, time in self._gathers:
+            # slots are in range by construction; mode='raise' would buffer the gather
+            np.take(self._features, slots, axis=0, mode="clip", out=blocks)
+            time[...] = phase
+        return self._inputs
+
+    def inputs(self, world: SimWorld, env_step: int) -> np.ndarray:
+        """The controller input of a builder of one world at `env_step`:
+        shape (global_size,) for the global kind, (n_act, local_size) for
+        the modular one; a view of the builder's own buffer."""
+        if len(self.kinds) != 1:
+            raise ValueError(f"inputs reads a builder of one world, not {len(self.kinds)}")
+        (stack,) = self.stacked_inputs(world, env_step)
+        return stack[0, 0] if self.kinds[0] == GLOBAL_KIND else stack[0]

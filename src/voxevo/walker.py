@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControllerGenome, act
+from .control import ControllerBatch, ControllerGenome, act
 from .morphology import Morphology
 from .physics import (
     PhysicsConfig,
@@ -98,14 +98,16 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
                  record: bool = False) -> tuple[EpisodeResult, ...]:
     """One episode per body, body i under `controllers[i]` (the bodies may
     come from several jobs), the worlds joined and stepped in lockstep; each
-    result is the body's `run_episode` result. A body that diverges or
-    crosses the terrain end leaves the batch at that step, and the bodies
-    still running are joined again without it.
+    result is the body's `run_episode` result. Each action step is one
+    `act` and one `apply_actuation` on the joined world: one observation
+    refresh, one stacked forward pass per group of members and one
+    actuation for the whole batch. A body that diverges or crosses the
+    terrain end leaves the batch at that step, and the bodies still running
+    are joined again without it, with a new builder and controller batch.
     """
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
     worlds = [build_world(body, physics_cfg) for body in bodies]
-    builders = [ObservationBuilder(w, c.kind, obs_cfg) for w, c in zip(worlds, controllers)]
     start_x = [float(center_of_mass(w)[0]) for w in worlds]
     frames = [[] if record else None for _ in worlds]
     results: list[EpisodeResult | None] = [None] * len(worlds)
@@ -117,14 +119,22 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
         results[i] = EpisodeResult(fitness, delta_px, reached_end, steps_used, diverged,
                                    trajectory=frames[i])
 
+    def join(live: list[int]):
+        """The joined world of the bodies `live`, its observation builder
+        and its controllers stacked in its member order."""
+        joined = join_worlds(worlds[i] for i in live)
+        members = [controllers[live[j]] for j in joined.order]
+        builder = ObservationBuilder(joined, tuple(c.kind for c in members), obs_cfg)
+        return joined, builder, ControllerBatch(members, builder)
+
     near_end = episode_cfg.terrain_end_x * (1.0 - 1e-9)  # <= 0: every step checks
     live = list(range(len(worlds)))
-    joined = join_worlds(worlds)
+    joined, builder, batch = join(live)
     for step in range(episode_cfg.max_steps):
-        for i in live:
-            if step % episode_cfg.action_repeat == 0:
-                apply_actuation(worlds[i], act(controllers[i], worlds[i], step, builders[i]))
-            if record:
+        if step % episode_cfg.action_repeat == 0:
+            apply_actuation(joined, act(batch, joined, step, builder))
+        if record:
+            for i in live:
                 frames[i].append(worlds[i].pos.copy())
         try:
             step_env(joined)
@@ -145,7 +155,7 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
             live = [i for i in live if results[i] is None]
             if not live:
                 break
-            joined = join_worlds(worlds[i] for i in live)
+            joined, builder, batch = join(live)
     for i in live:
         finish(i, episode_cfg.max_steps, False)
     return tuple(results)

@@ -646,10 +646,21 @@ class TestReport:
         ("generations.csv", "mean_fitness", "zz", "could not convert string to float: 'zz'"),
         ("generations.csv", "n_body_success", "one",
          "invalid literal for int() with base 10: 'one'"),
+        # an int that `int` reads but `str` does not write back was read as
+        # written: generation 2_0 was generation 20, with exit 0
+        *(("generations.csv", "generation", value, f"not an integer as written: {value!r}")
+          for value in ("2_0", " 2", "+2", "02")),
+        ("lineage.csv", "id", "+3", "not an integer as written: '+3'"),
+        # and the generations were never checked to be numbered 1, 2, ...
+        ("generations.csv", "generation", "3", "generation 3, expected 2"),
+        ("generations.csv", "generation", "1", "generation 1, expected 2"),
     ], ids=["bad_best_fitness", "bad_fitness", "dropped_column",
             *(f"{column}_{value}" for column in ("best_fitness", "fitness")
               for value in ("nan", "inf", "-inf")),
-            "bad_success", "bad_mutation_kind", "bad_mean_fitness", "bad_n_body_success"])
+            "bad_success", "bad_mutation_kind", "bad_mean_fitness", "bad_n_body_success",
+            "underscored_generation", "spaced_generation", "signed_generation",
+            "zero_padded_generation", "signed_id", "skipped_generation",
+            "repeated_generation"])
     def test_malformed_artifact_is_refused_with_file_and_line(
             self, trained_run, capsys, name, column, value, expected):
         _, run_dir = trained_run
@@ -667,6 +678,28 @@ class TestReport:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: {path}: line {2 if value is None else 3}: {expected}"]
+        assert not os.path.exists(os.path.join(run_dir, "report.csv"))
+
+
+    # a success that disagrees with the row's fitness against its parent's
+    # was counted as written
+    def test_flipped_success_is_refused_with_file_and_line(self, trained_run, capsys):
+        _, run_dir = trained_run
+        path = os.path.join(run_dir, "lineage.csv")
+        rows = read_rows(path)
+        header, row = rows[0], rows[2]
+        at = header.index("success")
+        row[at] = "0" if row[at] == "1" else "1"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["report", run_dir]) == 2
+        captured = capsys.readouterr()
+        fitness, parent = (row[header.index(name)]
+                           for name in ("fitness", "parent_fitness_at_birth"))
+        assert captured.err.splitlines() == [
+            f"error: {path}: line 3: success {row[at] == '1'} disagrees with fitness "
+            f"{float(fitness)!r} against parent_fitness_at_birth "
+            f"{float(parent) if parent else None!r}"]
         assert not os.path.exists(os.path.join(run_dir, "report.csv"))
 
 

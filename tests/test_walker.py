@@ -4,6 +4,7 @@ import pytest
 
 import voxevo.walker
 from voxevo.control import GLOBAL_KIND, MODULAR_KIND, MlpParams, ControllerGenome, init_controller
+from voxevo.morphology import Morphology
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass
 from voxevo.walker import (
     EpisodeConfig,
@@ -144,18 +145,22 @@ class TestRunEpisode:
         assert result.delta_px is None
         assert 1 <= result.steps_used <= fast_episode.max_steps
 
+    # one query per action step for the whole batch: the joined world of
+    # every member, under controllers of both kinds
     def test_controller_queried_every_repeat_steps(self, small_body, monkeypatch):
         calls = []
         real_act = voxevo.walker.act
 
-        def counting_act(genome, world, env_step, builder):
-            calls.append(env_step)
-            return real_act(genome, world, env_step, builder)
+        def counting_act(controllers, world, env_step, builder):
+            calls.append((env_step, len(world.members), controllers.kind))
+            return real_act(controllers, world, env_step, builder)
 
         monkeypatch.setattr(voxevo.walker, "act", counting_act)
         cfg = EpisodeConfig(max_steps=10, action_repeat=4)
-        run_episode(small_body, init_controller(MODULAR_KIND, np.random.default_rng(3)), cfg)
-        assert calls == [0, 4, 8]
+        controllers = [init_controller(kind, np.random.default_rng(3))
+                       for kind in (MODULAR_KIND, GLOBAL_KIND)]
+        run_episodes((small_body,) * 2, controllers, cfg)
+        assert calls == [(0, 2, None), (4, 2, None), (8, 2, None)]
 
     def test_recording(self, small_body, fast_episode):
         controller = init_controller(GLOBAL_KIND, np.random.default_rng(4))
@@ -193,6 +198,51 @@ class TestRunEpisode:
         controller = init_controller(MODULAR_KIND, np.random.default_rng(7))
         assert evaluate_fitness(small_body, controller, fast_episode) == \
             run_episode(small_body, controller, fast_episode).fitness
+
+
+def batch_body(rows):
+    """A body from its grid rows {row: materials from column 0}."""
+    grid = np.zeros((5, 5), dtype=np.int8)
+    for r, materials in rows.items():
+        grid[r, :len(materials)] = materials
+    return Morphology(grid)
+
+
+class TestBatchedEpisodes:
+    # each member of a batch gets the bytes of its episode alone, results and
+    # recorded frames, whatever shares the batch: both controller kinds (so
+    # several forward-pass groups), modular bodies of 1, 2 and 3 actuators,
+    # repeated body shapes, and a member that diverges and one that reaches
+    # the terrain end, each making the batch join again, in either order
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_members_have_the_bytes_of_their_episodes_alone(self, small_body, reverse):
+        soft = batch_body({3: [3, 2, 4], 4: [2, 2, 2]})
+        one = batch_body({3: [3], 4: [2, 2]})
+        three = batch_body({3: [3, 4, 3], 4: [2, 2, 2]})
+        narrow = batch_body({3: [3], 4: [4]})
+        wide = batch_body({4: [2, 3, 2, 4, 2]})  # starts with its centre of mass at 2.5
+        # small_body diverges under this rigid stiffness; no other body has
+        # a rigid voxel
+        physics = PhysicsConfig(rigid_stiffness=6e7)
+        episode = EpisodeConfig(max_steps=60, terrain_end_x=2.0)
+        members = [(small_body, MODULAR_KIND), (wide, GLOBAL_KIND), (soft, MODULAR_KIND),
+                   (one, MODULAR_KIND), (soft, GLOBAL_KIND), (three, MODULAR_KIND),
+                   (narrow, GLOBAL_KIND), (soft, MODULAR_KIND), (one, GLOBAL_KIND)]
+        bodies = [body for body, _ in members]
+        controllers = [init_controller(kind, np.random.default_rng([50, i]))
+                       for i, (_, kind) in enumerate(members)]
+        alone = [run_episode(body, controller, episode, physics, record=True)
+                 for body, controller in zip(bodies, controllers)]
+        assert [(r.diverged, r.reached_end, r.steps_used) for r in alone[:2]] == [
+            (True, False, 8), (False, True, 1)]
+        assert all(not (r.diverged or r.reached_end) for r in alone[2:])
+        order = list(range(len(members)))[::-1 if reverse else 1]
+        batch = run_episodes(tuple(bodies[i] for i in order),
+                             tuple(controllers[i] for i in order), episode, physics, record=True)
+        for i, result in zip(order, batch):
+            assert result == alone[i], i
+            assert [f.tobytes() for f in result.trajectory] == [
+                f.tobytes() for f in alone[i].trajectory], i
 
 
 class TestResultType:
