@@ -333,8 +333,12 @@ def _summarize_run(run_dir: str) -> RunSummary:
     champion = load_individual(os.path.join(run_dir, CHAMPION_CKPT))
     if champion.fitness is None:
         raise ReportIntegrityError(f"{run_dir}: {CHAMPION_CKPT} has no fitness")
-    lineage = {r.id: r for r in _read_records(os.path.join(run_dir, LINEAGE_CSV),
-                                              OffspringRecord)}
+    lineage_csv = os.path.join(run_dir, LINEAGE_CSV)
+    lineage = {}
+    for line, record in enumerate(_read_records(lineage_csv, OffspringRecord), start=2):
+        if record.id in lineage:  # row n is line n + 1: no field spans lines
+            raise ReportIntegrityError(f"{lineage_csv}: line {line}: repeated id {record.id}")
+        lineage[record.id] = record
     accounting = accounting_from_lineage(lineage, champion.id)
     return RunSummary(
         os.path.basename(run_dir) or run_dir, champion.fitness,

@@ -9,12 +9,13 @@ action. Both are one-hidden-layer MLPs: 32 ReLU units, sigmoid outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .morphology import GRID_SIZE
-from .physics import JoinedWorld, SimWorld
+from .physics import JoinedWorld
 from .sensing import GLOBAL_KIND, KINDS, MODULAR_KIND, ObservationBuilder, ObservationConfig
 
 HIDDEN_UNITS = 32
@@ -136,63 +137,62 @@ def _forward(xs: np.ndarray, W1T: np.ndarray, b1: np.ndarray, W2T: np.ndarray,
     return np.exp(z, out=out)
 
 
-def mlp_forward(params: MlpParams, xs: np.ndarray) -> np.ndarray:
-    """One network's forward pass on one input vector or a matrix of input
-    rows; `act` gives each member of a batch these bytes."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim not in (1, 2) or xs.shape[-1] != params.n_inputs:
-        raise ValueError(f"expected inputs of length {params.n_inputs}, got {xs.shape}")
-    return _forward(xs, params.W1.T, params.b1, params.W2.T, params.b2)
-
-
 class ControllerBatch:
-    """The controllers of `builder`'s members, in member order, with their
-    weights stacked once per group of the builder (members of one kind and
-    one input row count): `W1` as `np.stack(W1s).transpose(0, 2, 1)`, so
-    each member's matrix keeps the memory layout of its own `W1.T`, `W2`
-    likewise, and the biases as `(k, 1, width)`, each group's beside the
-    builder's output stack that its forward pass fills. `kind` is the
-    members' one kind, None when the batch holds both."""
+    """The controllers of `world`'s members, in member order, and the
+    `ObservationBuilder` of `world` that they read; `kind` is the members'
+    one kind, None when the batch holds both.
 
-    def __init__(self, controllers, builder: ObservationBuilder):
-        if len(controllers) != len(builder.kinds):
-            raise ValueError(f"{len(controllers)} controllers for a builder of "
-                             f"{len(builder.kinds)} worlds")
-        for genome, kind in zip(controllers, builder.kinds):
-            if genome.kind != kind:
-                raise ValueError(f"a {genome.kind} controller cannot read a {kind} "
-                                 "observation builder")
-            if genome.params.n_inputs != input_size(kind, builder.cfg):
+    The controller output layout lives here. Per group of the builder
+    (members of one kind and one input row count) the weights are stacked
+    once: `W1` as `np.stack(W1s).transpose(0, 2, 1)`, so each member's
+    matrix keeps the memory layout of its own `W1.T`, `W2` likewise, and
+    the biases as `(k, 1, width)`, each group's beside its `(k, rows,
+    outputs)` output stack, a view of one flat `output` in group order.
+    `pick` reads the actions from `output`, in `world.actuator_cells`
+    order: the global network emits one output per grid cell, read at each
+    actuator's raster index, the modular one output per row."""
+
+    def __init__(self, controllers, world: JoinedWorld,
+                 obs_cfg: ObservationConfig | None = None):
+        members = world.members
+        if len(controllers) != len(members):
+            raise ValueError(f"{len(controllers)} controllers for {len(members)} worlds")
+        kinds = tuple(genome.kind for genome in controllers)
+        self.builder = builder = ObservationBuilder(world, kinds, obs_cfg)
+        for genome in controllers:
+            if genome.params.n_inputs != input_size(genome.kind, builder.cfg):
                 raise ValueError(f"expected inputs of length {genome.params.n_inputs}, "
-                                 f"got {input_size(kind, builder.cfg)}")
-        self.kind = builder.kinds[0] if len(set(builder.kinds)) == 1 else None
-        self.builder = builder
+                                 f"got {input_size(genome.kind, builder.cfg)}")
+        self.kind = kinds[0] if len(set(kinds)) == 1 else None
+        shapes = [(len(group), rows, output_size(kind)) for kind, rows, group in builder.groups]
+        ends = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        self.output, positions = np.empty(ends[-1]), np.arange(ends[-1])
         self.layers = []  # each group's (W1T, b1, W2T, b2, output stack)
-        for (_, group), out in zip(builder.groups, builder.output_stacks):
+        picks = [None] * len(members)
+        for (kind, _, group), shape, a, b in zip(builder.groups, shapes, ends, ends[1:]):
+            at = positions[a:b].reshape(shape)
+            for j, i in enumerate(group):
+                cells = members[i].actuator_cells
+                picks[i] = (at[j, 0, [r * GRID_SIZE + c for r, c in cells]]
+                            if kind == GLOBAL_KIND else at[j, :, 0])
             W1, b1, W2, b2 = (np.stack([getattr(controllers[i].params, name) for i in group])
                               for name in ("W1", "b1", "W2", "b2"))
             self.layers.append((W1.transpose(0, 2, 1), b1[:, None], W2.transpose(0, 2, 1),
-                                b2[:, None], out))
+                                b2[:, None], self.output[a:b].reshape(shape)))
+        self.pick = np.concatenate(picks)
 
 
-def act(controllers: ControllerGenome | ControllerBatch, world: SimWorld | JoinedWorld,
-        env_step: int, builder: ObservationBuilder) -> np.ndarray:
+def act(batch: ControllerBatch, world: JoinedWorld, env_step: int) -> np.ndarray:
     """Actions in (0, 1), one per actuator in `world.actuator_cells` order,
-    for `apply_actuation` on `world`: a world alone under one genome (a
-    batch of one), or a joined world's members under the `ControllerBatch`
-    stacked for `builder`. One refresh and gather of the inputs that
-    `builder` assembles from `world`'s state, then one stacked forward pass
-    per group into the builder's output stacks, never rows of several
-    members in one gemm, so each member gets the bytes of its own
-    `mlp_forward`; the actions are read from the builder's `output` at its
-    `pick`. The builder must be built for `world`'s bodies."""
-    if isinstance(controllers, ControllerGenome):
-        controllers = ControllerBatch((controllers,), builder)
-    elif controllers.builder is not builder:
-        raise ValueError("the controllers are stacked for another builder")
-    for xs, layers in zip(builder.stacked_inputs(world, env_step), controllers.layers):
+    for `apply_actuation` on `world`, a joined world of the bodies `batch`
+    was built for. One refresh and gather of the inputs that the batch's
+    builder assembles from `world`'s state, then one stacked forward pass
+    per group into the batch's output stacks, never rows of several members
+    in one gemm, so each member gets the bytes of its own network alone;
+    the actions are read from `output` at `pick`."""
+    for xs, layers in zip(batch.builder.stacked_inputs(world, env_step), batch.layers):
         _forward(xs, *layers)
-    return builder.output[builder.pick]
+    return batch.output[batch.pick]
 
 
 def init_controller(kind: str, rng: np.random.Generator,

@@ -84,6 +84,9 @@ class OffspringRecord:
     def __post_init__(self):
         if self.mutation_kind not in (KIND_BODY, KIND_BRAIN, KIND_FRESH):
             raise ValueError(f"unknown mutation_kind {self.mutation_kind!r}")
+        if (self.parent_id is None) != (self.mutation_kind == KIND_FRESH):
+            parent = "no parent_id" if self.parent_id is None else f"parent_id {self.parent_id}"
+            raise ValueError(f"a {self.mutation_kind} record with {parent}")
         if self.success != _beats_parent(self.fitness, self.parent_fitness_at_birth):
             raise ValueError(f"success {self.success} disagrees with fitness {self.fitness!r} "
                              f"against parent_fitness_at_birth "

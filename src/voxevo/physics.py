@@ -141,11 +141,6 @@ class SimWorld:
         """Actuator cells in raster order: the order of every action array."""
         return [self.cells[v] for v in self.actuator_voxels]
 
-    @property
-    def members(self) -> tuple[SimWorld, ...]:
-        """A world alone is a batch of one (see `JoinedWorld.members`)."""
-        return (self,)
-
 
 class JoinedWorld:
     """Worlds of one physics, stepped as one batch by `step_env` and actuated

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphology import EMPTY, GRID_SIZE, N_MATERIALS
-from .physics import JoinedWorld, SimWorld, check_fields
+from .physics import JoinedWorld, check_fields
 
 GLOBAL_KIND = "global"
 MODULAR_KIND = "modular"
@@ -83,37 +83,26 @@ def _windows(lookup: np.ndarray, centres, d: int, pad: int) -> np.ndarray:
 
 
 class ObservationBuilder:
-    """Precomputed observation assembly for the members of a world (a
-    `SimWorld` alone is a batch of one, a `JoinedWorld` holds its
-    `members`), one controller kind per member.
+    """Precomputed observation assembly for the members of a joined world,
+    one controller kind per member; `ControllerBatch` builds it, from its
+    controllers' kinds.
 
     Static structure (which voxel feeds which input slot) is fixed at
     construction from the bodies of `world`; the builder keeps no world,
     and per-step feature blocks are recomputed from the state of the world
-    each call is handed, any world of those bodies in that order. One
-    feature matrix holds every member's voxels in member order; its last
-    row is the missing-voxel block, so unoccupied slots index that row.
+    each call is handed, any joined world of those bodies in that order.
+    One feature matrix holds every member's voxels in member order; its
+    last row is the missing-voxel block, so unoccupied slots index that row.
 
     Members of equal kind and input rows (one for the global kind, one per
     actuator for the modular) form a group, groups in order of first
-    appearance: `groups` holds each group's `(kind, member indices)`,
-    `stacked_inputs` one `(k, rows, width)` input stack per group, and
-    `output_stacks` each group's `(k, rows, outputs)` forward-pass output,
-    views of one flat `output` in group order. `pick` reads the actions
-    from `output`, in `world.actuator_cells` order.
+    appearance: `groups` holds each group's `(kind, rows, member indices)`
+    and `stacked_inputs` one `(k, rows, width)` input stack per group.
     """
 
-    def __init__(self, world: SimWorld | JoinedWorld, kinds: str | tuple[str, ...],
+    def __init__(self, world: JoinedWorld, kinds: tuple[str, ...],
                  cfg: ObservationConfig | None = None):
         members = world.members
-        if isinstance(kinds, str):
-            kinds = (kinds,) * len(members)
-        for kind in kinds:
-            if kind not in KINDS:
-                raise ValueError(f"unknown controller kind {kind!r}")
-        if len(kinds) != len(members):
-            raise ValueError(f"{len(kinds)} controller kinds for {len(members)} worlds")
-        self.kinds = tuple(kinds)
         self.cfg = cfg or ObservationConfig()
         voxels = np.cumsum([0] + [len(w.cells) for w in members]).tolist()
         n = voxels[-1]
@@ -141,31 +130,14 @@ class ObservationBuilder:
                 windows.append(_windows(lookup, w.actuator_cells,
                                         self.cfg.neighborhood_distance, n))
             groups.setdefault((kind, len(windows[-1])), []).append(i)
-        self.groups = tuple((kind, tuple(group)) for (kind, _), group in groups.items())
-        slots = [np.stack([windows[i] for i in group]) for _, group in self.groups]
+        self.groups = tuple((kind, rows, tuple(group)) for (kind, rows), group in groups.items())
+        slots = [np.stack([windows[i] for i in group]) for _, _, group in self.groups]
         # the controller inputs, refilled in place: blocks, then the time signal
         self._inputs = [np.empty(s.shape[:-1] + (s.shape[-1] * BLOCK_SIZE + 1,)) for s in slots]
         self._gathers = [(s, x[..., :-1].reshape(*s.shape, BLOCK_SIZE), x[..., -1])
                          for x, s in zip(self._inputs, slots)]
 
-        # the forward pass fills one (k, rows, outputs) stack per group, a view
-        # of the one flat `output` that `pick` reads: the global network emits
-        # one output per grid cell, read at each actuator's raster index, the
-        # modular one output per row
-        sizes = [GRID_SIZE * GRID_SIZE if kind == GLOBAL_KIND else 1 for kind, _ in self.groups]
-        ends = np.cumsum([0] + [s.shape[0] * s.shape[1] * m for s, m in zip(slots, sizes)])
-        self.output, positions = np.empty(ends[-1]), np.arange(ends[-1])
-        self.output_stacks, picks = [], [None] * len(members)
-        for (kind, group), s, m, a, b in zip(self.groups, slots, sizes, ends, ends[1:]):
-            self.output_stacks.append(self.output[a:b].reshape(*s.shape[:2], m))
-            at = positions[a:b].reshape(*s.shape[:2], m)
-            for j, i in enumerate(group):
-                cells = members[i].actuator_cells
-                picks[i] = (at[j, 0, [r * GRID_SIZE + c for r, c in cells]]
-                            if kind == GLOBAL_KIND else at[j, :, 0])
-        self.pick = np.concatenate(picks)
-
-    def refresh(self, world: SimWorld | JoinedWorld) -> None:
+    def refresh(self, world: JoinedWorld) -> None:
         """Recompute the dynamic features (velocity, volume) from `world`'s state."""
         vel = np.add.reduce(world.vel[world.corner_map], axis=1)
         vel /= 4.0  # what .mean(axis=1) computes
@@ -174,7 +146,7 @@ class ObservationBuilder:
         np.minimum(vel, clamp, out=self._velocity)
         self._area[:] = _quad_areas(world.pos[:, 0], world.pos[:, 1], self._ring, self._ring_next)
 
-    def stacked_inputs(self, world: SimWorld | JoinedWorld, env_step: int) -> list[np.ndarray]:
+    def stacked_inputs(self, world: JoinedWorld, env_step: int) -> list[np.ndarray]:
         """The controller inputs of `world`'s members at `env_step`, one
         `(k, rows, width)` stack per group. The stacks are the builder's
         own buffers, overwritten by the next call."""
@@ -185,12 +157,3 @@ class ObservationBuilder:
             np.take(self._features, slots, axis=0, mode="clip", out=blocks)
             time[...] = phase
         return self._inputs
-
-    def inputs(self, world: SimWorld, env_step: int) -> np.ndarray:
-        """The controller input of a builder of one world at `env_step`:
-        shape (global_size,) for the global kind, (n_act, local_size) for
-        the modular one; a view of the builder's own buffer."""
-        if len(self.kinds) != 1:
-            raise ValueError(f"inputs reads a builder of one world, not {len(self.kinds)}")
-        (stack,) = self.stacked_inputs(world, env_step)
-        return stack[0, 0] if self.kinds[0] == GLOBAL_KIND else stack[0]

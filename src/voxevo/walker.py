@@ -34,7 +34,7 @@ from .physics import (
     join_worlds,
     step_env,
 )
-from .sensing import ObservationBuilder, ObservationConfig
+from .sensing import ObservationConfig
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
     refresh, one stacked forward pass per group of members and one
     actuation for the whole batch. A body that diverges or crosses the
     terrain end leaves the batch at that step, and the bodies still running
-    are joined again without it, with a new builder and controller batch.
+    are joined again without it, with a new controller batch.
     """
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
@@ -120,19 +120,18 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
                                    trajectory=frames[i])
 
     def join(live: list[int]):
-        """The joined world of the bodies `live`, its observation builder
-        and its controllers stacked in its member order."""
+        """The joined world of the bodies `live` and its controllers,
+        stacked in its member order."""
         joined = join_worlds(worlds[i] for i in live)
-        members = [controllers[live[j]] for j in joined.order]
-        builder = ObservationBuilder(joined, tuple(c.kind for c in members), obs_cfg)
-        return joined, builder, ControllerBatch(members, builder)
+        return joined, ControllerBatch([controllers[live[j]] for j in joined.order],
+                                       joined, obs_cfg)
 
     near_end = episode_cfg.terrain_end_x * (1.0 - 1e-9)  # <= 0: every step checks
     live = list(range(len(worlds)))
-    joined, builder, batch = join(live)
+    joined, batch = join(live)
     for step in range(episode_cfg.max_steps):
         if step % episode_cfg.action_repeat == 0:
-            apply_actuation(joined, act(batch, joined, step, builder))
+            apply_actuation(joined, act(batch, joined, step))
         if record:
             for i in live:
                 frames[i].append(worlds[i].pos.copy())
@@ -155,7 +154,7 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
             live = [i for i in live if results[i] is None]
             if not live:
                 break
-            joined, builder, batch = join(live)
+            joined, batch = join(live)
     for i in live:
         finish(i, episode_cfg.max_steps, False)
     return tuple(results)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 
 from voxevo.checkpoints import _HEADER, _RECORD_FIXED
+from voxevo.control import _forward
 from voxevo.morphology import Morphology
 from voxevo.physics import (
     AXIS_DIAGONAL,
@@ -12,6 +13,7 @@ from voxevo.physics import (
     AXIS_VERTICAL,
     VOXEL_EDGE,
 )
+from voxevo.sensing import GLOBAL_KIND, ObservationBuilder
 
 
 def contact(normal_stiffness, normal_damping, friction) -> dict:
@@ -69,6 +71,23 @@ def oracle_spring_forces(world):
     incidence[world.spring_a, springs] += 1.0
     incidence[world.spring_b, springs] -= 1.0
     return incidence @ (magnitude[:, None] * unit)
+
+
+def mlp_forward(params, xs) -> np.ndarray:
+    """One network's forward pass on one input vector or a matrix of input
+    rows, through the kernel that `act` runs once per group: the byte
+    oracle that each member of a `ControllerBatch` must match."""
+    return _forward(xs, params.W1.T, params.b1, params.W2.T, params.b2)
+
+
+def member_inputs(builder: ObservationBuilder, joined, env_step: int) -> np.ndarray:
+    """The controller input of the one member of `joined` at `env_step`, read
+    through `builder`, a builder of that world: shape (global_size,) for the
+    global kind, (n_act, local_size) for the modular one; a view of the
+    builder's own buffer."""
+    ((kind, _, _),) = builder.groups
+    (stack,) = builder.stacked_inputs(joined, env_step)
+    return stack[0, 0] if kind == GLOBAL_KIND else stack[0]
 
 
 def mechanical_energy(world) -> float:

@@ -44,7 +44,7 @@ from voxevo.runconfig import RunConfig, load_config
 from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationBuilder, ObservationConfig
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
 
-from helpers import NO_CONTACT, mechanical_energy, oracle_spring_forces
+from helpers import NO_CONTACT, mechanical_energy, member_inputs, oracle_spring_forces
 
 logger = logging.getLogger("voxevo.acceptance")
 
@@ -74,10 +74,10 @@ class TestStructuralSizes:
         cfg = ObservationConfig()
         assert cfg.global_size == 201
         assert cfg.local_size == 201
-        world = build_world(BODY, PhysicsConfig())
-        assert ObservationBuilder(world, "global", cfg).inputs(world, 0).shape == (201,)
-        assert ObservationBuilder(world, "modular", cfg).inputs(world, 0).shape == (
-            len(world.actuator_cells), 201)
+        world = join_worlds([build_world(BODY, PhysicsConfig())])
+        shapes = {kind: member_inputs(ObservationBuilder(world, (kind,), cfg), world, 0).shape
+                  for kind in ("global", "modular")}
+        assert shapes == {"global": (201,), "modular": (len(world.actuator_cells), 201)}
 
 
 class TestRewardDefinition:
@@ -237,8 +237,8 @@ class TestTranslationEquivariance:
             return vec[i:i + BLOCK_SIZE]
 
         def global_vec(morph):
-            world = build_world(morph, physics)
-            return ObservationBuilder(world, "global", obs_cfg).inputs(world, 0)
+            world = join_worlds([build_world(morph, physics)])
+            return member_inputs(ObservationBuilder(world, ("global",), obs_cfg), world, 0)
 
         for name, morph in self.NARROW.items():
             base_vec = global_vec(with_left_column_at(morph, 0))

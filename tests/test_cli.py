@@ -654,13 +654,17 @@ class TestReport:
         # and the generations were never checked to be numbered 1, 2, ...
         ("generations.csv", "generation", "3", "generation 3, expected 2"),
         ("generations.csv", "generation", "1", "generation 1, expected 2"),
+        # a repeated lineage id replaced the earlier row, and a fresh record
+        # with a parent was counted, both with exit 0
+        ("lineage.csv", "id", "0", "repeated id 0"),
+        ("lineage.csv", "parent_id", "0", "a fresh record with parent_id 0"),
     ], ids=["bad_best_fitness", "bad_fitness", "dropped_column",
             *(f"{column}_{value}" for column in ("best_fitness", "fitness")
               for value in ("nan", "inf", "-inf")),
             "bad_success", "bad_mutation_kind", "bad_mean_fitness", "bad_n_body_success",
             "underscored_generation", "spaced_generation", "signed_generation",
             "zero_padded_generation", "signed_id", "skipped_generation",
-            "repeated_generation"])
+            "repeated_generation", "repeated_id", "fresh_with_parent"])
     def test_malformed_artifact_is_refused_with_file_and_line(
             self, trained_run, capsys, name, column, value, expected):
         _, run_dir = trained_run

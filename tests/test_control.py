@@ -8,17 +8,19 @@ from voxevo.control import (
     HIDDEN_UNITS,
     MODULAR_KIND,
     MODULAR_OUTPUT_SIZE,
+    ControllerBatch,
     ControllerGenome,
     MlpParams,
     act,
     init_controller,
-    mlp_forward,
     mutate_controller,
     params_from_flat,
 )
 from voxevo.morphology import GRID_SIZE
 from voxevo.physics import PhysicsConfig, apply_actuation, build_world, join_worlds, step_env
-from voxevo.sensing import ObservationBuilder, ObservationConfig
+from voxevo.sensing import ObservationConfig
+
+from helpers import member_inputs, mlp_forward
 
 
 def manual_forward(params, x):
@@ -100,10 +102,13 @@ class TestForward:
         out = mlp_forward(params, np.ones(201))
         assert out[0] == 0.5
 
-    def test_wrong_input_length_raises(self):
-        genome = init_controller(MODULAR_KIND, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            mlp_forward(genome.params, np.zeros(200))
+    # the forward pass takes no input of another width: a controller that
+    # does not fit its layout is refused when its batch is built
+    def test_wrong_input_length_raises(self, small_body):
+        genome = init_controller(MODULAR_KIND, np.random.default_rng(0), n_inputs=200)
+        joined = join_worlds([build_world(small_body, PhysicsConfig())])
+        with pytest.raises(ValueError, match="expected inputs of length 200, got 201"):
+            ControllerBatch((genome,), joined)
 
 
 class TestInit:
@@ -164,23 +169,29 @@ class TestMutation:
             assert mutate_controller(genome, np.random.default_rng(5), 0.1).kind == kind
 
 
+def batch_of_one(genome, world, obs_cfg=None):
+    """The joined world of `world` alone and `genome`'s batch on it."""
+    joined = join_worlds([world])
+    return joined, ControllerBatch((genome,), joined, obs_cfg)
+
+
 class TestActing:
     def test_global_uses_raster_indexed_outputs(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         genome = init_controller(GLOBAL_KIND, np.random.default_rng(10))
-        builder = ObservationBuilder(world, GLOBAL_KIND)
-        actions = act(genome, world, env_step=0, builder=builder)
+        joined, batch = batch_of_one(genome, world)
+        actions = act(batch, joined, env_step=0)
         assert actions.shape == (len(world.actuator_cells),)
-        full = mlp_forward(genome.params, builder.inputs(world, 0))
+        full = mlp_forward(genome.params, member_inputs(batch.builder, joined, 0))
         for (r, c), a in zip(world.actuator_cells, actions):
             assert a == full[r * 5 + c]
 
     def test_modular_shares_parameters_across_windows(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         genome = init_controller(MODULAR_KIND, np.random.default_rng(11))
-        builder = ObservationBuilder(world, MODULAR_KIND)
-        actions = act(genome, world, env_step=0, builder=builder)
-        windows = builder.inputs(world, 0)
+        joined, batch = batch_of_one(genome, world)
+        actions = act(batch, joined, env_step=0)
+        windows = member_inputs(batch.builder, joined, 0)
         assert actions.shape == (len(world.actuator_cells),)
         assert windows.shape[0] == len(world.actuator_cells)
         for window, a in zip(windows, actions):
@@ -192,13 +203,13 @@ class TestActing:
         raster = [r * GRID_SIZE + c for r, c in world.actuator_cells]
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(12))
-            builder = ObservationBuilder(world, kind)
+            joined, batch = batch_of_one(genome, world)
+            inputs = member_inputs(batch.builder, joined, 0)
             if kind == GLOBAL_KIND:
-                direct = mlp_forward(genome.params, builder.inputs(world, 0))[raster]
+                direct = mlp_forward(genome.params, inputs)[raster]
             else:
-                direct = np.array([mlp_forward(genome.params, x)[0]
-                                   for x in builder.inputs(world, 0)])
-            assert np.allclose(act(genome, world, 0, builder), direct, rtol=1e-12, atol=0)
+                direct = np.array([mlp_forward(genome.params, x)[0] for x in inputs])
+            assert np.allclose(act(batch, joined, 0), direct, rtol=1e-12, atol=0)
 
     def test_kind_mismatch_raises(self, small_body):
         world = build_world(small_body, PhysicsConfig())
@@ -206,40 +217,39 @@ class TestActing:
         # a genome cannot carry the other kind's output layer ...
         with pytest.raises(ValueError):
             ControllerGenome(GLOBAL_KIND, modular.params)
-        # ... a window layout of another size is refused, not misread ...
-        builder = ObservationBuilder(world, MODULAR_KIND,
-                                     ObservationConfig(neighborhood_distance=1))
-        with pytest.raises(ValueError):
-            act(modular, world, 0, builder)
-        # ... and so is a builder of the other kind, though at the default
-        # d = 2 both layouts are 201 wide and the forward pass would run
-        global_genome = init_controller(GLOBAL_KIND, np.random.default_rng(0))
-        for genome, other in ((modular, GLOBAL_KIND), (global_genome, MODULAR_KIND)):
-            builder = ObservationBuilder(world, other)
-            assert builder.inputs(world, 0).shape[-1] == genome.params.n_inputs
-            with pytest.raises(ValueError, match="cannot read"):
-                act(genome, world, 0, builder)
+        # ... and a window layout of another size is refused, not misread
+        with pytest.raises(ValueError, match="expected inputs of length 201, got 73"):
+            batch_of_one(modular, world, ObservationConfig(neighborhood_distance=1))
+
+    # one batch holds one controller per member of its joined world
+    def test_controller_count_must_match_the_members(self, small_body):
+        genome = init_controller(MODULAR_KIND, np.random.default_rng(0))
+        joined = join_worlds([build_world(small_body, PhysicsConfig()) for _ in range(2)])
+        for controllers in ((genome,), (genome,) * 3):
+            with pytest.raises(ValueError, match=f"{len(controllers)} controllers for 2 worlds"):
+                ControllerBatch(controllers, joined)
 
     def test_actions_lie_in_unit_interval(self, small_body):
         world = build_world(small_body, PhysicsConfig())
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(13))
-            actions = act(genome, world, 0, ObservationBuilder(world, kind))
+            joined, batch = batch_of_one(genome, world)
+            actions = act(batch, joined, 0)
             assert actions.dtype == np.float64
             assert np.all((actions >= 0.0) & (actions <= 1.0))
 
-    # act observes the world it is given, through a builder of that body
-    # built on any world of it
+    # act observes the joined world it is given, through a batch built on
+    # any joined world of that body
     def test_acts_on_the_world_it_is_given(self, small_body):
         world, other = (build_world(small_body, PhysicsConfig()) for _ in range(2))
-        batch = join_worlds([other])
+        joined, joined_other = join_worlds([world]), join_worlds([other])
         for _ in range(30):
             apply_actuation(other, np.full(len(other.actuator_cells), 0.9))
-            step_env(batch)
+            step_env(joined_other)
         for kind in (GLOBAL_KIND, MODULAR_KIND):
             genome = init_controller(kind, np.random.default_rng(14))
-            builder = ObservationBuilder(world, kind)
-            actions = act(genome, other, 30, builder)
-            fresh = act(genome, other, 30, ObservationBuilder(other, kind))
+            batch = ControllerBatch((genome,), joined)
+            actions = act(batch, joined_other, 30)
+            fresh = act(ControllerBatch((genome,), joined_other), joined_other, 30)
             assert actions.tobytes() == fresh.tobytes()
-            assert actions.tobytes() != act(genome, world, 30, builder).tobytes()
+            assert actions.tobytes() != act(batch, joined, 30).tobytes()

@@ -373,6 +373,14 @@ class TestOffspringRecord:
         with pytest.raises(ValueError, match="unknown mutation_kind 'bdy'"):
             OffspringRecord(1, 0, "bdy", 1.0, 0.5, True)
 
+    # only a fresh individual has no parent; report read either mismatch
+    def test_parent_id_must_match_the_mutation_kind(self):
+        with pytest.raises(ValueError, match="a fresh record with parent_id 0"):
+            OffspringRecord(3, 0, KIND_FRESH, 1.0, None, False)
+        for kind in (KIND_BODY, KIND_BRAIN):
+            with pytest.raises(ValueError, match=f"a {kind} record with no parent_id"):
+                OffspringRecord(3, None, kind, 1.0, None, False)
+
 
 class TestGenerationStep:
     def test_bookkeeping(self, tiny_evolution):

@@ -37,6 +37,7 @@ from helpers import (
     base_rest_lengths,
     contact,
     mechanical_energy,
+    member_inputs,
     oracle_spring_forces,
     spring_axes,
 )
@@ -532,7 +533,7 @@ class TestMatchesOracle:
         cfg = PhysicsConfig() if grounded else PhysicsConfig(**NO_CONTACT)
         world, ref = build_world(body, cfg), build_world(body, cfg)
         batch = join_worlds([world])
-        builder = ObservationBuilder(world, GLOBAL_KIND)
+        builder = ObservationBuilder(batch, (GLOBAL_KIND,))
         owners, axes = spring_owners(ref), spring_axes(ref)
         raster = [r * GRID_SIZE + c for r, c in world.cells]
         rng = np.random.default_rng([11, len(name), int(grounded)])
@@ -542,7 +543,7 @@ class TestMatchesOracle:
                 apply_actuation(world, actions)
                 ref.rest[:] = oracle_rest(ref, owners, axes, actions)
                 assert np.array_equal(world.rest, ref.rest), step
-                blocks = builder.inputs(world, step)[:-1].reshape(GRID_SIZE ** 2, -1)
+                blocks = member_inputs(builder, batch, step)[:-1].reshape(GRID_SIZE ** 2, -1)
                 assert np.array_equal(blocks[raster, :3], oracle_features(world)), step
             step_env(batch)
             oracle_step_env(ref)

@@ -1,17 +1,17 @@
-"""The package exports only what a run reaches.
+"""Every public definition of the package is reached by a run.
 
-Every function and class that `voxevo/__init__.py` re-exports must be used
-by the package itself or by the benchmark in `perfbench/`, not by the tests
-alone. Uses are found in the syntax tree, so a name in a comment, a docstring
-or an import does not count, and neither does a use inside the name's own
-definition.
+Every public module-level function and class in `src/voxevo`, and every
+public method of those classes, must be used by the package itself or by
+the benchmark in `perfbench/`, not by the tests alone. Matching is by name:
+a definition counts as used when its name is read anywhere in those
+sources, whichever object the read reaches, so a method shares its uses
+with every other definition of that name. Uses are found in the syntax
+tree, so a name in a comment, a docstring or an import does not count,
+and neither does a use inside the name's own definition.
 """
 
 import ast
-import inspect
 import pathlib
-
-import voxevo
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "voxevo"
@@ -47,26 +47,39 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
 def used_names() -> set[str]:
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
     uses = _Uses()
     for path in sources:
-        uses.visit(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        uses.visit(_parse(path))
     return uses.names
 
 
-def reexported() -> list[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    names = [alias.asname or alias.name for node in tree.body
-             if isinstance(node, ast.ImportFrom) for alias in node.names]
-    return [name for name in names
-            if inspect.isfunction(getattr(voxevo, name))
-            or inspect.isclass(getattr(voxevo, name))]
+def public_definitions() -> list[tuple[str, str]]:
+    """`(name, qualified name)` of each public module-level function and
+    class of the package and each public method of those classes."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found.append((node.name, f"{path.stem}.{node.name}"))
+            if isinstance(node, ast.ClassDef):
+                found += [(item.name, f"{path.stem}.{node.name}.{item.name}")
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
 
 
-def test_every_reexported_function_and_class_is_used_outside_the_tests():
-    exported = reexported()
-    assert EXEMPT <= set(exported)
-    unused = sorted(set(exported) - used_names() - EXEMPT)
-    assert unused == [], f"re-exported but reached only from tests: {unused}"
+def test_every_public_definition_is_used_outside_the_tests():
+    defined = public_definitions()
+    assert EXEMPT <= {name for name, _ in defined}
+    used = used_names()
+    unused = sorted(qualified for name, qualified in defined
+                    if name not in used and name not in EXEMPT)
+    assert unused == [], f"defined but reached only from tests: {unused}"

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from voxevo.control import act, init_controller
+from voxevo.control import ControllerBatch, ControllerGenome, act, init_controller
 from voxevo.morphology import GRID_SIZE, H_ACTUATOR, N_MATERIALS, Morphology
 from voxevo.physics import PhysicsConfig, apply_actuation, build_world, join_worlds, step_env
 from voxevo.sensing import (
@@ -17,6 +17,8 @@ from voxevo.sensing import (
     ObservationConfig,
     time_signal,
 )
+
+from helpers import member_inputs
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,27 @@ def observe_voxel(world, cell, cfg=None):
     return VoxelObservation(vel, area, onehot)
 
 
-def global_input(world, env_step):
-    return ObservationBuilder(world, GLOBAL_KIND).inputs(world, env_step)
+def global_input(joined, env_step):
+    """A fresh global builder's input of the one member of `joined`."""
+    return member_inputs(ObservationBuilder(joined, (GLOBAL_KIND,)), joined, env_step)
 
 
-def window_row(world, cell, env_step):
-    """The modular builder's window row for one actuator cell."""
-    row = world.actuator_cells.index(cell)
-    return ObservationBuilder(world, MODULAR_KIND).inputs(world, env_step)[row]
+def window_row(joined, cell, env_step):
+    """A fresh modular builder's window row for one actuator cell of the one
+    member of `joined`."""
+    row = joined.actuator_cells.index(cell)
+    return member_inputs(ObservationBuilder(joined, (MODULAR_KIND,)), joined, env_step)[row]
 
 
 @pytest.fixture
 def world(small_body):
     return build_world(small_body, PhysicsConfig())
+
+
+@pytest.fixture
+def joined(world):
+    """`world` alone, joined: the form every builder reads."""
+    return join_worlds([world])
 
 
 class TestConfig:
@@ -160,13 +170,13 @@ class TestVoxelObservation:
 
 
 class TestGlobalObservation:
-    def test_shape_and_time_slot(self, world):
-        vec = global_input(world, env_step=3)
+    def test_shape_and_time_slot(self, joined):
+        vec = global_input(joined, env_step=3)
         assert vec.shape == (201,)
         assert vec[-1] == time_signal(3, ObservationConfig().time_period)
 
-    def test_empty_slots_hold_missing_block(self, world, small_body):
-        vec = global_input(world, env_step=0)
+    def test_empty_slots_hold_missing_block(self, joined, small_body):
+        vec = global_input(joined, env_step=0)
         occupied = set(small_body.occupied_cells)
         for r in range(5):
             for c in range(5):
@@ -176,11 +186,10 @@ class TestGlobalObservation:
                 else:
                     assert block.tolist() == MISSING_BLOCK.tolist()
 
-    def test_blocks_match_per_voxel_view(self, world, small_body):
-        batch = join_worlds([world])
+    def test_blocks_match_per_voxel_view(self, world, joined, small_body):
         for _ in range(5):
-            step_env(batch)
-        vec = global_input(world, env_step=5)
+            step_env(joined)
+        vec = global_input(joined, env_step=5)
         for r, c in small_body.occupied_cells:
             start = (r * 5 + c) * BLOCK_SIZE
             block = vec[start:start + BLOCK_SIZE]
@@ -192,8 +201,8 @@ class TestGlobalObservation:
         shifted_grid = np.zeros((5, 5), dtype=np.int8)
         shifted_grid[:, 2:5] = narrow_body.grid[:, 0:3]
         shifted = Morphology(shifted_grid)
-        w0 = build_world(narrow_body, cfg)
-        w2 = build_world(shifted, cfg)
+        w0 = join_worlds([build_world(narrow_body, cfg)])
+        w2 = join_worlds([build_world(shifted, cfg)])
         v0 = global_input(w0, env_step=0)
         v2 = global_input(w2, env_step=0)
         for r in range(5):
@@ -205,33 +214,34 @@ class TestGlobalObservation:
 
 
 class TestLocalObservation:
-    def test_shape_and_center(self, world):
+    def test_shape_and_center(self, world, joined):
         cell = world.actuator_cells[0]
-        vec = window_row(world, cell, env_step=0)
+        vec = window_row(joined, cell, env_step=0)
         assert vec.shape == (201,)
         center = (ObservationConfig().window_side ** 2) // 2
         block = vec[center * BLOCK_SIZE:(center + 1) * BLOCK_SIZE]
         assert np.allclose(block, observe_voxel(world, cell).as_block(),
                            rtol=0, atol=1e-15)
 
-    def test_out_of_grid_is_missing(self, world):
+    def test_out_of_grid_is_missing(self, joined):
         # window rows above the grid must read as missing blocks
-        cell = min(world.actuator_cells)
-        vec = window_row(world, cell, env_step=0)
+        cell = min(joined.actuator_cells)
+        vec = window_row(joined, cell, env_step=0)
         first = vec[0:BLOCK_SIZE]
         assert first.tolist() == MISSING_BLOCK.tolist()
 
-    def test_rows_are_actuators_only(self, world):
-        matrix = ObservationBuilder(world, MODULAR_KIND).inputs(world, env_step=0)
-        assert matrix.shape == (len(world.actuator_cells), 201)
+    def test_rows_are_actuators_only(self, joined):
+        builder = ObservationBuilder(joined, (MODULAR_KIND,))
+        matrix = member_inputs(builder, joined, env_step=0)
+        assert matrix.shape == (len(joined.actuator_cells), 201)
 
     def test_translation_leaves_window_unchanged(self, narrow_body):
         cfg = PhysicsConfig()
         shifted_grid = np.zeros((5, 5), dtype=np.int8)
         shifted_grid[:, 1:4] = narrow_body.grid[:, 0:3]
         shifted = Morphology(shifted_grid)
-        w0 = build_world(narrow_body, cfg)
-        w1 = build_world(shifted, cfg)
+        w0 = join_worlds([build_world(narrow_body, cfg)])
+        w1 = join_worlds([build_world(shifted, cfg)])
         for (r0, c0), (r1, c1) in zip(sorted(w0.actuator_cells), sorted(w1.actuator_cells)):
             assert (r1, c1) == (r0, c0 + 1)
             v0 = window_row(w0, (r0, c0), env_step=4)
@@ -240,11 +250,11 @@ class TestLocalObservation:
 
 
 class TestBuilder:
-    def test_local_matrix_matches_vectors(self, world):
-        batch = join_worlds([world])
+    def test_local_matrix_matches_vectors(self, world, joined):
         for _ in range(3):
-            step_env(batch)
-        mat = ObservationBuilder(world, MODULAR_KIND).inputs(world, env_step=2)
+            step_env(joined)
+        builder = ObservationBuilder(joined, (MODULAR_KIND,))
+        mat = member_inputs(builder, joined, env_step=2)
         cells = world.actuator_cells
         assert mat.shape == (len(cells), 201)
         for i, (r, c) in enumerate(cells):
@@ -260,42 +270,43 @@ class TestBuilder:
         assert ObservationConfig().neighborhood_distance == GRID_SIZE // 2
         grid = plus_body.grid.copy()
         grid[2, 2] = H_ACTUATOR
-        world = build_world(Morphology(grid), PhysicsConfig())
-        batch = join_worlds([world])
+        joined = join_worlds([build_world(Morphology(grid), PhysicsConfig())])
         for _ in range(3):
-            step_env(batch)
-        centre = window_row(world, (2, 2), env_step=3)
-        assert global_input(world, env_step=3).tobytes() == centre.tobytes()
+            step_env(joined)
+        centre = window_row(joined, (2, 2), env_step=3)
+        assert global_input(joined, env_step=3).tobytes() == centre.tobytes()
 
-    def test_unknown_kind_raises(self, world):
-        with pytest.raises(ValueError):
-            ObservationBuilder(world, "central")
+    # a builder takes its kinds from its controllers, and an unknown kind
+    # is refused before any controller exists
+    def test_unknown_kind_raises(self, joined):
+        params = init_controller(MODULAR_KIND, np.random.default_rng(0)).params
+        with pytest.raises(ValueError, match="unknown controller kind 'central'"):
+            ControllerBatch((ControllerGenome("central", params),), joined)
 
-    def test_refresh_tracks_motion(self, world):
-        builder = ObservationBuilder(world, GLOBAL_KIND)
-        before = builder.inputs(world, env_step=0).copy()
-        batch = join_worlds([world])
+    def test_refresh_tracks_motion(self, joined):
+        builder = ObservationBuilder(joined, (GLOBAL_KIND,))
+        before = member_inputs(builder, joined, env_step=0).copy()
         for _ in range(3):
-            step_env(batch)
-        after = builder.inputs(world, env_step=3)
+            step_env(joined)
+        after = member_inputs(builder, joined, env_step=3)
         assert not np.array_equal(before, after)
 
-    def test_reuse_equals_fresh_builder(self, world):
-        builder = ObservationBuilder(world, GLOBAL_KIND)
-        builder.inputs(world, env_step=0)
-        batch = join_worlds([world])
+    def test_reuse_equals_fresh_builder(self, joined):
+        builder = ObservationBuilder(joined, (GLOBAL_KIND,))
+        member_inputs(builder, joined, env_step=0)
         for _ in range(4):
-            step_env(batch)
-        reused = builder.inputs(world, env_step=4)
-        fresh = global_input(world, env_step=4)
+            step_env(joined)
+        reused = member_inputs(builder, joined, env_step=4)
+        fresh = global_input(joined, env_step=4)
         assert np.array_equal(reused, fresh)
 
-    # a builder keeps no world: built on one, it reads any world of that
-    # body it is handed, here a joined member in another state
+    # a builder keeps no world: built on one, it reads any joined world of
+    # that body it is handed, here one joined from a member of another
+    # batch, in another state
     @pytest.mark.parametrize("kind", KINDS)
-    def test_builder_reads_the_world_it_is_handed(self, world, small_body, kind):
-        builder = ObservationBuilder(world, kind)
-        builder.inputs(world, env_step=0)
+    def test_builder_reads_the_world_it_is_handed(self, world, joined, small_body, kind):
+        builder = ObservationBuilder(joined, (kind,))
+        member_inputs(builder, joined, env_step=0)
         other = build_world(small_body, PhysicsConfig())
         batch = join_worlds([build_world(small_body, PhysicsConfig()), other])
         rng = np.random.default_rng(6)
@@ -304,20 +315,21 @@ class TestBuilder:
                 apply_actuation(other, rng.random(len(other.actuator_cells)))
             step_env(batch)
         assert not np.array_equal(other.pos, world.pos)
-        read = builder.inputs(other, env_step=50)
-        fresh = ObservationBuilder(other, kind).inputs(other, env_step=50)
+        other_alone = join_worlds([other])
+        read = member_inputs(builder, other_alone, env_step=50)
+        fresh = member_inputs(ObservationBuilder(other_alone, (kind,)), other_alone,
+                              env_step=50)
         assert read.tobytes() == fresh.tobytes()
 
-    # inputs() returns the builder's own buffer, refilled on each call: a
-    # long-lived builder must act as a fresh one at every step
+    # the builder's inputs are its own buffers, refilled on each call: a
+    # long-lived controller batch must act as a fresh one at every step
     @pytest.mark.parametrize("kind", KINDS)
-    def test_long_lived_builder_acts_as_fresh_ones(self, world, kind):
+    def test_long_lived_builder_acts_as_fresh_ones(self, joined, kind):
         controller = init_controller(kind, np.random.default_rng(5))
-        builder = ObservationBuilder(world, kind)
-        batch = join_worlds([world])
+        batch = ControllerBatch((controller,), joined)
         for step in range(40):
-            actions = act(controller, world, step, builder)
-            fresh = act(controller, world, step, ObservationBuilder(world, kind))
+            actions = act(batch, joined, step)
+            fresh = act(ControllerBatch((controller,), joined), joined, step)
             assert actions.tobytes() == fresh.tobytes()
-            apply_actuation(world, actions)
-            step_env(batch)
+            apply_actuation(joined, actions)
+            step_env(joined)

@@ -151,9 +151,9 @@ class TestRunEpisode:
         calls = []
         real_act = voxevo.walker.act
 
-        def counting_act(controllers, world, env_step, builder):
-            calls.append((env_step, len(world.members), controllers.kind))
-            return real_act(controllers, world, env_step, builder)
+        def counting_act(batch, world, env_step):
+            calls.append((env_step, len(world.members), batch.kind))
+            return real_act(batch, world, env_step)
 
         monkeypatch.setattr(voxevo.walker, "act", counting_act)
         cfg = EpisodeConfig(max_steps=10, action_repeat=4)
