@@ -39,7 +39,6 @@ from .sensing import (
 )
 from .control import (
     ControllerGenome,
-    MlpParams,
     act,
     init_controller,
     mutate_controller,

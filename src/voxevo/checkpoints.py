@@ -16,11 +16,15 @@ Neither fitness may be infinite, and the body must be a valid robot: saving
 refuses any other individual before any byte is written, and loading refuses
 any other record.
 
-Controller parameters are the flat layout: W1 row-major, b1, W2 row-major,
-b2. The input size is not stored: `control.genome_from_flat` infers it from
-the parameter count. Every file a command writes, checkpoint or not, goes
-through `atomic_open`: it is written to a `.partial` sibling and renamed into
-place, so a finished file is never half-written.
+Controller parameters are `ControllerGenome.to_flat`'s layout: W1 row-major,
+b1, W2 row-major, b2. The hidden width is always `control.HIDDEN_UNITS` and
+the output count follows from the controller kind, so neither is stored, nor
+is the input size: `control.genome_from_flat`, the one reader of the layout,
+infers it from the parameter count.
+
+Every file a command writes, checkpoint or not, goes through `atomic_open`:
+it is written to a `.partial` sibling and renamed into place, so a finished
+file is never half-written.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ def _pack_individual(ind: Individual) -> bytes:
                            _KIND_CODES[ind.mutation_kind], fitness, parent_fitness),
         ind.morphology.to_text().replace("\n", "").encode("ascii"),
     ]
-    flat = ind.controller.params.to_flat()
+    flat = ind.controller.to_flat()
     chunks.append(_CTRL_HEAD.pack(_CTRL_CODES[ind.controller.kind], flat.size))
     chunks.append(np.ascontiguousarray(flat, dtype="<f8").tobytes())
     return b"".join(chunks)
@@ -109,11 +113,11 @@ def _unpack_individual(reader: _Reader) -> Individual:
         raise CheckpointIntegrityError(f"{reader.path}: bad morphology: {exc}") from exc
     if not validate(morph):
         raise CheckpointIntegrityError(f"{reader.path}: the body is not a valid robot")
-    ctrl_code, n_params = _CTRL_HEAD.unpack(reader.take(_CTRL_HEAD.size))
+    ctrl_code, count = _CTRL_HEAD.unpack(reader.take(_CTRL_HEAD.size))
     if ctrl_code not in _CTRL_NAMES:
         raise CheckpointIntegrityError(
             f"{reader.path}: unknown controller kind {ctrl_code}")
-    flat = np.frombuffer(reader.take(n_params * 8), dtype="<f8")
+    flat = np.frombuffer(reader.take(count * 8), dtype="<f8")
     try:
         controller = genome_from_flat(_CTRL_NAMES[ctrl_code], flat)
     except ValueError as exc:

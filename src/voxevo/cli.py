@@ -34,7 +34,6 @@ from .checkpoints import (
     save_individual,
     save_population,
 )
-from .control import input_size
 from .evolution import Evaluator, GenerationLog, Individual, OffspringRecord, run_evolution
 from .experiments import (
     accounting_from_lineage,
@@ -46,6 +45,7 @@ from .experiments import (
 )
 from .morphology import Morphology
 from .runconfig import ConfigError, RunConfig, load_config, override
+from .sensing import input_size
 from .walker import run_episode
 
 GENERATIONS_CSV = "generations.csv"
@@ -134,7 +134,7 @@ def _load_champion(path: str, cfg: RunConfig, config_path: str) -> Individual:
     observation layout it evolved with."""
     champion = load_individual(path)
     kind = champion.controller.kind
-    got = champion.controller.params.n_inputs
+    got = champion.controller.n_inputs
     want = input_size(kind, cfg.observation)
     if got != want:
         raise ConfigError(

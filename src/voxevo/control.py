@@ -16,18 +16,14 @@ import numpy as np
 
 from .morphology import GRID_SIZE
 from .physics import JoinedWorld
-from .sensing import GLOBAL_KIND, KINDS, MODULAR_KIND, ObservationBuilder, ObservationConfig
+from .sensing import (GLOBAL_KIND, KINDS, MODULAR_KIND, ObservationBuilder, ObservationConfig,
+                      input_size)
 
-HIDDEN_UNITS = 32
+HIDDEN_UNITS = 32  # the one hidden width that init, mutation and checkpoints know
 
-DEFAULT_INPUT_SIZE = ObservationConfig().global_size  # == local_size == 201
+DEFAULT_INPUT_SIZE = input_size(GLOBAL_KIND, ObservationConfig())  # == the modular one, 201
 GLOBAL_OUTPUT_SIZE = GRID_SIZE * GRID_SIZE
 MODULAR_OUTPUT_SIZE = 1
-
-
-def input_size(kind: str, obs: ObservationConfig) -> int:
-    """Controller input length of `kind` under the observation layout `obs`."""
-    return obs.local_size if kind == MODULAR_KIND else obs.global_size
 
 
 def output_size(kind: str) -> int:
@@ -37,87 +33,58 @@ def output_size(kind: str) -> int:
     return GLOBAL_OUTPUT_SIZE if kind == GLOBAL_KIND else MODULAR_OUTPUT_SIZE
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
-class MlpParams:
-    W1: np.ndarray  # (hidden, n_in)
-    b1: np.ndarray  # (hidden,)
-    W2: np.ndarray  # (n_out, hidden)
-    b2: np.ndarray  # (n_out,)
+class ControllerGenome:
+    """One `kind` controller: `W1` (HIDDEN_UNITS, n_inputs), `b1`
+    (HIDDEN_UNITS,), `W2` (n_out, HIDDEN_UNITS) and `b2` (n_out,), with
+    n_out the kind's output count. Each array is a read-only float64 copy
+    of the one it is given, so the caller's array stays its own."""
+
+    kind: str
+    W1: np.ndarray
+    b1: np.ndarray
+    W2: np.ndarray
+    b2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "W1", _frozen(self.W1))
-        object.__setattr__(self, "b1", _frozen(self.b1))
-        object.__setattr__(self, "W2", _frozen(self.W2))
-        object.__setattr__(self, "b2", _frozen(self.b2))
-        hidden, n_in = self.W1.shape
-        n_out = self.W2.shape[0]
-        if self.b1.shape != (hidden,) or self.W2.shape != (n_out, hidden) \
-                or self.b2.shape != (n_out,):
+        for name in ("W1", "b1", "W2", "b2"):
+            a = np.array(getattr(self, name), dtype=np.float64, order="C")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        hidden, _ = self.W1.shape
+        if hidden != HIDDEN_UNITS:
+            raise ValueError(f"a controller has {HIDDEN_UNITS} hidden units, got {hidden}")
+        n_out = output_size(self.kind)
+        if len(self.W2) != n_out:
+            raise ValueError(f"{self.kind} controller needs {n_out} outputs, got {len(self.W2)}")
+        if (self.b1.shape, self.W2.shape, self.b2.shape) != ((hidden,), (n_out, hidden), (n_out,)):
             raise ValueError("inconsistent layer shapes")
-        for a in (self.W1, self.b1, self.W2, self.b2):
-            if not np.isfinite(a).all():
-                raise ValueError("controller parameters must be finite")
+        if not all(np.isfinite(a).all() for a in (self.W1, self.b1, self.W2, self.b2)):
+            raise ValueError("controller parameters must be finite")
 
     @property
     def n_inputs(self) -> int:
         return self.W1.shape[1]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.W2.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
 
     def to_flat(self) -> np.ndarray:
         """Row-major W1, then b1, W2, b2; the serialization layout."""
         return np.concatenate([self.W1.ravel(), self.b1, self.W2.ravel(), self.b2])
 
 
-def params_from_flat(flat: np.ndarray, n_in: int, hidden: int, n_out: int) -> MlpParams:
-    flat = np.asarray(flat, dtype=np.float64)
-    expected = hidden * n_in + hidden + n_out * hidden + n_out
-    if flat.shape != (expected,):
-        raise ValueError(f"expected {expected} parameters, got {flat.shape}")
-    i = 0
-    W1 = flat[i:i + hidden * n_in].reshape(hidden, n_in); i += hidden * n_in
-    b1 = flat[i:i + hidden]; i += hidden
-    W2 = flat[i:i + n_out * hidden].reshape(n_out, hidden); i += n_out * hidden
-    b2 = flat[i:]
-    return MlpParams(W1, b1, W2, b2)
-
-
-@dataclass(frozen=True)
-class ControllerGenome:
-    kind: str
-    params: MlpParams
-
-    def __post_init__(self):
-        expected_out = output_size(self.kind)
-        if self.params.n_outputs != expected_out:
-            raise ValueError(
-                f"{self.kind} controller needs {expected_out} outputs, "
-                f"got {self.params.n_outputs}")
-
-
 def genome_from_flat(kind: str, flat: np.ndarray) -> ControllerGenome:
-    """The `kind` controller with the parameters `flat` (`MlpParams.to_flat`'s
-    layout); the hidden width and the kind's output count are fixed, so the
+    """The `kind` controller with the parameters `flat`, in `to_flat`'s
+    layout; the hidden width and the kind's output count are fixed, so the
     parameter count gives the input size."""
     n_out = output_size(kind)
-    # count = hidden * n_in + hidden + n_out * (hidden + 1)
+    # count = HIDDEN_UNITS * (n_in + 1) + n_out * (HIDDEN_UNITS + 1)
     n_in, rest = divmod(len(flat) - HIDDEN_UNITS - n_out * (HIDDEN_UNITS + 1), HIDDEN_UNITS)
     if rest or n_in < 1:
         raise ValueError(f"{len(flat)} parameters do not fit a {kind} controller "
                          f"with {HIDDEN_UNITS} hidden units")
-    return ControllerGenome(kind, params_from_flat(flat, n_in, HIDDEN_UNITS, n_out))
+    W1, b1, W2, b2 = np.split(flat, np.cumsum([HIDDEN_UNITS * n_in, HIDDEN_UNITS,
+                                                n_out * HIDDEN_UNITS]))
+    return ControllerGenome(kind, W1.reshape(HIDDEN_UNITS, n_in), b1,
+                            W2.reshape(n_out, HIDDEN_UNITS), b2)
 
 
 def _forward(xs: np.ndarray, W1T: np.ndarray, b1: np.ndarray, W2T: np.ndarray,
@@ -160,8 +127,8 @@ class ControllerBatch:
         kinds = tuple(genome.kind for genome in controllers)
         self.builder = builder = ObservationBuilder(world, kinds, obs_cfg)
         for genome in controllers:
-            if genome.params.n_inputs != input_size(genome.kind, builder.cfg):
-                raise ValueError(f"expected inputs of length {genome.params.n_inputs}, "
+            if genome.n_inputs != input_size(genome.kind, builder.cfg):
+                raise ValueError(f"expected inputs of length {genome.n_inputs}, "
                                  f"got {input_size(genome.kind, builder.cfg)}")
         self.kind = kinds[0] if len(set(kinds)) == 1 else None
         shapes = [(len(group), rows, output_size(kind)) for kind, rows, group in builder.groups]
@@ -175,7 +142,7 @@ class ControllerBatch:
                 cells = members[i].actuator_cells
                 picks[i] = (at[j, 0, [r * GRID_SIZE + c for r, c in cells]]
                             if kind == GLOBAL_KIND else at[j, :, 0])
-            W1, b1, W2, b2 = (np.stack([getattr(controllers[i].params, name) for i in group])
+            W1, b1, W2, b2 = (np.stack([getattr(controllers[i], name) for i in group])
                               for name in ("W1", "b1", "W2", "b2"))
             self.layers.append((W1.transpose(0, 2, 1), b1[:, None], W2.transpose(0, 2, 1),
                                 b2[:, None], self.output[a:b].reshape(shape)))
@@ -201,13 +168,13 @@ def init_controller(kind: str, rng: np.random.Generator,
     n_out = output_size(kind)
     r1 = 1.0 / np.sqrt(n_inputs)
     r2 = 1.0 / np.sqrt(HIDDEN_UNITS)
-    params = MlpParams(
+    return ControllerGenome(
+        kind,
         W1=rng.uniform(-r1, r1, size=(HIDDEN_UNITS, n_inputs)),
         b1=rng.uniform(-r1, r1, size=HIDDEN_UNITS),
         W2=rng.uniform(-r2, r2, size=(n_out, HIDDEN_UNITS)),
         b2=rng.uniform(-r2, r2, size=n_out),
     )
-    return ControllerGenome(kind, params)
 
 
 def mutate_controller(genome: ControllerGenome, rng: np.random.Generator,
@@ -216,7 +183,5 @@ def mutate_controller(genome: ControllerGenome, rng: np.random.Generator,
     standard deviation). The parent is untouched."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    p = genome.params
-    flat = p.to_flat() + rng.normal(0.0, sigma, size=p.n_params)
-    return ControllerGenome(
-        genome.kind, params_from_flat(flat, p.n_inputs, p.W1.shape[0], p.n_outputs))
+    flat = genome.to_flat()
+    return genome_from_flat(genome.kind, flat + rng.normal(0.0, sigma, size=flat.size))

@@ -33,13 +33,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .control import ControllerGenome, init_controller, input_size, mutate_controller
+from .control import ControllerGenome, init_controller, mutate_controller
 from .morphology import (
     Morphology,
     MutationFailedError,
     mutate_morphology,
     random_morphology,
 )
+from .sensing import input_size
 from .walker import EpisodeResult, run_episode, run_episodes
 
 if TYPE_CHECKING:  # runconfig imports this module through experiments

@@ -46,12 +46,13 @@ def _as_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Morphology:
-    """Immutable 5x5 material grid, row 0 at the top."""
+    """Immutable 5x5 material grid, row 0 at the top: a read-only copy of
+    the grid it is given, so the caller's array stays its own."""
 
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_grid(self.grid)
+        arr = _as_grid(np.array(self.grid, dtype=np.int8))
         arr.setflags(write=False)
         object.__setattr__(self, "grid", arr)
 

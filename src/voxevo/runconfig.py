@@ -28,7 +28,9 @@ line: it blames the first key, in file order, whose addition makes the
 construction fail; the values of the three catalog keys are checked in the
 same pass. `override` names the flag. The catalog is resolved last: its keys
 apply only to `mode = multi-body`, and the catalog must hold every body
-they name.
+they name; [evolution] p_body_mutation applies only to `mode = co-optimize`.
+Both rules live here: a `RunConfig` built in code cannot tell a value given
+from its default.
 """
 
 from __future__ import annotations
@@ -286,7 +288,12 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     cfg = build(_run_config, run_keys, **{section: build(make, given(section), section)
                                           for section, make in _SECTIONS.items()})
     catalog = _catalog(catalog_keys, path)
-    return cfg if catalog is None else dataclasses.replace(cfg, catalog=catalog)
+    if catalog is None:
+        return cfg
+    if "p_body_mutation" in entries.get("evolution", {}):  # a multi-body run mutates no body
+        raise ConfigError("p_body_mutation applies only to mode = co-optimize", path,
+                          entries["evolution"]["p_body_mutation"][0])
+    return dataclasses.replace(cfg, catalog=catalog)
 
 
 def load_config(path: str) -> RunConfig:

@@ -46,17 +46,15 @@ class ObservationConfig:
              "must be > 0 and finite"),
         ))
 
-    @property
-    def window_side(self) -> int:
-        return 2 * self.neighborhood_distance + 1
 
-    @property
-    def global_size(self) -> int:
-        return GRID_SIZE * GRID_SIZE * BLOCK_SIZE + 1
-
-    @property
-    def local_size(self) -> int:
-        return self.window_side * self.window_side * BLOCK_SIZE + 1
+def input_size(kind: str, cfg: ObservationConfig) -> int:
+    """Controller input length of `kind` under the observation layout `cfg`:
+    one block per cell of its window (the whole grid, or an actuator's
+    neighborhood), then the time signal."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown controller kind {kind!r}")
+    side = GRID_SIZE if kind == GLOBAL_KIND else 2 * cfg.neighborhood_distance + 1
+    return side * side * BLOCK_SIZE + 1
 
 
 def time_signal(env_step: int, period: int) -> float:

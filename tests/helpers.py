@@ -73,17 +73,17 @@ def oracle_spring_forces(world):
     return incidence @ (magnitude[:, None] * unit)
 
 
-def mlp_forward(params, xs) -> np.ndarray:
-    """One network's forward pass on one input vector or a matrix of input
-    rows, through the kernel that `act` runs once per group: the byte
-    oracle that each member of a `ControllerBatch` must match."""
-    return _forward(xs, params.W1.T, params.b1, params.W2.T, params.b2)
+def mlp_forward(genome, xs) -> np.ndarray:
+    """The forward pass of `genome`'s network on one input vector or a
+    matrix of input rows, through the kernel that `act` runs once per group:
+    the byte oracle that each member of a `ControllerBatch` must match."""
+    return _forward(xs, genome.W1.T, genome.b1, genome.W2.T, genome.b2)
 
 
 def member_inputs(builder: ObservationBuilder, joined, env_step: int) -> np.ndarray:
     """The controller input of the one member of `joined` at `env_step`, read
-    through `builder`, a builder of that world: shape (global_size,) for the
-    global kind, (n_act, local_size) for the modular one; a view of the
+    through `builder`, a builder of that world: shape (input_size,) for the
+    global kind, (n_act, input_size) for the modular one; a view of the
     builder's own buffer."""
     ((kind, _, _),) = builder.groups
     (stack,) = builder.stacked_inputs(joined, env_step)

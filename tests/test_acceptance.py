@@ -12,6 +12,7 @@ never asserted: they are directional expectations, not invariants.
 """
 
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -41,7 +42,13 @@ from voxevo.morphology import (
 )
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass, join_worlds, step_env
 from voxevo.runconfig import RunConfig, load_config
-from voxevo.sensing import BLOCK_SIZE, MISSING_BLOCK, ObservationBuilder, ObservationConfig
+from voxevo.sensing import (
+    BLOCK_SIZE,
+    MISSING_BLOCK,
+    ObservationBuilder,
+    ObservationConfig,
+    input_size,
+)
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
 
 from helpers import NO_CONTACT, mechanical_energy, member_inputs, oracle_spring_forces
@@ -58,22 +65,20 @@ PLUS_BODY = Morphology.from_text("00000\n00300\n03120\n00200\n00000")
 
 def zero_modular_controller():
     ctrl = init_controller("modular", np.random.default_rng(0))
-    params = type(ctrl.params)(
-        W1=np.zeros_like(ctrl.params.W1), b1=np.zeros_like(ctrl.params.b1),
-        W2=np.zeros_like(ctrl.params.W2), b2=np.zeros_like(ctrl.params.b2))
-    return type(ctrl)(kind="modular", params=params)
+    return dataclasses.replace(ctrl, W1=np.zeros_like(ctrl.W1), b1=np.zeros_like(ctrl.b1),
+                               W2=np.zeros_like(ctrl.W2), b2=np.zeros_like(ctrl.b2))
 
 
 class TestStructuralSizes:
     def test_controller_parameter_counts(self):
         rng = np.random.default_rng(0)
-        assert init_controller("modular", rng).params.n_params == 6497
-        assert init_controller("global", rng).params.n_params == 7289
+        assert init_controller("modular", rng).to_flat().size == 6497
+        assert init_controller("global", rng).to_flat().size == 7289
 
     def test_observation_vector_lengths(self):
         cfg = ObservationConfig()
-        assert cfg.global_size == 201
-        assert cfg.local_size == 201
+        assert input_size("global", cfg) == 201
+        assert input_size("modular", cfg) == 201
         world = join_worlds([build_world(BODY, PhysicsConfig())])
         shapes = {kind: member_inputs(ObservationBuilder(world, (kind,), cfg), world, 0).shape
                   for kind in ("global", "modular")}
@@ -267,14 +272,14 @@ class TestOperatorStatistics:
 
     def test_controller_mutation_std(self):
         base = init_controller("modular", np.random.default_rng(0))
-        flat0 = base.params.to_flat()
+        flat0 = base.to_flat()
         rng = np.random.default_rng(606)
         first_param = np.empty(10_000)
         sum_d = 0.0
         sum_d2 = 0.0
         count = 0
         for i in range(10_000):
-            delta = mutate_controller(base, rng, 0.1).params.to_flat() - flat0
+            delta = mutate_controller(base, rng, 0.1).to_flat() - flat0
             first_param[i] = delta[0]
             sum_d += delta.sum()
             sum_d2 += (delta * delta).sum()

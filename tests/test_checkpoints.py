@@ -45,7 +45,7 @@ def assert_same_individual(a, b):
     assert a.mutation_kind == b.mutation_kind
     assert a.morphology == b.morphology
     assert a.controller.kind == b.controller.kind
-    assert np.array_equal(a.controller.params.to_flat(), b.controller.params.to_flat())
+    assert np.array_equal(a.controller.to_flat(), b.controller.to_flat())
     for x, y in ((a.fitness, b.fitness),
                  (a.parent_fitness_at_birth, b.parent_fitness_at_birth)):
         assert x == y or (x is None and y is None)
@@ -91,7 +91,7 @@ class TestIndividualRoundTrip:
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, ind)
         loaded = load_individual(path)
-        assert loaded.controller.params.n_inputs == n_inputs
+        assert loaded.controller.n_inputs == n_inputs
         assert_same_individual(ind, loaded)
 
 

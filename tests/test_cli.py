@@ -161,6 +161,16 @@ class TestEvolve:
         assert captured.out == ""
         assert not out.exists()
 
+    # a multi-body run mutates no body: the key was accepted and did nothing
+    def test_p_body_mutation_under_multi_body_exits_2_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nmode = multi-body\n[evolution]\np_body_mutation = 0.9\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:4: p_body_mutation applies only to mode = co-optimize\n")
+        assert not out.exists()
+
     # makedirs raised NotADirectoryError: a traceback and exit 1
     def test_out_under_a_regular_file_is_refused_and_writes_nothing(self, config_path,
                                                                     tmp_path, capsys):
@@ -516,7 +526,7 @@ class TestReplay:
     def test_smaller_window_champion_loads_and_replays(self, small_window_run, tmp_path):
         config, champion_path = small_window_run
         champion = load_individual(champion_path)
-        assert champion.controller.params.n_inputs == 3 * 3 * 8 + 1
+        assert champion.controller.n_inputs == 3 * 3 * 8 + 1
         out = str(tmp_path / "replay.jsonl")
         assert main(["replay", "--champion", champion_path, "--out", out,
                      "--config", config]) == 0

@@ -195,8 +195,8 @@ class TestOffspring:
                 assert child.morphology != parent.morphology
             else:
                 assert child.morphology is parent.morphology
-                assert not np.array_equal(child.controller.params.to_flat(),
-                                          parent.controller.params.to_flat())
+                assert not np.array_equal(child.controller.to_flat(),
+                                          parent.controller.to_flat())
             assert child.age == 0
             assert child.parent_id == parent.id
             assert child.parent_fitness_at_birth == parent.fitness
@@ -219,8 +219,8 @@ class TestOffspring:
         child = make_offspring(parent, cfg, np.random.default_rng(0), 1)
         assert child.mutation_kind == KIND_BRAIN
         assert child.morphology is parent.morphology
-        assert not np.array_equal(child.controller.params.to_flat(),
-                                  parent.controller.params.to_flat())
+        assert not np.array_equal(child.controller.to_flat(),
+                                  parent.controller.to_flat())
 
 
 class TestEvaluation:
@@ -455,8 +455,8 @@ class TestFullRun:
         assert [log.best_fitness for log in a_logs] == [log.best_fitness for log in b_logs]
         assert [log.mean_fitness for log in a_logs] == [log.mean_fitness for log in b_logs]
         assert a.champion.fitness == b.champion.fitness
-        assert np.array_equal(a.champion.controller.params.to_flat(),
-                              b.champion.controller.params.to_flat())
+        assert np.array_equal(a.champion.controller.to_flat(),
+                              b.champion.controller.to_flat())
 
     def test_worker_count_does_not_change_results(self, tiny_evolution):
         serial, serial_logs = run_with_logs(tiny_evolution)

@@ -106,6 +106,17 @@ class TestMorphologyValue:
             small_body.grid[0, 0] = SOFT
         assert small_body.grid[0, 0] == EMPTY
 
+    # the body froze and shared the caller's grid, so a write through another
+    # view of it changed the body and its hash while it sat in a set
+    def test_grid_is_a_copy_of_the_callers(self, small_body):
+        grid = small_body.grid.copy()
+        body = Morphology(grid)
+        seen = {body}
+        grid[0, 0] = SOFT
+        assert grid.flags.writeable
+        assert body == small_body and hash(body) == hash(small_body)
+        assert body.grid[0, 0] == EMPTY and body in seen
+
     def test_counts(self, small_body):
         assert small_body.n_filled == 6
         assert actuator_cells(small_body) == [(3, 1), (3, 3)]

@@ -2,7 +2,9 @@
 
 Each case runs `voxevo.cli.main` on a tiny seeded config and compares the
 digest of every listed output file against a value recorded from the code
-as it stood before the array-action refactor. A change that keeps the
+as it stood before the array-action refactor; the checkpoint digests, which
+pin the controller serialization, were recorded before the controller
+became one genome type. A change that keeps the
 arithmetic the same must keep these digests; a change that reorders float
 sums may change them, and must say why where the digests are updated.
 """
@@ -64,10 +66,16 @@ DIGESTS = {
     "co-optimize-modular": {
         "generations.csv": "07d3b7b51826df49ed22a3cf50598b109709d7b34b8289454c6fd4b3f606e0b3",
         "lineage.csv": "460064e00a035e4698b70ec1410a582b749077fbb87d0b7f2b366bf8bba7fd66",
+        "champion.ckpt": "2fc923a7d2106fe2e0b6f12e40b3e8a07262a50854f6fbdc6b030bc753ad6bb7",
+        "population_final.ckpt":
+            "0bc53ccf262f59bedba111233f58c802376702cea1a142f4b77f1c2b26287b5f",
     },
     "multi-body-global": {
         "generations.csv": "bcba690169d9bf8fcaee7aeac785c69107649a749241a589d6d341e041e9f8d0",
         "lineage.csv": "78238d4aa7742c102aaa7f2c716d68e265b13ff199169d2fec5c58012ad0a69f",
+        "champion.ckpt": "e886b301fba9cd5f5c36fae9c768a10f8d8db8e32cce6c641c5ef3839c77c123",
+        "population_final.ckpt":
+            "4680b66464612ea41c75b31462ee635b98689bd72847daa282a89dd7175f38a2",
     },
     "transfer": {
         "transfer.csv": "2243176a3aee51e5b8042f7ebcc25a1de7efd7f4a70aff98a621392397a4726f",

@@ -34,7 +34,6 @@ generations = 7
 [evolution]
 mu = 4
 lambda = 5
-p_body_mutation = 0.25
 controller_sigma = 0.05
 checkpoint_every = 3
 
@@ -70,7 +69,7 @@ class TestParsing:
         assert cfg.paradigm == "global"
         assert cfg.generations == 7
         assert (cfg.mu, cfg.lambda_) == (4, 5)
-        assert cfg.p_body_mutation == 0.25
+        assert cfg.p_body_mutation == 0.5  # untouched default: multi-body mutates no body
         assert cfg.controller_sigma == 0.05
         assert cfg.checkpoint_every == 3
         assert cfg.physics.gravity == 9.0
@@ -163,6 +162,16 @@ class TestErrors:
         self.assert_error(f"[experiment]\n{key} = {value}\n", message, 2)
         self.assert_error(f"[experiment]\nn_runs = 2\n{key} = {value}\n"
                           "[run]\nmode = co-optimize\n", message, 3)
+
+    # under multi-body the key loaded and drew no body mutation
+    def test_p_body_mutation_needs_co_optimize(self):
+        message = "p_body_mutation applies only to mode = co-optimize"
+        self.assert_error("[run]\nmode = multi-body\n[evolution]\np_body_mutation = 0.9\n",
+                          message, 4)
+        self.assert_error("[evolution]\np_body_mutation = 0.9\n[run]\nmode = multi-body\n",
+                          message, 2)
+        text = "[run]\nmode = co-optimize\n[evolution]\np_body_mutation = 0.9\n"
+        assert parse_config(text).p_body_mutation == 0.9
 
     # np.random.SeedSequence rejects a negative entropy once the run has started
     def test_negative_seed(self):

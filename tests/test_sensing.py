@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from voxevo.control import ControllerBatch, ControllerGenome, act, init_controller
+from voxevo.control import ControllerBatch, act, init_controller
 from voxevo.morphology import GRID_SIZE, H_ACTUATOR, N_MATERIALS, Morphology
 from voxevo.physics import PhysicsConfig, apply_actuation, build_world, join_worlds, step_env
 from voxevo.sensing import (
@@ -15,6 +16,7 @@ from voxevo.sensing import (
     MODULAR_KIND,
     ObservationBuilder,
     ObservationConfig,
+    input_size,
     time_signal,
 )
 
@@ -76,19 +78,24 @@ class TestConfig:
     def test_sizes(self):
         cfg = ObservationConfig()
         assert BLOCK_SIZE == 8
-        assert cfg.window_side == 5
-        assert cfg.global_size == 201
-        assert cfg.local_size == 201
+        assert input_size(GLOBAL_KIND, cfg) == 201
+        assert input_size(MODULAR_KIND, cfg) == 5 * 5 * BLOCK_SIZE + 1 == 201
 
     def test_distance_one_window(self):
         cfg = ObservationConfig(neighborhood_distance=1)
-        assert cfg.window_side == 3
-        assert cfg.local_size == 9 * BLOCK_SIZE + 1
+        assert input_size(MODULAR_KIND, cfg) == 3 * 3 * BLOCK_SIZE + 1
+        assert input_size(GLOBAL_KIND, cfg) == 201
+
+    # an unknown kind read as the global one
+    def test_input_size_of_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown controller kind 'bogus'"):
+            input_size("bogus", ObservationConfig())
 
     # a radius-4 window centred on any cell covers the 5x5 grid; a wider one
     # adds only missing-voxel blocks, and a huge one exhausted memory
     def test_distance_up_to_grid_size_minus_one(self):
-        assert ObservationConfig(neighborhood_distance=GRID_SIZE - 1).window_side == 9
+        cfg = ObservationConfig(neighborhood_distance=GRID_SIZE - 1)
+        assert input_size(MODULAR_KIND, cfg) == 9 * 9 * BLOCK_SIZE + 1
         with pytest.raises(ValueError, match=r"must be in \[0, 4\], got 5"):
             ObservationConfig(neighborhood_distance=GRID_SIZE)
 
@@ -218,7 +225,7 @@ class TestLocalObservation:
         cell = world.actuator_cells[0]
         vec = window_row(joined, cell, env_step=0)
         assert vec.shape == (201,)
-        center = (ObservationConfig().window_side ** 2) // 2
+        center = (input_size(MODULAR_KIND, ObservationConfig()) - 1) // BLOCK_SIZE // 2
         block = vec[center * BLOCK_SIZE:(center + 1) * BLOCK_SIZE]
         assert np.allclose(block, observe_voxel(world, cell).as_block(),
                            rtol=0, atol=1e-15)
@@ -279,9 +286,9 @@ class TestBuilder:
     # a builder takes its kinds from its controllers, and an unknown kind
     # is refused before any controller exists
     def test_unknown_kind_raises(self, joined):
-        params = init_controller(MODULAR_KIND, np.random.default_rng(0)).params
+        genome = init_controller(MODULAR_KIND, np.random.default_rng(0))
         with pytest.raises(ValueError, match="unknown controller kind 'central'"):
-            ControllerBatch((ControllerGenome("central", params),), joined)
+            ControllerBatch((dataclasses.replace(genome, kind="central"),), joined)
 
     def test_refresh_tracks_motion(self, joined):
         builder = ObservationBuilder(joined, (GLOBAL_KIND,))

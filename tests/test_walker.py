@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import voxevo.walker
-from voxevo.control import GLOBAL_KIND, MODULAR_KIND, MlpParams, ControllerGenome, init_controller
+from voxevo.control import GLOBAL_KIND, MODULAR_KIND, ControllerGenome, init_controller
 from voxevo.morphology import Morphology
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass
 from voxevo.walker import (
@@ -21,9 +21,8 @@ GLIDE = PhysicsConfig(**NO_CONTACT)
 
 
 def zero_controller():
-    return ControllerGenome(MODULAR_KIND, MlpParams(
-        W1=np.zeros((32, 201)), b1=np.zeros(32),
-        W2=np.zeros((1, 32)), b2=np.zeros(1)))
+    return ControllerGenome(MODULAR_KIND, W1=np.zeros((32, 201)), b1=np.zeros(32),
+                            W2=np.zeros((1, 32)), b2=np.zeros(1))
 
 
 class TestEpisodeConfig:
