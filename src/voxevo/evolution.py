@@ -19,8 +19,8 @@ it its new individuals' `lineage.csv` rows, `OffspringRecord`s.
 Determinism: every random decision draws from a generator seeded by the
 config's (seed, generation, slot), created in the driving process.
 Evaluations are pure functions of their inputs, so the number of worker
-processes cannot change any logged value, nor can the per-worker grouping
-of multi-body jobs: a body keeps its bits in any joined world.
+processes cannot change any logged value, nor can the cut of an
+evaluation's episodes into runs: a body keeps its bits in any joined world.
 """
 
 from __future__ import annotations
@@ -203,29 +203,25 @@ def evaluation_bodies(cfg: RunConfig, ind: Individual) -> tuple[Morphology, ...]
     return (ind.morphology,) if cfg.catalog is None else tuple(cfg.catalog)
 
 
-def _evaluate_job(job) -> tuple[EpisodeResult, ...]:
-    (body,), controller, episode_cfg, physics_cfg, obs_cfg = job
-    return (run_episode(body, controller, episode_cfg, physics_cfg, obs_cfg),)
-
-
-def _evaluate_group(task) -> list[tuple[EpisodeResult, ...]]:
-    """A worker's contiguous group of jobs, their bodies stepped as one
-    joined world, each under its own job's controller."""
-    jobs, episode_cfg, physics_cfg, obs_cfg = task
-    bodies = tuple(body for job_bodies, _ in jobs for body in job_bodies)
-    controllers = tuple(ctrl for job_bodies, ctrl in jobs for _ in job_bodies)
-    flat = iter(run_episodes(bodies, controllers, episode_cfg, physics_cfg, obs_cfg))
-    return [tuple(next(flat) for _ in job_bodies) for job_bodies, _ in jobs]
+def _evaluate_run(task) -> tuple[EpisodeResult, ...]:
+    """A worker's contiguous run of episodes, each body under its own
+    controller: one episode through `run_episode`, more as one joined world."""
+    episodes, episode_cfg, physics_cfg, obs_cfg = task
+    if len(episodes) == 1:
+        (body, controller), = episodes
+        return (run_episode(body, controller, episode_cfg, physics_cfg, obs_cfg),)
+    bodies, controllers = zip(*episodes)
+    return run_episodes(bodies, controllers, episode_cfg, physics_cfg, obs_cfg)
 
 
 class Evaluator:
     """Evaluates batches of (bodies, controller) jobs, optionally in a worker
     pool. Each job yields one trajectory-free `EpisodeResult` per body, in
     body order; results are in job order and independent of worker count.
-    An evaluation with a multi-body job is split into one contiguous group of
-    near-equal size per worker, whose bodies run as one joined world.
-    A config without a worker count gets one worker per CPU this process may
-    run on."""
+    The jobs' (body, controller) episodes are cut into contiguous runs: one
+    episode each when every job has one body, else one run of near-equal
+    length per worker, stepped as one joined world. A config without a
+    worker count gets one worker per CPU this process may run on."""
 
     def __init__(self, cfg: RunConfig):
         self.episode = cfg.episode
@@ -243,19 +239,18 @@ class Evaluator:
 
     def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]
                  ) -> list[tuple[EpisodeResult, ...]]:
-        # one-body jobs run one by one through run_episode because the
-        # bench's tracer counts episodes by its spans; ROADMAP item 1 moves
-        # that count to the returned results, and then this branch goes
-        if all(len(bodies) == 1 for bodies, _ in jobs):
-            return self._map(_evaluate_job, [
-                (bodies, ctrl, self.episode, self.physics, self.observation)
-                for bodies, ctrl in jobs])
-        n = min(self._workers, len(jobs))
-        cuts = [len(jobs) * k // n for k in range(n + 1)]
-        groups = self._map(_evaluate_group, [
-            (jobs[a:b], self.episode, self.physics, self.observation)
+        episodes = [(body, ctrl) for bodies, ctrl in jobs for body in bodies]
+        # one-body jobs run one episode per run, through run_episode, because
+        # the bench's tracer counts their episodes by its spans; ROADMAP item 1
+        # moves that count to the returned results, and then this rule goes
+        one_body = all(len(bodies) == 1 for bodies, _ in jobs)
+        n = len(episodes) if one_body else min(self._workers, len(episodes))
+        cuts = [len(episodes) * k // max(n, 1) for k in range(n + 1)]
+        runs = self._map(_evaluate_run, [
+            (episodes[a:b], self.episode, self.physics, self.observation)
             for a, b in zip(cuts, cuts[1:])])
-        return [results for group in groups for results in group]
+        flat = iter(result for run in runs for result in run)
+        return [tuple(next(flat) for _ in bodies) for bodies, _ in jobs]
 
     def _map(self, fn, tasks: list) -> list:
         return list(map(fn, tasks)) if self._pool is None else self._pool.map(fn, tasks)

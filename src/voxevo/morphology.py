@@ -36,12 +36,15 @@ class MutationFailedError(RuntimeError):
 
 
 def _as_grid(grid) -> np.ndarray:
-    arr = np.asarray(grid, dtype=np.int8)
+    """An int8 copy of `grid`, checked first so that no code wraps or truncates."""
+    arr = np.asarray(grid)
     if arr.shape != (GRID_SIZE, GRID_SIZE):
         raise InvalidMorphologyError(f"grid must be {GRID_SIZE}x{GRID_SIZE}, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise InvalidMorphologyError(f"material codes must be integers, got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= N_MATERIALS:
         raise InvalidMorphologyError("material codes must lie in [0..4]")
-    return arr
+    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,7 @@ class Morphology:
     grid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _as_grid(np.array(self.grid, dtype=np.int8))
+        arr = _as_grid(self.grid)
         arr.setflags(write=False)
         object.__setattr__(self, "grid", arr)
 

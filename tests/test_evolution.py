@@ -25,6 +25,7 @@ from voxevo.evolution import (
     score,
     select_survivors,
 )
+from voxevo.experiments import CATALOG_ORDER, default_catalog
 from voxevo.morphology import Morphology, MutationFailedError, random_morphology
 from voxevo.physics import PhysicsConfig
 from voxevo.runconfig import RunConfig
@@ -281,8 +282,8 @@ class TestEvaluation:
                 assert all(r.trajectory is None for r in joint)
 
     # an evaluation with a multi-body job gives each worker one contiguous
-    # group of jobs, whose bodies run as one joined world, each body under
-    # its own job's controller
+    # run of the jobs' episodes, whose bodies run as one joined world, each
+    # body under its own job's controller
     def test_grouped_jobs_are_each_job_alone(self, small_body, fast_episode, monkeypatch):
         soft = np.zeros((5, 5), dtype=np.int8)
         soft[3, 1:4], soft[4, 1:4] = [3, 2, 4], [2, 2, 2]
@@ -333,6 +334,33 @@ class TestEvaluation:
         with Evaluator(RunConfig(episode=fast_episode, workers=1)) as evaluator:
             evaluator.evaluate([job for jobs, *_ in cases.values() for job in jobs])
         assert calls == [10]
+
+    # an evaluation's episodes are cut into contiguous runs: by episodes, not
+    # by jobs, so a job's bodies may straddle two runs; one-body jobs run one
+    # episode per run. Each run's results come back as its episodes here,
+    # so the regroup by job is checked too
+    def test_episodes_are_cut_into_runs(self, small_body, monkeypatch):
+        handed = []
+
+        def spy(self, fn, tasks):
+            handed.append([len(episodes) for episodes, *_ in tasks])
+            return [tuple(episodes) for episodes, *_ in tasks]
+
+        monkeypatch.setattr(Evaluator, "_map", spy)
+        catalog = tuple(default_catalog()[name] for name in CATALOG_ORDER)
+        controllers = [init_controller(GLOBAL_KIND, np.random.default_rng(s))
+                       for s in range(17)]
+        multi = [(catalog, ctrl) for ctrl in controllers]
+        single = [((small_body,), ctrl) for ctrl in controllers[:5]]
+        cases = [(multi, 2, [34, 34]), (multi, 3, [22, 23, 23]),
+                 (single, 1, [1] * 5), (single, 2, [1] * 5), ([], 2, [])]
+        for jobs, workers, lengths in cases:
+            handed.clear()
+            with Evaluator(RunConfig(workers=workers)) as evaluator:
+                results = evaluator.evaluate(jobs)
+            assert handed == [lengths], workers
+            assert results == [tuple((body, ctrl) for body in bodies)
+                               for bodies, ctrl in jobs]
 
     def test_worker_pool_matches_serial(self, small_body, plus_body, fast_episode):
         controllers = [init_controller(MODULAR_KIND, np.random.default_rng(s))

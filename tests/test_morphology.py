@@ -117,6 +117,21 @@ class TestMorphologyValue:
         assert body == small_body and hash(body) == hash(small_body)
         assert body.grid[0, 0] == EMPTY and body in seen
 
+    # the grid was cast to int8 before its codes were checked: 259 and -253
+    # wrapped to code 3, 2.7 truncated to 2 and NaN read as 0, all accepted
+    @pytest.mark.parametrize("code", [259, -253, 2.7, np.nan])
+    def test_codes_are_checked_before_the_cast(self, small_body, code):
+        grid = small_body.grid.astype(np.asarray(code).dtype)
+        grid[3, 1] = code
+        for build in (Morphology, validate):
+            with pytest.raises(InvalidMorphologyError):
+                build(grid)
+
+    def test_int8_arrays_and_lists_of_ints_build(self, small_body):
+        assert Morphology(small_body.grid.copy()) == small_body
+        assert Morphology(small_body.grid.tolist()) == small_body
+        assert Morphology(small_body.grid.tolist()).grid.dtype == np.int8
+
     def test_counts(self, small_body):
         assert small_body.n_filled == 6
         assert actuator_cells(small_body) == [(3, 1), (3, 3)]

@@ -110,8 +110,8 @@ def test_evolve_digests(tmp_path, case, text):
     _check(_evolve(tmp_path, case, text), case)
 
 
-# each worker steps its contiguous group of multi-body jobs as one joined
-# world, so the group boundaries move with the worker count and the bits may not
+# each worker steps its contiguous run of the jobs' episodes as one joined
+# world, so the run boundaries move with the worker count and the bits may not
 @pytest.mark.parametrize("workers", [2, 3])
 def test_multi_body_digests_any_worker_count(tmp_path, workers):
     case = "multi-body-global"
