@@ -163,9 +163,16 @@ class JoinedWorld:
 
     The integration constants are derived here from the members' masses:
     the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
-    as an array and as Python floats, for the two forms of the contact."""
+    as an array and as Python floats, for the two forms of the contact.
+
+    `step_env` keeps its step state here (`_step`: views of `pos` and `vel`,
+    scratch buffers, the scatter list), built on its first call and again
+    whenever `pos` or `vel` is rebound to another array. A copy or a pickle
+    leaves it out and builds its own on its first step."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
+        if not worlds:
+            raise ValueError("no worlds to join")
         first = worlds[0]
         if any(w.physics != first.physics for w in worlds):
             raise ValueError("joined worlds must share their physics")
@@ -202,6 +209,11 @@ class JoinedWorld:
             (_incidence(worlds[shape[0]]), slice(masses[i], masses[j]),
              slice(springs[i], springs[j]), j - i)
             for shape, i, j in zip(shapes.values(), starts, starts[1:]))
+        self._step = None
+
+    def __getstate__(self):
+        # the step state holds memoryviews, which neither copy nor pickle
+        return {**self.__dict__, "_step": None}
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
@@ -375,9 +387,7 @@ def apply_actuation(world: SimWorld | JoinedWorld, actions: np.ndarray) -> None:
 def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
     """Internal forces from complex views of the positions and velocities, per
     spring into the columns `px`, `py`, per mass into `forces` through
-    `scatter`: each body shape's incidence, derived at the join, with its
-    rows of both buffers, as 2-D arrays for a shape of one member, and
-    stacked (k, rows, 2) per member for a shape of k > 1."""
+    `scatter` (see `_step_state`)."""
     a, b = world.spring_a, world.spring_b
     d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
     dx, dy = d.real, d.imag
@@ -424,26 +434,43 @@ def _contact_forces(world, touching, forces) -> None:
     forces[touching, 0] += friction
 
 
-def step_env(world: JoinedWorld) -> None:
-    """Advance a batch of worlds one environment step (substeps_per_env_step
-    physics substeps, semi-implicit Euler). Raises SimulationDivergedError
-    when any member's state is non-finite.
-
-    Each substep sums spring forces, gravity and ground contact, then updates
-    velocities before positions.
-    """
-    physics = world.physics
-    dt = physics.physics_dt
+def _step_state(world: JoinedWorld) -> tuple:
+    """What `step_env` steps `world` through, for its current `pos` and
+    `vel`: complex views of both and of the heights `y`, the per-spring and
+    per-mass scratch buffers with their columns, the scatter list, and flat
+    memoryviews of the state and the forces for the contact loop. Each
+    scatter entry is a body shape's incidence with its rows of both buffers,
+    as 2-D arrays for a shape of one member and stacked (k, rows, 2) per
+    member for a shape of k > 1."""
     pos, vel = world.pos, world.vel
-    # views and buffers per call, not on the world, so a rebound pos or vel is seen
     z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
     per_spring, forces = np.empty((world.n_springs, 2)), np.empty_like(pos)
-    px, py, fy = per_spring[:, 0], per_spring[:, 1], forces[:, 1]
     scatter = [(incidence, per_spring[springs], forces[masses]) if k == 1 else
                (incidence, per_spring[springs].reshape(k, -1, 2),
                 forces[masses].reshape(k, -1, 2))
                for incidence, masses, springs, k in world.blocks]
+    # a cast of a non-contiguous array raises TypeError, before any write
     P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
+    return (pos, vel, z, w, y, per_spring[:, 0], per_spring[:, 1], forces, forces[:, 1],
+            scatter, P, V, F)
+
+
+def step_env(world: JoinedWorld) -> float:
+    """Advance a batch of worlds one environment step (substeps_per_env_step
+    physics substeps, semi-implicit Euler) and return the largest |x| or |y|
+    of any mass after it. Raises SimulationDivergedError when any member's
+    state is non-finite.
+
+    Each substep sums spring forces, gravity and ground contact, then updates
+    velocities before positions, through the step state kept on the joined
+    world (see `JoinedWorld`).
+    """
+    state = world._step
+    if state is None or state[0] is not world.pos or state[1] is not world.vel:
+        state = world._step = _step_state(world)
+    pos, vel, z, w, y, px, py, forces, fy, scatter, P, V, F = state
+    physics = world.physics
+    dt = physics.physics_dt
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
     kn, kd, mu = (physics.contact_normal_stiffness, physics.contact_normal_damping,
                   physics.contact_friction)
@@ -485,10 +512,13 @@ def step_env(world: JoinedWorld) -> None:
             forces *= inv_mass
             vel += forces
             pos += dt * vel
-    # with dt finite and positive, a non-finite velocity makes pos non-finite
-    # in the same substep, and a non-finite position stays so
-    if not np.isfinite(pos).all():
+        # with dt finite and positive, a non-finite velocity makes pos
+        # non-finite in the same substep, and a non-finite position stays
+        # so; the max of |pos| is NaN or inf exactly when some entry is
+        extent = float(np.abs(pos).max())
+    if not extent < math.inf:
         raise SimulationDivergedError("non-finite state after an env step")
+    return extent
 
 
 def center_of_mass(world: SimWorld) -> np.ndarray:

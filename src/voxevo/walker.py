@@ -97,14 +97,17 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
                  obs_cfg: ObservationConfig | None = None,
                  record: bool = False) -> tuple[EpisodeResult, ...]:
     """One episode per body, body i under `controllers[i]` (the bodies may
-    come from several jobs), the worlds joined and stepped in lockstep; each
-    result is the body's `run_episode` result. Each action step is one
-    `act` and one `apply_actuation` on the joined world: one observation
-    refresh, one stacked forward pass per group of members and one
-    actuation for the whole batch. A body that diverges or crosses the
-    terrain end leaves the batch at that step, and the bodies still running
-    are joined again without it, with a new controller batch.
+    come from several jobs; unequal counts raise ValueError), the worlds
+    joined and stepped in lockstep; each result is the body's `run_episode`
+    result. Each action step is one `act` and one `apply_actuation` on the
+    joined world: one observation refresh, one stacked forward pass per
+    group of members and one actuation for the whole batch. A body that
+    diverges or crosses the terrain end leaves the batch at that step, and
+    the bodies still running are joined again without it, with a new
+    controller batch.
     """
+    if len(bodies) != len(controllers):
+        raise ValueError(f"{len(bodies)} bodies but {len(controllers)} controllers")
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
     worlds = [build_world(body, physics_cfg) for body in bodies]
@@ -136,16 +139,18 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
             for i in live:
                 frames[i].append(worlds[i].pos.copy())
         try:
-            step_env(joined)
+            extent = step_env(joined)
         except SimulationDivergedError:
+            extent = math.nan
             for i in live:
                 if not np.isfinite(worlds[i].pos).all():
                     finish(i, step + 1, False, diverged=True)
         # a centre of mass is a mean of at most 36 masses' x, rounded by far
-        # less than 1e-9 of their largest |x|: while every |x| is that much
-        # below the terrain end, no body has reached it. A NaN is never
-        # below, so a diverged batch is checked body by body
-        if not np.abs(joined.pos[:, 0]).max() < near_end:
+        # less than 1e-9 of their largest |x|: while the largest |x| or |y|
+        # that step_env returns is that much below the terrain end, no body
+        # has reached it. A NaN is never below, so a diverged batch is
+        # checked body by body
+        if not extent < near_end:
             for i in live:
                 if (results[i] is None
                         and float(center_of_mass(worlds[i])[0]) >= episode_cfg.terrain_end_x):

@@ -572,34 +572,42 @@ class TestMatchesOracle:
         assert world.pos[:, 0].min() > 2.0  # the shifted start was kept
 
     def test_copied_or_rebound_state_steps_to_the_same_bytes(self):
-        # a view of the state or a scratch buffer kept across calls would
-        # keep writing to the arrays the world held before
-        world = build_world(default_catalog()["biped"], PhysicsConfig())
-        batch = join_worlds([world])
-        step_env(batch)
-        members = [world, copy.deepcopy(world), copy.deepcopy(world)]
-        batches = [batch] + [join_worlds([m]) for m in members[1:]]
-        _, copied, rebound = batches
+        # a joined world keeps its step state (views of its state, scratch
+        # buffers) across calls: a deep copy taken after a step must step its
+        # own arrays, and a pos or vel rebound after the state was built must
+        # be stepped in place of the array the state was built from
+        body = default_catalog()["biped"]
+        batch, pos_rebound, vel_rebound = (join_worlds([build_world(body, PhysicsConfig())])
+                                           for _ in range(3))
+        for b in (batch, pos_rebound, vel_rebound):
+            step_env(b)
+        copied = copy.deepcopy(batch)
+        batches = [batch, copied, pos_rebound, vel_rebound]
         rng = np.random.default_rng(3)
         for step in range(50):
             if step % 4 == 0:
-                actions = rng.random(world.actuator_voxels.size)
-                for w in members:
-                    apply_actuation(w, actions)
-            rebound.pos, rebound.vel = rebound.pos.copy(), rebound.vel.copy()
+                actions = rng.random(batch.actuator_slots.size)
+                for b in batches:
+                    apply_actuation(b, actions)
+            pos_rebound.pos = pos_rebound.pos.copy()
+            vel_rebound.vel = vel_rebound.vel.copy()
             for b in batches:
                 step_env(b)
-        assert_same_state(copied, batch)
-        assert_same_state(rebound, batch)
+        for b in batches[1:]:
+            assert_same_state(b, batch)
 
     def test_non_contiguous_state_is_refused(self):
-        # the contact loop reads and writes the state through flat views
-        batch = join_worlds([build_world(single_voxel(), PhysicsConfig())])
-        batch.pos = np.repeat(batch.pos, 2, axis=0)[::2]  # strided rows
-        before = batch.pos.copy()
-        with pytest.raises(TypeError):
-            step_env(batch)
-        assert np.array_equal(batch.pos, before)
+        # the contact loop reads and writes the state through flat views; a
+        # strided pos is refused at a fresh join and after a step alike
+        for steps in (0, 1):
+            batch = join_worlds([build_world(single_voxel(), PhysicsConfig())])
+            for _ in range(steps):
+                step_env(batch)
+            batch.pos = np.repeat(batch.pos, 2, axis=0)[::2]  # strided rows
+            before = batch.pos.copy()
+            with pytest.raises(TypeError):
+                step_env(batch)
+            assert np.array_equal(batch.pos, before)
 
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
@@ -863,6 +871,24 @@ class TestJoinedWorlds:
             assert first_row(m.vel, joined.vel) == row
             springs = slice(spring, spring + m.n_springs)
             assert np.array_equal(joined.spring_a[springs] - row, m.spring_a)
+
+    # the walker's terrain-end bound: the largest |x| or |y| of the state
+    # that the step leaves
+    @pytest.mark.parametrize("names", [["biped"], CATALOG_ORDER], ids=["one", "catalog"])
+    def test_step_returns_the_largest_coordinate_magnitude(self, names):
+        catalog = default_catalog()
+        batch = join_worlds([build_world(catalog[name], PhysicsConfig()) for name in names])
+        rng = np.random.default_rng(42)
+        for step in range(40):
+            if step % 4 == 0:
+                apply_actuation(batch, rng.random(batch.actuator_slots.size))
+            extent = step_env(batch)
+            assert type(extent) is float
+            assert extent == float(np.abs(batch.pos).max()), step
+
+    def test_refuses_an_empty_join(self):
+        with pytest.raises(ValueError, match="^no worlds to join$"):
+            join_worlds([])
 
     def test_refuses_members_of_other_physics(self):
         body = single_voxel()

@@ -244,6 +244,18 @@ class TestBatchedEpisodes:
                 f.tobytes() for f in alone[i].trajectory], i
 
 
+class TestMalformedBatches:
+    # one controller per body: an extra controller is not dropped and a
+    # missing one is not an IndexError
+    @pytest.mark.parametrize("n_bodies, n_controllers", [(1, 3), (3, 1), (0, 1)])
+    def test_refuses_unequal_counts(self, small_body, fast_episode, n_bodies, n_controllers):
+        controllers = [init_controller(MODULAR_KIND, np.random.default_rng([10, i]))
+                       for i in range(n_controllers)]
+        with pytest.raises(ValueError,
+                           match=f"^{n_bodies} bodies but {n_controllers} controllers$"):
+            run_episodes((small_body,) * n_bodies, tuple(controllers), fast_episode)
+
+
 class TestResultType:
     def test_frozen(self, small_body, fast_episode):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(8))
