@@ -203,7 +203,9 @@ def cmd_transfer(args) -> int:
         ones = [s.relative_change_one for s in at_d
                 if s.relative_change_one is not None]
         lines.append(f"distance {distance}: {len(at_d)} samples")
-        if zeros:
+        if not at_d:
+            lines.append("  relative changes omitted (no neighbor sampled)")
+        elif zeros:
             lines.append(
                 f"  zero-shot relative change: mean {float(np.mean(zeros))!r} "
                 f"median {float(np.median(zeros))!r}")

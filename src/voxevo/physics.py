@@ -149,11 +149,9 @@ class JoinedWorld:
     by side, shapes in order of first appearance: `members` holds the
     worlds in that order and `order` the position of each among the worlds
     given. Their masses, springs and voxels are concatenated in that order.
-    The scatter keeps one block (incidence, mass rows, spring rows, member
-    count k) per body shape, its incidence derived here from the shape's
-    first member. Each member's `pos`, `vel`, `rest` and `scale` are
-    rebound to views of the joined arrays, so stepping, actuation,
-    observations and `center_of_mass` work on it as alone.
+    Each member's `pos`, `vel`, `rest` and `scale` are rebound to views of
+    the joined arrays, so stepping, actuation, observations and
+    `center_of_mass` work on it as alone.
 
     The actuation state is joined as the state is: one flat `scale` of the
     members' scale arrays, with `actuator_slots` and `rest_scales` offset
@@ -165,10 +163,15 @@ class JoinedWorld:
     the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
     as an array and as Python floats, for the two forms of the contact.
 
-    `step_env` keeps its step state here (`_step`: views of `pos` and `vel`,
-    scratch buffers, the scatter list), built on its first call and again
-    whenever `pos` or `vel` is rebound to another array. A copy or a pickle
-    leaves it out and builds its own on its first step."""
+    The join builds everything `step_env` steps through, once: `_step`
+    holds `pos` and `vel` with complex views of both, the heights, the
+    per-spring and per-mass scratch buffers with their columns, and flat
+    memoryviews of the state and the forces for the contact loop.
+    `blocks` is the scatter: per body shape its incidence, derived from
+    the shape's first member, and its rows of the two buffers, stacked
+    (k, rows, 2) for a shape of k > 1 members. `pos`, `vel`, `rest` and
+    `scale` are written in place, never rebound (`AttributeError`), and a
+    copy or a pickle is refused (`TypeError`: memoryviews do not pickle)."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
         if not worlds:
@@ -204,16 +207,23 @@ class JoinedWorld:
                                              springs[1:], scales, scales[1:]):
             w.pos, w.vel, w.rest = self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1]
             w.scale = self.scale[c0:c1].reshape(w.scale.shape)
+        pos, vel = self.pos, self.vel
+        per_spring, forces = np.empty((self.n_springs, 2)), np.empty_like(pos)
         starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
         self.blocks = tuple(
-            (_incidence(worlds[shape[0]]), slice(masses[i], masses[j]),
-             slice(springs[i], springs[j]), j - i)
+            (_incidence(worlds[shape[0]]),
+             *(rows if j - i == 1 else rows.reshape(j - i, -1, 2)
+               for rows in (per_spring[springs[i]:springs[j]], forces[masses[i]:masses[j]])))
             for shape, i, j in zip(shapes.values(), starts, starts[1:]))
-        self._step = None
+        self._step = (pos, vel, pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0],
+                      pos[:, 1], per_spring[:, 0], per_spring[:, 1], forces, forces[:, 1],
+                      *(memoryview(a).cast("B").cast("d") for a in (pos, vel, forces)))
 
-    def __getstate__(self):
-        # the step state holds memoryviews, which neither copy nor pickle
-        return {**self.__dict__, "_step": None}
+    def __setattr__(self, name, value):
+        # not `self.__dict__`: reading it materializes it, ~1% slower per step
+        if name in ("pos", "vel", "rest", "scale") and hasattr(self, name):
+            raise AttributeError(f"a joined world's {name} is written in place, not rebound")
+        super().__setattr__(name, value)
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:
@@ -384,10 +394,10 @@ def apply_actuation(world: SimWorld | JoinedWorld, actions: np.ndarray) -> None:
     _set_rest(world)
 
 
-def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
+def _spring_forces(world, z, w, px, py, forces) -> None:
     """Internal forces from complex views of the positions and velocities, per
-    spring into the columns `px`, `py`, per mass into `forces` through
-    `scatter` (see `_step_state`)."""
+    spring into the columns `px`, `py`, per mass into `forces` through the
+    scatter `world.blocks` (see `JoinedWorld`)."""
     a, b = world.spring_a, world.spring_b
     d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
     dx, dy = d.real, d.imag
@@ -402,7 +412,7 @@ def _spring_forces(world, z, w, px, py, scatter, forces) -> None:
     # block its longer inner dimension differently and change the bits.
     # np.matmul over a stack makes that same gemm call once per member of a
     # body shape; a shape of one member keeps `dot`, which costs less per call
-    for incidence, springs, masses in scatter:
+    for incidence, springs, masses in world.blocks:
         if masses.ndim == 2:
             incidence.dot(springs, out=masses)
         else:
@@ -434,27 +444,6 @@ def _contact_forces(world, touching, forces) -> None:
     forces[touching, 0] += friction
 
 
-def _step_state(world: JoinedWorld) -> tuple:
-    """What `step_env` steps `world` through, for its current `pos` and
-    `vel`: complex views of both and of the heights `y`, the per-spring and
-    per-mass scratch buffers with their columns, the scatter list, and flat
-    memoryviews of the state and the forces for the contact loop. Each
-    scatter entry is a body shape's incidence with its rows of both buffers,
-    as 2-D arrays for a shape of one member and stacked (k, rows, 2) per
-    member for a shape of k > 1."""
-    pos, vel = world.pos, world.vel
-    z, w, y = pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0], pos[:, 1]
-    per_spring, forces = np.empty((world.n_springs, 2)), np.empty_like(pos)
-    scatter = [(incidence, per_spring[springs], forces[masses]) if k == 1 else
-               (incidence, per_spring[springs].reshape(k, -1, 2),
-                forces[masses].reshape(k, -1, 2))
-               for incidence, masses, springs, k in world.blocks]
-    # a cast of a non-contiguous array raises TypeError, before any write
-    P, V, F = (memoryview(a).cast("B").cast("d") for a in (pos, vel, forces))
-    return (pos, vel, z, w, y, per_spring[:, 0], per_spring[:, 1], forces, forces[:, 1],
-            scatter, P, V, F)
-
-
 def step_env(world: JoinedWorld) -> float:
     """Advance a batch of worlds one environment step (substeps_per_env_step
     physics substeps, semi-implicit Euler) and return the largest |x| or |y|
@@ -462,13 +451,10 @@ def step_env(world: JoinedWorld) -> float:
     state is non-finite.
 
     Each substep sums spring forces, gravity and ground contact, then updates
-    velocities before positions, through the step state kept on the joined
-    world (see `JoinedWorld`).
+    velocities before positions, through the step state that the join built
+    (see `JoinedWorld`).
     """
-    state = world._step
-    if state is None or state[0] is not world.pos or state[1] is not world.vel:
-        state = world._step = _step_state(world)
-    pos, vel, z, w, y, px, py, forces, fy, scatter, P, V, F = state
+    pos, vel, z, w, y, px, py, forces, fy, P, V, F = world._step
     physics = world.physics
     dt = physics.physics_dt
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
@@ -479,7 +465,7 @@ def step_env(world: JoinedWorld) -> float:
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(physics.substeps_per_env_step):
-            _spring_forces(world, z, w, px, py, scatter, forces)
+            _spring_forces(world, z, w, px, py, forces)
             fy -= weight
             if has_contact:
                 touching = (y < 0.0).nonzero()[0]

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import struct
 
 import numpy as np
@@ -137,7 +138,7 @@ class TestIntegrity:
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, make_individual())
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         truncated = tmp_path / "trunc.ckpt"
         truncated.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointIntegrityError):
@@ -146,7 +147,7 @@ class TestIntegrity:
     def test_trailing_garbage(self, tmp_path):
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, make_individual())
-        blob = open(path, "rb").read()
+        blob = pathlib.Path(path).read_bytes()
         padded = tmp_path / "padded.ckpt"
         padded.write_bytes(blob + b"\x00\x01")
         with pytest.raises(CheckpointIntegrityError):
@@ -155,7 +156,7 @@ class TestIntegrity:
     def test_corrupt_morphology_digit(self, tmp_path):
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, make_individual())
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(pathlib.Path(path).read_bytes())
         assert blob.startswith(MAGIC)
         # morphology digits sit right after header + fixed record
         offset = 7 + 37
@@ -168,7 +169,7 @@ class TestIntegrity:
     def test_non_finite_parameter_rejected(self, tmp_path):
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, make_individual())
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(pathlib.Path(path).read_bytes())
         nan = np.float64(math.nan).tobytes()
         blob[-8:] = nan
         corrupt = tmp_path / "corrupt.ckpt"
@@ -180,7 +181,7 @@ class TestIntegrity:
     def test_parameter_count_must_fit_the_kind(self, tmp_path, delta):
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, make_individual())
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(pathlib.Path(path).read_bytes())
         # parameter count u32 follows header, fixed record, 25 digits, kind byte
         offset = 7 + 37 + 25 + 1
         count = int.from_bytes(blob[offset:offset + 4], "little")

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -404,7 +405,7 @@ class TestTransfer:
             assert row[1] == "1"
             assert len(row[2]) == 25
             assert float(row[4]) >= float(row[3])  # one-shot >= zero-shot
-        summary = open(os.path.join(out, "transfer_summary.txt")).read()
+        summary = pathlib.Path(out, "transfer_summary.txt").read_text(encoding="utf-8")
         assert "source fitness:" in summary
         assert "distance 1" in summary
 
@@ -449,8 +450,36 @@ class TestTransfer:
             with open(os.path.join(outs[0], name), "rb") as fa, \
                     open(os.path.join(outs[1], name), "rb") as fb:
                 assert fa.read() == fb.read(), name
-        summary = open(os.path.join(outs[1], "transfer_summary.txt")).read()
+        summary = pathlib.Path(outs[1], "transfer_summary.txt").read_text(encoding="utf-8")
         assert summary.startswith(f"source fitness: {champion.fitness!r}\n")
+
+    # a distance where no neighbor was sampled was labelled as omitted for a
+    # source fitness below the guard, whatever the source fitness
+    def test_distance_without_neighbors_says_so(self, trained_run, tmp_path, monkeypatch):
+        config, run_dir = trained_run
+        both = tmp_path / "both.cfg"
+        both.write_text(TINY_CONFIG.replace("distances = 1\n", "distances = 1, 2\n"))
+        champion = load_individual(os.path.join(run_dir, "champion.ckpt"))
+        path = str(tmp_path / "champion.ckpt")
+        save_individual(path, dataclasses.replace(champion, fitness=1.0))  # above the guard
+        real = voxevo.experiments._distinct_neighbors
+
+        def none_at_two(source, distance, count, rng):
+            return [] if distance == 2 else real(source, distance, count, rng)
+
+        summaries = []
+        for out, patch in (("sampled", False), ("emptied", True)):
+            if patch:
+                monkeypatch.setattr(voxevo.experiments, "_distinct_neighbors", none_at_two)
+            assert main(["transfer", "--config", str(both), "--champion", path,
+                         "--out", str(tmp_path / out), "--workers", "1"]) == 0
+            summaries.append((tmp_path / out / "transfer_summary.txt").read_text(encoding="utf-8"))
+        sampled, emptied = (summary.splitlines() for summary in summaries)
+        at_two = emptied.index("distance 2: 0 samples")
+        assert sampled[at_two] == "distance 2: 2 samples"
+        assert emptied[:at_two] == sampled[:at_two]
+        assert emptied[at_two + 1:] == ["  relative changes omitted (no neighbor sampled)"]
+        assert "below guard" not in summaries[1]
 
     # the champion's fitness is the source of every relative change
     @pytest.mark.parametrize("fitness", [math.inf, -math.inf])
@@ -500,7 +529,8 @@ class TestReplay:
         out = str(tmp_path / "replay.jsonl")
         assert main(["replay", "--champion", champion_path, "--out", out,
                      "--config", config]) == 0
-        lines = [json.loads(line) for line in open(out, encoding="utf-8")]
+        lines = [json.loads(line)
+                 for line in pathlib.Path(out).read_text(encoding="utf-8").splitlines()]
         meta, frames = lines[0], lines[1:]
         assert meta["type"] == "meta"
         assert len(frames) == meta["steps"]
@@ -519,7 +549,8 @@ class TestReplay:
         out = str(tmp_path / "replay.jsonl")
         assert main(["replay", "--champion",
                      os.path.join(run_dir, "champion.ckpt"), "--out", out]) == 0
-        meta = json.loads(open(out, encoding="utf-8").readline())
+        with open(out, encoding="utf-8") as fh:
+            meta = json.loads(fh.readline())
         assert meta["steps"] <= 500
 
 
@@ -530,7 +561,8 @@ class TestReplay:
         out = str(tmp_path / "replay.jsonl")
         assert main(["replay", "--champion", champion_path, "--out", out,
                      "--config", config]) == 0
-        meta = json.loads(open(out, encoding="utf-8").readline())
+        with open(out, encoding="utf-8") as fh:
+            meta = json.loads(fh.readline())
         assert meta["fitness"] == champion.fitness
 
     def test_window_mismatch_exits_before_writing(self, small_window_run, tmp_path,

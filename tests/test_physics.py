@@ -1,4 +1,5 @@
 import copy
+import pickle
 import sys
 
 import numpy as np
@@ -571,43 +572,47 @@ class TestMatchesOracle:
         assert_same_state(world, ref)
         assert world.pos[:, 0].min() > 2.0  # the shifted start was kept
 
-    def test_copied_or_rebound_state_steps_to_the_same_bytes(self):
-        # a joined world keeps its step state (views of its state, scratch
-        # buffers) across calls: a deep copy taken after a step must step its
-        # own arrays, and a pos or vel rebound after the state was built must
-        # be stepped in place of the array the state was built from
+    def test_copy_and_pickle_are_refused(self):
+        # the join builds the step state once, memoryviews of the joined
+        # arrays among it: a copy would step members it does not view, so
+        # copying and pickling raise instead, and the batch steps on
         body = default_catalog()["biped"]
-        batch, pos_rebound, vel_rebound = (join_worlds([build_world(body, PhysicsConfig())])
-                                           for _ in range(3))
-        for b in (batch, pos_rebound, vel_rebound):
-            step_env(b)
-        copied = copy.deepcopy(batch)
-        batches = [batch, copied, pos_rebound, vel_rebound]
-        rng = np.random.default_rng(3)
-        for step in range(50):
-            if step % 4 == 0:
-                actions = rng.random(batch.actuator_slots.size)
-                for b in batches:
-                    apply_actuation(b, actions)
-            pos_rebound.pos = pos_rebound.pos.copy()
-            vel_rebound.vel = vel_rebound.vel.copy()
-            for b in batches:
-                step_env(b)
-        for b in batches[1:]:
-            assert_same_state(b, batch)
+        world, ref = build_world(body, PhysicsConfig()), build_world(body, PhysicsConfig())
+        batch = join_worlds([world])
+        for _ in range(3):  # before and after a first step
+            for refuse in (copy.deepcopy, pickle.dumps):
+                with pytest.raises(TypeError):
+                    refuse(batch)
+            step_env(batch)
+            oracle_step_env(ref)
+            assert_same_state(world, ref)
 
-    def test_non_contiguous_state_is_refused(self):
-        # the contact loop reads and writes the state through flat views; a
-        # strided pos is refused at a fresh join and after a step alike
-        for steps in (0, 1):
-            batch = join_worlds([build_world(single_voxel(), PhysicsConfig())])
-            for _ in range(steps):
-                step_env(batch)
-            batch.pos = np.repeat(batch.pos, 2, axis=0)[::2]  # strided rows
-            before = batch.pos.copy()
-            with pytest.raises(TypeError):
-                step_env(batch)
-            assert np.array_equal(batch.pos, before)
+    def test_rebinding_the_state_is_refused(self):
+        # the state is written in place, never rebound: a rebound array
+        # (a strided pos among them) would detach the members and the step
+        # state from it. The refused batch still steps to the oracle's bytes
+        body = default_catalog()["biped"]
+        world, ref = build_world(body, PhysicsConfig()), build_world(body, PhysicsConfig())
+        batch = join_worlds([world])
+        rng = np.random.default_rng(3)
+        for _ in range(3):  # before and after a first step
+            for name in ("pos", "vel", "rest", "scale"):
+                bound = getattr(batch, name)
+                others = [bound.copy()]
+                if name == "pos":
+                    others.append(np.repeat(bound, 2, axis=0)[::2])  # strided rows
+                for other in others:
+                    with pytest.raises(AttributeError, match=f"joined world's {name} "):
+                        setattr(batch, name, other)
+                    assert getattr(batch, name) is bound
+            actions = rng.random(batch.actuator_slots.size)
+            apply_actuation(batch, actions)
+            apply_actuation(ref, actions)
+            assert world.rest.tobytes() == ref.rest.tobytes()
+            step_env(batch)
+            oracle_step_env(ref)
+            assert_same_state(world, ref)
+        assert np.shares_memory(world.pos, batch.pos) and np.shares_memory(world.vel, batch.vel)
 
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
@@ -794,8 +799,9 @@ def step_joined_and_alone(bodies, seeds, steps, poison=None):
 
 
 def stacked_counts(joined):
-    """Members per scatter block of `joined`, for the blocks of more than one."""
-    return [k for *_, k in joined.blocks if k > 1]
+    """Members per scatter block of `joined`, for the blocks of more than one:
+    the depth of the stacked rows."""
+    return [masses.shape[0] for *_, masses in joined.blocks if masses.ndim == 3]
 
 
 class TestJoinedWorlds:
