@@ -163,15 +163,23 @@ class JoinedWorld:
     the weight `mass * gravity`, a dense (n, 2) inverse mass, and the masses
     as an array and as Python floats, for the two forms of the contact.
 
-    The join builds everything `step_env` steps through, once: `_step`
-    holds `pos` and `vel` with complex views of both, the heights, the
-    per-spring and per-mass scratch buffers with their columns, and flat
-    memoryviews of the state and the forces for the contact loop.
+    The join builds everything `step_env` steps through, once. `pos` and
+    `vel` are the two halves of one C-contiguous (2, n_masses, 2) state
+    block. `_springs` holds a flat complex128 view of the block (mass i's
+    position at i, its velocity at n_masses + i), the gather indices
+    `ends` and `starts` (each spring's endpoints b and a, then the same
+    offset by n_masses), so one gather-and-subtract gives the position and
+    the velocity differences, and every per-spring buffer, with the
+    columns the spring pass reads and writes. `_step` holds the state, the
+    per-mass forces buffer, the columns the numpy contact gathers from and
+    adds into, and flat memoryviews of the block and the forces for the
+    contact loop (mass i's x at 2i, its vx at 2 * n_masses + 2i).
     `blocks` is the scatter: per body shape its incidence, derived from
-    the shape's first member, and its rows of the two buffers, stacked
-    (k, rows, 2) for a shape of k > 1 members. `pos`, `vel`, `rest` and
-    `scale` are written in place, never rebound (`AttributeError`), and a
-    copy or a pickle is refused (`TypeError`: memoryviews do not pickle)."""
+    the shape's first member, and its rows of the per-spring and per-mass
+    buffers, stacked (k, rows, 2) for a shape of k > 1 members. `pos`,
+    `vel`, `rest` and `scale` are written in place, never rebound
+    (`AttributeError`), and a copy or a pickle is refused (`TypeError`:
+    memoryviews do not pickle)."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
         if not worlds:
@@ -185,15 +193,19 @@ class JoinedWorld:
             shapes.setdefault(tuple(w.cells), []).append(i)
         self.order = tuple(i for shape in shapes.values() for i in shape)
         self.members = members = tuple(worlds[i] for i in self.order)
-        for name in ("pos", "vel", "rest", "stiffness", "damping", "mass"):
+        masses = np.cumsum([0] + [w.n_masses for w in members]).tolist()
+        springs = np.cumsum([0] + [w.n_springs for w in members]).tolist()
+        scales = np.cumsum([0] + [w.scale.size for w in members]).tolist()
+        n, self.n_springs = masses[-1], springs[-1]
+        state = np.empty((2, n, 2))
+        for rows, name in zip(state, ("pos", "vel")):
+            np.concatenate([getattr(w, name) for w in members], out=rows)
+        self.pos, self.vel = pos, vel = state
+        for name in ("rest", "stiffness", "damping", "mass"):
             setattr(self, name, np.concatenate([getattr(w, name) for w in members]))
         self.weight = self.mass * self.physics.gravity
         self.inv_mass = (1.0 / self.mass[:, None]).repeat(2, axis=1)
         self.mass_list = self.mass.tolist()
-        masses = np.cumsum([0] + [w.n_masses for w in members]).tolist()
-        springs = np.cumsum([0] + [w.n_springs for w in members]).tolist()
-        scales = np.cumsum([0] + [w.scale.size for w in members]).tolist()
-        self.n_springs = springs[-1]
         self.spring_a = np.concatenate([w.spring_a + m for w, m in zip(members, masses)])
         self.spring_b = np.concatenate([w.spring_b + m for w, m in zip(members, masses)])
         self.corner_map = np.concatenate([w.corner_map + m for w, m in zip(members, masses)])
@@ -207,17 +219,25 @@ class JoinedWorld:
                                              springs[1:], scales, scales[1:]):
             w.pos, w.vel, w.rest = self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1]
             w.scale = self.scale[c0:c1].reshape(w.scale.shape)
-        pos, vel = self.pos, self.vel
-        per_spring, forces = np.empty((self.n_springs, 2)), np.empty_like(pos)
+        k = self.n_springs
+        per_spring, forces = np.empty((k, 2)), np.empty_like(pos)
         starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
         self.blocks = tuple(
             (_incidence(worlds[shape[0]]),
              *(rows if j - i == 1 else rows.reshape(j - i, -1, 2)
                for rows in (per_spring[springs[i]:springs[j]], forces[masses[i]:masses[j]])))
             for shape, i, j in zip(shapes.values(), starts, starts[1:]))
-        self._step = (pos, vel, pos.view(np.complex128)[:, 0], vel.view(np.complex128)[:, 0],
-                      pos[:, 1], per_spring[:, 0], per_spring[:, 1], forces, forces[:, 1],
-                      *(memoryview(a).cast("B").cast("d") for a in (pos, vel, forces)))
+        # the differences of the spring pass, (dx, dy) per spring and then
+        # (dvx, dvy), as k + k complex and as two (k, 2) halves
+        diff, squares = np.empty(2 * k, np.complex128), np.empty((k, 2))
+        d, dv = diff.view(np.float64).reshape(2, k, 2)
+        self._springs = (state.reshape(-1).view(np.complex128),
+                         np.concatenate([self.spring_b, self.spring_b + n]),
+                         np.concatenate([self.spring_a, self.spring_a + n]),
+                         diff, d, dv, *d.T, squares, *squares.T, np.empty(k), np.empty(k),
+                         *per_spring.T)
+        self._step = (pos, vel, forces, (pos[:, 1], vel[:, 0], vel[:, 1], *forces.T),
+                      *(memoryview(a).cast("B").cast("d") for a in (state, forces)))
 
     def __setattr__(self, name, value):
         # not `self.__dict__`: reading it materializes it, ~1% slower per step
@@ -394,54 +414,63 @@ def apply_actuation(world: SimWorld | JoinedWorld, actions: np.ndarray) -> None:
     _set_rest(world)
 
 
-def _spring_forces(world, z, w, px, py, forces) -> None:
-    """Internal forces from complex views of the positions and velocities, per
-    spring into the columns `px`, `py`, per mass into `forces` through the
-    scatter `world.blocks` (see `JoinedWorld`)."""
-    a, b = world.spring_a, world.spring_b
-    d, dv = z[b] - z[a], w[b] - w[a]  # complex subtraction rounds each part as float64
-    dx, dy = d.real, d.imag
-    length = np.sqrt(dx * dx + dy * dy)
-    ux = dx / length
-    uy = dy / length
-    v_rel = dv.real * ux + dv.imag * uy
-    magnitude = world.stiffness * (length - world.rest) + world.damping * v_rel
-    np.multiply(magnitude, ux, out=px)
-    np.multiply(magnitude, uy, out=py)
+def _spring_forces(world, springs, forces) -> None:
+    """Internal forces, per spring into the last two columns of `springs`,
+    the spring pass's buffers (see `JoinedWorld`), and per mass into
+    `forces` through the scatter `world.blocks`. Every intermediate is
+    written into those buffers, each rounding as in the oracle's
+    `stiffness * (length - rest) + damping * v_rel` along the unit vector."""
+    zw, ends, starts, diff, d, dv, dx, dy, squares, sx, sy, length, v_rel, px, py = springs
+    # d = pos[b] - pos[a] and dv = vel[b] - vel[a] in one gather: complex
+    # subtraction rounds each part as the float64 subtraction
+    np.subtract(zw[ends], zw[starts], out=diff)
+    np.multiply(d, d, out=squares)  # dx * dx, dy * dy
+    np.add(sx, sy, out=length)
+    np.sqrt(length, out=length)
+    np.divide(dx, length, out=dx)  # d becomes the unit vector (ux, uy)
+    np.divide(dy, length, out=dy)
+    np.multiply(dv, d, out=squares)  # dvx * ux, dvy * uy
+    np.add(sx, sy, out=v_rel)
+    np.subtract(length, world.rest, out=length)  # length becomes the magnitude
+    np.multiply(world.stiffness, length, out=length)
+    np.multiply(world.damping, v_rel, out=v_rel)
+    np.add(length, v_rel, out=length)
+    np.multiply(length, dx, out=px)
+    np.multiply(length, dy, out=py)
     # the BLAS gemm of `@`, one per member: one block-diagonal gemm would
     # block its longer inner dimension differently and change the bits.
     # np.matmul over a stack makes that same gemm call once per member of a
     # body shape; a shape of one member keeps `dot`, which costs less per call
-    for incidence, springs, masses in world.blocks:
+    for incidence, rows, masses in world.blocks:
         if masses.ndim == 2:
-            incidence.dot(springs, out=masses)
+            incidence.dot(rows, out=masses)
         else:
-            np.matmul(incidence, springs, out=masses)
+            np.matmul(incidence, rows, out=masses)
 
 
 # From this many touching masses on, a substep's contact is one set of numpy
 # calls over them instead of the Python loop. Break-even measured on a
 # 2-vCPU AVX-512 host (numpy 2.4.6, process_time, best of 15 rounds): the
-# loop costs about 0.39 us per touching mass, the numpy form about 12 us
-# plus 0.045 us per mass; they cross at 36 to 40 masses. A one-body world
+# loop costs about 0.36 us per touching mass, the numpy form about 9 us
+# plus 0.02 us per mass; they cross at 26 to 28 masses. A one-body world
 # touches at most 6, so only a joined world of several bodies reaches it.
-VECTOR_CONTACT_MIN = 36
+VECTOR_CONTACT_MIN = 28
 
 
-def _contact_forces(world, touching, forces) -> None:
-    """Ground contact on the masses `touching`, added into `forces`: the
-    contact loop's arithmetic as numpy calls over all of them at once, in
-    the numpy form the loop was written to match bit for bit."""
+def _contact_forces(world, touching, y, vx, vy, fx, fy) -> None:
+    """Ground contact on the masses `touching`, added into the force columns
+    `fx`, `fy`: the contact loop's arithmetic as numpy calls over all of them
+    at once, gathered from the state columns `y`, `vx`, `vy`, in the numpy
+    form the loop was written to match bit for bit."""
     physics = world.physics
-    pos, vel = world.pos[touching], world.vel[touching]
-    vx = vel[:, 0]
-    normal = (physics.contact_normal_stiffness * -pos[:, 1]
-              - physics.contact_normal_damping * vel[:, 1])
+    vx = vx.take(touching)
+    normal = (physics.contact_normal_stiffness * -y.take(touching)
+              - physics.contact_normal_damping * vy.take(touching))
     np.maximum(normal, 0.0, out=normal)
-    stopping = world.mass[touching] * np.abs(vx) / physics.physics_dt
+    stopping = world.mass.take(touching) * np.abs(vx) / physics.physics_dt
     friction = -np.sign(vx) * np.minimum(physics.contact_friction * normal, stopping)
-    forces[touching, 1] += normal
-    forces[touching, 0] += friction
+    fy[touching] += normal
+    fx[touching] += friction
 
 
 def step_env(world: JoinedWorld) -> float:
@@ -454,7 +483,10 @@ def step_env(world: JoinedWorld) -> float:
     velocities before positions, through the step state that the join built
     (see `JoinedWorld`).
     """
-    pos, vel, z, w, y, px, py, forces, fy, P, V, F = world._step
+    pos, vel, forces, columns, S, F = world._step
+    y, *_, fy = columns
+    v = pos.size  # velocities start here in S
+    springs = world._springs
     physics = world.physics
     dt = physics.physics_dt
     weight, inv_mass, masses = world.weight, world.inv_mass, world.mass_list
@@ -465,19 +497,20 @@ def step_env(world: JoinedWorld) -> float:
     # floating-point warnings mid-substep
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(physics.substeps_per_env_step):
-            _spring_forces(world, z, w, px, py, forces)
+            _spring_forces(world, springs, forces)
             fy -= weight
             if has_contact:
                 touching = (y < 0.0).nonzero()[0]
                 if touching.size >= VECTOR_CONTACT_MIN:
-                    _contact_forces(world, touching, forces)
+                    _contact_forces(world, touching, *columns)
                 else:
                     # few masses touch, too few for numpy calls to pay off;
                     # Python floats round as numpy's float64 did here
                     for i in touching.tolist():
-                        j = 2 * i  # mass i's x in the flat views, its y at j + 1
-                        vxi, vyi = V[j], V[j + 1]
-                        normal = kn * -P[j + 1] - kd * vyi  # the ground is y = 0
+                        j = 2 * i  # mass i's x in S and F, its y at j + 1
+                        k = v + j  # its vx in S, its vy at k + 1
+                        vxi, vyi = S[k], S[k + 1]
+                        normal = kn * -S[j + 1] - kd * vyi  # the ground is y = 0
                         if normal <= 0.0:  # as np.maximum(normal, 0.0): -0.0 -> 0.0, NaN kept
                             normal = 0.0
                         # Coulomb friction opposing sliding, capped so one

@@ -18,6 +18,7 @@ configured floor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,10 @@ class EpisodeConfig:
             ("action_repeat", self.action_repeat >= 1, "must be >= 1"),
             *((name, math.isfinite(getattr(self, name)), "must be finite")
               for name in ("terrain_end_x", "step_penalty", "divergence_floor")),
+            # an infinite shift_constant makes every fitness inf or nan
+            ("step_penalty", self.max_steps <= sys.float_info.max
+             and math.isfinite(self.max_steps * self.step_penalty),
+             f"times max_steps = {self.max_steps} must be finite"),
         ))
 
     @property

@@ -199,6 +199,21 @@ class TestEvolve:
             "neighborhood_distance must be in [0, 4], got 5\n")
         assert not out.exists()
 
+    # shift_constant = max_steps * step_penalty overflowed to inf: the run
+    # wrote nan fitnesses that report refused
+    def test_infinite_shift_constant_refused_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "shift.cfg"
+        cfg.write_text("[run]\nseed = 1\n[episode]\nmax_steps = 500\nstep_penalty = 1e308\n")
+        out = tmp_path / "out"
+        before = tree(tmp_path)
+        assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {cfg}:5: invalid [episode] settings: "
+            "step_penalty times max_steps = 500 must be finite, got 1e+308\n")
+        assert tree(tmp_path) == before
+
     # every file commits through its `.partial` sibling: a run that fails
     # mid-way raises and leaves the marker with the generations that finished
     def test_interrupted_run_leaves_only_the_partial_marker(self, config_path, tmp_path,

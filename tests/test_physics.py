@@ -552,25 +552,45 @@ class TestMatchesOracle:
         com = (ref.mass[:, None] * ref.pos).sum(axis=0) / ref.mass.sum()
         assert np.array_equal(center_of_mass(world), com)
 
+    # pos and vel are the two halves of one state block that the spring pass
+    # gathers from at once: a write to one member's positions or another's
+    # velocities, through its own views, is seen by the next step, and no
+    # other member's state moves with it. Three bodies, two of one shape
     def test_in_place_state_writes_are_seen_by_the_next_step(self):
-        body = default_catalog()["biped"]
-        world, ref = build_world(body, PhysicsConfig()), build_world(body, PhysicsConfig())
-        batch = join_worlds([world])
-        for w in (world, ref):
-            w.pos[:, 0] += 3.0
-            w.vel[2] = [1.5, -0.5]
-        moved = world.pos.copy()
-        step_env(batch)
-        oracle_step_env(ref)
-        assert not np.array_equal(world.pos, moved)
-        for w in (world, ref):
-            w.pos[:, 1] += 0.25
-            w.vel *= 0.5
-        for _ in range(20):
+        catalog = default_catalog()
+        bodies = [catalog["biped"], catalog["worm"], catalog["biped"]]
+        worlds = [build_world(b, PhysicsConfig()) for b in bodies]
+        refs = [build_world(b, PhysicsConfig()) for b in bodies]
+        batch = join_worlds(worlds)
+
+        def step_all():
             step_env(batch)
-            oracle_step_env(ref)
-        assert_same_state(world, ref)
-        assert world.pos[:, 0].min() > 2.0  # the shifted start was kept
+            for ref in refs:
+                oracle_step_env(ref)
+            for world, ref in zip(worlds, refs):
+                assert_same_state(world, ref)
+
+        for i, (world, ref) in enumerate(zip(worlds, refs)):
+            for w in (world, ref):
+                w.pos[:, 0] += 3.0 * (i + 1)
+                w.vel[2] = [1.5, -0.5 * i]
+        moved = worlds[0].pos.copy()
+        step_all()
+        assert not np.array_equal(worlds[0].pos, moved)
+        for step in range(12):
+            written = [(step % 3, "vel"), ((step + 1) % 3, "pos")]
+            for i, name in written:
+                for w in (worlds[i], refs[i]):
+                    if name == "vel":
+                        w.vel *= 0.5
+                        w.vel[1] = [-0.75, 2.0]
+                    else:
+                        w.pos[:, 1] += 0.25
+            step_all()
+        for i, world in enumerate(worlds):
+            assert world.pos[:, 0].min() > 3.0 * (i + 1) - 1.0  # the shifted start was kept
+            assert np.shares_memory(world.pos, batch.pos)
+            assert np.shares_memory(world.vel, batch.vel)
 
     def test_copy_and_pickle_are_refused(self):
         # the join builds the step state once, memoryviews of the joined

@@ -597,6 +597,7 @@ def test_section_keys_are_the_field_names(section):
     ("episode", "action_repeat", "0", "must be >= 1"),
     ("episode", "terrain_end_x", "inf", "must be finite"),
     ("episode", "step_penalty", "nan", "must be finite"),
+    ("episode", "step_penalty", "1e308", "times max_steps = 500 must be finite"),
     ("episode", "divergence_floor", "-inf", "must be finite"),
 ])
 def test_section_refusals_name_their_key(section, key, value, rule):

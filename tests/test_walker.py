@@ -48,6 +48,14 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError):
             EpisodeConfig(action_repeat=0)
 
+    # the shift must be a finite float, or every fitness is inf or nan; a
+    # step count beyond the floats is refused, not raised as OverflowError
+    @pytest.mark.parametrize("max_steps, step_penalty", [
+        (2, -1e308), (10 ** 400, 0.01), (10 ** 400, 0.0)])
+    def test_infinite_shift_constant_refused(self, max_steps, step_penalty):
+        with pytest.raises(ValueError, match="^step_penalty times max_steps = "):
+            EpisodeConfig(max_steps=max_steps, step_penalty=step_penalty)
+
 
 class TestRewardFormula:
     def test_stationary_full_episode_scores_zero(self):
