@@ -55,7 +55,7 @@ from .evolution import (
     Evaluator,
     Individual,
     OffspringRecord,
-    RunArtifacts,
+    RunState,
     evolve_generation,
     make_offspring,
     pareto_rank,

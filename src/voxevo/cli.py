@@ -44,6 +44,7 @@ from .experiments import (
     transfer_analysis,
 )
 from .morphology import Morphology
+from .physics import build_world
 from .runconfig import ConfigError, RunConfig, load_config, override
 from .sensing import input_size
 from .walker import run_episode
@@ -93,30 +94,25 @@ def _write_records(path: str, cls, records) -> None:
         writer.writerows(map(_row, records))
 
 
-def _execute_run(run_dir: str, cfg: RunConfig):
-    """One evolution run with streaming CSV logging and checkpoints."""
+def _execute_run(run_dir: str, cfg: RunConfig, evaluator: Evaluator):
+    """One evolution run on `evaluator`, written as it yields; returns its last `RunState`."""
     os.makedirs(run_dir, exist_ok=True)
     with atomic_open(os.path.join(run_dir, GENERATIONS_CSV)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_columns(GenerationLog))
-
-        def on_generation(generation, log, population, champion):
+        for state, log in run_evolution(cfg, evaluator):
             writer.writerow(_row(log))
             fh.flush()
-            if cfg.checkpoint_every and generation % cfg.checkpoint_every == 0:
+            if cfg.checkpoint_every and state.generation % cfg.checkpoint_every == 0:
                 save_population(
-                    os.path.join(run_dir, f"population_gen{generation:05d}.ckpt"),
-                    population)
-                save_individual(os.path.join(run_dir, CHAMPION_CKPT), champion)
+                    os.path.join(run_dir, f"population_gen{state.generation:05d}.ckpt"),
+                    state.population)
+                save_individual(os.path.join(run_dir, CHAMPION_CKPT), state.champion)
 
-        artifacts = run_evolution(cfg, on_generation=on_generation)
-
-    _write_records(os.path.join(run_dir, LINEAGE_CSV), OffspringRecord,
-                   sorted(artifacts.lineage.values(), key=lambda r: r.id))
-    save_individual(os.path.join(run_dir, CHAMPION_CKPT), artifacts.champion)
-    save_population(os.path.join(run_dir, "population_final.ckpt"),
-                    artifacts.final_population)
-    return artifacts
+    _write_records(os.path.join(run_dir, LINEAGE_CSV), OffspringRecord, state.lineage)
+    save_individual(os.path.join(run_dir, CHAMPION_CKPT), state.champion)
+    save_population(os.path.join(run_dir, "population_final.ckpt"), state.population)
+    return state
 
 
 def _prologue(args) -> RunConfig:
@@ -163,12 +159,14 @@ def cmd_evolve(args) -> int:
     # a single run is a battery of one, written in place
     battery = cfg.n_runs > 1
     fitnesses = []
-    for i in range(cfg.n_runs):
-        run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
-        run = f"run {i:02d} (seed {run_cfg.seed}) " if battery else ""
-        run_dir = os.path.join(cfg.out, f"run_{i:02d}") if battery else cfg.out
-        fitnesses.append(_execute_run(run_dir, run_cfg).champion.fitness)
-        print(f"{run}champion fitness: {fitnesses[-1]!r}")
+    # the runs differ only in their seed: they share one evaluator, one pool
+    with Evaluator(cfg) as evaluator:
+        for i in range(cfg.n_runs):
+            run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
+            run = f"run {i:02d} (seed {run_cfg.seed}) " if battery else ""
+            run_dir = os.path.join(cfg.out, f"run_{i:02d}") if battery else cfg.out
+            fitnesses.append(_execute_run(run_dir, run_cfg, evaluator).champion.fitness)
+            print(f"{run}champion fitness: {fitnesses[-1]!r}")
     if battery:
         print(f"battery best champion fitness: {max(fitnesses)!r}")
     return 0
@@ -237,7 +235,7 @@ def cmd_replay(args) -> int:
         "steps": result.steps_used,
         "diverged": result.diverged,
         "checkpoint_fitness": champion.fitness,
-        "n_masses": int(result.trajectory[0].shape[0]),
+        "n_masses": build_world(champion.morphology, cfg.physics).n_masses,
         "morphology": champion.morphology.to_text().replace("\n", ""),
     }
     lines = [json.dumps(meta)]

@@ -156,9 +156,11 @@ def act(batch: ControllerBatch, world: JoinedWorld, env_step: int) -> np.ndarray
     builder assembles from `world`'s state, then one stacked forward pass
     per group into the batch's output stacks, never rows of several members
     in one gemm, so each member gets the bytes of its own network alone;
-    the actions are read from `output` at `pick`."""
-    for xs, layers in zip(batch.builder.stacked_inputs(world, env_step), batch.layers):
-        _forward(xs, *layers)
+    the actions are read from `output` at `pick`. A network that overflows
+    gives NaN actions, without a warning: `run_episodes` diverges its body."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xs, layers in zip(batch.builder.stacked_inputs(world, env_step), batch.layers):
+            _forward(xs, *layers)
     return batch.output[batch.pick]
 
 

@@ -13,8 +13,8 @@ each individual is scored on its own body. With one, only the brain evolves
 and each individual is scored by its minimum fitness over the catalog
 bodies; a one-body catalog evolves a controller for that body.
 
-A generation yields its `generations.csv` row, a `GenerationLog`, and beside
-it its new individuals' `lineage.csv` rows, `OffspringRecord`s.
+A run is frozen values that step: a generation maps one `RunState` to the
+next and its `generations.csv` row, a `GenerationLog`, writing nothing in place.
 
 Determinism: every random decision draws from a generator seeded by the
 config's (seed, generation, slot), created in the driving process.
@@ -25,9 +25,8 @@ evaluation's episodes into runs: a body keeps its bits in any joined world.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import TYPE_CHECKING
 
@@ -54,7 +53,7 @@ KIND_FRESH = "fresh"
 MAX_POPULATION = 65535
 
 
-@dataclass
+@dataclass(frozen=True)
 class Individual:
     morphology: Morphology
     controller: ControllerGenome
@@ -107,11 +106,14 @@ class GenerationLog:
     n_brain_attempted: int
 
 
-@dataclass
-class RunArtifacts:
+@dataclass(frozen=True)
+class RunState:
+    """A run after `generation` generations; its champion is the first fittest ever."""
+    generation: int
+    population: tuple[Individual, ...]
     champion: Individual
-    lineage: dict[int, OffspringRecord]
-    final_population: list[Individual]
+    lineage: tuple[OffspringRecord, ...]
+    next_id: int
 
 
 def dominates(a: Individual, b: Individual) -> bool:
@@ -269,13 +271,12 @@ class Evaluator:
 
 
 def score(individuals: list[Individual], cfg: RunConfig,
-          evaluator: Evaluator) -> None:
-    """Set each individual's fitness: the minimum episode fitness over its
-    evaluation bodies."""
+          evaluator: Evaluator) -> list[Individual]:
+    """The individuals scored, each by its minimum fitness over its evaluation bodies."""
     results = evaluator.evaluate(
         [(evaluation_bodies(cfg, ind), ind.controller) for ind in individuals])
-    for ind, episodes in zip(individuals, results):
-        ind.fitness = float(min(r.fitness for r in episodes))
+    return [replace(ind, fitness=float(min(r.fitness for r in episodes)))
+            for ind, episodes in zip(individuals, results)]
 
 
 def _record(ind: Individual) -> OffspringRecord:
@@ -290,26 +291,23 @@ def _record(ind: Individual) -> OffspringRecord:
     )
 
 
-def evolve_generation(population: list[Individual], cfg: RunConfig, generation: int,
-                      next_id: int, evaluator: Evaluator) -> tuple[
-        list[Individual], GenerationLog, tuple[OffspringRecord, ...], int]:
-    """One generation step; returns (survivors, log, new records, next free id)."""
-    if len(population) != cfg.mu:
-        raise ValueError(f"expected a population of {cfg.mu}, got {len(population)}")
-    for ind in population:
-        ind.age += 1
+def evolve_generation(state: RunState, cfg: RunConfig,
+                      evaluator: Evaluator) -> tuple[RunState, GenerationLog]:
+    """One generation step: the next state and its log."""
+    if len(state.population) != cfg.mu:
+        raise ValueError(f"expected a population of {cfg.mu}, got {len(state.population)}")
+    generation, next_id = state.generation + 1, state.next_id
+    population = [replace(ind, age=ind.age + 1) for ind in state.population]
 
     new: list[Individual] = []
     for slot in range(cfg.lambda_):
         rng = _generator(cfg.seed, generation, slot)
         parent = population[int(rng.integers(len(population)))]
-        new.append(make_offspring(parent, cfg, rng, next_id))
-        next_id += 1
+        new.append(make_offspring(parent, cfg, rng, next_id + slot))
     fresh_rng = _generator(cfg.seed, generation, cfg.lambda_)
-    new.append(_fresh_individual(cfg, fresh_rng, next_id))
-    next_id += 1
+    new.append(_fresh_individual(cfg, fresh_rng, next_id + cfg.lambda_))
 
-    score(new, cfg, evaluator)
+    new = score(new, cfg, evaluator)
     records = tuple(_record(ind) for ind in new)
 
     pool = population + new
@@ -325,37 +323,21 @@ def evolve_generation(population: list[Individual], cfg: RunConfig, generation: 
         n_body_attempted=kinds.count(KIND_BODY),
         n_brain_attempted=kinds.count(KIND_BRAIN),
     )
-    return survivors, log, records, next_id
+    champion = max((state.champion, *survivors), key=lambda ind: ind.fitness)
+    return RunState(generation, tuple(survivors), champion, state.lineage + records,
+                    next_id + len(new)), log
 
 
 def initial_population(cfg: RunConfig, evaluator: Evaluator) -> list[Individual]:
-    population = []
-    for i in range(cfg.mu):
-        rng = _generator(cfg.seed, 0, i)
-        ind = _fresh_individual(cfg, rng, i)
-        population.append(ind)
-    score(population, cfg, evaluator)
-    return population
+    return score([_fresh_individual(cfg, _generator(cfg.seed, 0, i), i)
+                  for i in range(cfg.mu)], cfg, evaluator)
 
 
-def run_evolution(cfg: RunConfig, on_generation=None) -> RunArtifacts:
-    """Full run: initialize, iterate generations, track the best-ever champion.
-
-    `on_generation(generation, log, population, champion)` is called after
-    every generation for logging and checkpointing.
-    """
-    with Evaluator(cfg) as evaluator:
-        population = initial_population(cfg, evaluator)
-        lineage = {ind.id: _record(ind) for ind in population}
-        champion = dataclasses.replace(max(population, key=lambda i: i.fitness))
-        next_id = cfg.mu
-        for generation in range(1, cfg.generations + 1):
-            population, log, records, next_id = evolve_generation(
-                population, cfg, generation, next_id, evaluator)
-            lineage.update((record.id, record) for record in records)
-            best = max(population, key=lambda i: i.fitness)
-            if best.fitness > champion.fitness:
-                champion = dataclasses.replace(best)
-            if on_generation is not None:
-                on_generation(generation, log, population, champion)
-    return RunArtifacts(champion=champion, lineage=lineage, final_population=population)
+def run_evolution(cfg: RunConfig, evaluator: Evaluator):
+    """A full run on `evaluator`: yields `(RunState, GenerationLog)` after each generation."""
+    population = initial_population(cfg, evaluator)
+    state = RunState(0, tuple(population), max(population, key=lambda ind: ind.fitness),
+                     tuple(_record(ind) for ind in population), cfg.mu)
+    for _ in range(cfg.generations):
+        state, log = evolve_generation(state, cfg, evaluator)
+        yield state, log

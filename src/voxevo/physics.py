@@ -128,6 +128,14 @@ class SimWorld:
     total_mass: float
     physics: PhysicsConfig
 
+    def __setattr__(self, name, value):
+        # a rebound member would leave its batch. Not `self.__dict__`:
+        # reading it materializes it, ~1% slower per step
+        if name in ("pos", "vel", "rest", "scale") and getattr(self, name, value) is not value:
+            owner = "a joined world" if isinstance(self, JoinedWorld) else "a world"
+            raise AttributeError(f"{owner}'s {name} is written in place, not rebound")
+        object.__setattr__(self, name, value)
+
     @property
     def n_masses(self) -> int:
         return self.pos.shape[0]
@@ -176,10 +184,10 @@ class JoinedWorld:
     contact loop (mass i's x at 2i, its vx at 2 * n_masses + 2i).
     `blocks` is the scatter: per body shape its incidence, derived from
     the shape's first member, and its rows of the per-spring and per-mass
-    buffers, stacked (k, rows, 2) for a shape of k > 1 members. `pos`,
-    `vel`, `rest` and `scale` are written in place, never rebound
-    (`AttributeError`), and a copy or a pickle is refused (`TypeError`:
-    memoryviews do not pickle)."""
+    buffers, stacked (k, rows, 2) for a shape of k > 1 members. Its and
+    its members' `pos`, `vel`, `rest` and `scale` are written in place,
+    never rebound but by the join (`AttributeError`), and a copy or a
+    pickle is refused (`TypeError`: memoryviews do not pickle)."""
 
     def __init__(self, worlds: tuple[SimWorld, ...]):
         if not worlds:
@@ -217,8 +225,10 @@ class JoinedWorld:
         self.rest_count = np.concatenate([w.rest_count for w in members], axis=1)
         for w, m0, m1, s0, s1, c0, c1 in zip(members, masses, masses[1:], springs,
                                              springs[1:], scales, scales[1:]):
-            w.pos, w.vel, w.rest = self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1]
-            w.scale = self.scale[c0:c1].reshape(w.scale.shape)
+            views = (self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1],
+                     self.scale[c0:c1].reshape(w.scale.shape))
+            for name, view in zip(("pos", "vel", "rest", "scale"), views):
+                object.__setattr__(w, name, view)  # past the rebind guard
         k = self.n_springs
         per_spring, forces = np.empty((k, 2)), np.empty_like(pos)
         starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
@@ -239,11 +249,7 @@ class JoinedWorld:
         self._step = (pos, vel, forces, (pos[:, 1], vel[:, 0], vel[:, 1], *forces.T),
                       *(memoryview(a).cast("B").cast("d") for a in (state, forces)))
 
-    def __setattr__(self, name, value):
-        # not `self.__dict__`: reading it materializes it, ~1% slower per step
-        if name in ("pos", "vel", "rest", "scale") and hasattr(self, name):
-            raise AttributeError(f"a joined world's {name} is written in place, not rebound")
-        super().__setattr__(name, value)
+    __setattr__ = SimWorld.__setattr__
 
     @property
     def actuator_cells(self) -> list[tuple[int, int]]:

@@ -109,7 +109,7 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
     group of members and one actuation for the whole batch. A body that
     diverges or crosses the terrain end leaves the batch at that step, and
     the bodies still running are joined again without it, with a new
-    controller batch.
+    controller batch; a NaN action diverges its body before the step.
     """
     if len(bodies) != len(controllers):
         raise ValueError(f"{len(bodies)} bodies but {len(controllers)} controllers")
@@ -139,7 +139,18 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
     joined, batch = join(live)
     for step in range(episode_cfg.max_steps):
         if step % episode_cfg.action_repeat == 0:
-            apply_actuation(joined, act(batch, joined, step))
+            actions = act(batch, joined, step)
+            if not math.isfinite(actions.sum()):  # NaN from an overflowed network
+                ends = np.cumsum([w.actuator_voxels.size for w in joined.members])
+                for j, member in zip(joined.order, np.split(actions, ends[:-1])):
+                    if not np.isfinite(member).all():
+                        finish(live[j], step, False, diverged=True)
+                live = [i for i in live if results[i] is None]
+                if not live:
+                    break
+                joined, batch = join(live)
+                actions = act(batch, joined, step)
+            apply_actuation(joined, actions)
         if record:
             for i in live:
                 frames[i].append(worlds[i].pos.copy())

@@ -6,6 +6,7 @@ import numpy as np
 
 from voxevo.checkpoints import _HEADER, _RECORD_FIXED
 from voxevo.control import _forward
+from voxevo.evolution import Evaluator, run_evolution
 from voxevo.morphology import Morphology
 from voxevo.physics import (
     AXIS_DIAGONAL,
@@ -14,6 +15,14 @@ from voxevo.physics import (
     VOXEL_EDGE,
 )
 from voxevo.sensing import GLOBAL_KIND, ObservationBuilder
+
+
+def run_to_end(cfg):
+    """A whole run on an evaluator of its own: its last `RunState` and the
+    log of each generation, in order."""
+    with Evaluator(cfg) as evaluator:
+        steps = list(run_evolution(cfg, evaluator))
+    return steps[-1][0], [log for _, log in steps]
 
 
 def contact(normal_stiffness, normal_damping, friction) -> dict:

@@ -51,7 +51,13 @@ from voxevo.sensing import (
 )
 from voxevo.walker import EpisodeConfig, episode_fitness, evaluate_fitness, run_episode
 
-from helpers import NO_CONTACT, mechanical_energy, member_inputs, oracle_spring_forces
+from helpers import (
+    NO_CONTACT,
+    mechanical_energy,
+    member_inputs,
+    oracle_spring_forces,
+    run_to_end,
+)
 
 logger = logging.getLogger("voxevo.acceptance")
 
@@ -335,11 +341,10 @@ class TestSelectionGuarantees:
         cfg = RunConfig(mu=4, lambda_=4, generations=5, seed=11, workers=1,
                         episode=EpisodeConfig(max_steps=30))
         seen = []
-
-        def probe(generation, log, population, champion):
-            seen.append((log, [ind.id for ind in population]))
-
-        run = run_evolution(cfg, on_generation=probe)
+        with Evaluator(cfg) as evaluator:
+            for state, log in run_evolution(cfg, evaluator):
+                seen.append((log, [ind.id for ind in state.population]))
+        lineage = state.lineage  # every record, in id order from 0
         assert len(seen) == 5
         survivors = list(range(cfg.mu))  # the initial population's ids
         for log, population in seen:
@@ -349,7 +354,7 @@ class TestSelectionGuarantees:
             pool = survivors + list(range(first, first + cfg.lambda_ + 1))
             assert len(set(pool)) == cfg.mu + cfg.lambda_ + 1
             assert len(population) == cfg.mu and set(population) <= set(pool)
-            assert log.best_fitness == max(run.lineage[i].fitness for i in pool)
+            assert log.best_fitness == max(lineage[i].fitness for i in pool)
             survivors = population
 
 
@@ -388,7 +393,7 @@ class TestRunDeterminism:
 def trained_run():
     cfg = RunConfig(mu=4, lambda_=4, generations=10, seed=909, workers=1,
                     episode=EpisodeConfig(max_steps=100))
-    return run_evolution(cfg), cfg
+    return run_to_end(cfg)[0], cfg
 
 
 class TestTransferInvariants:
@@ -568,8 +573,8 @@ class TestMultiBodyTraining:
         singles = tuple(evaluator.evaluate([((body,), ctrl)])[0][0] for body in catalog)
         assert joint == singles  # one result per catalog body, in catalog order
         ind = Individual(catalog[0], ctrl, 0, 0, None, "fresh", None)
-        score([ind], cfg, evaluator)
-        assert ind.fitness == min(r.fitness for r in singles)
+        (scored,) = score([ind], cfg, evaluator)
+        assert scored.fitness == min(r.fitness for r in singles)
 
     def test_joint_champion_bounded_by_each_body(self, tmp_path):
         if FULL_SCALE:

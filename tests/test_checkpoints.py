@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -87,8 +88,9 @@ class TestIndividualRoundTrip:
     @pytest.mark.parametrize("kind, n_inputs", [(MODULAR_KIND, 73), (MODULAR_KIND, 9),
                                                  (GLOBAL_KIND, 201)])
     def test_input_size_follows_parameter_count(self, tmp_path, kind, n_inputs):
-        ind = make_individual(controller_kind=kind)
-        ind.controller = init_controller(kind, np.random.default_rng(5), n_inputs)
+        ind = dataclasses.replace(make_individual(controller_kind=kind),
+                                  controller=init_controller(kind, np.random.default_rng(5),
+                                                             n_inputs))
         path = str(tmp_path / "ind.ckpt")
         save_individual(path, ind)
         loaded = load_individual(path)
@@ -232,8 +234,7 @@ class TestIntegrity:
     # a checkpoint with such a body was written and then refused on load
     @pytest.mark.parametrize("body", list(INVALID_BODIES))
     def test_body_that_is_not_a_robot_is_not_saved(self, tmp_path, body):
-        ind = make_individual()
-        ind.morphology = INVALID_BODIES[body]
+        ind = dataclasses.replace(make_individual(), morphology=INVALID_BODIES[body])
         with pytest.raises(ValueError, match="individual 3: the body is not a valid robot"):
             save_individual(str(tmp_path / "ind.ckpt"), ind)
         with pytest.raises(ValueError, match="the body is not a valid robot"):

@@ -220,10 +220,10 @@ class TestEvolve:
                                                             monkeypatch):
         evolve_generation = voxevo.evolution.evolve_generation
 
-        def interrupted_at_generation_2(population, cfg, generation, *args):
-            if generation == 2:
+        def interrupted_at_generation_2(state, cfg, evaluator):
+            if state.generation + 1 == 2:
                 raise RuntimeError("interrupted")
-            return evolve_generation(population, cfg, generation, *args)
+            return evolve_generation(state, cfg, evaluator)
 
         monkeypatch.setattr(voxevo.evolution, "evolve_generation",
                             interrupted_at_generation_2)
@@ -245,6 +245,54 @@ class TestEvolve:
         for name in ("run_00", "run_01"):
             assert os.path.exists(os.path.join(out, name, "generations.csv"))
         assert "battery best champion fitness:" in capsys.readouterr().out
+
+    # the runs of a battery share the command's one evaluator and its pool
+    def test_battery_opens_one_pool(self, tmp_path, monkeypatch):
+        opened = []
+        pool = voxevo.evolution.Pool
+
+        def counting_pool(*args, **kwargs):
+            opened.append(args)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(voxevo.evolution, "Pool", counting_pool)
+        cfg = tmp_path / "battery.cfg"
+        cfg.write_text(TINY_CONFIG + "n_runs = 3\n")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--workers", "2"]) == 0
+        assert opened == [(2,)]
+
+    # a shared pool leaks nothing from one run into the next: run NN writes
+    # the bytes of a stand-alone evolve at the battery's seed + NN
+    def test_battery_runs_match_stand_alone_runs(self, config_path, tmp_path):
+        cfg = tmp_path / "battery.cfg"
+        cfg.write_text(TINY_CONFIG + "n_runs = 3\n")
+        battery = tmp_path / "battery"
+        assert main(["evolve", "--config", str(cfg), "--out", str(battery),
+                     "--workers", "2"]) == 0
+        for i in range(3):
+            alone = tmp_path / f"alone_{i}"
+            assert evolve(config_path, str(alone), ["--workers", "2", "--seed", str(5 + i)]) == 0
+            for name in ("generations.csv", "lineage.csv", "champion.ckpt",
+                         "population_final.ckpt"):
+                assert (battery / f"run_{i:02d}" / name).read_bytes() == \
+                    (alone / name).read_bytes(), (i, name)
+
+    # a network that overflows gives NaN actions: its body diverges and
+    # scores the floor, and the run goes on to whole artifacts
+    def test_overflowing_controllers_diverge_instead_of_crashing(self, tmp_path, capsys):
+        cfg = tmp_path / "sigma.cfg"
+        cfg.write_text("[run]\nseed = 1\ngenerations = 2\n"
+                       "[evolution]\nmu = 2\nlambda = 4\ncontroller_sigma = 1e200\n"
+                       "[episode]\nmax_steps = 20\n")
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(cfg), "--out", str(out),
+                     "--workers", "1"]) == 0
+        assert sorted(os.listdir(out)) == [
+            "champion.ckpt", "generations.csv", "lineage.csv", "population_final.ckpt"]
+        fitness = [float(row[3]) for row in read_rows(out / "lineage.csv")[1:]]
+        assert -10.0 in fitness  # the default divergence floor
+        assert main(["report", str(out)]) == 0
 
     def test_periodic_checkpoints(self, tmp_path):
         cfg = tmp_path / "ckpt.cfg"
@@ -568,6 +616,23 @@ class TestReplay:
             meta = json.loads(fh.readline())
         assert meta["steps"] <= 500
 
+
+    # a network that overflows gives NaN actions at the first action step:
+    # the episode diverges there, before any step, and is written as such
+    def test_overflowing_controller_replays_as_diverged(self, trained_run, tmp_path, capsys):
+        config, run_dir = trained_run
+        champion = load_individual(os.path.join(run_dir, "champion.ckpt"))
+        ctrl = champion.controller
+        huge = dataclasses.replace(ctrl, W1=ctrl.W1 * 1e300, W2=ctrl.W2 * 1e300)
+        path = str(tmp_path / "huge.ckpt")
+        save_individual(path, dataclasses.replace(champion, controller=huge))
+        out = tmp_path / "replay.jsonl"
+        assert main(["replay", "--champion", path, "--out", str(out),
+                     "--config", config]) == 0
+        (meta,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert meta["diverged"] is True and meta["steps"] == 0
+        assert meta["fitness"] == -10.0 and meta["delta_px"] is None
+        assert meta["n_masses"] > 0
 
     def test_smaller_window_champion_loads_and_replays(self, small_window_run, tmp_path):
         config, champion_path = small_window_run

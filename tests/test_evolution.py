@@ -15,6 +15,7 @@ from voxevo.evolution import (
     Evaluator,
     Individual,
     OffspringRecord,
+    RunState,
     dominates,
     evaluation_bodies,
     evolve_generation,
@@ -36,6 +37,8 @@ from voxevo.walker import (
     run_episode,
     run_episodes,
 )
+
+from helpers import run_to_end
 
 
 def stub_individual(age, fitness, ident=0):
@@ -239,10 +242,11 @@ class TestEvaluation:
         cfg = RunConfig(catalog=(small_body, plus_body), episode=fast_episode, workers=1)
         ind = dataclasses.replace(stub_individual(0, None), controller=ctrl)
         with Evaluator(cfg) as evaluator:
-            score([ind], cfg, evaluator)
+            (scored,) = score([ind], cfg, evaluator)
         singles = [evaluate_fitness(b, ctrl, fast_episode)
                    for b in (small_body, plus_body)]
-        assert ind.fitness == min(singles)
+        assert scored.fitness == min(singles)
+        assert ind.fitness is None  # the given individual is not written
 
     # a multi-body job steps its bodies as one joined world; a body that
     # diverges or finishes early leaves the batch, and the rest run on
@@ -410,6 +414,12 @@ class TestOffspringRecord:
                 OffspringRecord(3, None, kind, 1.0, None, False)
 
 
+def first_state(population, cfg):
+    """The state of a run before its first generation."""
+    return RunState(0, tuple(population), max(population, key=lambda ind: ind.fitness),
+                    (), cfg.mu)
+
+
 class TestGenerationStep:
     def test_bookkeeping(self, tiny_evolution):
         cfg = tiny_evolution
@@ -417,17 +427,23 @@ class TestGenerationStep:
             population = initial_population(cfg, evaluator)
             assert [ind.id for ind in population] == [0, 1, 2]
             assert all(ind.age == 0 and ind.fitness is not None for ind in population)
-            ages_before = [ind.age for ind in population]
-            survivors, log, records, next_id = evolve_generation(
-                population, cfg, 1, cfg.mu, evaluator)
-        assert [a + 1 for a in ages_before] == [ind.age for ind in population]
-        assert len(survivors) == cfg.mu
+            state = first_state(population, cfg)
+            after, log = evolve_generation(state, cfg, evaluator)
+        # the returned survivors are one generation older, and the given
+        # state is unchanged
+        assert after.generation == 1 and state.generation == 0
+        assert state.population == tuple(population) and state.lineage == ()
+        assert all(ind.age == 0 for ind in population)
+        assert len(after.population) == cfg.mu
+        for ind in after.population:
+            assert ind.age == (1 if ind.id < cfg.mu else 0)
+        records = after.lineage
         # the best of the pool: the mu parents, lambda offspring and one fresh
         pool_fitness = [ind.fitness for ind in population] + [r.fitness for r in records]
         assert len(pool_fitness) == cfg.mu + cfg.lambda_ + 1
         assert log.best_fitness == max(pool_fitness)
-        assert next_id == cfg.mu + cfg.lambda_ + 1
-        assert [r.id for r in records] == list(range(cfg.mu, next_id))
+        assert after.next_id == cfg.mu + cfg.lambda_ + 1
+        assert [r.id for r in records] == list(range(cfg.mu, after.next_id))
         assert log.n_body_attempted + log.n_brain_attempted == cfg.lambda_
         assert log.n_body_attempted == sum(r.mutation_kind == KIND_BODY for r in records)
         assert log.n_body_success == sum(
@@ -441,8 +457,8 @@ class TestGenerationStep:
         cfg = tiny_evolution
         with Evaluator(cfg) as evaluator:
             population = initial_population(cfg, evaluator)
-            _, _, records, _ = evolve_generation(population, cfg, 1, cfg.mu, evaluator)
-        for r in records:
+            after, _ = evolve_generation(first_state(population, cfg), cfg, evaluator)
+        for r in after.lineage:
             if r.parent_fitness_at_birth is None:
                 assert not r.success
             else:
@@ -453,24 +469,18 @@ class TestGenerationStep:
         with Evaluator(cfg) as evaluator:
             population = initial_population(cfg, evaluator)
             with pytest.raises(ValueError):
-                evolve_generation(population[:-1], cfg, 1, cfg.mu, evaluator)
-
-
-def run_with_logs(cfg):
-    """The run's artifacts and its generation logs, collected as they come."""
-    logs = []
-    run = run_evolution(cfg, on_generation=lambda gen, log, pop, champ: logs.append(log))
-    return run, logs
+                evolve_generation(first_state(population[:-1], cfg), cfg, evaluator)
 
 
 class TestFullRun:
     def test_artifact_shapes(self, tiny_evolution):
-        run, logs = run_with_logs(tiny_evolution)
+        run, logs = run_to_end(tiny_evolution)
         cfg = tiny_evolution
         assert len(logs) == cfg.generations
-        assert len(run.final_population) == cfg.mu
+        assert len(run.population) == cfg.mu
         expected_ids = cfg.mu + cfg.generations * (cfg.lambda_ + 1)
-        assert sorted(run.lineage) == list(range(expected_ids))
+        assert [r.id for r in run.lineage] == list(range(expected_ids))
+        assert run.next_id == expected_ids
         # the running best of generations.csv's best_fitness column
         series = np.maximum.accumulate([log.best_fitness for log in logs])
         assert len(series) == cfg.generations
@@ -478,8 +488,8 @@ class TestFullRun:
         assert run.champion.fitness == series[-1]
 
     def test_reproducible(self, tiny_evolution):
-        a, a_logs = run_with_logs(tiny_evolution)
-        b, b_logs = run_with_logs(tiny_evolution)
+        a, a_logs = run_to_end(tiny_evolution)
+        b, b_logs = run_to_end(tiny_evolution)
         assert [log.best_fitness for log in a_logs] == [log.best_fitness for log in b_logs]
         assert [log.mean_fitness for log in a_logs] == [log.mean_fitness for log in b_logs]
         assert a.champion.fitness == b.champion.fitness
@@ -487,8 +497,8 @@ class TestFullRun:
                               b.champion.controller.to_flat())
 
     def test_worker_count_does_not_change_results(self, tiny_evolution):
-        serial, serial_logs = run_with_logs(tiny_evolution)
-        parallel, parallel_logs = run_with_logs(
+        serial, serial_logs = run_to_end(tiny_evolution)
+        parallel, parallel_logs = run_to_end(
             dataclasses.replace(tiny_evolution, workers=2))
         assert [log.best_fitness for log in serial_logs] == \
             [log.best_fitness for log in parallel_logs]
@@ -501,19 +511,19 @@ class TestFullRun:
 
         monkeypatch.setattr(voxevo.evolution, "mutate_morphology", no_body_mutation)
         monkeypatch.setattr(voxevo.evolution, "random_morphology", no_body_mutation)
-        run = run_evolution(RunConfig(
+        run, _ = run_to_end(RunConfig(
             catalog=(small_body,), p_body_mutation=1.0, mu=2, lambda_=2,
             generations=2, seed=5, workers=1, episode=fast_episode))
-        assert {r.mutation_kind for r in run.lineage.values()} == {KIND_FRESH, KIND_BRAIN}
-        assert all(ind.morphology == small_body for ind in run.final_population)
+        assert {r.mutation_kind for r in run.lineage} == {KIND_FRESH, KIND_BRAIN}
+        assert all(ind.morphology == small_body for ind in run.population)
 
-    def test_callback_sees_every_generation(self, tiny_evolution):
-        seen = []
-        run_evolution(tiny_evolution,
-                      on_generation=lambda g, log, pop, champ: seen.append(g))
-        assert seen == [1, 2, 3]
+    def test_every_generation_is_yielded(self, tiny_evolution):
+        with Evaluator(tiny_evolution) as evaluator:
+            steps = list(run_evolution(tiny_evolution, evaluator))
+        assert [state.generation for state, _ in steps] == [1, 2, 3]
+        assert [log.generation for _, log in steps] == [1, 2, 3]
 
     def test_champion_is_best_ever_not_final_best(self, tiny_evolution):
-        run = run_evolution(tiny_evolution)
-        final_best = max(ind.fitness for ind in run.final_population)
+        run, _ = run_to_end(tiny_evolution)
+        final_best = max(ind.fitness for ind in run.population)
         assert run.champion.fitness >= final_best

@@ -13,7 +13,6 @@ from voxevo.evolution import (
     KIND_FRESH,
     Evaluator,
     OffspringRecord,
-    run_evolution,
 )
 from voxevo.experiments import (
     CATALOG_ORDER,
@@ -31,7 +30,7 @@ from voxevo.morphology import validate
 from voxevo.runconfig import RunConfig, load_config
 from voxevo.walker import evaluate_fitness
 
-from helpers import grid_distance, save_catalog
+from helpers import grid_distance, run_to_end, save_catalog
 
 
 def fresh_record(ident, fitness):
@@ -122,7 +121,7 @@ n_runs = {n_runs}
 
 
 def battery(cfg, seeds):
-    return [run_evolution(dataclasses.replace(cfg, seed=s, workers=1)) for s in seeds]
+    return [run_to_end(dataclasses.replace(cfg, seed=s, workers=1))[0] for s in seeds]
 
 
 class TestBattery:
@@ -277,8 +276,8 @@ class TestAccounting:
             accounting_from_lineage(lineage, champion_id=5)
 
     def test_wrapper_on_real_run(self, tiny_evolution):
-        run = run_evolution(tiny_evolution)
-        acc = accounting_from_lineage(run.lineage, run.champion.id)
+        run, _ = run_to_end(tiny_evolution)
+        acc = accounting_from_lineage({r.id: r for r in run.lineage}, run.champion.id)
         for fraction in (acc.lineage_body_fraction, acc.population_body_fraction):
             assert fraction is None or 0.0 <= fraction <= 1.0
 
@@ -308,20 +307,20 @@ class TestTrainingWrappers:
     def test_multi_morph_sets_mode_and_catalog(self, small_body, plus_body, fast_episode):
         cfg = RunConfig(mu=2, lambda_=2, generations=1, seed=3, workers=1,
                         catalog=(small_body, plus_body), episode=fast_episode)
-        run = run_evolution(cfg)
-        assert {r.mutation_kind for r in run.lineage.values()} <= {KIND_FRESH, KIND_BRAIN}
+        run, _ = run_to_end(cfg)
+        assert {r.mutation_kind for r in run.lineage} <= {KIND_FRESH, KIND_BRAIN}
 
     # one body is a one-body catalog
     def test_fixed_morph_sets_mode(self, small_body, fast_episode):
         cfg = RunConfig(paradigm="global", mu=2, lambda_=2, generations=1, seed=3,
                         workers=1, catalog=(small_body,), episode=fast_episode)
-        run = run_evolution(cfg)
-        assert all(ind.morphology == small_body for ind in run.final_population)
+        run, _ = run_to_end(cfg)
+        assert all(ind.morphology == small_body for ind in run.population)
 
     def test_per_body_fitness_bounds_joint_fitness(self, small_body, plus_body, fast_episode):
         cfg = RunConfig(mu=2, lambda_=2, generations=2, seed=4, workers=1,
                         catalog=(small_body, plus_body), episode=fast_episode)
-        run = run_evolution(cfg)
+        run, _ = run_to_end(cfg)
         jobs = [((body,), run.champion.controller) for body in (small_body, plus_body)]
         with Evaluator(cfg) as evaluator:
             results = evaluator.evaluate(jobs)

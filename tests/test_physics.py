@@ -634,6 +634,23 @@ class TestMatchesOracle:
             assert_same_state(world, ref)
         assert np.shares_memory(world.pos, batch.pos) and np.shares_memory(world.vel, batch.vel)
 
+    def test_rebinding_a_member_is_refused(self):
+        # a member's state is a view of the joined arrays: a rebound array
+        # would detach the member from the batch. An in-place write, an
+        # augmented assignment among them, reaches the batch
+        body = default_catalog()["biped"]
+        batch = join_worlds([build_world(body, PhysicsConfig()) for _ in range(2)])
+        for member in batch.members:
+            for name in ("pos", "vel", "rest", "scale"):
+                bound = getattr(member, name)
+                with pytest.raises(AttributeError, match=f"a world's {name} "):
+                    setattr(member, name, bound.copy())
+                assert getattr(member, name) is bound
+                assert np.shares_memory(bound, getattr(batch, name))
+        member = batch.members[1]
+        member.pos += 1.0
+        assert np.array_equal(batch.pos[member.n_masses:], member.pos)
+
 
 # One bottom corner of a single voxel, set by hand, meets the ground in one
 # substep: (contact keywords, y, vx, vy) per branch of the contact force;

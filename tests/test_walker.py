@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestRunEpisode:
             monkeypatch.setattr(voxevo.walker, "build_world", build)
 
         def com_x(pos):
-            world.pos = pos
+            world.pos[:] = pos
             return float(center_of_mass(world)[0])
 
         controllers = [init_controller(MODULAR_KIND, np.random.default_rng([9, i]))
@@ -250,6 +252,26 @@ class TestBatchedEpisodes:
             assert result == alone[i], i
             assert [f.tobytes() for f in result.trajectory] == [
                 f.tobytes() for f in alone[i].trajectory], i
+
+    # a network that overflows gives NaN actions: its body leaves the batch
+    # as diverged before the step it would act on, which it does not
+    # simulate, and the others run on with the bytes of their episodes alone
+    def test_an_overflowing_controller_diverges_only_its_body(self, small_body, plus_body,
+                                                              fast_episode):
+        bodies = (small_body, plus_body, small_body)
+        controllers = [init_controller(MODULAR_KIND, np.random.default_rng([60, i]))
+                       for i in range(3)]
+        bad = controllers[1]
+        controllers[1] = dataclasses.replace(bad, W1=bad.W1 * 1e300, W2=bad.W2 * 1e300)
+        results = run_episodes(bodies, controllers, fast_episode, record=True)
+        diverged = results[1]
+        assert diverged == EpisodeResult(fast_episode.divergence_floor, None, False, 0, True)
+        assert diverged.trajectory == []
+        for i in (0, 2):
+            alone = run_episode(bodies[i], controllers[i], fast_episode, record=True)
+            assert results[i] == alone
+            assert [f.tobytes() for f in results[i].trajectory] == [
+                f.tobytes() for f in alone.trajectory]
 
 
 class TestMalformedBatches:
