@@ -17,10 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .morphology import H_ACTUATOR, V_ACTUATOR, InvalidMorphologyError, Morphology
+
+# the ufuncs of the substep, bound once: a call through a module-level name
+# with `out` passed positionally skips the `np.` attribute lookup and the
+# keyword parsing, about a fifth of a call's cost on arrays of ~100 floats
+_add, _subtract, _multiply, _divide, _sqrt, _less, _absolute = (
+    np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.less, np.absolute)
 
 VOXEL_EDGE = 1.0
 VOXEL_MASS = 1.0
@@ -179,12 +186,17 @@ class JoinedWorld:
     offset by n_masses), so one gather-and-subtract gives the position and
     the velocity differences, and every per-spring buffer, with the
     columns the spring pass reads and writes. `_step` holds the state, the
-    per-mass forces buffer, the columns the numpy contact gathers from and
-    adds into, and flat memoryviews of the block and the forces for the
-    contact loop (mass i's x at 2i, its vx at 2 * n_masses + 2i).
-    `blocks` is the scatter: per body shape its incidence, derived from
-    the shape's first member, and its rows of the per-spring and per-mass
-    buffers, stacked (k, rows, 2) for a shape of k > 1 members. Its and
+    per-mass forces buffer, a per-mass mask of the masses below the
+    ground, the columns the numpy contact gathers from and adds into, and
+    flat memoryviews of the block and the forces for the contact loop
+    (mass i's x at 2i, its vx at 2 * n_masses + 2i). The forces buffer
+    holds `dt * vel` from a substep's position update to the next scatter,
+    which overwrites all of it. `blocks` is the scatter: per body shape
+    `(scatter, rows, masses)`, its rows of the per-spring and of the
+    per-mass buffers, stacked (k, rows, 2) for a shape of k > 1 members,
+    and `scatter(rows, masses)` its incidence (derived from the shape's
+    first member) times the rows, into the masses: the incidence's bound
+    `dot` for one member, `np.matmul` bound to it for more. Its and
     its members' `pos`, `vel`, `rest` and `scale` are written in place,
     never rebound but by the join (`AttributeError`), and a copy or a
     pickle is refused (`TypeError`: memoryviews do not pickle)."""
@@ -232,11 +244,21 @@ class JoinedWorld:
         k = self.n_springs
         per_spring, forces = np.empty((k, 2)), np.empty_like(pos)
         starts = np.cumsum([0] + [len(shape) for shape in shapes.values()]).tolist()
-        self.blocks = tuple(
-            (_incidence(worlds[shape[0]]),
-             *(rows if j - i == 1 else rows.reshape(j - i, -1, 2)
-               for rows in (per_spring[springs[i]:springs[j]], forces[masses[i]:masses[j]])))
-            for shape, i, j in zip(shapes.values(), starts, starts[1:]))
+        # the BLAS gemm of `@`, one per member: one block-diagonal gemm would
+        # block its longer inner dimension differently and change the bits.
+        # np.matmul over a stack makes that same gemm call once per member of
+        # a body shape; a shape of one member keeps `dot`, which costs less
+        # per call
+        blocks = []
+        for shape, i, j in zip(shapes.values(), starts, starts[1:]):
+            incidence = _incidence(worlds[shape[0]])
+            rows, out = per_spring[springs[i]:springs[j]], forces[masses[i]:masses[j]]
+            if j - i == 1:
+                blocks.append((incidence.dot, rows, out))
+            else:
+                blocks.append((partial(np.matmul, incidence), rows.reshape(j - i, -1, 2),
+                               out.reshape(j - i, -1, 2)))
+        self.blocks = tuple(blocks)
         # the differences of the spring pass, (dx, dy) per spring and then
         # (dvx, dvy), as k + k complex and as two (k, 2) halves
         diff, squares = np.empty(2 * k, np.complex128), np.empty((k, 2))
@@ -246,7 +268,8 @@ class JoinedWorld:
                          np.concatenate([self.spring_a, self.spring_a + n]),
                          diff, d, dv, *d.T, squares, *squares.T, np.empty(k), np.empty(k),
                          *per_spring.T)
-        self._step = (pos, vel, forces, (pos[:, 1], vel[:, 0], vel[:, 1], *forces.T),
+        self._step = (pos, vel, forces, np.empty(n, bool),
+                      (pos[:, 1], vel[:, 0], vel[:, 1], *forces.T),
                       *(memoryview(a).cast("B").cast("d") for a in (state, forces)))
 
     __setattr__ = SimWorld.__setattr__
@@ -429,29 +452,22 @@ def _spring_forces(world, springs, forces) -> None:
     zw, ends, starts, diff, d, dv, dx, dy, squares, sx, sy, length, v_rel, px, py = springs
     # d = pos[b] - pos[a] and dv = vel[b] - vel[a] in one gather: complex
     # subtraction rounds each part as the float64 subtraction
-    np.subtract(zw[ends], zw[starts], out=diff)
-    np.multiply(d, d, out=squares)  # dx * dx, dy * dy
-    np.add(sx, sy, out=length)
-    np.sqrt(length, out=length)
-    np.divide(dx, length, out=dx)  # d becomes the unit vector (ux, uy)
-    np.divide(dy, length, out=dy)
-    np.multiply(dv, d, out=squares)  # dvx * ux, dvy * uy
-    np.add(sx, sy, out=v_rel)
-    np.subtract(length, world.rest, out=length)  # length becomes the magnitude
-    np.multiply(world.stiffness, length, out=length)
-    np.multiply(world.damping, v_rel, out=v_rel)
-    np.add(length, v_rel, out=length)
-    np.multiply(length, dx, out=px)
-    np.multiply(length, dy, out=py)
-    # the BLAS gemm of `@`, one per member: one block-diagonal gemm would
-    # block its longer inner dimension differently and change the bits.
-    # np.matmul over a stack makes that same gemm call once per member of a
-    # body shape; a shape of one member keeps `dot`, which costs less per call
-    for incidence, rows, masses in world.blocks:
-        if masses.ndim == 2:
-            incidence.dot(rows, out=masses)
-        else:
-            np.matmul(incidence, rows, out=masses)
+    _subtract(zw[ends], zw[starts], diff)
+    _multiply(d, d, squares)  # dx * dx, dy * dy
+    _add(sx, sy, length)
+    _sqrt(length, length)
+    _divide(dx, length, dx)  # d becomes the unit vector (ux, uy)
+    _divide(dy, length, dy)
+    _multiply(dv, d, squares)  # dvx * ux, dvy * uy
+    _add(sx, sy, v_rel)
+    _subtract(length, world.rest, length)  # length becomes the magnitude
+    _multiply(world.stiffness, length, length)
+    _multiply(world.damping, v_rel, v_rel)
+    _add(length, v_rel, length)
+    _multiply(length, dx, px)
+    _multiply(length, dy, py)
+    for scatter, rows, masses in world.blocks:
+        scatter(rows, masses)
 
 
 # From this many touching masses on, a substep's contact is one set of numpy
@@ -489,7 +505,7 @@ def step_env(world: JoinedWorld) -> float:
     velocities before positions, through the step state that the join built
     (see `JoinedWorld`).
     """
-    pos, vel, forces, columns, S, F = world._step
+    pos, vel, forces, below, columns, S, F = world._step
     y, *_, fy = columns
     v = pos.size  # velocities start here in S
     springs = world._springs
@@ -504,9 +520,9 @@ def step_env(world: JoinedWorld) -> float:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(physics.substeps_per_env_step):
             _spring_forces(world, springs, forces)
-            fy -= weight
+            _subtract(fy, weight, fy)
             if has_contact:
-                touching = (y < 0.0).nonzero()[0]
+                touching = _less(y, 0.0, below).nonzero()[0]
                 if touching.size >= VECTOR_CONTACT_MIN:
                     _contact_forces(world, touching, *columns)
                 else:
@@ -533,14 +549,18 @@ def step_env(world: JoinedWorld) -> float:
                             F[j] += cap
                         else:  # as np.sign: 0.0 for either zero, NaN for NaN
                             F[j] += -(0.0 if vxi == 0.0 else vxi) * cap
-            forces *= dt  # rounds as dt * forces * inv_mass
-            forces *= inv_mass
-            vel += forces
-            pos += dt * vel
+            _multiply(forces, dt, forces)  # rounds as dt * forces * inv_mass
+            _multiply(forces, inv_mass, forces)
+            _add(vel, forces, vel)
+            # the forces are spent: they hold dt * vel, which rounds as
+            # vel * dt, until the next spring pass overwrites them
+            _multiply(vel, dt, forces)
+            _add(pos, forces, pos)
         # with dt finite and positive, a non-finite velocity makes pos
         # non-finite in the same substep, and a non-finite position stays
-        # so; the max of |pos| is NaN or inf exactly when some entry is
-        extent = float(np.abs(pos).max())
+        # so; the max of |pos| (taken in the spent forces) is NaN or inf
+        # exactly when some entry is
+        extent = float(_absolute(pos, forces).max())
     if not extent < math.inf:
         raise SimulationDivergedError("non-finite state after an env step")
     return extent

@@ -22,9 +22,10 @@ its dataclass, so the empty file is a valid configuration.
 
 The parser rejects unknown names, duplicate keys and malformed values at
 their line. Every bound on a value is checked once, in the `__post_init__`
-of the dataclass that declares the field, so a config built in code is
-rejected as a file is, with the same message. The parser only names the
-line: it blames the first key, in file order, whose addition makes the
+of the dataclass that declares the field (a bound across sections, in
+`RunConfig`, which holds them all), so a config built in code is rejected
+as a file is, with the same message. The parser only names the line: it
+blames the first key, in file order, whose addition makes the
 construction fail; the values of the three catalog keys are checked in the
 same pass. `override` names the flag. The catalog is resolved last: its keys
 apply only to `mode = multi-body`, and the catalog must hold every body
@@ -140,6 +141,13 @@ class RunConfig:
             ("catalog", self.catalog is None or 0 < len(self.catalog) == len(set(self.catalog)),
              "must be None or non-empty and distinct"),
         ))
+        # a generation logs the mean fitness of its mu survivors, and all of
+        # them may have diverged: their sum must be a finite float, or the
+        # run logs an inf (with an overflow warning) that report refuses
+        floor = self.episode.divergence_floor
+        if not math.isfinite(self.mu * floor):
+            raise ValueError(f"divergence_floor times mu = {self.mu} must be finite, "
+                             f"got {floor!r}")
 
     @property
     def brain_only(self) -> bool:
@@ -262,18 +270,29 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                 if (k := _key(f)) in present}
 
     def build(make, keys: dict[int, tuple[str, object]], section: str | None = None,
-              **extra):
-        """`make` from the keys given; RunConfig's messages name the key, the
-        other dataclasses' are prefixed with their section."""
+              **parts):
+        """`make` from the keys given, and from each field of `parts`, a
+        section's `(dataclass, keys)`, built from its keys. RunConfig's
+        messages name the key, the other dataclasses' are prefixed with
+        their section."""
+        def fields(lines):
+            return {name: part(**dict(given[k] for k in lines if k in given))
+                    for name, (part, given) in parts.items()}
+
+        lines = sorted({*keys, *(k for _, given in parts.values() for k in given)})
         try:
-            return make(**dict(keys.values()), **extra)
+            return make(**dict(keys.values()), **fields(lines))
         except ValueError:
             # blame the first key, in file order, whose addition makes the
-            # construction fail
-            lines = sorted(keys)
+            # construction fail; the keys of a section that hold only with
+            # its later keys make no construction
             for n, line in enumerate(lines, start=1):
                 try:
-                    make(**dict(keys[k] for k in lines[:n]), **extra)
+                    prefix = fields(lines[:n])
+                except ValueError:
+                    continue
+                try:
+                    make(**dict(keys[k] for k in lines[:n] if k in keys), **prefix)
                 except ValueError as exc:
                     where = f"invalid [{section}] settings: " if section else ""
                     raise ConfigError(f"{where}{exc}", path, line) from exc
@@ -285,7 +304,10 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
     run_keys = dict(catalog_keys)
     for section in _RUN_SECTIONS:
         run_keys.update(given(section))
-    cfg = build(_run_config, run_keys, **{section: build(make, given(section), section)
+    for section, make in _SECTIONS.items():
+        build(make, given(section), section)
+    # RunConfig's rules may read a section's field: their blame spans its keys
+    cfg = build(_run_config, run_keys, **{section: (make, given(section))
                                           for section, make in _SECTIONS.items()})
     catalog = _catalog(catalog_keys, path)
     if catalog is None:

@@ -29,6 +29,9 @@ MISSING_BLOCK = np.zeros(BLOCK_SIZE)
 MISSING_BLOCK[3 + EMPTY] = 1.0
 MISSING_BLOCK.flags.writeable = False
 
+# bound once, called with `out` positional: see physics
+_add, _divide, _maximum, _minimum = np.add, np.divide, np.maximum, np.minimum
+
 
 @dataclass(frozen=True)
 class ObservationConfig:
@@ -110,6 +113,12 @@ class ObservationBuilder:
         self._features[:n, 3:] = onehot
         self._velocity = self._features[:n, 0:2]
         self._area = self._features[:n, 2]
+        # the mean corner velocity: the corner map corner-major (row k holds
+        # every voxel's corner k), the (4, n, 2) buffer the velocities are
+        # gathered into, its four rows, and the (n, 2) buffer they sum into
+        corners = np.empty((4, n, 2))
+        self._corner_mean = (np.ascontiguousarray(world.corner_map.T), corners, *corners,
+                             np.empty((n, 2)))
         # corner_map columns are TL, TR, BL, BR; polygon order TL -> TR -> BR -> BL
         self._ring = world.corner_map[:, [0, 1, 3, 2]]
         self._ring_next = self._ring[:, [1, 2, 3, 0]]
@@ -137,11 +146,20 @@ class ObservationBuilder:
 
     def refresh(self, world: JoinedWorld) -> None:
         """Recompute the dynamic features (velocity, volume) from `world`'s state."""
-        vel = np.add.reduce(world.vel[world.corner_map], axis=1)
-        vel /= 4.0  # what .mean(axis=1) computes
+        corner_rows, corners, c0, c1, c2, c3, mean = self._corner_mean
+        # corner indices are in range by construction: 'clip' skips the check
+        world.vel.take(corner_rows, 0, corners, "clip")
+        # the corners in order from +0.0, as np.add.reduce sums them from its
+        # identity: four -0.0 corners give +0.0, not -0.0
+        _add(c0, 0.0, mean)
+        _add(mean, c1, mean)
+        _add(mean, c2, mean)
+        _add(mean, c3, mean)
+        _divide(mean, 4.0, mean)  # what .mean(axis=1) computes
         clamp = self.cfg.velocity_clamp
-        np.maximum(vel, -clamp, out=vel)  # what np.clip computes, NaN kept
-        np.minimum(vel, clamp, out=self._velocity)
+        # numpy 2.4 deprecates a positional `out` for maximum and minimum
+        _maximum(mean, -clamp, out=mean)  # what np.clip computes, NaN kept
+        _minimum(mean, clamp, out=self._velocity)
         self._area[:] = _quad_areas(world.pos[:, 0], world.pos[:, 1], self._ring, self._ring_next)
 
     def stacked_inputs(self, world: JoinedWorld, env_step: int) -> list[np.ndarray]:
@@ -152,6 +170,6 @@ class ObservationBuilder:
         phase = time_signal(env_step, self.cfg.time_period)
         for slots, blocks, time in self._gathers:
             # slots are in range by construction; mode='raise' would buffer the gather
-            np.take(self._features, slots, axis=0, mode="clip", out=blocks)
+            self._features.take(slots, 0, blocks, "clip")
             time[...] = phase
         return self._inputs

@@ -47,15 +47,22 @@ class EpisodeConfig:
     divergence_floor: float = -10.0
 
     def __post_init__(self):
+        # a step count beyond the floats would raise OverflowError here
+        shift = (self.max_steps * self.step_penalty if self.max_steps <= sys.float_info.max
+                 else math.inf)
         check_fields(self, (
             ("max_steps", self.max_steps >= 1, "must be >= 1"),
             ("action_repeat", self.action_repeat >= 1, "must be >= 1"),
             *((name, math.isfinite(getattr(self, name)), "must be finite")
               for name in ("terrain_end_x", "step_penalty", "divergence_floor")),
             # an infinite shift_constant makes every fitness inf or nan
-            ("step_penalty", self.max_steps <= sys.float_info.max
-             and math.isfinite(self.max_steps * self.step_penalty),
+            ("step_penalty", math.isfinite(shift),
              f"times max_steps = {self.max_steps} must be finite"),
+            # from 2**53 on, 2**53 + 1.0 == 2**53: the shift swallows a
+            # displacement of one voxel edge, and fitnesses tie
+            ("step_penalty", abs(shift) < 2.0 ** 53,
+             f"times max_steps = {self.max_steps} must be below 2**53 in magnitude "
+             "(from there on a displacement of one voxel edge is lost)"),
         ))
 
     @property

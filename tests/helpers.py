@@ -14,7 +14,7 @@ from voxevo.physics import (
     AXIS_VERTICAL,
     VOXEL_EDGE,
 )
-from voxevo.sensing import GLOBAL_KIND, ObservationBuilder
+from voxevo.sensing import GLOBAL_KIND, ObservationBuilder, _quad_areas
 
 
 def run_to_end(cfg):
@@ -97,6 +97,23 @@ def member_inputs(builder: ObservationBuilder, joined, env_step: int) -> np.ndar
     ((kind, _, _),) = builder.groups
     (stack,) = builder.stacked_inputs(joined, env_step)
     return stack[0, 0] if kind == GLOBAL_KIND else stack[0]
+
+
+def oracle_refresh(builder: ObservationBuilder, joined) -> np.ndarray:
+    """The feature matrix that `builder.refresh(joined)` must leave, computed
+    on a copy of it as the refresh did before its corner-major sum: one
+    `np.add.reduce` over each voxel's four corner velocities, divided by 4,
+    then the clamp; the volumes as ever. The byte oracle of the refresh."""
+    features = builder._features.copy()
+    n = len(joined.corner_map)
+    vel = np.add.reduce(joined.vel[joined.corner_map], axis=1)
+    vel /= 4.0
+    clamp = builder.cfg.velocity_clamp
+    np.maximum(vel, -clamp, out=vel)
+    np.minimum(vel, clamp, out=features[:n, 0:2])
+    features[:n, 2] = _quad_areas(joined.pos[:, 0], joined.pos[:, 1], builder._ring,
+                                  builder._ring_next)
+    return features
 
 
 def mechanical_energy(world) -> float:

@@ -214,6 +214,45 @@ class TestEvolve:
             "step_penalty times max_steps = 500 must be finite, got 1e+308\n")
         assert tree(tmp_path) == before
 
+    # a shift of 2**53 or more swallowed every displacement below its ulp:
+    # the run logged fitness 0.0 for every body, and report accepted it
+    @pytest.mark.parametrize("step_penalty", ["8e306", "450359962737049.6", "-4.6e14"])
+    def test_shift_constant_of_2_to_the_53_refused_before_output(self, tmp_path, capsys,
+                                                                 step_penalty):
+        cfg = tmp_path / "shift.cfg"
+        cfg.write_text("[run]\nseed = 1\ngenerations = 2\n[evolution]\nmu = 2\nlambda = 4\n"
+                       f"[episode]\nmax_steps = 20\nstep_penalty = {step_penalty}\n")
+        out = tmp_path / "out"
+        before = tree(tmp_path)
+        assert main(["evolve", "--config", str(cfg), "--out", str(out),
+                     "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {cfg}:9: invalid [episode] settings: step_penalty times "
+            "max_steps = 20 must be below 2**53 in magnitude (from there on a displacement "
+            f"of one voxel edge is lost), got {float(step_penalty)!r}\n")
+        assert tree(tmp_path) == before
+
+    # a divergence floor whose sum over the mu survivors overflows: once every
+    # survivor diverged, the run logged mean_fitness inf, which report refused
+    @pytest.mark.parametrize("floor", ["1e308", "-1e308"])
+    def test_overflowing_divergence_floor_refused_before_output(self, tmp_path, capsys,
+                                                                floor):
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("[run]\nseed = 1\ngenerations = 2\n"
+                       "[evolution]\nmu = 2\nlambda = 4\ncontroller_sigma = 1e200\n"
+                       f"[episode]\nmax_steps = 20\ndivergence_floor = {floor}\n")
+        out = tmp_path / "out"
+        before = tree(tmp_path)
+        assert main(["evolve", "--config", str(cfg), "--out", str(out),
+                     "--workers", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {cfg}:10: divergence_floor times mu = 2 must be "
+                                f"finite, got {float(floor)!r}\n")
+        assert tree(tmp_path) == before
+
     # every file commits through its `.partial` sibling: a run that fails
     # mid-way raises and leaves the marker with the generations that finished
     def test_interrupted_run_leaves_only_the_partial_marker(self, config_path, tmp_path,

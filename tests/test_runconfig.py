@@ -203,6 +203,23 @@ class TestErrors:
     def test_section_error_names_the_key_at_fault(self, text, line):
         self.assert_error(text, "invalid [", line)
 
+    # RunConfig's rule on mu and [episode] divergence_floor blames whichever
+    # of the two keys comes last; a section key that holds only with a later
+    # one of its section (a step penalty before its small max_steps) is not
+    # blamed for it
+    @pytest.mark.parametrize("text, line", [
+        ("[evolution]\nmu = 2\n[episode]\ndivergence_floor = 1e308\n", 4),
+        ("[episode]\ndivergence_floor = 1e304\n[evolution]\nmu = 20000\n", 4),
+        ("[episode]\ndivergence_floor = -1e308\n", 2),
+        ("[episode]\nstep_penalty = 1e15\nmax_steps = 1\ndivergence_floor = 1e308\n", 4),
+    ])
+    def test_divergence_floor_times_mu_must_be_finite(self, text, line):
+        self.assert_error(text, "divergence_floor times mu = ", line)
+
+    def test_divergence_floor_within_mu_accepted(self):
+        cfg = parse_config("[evolution]\nmu = 2\n[episode]\ndivergence_floor = 8e307\n")
+        assert cfg.episode.divergence_floor == 8e307
+
     def test_semantic_physics_error_points_at_section(self):
         with pytest.raises(ConfigError) as exc_info:
             parse_config("[physics]\nphysics_dt = 0\n", path="demo.cfg")

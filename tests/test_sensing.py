@@ -20,7 +20,7 @@ from voxevo.sensing import (
     time_signal,
 )
 
-from helpers import member_inputs
+from helpers import member_inputs, oracle_refresh
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ class TestVoxelObservation:
         vox = world.cells.index(cell)
         world.vel[world.corner_map[vox]] = [1.0, -2.0]
         obs = observe_voxel(world, cell)
-        assert np.allclose(obs.velocity, [1.0, -2.0], atol=1e-15)
+        assert obs.velocity.tolist() == [1.0, -2.0]  # exact: 4 * 1.0 / 4 and 4 * -2.0 / 4
 
     def test_velocity_clamped(self, world, small_body):
         cell = small_body.occupied_cells[0]
@@ -340,3 +340,44 @@ class TestBuilder:
             assert actions.tobytes() == fresh.tobytes()
             apply_actuation(joined, actions)
             step_env(joined)
+
+
+# corner velocities for the refresh's byte oracle: signed zeros, infinities
+# (inf + -inf is NaN), NaNs of several payloads and signs (0x7ff4... is
+# signaling), and values beyond the default clamp of 10
+SPECIAL_VELOCITIES = np.concatenate([
+    [0.0, -0.0, 1.5, -2.25, 37.0, -1e3, 1e308, np.inf, -np.inf],
+    np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF4000000000003],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+class TestRefreshMatchesOracle:
+    """The refresh sums the corner velocities corner-major, from +0.0; the
+    oracle is the one `np.add.reduce` it replaced, which starts from its
+    identity +0.0: byte for byte, four -0.0 corners give +0.0 and each NaN
+    keeps the payload the reduction propagates."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one_body", "mixed_shapes"])
+    def test_feature_matrix_bytes(self, small_body, plus_body, seed, mixed):
+        cfg = PhysicsConfig()
+        bodies = (small_body, plus_body, small_body) if mixed else (small_body,)
+        joined = join_worlds([build_world(body, cfg) for body in bodies])
+        kinds = (GLOBAL_KIND, MODULAR_KIND, GLOBAL_KIND)[:len(bodies)]
+        builder = ObservationBuilder(joined, kinds)
+        rng = np.random.default_rng(seed)
+        shape = joined.vel.shape
+        joined.vel[:] = np.where(rng.random(shape) < 0.6, rng.choice(SPECIAL_VELOCITIES, shape),
+                                 rng.normal(0.0, 20.0, shape))
+        # the first voxel's corners all -0.0; the last voxel's (of another
+        # member when mixed) signed zeros mixed
+        joined.vel[joined.corner_map[0]] = -0.0
+        last = joined.corner_map[-1]
+        joined.vel[last] = -0.0
+        joined.vel[last[seed], seed % 2] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # as `act` runs it
+            expected = oracle_refresh(builder, joined)
+            builder.refresh(joined)
+        assert builder._features.tobytes() == expected.tobytes()
+        assert np.signbit(builder._features[0, 0:2]).tolist() == [False, False]

@@ -58,6 +58,20 @@ class TestEpisodeConfig:
         with pytest.raises(ValueError, match="^step_penalty times max_steps = "):
             EpisodeConfig(max_steps=max_steps, step_penalty=step_penalty)
 
+    # from 2**53 on, 2**53 + 1.0 == 2**53: the shift swallows a displacement
+    # of one voxel edge, and every fitness of a run ties at 0.0
+    @pytest.mark.parametrize("max_steps, step_penalty", [
+        (20, 8e306), (1, 2.0 ** 53), (2, -2.0 ** 52), (2 ** 60, 0.01)])
+    def test_shift_constant_from_2_to_the_53_refused(self, max_steps, step_penalty):
+        with pytest.raises(ValueError, match=r"must be below 2\*\*53 in magnitude \(from "
+                                             "there on a displacement of one voxel edge"):
+            EpisodeConfig(max_steps=max_steps, step_penalty=step_penalty)
+
+    def test_shift_constant_below_2_to_the_53_accepted(self):
+        assert EpisodeConfig().shift_constant == 500 * 0.01
+        largest = EpisodeConfig(max_steps=1, step_penalty=2.0 ** 53 - 1.0).shift_constant
+        assert largest + 1.0 != largest
+
 
 class TestRewardFormula:
     def test_stationary_full_episode_scores_zero(self):
