@@ -95,6 +95,13 @@ class PhysicsConfig:
         return self.actuator_stiffness
 
 
+# the arrays `build_world` compiles from a genome, read-only, and the state
+# that each world of the body holds as its own
+COMPILED = ("spring_a", "spring_b", "stiffness", "damping", "mass", "materials",
+            "actuator_voxels", "corner_map", "actuator_slots", "rest_scales", "rest_count")
+STATE = ("pos", "vel", "rest", "scale")
+
+
 @dataclass
 class SimWorld:
     """One body compiled from a genome, and its state; `step_env` steps it
@@ -108,6 +115,8 @@ class SimWorld:
     that `rest_scales` picks: an edge has extent only on its own axis, as the
     mean scale of its one or two voxels; a diagonal takes its voxel's x and y
     scales. `rest` is set from `scale` at build and by each actuation.
+    The arrays `COMPILED` from the genome are read-only, so worlds of one
+    body may share them; the `STATE` arrays are each world's own.
     """
 
     pos: np.ndarray            # (n_masses, 2)
@@ -138,7 +147,7 @@ class SimWorld:
     def __setattr__(self, name, value):
         # a rebound member would leave its batch. Not `self.__dict__`:
         # reading it materializes it, ~1% slower per step
-        if name in ("pos", "vel", "rest", "scale") and getattr(self, name, value) is not value:
+        if name in STATE and getattr(self, name, value) is not value:
             owner = "a joined world" if isinstance(self, JoinedWorld) else "a world"
             raise AttributeError(f"{owner}'s {name} is written in place, not rebound")
         object.__setattr__(self, name, value)
@@ -166,7 +175,9 @@ class JoinedWorld:
     given. Their masses, springs and voxels are concatenated in that order.
     Each member's `pos`, `vel`, `rest` and `scale` are rebound to views of
     the joined arrays, so stepping, actuation, observations and
-    `center_of_mass` work on it as alone.
+    `center_of_mass` work on it as alone. Members may share their compiled
+    arrays (read-only, from one `build_world`) but not their state, and a
+    world given twice is refused (`ValueError`).
 
     The actuation state is joined as the state is: one flat `scale` of the
     members' scale arrays, with `actuator_slots` and `rest_scales` offset
@@ -181,15 +192,17 @@ class JoinedWorld:
     The join builds everything `step_env` steps through, once. `pos` and
     `vel` are the two halves of one C-contiguous (2, n_masses, 2) state
     block. `_springs` holds a flat complex128 view of the block (mass i's
-    position at i, its velocity at n_masses + i), the gather indices
-    `ends` and `starts` (each spring's endpoints b and a, then the same
-    offset by n_masses), so one gather-and-subtract gives the position and
-    the velocity differences, and every per-spring buffer, with the
-    columns the spring pass reads and writes. `_step` holds the state, the
-    per-mass forces buffer, a per-mass mask of the masses below the
-    ground, the columns the numpy contact gathers from and adds into, and
-    flat memoryviews of the block and the forces for the contact loop
-    (mass i's x at 2i, its vx at 2 * n_masses + 2i). The forces buffer
+    position at i, its velocity at n_masses + i), one gather index array
+    (each spring's endpoint b, then b + n_masses, then its a and a +
+    n_masses), the (4 n_springs,) complex buffer it gathers into and that
+    buffer's two halves, so one gather and one subtract give the position
+    and the velocity differences, and every per-spring buffer, with the
+    columns the spring pass reads and writes: a spring pass allocates
+    nothing. `_step` holds the state, the per-mass forces buffer, a
+    per-mass mask of the masses below the ground, the columns the numpy
+    contact gathers from and adds into, and flat memoryviews of the block
+    and the forces for the contact loop (mass i's x at 2i, its vx at
+    2 * n_masses + 2i). The forces buffer
     holds `dt * vel` from a substep's position update to the next scatter,
     which overwrites all of it. `blocks` is the scatter: per body shape
     `(scatter, rows, masses)`, its rows of the per-spring and of the
@@ -209,7 +222,12 @@ class JoinedWorld:
             raise ValueError("joined worlds must share their physics")
         self.physics = first.physics
         shapes: dict[tuple, list[int]] = {}
+        given: dict[int, int] = {}
         for i, w in enumerate(worlds):
+            # a world given twice would be stepped in two slots, and left a
+            # view of the last one only
+            if given.setdefault(id(w), i) != i:
+                raise ValueError(f"world {i} is world {given[id(w)]} given again")
             shapes.setdefault(tuple(w.cells), []).append(i)
         self.order = tuple(i for shape in shapes.values() for i in shape)
         self.members = members = tuple(worlds[i] for i in self.order)
@@ -239,7 +257,7 @@ class JoinedWorld:
                                              springs[1:], scales, scales[1:]):
             views = (self.pos[m0:m1], self.vel[m0:m1], self.rest[s0:s1],
                      self.scale[c0:c1].reshape(w.scale.shape))
-            for name, view in zip(("pos", "vel", "rest", "scale"), views):
+            for name, view in zip(STATE, views):
                 object.__setattr__(w, name, view)  # past the rebind guard
         k = self.n_springs
         per_spring, forces = np.empty((k, 2)), np.empty_like(pos)
@@ -263,9 +281,11 @@ class JoinedWorld:
         # (dvx, dvy), as k + k complex and as two (k, 2) halves
         diff, squares = np.empty(2 * k, np.complex128), np.empty((k, 2))
         d, dv = diff.view(np.float64).reshape(2, k, 2)
+        gathered = np.empty(4 * k, np.complex128)
         self._springs = (state.reshape(-1).view(np.complex128),
-                         np.concatenate([self.spring_b, self.spring_b + n]),
-                         np.concatenate([self.spring_a, self.spring_a + n]),
+                         np.concatenate([self.spring_b, self.spring_b + n,
+                                         self.spring_a, self.spring_a + n]),
+                         gathered, *gathered.reshape(2, 2 * k),
                          diff, d, dv, *d.T, squares, *squares.T, np.empty(k), np.empty(k),
                          *per_spring.T)
         self._step = (pos, vel, forces, np.empty(n, bool),
@@ -407,6 +427,9 @@ def build_world(genome: Morphology, cfg: PhysicsConfig) -> SimWorld:
         physics=cfg,
     )
     _set_rest(world)
+    # the worlds of one body in a batch share these (see `JoinedWorld`)
+    for name in COMPILED:
+        getattr(world, name).flags.writeable = False
     return world
 
 
@@ -449,10 +472,14 @@ def _spring_forces(world, springs, forces) -> None:
     `forces` through the scatter `world.blocks`. Every intermediate is
     written into those buffers, each rounding as in the oracle's
     `stiffness * (length - rest) + damping * v_rel` along the unit vector."""
-    zw, ends, starts, diff, d, dv, dx, dy, squares, sx, sy, length, v_rel, px, py = springs
-    # d = pos[b] - pos[a] and dv = vel[b] - vel[a] in one gather: complex
-    # subtraction rounds each part as the float64 subtraction
-    _subtract(zw[ends], zw[starts], diff)
+    (zw, index, gathered, at_b, at_a, diff, d, dv, dx, dy, squares, sx, sy,
+     length, v_rel, px, py) = springs
+    # d = pos[b] - pos[a] and dv = vel[b] - vel[a] from one gather into a
+    # buffer: complex subtraction rounds each part as the float64
+    # subtraction. The indices are in range by construction; "clip" takes
+    # into `gathered` directly, where "raise" would buffer the gather
+    zw.take(index, 0, gathered, "clip")
+    _subtract(at_b, at_a, diff)
     _multiply(d, d, squares)  # dx * dx, dy * dy
     _add(sx, sy, length)
     _sqrt(length, length)

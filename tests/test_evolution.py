@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import voxevo.evolution
+import voxevo.walker
 from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
 from voxevo.evolution import (
     KIND_BODY,
@@ -338,6 +339,61 @@ class TestEvaluation:
         with Evaluator(RunConfig(episode=fast_episode, workers=1)) as evaluator:
             evaluator.evaluate([job for jobs, *_ in cases.values() for job in jobs])
         assert calls == [10]
+
+    # a run of repeated bodies compiles each distinct body once, and every
+    # episode keeps the bytes it has alone, a diverged and a finished one too
+    def test_repeated_bodies_are_each_episode_alone(self, monkeypatch):
+        catalog = tuple(default_catalog()[name] for name in CATALOG_ORDER)
+        rng = np.random.default_rng(3)
+        randoms = (random_morphology(rng), random_morphology(rng))
+        controllers = [init_controller(kind, np.random.default_rng(50 + s))
+                       for s, kind in enumerate([GLOBAL_KIND, MODULAR_KIND] * 2 + [GLOBAL_KIND])]
+        # the fourth network overflows to NaN actions, so its body diverges
+        huge = controllers[3]
+        controllers[3] = dataclasses.replace(huge, W1=huge.W1 * 1e300, W2=huge.W2 * 1e300)
+        jobs = [(catalog, controllers[0]), (catalog, controllers[1]), (catalog, controllers[2]),
+                ((randoms[0],), controllers[3]), ((randoms[1],), controllers[4])]
+        # a terrain end that only the second random body reaches, late
+        episode = EpisodeConfig(max_steps=60, terrain_end_x=2.55)
+        alone = [tuple(run_episode(body, ctrl, episode) for body in bodies)
+                 for bodies, ctrl in jobs]
+        outcomes = [(r.diverged, r.reached_end, r.steps_used)
+                    for results in alone for r in results]
+        assert outcomes[:12] == [(False, False, 60)] * 12
+        (diverged, _, _), (_, reached, steps) = outcomes[12:]
+        assert diverged and reached and 1 < steps < 60
+        for workers in (1, 2, 3):
+            with Evaluator(RunConfig(episode=episode, workers=workers)) as evaluator:
+                assert evaluator.evaluate(jobs) == alone, workers
+
+        # every run, stepped here in process, builds each of its distinct
+        # bodies once
+        built, distinct = [], []
+        real_build = voxevo.walker.build_world
+
+        def counting_build(body, cfg):
+            built[-1].append(body)
+            return real_build(body, cfg)
+
+        def in_process(self, fn, tasks):
+            runs = []
+            for task in tasks:
+                distinct.append(list(dict.fromkeys(body for body, _ in task[0])))
+                built.append([])
+                runs.append(fn(task))
+            return runs
+
+        monkeypatch.setattr(voxevo.walker, "build_world", counting_build)
+        monkeypatch.setattr(Evaluator, "_map", in_process)
+        # 14 episodes, cut into runs of 14; 7 and 7; 4, 5 and 5
+        builds = {1: [6], 2: [4, 6], 3: [4, 4, 5]}
+        for workers, counts in builds.items():
+            built.clear()
+            distinct.clear()
+            with Evaluator(RunConfig(episode=episode, workers=workers)) as evaluator:
+                assert evaluator.evaluate(jobs) == alone, workers
+            assert built == distinct, workers
+            assert [len(bodies) for bodies in built] == counts, workers
 
     # an evaluation's episodes are cut into contiguous runs: by episodes, not
     # by jobs, so a job's bodies may straddle two runs; one-body jobs run one

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 import sys
 
@@ -173,6 +174,19 @@ class TestWorldConstruction:
             assert np.array_equal(w_left.stiffness, other.stiffness)
             assert np.array_equal(w_left.damping, other.damping)
             assert np.array_equal(w_left.mass, other.mass)
+
+    # the worlds of one body in a batch share the compiled arrays; every
+    # array of a world is compiled or state
+    def test_compiled_arrays_are_read_only(self):
+        world = build_world(single_voxel(), PhysicsConfig())
+        arrays = {f.name for f in dataclasses.fields(world)
+                  if isinstance(getattr(world, f.name), np.ndarray)}
+        assert arrays == {*physics.COMPILED, *physics.STATE}
+        for name in physics.COMPILED:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(world, name)[...] = 0
+        for name in physics.STATE:
+            getattr(world, name)[...] = getattr(world, name)
 
     def test_shared_edge_stiffness_sums(self):
         cfg = PhysicsConfig()
@@ -932,6 +946,14 @@ class TestJoinedWorlds:
     def test_refuses_an_empty_join(self):
         with pytest.raises(ValueError, match="^no worlds to join$"):
             join_worlds([])
+
+    # a world given twice would be stepped in two slots and left a view of
+    # the last one only
+    def test_refuses_a_world_given_twice(self):
+        world, other = (build_world(single_voxel(), PhysicsConfig()) for _ in range(2))
+        with pytest.raises(ValueError, match="^world 2 is world 0 given again$"):
+            join_worlds([world, other, world])
+        assert world.pos.base is None  # refused before any member was rebound
 
     def test_refuses_members_of_other_physics(self):
         body = single_voxel()

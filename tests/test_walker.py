@@ -1,10 +1,12 @@
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import voxevo.walker
+from voxevo import physics
 from voxevo.control import GLOBAL_KIND, MODULAR_KIND, ControllerGenome, init_controller
 from voxevo.morphology import Morphology
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass
@@ -125,12 +127,14 @@ class TestRunEpisode:
         world = real_build(small_body, PhysicsConfig())
 
         def gliding(speeds):
-            # bodies without ground contact sliding right at their own speeds
-            speeds = iter(speeds)
+            # bodies without ground contact sliding right at their own
+            # speeds. A batch builds each distinct body once, so each speed
+            # goes with a body of its own
+            speed = dict(zip(bodies, speeds))
 
             def build(body, cfg):
                 glider = real_build(body, cfg)
-                glider.vel[:, 0] = next(speeds)
+                glider.vel[:, 0] = speed[body]
                 return glider
             monkeypatch.setattr(voxevo.walker, "build_world", build)
 
@@ -140,7 +144,12 @@ class TestRunEpisode:
 
         controllers = [init_controller(MODULAR_KIND, np.random.default_rng([9, i]))
                        for i in range(3)]
-        bodies, speeds = (small_body,) * 3, (6.0, 8.0, 10.0)
+        # small_body shifted in the grid: distinct bodies whose worlds are
+        # bit for bit small_body's, placed at x = 0 on the ground
+        bodies = tuple(Morphology(np.roll(small_body.grid, shift, axis=1))
+                       for shift in (0, -1, 1))
+        assert len(set(bodies)) == 3
+        speeds = (6.0, 8.0, 10.0)
         gliding(speeds)
         far = EpisodeConfig(max_steps=61, terrain_end_x=1e9)
         runs = run_episodes(bodies, controllers, far, physics_cfg=GLIDE, record=True)
@@ -158,6 +167,39 @@ class TestRunEpisode:
             if end > 0.0:  # the slowest body stays short, the others reach it midway
                 assert [r.reached_end for r in results] == [False, True, True]
                 assert 1 < results[2].steps_used < results[1].steps_used < 60
+
+    # a batch builds each distinct body once: the worlds of a repeated body
+    # share its compiled arrays, and no world shares another's state
+    def test_repeated_bodies_share_compiled_arrays_not_state(self, small_body, plus_body,
+                                                            monkeypatch):
+        built, joins = [], []
+        real_build, real_join = voxevo.walker.build_world, voxevo.walker.join_worlds
+
+        def counting_build(body, cfg):
+            built.append(body)
+            return real_build(body, cfg)
+
+        def spy_join(worlds):
+            joins.append(list(worlds))
+            return real_join(joins[-1])
+
+        monkeypatch.setattr(voxevo.walker, "build_world", counting_build)
+        monkeypatch.setattr(voxevo.walker, "join_worlds", spy_join)
+        bodies = (small_body, plus_body, small_body, small_body)
+        controllers = [init_controller(MODULAR_KIND, np.random.default_rng([10, i]))
+                       for i in range(4)]
+        cfg = EpisodeConfig(max_steps=8)
+        results = run_episodes(bodies, controllers, cfg)
+        assert built == [small_body, plus_body]
+        worlds = joins[0]
+        for i, j in itertools.combinations(range(4), 2):
+            for name in physics.COMPILED:
+                shared = np.shares_memory(getattr(worlds[i], name), getattr(worlds[j], name))
+                assert shared == (bodies[i] == bodies[j]), (i, j, name)
+            for name in physics.STATE:
+                assert not np.shares_memory(getattr(worlds[i], name), getattr(worlds[j], name))
+        monkeypatch.undo()
+        assert results == tuple(run_episode(b, c, cfg) for b, c in zip(bodies, controllers))
 
     def test_divergence_scores_floor(self, small_body, fast_episode):
         unstable = PhysicsConfig(physics_dt=0.05)
