@@ -221,9 +221,11 @@ class Evaluator:
     pool. Each job yields one trajectory-free `EpisodeResult` per body, in
     body order; results are in job order and independent of worker count.
     The jobs' (body, controller) episodes are cut into contiguous runs: one
-    episode each when every job has one body, else one run of near-equal
-    length per worker, stepped as one joined world. A config without a
-    worker count gets one worker per CPU this process may run on."""
+    episode each when every job has one body (`evolve` without a catalog),
+    else one run of near-equal length per worker, stepped as one joined
+    world (`evolve` on a catalog, and `transfer`, whose zero-shot job holds
+    every neighbor). A config without a worker count gets one worker per
+    CPU this process may run on."""
 
     def __init__(self, cfg: RunConfig):
         self.episode = cfg.episode
@@ -243,8 +245,10 @@ class Evaluator:
                  ) -> list[tuple[EpisodeResult, ...]]:
         episodes = [(body, ctrl) for bodies, ctrl in jobs for body in bodies]
         # one-body jobs run one episode per run, through run_episode, because
-        # the bench's tracer counts their episodes by its spans; ROADMAP item 1
-        # moves that count to the returned results, and then this rule goes
+        # the bench's tracer counts their episodes by its spans: `evolve`
+        # without a catalog takes this cut, and `transfer` only when it drew a
+        # single neighbor. ROADMAP item 1 moves that count to the returned
+        # results, and then this rule goes
         one_body = all(len(bodies) == 1 for bodies, _ in jobs)
         n = len(episodes) if one_body else min(self._workers, len(episodes))
         cuts = [len(episodes) * k // max(n, 1) for k in range(n + 1)]

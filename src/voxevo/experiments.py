@@ -160,7 +160,12 @@ def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
     magnitude is below MIN_SOURCE_MAGNITUDE.
 
     Every neighbor and mutant is drawn before any episode runs (episodes draw
-    no random numbers), and all episodes go to `evaluator` in one batch.
+    no random numbers), and all episodes go to `evaluator` in one batch. The
+    source controller on every neighbor, in draw order, is one multi-body
+    job, and each mutant is a one-body job on its neighbor: a batch that
+    holds a multi-body job is cut into one joined world per worker, where
+    one-body jobs alone would run one world per episode. A body keeps its
+    bits in any joined world, so the layout changes no score.
     """
     guarded = abs(source_fitness) < MIN_SOURCE_MAGNITUDE
     if guarded:
@@ -169,21 +174,21 @@ def transfer_analysis(champion_morph: Morphology, controller: ControllerGenome,
             source_fitness)
 
     drawn: list[tuple[int, Morphology]] = []
-    jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]] = []
+    mutants: list[tuple[tuple[Morphology, ...], ControllerGenome]] = []
     for distance in distances:
         for neighbor in _distinct_neighbors(
                 champion_morph, distance, samples_per_distance, rng):
             drawn.append((distance, neighbor))
-            jobs.append(((neighbor,), controller))
-            jobs.extend(((neighbor,), mutate_controller(controller, rng, ONE_SHOT_SIGMA))
-                        for _ in range(one_shot_lambda))
-    fitnesses = [episode.fitness for (episode,) in evaluator.evaluate(jobs)]
+            mutants.extend(((neighbor,), mutate_controller(controller, rng, ONE_SHOT_SIGMA))
+                           for _ in range(one_shot_lambda))
+    zero_shot, *one_shot = evaluator.evaluate(
+        [(tuple(neighbor for _, neighbor in drawn), controller), *mutants])
 
-    per_neighbor = 1 + one_shot_lambda
     samples: list[TransferSample] = []
     for i, (distance, neighbor) in enumerate(drawn):
-        scores = fitnesses[i * per_neighbor:(i + 1) * per_neighbor]
-        zero, one = scores[0], max(scores)
+        zero = zero_shot[i].fitness
+        mutant_runs = one_shot[i * one_shot_lambda:(i + 1) * one_shot_lambda]
+        one = max([zero, *(episode.fitness for (episode,) in mutant_runs)])
         if guarded:
             rel_zero = rel_one = None
         else:

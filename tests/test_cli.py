@@ -525,15 +525,17 @@ class TestTransfer:
     def test_worker_count_does_not_change_output(self, trained_run, tmp_path):
         config, run_dir = trained_run
         champion = os.path.join(run_dir, "champion.ckpt")
-        outs = [str(tmp_path / name) for name in ("w1", "w2")]
-        for out, workers in zip(outs, ("1", "2")):
+        outs = [str(tmp_path / name) for name in ("w1", "w2", "w3")]
+        for out, workers in zip(outs, ("1", "2", "3")):
             assert main(["transfer", "--config", config, "--champion", champion,
                          "--out", out, "--workers", workers]) == 0
             assert not any(name.endswith(".partial") for name in os.listdir(out))
         for name in ("transfer.csv", "transfer_summary.txt"):
-            with open(os.path.join(outs[0], name), "rb") as fa, \
-                    open(os.path.join(outs[1], name), "rb") as fb:
-                assert fa.read() == fb.read(), name
+            with open(os.path.join(outs[0], name), "rb") as fa:
+                first = fa.read()
+            for out in outs[1:]:
+                with open(os.path.join(out, name), "rb") as fb:
+                    assert fb.read() == first, (name, out)
 
     # a champion without a fitness is scored under the config first, to the
     # fitness its run recorded

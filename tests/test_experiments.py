@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+import voxevo.evolution
+import voxevo.experiments
 from voxevo.checkpoints import load_individual
 from voxevo.cli import main
 from voxevo.control import MODULAR_KIND, init_controller, mutate_controller
@@ -26,7 +28,7 @@ from voxevo.experiments import (
     transfer_analysis,
     _distinct_neighbors,
 )
-from voxevo.morphology import validate
+from voxevo.morphology import MutationFailedError, validate
 from voxevo.runconfig import RunConfig, load_config
 from voxevo.walker import evaluate_fitness
 
@@ -151,6 +153,42 @@ def fast_evaluator(fast_episode):
         yield evaluator
 
 
+def scored_each_draw_in_turn(body, controller, distances, rng, samples_per_distance,
+                             one_shot_lambda, episode):
+    """Oracle: the serial loop the batch replaced, which scored every
+    neighbor and every mutant as soon as it was drawn. (distance, neighbor,
+    zero-shot, one-shot) per sample."""
+    expected = []
+    for distance in distances:
+        for neighbor in _distinct_neighbors(body, distance, samples_per_distance, rng):
+            zero = evaluate_fitness(neighbor, controller, episode)
+            one = zero
+            for _ in range(one_shot_lambda):
+                mutant = mutate_controller(controller, rng, ONE_SHOT_SIGMA)
+                one = max(one, evaluate_fitness(neighbor, mutant, episode))
+            expected.append((distance, neighbor, zero, one))
+    return expected
+
+
+def sample_scores(samples):
+    return [(s.distance, s.neighbor, s.zero_shot_fitness, s.one_shot_fitness)
+            for s in samples]
+
+
+@pytest.fixture
+def run_lengths(monkeypatch):
+    """The episode count of every run the evaluators make, with the pool's
+    map run in process."""
+    lengths = []
+
+    def in_process(self, fn, tasks):
+        lengths.extend(len(task[0]) for task in tasks)
+        return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(Evaluator, "_map", in_process)
+    return lengths
+
+
 class TestTransfer:
     def test_one_shot_never_below_zero_shot(self, small_body, fast_episode, fast_evaluator):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(3))
@@ -208,27 +246,83 @@ class TestTransfer:
         assert [s.zero_shot_fitness for s in a] == [s.zero_shot_fitness for s in b]
         assert [s.one_shot_fitness for s in a] == [s.one_shot_fitness for s in b]
 
-    def test_matches_scoring_each_draw_in_turn(self, small_body, fast_episode,
-                                               fast_evaluator):
-        """Oracle: the serial loop the batch replaced, which scored every
-        neighbor and every mutant as soon as it was drawn."""
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_matches_scoring_each_draw_in_turn(self, small_body, fast_episode, workers):
         controller = init_controller(MODULAR_KIND, np.random.default_rng(14))
-        rng = np.random.default_rng(15)
-        expected = []
-        for distance in (1, 2):
-            for neighbor in _distinct_neighbors(small_body, distance, 3, rng):
-                zero = evaluate_fitness(neighbor, controller, fast_episode)
-                one = zero
-                for _ in range(3):
-                    mutant = mutate_controller(controller, rng, ONE_SHOT_SIGMA)
-                    one = max(one, evaluate_fitness(neighbor, mutant, fast_episode))
-                expected.append((distance, neighbor, zero, one))
-        samples = transfer_analysis(
-            small_body, controller, 2.0, [1, 2], np.random.default_rng(15),
-            fast_evaluator, samples_per_distance=3, one_shot_lambda=3)
-        assert [(s.distance, s.neighbor, s.zero_shot_fitness, s.one_shot_fitness)
-                for s in samples] == expected
+        expected = scored_each_draw_in_turn(
+            small_body, controller, [1, 2], np.random.default_rng(15), 3, 3, fast_episode)
+        with Evaluator(RunConfig(episode=fast_episode, workers=workers)) as evaluator:
+            samples = transfer_analysis(
+                small_body, controller, 2.0, [1, 2], np.random.default_rng(15),
+                evaluator, samples_per_distance=3, one_shot_lambda=3)
+        assert sample_scores(samples) == expected
         assert any(s.one_shot_fitness > s.zero_shot_fitness for s in samples)
+
+    # the source controller on all its neighbors is one multi-body job, so
+    # the evaluation is cut into min(workers, episodes) joined runs and no
+    # episode runs alone
+    def test_evaluation_is_joined(self, small_body, fast_episode, monkeypatch,
+                                  run_lengths):
+        controller = init_controller(MODULAR_KIND, np.random.default_rng(16))
+        expected = scored_each_draw_in_turn(
+            small_body, controller, [1, 2], np.random.default_rng(17), 2, 1, fast_episode)
+        assert len(expected) == 4  # 8 episodes
+
+        def alone(*args):
+            raise AssertionError("an episode ran alone")
+
+        monkeypatch.setattr(voxevo.evolution, "run_episode", alone)
+        for workers, lengths in {1: [8], 2: [4, 4], 3: [2, 3, 3]}.items():
+            run_lengths.clear()
+            with Evaluator(RunConfig(episode=fast_episode, workers=workers)) as evaluator:
+                samples = transfer_analysis(
+                    small_body, controller, 2.0, [1, 2], np.random.default_rng(17),
+                    evaluator, samples_per_distance=2, one_shot_lambda=1)
+            assert sample_scores(samples) == expected, workers
+            assert run_lengths == lengths, workers
+
+    # one neighbor in all: every job has one body, so every run is one episode
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_neighbor_runs_each_episode_alone(self, small_body, fast_episode,
+                                                  run_lengths, workers):
+        controller = init_controller(MODULAR_KIND, np.random.default_rng(18))
+        expected = scored_each_draw_in_turn(
+            small_body, controller, [1], np.random.default_rng(19), 1, 2, fast_episode)
+        assert len(expected) == 1
+        with Evaluator(RunConfig(episode=fast_episode, workers=workers)) as evaluator:
+            samples = transfer_analysis(
+                small_body, controller, 2.0, [1], np.random.default_rng(19),
+                evaluator, samples_per_distance=1, one_shot_lambda=2)
+        assert sample_scores(samples) == expected
+        assert run_lengths == [1, 1, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_without_mutants_one_shot_is_zero_shot(self, small_body, fast_episode, workers):
+        controller = init_controller(MODULAR_KIND, np.random.default_rng(20))
+        expected = scored_each_draw_in_turn(
+            small_body, controller, [1, 2], np.random.default_rng(21), 2, 0, fast_episode)
+        with Evaluator(RunConfig(episode=fast_episode, workers=workers)) as evaluator:
+            samples = transfer_analysis(
+                small_body, controller, 2.0, [1, 2], np.random.default_rng(21),
+                evaluator, samples_per_distance=2, one_shot_lambda=0)
+        assert sample_scores(samples) == expected
+        assert all(s.one_shot_fitness == s.zero_shot_fitness for s in samples)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_neighbor_drawn_gives_no_samples(self, small_body, fast_episode,
+                                                monkeypatch, workers):
+        def no_neighbor(source, distance, rng):
+            raise MutationFailedError("no neighbor")
+
+        monkeypatch.setattr(voxevo.experiments, "sample_neighbor", no_neighbor)
+        controller = init_controller(MODULAR_KIND, np.random.default_rng(22))
+        assert scored_each_draw_in_turn(
+            small_body, controller, [1, 2], np.random.default_rng(23), 2, 1,
+            fast_episode) == []
+        with Evaluator(RunConfig(episode=fast_episode, workers=workers)) as evaluator:
+            assert transfer_analysis(
+                small_body, controller, 2.0, [1, 2], np.random.default_rng(23),
+                evaluator, samples_per_distance=2, one_shot_lambda=1) == []
 
 
 class TestAccounting:

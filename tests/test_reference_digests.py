@@ -118,11 +118,16 @@ def test_multi_body_digests_any_worker_count(tmp_path, workers):
     _check(_evolve(tmp_path, case, MULTI_BODY_GLOBAL, workers), case)
 
 
-def test_transfer_digest(tmp_path):
+# the zero-shot episodes are one multi-body job, so the transfer's episodes
+# are cut into one joined run per worker, and the run boundaries move with
+# the worker count
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_transfer_digest(tmp_path, workers):
     source = _evolve(tmp_path, "source", CO_OPTIMIZE_MODULAR)
     cfg = tmp_path / "transfer.cfg"
     cfg.write_text(TRANSFER)
     out = str(tmp_path / "transfer")
     assert main(["transfer", "--config", str(cfg), "--out", out,
-                 "--champion", os.path.join(source, "champion.ckpt")]) == 0
+                 "--champion", os.path.join(source, "champion.ckpt"),
+                 "--workers", str(workers)]) == 0
     _check(out, "transfer")
