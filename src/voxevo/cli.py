@@ -206,10 +206,10 @@ def cmd_transfer(args) -> int:
         elif zeros:
             lines.append(
                 f"  zero-shot relative change: mean {float(np.mean(zeros))!r} "
-                f"median {float(np.median(zeros))!r}")
+                f"median {_median(zeros)!r}")
             lines.append(
                 f"  one-shot relative change:  mean {float(np.mean(ones))!r} "
-                f"median {float(np.median(ones))!r}")
+                f"median {_median(ones)!r}")
         else:
             lines.append("  relative changes omitted (source fitness below guard)")
     atomic_write_bytes(os.path.join(cfg.out, "transfer_summary.txt"),
@@ -347,8 +347,14 @@ def _summarize_run(run_dir: str) -> RunSummary:
 
 
 def _median(values: list) -> float | None:
-    values = [v for v in values if v is not None]
-    return float(np.median(values)) if values else None
+    """The median of the values that are not None (all finite), rounded as
+    `np.median` rounds it: the middle value, or the two middle values' sum
+    halved. `np.median` imports `numpy.ma` on its first call."""
+    values = sorted(float(v) for v in values if v is not None)
+    if not values:
+        return None
+    half = len(values) // 2
+    return values[half] if len(values) % 2 else (values[half - 1] + values[half]) / 2
 
 
 def cmd_report(args) -> int:

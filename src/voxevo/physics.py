@@ -116,7 +116,7 @@ class SimWorld:
     mean scale of its one or two voxels; a diagonal takes its voxel's x and y
     scales. `rest` is set from `scale` at build and by each actuation.
     The arrays `COMPILED` from the genome are read-only, so worlds of one
-    body may share them; the `STATE` arrays are each world's own.
+    body may share them; a join copies each member's `STATE` arrays.
     """
 
     pos: np.ndarray            # (n_masses, 2)
@@ -175,9 +175,9 @@ class JoinedWorld:
     given. Their masses, springs and voxels are concatenated in that order.
     Each member's `pos`, `vel`, `rest` and `scale` are rebound to views of
     the joined arrays, so stepping, actuation, observations and
-    `center_of_mass` work on it as alone. Members may share their compiled
-    arrays (read-only, from one `build_world`) but not their state, and a
-    world given twice is refused (`ValueError`).
+    `center_of_mass` work on it as alone. Members may share any arrays, as
+    the worlds of one `build_world` do, since the join copies their state,
+    but a world given twice is refused (`ValueError`).
 
     The actuation state is joined as the state is: one flat `scale` of the
     members' scale arrays, with `actuator_slots` and `rest_scales` offset

@@ -26,7 +26,6 @@ import numpy as np
 from .control import ControllerBatch, ControllerGenome, act
 from .morphology import Morphology
 from .physics import (
-    STATE,
     PhysicsConfig,
     SimulationDivergedError,
     build_world,
@@ -116,7 +115,7 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
     joined world: one observation refresh, one stacked forward pass per
     group of members and one actuation for the whole batch. Each distinct
     body is compiled once per call: the worlds of a repeated body share its
-    `build_world` arrays, each with its own state. A body that
+    `build_world` arrays, and the join gives each its own state. A body that
     diverges or crosses the terrain end leaves the batch at that step, and
     the bodies still running are joined again without it, with a new
     controller batch; a NaN action diverges its body before the step.
@@ -125,11 +124,10 @@ def run_episodes(bodies: tuple[Morphology, ...], controllers: tuple[ControllerGe
         raise ValueError(f"{len(bodies)} bodies but {len(controllers)} controllers")
     episode_cfg = episode_cfg or EpisodeConfig()
     physics_cfg = physics_cfg or PhysicsConfig()
-    # one build per distinct body: its worlds share the compiled arrays,
-    # each with its own copy of the state
+    # one build per distinct body: its worlds share all its arrays until the
+    # join copies each world's state into its own block
     compiled = {body: build_world(body, physics_cfg) for body in dict.fromkeys(bodies)}
-    worlds = [replace(w, **{name: getattr(w, name).copy() for name in STATE})
-              for w in map(compiled.get, bodies)]
+    worlds = [replace(w) for w in map(compiled.get, bodies)]
     start_x = [float(center_of_mass(w)[0]) for w in worlds]
     frames = [[] if record else None for _ in worlds]
     results: list[EpisodeResult | None] = [None] * len(worlds)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from voxevo.checkpoints import load_individual, load_population, save_individual
@@ -753,6 +754,28 @@ class TestReport:
         rows = read_rows(os.path.join(out, "report.csv"))
         assert [r[0] for r in rows[1:]] == ["run_00", "run_01", "aggregate_median"]
         assert "median" in capsys.readouterr().out
+
+    # the medians of `report` and of `transfer`'s summary, without the
+    # `numpy.ma` import of `np.median`, rounded as `np.median` rounds them
+    @pytest.mark.parametrize("values", [
+        [0.3], [2.5, -1.0, 7.25], [0.1, 0.2], [0.1, 0.7, 0.2, 0.4], [3.0, 3.0, 1.0, 3.0],
+        [0.2, 0.2], [-0.3, -0.1, -2.0, -0.7], [-0.1, -0.2, -0.3], [1e308, 1e308],
+        [5e-324, 5e-324], [4, 1, 9, 2],
+    ])
+    def test_median_is_numpys(self, values):
+        got = voxevo.cli._median([None, *values, None])
+        with np.errstate(over="ignore"):  # the sum of two 1e308 is inf
+            assert got.hex() == float(np.median(values)).hex()
+
+    def test_median_of_random_lists_is_numpys(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 200):
+            values = rng.normal(size=n).tolist()
+            assert voxevo.cli._median(values).hex() == float(np.median(values)).hex()
+
+    def test_median_of_nothing_is_none(self):
+        assert voxevo.cli._median([]) is None
+        assert voxevo.cli._median([None, None]) is None
 
     def test_convergence_columns_follow_the_thresholds(self):
         assert columns(RunSummary)[2:-2] == [

@@ -8,17 +8,27 @@ sources, whichever object the read reaches, so a method shares its uses
 with every other definition of that name. Uses are found in the syntax
 tree, so a name in a comment, a docstring or an import does not count,
 and neither does a use inside the name's own definition.
+
+The package namespace is its modules: each name is imported from the
+module that defines it, and each module imports when it is the first of
+the package to be loaded.
 """
 
 import ast
+import importlib
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "voxevo"
 
 # read by tools outside the package: population checkpoints are loaded for
-# inspection and resumption, and config text is parsed without a file
-EXEMPT = {"load_population", "parse_config"}
+# inspection and resumption
+EXEMPT = {"load_population"}
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 class _Uses(ast.NodeVisitor):
@@ -83,3 +93,27 @@ def test_every_public_definition_is_used_outside_the_tests():
     unused = sorted(qualified for name, qualified in defined
                     if name not in used and name not in EXEMPT)
     assert unused == [], f"defined but reached only from tests: {unused}"
+
+
+def test_package_namespace_binds_only_its_modules():
+    package = importlib.import_module("voxevo")
+    for name in MODULES:
+        importlib.import_module(f"voxevo.{name}")
+    public = {name: value for name, value in vars(package).items() if not name.startswith("_")}
+    assert public == {name: sys.modules[f"voxevo.{name}"] for name in MODULES}
+
+
+# without a facade that imports every module in one order, an import cycle
+# would fail only the entry points that load one of its modules first
+def test_each_module_imports_first():
+    child = textwrap.dedent("""
+        import importlib, sys
+        sys.path.insert(0, sys.argv[1])
+        for name in sys.argv[2:]:
+            for loaded in [m for m in sys.modules if m.partition(".")[0] == "voxevo"]:
+                del sys.modules[loaded]
+            importlib.import_module(f"voxevo.{name}")
+    """)
+    proc = subprocess.run([sys.executable, "-c", child, str(PACKAGE.parent), *MODULES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
