@@ -36,9 +36,10 @@ import struct
 
 import numpy as np
 
-from .control import GLOBAL_KIND, MODULAR_KIND, genome_from_flat
+from .control import genome_from_flat
 from .evolution import KIND_BODY, KIND_BRAIN, KIND_FRESH, Individual
 from .morphology import GRID_SIZE, Morphology, validate
+from .sensing import GLOBAL_KIND, MODULAR_KIND
 
 MAGIC = b"VXCK"
 VERSION = 1

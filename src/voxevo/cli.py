@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -282,20 +283,30 @@ def _parser(annotation):
 
 
 def _read_records(path: str, cls) -> list:
-    """The `cls` records of a CSV; a missing column, or a field that does not
-    parse by its annotation or check in `cls`, is refused at file:line."""
+    """The `cls` records of a CSV; a byte that is not UTF-8, a line that csv
+    cannot read, a missing column, or a field that does not parse by its
+    annotation or check in `cls`, is refused at file:line."""
     hints = typing.get_type_hints(cls)
     parsers = {name: _parser(hints[name]) for name in _columns(cls)}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        records = []
-        for row in reader:
-            try:
-                records.append(cls(**{name: parse(row[name])
-                                      for name, parse in parsers.items()}))
-            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None
-                problem = f"no {exc} column" if isinstance(exc, KeyError) else exc
-                raise ReportIntegrityError(f"{path}: line {reader.line_num}: {problem}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # decoded whole: a text layer decodes ahead of the csv reader, whose
+    # line count then names no line of the bad byte
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ReportIntegrityError(f"{path}: line {line}: not UTF-8: {exc.reason}") from exc
+    rows = csv.DictReader(io.StringIO(text, newline=""))
+    records = []
+    try:
+        for row in rows:
+            records.append(cls(**{name: parse(row[name]) for name, parse in parsers.items()}))
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:  # TypeError: a short row's None
+        problem = f"no {exc} column" if isinstance(exc, KeyError) else exc
+        # the csv reader's own count: the DictReader's misses a line csv refuses
+        line = rows.reader.line_num
+        raise ReportIntegrityError(f"{path}: line {line}: {problem}") from exc
     return records
 
 

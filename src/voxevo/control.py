@@ -16,8 +16,7 @@ import numpy as np
 
 from .morphology import GRID_SIZE
 from .physics import JoinedWorld
-from .sensing import (GLOBAL_KIND, KINDS, MODULAR_KIND, ObservationBuilder, ObservationConfig,
-                      input_size)
+from .sensing import GLOBAL_KIND, KINDS, ObservationBuilder, ObservationConfig, input_size
 
 HIDDEN_UNITS = 32  # the one hidden width that init, mutation and checkpoints know
 

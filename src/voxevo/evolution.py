@@ -26,8 +26,8 @@ evaluation's episodes into runs: a body keeps its bits in any joined world.
 from __future__ import annotations
 
 import os
+from concurrent import futures
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -225,7 +225,8 @@ class Evaluator:
     else one run of near-equal length per worker, stepped as one joined
     world (`evolve` on a catalog, and `transfer`, whose zero-shot job holds
     every neighbor). A config without a worker count gets one worker per
-    CPU this process may run on."""
+    CPU this process may run on. A worker that dies fails the evaluation
+    with `BrokenProcessPool`."""
 
     def __init__(self, cfg: RunConfig):
         self.episode = cfg.episode
@@ -238,7 +239,8 @@ class Evaluator:
                 workers = len(os.sched_getaffinity(0))
             else:
                 workers = os.cpu_count() or 1
-        self._pool = Pool(workers) if workers > 1 else None
+        # the attribute loads concurrent.futures.process only where a pool is made
+        self._pool = futures.ProcessPoolExecutor(workers) if workers > 1 else None
         self._workers = workers
 
     def evaluate(self, jobs: list[tuple[tuple[Morphology, ...], ControllerGenome]]
@@ -259,12 +261,11 @@ class Evaluator:
         return [tuple(next(flat) for _ in bodies) for bodies, _ in jobs]
 
     def _map(self, fn, tasks: list) -> list:
-        return list(map(fn, tasks)) if self._pool is None else self._pool.map(fn, tasks)
+        return list((map if self._pool is None else self._pool.map)(fn, tasks))
 
     def close(self):
         if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
+            self._pool.shutdown()
             self._pool = None
 
     def __enter__(self):

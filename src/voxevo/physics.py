@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .morphology import H_ACTUATOR, V_ACTUATOR, InvalidMorphologyError, Morphology
+from .morphology import H_ACTUATOR, RIGID, SOFT, V_ACTUATOR, InvalidMorphologyError, Morphology
 
 # the ufuncs of the substep, bound once: a call through a module-level name
 # with `out` passed positionally skips the `np.` attribute lookup and the
@@ -88,9 +88,9 @@ class PhysicsConfig:
         ))
 
     def material_stiffness(self, code: int) -> float:
-        if code == 1:
+        if code == RIGID:
             return self.rigid_stiffness
-        if code == 2:
+        if code == SOFT:
             return self.soft_stiffness
         return self.actuator_stiffness
 

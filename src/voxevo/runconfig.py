@@ -39,13 +39,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .control import KINDS
 from .evolution import MAX_POPULATION
 from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
 from .morphology import Morphology
 from .physics import PhysicsConfig, check_fields
-from .sensing import ObservationConfig
+from .sensing import KINDS, ObservationConfig
 from .walker import EpisodeConfig
 
 
@@ -62,16 +62,11 @@ class ConfigError(Exception):
         super().__init__(f"{where}: {message}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
+def _parse_list(raw: str, item=str) -> tuple:
+    """A comma-separated list, each part stripped and parsed by `item`."""
     if not raw.strip():
         return ()
-    return tuple(int(part.strip()) for part in raw.split(","))
-
-
-def _parse_str_list(raw: str) -> tuple[str, ...]:
-    if not raw.strip():
-        return ()
-    return tuple(part.strip() for part in raw.split(","))
+    return tuple(item(part.strip()) for part in raw.split(","))
 
 
 # value parser by annotation (all config modules use postponed annotations)
@@ -79,8 +74,8 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "tuple[int, ...]": _parse_int_list,
-    "tuple[str, ...]": _parse_str_list,
+    "tuple[int, ...]": partial(_parse_list, item=int),
+    "tuple[str, ...]": _parse_list,
 }
 
 
@@ -153,11 +148,10 @@ class RunConfig:
     def brain_only(self) -> bool:
         return self.catalog is not None
 
-    def evolution_config(self, workers: int, seed: int | None = None) -> RunConfig:
-        """This config with `workers` and `seed` set; kept only because
-        perfbench/child.py calls it."""
-        return dataclasses.replace(self, workers=workers,
-                                   seed=self.seed if seed is None else seed)
+    def evolution_config(self, workers: int) -> RunConfig:
+        """This config with `workers` set; kept only because perfbench/child.py
+        calls it."""
+        return dataclasses.replace(self, workers=workers)
 
 
 def _key(f: dataclasses.Field) -> str:
@@ -178,7 +172,7 @@ _FIELDS = {
 
 # the keys that name RunConfig.catalog, by section, with their parsers
 _CATALOG_KEYS = {"run": {"mode": str},
-                 "experiment": {"catalog_file": str, "catalog_bodies": _parse_str_list}}
+                 "experiment": {"catalog_file": str, "catalog_bodies": _parse_list}}
 
 _SCHEMA: dict[str, dict[str, object]] = {
     section: {_key(f): _PARSERS[f.type.removesuffix(" | None")] for f in fields}

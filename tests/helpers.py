@@ -1,5 +1,6 @@
 """Oracles and small file helpers shared by the test modules."""
 
+import os
 import struct
 
 import numpy as np
@@ -154,3 +155,14 @@ def patch_checkpoint_body(path: str, body: Morphology) -> None:
     with open(path, "r+b") as fh:
         fh.seek(_HEADER.size + _RECORD_FIXED.size)
         fh.write(body.to_text().replace("\n", "").encode("ascii"))
+
+
+def tree(root):
+    """Every path under `root` with the bytes of each file."""
+    found = {}
+    for parent, _, files in os.walk(root):
+        found[os.path.relpath(parent, root)] = None
+        for name in files:
+            with open(os.path.join(parent, name), "rb") as fh:
+                found[os.path.relpath(os.path.join(parent, name), root)] = fh.read()
+    return found

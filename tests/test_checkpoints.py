@@ -17,9 +17,10 @@ from voxevo.checkpoints import (
     save_individual,
     save_population,
 )
-from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
+from voxevo.control import init_controller
 from voxevo.evolution import KIND_BODY, KIND_FRESH, MAX_POPULATION, Individual
 from voxevo.morphology import random_morphology
+from voxevo.sensing import GLOBAL_KIND, MODULAR_KIND
 
 from helpers import INVALID_BODIES, patch_checkpoint_body, patch_checkpoint_fitness
 

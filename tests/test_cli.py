@@ -5,8 +5,11 @@ import math
 import os
 import pathlib
 import shutil
+import signal
 import subprocess
 import sys
+import textwrap
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from voxevo.evolution import Evaluator, GenerationLog, OffspringRecord
 from voxevo.experiments import CONVERGENCE_THRESHOLDS, TransferSample
 from voxevo.runconfig import RunConfig, load_config
 
-from helpers import INVALID_BODIES, patch_checkpoint_body, patch_checkpoint_fitness
+from helpers import INVALID_BODIES, patch_checkpoint_body, patch_checkpoint_fitness, tree
 
 TINY_CONFIG = """
 [run]
@@ -62,17 +65,6 @@ def evolve(config_path, out, extra=()):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
-
-
-def tree(root):
-    """Every path under `root` with the bytes of each file."""
-    found = {}
-    for parent, _, files in os.walk(root):
-        found[os.path.relpath(parent, root)] = None
-        for name in files:
-            with open(os.path.join(parent, name), "rb") as fh:
-                found[os.path.relpath(os.path.join(parent, name), root)] = fh.read()
-    return found
 
 
 class TestEvolve:
@@ -275,6 +267,41 @@ class TestEvolve:
         assert rows[0] == GENERATION_COLUMNS
         assert [row[0] for row in rows[1:]] == ["1"]
 
+    # a multiprocessing.Pool waited forever for the episodes of a worker that
+    # died; the kill runs in a child interpreter, whose process group a hang
+    # would leave behind
+    def test_killed_worker_fails_the_run_promptly(self, config_path, tmp_path):
+        child = textwrap.dedent("""
+            import os, signal, sys
+            import voxevo.evolution
+            from voxevo.cli import main
+
+            run, parent = voxevo.evolution._evaluate_run, os.getpid()
+
+            def killed(task):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return run(task)
+
+            # pickled by name, so the pool's workers call it in its place
+            killed.__module__, killed.__qualname__ = run.__module__, run.__qualname__
+            voxevo.evolution._evaluate_run = killed
+            sys.exit(main(["evolve", "--config", sys.argv[1], "--out", sys.argv[2],
+                           "--workers", "2"]))
+        """)
+        out = tmp_path / "out"
+        proc = subprocess.Popen([sys.executable, "-c", child, config_path, str(out)],
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=20)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("evolve still waited for a killed worker after 20 s")
+        assert proc.returncode != 0
+        assert "BrokenProcessPool" in err
+        assert os.listdir(out) == ["generations.csv.partial"]
+
     def test_battery_layout(self, tmp_path, capsys):
         cfg = tmp_path / "battery.cfg"
         cfg.write_text(TINY_CONFIG + "n_runs = 2\n")
@@ -289,13 +316,13 @@ class TestEvolve:
     # the runs of a battery share the command's one evaluator and its pool
     def test_battery_opens_one_pool(self, tmp_path, monkeypatch):
         opened = []
-        pool = voxevo.evolution.Pool
+        pool = futures.ProcessPoolExecutor
 
         def counting_pool(*args, **kwargs):
             opened.append(args)
             return pool(*args, **kwargs)
 
-        monkeypatch.setattr(voxevo.evolution, "Pool", counting_pool)
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", counting_pool)
         cfg = tmp_path / "battery.cfg"
         cfg.write_text(TINY_CONFIG + "n_runs = 3\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -347,15 +374,13 @@ class TestEvolve:
 
 
 class _CountingPool:
-    """Stands in for multiprocessing.Pool and keeps its process count."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor and keeps its
+    process count."""
 
     def __init__(self, processes):
         self.processes = processes
 
-    def close(self):
-        pass
-
-    def join(self):
+    def shutdown(self):
         pass
 
 
@@ -363,7 +388,7 @@ def pool_processes(workers):
     """The process count of the pool an Evaluator makes for `workers`, or
     None when it makes no pool."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(voxevo.evolution, "Pool", _CountingPool)
+        patch.setattr(futures, "ProcessPoolExecutor", _CountingPool)
         with Evaluator(RunConfig(workers=workers)) as evaluator:
             return None if evaluator._pool is None else evaluator._pool.processes
 

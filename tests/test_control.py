@@ -5,10 +5,8 @@ import pytest
 
 from voxevo.control import (
     DEFAULT_INPUT_SIZE,
-    GLOBAL_KIND,
     GLOBAL_OUTPUT_SIZE,
     HIDDEN_UNITS,
-    MODULAR_KIND,
     MODULAR_OUTPUT_SIZE,
     ControllerBatch,
     ControllerGenome,
@@ -20,7 +18,7 @@ from voxevo.control import (
 )
 from voxevo.morphology import GRID_SIZE
 from voxevo.physics import PhysicsConfig, apply_actuation, build_world, join_worlds, step_env
-from voxevo.sensing import ObservationConfig, input_size
+from voxevo.sensing import GLOBAL_KIND, MODULAR_KIND, ObservationConfig, input_size
 
 from helpers import member_inputs, mlp_forward
 

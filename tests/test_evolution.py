@@ -7,7 +7,7 @@ import pytest
 
 import voxevo.evolution
 import voxevo.walker
-from voxevo.control import GLOBAL_KIND, MODULAR_KIND, init_controller
+from voxevo.control import init_controller
 from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
@@ -31,6 +31,7 @@ from voxevo.experiments import CATALOG_ORDER, default_catalog
 from voxevo.morphology import Morphology, MutationFailedError, random_morphology
 from voxevo.physics import PhysicsConfig
 from voxevo.runconfig import RunConfig
+from voxevo.sensing import GLOBAL_KIND, MODULAR_KIND
 from voxevo.walker import (
     EpisodeConfig,
     EpisodeResult,

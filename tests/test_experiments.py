@@ -8,7 +8,7 @@ import voxevo.evolution
 import voxevo.experiments
 from voxevo.checkpoints import load_individual
 from voxevo.cli import main
-from voxevo.control import MODULAR_KIND, init_controller, mutate_controller
+from voxevo.control import init_controller, mutate_controller
 from voxevo.evolution import (
     KIND_BODY,
     KIND_BRAIN,
@@ -30,6 +30,7 @@ from voxevo.experiments import (
 )
 from voxevo.morphology import MutationFailedError, validate
 from voxevo.runconfig import RunConfig, load_config
+from voxevo.sensing import MODULAR_KIND
 from voxevo.walker import evaluate_fitness
 
 from helpers import grid_distance, run_to_end, save_catalog

@@ -10,8 +10,8 @@ tree, so a name in a comment, a docstring or an import does not count,
 and neither does a use inside the name's own definition.
 
 The package namespace is its modules: each name is imported from the
-module that defines it, and each module imports when it is the first of
-the package to be loaded.
+module that defines it, each name a module imports is read there, and each
+module imports when it is the first of the package to be loaded.
 """
 
 import ast
@@ -29,6 +29,9 @@ PACKAGE = ROOT / "src" / "voxevo"
 EXEMPT = {"load_population"}
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# every file that imports from the package
+IMPORTERS = [p for folder in (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+             for p in sorted(folder.glob("*.py"))]
 
 
 class _Uses(ast.NodeVisitor):
@@ -93,6 +96,63 @@ def test_every_public_definition_is_used_outside_the_tests():
     unused = sorted(qualified for name, qualified in defined
                     if name not in used and name not in EXEMPT)
     assert unused == [], f"defined but reached only from tests: {unused}"
+
+
+def module_definitions(module: str) -> set[str]:
+    """The names `module` binds at its top level by a definition or an
+    assignment; a name it imports is not its definition."""
+    names = set()
+    for node in _parse(PACKAGE / f"{module}.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def package_imports(path: pathlib.Path):
+    """`(line, module, name)` of each name that `path` imports from the
+    package, with `module` None for a name imported from the package itself."""
+    for node in ast.walk(_parse(path)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        # a relative import is one from the package inside it
+        relative = "voxevo." if node.level and path.parent == PACKAGE else ""
+        package, _, module = (relative + (node.module or "")).rstrip(".").partition(".")
+        if package == "voxevo":
+            for alias in node.names:
+                yield node.lineno, module or None, alias.name
+
+
+def test_each_name_is_imported_from_its_defining_module():
+    definitions = {name: module_definitions(name) for name in MODULES}
+    checked, relayed = 0, []
+    for path in IMPORTERS:
+        for line, module, name in package_imports(path):
+            checked += 1
+            # a module imported from the package is its own definition
+            defined = MODULES if module is None else definitions.get(module, set())
+            if name not in defined:
+                relayed.append(f"{path.relative_to(ROOT)}:{line}: {name} from {module}")
+    assert checked > 100  # the walk reached the imports
+    assert relayed == [], f"names imported from a module that does not define them: {relayed}"
+
+
+def test_each_imported_name_is_read_where_it_is_imported():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}:{node.lineno}: {bound}")
+    assert unread == [], f"imported but never read: {unread}"
 
 
 def test_package_namespace_binds_only_its_modules():

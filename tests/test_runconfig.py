@@ -277,7 +277,6 @@ class TestEvolutionConfigResolution:
         cfg = parse_config("[run]\nseed = 9\n")
         evo = cfg.evolution_config(workers=3)
         assert evo.seed == 9 and evo.workers == 3
-        assert cfg.evolution_config(workers=1, seed=17).seed == 17
 
     def test_custom_catalog_file(self, tmp_path):
         path = tmp_path / "catalog.txt"

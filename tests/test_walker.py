@@ -7,9 +7,10 @@ import pytest
 
 import voxevo.walker
 from voxevo import physics
-from voxevo.control import GLOBAL_KIND, MODULAR_KIND, ControllerGenome, init_controller
+from voxevo.control import ControllerGenome, init_controller
 from voxevo.morphology import Morphology
 from voxevo.physics import PhysicsConfig, build_world, center_of_mass
+from voxevo.sensing import GLOBAL_KIND, MODULAR_KIND
 from voxevo.walker import (
     EpisodeConfig,
     EpisodeResult,
