@@ -1,8 +1,9 @@
 """Study procedures built on the evolution loop.
 
-Covers the body catalog, controller transfer onto mutated bodies (zero-shot
-and one-shot), mutation success accounting along champion lineages, and
-convergence metrics over best-fitness series. The `transfer` and `report`
+Holds the built-in body catalog (`runconfig` reads catalog files), and
+covers controller transfer onto mutated bodies (zero-shot and one-shot),
+mutation success accounting along champion lineages, and convergence
+metrics over best-fitness series. The `transfer` and `report`
 commands of the CLI are their callers. All procedures are pure functions of
 (config, seed).
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from .control import ControllerGenome, mutate_controller
 from .evolution import KIND_BODY, KIND_BRAIN, Evaluator
-from .morphology import Morphology, MutationFailedError, sample_neighbor, validate
+from .morphology import Morphology, MutationFailedError, sample_neighbor
 
 logger = logging.getLogger(__name__)
 
@@ -44,62 +45,6 @@ CATALOG_ORDER = ("biped", "worm", "triped", "block")
 
 def default_catalog() -> dict[str, Morphology]:
     return {name: Morphology.from_text(text) for name, text in _CATALOG_TEXT.items()}
-
-
-class CatalogError(Exception):
-    pass
-
-
-def load_catalog(path: str) -> dict[str, Morphology]:
-    """Read named bodies from a text file: a [name] header followed by five
-    rows of five material digits. Invalid bodies are rejected."""
-    from .morphology import GRID_SIZE
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CatalogError(f"{path}: cannot read catalog: {exc}") from exc
-
-    catalog: dict[str, Morphology] = {}
-    name: str | None = None
-    header = 0  # the [name] line of the body being read: its faults are reported there
-    rows: list[str] = []
-
-    def finish():
-        if name is None:
-            return
-        if len(rows) != GRID_SIZE:
-            raise CatalogError(
-                f"{path}:{header}: body {name!r} has {len(rows)} rows, "
-                f"expected {GRID_SIZE}")
-        body = Morphology.from_text("\n".join(rows))
-        if not validate(body):
-            raise CatalogError(f"{path}:{header}: body {name!r} is not a valid robot")
-        catalog[name] = body
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            finish()
-            name, header, rows = line[1:-1].strip(), line_no, []
-            if not name:
-                raise CatalogError(f"{path}:{line_no}: empty body name")
-            if name in catalog:
-                raise CatalogError(f"{path}:{line_no}: duplicate body {name!r}")
-            continue
-        if name is None:
-            raise CatalogError(f"{path}:{line_no}: grid row outside any [name] section")
-        if len(line) != GRID_SIZE or any(ch not in "01234" for ch in line):
-            raise CatalogError(
-                f"{path}:{line_no}: expected {GRID_SIZE} material digits (0-4)")
-        rows.append(line)
-    finish()
-    if not catalog:
-        raise CatalogError(f"{path}: catalog is empty")
-    return catalog
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,8 @@ class PhysicsConfig:
             *((name, getattr(self, name) >= 0.0, "must be >= 0") for name in non_negative),
             ("physics_dt", self.physics_dt > 0.0, "must be > 0"),
             ("substeps_per_env_step", self.substeps_per_env_step >= 1, "must be >= 1"),
+            # at or below 0 an edge's rest length |scale| passes through 0
+            ("actuation_min", self.actuation_min > 0.0, "must be > 0"),
             # the actuation range straddles 1.0, the unactuated rest length
             ("actuation_min", self.actuation_min < 1.0, "must be < 1.0"),
             ("actuation_max", self.actuation_max > 1.0, "must be > 1.0"),

@@ -1,4 +1,4 @@
-"""Run configuration files.
+"""Run configuration files, and the catalog files they name.
 
 The format is plain sectioned key=value text:
 
@@ -15,23 +15,24 @@ Sections and keys come from the configuration dataclasses: [run],
 [evolution] and [experiment] from the `RunConfig` fields tagged with that
 section, and [physics], [observation] and [episode] each from one dataclass,
 `PhysicsConfig`, `ObservationConfig` and `EpisodeConfig`, whose field names
-are the section's keys. Three keys are the file's syntax for
-`RunConfig.catalog`: [run] mode, and [experiment] catalog_file and
-catalog_bodies, name the bodies of a multi-body run. Every default lives in
-its dataclass, so the empty file is a valid configuration.
+are the section's keys. [run] mode, and [experiment] catalog_file and
+catalog_bodies, name the bodies of a multi-body run, `RunConfig.catalog`.
+Every default lives in its dataclass, so the empty file is a valid
+configuration. A catalog file holds `[name]` headers, each over five rows of
+five material digits. Either kind of file may begin with a UTF-8 BOM.
 
-The parser rejects unknown names, duplicate keys and malformed values at
-their line. Every bound on a value is checked once, in the `__post_init__`
-of the dataclass that declares the field (a bound across sections, in
-`RunConfig`, which holds them all), so a config built in code is rejected
-as a file is, with the same message. The parser only names the line: it
-blames the first key, in file order, whose addition makes the
-construction fail; the values of the three catalog keys are checked in the
-same pass. `override` names the flag. The catalog is resolved last: its keys
-apply only to `mode = multi-body`, and the catalog must hold every body
-they name; [evolution] p_body_mutation applies only to `mode = co-optimize`.
-Both rules live here: a `RunConfig` built in code cannot tell a value given
-from its default.
+A config is refused with a `ConfigError` at its file:line, at the first
+failure of: (1) syntax and types; (2) each of [physics], [observation] and
+[episode]; (3) the `RunConfig` fields; (4) each catalog key's value, then
+the mode each applies to (catalog_file and catalog_bodies only to
+multi-body, [evolution] p_body_mutation only to co-optimize); (5) the
+catalog file, which must load and hold every body named. Every bound on a
+field is checked once, in the `__post_init__` of the dataclass that
+declares it (a bound across sections in `RunConfig`), so a config built in
+code is refused as a file is, with the same message; in (2) and (3) the
+parser only blames the first key, in file order, whose addition makes the
+construction fail. `override` names the flag. The rules of (4) live here:
+a `RunConfig` built in code cannot tell a value given from its default.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .evolution import MAX_POPULATION
-from .experiments import CATALOG_ORDER, CatalogError, default_catalog, load_catalog
-from .morphology import Morphology
+from .experiments import CATALOG_ORDER, default_catalog
+from .morphology import GRID_SIZE, Morphology, validate
 from .physics import PhysicsConfig, check_fields
 from .sensing import KINDS, ObservationConfig
 from .walker import EpisodeConfig
@@ -170,27 +171,52 @@ _FIELDS = {
     **{section: dataclasses.fields(make) for section, make in _SECTIONS.items()},
 }
 
-# the keys that name RunConfig.catalog, by section, with their parsers
-_CATALOG_KEYS = {"run": {"mode": str},
-                 "experiment": {"catalog_file": str, "catalog_bodies": _parse_list}}
+# The keys that name RunConfig.catalog or apply to one mode only, each
+# declared once: (section, parser, the rule on its value as `(ok, rule)`, the
+# one mode it applies to or None). p_body_mutation's parser and rule are its
+# RunConfig field's; a multi-body run mutates no body.
+_MODE_KEYS = {
+    "mode": ("run", str, (lambda mode: mode in MODES, f"must be one of {MODES}"), None),
+    "catalog_file": ("experiment", str, (lambda file: file != "", "must not be empty"),
+                     "multi-body"),
+    "catalog_bodies": ("experiment", _parse_list,
+                       (lambda names: names != (), "must not be empty"), "multi-body"),
+    "p_body_mutation": ("evolution", None, None, "co-optimize"),
+}
 
 _SCHEMA: dict[str, dict[str, object]] = {
     section: {_key(f): _PARSERS[f.type.removesuffix(" | None")] for f in fields}
-    | _CATALOG_KEYS.get(section, {})
+    | {key: parse for key, (where, parse, *_) in _MODE_KEYS.items()
+       if where == section and parse}
     for section, fields in _FIELDS.items()
 }
+
+
+def _lines(text: str):
+    """(line number, the name of a `[name]` header or None, the stripped
+    line) for each line that is neither blank nor a `#` comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            header = line.startswith("[") and line.endswith("]")
+            yield line_no, line[1:-1].strip() if header else None, line
+
+
+def _text(path: str, what: str) -> str:
+    """The file at `path`, without a UTF-8 byte-order mark if it has one."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}", path) from exc
 
 
 def _read(text: str, path: str) -> dict[str, dict[str, tuple[int, object]]]:
     """Each key's line number and typed value, by section, in file order."""
     entries: dict[str, dict[str, tuple[int, object]]] = {}
     current: str | None = None
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
+    for line_no, name, line in _lines(text):
+        if name is not None:
             if name not in _SCHEMA:
                 raise ConfigError(f"unknown section [{name}]", path, line_no)
             current = name
@@ -213,35 +239,72 @@ def _read(text: str, path: str) -> dict[str, dict[str, tuple[int, object]]]:
     return entries
 
 
-def _run_config(mode: str = MODES[0], catalog_file: str | None = None,
-                catalog_bodies: tuple[str, ...] | None = None, **fields) -> RunConfig:
-    """A RunConfig from its fields' keys, once the values of the catalog keys
-    pass checks of their own; the catalog is resolved from the whole file."""
-    for key, value, ok, rule in (
-        ("mode", mode, mode in MODES, f"must be one of {MODES}"),
-        ("catalog_file", catalog_file, catalog_file != "", "must not be empty"),
-        ("catalog_bodies", catalog_bodies, catalog_bodies != (), "must not be empty"),
-    ):
-        if not ok:
-            raise ValueError(f"{key} {rule}, got {value!r}")
-    return RunConfig(**fields)
+def load_catalog(path: str) -> dict[str, Morphology]:
+    """The named bodies of a catalog file: each a `[name]` header followed by
+    five rows of five material digits. A body's faults are refused at its
+    header, and so is a body that is not a valid robot."""
+    catalog: dict[str, Morphology] = {}
+    name: str | None = None
+    header = 0  # the line of the body being read
+    rows: list[str] = []
+
+    def finish():
+        if name is None:
+            return
+        if len(rows) != GRID_SIZE:
+            raise ConfigError(f"body {name!r} has {len(rows)} rows, expected {GRID_SIZE}",
+                              path, header)
+        body = Morphology.from_text("\n".join(rows))
+        if not validate(body):
+            raise ConfigError(f"body {name!r} is not a valid robot", path, header)
+        catalog[name] = body
+
+    for line_no, section, line in _lines(_text(path, "catalog")):
+        if section is not None:
+            finish()
+            name, header, rows = section, line_no, []
+            if not name:
+                raise ConfigError("empty body name", path, line_no)
+            if name in catalog:
+                raise ConfigError(f"duplicate body {name!r}", path, line_no)
+        elif name is None:
+            raise ConfigError("grid row outside any [name] section", path, line_no)
+        elif len(line) != GRID_SIZE or any(ch not in "01234" for ch in line):
+            raise ConfigError(f"expected {GRID_SIZE} material digits (0-4)", path, line_no)
+        else:
+            rows.append(line)
+    finish()
+    if not catalog:
+        raise ConfigError("catalog is empty", path)
+    return catalog
 
 
-def _catalog(given: dict[int, tuple[str, object]], path: str) -> tuple[Morphology, ...] | None:
-    """The bodies that the catalog keys given (each key and value, by line)
-    name, or None without `mode = multi-body`."""
-    keys = {key: (line, value) for line, (key, value) in sorted(given.items())}
-    if keys.get("mode", (None, None))[1] != "multi-body":
-        for key, (line, _) in keys.items():
-            if key != "mode":
-                raise ConfigError(f"{key} applies only to mode = multi-body", path, line)
+def _catalog(entries: dict[str, dict[str, tuple[int, object]]],
+             path: str) -> tuple[Morphology, ...] | None:
+    """The bodies that the catalog keys of `entries` name, or None without
+    `mode = multi-body`, once each key of `_MODE_KEYS` given passes the rule
+    on its value and then applies to the mode."""
+    given = {key: entries[section][key] for key, (section, *_) in _MODE_KEYS.items()
+             if key in entries.get(section, {})}
+    in_order = sorted(given, key=lambda key: given[key][0])
+    for key in in_order:
+        line, value = given[key]
+        check = _MODE_KEYS[key][2]
+        if check and not check[0](value):
+            raise ConfigError(f"{key} {check[1]}, got {value!r}", path, line)
+    mode = given.get("mode", (None, MODES[0]))[1]
+    for key in in_order:
+        only = _MODE_KEYS[key][3]
+        if only not in (None, mode):
+            raise ConfigError(f"{key} applies only to mode = {only}", path, given[key][0])
+    if mode != "multi-body":
         return None
-    file_line, file = keys.get("catalog_file", (None, None))
+    file_line, file = given.get("catalog_file", (None, None))
     try:
         catalog = default_catalog() if file is None else load_catalog(file)
-    except CatalogError as exc:
+    except ConfigError as exc:
         raise ConfigError(str(exc), path, file_line) from exc
-    line, names = keys.get("catalog_bodies", (file_line, CATALOG_ORDER))
+    line, names = given.get("catalog_bodies", (file_line, CATALOG_ORDER))
     missing = [name for name in names if name not in catalog]
     if missing:
         raise ConfigError(f"catalog_bodies not in catalog: {missing}", path, line)
@@ -292,33 +355,18 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
                     raise ConfigError(f"{where}{exc}", path, line) from exc
             raise
 
-    # the catalog keys are checked with the fields and resolved after them
-    catalog_keys = {line: (key, value) for section, keys in _CATALOG_KEYS.items()
-                    for key, (line, value) in entries.get(section, {}).items() if key in keys}
-    run_keys = dict(catalog_keys)
-    for section in _RUN_SECTIONS:
-        run_keys.update(given(section))
     for section, make in _SECTIONS.items():
         build(make, given(section), section)
     # RunConfig's rules may read a section's field: their blame spans its keys
-    cfg = build(_run_config, run_keys, **{section: (make, given(section))
-                                          for section, make in _SECTIONS.items()})
-    catalog = _catalog(catalog_keys, path)
-    if catalog is None:
-        return cfg
-    if "p_body_mutation" in entries.get("evolution", {}):  # a multi-body run mutates no body
-        raise ConfigError("p_body_mutation applies only to mode = co-optimize", path,
-                          entries["evolution"]["p_body_mutation"][0])
-    return dataclasses.replace(cfg, catalog=catalog)
+    run_keys = {line: item for section in _RUN_SECTIONS for line, item in given(section).items()}
+    cfg = build(RunConfig, run_keys, **{section: (make, given(section))
+                                        for section, make in _SECTIONS.items()})
+    catalog = _catalog(entries, path)
+    return cfg if catalog is None else dataclasses.replace(cfg, catalog=catalog)
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}", path) from exc
-    return parse_config(text, path)
+    return parse_config(_text(path, "config"), path)
 
 
 def override(cfg: RunConfig, seed: int | None = None, workers: int | None = None,

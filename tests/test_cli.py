@@ -137,7 +137,8 @@ class TestEvolve:
         out = tmp_path / "out"
         assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {bad}: cannot read config: ")
+        assert captured.err.startswith(f"error: {bad}: cannot read config: 'utf-8' codec "
+                                       "can't decode byte 0xff")
         assert captured.out == ""
         assert not out.exists()
 

@@ -19,17 +19,15 @@ from voxevo.evolution import (
 from voxevo.experiments import (
     CATALOG_ORDER,
     ONE_SHOT_SIGMA,
-    CatalogError,
     LineageIntegrityError,
     accounting_from_lineage,
     convergence_metrics,
     default_catalog,
-    load_catalog,
     transfer_analysis,
     _distinct_neighbors,
 )
 from voxevo.morphology import MutationFailedError, validate
-from voxevo.runconfig import RunConfig, load_config
+from voxevo.runconfig import ConfigError, RunConfig, load_catalog, load_config
 from voxevo.sensing import MODULAR_KIND
 from voxevo.walker import evaluate_fitness
 
@@ -63,20 +61,20 @@ class TestCatalog:
         assert again == default_catalog()
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CatalogError):
+        with pytest.raises(ConfigError):
             load_catalog(str(tmp_path / "nope.txt"))
 
     def test_malformed_row_reports_its_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("[stub]\n33333\n333\n33333\n33333\n33333\n")
-        with pytest.raises(CatalogError) as exc_info:
+        with pytest.raises(ConfigError) as exc_info:
             load_catalog(str(path))
         assert ":3:" in str(exc_info.value)
 
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("[stub]\n33333\n33333\n")
-        with pytest.raises(CatalogError) as exc_info:
+        with pytest.raises(ConfigError) as exc_info:
             load_catalog(str(path))
         assert "2 rows" in str(exc_info.value)
 
@@ -88,7 +86,7 @@ class TestCatalog:
         for text, line in (("[a]\n33333\n33333\n[b]\n" + full, 1),
                            ("[a]\n" + full + "[b]\n33333\n33333\n", 7)):
             path.write_text(text)
-            with pytest.raises(CatalogError, match="2 rows") as exc_info:
+            with pytest.raises(ConfigError, match="2 rows") as exc_info:
                 load_catalog(str(path))
             assert f"cat.txt:{line}: body " in str(exc_info.value)
 
@@ -96,13 +94,13 @@ class TestCatalog:
         path = tmp_path / "bad.txt"
         rows = "\n".join(["11111"] * 5)  # rigid only: no actuators
         path.write_text(f"[stub]\n{rows}\n")
-        with pytest.raises(CatalogError):
+        with pytest.raises(ConfigError):
             load_catalog(str(path))
 
     def test_content_outside_section(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("33333\n")
-        with pytest.raises(CatalogError):
+        with pytest.raises(ConfigError):
             load_catalog(str(path))
 
 

@@ -1,22 +1,27 @@
+import codecs
 import dataclasses
 import os
 import re
+import sys
 
+import numpy as np
 import pytest
 
 import voxevo.runconfig
 from voxevo.cli import main
-from voxevo.experiments import CATALOG_ORDER, default_catalog, load_catalog
+from voxevo.experiments import CATALOG_ORDER, default_catalog
 from voxevo.physics import PhysicsConfig
 from voxevo.runconfig import (
     _SCHEMA,
+    MODES,
     ConfigError,
     RunConfig,
+    load_catalog,
     load_config,
     override,
     parse_config,
 )
-from voxevo.sensing import ObservationConfig
+from voxevo.sensing import KINDS, ObservationConfig
 from voxevo.walker import EpisodeConfig
 
 from helpers import save_catalog
@@ -173,6 +178,18 @@ class TestErrors:
         text = "[run]\nmode = co-optimize\n[evolution]\np_body_mutation = 0.9\n"
         assert parse_config(text).p_body_mutation == 0.9
 
+    # a file with several faults is refused at the first in check order: the
+    # catalog keys' values after every field and section, and the mode that
+    # p_body_mutation applies to before the catalog's bodies
+    @pytest.mark.parametrize("text, fragment, line", [
+        ("[run]\nmode = fixed-body\nseed = -1\n", "seed must be >= 0", 3),
+        ("[experiment]\ncatalog_bodies =\n[evolution]\nmu = 0\n", "mu must be >= 1", 4),
+        ("[run]\nmode = multi-body\n[experiment]\ncatalog_bodies = squid\n"
+         "[evolution]\np_body_mutation = 0.5\n", "p_body_mutation applies only", 6),
+    ])
+    def test_several_faults_are_refused_in_check_order(self, text, fragment, line):
+        self.assert_error(text, fragment, line)
+
     # np.random.SeedSequence rejects a negative entropy once the run has started
     def test_negative_seed(self):
         self.assert_error("[run]\nmode = co-optimize\nseed = -1\n", "seed must be >= 0", 3)
@@ -315,6 +332,20 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
+
+    # str.strip keeps U+FEFF: a file that began with a byte-order mark was
+    # refused at line 1, a valid header
+    def test_config_may_begin_with_a_byte_order_mark(self, tmp_path):
+        text = "[run]\nseed = 5\n[experiment]\nn_runs = 2\n"
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load_config(str(path)) == parse_config(text)
+
+    def test_catalog_may_begin_with_a_byte_order_mark(self, tmp_path):
+        plain, bom = tmp_path / "plain.cat", tmp_path / "bom.cat"
+        save_catalog(str(plain), default_catalog())
+        bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert load_catalog(str(bom)) == load_catalog(str(plain))
 
     def test_semantic_errors_surface_at_load(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -599,6 +630,8 @@ def test_section_keys_are_the_field_names(section):
     ("physics", "physics_dt", "inf", "must be finite"),
     ("physics", "actuation_min", "-inf", "must be finite"),
     ("physics", "actuation_min", "1.2", "must be < 1.0"),
+    # at or below 0 a contracting edge's rest length |scale| fell to 0 and rose again
+    ("physics", "actuation_min", "0", "must be > 0"),
     ("physics", "actuation_max", "nan", "must be finite"),
     ("physics", "actuation_max", "0.9", "must be > 1.0"),
     ("physics", "contact_normal_stiffness", "-1", "must be >= 0"),
@@ -625,3 +658,92 @@ def test_section_refusals_name_their_key(section, key, value, rule):
     with pytest.raises(ConfigError) as from_file:
         parse_config(f"[{section}]\n{key} = {value}\n", path="demo.cfg")
     assert str(from_file.value) == f"demo.cfg:2: invalid [{section}] settings: {expected}"
+
+
+# The bounds that each key's rule names, for the sweep below (a key absent
+# names none); step_penalty's and divergence_floor's hold at the default
+# max_steps and mu
+RULE_BOUNDS = {
+    "seed": (0,), "workers": (1,), "generations": (1,), "mu": (1, 65535), "lambda": (1,),
+    "p_body_mutation": (0.0, 1.0), "controller_sigma": (0.0,), "checkpoint_every": (0,),
+    **dict.fromkeys(("rigid_stiffness", "soft_stiffness", "actuator_stiffness",
+                     "damping_ratio", "contact_normal_stiffness", "contact_normal_damping",
+                     "contact_friction", "physics_dt"), (0.0,)),
+    "substeps_per_env_step": (1,), "actuation_min": (0.0, 1.0), "actuation_max": (1.0,),
+    "neighborhood_distance": (0, 4), "velocity_clamp": (0.0,), "time_period": (1,),
+    "max_steps": (1,), "action_repeat": (1,), "step_penalty": (2.0 ** 53 / 500,),
+    "divergence_floor": (-sys.float_info.max / 16,), "n_runs": (1,), "distances": (1,),
+    "samples_per_distance": (1,), "one_shot_lambda": (0,),
+}
+
+DEFAULTS = {f.name.rstrip("_"): f.default
+            for make in (RunConfig, PhysicsConfig, ObservationConfig, EpisodeConfig)
+            for f in dataclasses.fields(make) if f.default not in (None, dataclasses.MISSING)}
+
+# the keys that only some modes accept: a text draws them more often
+MODE_ONLY = {"mode", "catalog_file", "catalog_bodies", "p_body_mutation"}
+
+
+def sweep_catalogs(folder) -> list[str]:
+    """Catalog files for the sweep in `folder`: one that loads, one with a
+    short body, one that is not UTF-8 and one that does not exist."""
+    good, short, undecodable = (folder / name for name in ("good.cat", "short.cat", "bin.cat"))
+    save_catalog(str(good), default_catalog())
+    short.write_text("[stub]\n33333\n")
+    undecodable.write_bytes(b"[stub]\n\xff3333\n")
+    return [str(good), str(short), str(undecodable), str(folder / "missing.cat")]
+
+
+def sweep_value(rng, section: str, key: str, catalogs: list[str]) -> str:
+    """A value of `key` as a file spells it: its default, each bound its rule
+    names and the nearest value on either side, +-1e300, nan, inf, nothing,
+    or a random number; a name, or a list of names, for a key that takes
+    them."""
+    names = {"mode": [*MODES, "fixed-body"], "paradigm": [*KINDS, "central"],
+             "out": ["runs/sweep"], "catalog_file": catalogs}
+    if key in names:
+        return str(rng.choice([*names[key], ""]))
+    if key == "catalog_bodies":
+        return ", ".join(rng.choice([*CATALOG_ORDER, "squid"], size=rng.integers(0, 4)))
+    is_float = _SCHEMA[section][key] is float
+    default = DEFAULTS.get(key)
+    pool = [] if default is None else [", ".join(map(str, default)) if key == "distances"
+                                       else repr(default)]
+    for bound in RULE_BOUNDS.get(key, ()):
+        near = ((np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)) if is_float
+                else (bound - 1, bound, bound + 1))
+        pool += [repr(float(v)) if is_float else str(v) for v in near]
+    pool += ["1e300", "-1e300", "nan", "inf", "",
+             repr(float(rng.normal() * 10.0 ** rng.integers(-3, 6))) if is_float
+             else str(rng.integers(-5, 100))]
+    if key == "distances":
+        return ", ".join(rng.choice(pool, size=rng.integers(0, 4)))
+    return str(rng.choice(pool))
+
+
+def sweep_texts(catalogs: list[str], count: int = 300, seed: int = 18) -> list[str]:
+    """`count` config texts drawn from a seeded generator, each of 1-4 keys
+    of `_SCHEMA`, each key under a header of its own."""
+    rng = np.random.default_rng(seed)
+    keys = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
+    weights = np.array([4.0 if key in MODE_ONLY else 1.0 for _, key in keys])
+    texts = []
+    for _ in range(count):
+        drawn = rng.choice(len(keys), size=rng.integers(1, 5), replace=False,
+                           p=weights / weights.sum())
+        texts.append("".join(f"[{keys[i][0]}]\n{keys[i][1]} = "
+                             f"{sweep_value(rng, *keys[i], catalogs)}\n" for i in drawn))
+    return texts
+
+
+# each drawn config parses, or is refused with a ConfigError at the line of
+# one of its keys: no other exception escapes the parser
+def test_seeded_config_sweep_parses_or_names_a_key_line(tmp_path):
+    for text in sweep_texts(sweep_catalogs(tmp_path)):
+        try:
+            parse_config(text, "sweep.cfg")
+        except ConfigError as exc:
+            key_lines = [n for n, line in enumerate(text.splitlines(), start=1) if "=" in line]
+            assert exc.path == "sweep.cfg" and exc.line in key_lines, text
+        except Exception as exc:
+            pytest.fail(f"{exc!r} escaped from:\n{text}")
