@@ -13,8 +13,8 @@ that many individual records). Each individual record:
     controller kind u8 | parameter count u32 | parameters f64[count]
 
 Neither fitness may be infinite, and the body must be a valid robot: saving
-refuses any other individual before any byte is written, and loading refuses
-any other record.
+checks every individual before anything is written, so a refused one leaves
+no file and no `.partial`, and loading refuses any other record.
 
 Controller parameters are `ControllerGenome.to_flat`'s layout: W1 row-major,
 b1, W2 row-major, b2. The hidden width is always `control.HIDDEN_UNITS` and
@@ -24,7 +24,9 @@ infers it from the parameter count.
 
 Every file a command writes, checkpoint or not, goes through `atomic_open`:
 it is written to a `.partial` sibling and renamed into place, so a finished
-file is never half-written.
+file is never half-written. A writer holds one record or one line of its
+file at a time: a population is written record by record, never packed
+whole.
 """
 
 from __future__ import annotations
@@ -61,24 +63,28 @@ class CheckpointIntegrityError(RuntimeError):
     pass
 
 
-def _pack_individual(ind: Individual) -> bytes:
+def _check_individual(ind: Individual) -> None:
+    """Refuse what loading would refuse: an infinite fitness, or a body that
+    is not a valid robot."""
+    for value in (ind.fitness, ind.parent_fitness_at_birth):
+        if value is not None and math.isinf(value):
+            raise ValueError(f"individual {ind.id}: infinite fitness cannot be checkpointed")
+    if not validate(ind.morphology):
+        raise ValueError(f"individual {ind.id}: the body is not a valid robot")
+
+
+def _write_individual(fh, ind: Individual) -> None:
+    """Write the record of `ind`, which `_check_individual` has passed."""
     fitness = math.nan if ind.fitness is None else float(ind.fitness)
     parent_fitness = (math.nan if ind.parent_fitness_at_birth is None
                       else float(ind.parent_fitness_at_birth))
-    if math.isinf(fitness) or math.isinf(parent_fitness):  # refused on load as well
-        raise ValueError(f"individual {ind.id}: infinite fitness cannot be checkpointed")
-    if not validate(ind.morphology):  # refused on load as well
-        raise ValueError(f"individual {ind.id}: the body is not a valid robot")
     parent_id = -1 if ind.parent_id is None else int(ind.parent_id)
-    chunks = [
-        _RECORD_FIXED.pack(int(ind.id), parent_id, int(ind.age),
-                           _KIND_CODES[ind.mutation_kind], fitness, parent_fitness),
-        ind.morphology.to_text().replace("\n", "").encode("ascii"),
-    ]
+    fh.write(_RECORD_FIXED.pack(int(ind.id), parent_id, int(ind.age),
+                                _KIND_CODES[ind.mutation_kind], fitness, parent_fitness))
+    fh.write(ind.morphology.to_text().replace("\n", "").encode("ascii"))
     flat = ind.controller.to_flat()
-    chunks.append(_CTRL_HEAD.pack(_CTRL_CODES[ind.controller.kind], flat.size))
-    chunks.append(np.ascontiguousarray(flat, dtype="<f8").tobytes())
-    return b"".join(chunks)
+    fh.write(_CTRL_HEAD.pack(_CTRL_CODES[ind.controller.kind], flat.size))
+    fh.write(np.ascontiguousarray(flat, dtype="<f8"))  # its buffer, not a bytes copy
 
 
 class _Reader:
@@ -147,23 +153,24 @@ def atomic_open(path: str, binary: bool = False):
     os.replace(partial, path)
 
 
-def atomic_write_bytes(path: str, blob: bytes) -> None:
+def _save(path: str, head: bytes, individuals: list[Individual]) -> None:
+    """Check every individual, then write `head` and their records one at a
+    time: a refused individual leaves no file and no `.partial`."""
+    for ind in individuals:
+        _check_individual(ind)
     with atomic_open(path, binary=True) as fh:
-        fh.write(blob)
+        fh.write(head)
+        for ind in individuals:
+            _write_individual(fh, ind)
 
 
 def save_individual(path: str, ind: Individual) -> None:
-    blob = _HEADER.pack(MAGIC, VERSION, PAYLOAD_INDIVIDUAL) + _pack_individual(ind)
-    atomic_write_bytes(path, blob)
+    _save(path, _HEADER.pack(MAGIC, VERSION, PAYLOAD_INDIVIDUAL), [ind])
 
 
 def save_population(path: str, population: list[Individual]) -> None:
-    blob = b"".join([
-        _HEADER.pack(MAGIC, VERSION, PAYLOAD_POPULATION),
-        _COUNT.pack(len(population)),
-        *[_pack_individual(ind) for ind in population],
-    ])
-    atomic_write_bytes(path, blob)
+    _save(path, _HEADER.pack(MAGIC, VERSION, PAYLOAD_POPULATION)
+          + _COUNT.pack(len(population)), population)
 
 
 def _open(path: str, expected_payload: int) -> _Reader:

@@ -30,7 +30,6 @@ import numpy as np
 from .checkpoints import (
     CheckpointIntegrityError,
     atomic_open,
-    atomic_write_bytes,
     load_individual,
     save_individual,
     save_population,
@@ -194,27 +193,24 @@ def cmd_transfer(args) -> int:
 
     _write_records(os.path.join(cfg.out, "transfer.csv"), TransferSample, samples)
 
-    lines = [f"source fitness: {source_fitness!r}", ""]
-    for distance in cfg.distances:
-        at_d = [s for s in samples if s.distance == distance]
-        zeros = [s.relative_change_zero for s in at_d
-                 if s.relative_change_zero is not None]
-        ones = [s.relative_change_one for s in at_d
-                if s.relative_change_one is not None]
-        lines.append(f"distance {distance}: {len(at_d)} samples")
-        if not at_d:
-            lines.append("  relative changes omitted (no neighbor sampled)")
-        elif zeros:
-            lines.append(
-                f"  zero-shot relative change: mean {float(np.mean(zeros))!r} "
-                f"median {_median(zeros)!r}")
-            lines.append(
-                f"  one-shot relative change:  mean {float(np.mean(ones))!r} "
-                f"median {_median(ones)!r}")
-        else:
-            lines.append("  relative changes omitted (source fitness below guard)")
-    atomic_write_bytes(os.path.join(cfg.out, "transfer_summary.txt"),
-                       ("\n".join(lines) + "\n").encode("utf-8"))
+    with atomic_open(os.path.join(cfg.out, "transfer_summary.txt")) as fh:
+        fh.write(f"source fitness: {source_fitness!r}\n\n")
+        for distance in cfg.distances:
+            at_d = [s for s in samples if s.distance == distance]
+            zeros = [s.relative_change_zero for s in at_d
+                     if s.relative_change_zero is not None]
+            ones = [s.relative_change_one for s in at_d
+                    if s.relative_change_one is not None]
+            fh.write(f"distance {distance}: {len(at_d)} samples\n")
+            if not at_d:
+                fh.write("  relative changes omitted (no neighbor sampled)\n")
+            elif zeros:
+                fh.write(f"  zero-shot relative change: mean {float(np.mean(zeros))!r} "
+                         f"median {_median(zeros)!r}\n")
+                fh.write(f"  one-shot relative change:  mean {float(np.mean(ones))!r} "
+                         f"median {_median(ones)!r}\n")
+            else:
+                fh.write("  relative changes omitted (source fitness below guard)\n")
     print(f"wrote {len(samples)} transfer samples to {cfg.out}")
     return 0
 
@@ -239,11 +235,11 @@ def cmd_replay(args) -> int:
         "n_masses": build_world(champion.morphology, cfg.physics).n_masses,
         "morphology": champion.morphology.to_text().replace("\n", ""),
     }
-    lines = [json.dumps(meta)]
-    for step, frame in enumerate(result.trajectory):
-        lines.append(json.dumps(
-            {"type": "frame", "step": step, "positions": frame.tolist()}))
-    atomic_write_bytes(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    with atomic_open(args.out) as fh:
+        fh.write(json.dumps(meta) + "\n")
+        for step, frame in enumerate(result.trajectory):
+            fh.write(json.dumps(
+                {"type": "frame", "step": step, "positions": frame.tolist()}) + "\n")
     print(f"replay fitness: {result.fitness!r} ({result.steps_used} steps) -> {args.out}")
     return 0
 
@@ -403,7 +399,8 @@ def cmd_report(args) -> int:
     if len(summaries) > 1:
         lines.append(f"champion fitness median {med!r} IQR [{q1!r}, {q3!r}]")
     text = "\n".join(lines) + "\n"
-    atomic_write_bytes(os.path.join(run_dir, "report.txt"), text.encode("utf-8"))
+    with atomic_open(os.path.join(run_dir, "report.txt")) as fh:
+        fh.write(text)
     print(text, end="")
     return 0
 

@@ -501,11 +501,14 @@ def _spring_forces(world, springs, forces) -> None:
 
 # From this many touching masses on, a substep's contact is one set of numpy
 # calls over them instead of the Python loop. Break-even measured on a
-# 2-vCPU AVX-512 host (numpy 2.4.6, process_time, best of 15 rounds): the
-# loop costs about 0.36 us per touching mass, the numpy form about 9 us
-# plus 0.02 us per mass; they cross at 26 to 28 masses. A one-body world
-# touches at most 6, so only a joined world of several bodies reaches it.
-VECTOR_CONTACT_MIN = 28
+# 2-vCPU AVX-512 host (numpy 2.4.6, perf_counter, `step_env` on 24 joined
+# worlds of 4-6 sunk random bodies, each form best of 11 alternated rounds):
+# the loop costs about 0.33 us per touching mass, the numpy form about 7 us
+# plus 0.02 us per mass. The numpy form cost 1.03-1.14x the loop at 18-22
+# masses, 0.98-1.01x at 23, 0.95-0.98x at 24-27 and 0.88-0.95x at 29-35.
+# A one-body world touches at most 6, so only a joined world of several
+# bodies reaches it.
+VECTOR_CONTACT_MIN = 24
 
 
 def _contact_forces(world, touching, y, vx, vy, fx, fy) -> None:
@@ -514,9 +517,11 @@ def _contact_forces(world, touching, y, vx, vy, fx, fy) -> None:
     at once, gathered from the state columns `y`, `vx`, `vy`, in the numpy
     form the loop was written to match bit for bit."""
     physics = world.physics
-    vx = vx.take(touching)
-    normal = (physics.contact_normal_stiffness * -y.take(touching)
-              - physics.contact_normal_damping * vy.take(touching))
+    # the columns are strided views of the state, which `take` would first
+    # copy whole; an index gathers only the touching masses
+    vx = vx[touching]
+    normal = (physics.contact_normal_stiffness * -y[touching]
+              - physics.contact_normal_damping * vy[touching])
     np.maximum(normal, 0.0, out=normal)
     stopping = world.mass.take(touching) * np.abs(vx) / physics.physics_dt
     friction = -np.sign(vx) * np.minimum(physics.contact_friction * normal, stopping)

@@ -3,15 +3,17 @@ import math
 import os
 import pathlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from voxevo.checkpoints import (
     _COUNT,
+    _HEADER,
     MAGIC,
     CheckpointIntegrityError,
-    atomic_write_bytes,
+    atomic_open,
     load_individual,
     load_population,
     save_individual,
@@ -243,15 +245,60 @@ class TestIntegrity:
         assert os.listdir(tmp_path) == []
 
 
+class TestPopulationMemory:
+    # a population packed whole and joined is held twice: 2 x 3.4 GB at
+    # MAX_POPULATION modular individuals. A writer holds one record at a time
+    def test_population_is_written_a_record_at_a_time(self, tmp_path):
+        population = [make_individual(i) for i in range(32)]
+        path = tmp_path / "pop.ckpt"
+        tracemalloc.start()
+        try:
+            save_population(str(path), population)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        record = (path.stat().st_size - _HEADER.size - _COUNT.size) / len(population)
+        assert peak < 4 * record
+
+
+# `atomic_open` in binary mode and in text mode (UTF-8, newlines kept), with
+# a payload whose bytes are the same in both
+ATOMIC_MODES = [(True, b"new\r\n"), (False, "new\r\n")]
+
+
 class TestAtomicWrite:
     def test_no_partial_left_behind(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        atomic_write_bytes(str(path), b"payload")
-        assert path.read_bytes() == b"payload"
-        assert os.listdir(tmp_path) == ["blob.bin"]
+        for binary, payload in ATOMIC_MODES:
+            path = tmp_path / "out"
+            with atomic_open(str(path), binary=binary) as fh:
+                fh.write(payload)
+            assert path.read_bytes() == b"new\r\n"
+            assert os.listdir(tmp_path) == ["out"]
+            path.unlink()
 
     def test_overwrites_existing(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(b"old")
-        atomic_write_bytes(str(path), b"new")
-        assert path.read_bytes() == b"new"
+        for binary, payload in ATOMIC_MODES:
+            path = tmp_path / "out"
+            path.write_bytes(b"old")
+            with atomic_open(str(path), binary=binary) as fh:
+                fh.write(payload)
+            assert path.read_bytes() == b"new\r\n"
+
+    def test_error_leaves_the_partial_and_not_the_target(self, tmp_path):
+        for binary, payload in ATOMIC_MODES:
+            path = tmp_path / "out"
+            with pytest.raises(RuntimeError, match="interrupted"):
+                with atomic_open(str(path), binary=binary) as fh:
+                    fh.write(payload)
+                    raise RuntimeError("interrupted")
+            assert os.listdir(tmp_path) == ["out.partial"]
+            assert (tmp_path / "out.partial").read_bytes() == b"new\r\n"
+            (tmp_path / "out.partial").unlink()
+
+    # text mode is UTF-8 and translates no newline
+    def test_text_is_utf8_with_newlines_kept(self, tmp_path):
+        path = tmp_path / "out"
+        text = "fitness \u2192 1.5\r\nnext\n"
+        with atomic_open(str(path)) as fh:
+            fh.write(text)
+        assert path.read_bytes() == text.encode("utf-8")
