@@ -12,9 +12,10 @@ that many individual records). Each individual record:
     morphology: 25 material digits (bytes, row-major) |
     controller kind u8 | parameter count u32 | parameters f64[count]
 
-Neither fitness may be infinite, and the body must be a valid robot: saving
-checks every individual before anything is written, so a refused one leaves
-no file and no `.partial`, and loading refuses any other record.
+Neither id may be negative, neither fitness infinite, and the body must be a
+valid robot: saving checks every individual before anything is written, so a
+refused one leaves no file and no `.partial`, and loading refuses any other
+record.
 
 Controller parameters are `ControllerGenome.to_flat`'s layout: W1 row-major,
 b1, W2 row-major, b2. The hidden width is always `control.HIDDEN_UNITS` and
@@ -26,7 +27,9 @@ Every file a command writes, checkpoint or not, goes through `atomic_open`:
 it is written to a `.partial` sibling and renamed into place, so a finished
 file is never half-written. A writer holds one record or one line of its
 file at a time: a population is written record by record, never packed
-whole.
+whole. A reader does the same: `_load` reads each record's pieces straight
+from the open file, and refuses a piece longer than the bytes left before
+it reads, so a corrupt count cannot make it allocate.
 """
 
 from __future__ import annotations
@@ -64,8 +67,13 @@ class CheckpointIntegrityError(RuntimeError):
 
 
 def _check_individual(ind: Individual) -> None:
-    """Refuse what loading would refuse: an infinite fitness, or a body that
-    is not a valid robot."""
+    """Refuse what loading would refuse: a negative id or parent id (-1
+    encodes "none"), an infinite fitness, or a body that is not a valid
+    robot."""
+    for name, value in (("id", ind.id), ("parent id", ind.parent_id)):
+        if value is not None and value < 0:
+            raise ValueError(f"individual {ind.id}: negative {name} {value} "
+                             f"cannot be checkpointed")
     for value in (ind.fitness, ind.parent_fitness_at_birth):
         if value is not None and math.isinf(value):
             raise ValueError(f"individual {ind.id}: infinite fitness cannot be checkpointed")
@@ -87,54 +95,47 @@ def _write_individual(fh, ind: Individual) -> None:
     fh.write(np.ascontiguousarray(flat, dtype="<f8"))  # its buffer, not a bytes copy
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.path = path
-        self.offset = 0
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise CheckpointIntegrityError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.offset:self.offset + n]
-        self.offset += n
-        return out
-
-    def done(self) -> bool:
-        return self.offset == len(self.blob)
+def _read(fh, n: int, path: str) -> bytes:
+    """The next `n` bytes of `fh`, refused as truncated when fewer are left:
+    checked before the read, which would allocate all `n` bytes first."""
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointIntegrityError(f"{path}: truncated checkpoint")
+    return fh.read(n)
 
 
-def _unpack_individual(reader: _Reader) -> Individual:
+def _unpack_individual(fh, path: str) -> Individual:
     (ind_id, parent_id, age, kind_code, fitness,
-     parent_fitness) = _RECORD_FIXED.unpack(reader.take(_RECORD_FIXED.size))
+     parent_fitness) = _RECORD_FIXED.unpack(_read(fh, _RECORD_FIXED.size, path))
     if kind_code not in _KIND_NAMES:
-        raise CheckpointIntegrityError(
-            f"{reader.path}: unknown mutation kind {kind_code}")
+        raise CheckpointIntegrityError(f"{path}: unknown mutation kind {kind_code}")
     if math.isinf(fitness) or math.isinf(parent_fitness):  # NaN encodes "none"
-        raise CheckpointIntegrityError(f"{reader.path}: infinite fitness")
-    digits = reader.take(GRID_SIZE * GRID_SIZE).decode("ascii", errors="replace")
+        raise CheckpointIntegrityError(f"{path}: infinite fitness")
+    if ind_id < 0:
+        raise CheckpointIntegrityError(f"{path}: negative id {ind_id}")
+    if parent_id < -1:  # -1 encodes "none"
+        raise CheckpointIntegrityError(f"{path}: negative parent id {parent_id}")
+    digits = _read(fh, GRID_SIZE * GRID_SIZE, path).decode("ascii", errors="replace")
     rows = [digits[i * GRID_SIZE:(i + 1) * GRID_SIZE] for i in range(GRID_SIZE)]
     try:
         morph = Morphology.from_text("\n".join(rows))
     except ValueError as exc:
-        raise CheckpointIntegrityError(f"{reader.path}: bad morphology: {exc}") from exc
+        raise CheckpointIntegrityError(f"{path}: bad morphology: {exc}") from exc
     if not validate(morph):
-        raise CheckpointIntegrityError(f"{reader.path}: the body is not a valid robot")
-    ctrl_code, count = _CTRL_HEAD.unpack(reader.take(_CTRL_HEAD.size))
+        raise CheckpointIntegrityError(f"{path}: the body is not a valid robot")
+    ctrl_code, count = _CTRL_HEAD.unpack(_read(fh, _CTRL_HEAD.size, path))
     if ctrl_code not in _CTRL_NAMES:
-        raise CheckpointIntegrityError(
-            f"{reader.path}: unknown controller kind {ctrl_code}")
-    flat = np.frombuffer(reader.take(count * 8), dtype="<f8")
+        raise CheckpointIntegrityError(f"{path}: unknown controller kind {ctrl_code}")
+    flat = np.frombuffer(_read(fh, count * 8, path), dtype="<f8")
     try:
         controller = genome_from_flat(_CTRL_NAMES[ctrl_code], flat)
     except ValueError as exc:
-        raise CheckpointIntegrityError(f"{reader.path}: {exc}") from exc
+        raise CheckpointIntegrityError(f"{path}: {exc}") from exc
     return Individual(
         morphology=morph,
         controller=controller,
         age=int(age),
         id=int(ind_id),
-        parent_id=None if parent_id < 0 else int(parent_id),
+        parent_id=None if parent_id == -1 else int(parent_id),
         mutation_kind=_KIND_NAMES[kind_code],
         parent_fitness_at_birth=None if math.isnan(parent_fitness) else parent_fitness,
         fitness=None if math.isnan(fitness) else fitness,
@@ -173,37 +174,34 @@ def save_population(path: str, population: list[Individual]) -> None:
           + _COUNT.pack(len(population)), population)
 
 
-def _open(path: str, expected_payload: int) -> _Reader:
+def _load(path: str, payload: int) -> list[Individual]:
+    """The individuals of the checkpoint at `path`, whose payload kind must
+    be `payload`, read from the open file one record at a time."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            magic, version, found = _HEADER.unpack(_read(fh, _HEADER.size, path))
+            if magic != MAGIC:
+                raise CheckpointIntegrityError(f"{path}: not a checkpoint file")
+            if version != VERSION:
+                raise CheckpointIntegrityError(
+                    f"{path}: unsupported checkpoint version {version}")
+            if found != payload:
+                raise CheckpointIntegrityError(
+                    f"{path}: expected payload kind {payload}, found {found}")
+            count, records = 1, "record"
+            if payload == PAYLOAD_POPULATION:
+                (count,), records = _COUNT.unpack(_read(fh, _COUNT.size, path)), "records"
+            individuals = [_unpack_individual(fh, path) for _ in range(count)]
+            if fh.read(1):
+                raise CheckpointIntegrityError(f"{path}: trailing bytes after {records}")
     except OSError as exc:
         raise CheckpointIntegrityError(f"{path}: cannot read checkpoint: {exc}") from exc
-    reader = _Reader(blob, path)
-    magic, version, payload = _HEADER.unpack(reader.take(_HEADER.size))
-    if magic != MAGIC:
-        raise CheckpointIntegrityError(f"{path}: not a checkpoint file")
-    if version != VERSION:
-        raise CheckpointIntegrityError(
-            f"{path}: unsupported checkpoint version {version}")
-    if payload != expected_payload:
-        raise CheckpointIntegrityError(
-            f"{path}: expected payload kind {expected_payload}, found {payload}")
-    return reader
+    return individuals
 
 
 def load_individual(path: str) -> Individual:
-    reader = _open(path, PAYLOAD_INDIVIDUAL)
-    ind = _unpack_individual(reader)
-    if not reader.done():
-        raise CheckpointIntegrityError(f"{path}: trailing bytes after record")
-    return ind
+    return _load(path, PAYLOAD_INDIVIDUAL)[0]
 
 
 def load_population(path: str) -> list[Individual]:
-    reader = _open(path, PAYLOAD_POPULATION)
-    (count,) = _COUNT.unpack(reader.take(_COUNT.size))
-    population = [_unpack_individual(reader) for _ in range(count)]
-    if not reader.done():
-        raise CheckpointIntegrityError(f"{path}: trailing bytes after records")
-    return population
+    return _load(path, PAYLOAD_POPULATION)

@@ -148,6 +148,15 @@ def patch_checkpoint_fitness(path: str, fitness: float, parent_fitness: float) -
         fh.write(struct.pack("<dd", fitness, parent_fitness))
 
 
+def patch_checkpoint_ids(path: str, ind_id: int, parent_id: int) -> None:
+    """Overwrite the id and parent id of the individual checkpoint at `path`,
+    the two i64s that begin its record: the way to put ids there that
+    `save_individual` refuses to write."""
+    with open(path, "r+b") as fh:
+        fh.seek(_HEADER.size)
+        fh.write(struct.pack("<qq", ind_id, parent_id))
+
+
 def patch_checkpoint_body(path: str, body: Morphology) -> None:
     """Overwrite the 25 body digits of the individual checkpoint at `path`,
     which follow its record's fixed part: the way to put a body there that

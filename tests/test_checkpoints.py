@@ -24,7 +24,12 @@ from voxevo.evolution import KIND_BODY, KIND_FRESH, MAX_POPULATION, Individual
 from voxevo.morphology import random_morphology
 from voxevo.sensing import GLOBAL_KIND, MODULAR_KIND
 
-from helpers import INVALID_BODIES, patch_checkpoint_body, patch_checkpoint_fitness
+from helpers import (
+    INVALID_BODIES,
+    patch_checkpoint_body,
+    patch_checkpoint_fitness,
+    patch_checkpoint_ids,
+)
 
 INFINITE_FITNESSES = [(math.inf, 0.5), (-math.inf, 0.5), (1.25, math.inf), (1.25, -math.inf)]
 
@@ -197,6 +202,18 @@ class TestIntegrity:
         with pytest.raises(CheckpointIntegrityError, match="do not fit"):
             load_individual(str(corrupt))
 
+    # a read of the count's 32 GiB would be allocated before it failed: the
+    # reader refuses a piece longer than the bytes left before reading it
+    def test_huge_parameter_count_is_refused_before_it_is_read(self, tmp_path):
+        path = str(tmp_path / "ind.ckpt")
+        save_individual(path, make_individual())
+        with open(path, "r+b") as fh:
+            fh.seek(7 + 37 + 25 + 1)  # header, fixed record, digits, kind byte
+            fh.write((0xFFFFFFFF).to_bytes(4, "little"))
+        with pytest.raises(CheckpointIntegrityError) as exc_info:
+            load_individual(path)
+        assert str(exc_info.value) == f"{path}: truncated checkpoint"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointIntegrityError):
             load_individual(str(tmp_path / "nope.ckpt"))
@@ -244,6 +261,34 @@ class TestIntegrity:
             save_population(str(tmp_path / "pop.ckpt"), [make_individual(ident=4), ind])
         assert os.listdir(tmp_path) == []
 
+    # -5 loaded as "no parent" and a negative id loaded as it was; -1 alone
+    # encodes "none"
+    @pytest.mark.parametrize("ind_id, parent_id, message", [
+        (-1, 1, "negative id -1"), (-7, -1, "negative id -7"),
+        (3, -2, "negative parent id -2"), (3, -5, "negative parent id -5"),
+    ])
+    def test_negative_id_rejected(self, tmp_path, ind_id, parent_id, message):
+        path = str(tmp_path / "ind.ckpt")
+        save_individual(path, make_individual())
+        patch_checkpoint_ids(path, ind_id, parent_id)
+        with pytest.raises(CheckpointIntegrityError) as exc_info:
+            load_individual(path)
+        assert str(exc_info.value) == f"{path}: {message}"
+
+    # an id of -1 was written and then loaded as "no parent"
+    @pytest.mark.parametrize("ind_id, parent_id, message", [
+        (-1, 1, "individual -1: negative id -1"),
+        (3, -1, "individual 3: negative parent id -1"),
+        (3, -5, "individual 3: negative parent id -5"),
+    ])
+    def test_negative_id_is_not_saved(self, tmp_path, ind_id, parent_id, message):
+        ind = dataclasses.replace(make_individual(), id=ind_id, parent_id=parent_id)
+        with pytest.raises(ValueError, match=message):
+            save_individual(str(tmp_path / "ind.ckpt"), ind)
+        with pytest.raises(ValueError, match=message):
+            save_population(str(tmp_path / "pop.ckpt"), [make_individual(ident=4), ind])
+        assert os.listdir(tmp_path) == []
+
 
 class TestPopulationMemory:
     # a population packed whole and joined is held twice: 2 x 3.4 GB at
@@ -259,6 +304,20 @@ class TestPopulationMemory:
             tracemalloc.stop()
         record = (path.stat().st_size - _HEADER.size - _COUNT.size) / len(population)
         assert peak < 4 * record
+
+    # the whole file was read into one blob beside the records built from it
+    def test_population_is_read_a_record_at_a_time(self, tmp_path):
+        path = tmp_path / "pop.ckpt"
+        save_population(str(path), [make_individual(i) for i in range(32)])
+        tracemalloc.start()
+        try:
+            loaded = load_population(str(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 32
+        record = (path.stat().st_size - _HEADER.size - _COUNT.size) / len(loaded)
+        assert peak - held < 4 * record
 
 
 # `atomic_open` in binary mode and in text mode (UTF-8, newlines kept), with

@@ -6,7 +6,10 @@ fails. The damage is a fixed list drawn from a seeded generator: truncations
 and single-bit flips of a small run's `champion.ckpt`, read through
 `transfer` and `replay`, and of its `generations.csv` and `lineage.csv`, read
 through `report`, with three hand-found CSV cases besides. No command reads a
-population checkpoint, so that reader is outside the gate.
+population checkpoint yet, so the damage drawn the same way from the run's
+`population_final.ckpt`, and every single-bit flip of its bytes outside the
+controller parameters, goes straight to `load_population`, which must load
+it or raise `CheckpointIntegrityError`.
 """
 
 import os
@@ -15,7 +18,16 @@ import shutil
 import numpy as np
 import pytest
 
+from voxevo.checkpoints import (
+    _COUNT,
+    _CTRL_HEAD,
+    _HEADER,
+    _RECORD_FIXED,
+    CheckpointIntegrityError,
+    load_population,
+)
 from voxevo.cli import main
+from voxevo.morphology import GRID_SIZE
 
 from helpers import tree
 
@@ -128,6 +140,44 @@ def test_damaged_champion_through_transfer_and_replay(run, tmp_path, capsys):
             problem = breach(argv, case_dir, capsys)
             if problem:
                 breaches.append(f"champion.ckpt {case} through {argv[0]}: {problem}")
+    assert breaches == []
+
+
+def structure_flips(data: bytes, population) -> list[tuple[str, bytes]]:
+    """Every single-bit flip of `data`, the checkpoint of `population`,
+    outside its controller parameters, which hold nearly all of its bytes: the
+    header, the count, and each record's fixed part, body digits and
+    controller head."""
+    head = _RECORD_FIXED.size + GRID_SIZE * GRID_SIZE + _CTRL_HEAD.size
+    at = _HEADER.size + _COUNT.size
+    spine = list(range(at))
+    for ind in population:
+        spine += range(at, at + head)
+        at += head + 8 * ind.controller.to_flat().size
+    cases = []
+    for at in spine:
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[at] ^= 1 << bit
+            cases.append((f"bit {bit} of byte {at} flipped", bytes(flipped)))
+    return cases
+
+
+def test_damaged_population_through_its_loader(run, tmp_path):
+    _, run_dir = run
+    source = run_dir / "population_final.ckpt"
+    data = source.read_bytes()
+    cases = drawn_damage(data, 3) + structure_flips(data, load_population(str(source)))
+    path = tmp_path / "population.ckpt"
+    breaches = []
+    for case, damaged in cases:
+        path.write_bytes(damaged)
+        try:
+            load_population(str(path))
+        except CheckpointIntegrityError:
+            pass
+        except Exception as exc:
+            breaches.append(f"population_final.ckpt {case}: raised {exc!r}")
     assert breaches == []
 
 

@@ -118,6 +118,14 @@ def test_multi_body_digests_any_worker_count(tmp_path, workers):
     _check(_evolve(tmp_path, case, MULTI_BODY_GLOBAL, workers), case)
 
 
+# the same for co-optimization, whose one-body jobs are each cut into runs
+# of their own today: a change to that cut must keep these bits
+@pytest.mark.parametrize("workers", [2, 3])
+def test_co_optimize_digests_any_worker_count(tmp_path, workers):
+    case = "co-optimize-modular"
+    _check(_evolve(tmp_path, case, CO_OPTIMIZE_MODULAR, workers), case)
+
+
 # the zero-shot episodes are one multi-body job, so the transfer's episodes
 # are cut into one joined run per worker, and the run boundaries move with
 # the worker count
